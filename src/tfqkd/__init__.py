@@ -103,7 +103,6 @@ from .spectra import (
     TopologyConfig,
     TopologyKind,
     interference_spectrum,
-    laser_spectrum,
     loop_gain,
     psd_cavity,
     psd_detection_floor,

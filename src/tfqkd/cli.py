@@ -13,17 +13,21 @@ import numpy as np
 from . import oracle as oracle_mod
 from . import sns as sns_mod
 from .cal import CalParams, cal_gain, make_cal_channel
-from .coherence import sigma_map, solve_tau_q
+from .coherence import _csv_text, sigma_map, solve_tau_q
 from .config import FullConfig, load_config
+from .errors import TfqkdError
 from .link import MisalignmentParams
 from .scenarios import (
     DETECTORS,
     PROTOCOL_NAMES,
-    builtin_scenarios,
+    builtin_scenario,
     format_csv,
     run_sweep,
 )
 from .spectra import interference_spectrum
+
+# lower ends of the log-spaced grids must be > 0
+_POSITIVE = click.FloatRange(min=0, min_open=True)
 
 
 def _write(text: str, out) -> None:
@@ -37,11 +41,7 @@ def _write(text: str, out) -> None:
 def _context(scenario_id: int | None, config: str | None) -> FullConfig:
     if config is not None:
         return load_config(config)
-    sid = 1 if scenario_id is None else scenario_id
-    presets = {p.id: p for p in builtin_scenarios()}
-    if sid not in presets:
-        raise click.BadParameter(f"scenario must be 1-7, got {sid}")
-    p = presets[sid]
+    p = builtin_scenario(1 if scenario_id is None else scenario_id)
     return FullConfig(topology=p.topology, operating_point=p.operating_point)
 
 
@@ -51,7 +51,17 @@ def _protocols_option(value: str | None) -> tuple:
     return tuple(s.strip() for s in value.split(",") if s.strip())
 
 
-@click.group()
+class _Group(click.Group):
+    """Command group that reports simulator errors as one-line CLI errors."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except TfqkdError as exc:
+            raise click.ClickException(str(exc)) from exc
+
+
+@click.group(cls=_Group)
 def main() -> None:
     """Twin-field QKD phase-noise and key-rate simulator."""
 
@@ -60,8 +70,8 @@ def main() -> None:
 @click.option("--scenario", "scenario_id", type=int, default=None,
               help="Built-in scenario id (1-7).")
 @click.option("--config", type=click.Path(exists=True), default=None)
-@click.option("--fmin", type=float, default=1.0, show_default=True)
-@click.option("--fmax", type=float, default=3e7, show_default=True)
+@click.option("--fmin", type=_POSITIVE, default=1.0, show_default=True)
+@click.option("--fmax", type=_POSITIVE, default=3e7, show_default=True)
 @click.option("--points", type=int, default=2000, show_default=True)
 @click.option("--out", type=click.Path(), default=None)
 def psd(scenario_id, config, fmin, fmax, points, out):
@@ -69,10 +79,7 @@ def psd(scenario_id, config, fmin, fmax, points, out):
     cfg = _context(scenario_id, config)
     spec = interference_spectrum(cfg.topology, cfg.laser, cfg.fiber)
     f = np.geomspace(fmin, fmax, points)
-    s = spec(f)
-    lines = ["f_hz,s_phi_rad2_per_hz"]
-    lines += [f"{fi:.12e},{si:.12e}" for fi, si in zip(f, s)]
-    _write("\n".join(lines) + "\n", out)
+    _write(_csv_text(("f_hz", "s_phi_rad2_per_hz"), zip(f, spec(f))), out)
 
 
 @main.command("tau-solve")
@@ -84,21 +91,21 @@ def tau_solve(scenario_id, config, out):
     cfg = _context(scenario_id, config)
     spec = interference_spectrum(cfg.topology, cfg.laser, cfg.fiber)
     res = solve_tau_q(spec, cfg.budget)
-    lines = ["tau_q_s,sigma_phi_rad,duty_cycle,e_phi,clipped,floored",
-             f"{res.tau_q:.12e},{res.sigma_phi:.12e},{res.duty_cycle:.12e},"
-             f"{res.e_phi:.12e},{int(res.clipped)},{int(res.floored)}"]
-    _write("\n".join(lines) + "\n", out)
+    _write(_csv_text(
+        ("tau_q_s", "sigma_phi_rad", "duty_cycle", "e_phi", "clipped", "floored"),
+        [(res.tau_q, res.sigma_phi, res.duty_cycle, res.e_phi,
+          int(res.clipped), int(res.floored))]), out)
 
 
 @main.command("sigma-map")
 @click.option("--scenario", "scenario_id", type=int, default=None)
 @click.option("--config", type=click.Path(exists=True), default=None)
-@click.option("--dl-start", type=float, default=0.001, show_default=True,
+@click.option("--dl-start", type=_POSITIVE, default=0.001, show_default=True,
               help="Smallest mismatch (km).")
-@click.option("--dl-stop", type=float, default=10.0, show_default=True)
+@click.option("--dl-stop", type=_POSITIVE, default=10.0, show_default=True)
 @click.option("--dl-points", type=int, default=25, show_default=True)
-@click.option("--tau-start", type=float, default=1e-6, show_default=True)
-@click.option("--tau-stop", type=float, default=1.0, show_default=True)
+@click.option("--tau-start", type=_POSITIVE, default=1e-6, show_default=True)
+@click.option("--tau-stop", type=_POSITIVE, default=1.0, show_default=True)
 @click.option("--tau-points", type=int, default=25, show_default=True)
 @click.option("--level", type=float, multiple=True, default=(0.2,),
               show_default=True, help="Isoline level(s) in rad.")
@@ -111,24 +118,18 @@ def sigma_map_cmd(scenario_id, config, dl_start, dl_stop, dl_points, tau_start,
     dl = np.geomspace(dl_start, dl_stop, dl_points)
     taus = np.geomspace(tau_start, tau_stop, tau_points)
     m = sigma_map(cfg.topology, dl, taus, cfg.budget, cfg.laser, cfg.fiber)
-    lines = ["delta_l_km,tau_q_s,sigma_phi_rad"]
-    for j, d in enumerate(m.delta_l_km):
-        for i, tau in enumerate(m.tau_q_s):
-            lines.append(f"{d:.12e},{tau:.12e},{m.sigma_phi[i, j]:.12e}")
-    _write("\n".join(lines) + "\n", out)
+    _write(m.csv_text(), out)
     if isolines_out is not None:
-        iso = ["level_rad,delta_l_km,tau_q_s"]
-        for lv in level:
-            for d, t in zip(m.delta_l_km, m.isoline(lv)):
-                iso.append(f"{lv:.12e},{d:.12e},{t:.12e}")
-        _write("\n".join(iso) + "\n", isolines_out)
+        _write(_csv_text(("level_rad", "delta_l_km", "tau_q_s"), (
+            (lv, d, t) for lv in level
+            for d, t in zip(m.delta_l_km, m.isoline(lv)))), isolines_out)
 
 
 @main.command()
 @click.option("--scenario", "scenario_id", type=int, default=None)
 @click.option("--config", type=click.Path(exists=True), default=None)
-@click.option("--detector", type=click.Choice(sorted(DETECTORS)), default="snspd",
-              show_default=True)
+@click.option("--detector", type=click.Choice(sorted(DETECTORS)), default=None,
+              help="Detector preset; defaults to the config's sweep.detector.")
 @click.option("--attenuation-db", type=float, required=True)
 @click.option("--protocols", type=str, default=None,
               help="Comma-separated subset of " + ",".join(PROTOCOL_NAMES))
@@ -137,7 +138,8 @@ def keyrate(scenario_id, config, detector, attenuation_db, protocols, out):
     """Key rates at a single total attenuation."""
     cfg = _context(scenario_id, config)
     spec = replace(cfg.sweep, start=attenuation_db, stop=attenuation_db, step=1.0,
-                   detector=detector, x_axis="total_attenuation_db",
+                   detector=detector or cfg.sweep.detector,
+                   x_axis="total_attenuation_db",
                    protocols=_protocols_option(protocols))
     rows = run_sweep(cfg.resolve_operating_point(), spec, prot=cfg.protocol,
                      detector=cfg.detector)
@@ -146,8 +148,8 @@ def keyrate(scenario_id, config, detector, attenuation_db, protocols, out):
 
 @main.command()
 @click.argument("scenario")
-@click.option("--detector", type=click.Choice(sorted(DETECTORS)), default="snspd",
-              show_default=True)
+@click.option("--detector", type=click.Choice(sorted(DETECTORS)), default=None,
+              help="Detector preset; defaults to the config's sweep.detector.")
 @click.option("--protocols", type=str, default=None)
 @click.option("--start", type=float, default=None)
 @click.option("--stop", type=float, default=None)
@@ -161,18 +163,11 @@ def scenario(scenario, detector, protocols, start, stop, step, x_axis, out):
         cfg = _context(int(scenario), None)
     else:
         cfg = load_config(scenario)
-    updates = {"detector": detector}
+    updates = {"detector": detector, "start": start, "stop": stop, "step": step,
+               "x_axis": x_axis}
     if protocols is not None:
         updates["protocols"] = _protocols_option(protocols)
-    if start is not None:
-        updates["start"] = start
-    if stop is not None:
-        updates["stop"] = stop
-    if step is not None:
-        updates["step"] = step
-    if x_axis is not None:
-        updates["x_axis"] = x_axis
-    spec = replace(cfg.sweep, **updates)
+    spec = replace(cfg.sweep, **{k: v for k, v in updates.items() if v is not None})
     rows = run_sweep(cfg.resolve_operating_point(), spec, prot=cfg.protocol,
                      detector=cfg.detector)
     _write(format_csv(rows), out)
@@ -186,7 +181,7 @@ def scenario(scenario, detector, protocols, start, stop, step, x_axis, out):
 def oracle(seed, samples, points, out):
     """Analytic click statistics vs Monte-Carlo, with z-scores."""
     rng = np.random.Generator(np.random.Philox(seed))
-    lines = ["point,quantity,analytic,oracle,oracle_se,z_score,bit_generator"]
+    rows = []
     misalign = MisalignmentParams()
     for k in range(points):
         arm_t = float(10.0 ** rng.uniform(-3, -0.5))
@@ -199,8 +194,7 @@ def oracle(seed, samples, points, out):
         val = mc.c_only + mc.d_only
         se = float(np.hypot(mc.se_c_only, mc.se_d_only))
         z = (ana - val) / se if se > 0 else 0.0
-        lines.append(f"{k},sns_effective_rate,{ana:.12e},{val:.12e},{se:.12e},"
-                     f"{z:.6f},{mc.bit_generator}")
+        rows.append((k, "sns_effective_rate", ana, val, se, f"{z:.6f}", mc.bit_generator))
 
         calp = CalParams()
         ch = make_cal_channel(arm_t, calp, sigma_phi=0.1, theta=misalign.theta)
@@ -218,9 +212,9 @@ def oracle(seed, samples, points, out):
         val = 0.5 * (mc_eq.c_only + mc_op.c_only)
         se = 0.5 * float(np.hypot(mc_eq.se_c_only, mc_op.se_c_only))
         z = (ana_gain - val) / se if se > 0 else 0.0
-        lines.append(f"{k},cal_gain,{ana_gain:.12e},{val:.12e},{se:.12e},"
-                     f"{z:.6f},{mc_eq.bit_generator}")
-    _write("\n".join(lines) + "\n", out)
+        rows.append((k, "cal_gain", ana_gain, val, se, f"{z:.6f}", mc_eq.bit_generator))
+    _write(_csv_text(("point", "quantity", "analytic", "oracle", "oracle_se",
+                      "z_score", "bit_generator"), rows), out)
 
 
 if __name__ == "__main__":

@@ -38,6 +38,18 @@ OSC_PERIODS = 50.0
 OSC_POINTS_PER_PERIOD = 1000
 
 
+def _csv_text(header, rows) -> str:
+    """CSV text of a header and rows: floats as .12e, any other cell as str.
+
+    Identical inputs produce byte-identical text; every CSV the package
+    writes goes through here.
+    """
+    lines = [",".join(header)]
+    lines += [",".join(f"{v:.12e}" if isinstance(v, (float, np.floating)) else str(v)
+                       for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def _spectrum_of(psd) -> Spectrum:
     if isinstance(psd, Spectrum):
         return psd
@@ -258,10 +270,14 @@ class SigmaMap:
     def to_csv(self, path) -> None:
         """Long-format CSV: delta_l_km, tau_q_s, sigma_phi_rad."""
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("delta_l_km,tau_q_s,sigma_phi_rad\n")
-            for j, dl in enumerate(self.delta_l_km):
-                for i, tau in enumerate(self.tau_q_s):
-                    fh.write(f"{dl:.12e},{tau:.12e},{self.sigma_phi[i, j]:.12e}\n")
+            fh.write(self.csv_text())
+
+    def csv_text(self) -> str:
+        """The long-format CSV of to_csv as a string."""
+        return _csv_text(("delta_l_km", "tau_q_s", "sigma_phi_rad"), (
+            (dl, tau, self.sigma_phi[i, j])
+            for j, dl in enumerate(self.delta_l_km)
+            for i, tau in enumerate(self.tau_q_s)))
 
 
 def sigma_map(topo_template: TopologyConfig,

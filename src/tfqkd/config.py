@@ -5,10 +5,15 @@ override any subset of the laser, cavity, loop, fiber, budget, channel,
 protocol and sweep parameters, or define a topology from scratch.  An
 explicit operating_point pins the coherence numbers; without one the
 solver runs on the configured spectrum.
+
+One table, _FIELDS, maps every YAML leaf to the FullConfig field(s) it
+sets; the schema, the build and the dump are all generated from it, and
+every default comes from the dataclasses.
 """
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -16,8 +21,7 @@ import jsonschema
 import yaml
 
 from .coherence import CoherenceBudget, solve_tau_q
-from .decoy import DecoySet
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .link import DetectorParams
 from .scenarios import (
     DETECTORS,
@@ -25,80 +29,94 @@ from .scenarios import (
     PROTOCOL_NAMES,
     ProtocolParams,
     SweepSpec,
-    builtin_scenarios,
+    builtin_scenario,
 )
-from .spectra import (
-    CavityParams,
-    FiberParams,
-    LaserFreeParams,
-    LaserSpec,
-    LoopParams,
-    TopologyConfig,
-    TopologyKind,
-)
-from . import cal as cal_mod
-from . import sns as sns_mod
-from .link import MisalignmentParams
+from .spectra import FiberParams, LaserSpec, TopologyConfig, TopologyKind
 
-__all__ = ["FullConfig", "load_config", "loads_config", "dump_config", "default_config_dict"]
+__all__ = ["FullConfig", "load_config", "loads_config", "dump_config"]
 
-_NUM = {"type": "number"}
 _POS = {"type": "number", "exclusiveMinimum": 0}
 _NONNEG = {"type": "number", "minimum": 0}
 _BOOL = {"type": "boolean"}
+
+# (YAML section, key, schema fragment, dotted FullConfig paths it sets).
+# The two preset keys set no path: they pick the object the other keys
+# of their section override.
+_FIELDS = (
+    ("scenario", "preset", {"type": "integer", "minimum": 1, "maximum": 7}, ()),
+    ("topology", "kind", {"enum": [k.value for k in TopologyKind]}, ("topology.kind",)),
+    ("topology", "laser_stabilized", _BOOL, ("topology.laser_stabilized",)),
+    ("topology", "fiber_stabilized", _BOOL, ("topology.fiber_stabilized",)),
+    ("topology", "l_a_km", _NONNEG, ("topology.l_a",)),
+    ("topology", "l_b_km", _NONNEG, ("topology.l_b",)),
+    ("topology", "refractive_index", _POS, ("topology.refractive_index",)),
+    ("topology", "fiber_roundtrip_factor", _NONNEG, ("topology.fiber_roundtrip_factor",)),
+    ("laser", "r3", _NONNEG, ("laser.free.r3",)),
+    ("laser", "r2", _NONNEG, ("laser.free.r2",)),
+    ("laser", "f_c_hz", _POS, ("laser.free.f_c",)),
+    ("cavity", "c4", _NONNEG, ("laser.cavity.c4",)),
+    ("cavity", "c3", _NONNEG, ("laser.cavity.c3",)),
+    ("cavity", "c2", _NONNEG, ("laser.cavity.c2",)),
+    ("loop", "bandwidth_hz", _POS, ("laser.loop.bandwidth",)),
+    ("loop", "gamma", _POS, ("laser.loop.gamma",)),
+    ("loop", "delta", _POS, ("laser.loop.delta",)),
+    ("fiber", "noise_per_km", _NONNEG, ("fiber.noise_per_km",)),
+    ("fiber", "f_c_free_hz", _POS, ("fiber.f_c_free",)),
+    ("fiber", "s0", _NONNEG, ("fiber.s0",)),
+    ("fiber", "f_c_floor_hz", _POS, ("fiber.f_c_floor",)),
+    ("fiber", "lambda_s_nm", _POS, ("fiber.lambda_s_nm",)),
+    ("fiber", "lambda_q_nm", _POS, ("fiber.lambda_q_nm",)),
+    ("budget", "sigma_threshold_rad", _POS, ("budget.sigma_threshold",)),
+    ("budget", "tau_max_s", _POS, ("budget.tau_max",)),
+    ("budget", "tau_ps_s", _POS, ("budget.tau_ps",)),
+    ("budget", "tau_floor_s", _POS, ("budget.tau_floor",)),
+    ("budget", "f_max_hz", _POS, ("budget.f_max",)),
+    ("channel", "alpha_db_per_km", _NONNEG, ("sweep.alpha",)),
+    ("channel", "a_plus_db", _NONNEG, ("sweep.a_plus",)),
+    ("protocol", "e_theta", _NONNEG, ("protocol.misalignment.e_theta",)),
+    ("protocol", "f_ec", {"type": "number", "minimum": 1},
+     ("protocol.f_ec", "protocol.sns.f_ec", "protocol.cal.f_ec")),
+    ("protocol.decoys", "u", _POS, ("protocol.decoys.u", "protocol.sns.decoys.u")),
+    ("protocol.decoys", "v", _POS, ("protocol.decoys.v", "protocol.sns.decoys.v")),
+    ("protocol.decoys", "w", _NONNEG, ("protocol.decoys.w", "protocol.sns.decoys.w")),
+    ("protocol.sns", "epsilon", _POS, ("protocol.sns.epsilon",)),
+    ("protocol.sns", "mu_z", _POS, ("protocol.sns.mu_z",)),
+    ("protocol.sns", "mu_0", _NONNEG, ("protocol.sns.mu_0",)),
+    ("protocol.sns", "p_z", _POS, ("protocol.sns.p_z",)),
+    ("protocol.cal", "mu_zeta", _POS, ("protocol.cal.mu_zeta",)),
+    ("operating_point", "tau_q_s", _POS, ("operating_point.tau_q",)),
+    ("operating_point", "sigma_phi_rad", _NONNEG, ("operating_point.sigma_phi",)),
+    ("operating_point", "e_phi", _NONNEG, ("operating_point.e_phi",)),
+    ("detector", "preset", {"enum": sorted(DETECTORS)}, ()),
+    ("detector", "eta_d", _POS, ("detector.eta_d",)),
+    ("detector", "dark_rate_hz", _NONNEG, ("detector.dark_rate",)),
+    ("detector", "clock_rate_hz", _POS, ("detector.clock_rate",)),
+    ("sweep", "x_axis", {"enum": ["total_attenuation_db", "total_length_km"]},
+     ("sweep.x_axis",)),
+    ("sweep", "start", _NONNEG, ("sweep.start",)),
+    ("sweep", "stop", _NONNEG, ("sweep.stop",)),
+    ("sweep", "step", _POS, ("sweep.step",)),
+    ("sweep", "detector", {"enum": sorted(DETECTORS)}, ("sweep.detector",)),
+    ("sweep", "protocols", {"type": "array", "minItems": 1,
+                            "items": {"enum": list(PROTOCOL_NAMES)}}, ("sweep.protocols",)),
+)
 
 
 def _obj(props: dict) -> dict:
     return {"type": "object", "properties": props, "additionalProperties": False}
 
 
-CONFIG_SCHEMA = _obj({
-    "scenario": _obj({"preset": {"type": "integer", "minimum": 1, "maximum": 7}}),
-    "topology": _obj({
-        "kind": {"enum": ["common_laser", "independent_lasers"]},
-        "laser_stabilized": _BOOL,
-        "fiber_stabilized": _BOOL,
-        "l_a_km": _NONNEG,
-        "l_b_km": _NONNEG,
-        "refractive_index": _POS,
-        "fiber_roundtrip_factor": _NONNEG,
-    }),
-    "laser": _obj({"r3": _NONNEG, "r2": _NONNEG, "f_c_hz": _POS}),
-    "cavity": _obj({"c4": _NONNEG, "c3": _NONNEG, "c2": _NONNEG}),
-    "loop": _obj({"bandwidth_hz": _POS, "gamma": _POS, "delta": _POS}),
-    "fiber": _obj({
-        "noise_per_km": _NONNEG, "f_c_free_hz": _POS, "s0": _NONNEG,
-        "f_c_floor_hz": _POS, "lambda_s_nm": _POS, "lambda_q_nm": _POS,
-    }),
-    "budget": _obj({
-        "sigma_threshold_rad": _POS, "tau_max_s": _POS, "tau_ps_s": _POS,
-        "tau_floor_s": _POS, "f_max_hz": _POS,
-    }),
-    "channel": _obj({"alpha_db_per_km": _NONNEG, "a_plus_db": _NONNEG}),
-    "protocol": _obj({
-        "e_theta": _NONNEG,
-        "f_ec": {"type": "number", "minimum": 1},
-        "decoys": _obj({"u": _POS, "v": _POS, "w": _NONNEG}),
-        "sns": _obj({"epsilon": _POS, "mu_z": _POS, "mu_0": _NONNEG, "p_z": _POS}),
-        "cal": _obj({"mu_zeta": _POS}),
-    }),
-    "operating_point": _obj({
-        "tau_q_s": _POS, "sigma_phi_rad": _NONNEG, "e_phi": _NONNEG,
-    }),
-    "detector": _obj({
-        "preset": {"enum": sorted(DETECTORS)},
-        "eta_d": _POS, "dark_rate_hz": _NONNEG, "clock_rate_hz": _POS,
-    }),
-    "sweep": _obj({
-        "x_axis": {"enum": ["total_attenuation_db", "total_length_km"]},
-        "start": _NONNEG, "stop": _NONNEG, "step": _POS,
-        "detector": {"enum": sorted(DETECTORS)},
-        "protocols": {
-            "type": "array", "minItems": 1,
-            "items": {"enum": list(PROTOCOL_NAMES)},
-        },
-    }),
-})
+def _schema() -> dict:
+    root = _obj({})
+    for section, key, fragment, _ in _FIELDS:
+        node = root
+        for part in section.split("."):
+            node = node["properties"].setdefault(part, _obj({}))
+        node["properties"][key] = fragment
+    return root
+
+
+CONFIG_SCHEMA = _schema()
 
 
 @dataclass(frozen=True)
@@ -133,110 +151,78 @@ def _validate(raw: dict) -> None:
         raise ConfigError(f"configuration invalid: {msgs}")
 
 
+def _sections(path: str, raw: dict) -> str:
+    """The YAML sections of raw that set fields at or below a FullConfig path."""
+    return ", ".join(sorted({
+        section for section, key, _, paths in _FIELDS
+        if key in _section(raw, section)
+        and any(p.startswith(path + ".") for p in paths)}))
+
+
+def _section(raw: dict, section: str) -> dict:
+    for part in section.split("."):
+        raw = raw.get(part, {})
+    return raw
+
+
+def _apply(obj, updates: dict, raw: dict, prefix: str = ""):
+    """Replace the dotted-path fields of obj, one replace per dataclass.
+
+    Each frozen dataclass is rebuilt once with all of its overridden
+    fields, so __post_init__ never checks a half-updated object.  YAML
+    values take the type of the field they replace (enum members from
+    their value, tuples from lists); an unset optional operating point is
+    built from its fields.
+    """
+    nested: dict = {}
+    fields: dict = {}
+    for path, value in updates.items():
+        head, _, rest = path.partition(".")
+        if rest:
+            nested.setdefault(head, {})[rest] = value
+        else:
+            current = getattr(obj, head, None)
+            if isinstance(current, enum.Enum):
+                value = type(current)(value)
+            elif isinstance(current, tuple):
+                value = tuple(value)
+            fields[head] = value
+    for head, sub in nested.items():
+        fields[head] = _apply(getattr(obj, head), sub, raw, f"{prefix}{head}.")
+    try:
+        if obj is None:
+            return OperatingPoint(**fields)
+        return replace(obj, **fields)
+    except DomainError as exc:
+        raise ConfigError(f"{_sections(prefix.rstrip('.'), raw)}: {exc}") from exc
+
+
 def _build(raw: dict) -> FullConfig:
-    base_topo = None
-    base_op = None
-    if "scenario" in raw and "preset" in raw["scenario"]:
-        preset = {p.id: p for p in builtin_scenarios()}[raw["scenario"]["preset"]]
-        base_topo = preset.topology
-        base_op = preset.operating_point
-    topo_raw = raw.get("topology", {})
-    if base_topo is None and not topo_raw:
+    preset_id = _section(raw, "scenario").get("preset")
+    if preset_id is None and not raw.get("topology"):
         raise ConfigError("configuration needs a scenario preset or a topology section")
-    topo_kwargs = {}
-    if "kind" in topo_raw:
-        topo_kwargs["kind"] = TopologyKind(topo_raw["kind"])
-    for src, dst in (("laser_stabilized", "laser_stabilized"),
-                     ("fiber_stabilized", "fiber_stabilized"),
-                     ("l_a_km", "l_a"), ("l_b_km", "l_b"),
-                     ("refractive_index", "refractive_index"),
-                     ("fiber_roundtrip_factor", "fiber_roundtrip_factor")):
-        if src in topo_raw:
-            topo_kwargs[dst] = topo_raw[src]
-    topology = replace(base_topo, **topo_kwargs) if base_topo is not None \
-        else TopologyConfig(**topo_kwargs)
-
-    las_raw = raw.get("laser", {})
-    free = LaserFreeParams(r3=las_raw.get("r3", 3e6), r2=las_raw.get("r2", 3e2),
-                           f_c=las_raw.get("f_c_hz", 2e6))
-    cav_raw = raw.get("cavity", {})
-    cavity = CavityParams(c4=cav_raw.get("c4", 0.5), c3=cav_raw.get("c3", 0.0),
-                          c2=cav_raw.get("c2", 2e-3))
-    loop_raw = raw.get("loop", {})
-    loop = LoopParams(bandwidth=loop_raw.get("bandwidth_hz", 3e5),
-                      gamma=loop_raw.get("gamma", 0.1),
-                      delta=loop_raw.get("delta", 10.0))
-    laser = LaserSpec(free=free, cavity=cavity, loop=loop)
-
-    fib_raw = raw.get("fiber", {})
-    fiber = FiberParams(
-        noise_per_km=fib_raw.get("noise_per_km", 44.0),
-        f_c_free=fib_raw.get("f_c_free_hz", 100.0),
-        s0=fib_raw.get("s0", 1e-8),
-        f_c_floor=fib_raw.get("f_c_floor_hz", 2e5),
-        lambda_s_nm=fib_raw.get("lambda_s_nm", 1543.33),
-        lambda_q_nm=fib_raw.get("lambda_q_nm", 1542.14))
-
-    bud_raw = raw.get("budget", {})
-    budget = CoherenceBudget(
-        sigma_threshold=bud_raw.get("sigma_threshold_rad", 0.2),
-        tau_max=bud_raw.get("tau_max_s", 0.1),
-        tau_ps=bud_raw.get("tau_ps_s", 1e-3),
-        tau_floor=bud_raw.get("tau_floor_s", 1e-6),
-        f_max=bud_raw.get("f_max_hz"))
-
-    prot_raw = raw.get("protocol", {})
-    dec_raw = prot_raw.get("decoys", {})
-    decoys = DecoySet(u=dec_raw.get("u", 0.4), v=dec_raw.get("v", 0.16),
-                      w=dec_raw.get("w", 1e-5))
-    sns_raw = prot_raw.get("sns", {})
-    f_ec = prot_raw.get("f_ec", 1.15)
-    sns_params = sns_mod.SnsParams(
-        p_z=sns_raw.get("p_z", 1.0), epsilon=sns_raw.get("epsilon", 0.25),
-        mu_z=sns_raw.get("mu_z", 0.2), mu_0=sns_raw.get("mu_0", 5e-6),
-        decoys=decoys, f_ec=f_ec)
-    cal_raw = prot_raw.get("cal", {})
-    cal_params = cal_mod.CalParams(mu_zeta=cal_raw.get("mu_zeta", 0.018), f_ec=f_ec)
-    protocol = ProtocolParams(
-        decoys=decoys, sns=sns_params, cal=cal_params,
-        misalignment=MisalignmentParams(e_theta=prot_raw.get("e_theta", 0.02)),
-        f_ec=f_ec)
-
-    op = base_op
-    if "operating_point" in raw:
-        op_raw = raw["operating_point"]
-        missing = {"tau_q_s", "sigma_phi_rad", "e_phi"} - set(op_raw)
+    preset = builtin_scenario(preset_id) if preset_id is not None else None
+    op_raw = raw.get("operating_point")
+    if op_raw is not None:
+        missing = {k for s, k, _, _ in _FIELDS if s == "operating_point"} - set(op_raw)
         if missing:
             raise ConfigError(f"operating_point missing fields: {sorted(missing)}")
-        op = OperatingPoint(tau_q=op_raw["tau_q_s"],
-                            sigma_phi=op_raw["sigma_phi_rad"],
-                            e_phi=op_raw["e_phi"], tau_ps=budget.tau_ps)
+    det_raw = raw.get("detector")
+    base = FullConfig(
+        topology=preset.topology if preset else TopologyConfig(),
+        operating_point=None if preset is None or op_raw is not None
+        else preset.operating_point,
+        detector=DETECTORS[det_raw.get("preset", "snspd")] if det_raw else None)
 
-    detector = None
-    det_raw = raw.get("detector", {})
-    if det_raw:
-        base = DETECTORS[det_raw["preset"]] if "preset" in det_raw else None
-        if {"eta_d", "dark_rate_hz", "clock_rate_hz"} & set(det_raw):
-            detector = DetectorParams(
-                eta_d=det_raw.get("eta_d", base.eta_d if base else 0.9),
-                dark_rate=det_raw.get("dark_rate_hz", base.dark_rate if base else 10.0),
-                clock_rate=det_raw.get("clock_rate_hz",
-                                       base.clock_rate if base else 1e9))
-        else:
-            detector = base
-
-    sw_raw = raw.get("sweep", {})
-    sweep = SweepSpec(
-        x_axis=sw_raw.get("x_axis", "total_attenuation_db"),
-        start=sw_raw.get("start", 0.0), stop=sw_raw.get("stop", 80.0),
-        step=sw_raw.get("step", 1.0), detector=sw_raw.get("detector", "snspd"),
-        protocols=tuple(sw_raw.get("protocols", PROTOCOL_NAMES)),
-        alpha=raw.get("channel", {}).get("alpha_db_per_km", 0.2),
-        a_plus=raw.get("channel", {}).get("a_plus_db", 0.0))
-
-    return FullConfig(topology=topology, laser=laser, fiber=fiber, budget=budget,
-                      protocol=protocol, detector=detector, operating_point=op,
-                      sweep=sweep)
+    updates = {}
+    for section, key, _, paths in _FIELDS:
+        node = _section(raw, section)
+        if key in node:
+            updates.update(dict.fromkeys(paths, node[key]))
+    if base.operating_point is not None or op_raw is not None:
+        # the operating point always carries the budget's stabilization overhead
+        updates["operating_point.tau_ps"] = updates.get("budget.tau_ps", base.budget.tau_ps)
+    return _apply(base, updates, raw)
 
 
 def loads_config(text: str) -> FullConfig:
@@ -257,67 +243,26 @@ def load_config(path) -> FullConfig:
 
 
 def _to_dict(cfg: FullConfig) -> dict:
-    d = {
-        "topology": {
-            "kind": cfg.topology.kind.value,
-            "laser_stabilized": cfg.topology.laser_stabilized,
-            "fiber_stabilized": cfg.topology.fiber_stabilized,
-            "l_a_km": cfg.topology.l_a,
-            "l_b_km": cfg.topology.l_b,
-            "refractive_index": cfg.topology.refractive_index,
-            "fiber_roundtrip_factor": cfg.topology.fiber_roundtrip_factor,
-        },
-        "laser": {"r3": cfg.laser.free.r3, "r2": cfg.laser.free.r2,
-                  "f_c_hz": cfg.laser.free.f_c},
-        "cavity": {"c4": cfg.laser.cavity.c4, "c3": cfg.laser.cavity.c3,
-                   "c2": cfg.laser.cavity.c2},
-        "loop": {"bandwidth_hz": cfg.laser.loop.bandwidth,
-                 "gamma": cfg.laser.loop.gamma, "delta": cfg.laser.loop.delta},
-        "fiber": {"noise_per_km": cfg.fiber.noise_per_km,
-                  "f_c_free_hz": cfg.fiber.f_c_free, "s0": cfg.fiber.s0,
-                  "f_c_floor_hz": cfg.fiber.f_c_floor,
-                  "lambda_s_nm": cfg.fiber.lambda_s_nm,
-                  "lambda_q_nm": cfg.fiber.lambda_q_nm},
-        "budget": {"sigma_threshold_rad": cfg.budget.sigma_threshold,
-                   "tau_max_s": cfg.budget.tau_max, "tau_ps_s": cfg.budget.tau_ps,
-                   "tau_floor_s": cfg.budget.tau_floor},
-        "channel": {"alpha_db_per_km": cfg.sweep.alpha,
-                    "a_plus_db": cfg.sweep.a_plus},
-        "protocol": {
-            "e_theta": cfg.protocol.misalignment.e_theta,
-            "f_ec": cfg.protocol.f_ec,
-            "decoys": {"u": cfg.protocol.decoys.u, "v": cfg.protocol.decoys.v,
-                       "w": cfg.protocol.decoys.w},
-            "sns": {"epsilon": cfg.protocol.sns.epsilon,
-                    "mu_z": cfg.protocol.sns.mu_z, "mu_0": cfg.protocol.sns.mu_0,
-                    "p_z": cfg.protocol.sns.p_z},
-            "cal": {"mu_zeta": cfg.protocol.cal.mu_zeta},
-        },
-        "sweep": {"x_axis": cfg.sweep.x_axis, "start": cfg.sweep.start,
-                  "stop": cfg.sweep.stop, "step": cfg.sweep.step,
-                  "detector": cfg.sweep.detector,
-                  "protocols": list(cfg.sweep.protocols)},
-    }
-    if cfg.budget.f_max is not None:
-        d["budget"]["f_max_hz"] = cfg.budget.f_max
-    if cfg.operating_point is not None:
-        d["operating_point"] = {
-            "tau_q_s": cfg.operating_point.tau_q,
-            "sigma_phi_rad": cfg.operating_point.sigma_phi,
-            "e_phi": cfg.operating_point.e_phi,
-        }
-    if cfg.detector is not None:
-        d["detector"] = {"eta_d": cfg.detector.eta_d,
-                         "dark_rate_hz": cfg.detector.dark_rate,
-                         "clock_rate_hz": cfg.detector.clock_rate}
+    d: dict = {}
+    for section, key, _, paths in _FIELDS:
+        if not paths:
+            continue
+        value = cfg
+        for part in paths[0].split("."):
+            value = getattr(value, part, None)
+        if value is None:
+            continue
+        if isinstance(value, enum.Enum):
+            value = value.value
+        elif isinstance(value, tuple):
+            value = list(value)
+        node = d
+        for part in section.split("."):
+            node = node.setdefault(part, {})
+        node[key] = value
     return d
 
 
 def dump_config(cfg: FullConfig) -> str:
     """Serialize a configuration to YAML; loads_config(dump_config(c)) == c."""
     return yaml.safe_dump(_to_dict(cfg), sort_keys=True)
-
-
-def default_config_dict() -> dict:
-    """Plain-dict template of every overridable coefficient, at defaults."""
-    return _to_dict(FullConfig(topology=TopologyConfig()))

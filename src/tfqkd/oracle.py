@@ -211,8 +211,7 @@ def poisson_yield_gain(mu: float, m: ChannelErrorModel,
                        - gammaln(n_max + 2)) > 1e-15 and n_max < 10_000:
             n_max *= 2
     ns = np.arange(n_max + 1)
-    with np.errstate(divide="ignore"):
-        log_pn = -mu + ns * np.where(mu > 0, np.log(mu, where=mu > 0), 0.0) - gammaln(ns + 1)
+    log_pn = -mu + ns * (np.log(mu) if mu > 0 else 0.0) - gammaln(ns + 1)
     p_n = np.exp(log_pn)
     if mu == 0.0:
         p_n = np.zeros(n_max + 1)

@@ -19,10 +19,19 @@ import numpy as np
 
 from . import cal as cal_mod
 from . import sns as sns_mod
-from .coherence import CoherenceBudget, solve_tau_q
+from .coherence import CoherenceBudget, _csv_text, solve_tau_q
 from .decoy import ChannelErrorModel, DecoySet, bb84_rate, decoy_bounds, gain, qber
 from .errors import DomainError
-from .link import SNSPD, SPAD, DetectorParams, MisalignmentParams, plob_bound
+from .link import (
+    SNSPD,
+    SPAD,
+    DetectorParams,
+    MisalignmentParams,
+    arm_transmittance,
+    effective_transmittance,
+    link_from_attenuation,
+    plob_bound,
+)
 from .spectra import FiberParams, LaserSpec, TopologyConfig, TopologyKind, interference_spectrum
 
 __all__ = [
@@ -34,6 +43,7 @@ __all__ = [
     "DETECTORS",
     "PROTOCOL_NAMES",
     "builtin_scenarios",
+    "builtin_scenario",
     "canonical_operating_point",
     "run_sweep",
     "format_csv",
@@ -128,6 +138,14 @@ def builtin_scenarios() -> tuple[ScenarioPreset, ...]:
         for i, lab, t, tau, sig in rows)
 
 
+def builtin_scenario(scenario_id: int) -> ScenarioPreset:
+    """The built-in scenario with the given id (1-7)."""
+    for preset in builtin_scenarios():
+        if preset.id == scenario_id:
+            return preset
+    raise DomainError(f"unknown scenario id {scenario_id}; built-in ids are 1-7")
+
+
 @dataclass(frozen=True)
 class ProtocolParams:
     """Shared protocol parameter set for the sweep engine."""
@@ -168,7 +186,9 @@ class SweepSpec:
             raise DomainError("attenuation terms must be >= 0")
 
     def grid(self) -> np.ndarray:
-        n = int(round((self.stop - self.start) / self.step)) + 1
+        """Points start + k*step up to stop; a 1e-9 step slack keeps whole-step
+        ranges from losing their last point to rounding."""
+        n = int(math.floor((self.stop - self.start) / self.step + 1e-9)) + 1
         return self.start + self.step * np.arange(n)
 
 
@@ -197,9 +217,9 @@ def solve_scenario(preset: ScenarioPreset,
 
 def _rates_at(att_db: float, det: DetectorParams, op: OperatingPoint,
               prot: ProtocolParams, protocols: Sequence[str]):
-    eta = 10.0 ** (-att_db / 10.0)
-    eta_hat = eta * det.eta_d
-    arm_t = math.sqrt(eta_hat)
+    eta = link_from_attenuation(att_db).eta
+    eta_hat = effective_transmittance(eta, det)
+    arm_t = arm_transmittance(eta, det)
     nu_s = det.clock_rate
     duty = op.duty
     rates: dict = {}
@@ -265,10 +285,7 @@ def run_sweep(scenario, spec: Optional[SweepSpec] = None,
     and the sweep continues.
     """
     if isinstance(scenario, int):
-        presets = {p.id: p for p in builtin_scenarios()}
-        if scenario not in presets:
-            raise DomainError(f"unknown scenario id {scenario}")
-        scenario = presets[scenario]
+        scenario = builtin_scenario(scenario)
     spec = spec or SweepSpec()
     prot = prot or ProtocolParams()
     det = detector or DETECTORS[spec.detector]
@@ -288,10 +305,6 @@ def run_sweep(scenario, spec: Optional[SweepSpec] = None,
     return rows
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.12e}"
-
-
 def format_csv(rows: Sequence[SweepRow]) -> str:
     """Render sweep rows as CSV with a fixed header.
 
@@ -308,15 +321,12 @@ def format_csv(rows: Sequence[SweepRow]) -> str:
               + [f"rate_{p}_bits_per_s" for p in protocols]
               + ["duty_cycle", "sigma_phi_rad", "e_phi"]
               + diag_keys + ["flags"])
-    lines = [",".join(header)]
-    for row in rows:
-        cells = [_fmt(row.x)]
-        cells += [_fmt(row.rates[p]) for p in protocols]
-        cells += [_fmt(row.duty_cycle), _fmt(row.sigma_phi), _fmt(row.e_phi)]
-        cells += [_fmt(row.diagnostics[k]) for k in diag_keys]
-        cells.append(";".join(row.flags))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    return _csv_text(header, (
+        [float(v) for v in (row.x, *(row.rates[p] for p in protocols),
+                            row.duty_cycle, row.sigma_phi, row.e_phi,
+                            *(row.diagnostics[k] for k in diag_keys))]
+        + [";".join(row.flags)]
+        for row in rows))
 
 
 def emit_csv(rows: Sequence[SweepRow], path) -> None:

@@ -37,7 +37,6 @@ __all__ = [
     "psd_detection_floor",
     "psd_interference",
     "interference_spectrum",
-    "laser_spectrum",
 ]
 
 
@@ -232,13 +231,10 @@ def psd_fiber(f, length_km: float, p: FiberParams, stabilized: bool):
     Dual-band stabilization suppresses the linear term by the wavelength
     mismatch and leaves the sensing-detection white floor.
     """
-    f = _as_positive_freq(f)
-    if length_km < 0:
-        raise DomainError("fiber length must be >= 0")
+    linear = psd_fiber_linear(f, length_km, p, stabilized)
     if stabilized:
-        return (p.stabilization_suppression * p.noise_per_km * length_km / f**2
-                + psd_detection_floor(f, p))
-    return p.noise_per_km * length_km / f**2 * (p.f_c_free / (f + p.f_c_free)) ** 2
+        return linear + psd_detection_floor(f, p)
+    return linear
 
 
 def psd_fiber_linear(f, length_km: float, p: FiberParams, stabilized: bool):
@@ -281,15 +277,6 @@ class Spectrum:
         if not self.knees:
             return np.inf
         return 10.0 * max(self.knees)
-
-
-def laser_spectrum(laser: LaserSpec, stabilized: bool) -> Spectrum:
-    """Single-laser PSD wrapped with its integration hints."""
-    if stabilized:
-        loop = laser.loop
-        knees = (laser.free.f_c, loop.bandwidth * loop.delta)
-        return Spectrum(lambda f: laser.psd(f, True), knees=knees)
-    return Spectrum(lambda f: laser.psd(f, False), knees=(laser.free.f_c,))
 
 
 def _composite_parts(topo: TopologyConfig, laser: LaserSpec, fiber: FiberParams,

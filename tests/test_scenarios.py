@@ -6,9 +6,11 @@ from click.testing import CliRunner
 
 import tfqkd
 from tfqkd import (
+    SNSPD,
     ConfigError,
     DetectorParams,
     DomainError,
+    FullConfig,
     SweepSpec,
     builtin_scenarios,
     dump_config,
@@ -56,6 +58,13 @@ class TestSweepSpec:
     def test_grid(self):
         spec = SweepSpec(start=0.0, stop=5.0, step=1.0)
         assert list(spec.grid()) == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+
+    @pytest.mark.parametrize("start, stop, step, n", [
+        (0.0, 1.0, 0.6, 2), (0.0, 100.0, 1.0, 101), (0.1, 0.7, 0.2, 4)])
+    def test_grid_stops_at_stop(self, start, stop, step, n):
+        grid = SweepSpec(start=start, stop=stop, step=step).grid()
+        assert grid.size == n
+        assert grid[-1] <= stop + 1e-9 * step
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -189,9 +198,33 @@ class TestConfig:
         assert cfg.operating_point.tau_q == 5e-5
 
     def test_round_trip(self):
-        cfg = load_config(CONFIG_PATH)
-        again = loads_config(dump_config(cfg))
-        assert again == cfg
+        for cfg in (load_config(CONFIG_PATH),
+                    loads_config("scenario: {preset: 1}\nbudget: {tau_ps_s: 2.0e-3}\n")):
+            assert loads_config(dump_config(cfg)) == cfg
+
+    @pytest.mark.parametrize("preset", builtin_scenarios(), ids=lambda p: str(p.id))
+    def test_preset_equals_dataclass_defaults(self, preset):
+        cfg = loads_config(f"scenario: {{preset: {preset.id}}}")
+        assert cfg == FullConfig(topology=preset.topology,
+                                 operating_point=preset.operating_point)
+
+    def test_partial_decoys_checked_together(self):
+        cfg = loads_config("scenario: {preset: 1}\n"
+                           "protocol: {decoys: {u: 0.1, v: 0.05}}\n")
+        assert cfg.protocol.decoys == cfg.protocol.sns.decoys
+        assert (cfg.protocol.decoys.u, cfg.protocol.decoys.v) == (0.1, 0.05)
+
+    def test_detector_without_preset_starts_from_snspd(self):
+        cfg = loads_config("scenario: {preset: 1}\ndetector: {dark_rate_hz: 100}\n")
+        assert cfg.detector == DetectorParams(eta_d=SNSPD.eta_d, dark_rate=100,
+                                              clock_rate=SNSPD.clock_rate)
+
+    @pytest.mark.parametrize("text, section", [
+        ("protocol: {decoys: {u: 0.1, v: 0.2}}", "protocol.decoys"),
+        ("loop: {gamma: 2.0}", "loop")])
+    def test_model_check_failure_is_config_error(self, text, section):
+        with pytest.raises(ConfigError, match=section):
+            loads_config("scenario: {preset: 1}\n" + text)
 
     def test_override_coefficient(self):
         cfg = loads_config("scenario: {preset: 1}\nlaser: {r3: 1.0e+5}\n")
@@ -271,3 +304,36 @@ class TestCli:
         lines = res.output.strip().split("\n")
         assert lines[0].startswith("point,quantity,analytic,oracle")
         assert len(lines) == 1 + 4  # two quantities per point
+
+    def _config_file(self, tmp_path, text):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(text)
+        return str(path)
+
+    def test_scenario_config_detector_applies(self, tmp_path):
+        path = self._config_file(tmp_path, "scenario: {preset: 2}\n"
+                                 "sweep: {detector: spad, stop: 5}\n")
+        res = CliRunner().invoke(cli_main, ["scenario", path])
+        assert res.exit_code == 0, res.output
+        expected = format_csv(run_sweep(2, SweepSpec(stop=5, detector="spad")))
+        assert res.output == expected
+
+    def test_keyrate_config_detector_applies(self, tmp_path):
+        path = self._config_file(tmp_path, "scenario: {preset: 2}\n"
+                                 "sweep: {detector: spad}\n")
+        res = CliRunner().invoke(cli_main, ["keyrate", "--config", path,
+                                            "--attenuation-db", "30"])
+        assert res.exit_code == 0, res.output
+        spec = SweepSpec(start=30, stop=30, detector="spad")
+        assert res.output == format_csv(run_sweep(2, spec))
+
+    @pytest.mark.parametrize("args", [
+        ["keyrate", "--attenuation-db", "-5"],
+        ["sigma-map", "--dl-start", "0"],
+        ["psd", "--fmin", "0"],
+        ["tau-solve", "--scenario", "9"]])
+    def test_bad_input_exits_without_traceback(self, args):
+        res = CliRunner().invoke(cli_main, args)
+        assert isinstance(res.exception, SystemExit)
+        assert res.exit_code != 0
+        assert "Traceback" not in res.output
