@@ -59,7 +59,6 @@ from .link import (
 )
 from .oracle import (
     FixedDelta,
-    GaussianSigma,
     McClickStats,
     McConfig,
     UniformRandomized,
@@ -107,7 +106,6 @@ from .spectra import (
     psd_cavity,
     psd_detection_floor,
     psd_fiber,
-    psd_interference,
     psd_laser_free,
     psd_laser_stabilized,
 )

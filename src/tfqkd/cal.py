@@ -15,10 +15,9 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import expm
 from scipy.special import gammaln
 
-from .decoy import binary_entropy
+from .decoy import _check_f_ec, binary_entropy
 from .errors import DomainError
 
 __all__ = [
@@ -40,7 +39,7 @@ FOCK_INPUT_MAX = 6  # per-port input limit for pair yields
 
 @dataclass(frozen=True)
 class CalParams:
-    """Signal intensity, cat-sum sets and error-correction inefficiency.
+    """Signal intensity and cat-sum sets.
 
     set_even / set_odd list the (m_a, m_b) index pairs whose photon-number
     yields enter the phase-error sum explicitly (photon numbers 2m + j for
@@ -49,7 +48,6 @@ class CalParams:
     """
 
     mu_zeta: float = 0.018
-    f_ec: float = 1.15
     set_even: tuple = ((0, 0), (0, 1), (1, 0), (1, 1))
     set_odd: tuple = ((0, 0),)
     m_max: int = 20
@@ -57,8 +55,6 @@ class CalParams:
     def __post_init__(self):
         if self.mu_zeta <= 0:
             raise DomainError("signal intensity must be > 0")
-        if self.f_ec < 1.0:
-            raise DomainError("error-correction inefficiency must be >= 1")
         if self.m_max < 2:
             raise DomainError("m_max must be >= 2")
         top = max(2 * m + 1 for pair in self.set_even + self.set_odd for m in pair)
@@ -71,14 +67,12 @@ class CalChannel:
     """Channel as seen by the signal states.
 
     gamma = arm_t * mu_zeta combines per-arm transmittance and intensity;
-    the interference contrast is omega = cos(sigma_phi) cos(theta), with
-    an optional Gaussian-averaged variant exp(-sigma^2/2) cos(theta).
+    the interference contrast is omega = cos(sigma_phi) cos(theta).
     """
 
     gamma: float
     sigma_phi: float = 0.0
     theta: float = 0.0
-    gaussian_phase_average: bool = False
 
     def __post_init__(self):
         if self.gamma < 0:
@@ -86,19 +80,15 @@ class CalChannel:
 
     @property
     def omega(self) -> float:
-        damp = (math.exp(-0.5 * self.sigma_phi**2)
-                if self.gaussian_phase_average else math.cos(self.sigma_phi))
-        return damp * math.cos(self.theta)
+        return math.cos(self.sigma_phi) * math.cos(self.theta)
 
 
 def make_cal_channel(arm_t: float, p: CalParams, sigma_phi: float = 0.0,
-                     theta: float = 0.0,
-                     gaussian_phase_average: bool = False) -> CalChannel:
+                     theta: float = 0.0) -> CalChannel:
     """Channel for a given per-arm effective transmittance."""
     if not 0.0 <= arm_t <= 1.0:
         raise DomainError("arm transmittance must lie in [0, 1]")
-    return CalChannel(gamma=arm_t * p.mu_zeta, sigma_phi=sigma_phi, theta=theta,
-                      gaussian_phase_average=gaussian_phase_average)
+    return CalChannel(gamma=arm_t * p.mu_zeta, sigma_phi=sigma_phi, theta=theta)
 
 
 def cal_gain(ch: CalChannel, p_d: float) -> float:
@@ -177,8 +167,11 @@ def _bs_unitary() -> np.ndarray:
 
     exp[(pi/4)(a^dag b - a b^dag)] evaluated once on the
     (cutoff+1)^2-dimensional space; the generator conserves total photon
-    number, so truncation is exact for inputs within the cutoff.
+    number, so truncation is exact for inputs within the cutoff.  scipy.linalg
+    is imported here, on first use, so commands without CAL rates skip it.
     """
+    from scipy.linalg import expm
+
     d = FOCK_TOTAL_CUTOFF + 1
     a = np.diag(np.sqrt(np.arange(1.0, d)), k=1)
     a_full = np.kron(a, np.eye(d))
@@ -208,9 +201,6 @@ class FockYield:
     c_only: float
     d_only: float
     both: float
-
-    def single(self, outcome: str) -> float:
-        return getattr(self, outcome)
 
 
 def fock_pair_yield(n_a: int, n_b: int, arm_t: float, p_d: float) -> FockYield:
@@ -285,17 +275,16 @@ def cal_phase_error(p: CalParams, ch: CalChannel, p_d: float) -> float:
     return total / gain_ref
 
 
-def cal_rate(p: CalParams, ch: CalChannel, p_d: float, duty: float = 1.0) -> float:
+def cal_rate(p: CalParams, ch: CalChannel, p_d: float, f_ec: float) -> float:
     """Secret key per transmitted signal, both single-click outcomes summed.
 
-    R = 2 p_xx [1 - f_ec H2(e_x) - H2(min(1/2, e_z))] * duty, floored at 0.
+    R = 2 p_xx [1 - f_ec H2(e_x) - H2(min(1/2, e_z))], floored at 0.
     """
-    if not 0.0 <= duty <= 1.0:
-        raise DomainError("duty cycle must lie in [0, 1]")
+    _check_f_ec(f_ec)
     p_xx = cal_gain(ch, p_d)
     if p_xx <= 0.0:
         return 0.0
     e_x = float(np.clip(cal_bit_error(ch, p_d), 0.0, 1.0))
     e_z = cal_phase_error(p, ch, p_d)
-    bracket = 1.0 - p.f_ec * binary_entropy(e_x) - binary_entropy(min(0.5, e_z))
-    return max(0.0, 2.0 * p_xx * bracket * duty)
+    bracket = 1.0 - f_ec * binary_entropy(e_x) - binary_entropy(min(0.5, e_z))
+    return max(0.0, 2.0 * p_xx * bracket)

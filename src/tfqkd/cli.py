@@ -26,8 +26,9 @@ from .scenarios import (
 )
 from .spectra import interference_spectrum
 
-# lower ends of the log-spaced grids must be > 0
+# lower ends of the log-spaced grids must be > 0, and so must point counts
 _POSITIVE = click.FloatRange(min=0, min_open=True)
+_COUNT = click.IntRange(min=1)
 
 
 def _write(text: str, out) -> None:
@@ -43,6 +44,14 @@ def _context(scenario_id: int | None, config: str | None) -> FullConfig:
         return load_config(config)
     p = builtin_scenario(1 if scenario_id is None else scenario_id)
     return FullConfig(topology=p.topology, operating_point=p.operating_point)
+
+
+def _sweep_csv(cfg: FullConfig, spec, detector_flag: str | None) -> str:
+    """Sweep CSV for a config; an explicit --detector preset (already in
+    spec.detector) wins over the config's detector section."""
+    rows = run_sweep(cfg.resolve_operating_point(), spec, prot=cfg.protocol,
+                     detector=None if detector_flag else cfg.detector)
+    return format_csv(rows)
 
 
 def _protocols_option(value: str | None) -> tuple:
@@ -72,7 +81,7 @@ def main() -> None:
 @click.option("--config", type=click.Path(exists=True), default=None)
 @click.option("--fmin", type=_POSITIVE, default=1.0, show_default=True)
 @click.option("--fmax", type=_POSITIVE, default=3e7, show_default=True)
-@click.option("--points", type=int, default=2000, show_default=True)
+@click.option("--points", type=_COUNT, default=2000, show_default=True)
 @click.option("--out", type=click.Path(), default=None)
 def psd(scenario_id, config, fmin, fmax, points, out):
     """Tabulate the interference phase-noise PSD S(f)."""
@@ -103,10 +112,10 @@ def tau_solve(scenario_id, config, out):
 @click.option("--dl-start", type=_POSITIVE, default=0.001, show_default=True,
               help="Smallest mismatch (km).")
 @click.option("--dl-stop", type=_POSITIVE, default=10.0, show_default=True)
-@click.option("--dl-points", type=int, default=25, show_default=True)
+@click.option("--dl-points", type=_COUNT, default=25, show_default=True)
 @click.option("--tau-start", type=_POSITIVE, default=1e-6, show_default=True)
 @click.option("--tau-stop", type=_POSITIVE, default=1.0, show_default=True)
-@click.option("--tau-points", type=int, default=25, show_default=True)
+@click.option("--tau-points", type=_COUNT, default=25, show_default=True)
 @click.option("--level", type=float, multiple=True, default=(0.2,),
               show_default=True, help="Isoline level(s) in rad.")
 @click.option("--out", type=click.Path(), default=None)
@@ -141,9 +150,7 @@ def keyrate(scenario_id, config, detector, attenuation_db, protocols, out):
                    detector=detector or cfg.sweep.detector,
                    x_axis="total_attenuation_db",
                    protocols=_protocols_option(protocols))
-    rows = run_sweep(cfg.resolve_operating_point(), spec, prot=cfg.protocol,
-                     detector=cfg.detector)
-    _write(format_csv(rows), out)
+    _write(_sweep_csv(cfg, spec, detector), out)
 
 
 @main.command()
@@ -168,15 +175,13 @@ def scenario(scenario, detector, protocols, start, stop, step, x_axis, out):
     if protocols is not None:
         updates["protocols"] = _protocols_option(protocols)
     spec = replace(cfg.sweep, **{k: v for k, v in updates.items() if v is not None})
-    rows = run_sweep(cfg.resolve_operating_point(), spec, prot=cfg.protocol,
-                     detector=cfg.detector)
-    _write(format_csv(rows), out)
+    _write(_sweep_csv(cfg, spec, detector), out)
 
 
 @main.command()
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--samples", type=int, default=1_000_000, show_default=True)
-@click.option("--points", type=int, default=10, show_default=True)
+@click.option("--samples", type=_COUNT, default=1_000_000, show_default=True)
+@click.option("--points", type=_COUNT, default=10, show_default=True)
 @click.option("--out", type=click.Path(), default=None)
 def oracle(seed, samples, points, out):
     """Analytic click statistics vs Monte-Carlo, with z-scores."""

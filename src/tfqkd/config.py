@@ -6,7 +6,7 @@ protocol and sweep parameters, or define a topology from scratch.  An
 explicit operating_point pins the coherence numbers; without one the
 solver runs on the configured spectrum.
 
-One table, _FIELDS, maps every YAML leaf to the FullConfig field(s) it
+One table, _FIELDS, maps every YAML leaf to the one FullConfig field it
 sets; the schema, the build and the dump are all generated from it, and
 every default comes from the dataclasses.
 """
@@ -39,66 +39,65 @@ _POS = {"type": "number", "exclusiveMinimum": 0}
 _NONNEG = {"type": "number", "minimum": 0}
 _BOOL = {"type": "boolean"}
 
-# (YAML section, key, schema fragment, dotted FullConfig paths it sets).
+# (YAML section, key, schema fragment, dotted FullConfig path it sets).
 # The two preset keys set no path: they pick the object the other keys
 # of their section override.
 _FIELDS = (
-    ("scenario", "preset", {"type": "integer", "minimum": 1, "maximum": 7}, ()),
-    ("topology", "kind", {"enum": [k.value for k in TopologyKind]}, ("topology.kind",)),
-    ("topology", "laser_stabilized", _BOOL, ("topology.laser_stabilized",)),
-    ("topology", "fiber_stabilized", _BOOL, ("topology.fiber_stabilized",)),
-    ("topology", "l_a_km", _NONNEG, ("topology.l_a",)),
-    ("topology", "l_b_km", _NONNEG, ("topology.l_b",)),
-    ("topology", "refractive_index", _POS, ("topology.refractive_index",)),
-    ("topology", "fiber_roundtrip_factor", _NONNEG, ("topology.fiber_roundtrip_factor",)),
-    ("laser", "r3", _NONNEG, ("laser.free.r3",)),
-    ("laser", "r2", _NONNEG, ("laser.free.r2",)),
-    ("laser", "f_c_hz", _POS, ("laser.free.f_c",)),
-    ("cavity", "c4", _NONNEG, ("laser.cavity.c4",)),
-    ("cavity", "c3", _NONNEG, ("laser.cavity.c3",)),
-    ("cavity", "c2", _NONNEG, ("laser.cavity.c2",)),
-    ("loop", "bandwidth_hz", _POS, ("laser.loop.bandwidth",)),
-    ("loop", "gamma", _POS, ("laser.loop.gamma",)),
-    ("loop", "delta", _POS, ("laser.loop.delta",)),
-    ("fiber", "noise_per_km", _NONNEG, ("fiber.noise_per_km",)),
-    ("fiber", "f_c_free_hz", _POS, ("fiber.f_c_free",)),
-    ("fiber", "s0", _NONNEG, ("fiber.s0",)),
-    ("fiber", "f_c_floor_hz", _POS, ("fiber.f_c_floor",)),
-    ("fiber", "lambda_s_nm", _POS, ("fiber.lambda_s_nm",)),
-    ("fiber", "lambda_q_nm", _POS, ("fiber.lambda_q_nm",)),
-    ("budget", "sigma_threshold_rad", _POS, ("budget.sigma_threshold",)),
-    ("budget", "tau_max_s", _POS, ("budget.tau_max",)),
-    ("budget", "tau_ps_s", _POS, ("budget.tau_ps",)),
-    ("budget", "tau_floor_s", _POS, ("budget.tau_floor",)),
-    ("budget", "f_max_hz", _POS, ("budget.f_max",)),
-    ("channel", "alpha_db_per_km", _NONNEG, ("sweep.alpha",)),
-    ("channel", "a_plus_db", _NONNEG, ("sweep.a_plus",)),
-    ("protocol", "e_theta", _NONNEG, ("protocol.misalignment.e_theta",)),
-    ("protocol", "f_ec", {"type": "number", "minimum": 1},
-     ("protocol.f_ec", "protocol.sns.f_ec", "protocol.cal.f_ec")),
-    ("protocol.decoys", "u", _POS, ("protocol.decoys.u", "protocol.sns.decoys.u")),
-    ("protocol.decoys", "v", _POS, ("protocol.decoys.v", "protocol.sns.decoys.v")),
-    ("protocol.decoys", "w", _NONNEG, ("protocol.decoys.w", "protocol.sns.decoys.w")),
-    ("protocol.sns", "epsilon", _POS, ("protocol.sns.epsilon",)),
-    ("protocol.sns", "mu_z", _POS, ("protocol.sns.mu_z",)),
-    ("protocol.sns", "mu_0", _NONNEG, ("protocol.sns.mu_0",)),
-    ("protocol.sns", "p_z", _POS, ("protocol.sns.p_z",)),
-    ("protocol.cal", "mu_zeta", _POS, ("protocol.cal.mu_zeta",)),
-    ("operating_point", "tau_q_s", _POS, ("operating_point.tau_q",)),
-    ("operating_point", "sigma_phi_rad", _NONNEG, ("operating_point.sigma_phi",)),
-    ("operating_point", "e_phi", _NONNEG, ("operating_point.e_phi",)),
-    ("detector", "preset", {"enum": sorted(DETECTORS)}, ()),
-    ("detector", "eta_d", _POS, ("detector.eta_d",)),
-    ("detector", "dark_rate_hz", _NONNEG, ("detector.dark_rate",)),
-    ("detector", "clock_rate_hz", _POS, ("detector.clock_rate",)),
+    ("scenario", "preset", {"type": "integer", "minimum": 1, "maximum": 7}, None),
+    ("topology", "kind", {"enum": [k.value for k in TopologyKind]}, "topology.kind"),
+    ("topology", "laser_stabilized", _BOOL, "topology.laser_stabilized"),
+    ("topology", "fiber_stabilized", _BOOL, "topology.fiber_stabilized"),
+    ("topology", "l_a_km", _NONNEG, "topology.l_a"),
+    ("topology", "l_b_km", _NONNEG, "topology.l_b"),
+    ("topology", "refractive_index", _POS, "topology.refractive_index"),
+    ("topology", "fiber_roundtrip_factor", _NONNEG, "topology.fiber_roundtrip_factor"),
+    ("laser", "r3", _NONNEG, "laser.free.r3"),
+    ("laser", "r2", _NONNEG, "laser.free.r2"),
+    ("laser", "f_c_hz", _POS, "laser.free.f_c"),
+    ("cavity", "c4", _NONNEG, "laser.cavity.c4"),
+    ("cavity", "c3", _NONNEG, "laser.cavity.c3"),
+    ("cavity", "c2", _NONNEG, "laser.cavity.c2"),
+    ("loop", "bandwidth_hz", _POS, "laser.loop.bandwidth"),
+    ("loop", "gamma", _POS, "laser.loop.gamma"),
+    ("loop", "delta", _POS, "laser.loop.delta"),
+    ("fiber", "noise_per_km", _NONNEG, "fiber.noise_per_km"),
+    ("fiber", "f_c_free_hz", _POS, "fiber.f_c_free"),
+    ("fiber", "s0", _NONNEG, "fiber.s0"),
+    ("fiber", "f_c_floor_hz", _POS, "fiber.f_c_floor"),
+    ("fiber", "lambda_s_nm", _POS, "fiber.lambda_s_nm"),
+    ("fiber", "lambda_q_nm", _POS, "fiber.lambda_q_nm"),
+    ("budget", "sigma_threshold_rad", _POS, "budget.sigma_threshold"),
+    ("budget", "tau_max_s", _POS, "budget.tau_max"),
+    ("budget", "tau_ps_s", _POS, "budget.tau_ps"),
+    ("budget", "tau_floor_s", _POS, "budget.tau_floor"),
+    ("budget", "f_max_hz", _POS, "budget.f_max"),
+    ("channel", "alpha_db_per_km", _NONNEG, "sweep.alpha"),
+    ("channel", "a_plus_db", _NONNEG, "sweep.a_plus"),
+    ("protocol", "e_theta", _NONNEG, "protocol.misalignment.e_theta"),
+    ("protocol", "f_ec", {"type": "number", "minimum": 1}, "protocol.f_ec"),
+    ("protocol.decoys", "u", _POS, "protocol.decoys.u"),
+    ("protocol.decoys", "v", _POS, "protocol.decoys.v"),
+    ("protocol.decoys", "w", _NONNEG, "protocol.decoys.w"),
+    ("protocol.sns", "epsilon", _POS, "protocol.sns.epsilon"),
+    ("protocol.sns", "mu_z", _POS, "protocol.sns.mu_z"),
+    ("protocol.sns", "mu_0", _NONNEG, "protocol.sns.mu_0"),
+    ("protocol.sns", "p_z", _POS, "protocol.sns.p_z"),
+    ("protocol.cal", "mu_zeta", _POS, "protocol.cal.mu_zeta"),
+    ("operating_point", "tau_q_s", _POS, "operating_point.tau_q"),
+    ("operating_point", "sigma_phi_rad", _NONNEG, "operating_point.sigma_phi"),
+    ("operating_point", "e_phi", _NONNEG, "operating_point.e_phi"),
+    ("detector", "preset", {"enum": sorted(DETECTORS)}, None),
+    ("detector", "eta_d", _POS, "detector.eta_d"),
+    ("detector", "dark_rate_hz", _NONNEG, "detector.dark_rate"),
+    ("detector", "clock_rate_hz", _POS, "detector.clock_rate"),
     ("sweep", "x_axis", {"enum": ["total_attenuation_db", "total_length_km"]},
-     ("sweep.x_axis",)),
-    ("sweep", "start", _NONNEG, ("sweep.start",)),
-    ("sweep", "stop", _NONNEG, ("sweep.stop",)),
-    ("sweep", "step", _POS, ("sweep.step",)),
-    ("sweep", "detector", {"enum": sorted(DETECTORS)}, ("sweep.detector",)),
+     "sweep.x_axis"),
+    ("sweep", "start", _NONNEG, "sweep.start"),
+    ("sweep", "stop", _NONNEG, "sweep.stop"),
+    ("sweep", "step", _POS, "sweep.step"),
+    ("sweep", "detector", {"enum": sorted(DETECTORS)}, "sweep.detector"),
     ("sweep", "protocols", {"type": "array", "minItems": 1,
-                            "items": {"enum": list(PROTOCOL_NAMES)}}, ("sweep.protocols",)),
+                            "items": {"enum": list(PROTOCOL_NAMES)}}, "sweep.protocols"),
 )
 
 
@@ -154,9 +153,9 @@ def _validate(raw: dict) -> None:
 def _sections(path: str, raw: dict) -> str:
     """The YAML sections of raw that set fields at or below a FullConfig path."""
     return ", ".join(sorted({
-        section for section, key, _, paths in _FIELDS
+        section for section, key, _, target in _FIELDS
         if key in _section(raw, section)
-        and any(p.startswith(path + ".") for p in paths)}))
+        and target is not None and target.startswith(path + ".")}))
 
 
 def _section(raw: dict, section: str) -> dict:
@@ -215,10 +214,10 @@ def _build(raw: dict) -> FullConfig:
         detector=DETECTORS[det_raw.get("preset", "snspd")] if det_raw else None)
 
     updates = {}
-    for section, key, _, paths in _FIELDS:
+    for section, key, _, target in _FIELDS:
         node = _section(raw, section)
-        if key in node:
-            updates.update(dict.fromkeys(paths, node[key]))
+        if target is not None and key in node:
+            updates[target] = node[key]
     if base.operating_point is not None or op_raw is not None:
         # the operating point always carries the budget's stabilization overhead
         updates["operating_point.tau_ps"] = updates.get("budget.tau_ps", base.budget.tau_ps)
@@ -244,11 +243,11 @@ def load_config(path) -> FullConfig:
 
 def _to_dict(cfg: FullConfig) -> dict:
     d: dict = {}
-    for section, key, _, paths in _FIELDS:
-        if not paths:
+    for section, key, _, target in _FIELDS:
+        if target is None:
             continue
         value = cfg
-        for part in paths[0].split("."):
+        for part in target.split("."):
             value = getattr(value, part, None)
         if value is None:
             continue

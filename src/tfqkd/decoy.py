@@ -36,6 +36,12 @@ def binary_entropy(p: float) -> float:
     return float(-p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p))
 
 
+def _check_f_ec(f_ec: float) -> None:
+    """Reject an error-correction inefficiency below the Shannon limit 1."""
+    if f_ec < 1.0:
+        raise DomainError("error-correction inefficiency must be >= 1")
+
+
 @dataclass(frozen=True)
 class DecoySet:
     """Decoy intensities u > v > w >= 0, u matched to the signal intensity."""
@@ -131,17 +137,12 @@ def decoy_bounds(s: DecoySet, m: ChannelErrorModel) -> DecoyBounds:
     return DecoyBounds(y0_low=y0, y1_low=y1, q1_low=q1, e1ph_up=e1, ok=True)
 
 
-def bb84_rate(s: DecoySet, m: ChannelErrorModel, f_ec: float = 1.15,
-              duty: float = 1.0) -> float:
+def bb84_rate(s: DecoySet, m: ChannelErrorModel, f_ec: float) -> float:
     """Asymptotic decoy BB84 secret key per transmitted signal, floored at 0.
 
-    R = duty * [Q1 (1 - H2(e1ph)) - f_ec * Q_u * H2(E_u)]; the duty cycle
-    is asymptotically 1 for a self-referenced setup and can be overridden.
+    R = Q1 (1 - H2(e1ph)) - f_ec * Q_u * H2(E_u).
     """
-    if f_ec < 1.0:
-        raise DomainError("error-correction inefficiency must be >= 1")
-    if not 0.0 <= duty <= 1.0:
-        raise DomainError("duty cycle must lie in [0, 1]")
+    _check_f_ec(f_ec)
     b = decoy_bounds(s, m)
     if not b.ok:
         return 0.0
@@ -149,4 +150,4 @@ def bb84_rate(s: DecoySet, m: ChannelErrorModel, f_ec: float = 1.15,
     e_u = qber(s.u, m)
     privacy = 1.0 - binary_entropy(min(b.e1ph_up, 0.5))
     rate = b.q1_low * privacy - f_ec * q_u * binary_entropy(e_u)
-    return max(0.0, duty * rate)
+    return max(0.0, rate)

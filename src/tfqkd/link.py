@@ -118,19 +118,14 @@ def effective_transmittance(eta: float, det: DetectorParams) -> float:
     return eta * det.eta_d
 
 
-def arm_transmittance(eta: float, det: DetectorParams,
-                      split_detector: bool = True) -> float:
+def arm_transmittance(eta: float, det: DetectorParams) -> float:
     """Per-arm effective transmittance used by the twin-field protocols.
 
-    With split_detector the detector efficiency is shared evenly between
-    the arms, t = sqrt(eta * eta_d), so the product of the two arms equals
-    the full effective transmittance; otherwise the efficiency multiplies
-    a single arm.
+    The detector efficiency is shared evenly between the arms,
+    t = sqrt(eta * eta_d), so the product of the two arms equals the full
+    effective transmittance.
     """
-    eta_hat = effective_transmittance(eta, det)
-    if split_detector:
-        return float(np.sqrt(eta_hat))
-    return float(np.sqrt(eta)) * det.eta_d
+    return float(np.sqrt(effective_transmittance(eta, det)))
 
 
 def plob_bound(eta: float) -> float:

@@ -22,7 +22,6 @@ from .errors import DomainError
 __all__ = [
     "UniformRandomized",
     "FixedDelta",
-    "GaussianSigma",
     "McConfig",
     "McClickStats",
     "mc_click_stats",
@@ -31,7 +30,7 @@ __all__ = [
     "poisson_true_yields",
 ]
 
-BIT_GENERATOR = "philox4x64"  # counter-based, jump-splittable
+BIT_GENERATOR = "philox4x64"  # counter-based
 
 
 @dataclass(frozen=True)
@@ -52,31 +51,20 @@ class FixedDelta:
         return np.full(n, self.delta)
 
 
-@dataclass(frozen=True)
-class GaussianSigma:
-    """Zero-mean Gaussian relative phase with standard deviation sigma (rad)."""
-
-    sigma: float = 0.1
-
-    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.normal(0.0, self.sigma, n)
-
-
-PhaseDistribution = Union[UniformRandomized, FixedDelta, GaussianSigma]
+PhaseDistribution = Union[UniformRandomized, FixedDelta]
 
 
 @dataclass(frozen=True)
 class McConfig:
-    """Monte-Carlo sampling plan: sample count, seed, phase law, stream count."""
+    """Monte-Carlo sampling plan: sample count, seed, phase law."""
 
     samples: int = 1_000_000
     seed: int = 0
     phase: PhaseDistribution = field(default_factory=UniformRandomized)
-    streams: int = 1
 
     def __post_init__(self):
-        if self.samples < 1 or self.streams < 1:
-            raise DomainError("samples and streams must be >= 1")
+        if self.samples < 1:
+            raise DomainError("samples must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -95,12 +83,6 @@ class McClickStats:
     seed: int
     bit_generator: str = BIT_GENERATOR
 
-    def frequency(self, outcome: str) -> float:
-        return getattr(self, outcome)
-
-    def standard_error(self, outcome: str) -> float:
-        return getattr(self, "se_" + outcome)
-
 
 def mc_click_stats(mu_a: float, mu_b: float, arm_t: float, p_d: float,
                    cfg: McConfig = McConfig()) -> McClickStats:
@@ -111,42 +93,36 @@ def mc_click_stats(mu_a: float, mu_b: float, arm_t: float, p_d: float,
     draws threshold clicks with probability 1 - (1 - p_d) exp(-I).
     Intensity-level sampling suffices here: every analytic formula under
     test is itself an intensity-level model.  Deterministic for a fixed
-    (seed, streams) pair; streams are independent Philox jumps merged by
-    summation.
+    seed: one Philox stream, drawn in chunks.
     """
     if mu_a < 0 or mu_b < 0:
         raise DomainError("intensities must be >= 0")
     if not 0.0 <= arm_t <= 1.0 or not 0.0 <= p_d <= 1.0:
         raise DomainError("arm transmittance and dark probability must lie in [0, 1]")
     counts = np.zeros(4, dtype=np.int64)  # none, c_only, d_only, both
-    per = cfg.samples // cfg.streams
     base = arm_t * (mu_a + mu_b) / 2.0
     cross = arm_t * np.sqrt(mu_a * mu_b)
     # survival probabilities multiply to a phase-independent constant
     surv_prod = (1.0 - p_d) ** 2 * np.exp(-2.0 * base)
     chunk = 1 << 20
-    for s in range(cfg.streams):
-        n = per + (cfg.samples - per * cfg.streams if s == cfg.streams - 1 else 0)
-        rng = np.random.Generator(np.random.Philox(cfg.seed).jumped(s))
-        done = 0
-        while done < n:
-            m = min(chunk, n - done)
-            buf = np.cos(cfg.phase.draw(rng, m))
-            buf *= -cross
-            buf -= base
-            np.exp(buf, out=buf)
-            buf *= 1.0 - p_d  # no-click probability at detector c
-            click_c = rng.random(m) >= buf
-            np.divide(surv_prod, buf, out=buf)  # no-click probability at d
-            click_d = rng.random(m) >= buf
-            n_both = np.count_nonzero(click_c & click_d)
-            n_c = np.count_nonzero(click_c)
-            n_d = np.count_nonzero(click_d)
-            counts[3] += n_both
-            counts[1] += n_c - n_both
-            counts[2] += n_d - n_both
-            counts[0] += m - n_c - n_d + n_both
-            done += m
+    rng = np.random.Generator(np.random.Philox(cfg.seed))
+    for done in range(0, cfg.samples, chunk):
+        m = min(chunk, cfg.samples - done)
+        buf = np.cos(cfg.phase.draw(rng, m))
+        buf *= -cross
+        buf -= base
+        np.exp(buf, out=buf)
+        buf *= 1.0 - p_d  # no-click probability at detector c
+        click_c = rng.random(m) >= buf
+        np.divide(surv_prod, buf, out=buf)  # no-click probability at d
+        click_d = rng.random(m) >= buf
+        n_both = np.count_nonzero(click_c & click_d)
+        n_c = np.count_nonzero(click_c)
+        n_d = np.count_nonzero(click_d)
+        counts[3] += n_both
+        counts[1] += n_c - n_both
+        counts[2] += n_d - n_both
+        counts[0] += m - n_c - n_d + n_both
     freq = counts / cfg.samples
     se = np.sqrt(freq * (1.0 - freq) / cfg.samples)
     return McClickStats(
@@ -197,19 +173,18 @@ def poisson_true_yields(m: ChannelErrorModel, n: int) -> tuple[float, float]:
     return y_n, ey_n
 
 
-def poisson_yield_gain(mu: float, m: ChannelErrorModel,
-                       n_max: int | None = None) -> tuple[float, float]:
+def poisson_yield_gain(mu: float, m: ChannelErrorModel) -> tuple[float, float]:
     """Exact (Q_mu, E_mu) by summing the Poisson photon-number mixture.
 
-    n_max defaults to a cutoff with Poisson tail mass below 1e-14.
+    The photon-number cutoff doubles from 20 until the Poisson tail mass
+    beyond it is below 1e-14.
     """
     if mu < 0:
         raise DomainError("intensity must be >= 0")
-    if n_max is None:
-        n_max = 20
-        while math.exp(-mu + (n_max + 1) * math.log(max(mu, 1e-300))
-                       - gammaln(n_max + 2)) > 1e-15 and n_max < 10_000:
-            n_max *= 2
+    n_max = 20
+    while math.exp(-mu + (n_max + 1) * math.log(max(mu, 1e-300))
+                   - gammaln(n_max + 2)) > 1e-15 and n_max < 10_000:
+        n_max *= 2
     ns = np.arange(n_max + 1)
     log_pn = -mu + ns * (np.log(mu) if mu > 0 else 0.0) - gammaln(ns + 1)
     p_n = np.exp(log_pn)

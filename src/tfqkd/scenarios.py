@@ -20,7 +20,7 @@ import numpy as np
 from . import cal as cal_mod
 from . import sns as sns_mod
 from .coherence import CoherenceBudget, _csv_text, solve_tau_q
-from .decoy import ChannelErrorModel, DecoySet, bb84_rate, decoy_bounds, gain, qber
+from .decoy import ChannelErrorModel, DecoySet, _check_f_ec, bb84_rate, decoy_bounds, gain, qber
 from .errors import DomainError
 from .link import (
     SNSPD,
@@ -148,13 +148,20 @@ def builtin_scenario(scenario_id: int) -> ScenarioPreset:
 
 @dataclass(frozen=True)
 class ProtocolParams:
-    """Shared protocol parameter set for the sweep engine."""
+    """Shared protocol parameter set for the sweep engine.
+
+    The decoy set and the error-correction inefficiency f_ec are common to
+    decoy BB84, SNS and CAL, so the three protocols compare on one footing.
+    """
 
     decoys: DecoySet = field(default_factory=DecoySet)
     sns: sns_mod.SnsParams = field(default_factory=sns_mod.SnsParams)
     cal: cal_mod.CalParams = field(default_factory=cal_mod.CalParams)
     misalignment: MisalignmentParams = field(default_factory=MisalignmentParams)
     f_ec: float = 1.15
+
+    def __post_init__(self):
+        _check_f_ec(self.f_ec)
 
 
 @dataclass(frozen=True)
@@ -231,13 +238,15 @@ def _rates_at(att_db: float, det: DetectorParams, op: OperatingPoint,
     if "plob_realistic" in protocols:
         rates["plob_realistic"] = (math.inf if eta_hat >= 1.0
                                    else plob_bound(eta_hat) * nu_s)
+    # Rate functions give key per transmitted signal; the duty cycle is
+    # applied here.
     if "bb84" in protocols:
         # Self-referenced receiver: no twin-field stabilization overhead,
         # asymptotic duty cycle 1; the channel error model still carries
         # the scenario phase-noise QBER.
         m = ChannelErrorModel(eta_hat=eta_hat, p_dc=det.p_dc,
                               e_theta=prot.misalignment.e_theta, e_phi=op.e_phi)
-        rates["bb84"] = bb84_rate(prot.decoys, m, f_ec=prot.f_ec, duty=1.0) * nu_s
+        rates["bb84"] = bb84_rate(prot.decoys, m, prot.f_ec) * nu_s
         q_u = gain(prot.decoys.u, m)
         diag["bb84_gain_u"] = q_u
         diag["bb84_qber_u"] = qber(prot.decoys.u, m) if q_u > 0 else 0.0
@@ -245,7 +254,7 @@ def _rates_at(att_db: float, det: DetectorParams, op: OperatingPoint,
             flags.append("bb84_estimation_failed")
     if "sns" in protocols or "sns_aopp" in protocols:
         stats = sns_mod.sns_window_stats(
-            prot.sns, arm_t, det, e_phi=op.e_phi,
+            prot.sns, prot.decoys, arm_t, det, e_phi=op.e_phi,
             e_theta=prot.misalignment.e_theta)
         diag["sns_n_t"] = stats.n_t
         diag["sns_e_z"] = stats.e_z
@@ -254,11 +263,12 @@ def _rates_at(att_db: float, det: DetectorParams, op: OperatingPoint,
         if not stats.decoy_ok:
             flags.append("sns_estimation_failed")
         if "sns" in protocols:
-            rates["sns"] = sns_mod.sns_rate(stats, prot.sns) * duty * nu_s
+            rates["sns"] = sns_mod.sns_rate(stats, prot.sns, prot.f_ec) * duty * nu_s
         if "sns_aopp" in protocols:
             aopp = sns_mod.aopp_transform(stats, prot.sns)
             diag["sns_aopp_e_z"] = aopp.e_z_prime
-            rates["sns_aopp"] = sns_mod.sns_aopp_rate(aopp, prot.sns) * duty * nu_s
+            rates["sns_aopp"] = (sns_mod.sns_aopp_rate(aopp, prot.sns, prot.f_ec)
+                                 * duty * nu_s)
     if "cal" in protocols:
         ch = cal_mod.make_cal_channel(arm_t, prot.cal, sigma_phi=op.sigma_phi,
                                       theta=prot.misalignment.theta)
@@ -270,7 +280,7 @@ def _rates_at(att_db: float, det: DetectorParams, op: OperatingPoint,
         else:
             diag["cal_e_x"] = 0.0
             diag["cal_e_z_bound"] = 1.0
-        rates["cal"] = cal_mod.cal_rate(prot.cal, ch, det.p_dc, duty=duty) * nu_s
+        rates["cal"] = cal_mod.cal_rate(prot.cal, ch, det.p_dc, prot.f_ec) * duty * nu_s
     return rates, diag, tuple(flags)
 
 

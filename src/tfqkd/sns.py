@@ -11,11 +11,11 @@ cost of halving the string.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .decoy import ChannelErrorModel, DecoySet, binary_entropy, decoy_bounds
+from .decoy import ChannelErrorModel, DecoySet, _check_f_ec, binary_entropy, decoy_bounds
 from .errors import DomainError
 from .link import DetectorParams
 
@@ -35,7 +35,7 @@ PHASE_QUADRATURE_POINTS = 256
 
 @dataclass(frozen=True)
 class SnsParams:
-    """Protocol knobs: window probabilities, intensities, decoys, EC inefficiency.
+    """Protocol knobs: window probabilities and intensities.
 
     Asymptotically the signal-window probability p_z is 1.  The sending
     intensity defaults to half the first decoy intensity and the
@@ -46,8 +46,6 @@ class SnsParams:
     epsilon: float = 0.25
     mu_z: float = 0.2
     mu_0: float = 5e-6
-    decoys: DecoySet = field(default_factory=DecoySet)
-    f_ec: float = 1.15
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
@@ -56,8 +54,6 @@ class SnsParams:
             raise DomainError("intensities must satisfy mu_z > mu_0 >= 0")
         if not 0.0 < self.p_z <= 1.0:
             raise DomainError("signal-window probability must lie in (0, 1]")
-        if self.f_ec < 1.0:
-            raise DomainError("error-correction inefficiency must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -93,8 +89,7 @@ class AoppStats:
 
 
 def effective_click_probability(mu_a: float, mu_b: float, arm_t: float,
-                                p_dc: float,
-                                n_phase: int = PHASE_QUADRATURE_POINTS) -> float:
+                                p_dc: float) -> float:
     """Probability that exactly one threshold detector clicks.
 
     Phase-randomized inputs of intensities mu_a, mu_b reach the balanced
@@ -107,7 +102,8 @@ def effective_click_probability(mu_a: float, mu_b: float, arm_t: float,
         raise DomainError("intensities must be >= 0")
     if not 0.0 <= arm_t <= 1.0 or not 0.0 <= p_dc < 1.0:
         raise DomainError("transmittance in [0,1] and p_dc in [0,1) required")
-    delta = 2.0 * np.pi * (np.arange(n_phase) + 0.5) / n_phase
+    n = PHASE_QUADRATURE_POINTS
+    delta = 2.0 * np.pi * (np.arange(n) + 0.5) / n
     cross = 2.0 * np.sqrt(mu_a * mu_b) * np.cos(delta)
     i_c = arm_t * (mu_a + mu_b + cross) / 2.0
     i_d = arm_t * (mu_a + mu_b - cross) / 2.0
@@ -116,9 +112,9 @@ def effective_click_probability(mu_a: float, mu_b: float, arm_t: float,
     return float(np.mean(p_c * (1.0 - p_d) + p_d * (1.0 - p_c)))
 
 
-def sns_window_stats(p: SnsParams, arm_t: float, det: DetectorParams,
-                     e_phi: float, e_theta: float = 0.02,
-                     n_phase: int = PHASE_QUADRATURE_POINTS) -> SnsWindowStats:
+def sns_window_stats(p: SnsParams, decoys: DecoySet, arm_t: float,
+                     det: DetectorParams, e_phi: float,
+                     e_theta: float = 0.02) -> SnsWindowStats:
     """Effective-window rates and decoy bounds for the signal basis.
 
     The four send patterns weight the click model by the sending choices;
@@ -132,15 +128,15 @@ def sns_window_stats(p: SnsParams, arm_t: float, det: DetectorParams,
         raise DomainError("arm transmittance must lie in (0, 1]")
     p_dc = det.p_dc
     eps = p.epsilon
-    n_ss = eps**2 * effective_click_probability(p.mu_z, p.mu_z, arm_t, p_dc, n_phase)
-    n_sn = eps * (1 - eps) * effective_click_probability(p.mu_z, p.mu_0, arm_t, p_dc, n_phase)
-    n_ns = (1 - eps) * eps * effective_click_probability(p.mu_0, p.mu_z, arm_t, p_dc, n_phase)
-    n_nn = (1 - eps) ** 2 * effective_click_probability(p.mu_0, p.mu_0, arm_t, p_dc, n_phase)
+    n_ss = eps**2 * effective_click_probability(p.mu_z, p.mu_z, arm_t, p_dc)
+    n_sn = eps * (1 - eps) * effective_click_probability(p.mu_z, p.mu_0, arm_t, p_dc)
+    n_ns = (1 - eps) * eps * effective_click_probability(p.mu_0, p.mu_z, arm_t, p_dc)
+    n_nn = (1 - eps) ** 2 * effective_click_probability(p.mu_0, p.mu_0, arm_t, p_dc)
     n_t = n_ss + n_sn + n_ns + n_nn
     e_z = (n_nn + n_ss) / n_t if n_t > 0 else 0.0
 
     m = ChannelErrorModel(eta_hat=arm_t, p_dc=p_dc, e_theta=e_theta, e_phi=e_phi)
-    b = decoy_bounds(p.decoys, m)
+    b = decoy_bounds(decoys, m)
     n1 = 2.0 * eps * (1 - eps) * p.mu_z * np.exp(-p.mu_z) * b.y1_low
     return SnsWindowStats(
         n_t=n_t, n_ss=n_ss, n_sn=n_sn, n_ns=n_ns, n_nn=n_nn, e_z=e_z,
@@ -173,21 +169,22 @@ def aopp_transform(s: SnsWindowStats, p: SnsParams) -> AoppStats:
         e1ph_prime=s.e1ph_up, pair_rate=pairs)
 
 
-def _rate(n1: float, e1ph: float, n_t: float, e_z: float, p: SnsParams) -> float:
+def _rate(n1: float, e1ph: float, n_t: float, e_z: float, p: SnsParams,
+          f_ec: float) -> float:
+    _check_f_ec(f_ec)
     if n1 <= 0.0:
         return 0.0
     privacy = 1.0 - binary_entropy(min(e1ph, 0.5))
-    ec = p.f_ec * n_t * binary_entropy(float(np.clip(e_z, 0.0, 1.0)))
+    ec = f_ec * n_t * binary_entropy(float(np.clip(e_z, 0.0, 1.0)))
     return max(0.0, p.p_z**2 * (n1 * privacy - ec))
 
 
-def sns_rate(s: SnsWindowStats, p: SnsParams) -> float:
+def sns_rate(s: SnsWindowStats, p: SnsParams, f_ec: float) -> float:
     """Plain protocol secret key per transmitted signal, floored at 0."""
-    if not s.decoy_ok:
-        return 0.0
-    return _rate(s.n1_low, s.e1ph_up, s.n_t, s.e_z, p)
+    n1 = s.n1_low if s.decoy_ok else 0.0
+    return _rate(n1, s.e1ph_up, s.n_t, s.e_z, p, f_ec)
 
 
-def sns_aopp_rate(a: AoppStats, p: SnsParams) -> float:
+def sns_aopp_rate(a: AoppStats, p: SnsParams, f_ec: float) -> float:
     """Secret key per transmitted signal after odd-parity pairing."""
-    return _rate(a.n1_prime, a.e1ph_prime, a.n_t_prime, a.e_z_prime, p)
+    return _rate(a.n1_prime, a.e1ph_prime, a.n_t_prime, a.e_z_prime, p, f_ec)

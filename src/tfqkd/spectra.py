@@ -35,7 +35,6 @@ __all__ = [
     "psd_laser_stabilized",
     "psd_fiber",
     "psd_detection_floor",
-    "psd_interference",
     "interference_spectrum",
 ]
 
@@ -173,14 +172,13 @@ class TopologyConfig:
     l_a: float = 114.0
     l_b: float = 114.0
     refractive_index: float = 1.45
-    light_speed: float = SPEED_OF_LIGHT
     fiber_roundtrip_factor: float = 4.0
 
     def __post_init__(self):
         if not (self.l_a >= self.l_b >= 0.0):
             raise DomainError("arm lengths must satisfy l_a >= l_b >= 0")
-        if self.refractive_index <= 0 or self.light_speed <= 0:
-            raise DomainError("refractive index and light speed must be > 0")
+        if self.refractive_index <= 0:
+            raise DomainError("refractive index must be > 0")
         if self.fiber_roundtrip_factor < 0:
             raise DomainError("fiber round-trip factor must be >= 0")
 
@@ -301,7 +299,7 @@ def _composite_parts(topo: TopologyConfig, laser: LaserSpec, fiber: FiberParams,
         return both
 
     if topo.kind is TopologyKind.COMMON_LASER:
-        delay = topo.refractive_index * dl * 1e3 / topo.light_speed  # s
+        delay = topo.refractive_index * dl * 1e3 / SPEED_OF_LIGHT  # s
 
         def laser_term(f):
             f = _as_positive_freq(f)
@@ -351,7 +349,7 @@ def interference_spectrum(topo: TopologyConfig,
 
     dl = topo.delta_l if delta_l_km is None else delta_l_km
     if topo.kind is TopologyKind.COMMON_LASER and dl > 0:
-        period = topo.light_speed / (2.0 * topo.refractive_index * dl * 1e3)
+        period = SPEED_OF_LIGHT / (2.0 * topo.refractive_index * dl * 1e3)
 
         def averaged(f):
             return laser_avg(f) + fiber_term(f) + floor_term(f)
@@ -360,9 +358,3 @@ def interference_spectrum(topo: TopologyConfig,
                         averaged_func=averaged)
     return Spectrum(func, knees=tuple(knees))
 
-
-def psd_interference(f, topo: TopologyConfig,
-                     laser: LaserSpec = LaserSpec(),
-                     fiber: FiberParams = FiberParams()):
-    """Pointwise interference PSD (rad^2/Hz); see interference_spectrum."""
-    return interference_spectrum(topo, laser, fiber)(f)

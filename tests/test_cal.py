@@ -23,6 +23,7 @@ from tfqkd import (
 )
 
 CAL = CalParams()
+F_EC = 1.15
 
 
 class TestGain:
@@ -222,7 +223,7 @@ class TestRate:
     def test_zero_when_bracket_negative(self):
         # heavy phase noise pushes e_x high enough to kill the bracket
         ch = make_cal_channel(1e-4, CAL, sigma_phi=1.2, theta=0.28)
-        assert cal_rate(CAL, ch, 1e-6) == 0.0
+        assert cal_rate(CAL, ch, 1e-6, F_EC) == 0.0
 
     def test_sigma_enters_only_via_bit_error(self):
         p_d = 1e-8
@@ -231,20 +232,13 @@ class TestRate:
             ch_b = make_cal_channel(0.03, CAL, sigma_phi=sig_b, theta=0.28)
             assert cal_phase_error(CAL, ch_a, p_d) == cal_phase_error(CAL, ch_b, p_d)
             assert cal_bit_error(ch_a, p_d) < cal_bit_error(ch_b, p_d)
-            assert cal_rate(CAL, ch_a, p_d) > cal_rate(CAL, ch_b, p_d)
-
-    def test_duty_scales(self):
-        ch = make_cal_channel(0.03, CAL, sigma_phi=0.06, theta=0.28)
-        full = cal_rate(CAL, ch, 1e-8, duty=1.0)
-        assert cal_rate(CAL, ch, 1e-8, duty=0.25) == pytest.approx(
-            0.25 * full, rel=1e-12)
+            assert cal_rate(CAL, ch_a, p_d, F_EC) > cal_rate(CAL, ch_b, p_d, F_EC)
 
     def test_positive_at_moderate_loss(self):
         ch = make_cal_channel(0.03, CAL, sigma_phi=0.0632, theta=0.28)
-        assert cal_rate(CAL, ch, 1e-8) > 0.0
+        assert cal_rate(CAL, ch, 1e-8, F_EC) > 0.0
 
-    def test_gaussian_average_variant(self):
-        ch = make_cal_channel(0.03, CAL, sigma_phi=0.2, theta=0.28,
-                              gaussian_phase_average=True)
-        assert ch.omega == pytest.approx(
-            math.exp(-0.02) * math.cos(0.28), rel=1e-12)
+    def test_rejects_f_ec_below_one(self):
+        ch = make_cal_channel(0.03, CAL, sigma_phi=0.0632, theta=0.28)
+        with pytest.raises(DomainError):
+            cal_rate(CAL, ch, 1e-8, 0.99)

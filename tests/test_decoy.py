@@ -20,6 +20,7 @@ from tfqkd import (
 )
 
 DEFAULTS = DecoySet()
+F_EC = 1.15
 
 
 def model(eta_hat=9e-5, p_dc=1e-8, e_theta=0.02, e_phi=0.01):
@@ -138,24 +139,23 @@ class TestBinaryEntropy:
 class TestBb84Rate:
     def test_saturated_phase_error_kills_rate(self):
         m = ChannelErrorModel(eta_hat=9e-5, p_dc=1e-8, e_theta=0.0, e_phi=0.5)
-        assert bb84_rate(DEFAULTS, m) == 0.0
+        assert bb84_rate(DEFAULTS, m, F_EC) == 0.0
 
     def test_noise_free_positive_across_loss(self):
         for eta in np.geomspace(1e-6, 1.0, 16):
             m = ChannelErrorModel(eta_hat=eta, p_dc=0.0, e_theta=0.0, e_phi=0.0)
-            assert bb84_rate(DEFAULTS, m, f_ec=1.15) > 0.0
+            assert bb84_rate(DEFAULTS, m, F_EC) > 0.0
 
     def test_monotone_in_darks_and_phase_noise(self):
-        base = bb84_rate(DEFAULTS, model(p_dc=1e-8))
+        base = bb84_rate(DEFAULTS, model(p_dc=1e-8), F_EC)
         for pdc in (1e-7, 1e-6, 1e-5):
-            assert bb84_rate(DEFAULTS, model(p_dc=pdc)) <= base + 1e-18
-        prev = bb84_rate(DEFAULTS, model(e_phi=0.0))
+            assert bb84_rate(DEFAULTS, model(p_dc=pdc), F_EC) <= base + 1e-18
+        prev = bb84_rate(DEFAULTS, model(e_phi=0.0), F_EC)
         for eph in (0.01, 0.05, 0.1, 0.3):
-            cur = bb84_rate(DEFAULTS, model(e_phi=eph))
+            cur = bb84_rate(DEFAULTS, model(e_phi=eph), F_EC)
             assert cur <= prev + 1e-18
             prev = cur
 
-    def test_duty_scales(self):
-        m = model()
-        assert bb84_rate(DEFAULTS, m, duty=0.5) == pytest.approx(
-            0.5 * bb84_rate(DEFAULTS, m, duty=1.0), rel=1e-12)
+    def test_rejects_f_ec_below_one(self):
+        with pytest.raises(DomainError):
+            bb84_rate(DEFAULTS, model(), 0.99)

@@ -65,8 +65,6 @@ class TestDetectors:
     def test_arm_split_convention(self):
         t = arm_transmittance(1e-4, SNSPD)
         assert t**2 == pytest.approx(9e-5, rel=1e-12)
-        t_single = arm_transmittance(1e-4, SNSPD, split_detector=False)
-        assert t_single == pytest.approx(1e-2 * 0.9, rel=1e-12)
 
     def test_rejects_bad_params(self):
         with pytest.raises(DomainError):

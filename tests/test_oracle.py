@@ -6,7 +6,6 @@ import pytest
 from tfqkd import (
     DomainError,
     FixedDelta,
-    GaussianSigma,
     McConfig,
     fock_bs_distribution,
     mc_click_stats,
@@ -19,12 +18,6 @@ class TestMcClickStats:
         a = mc_click_stats(0.2, 0.1, 0.05, 1e-7, cfg)
         b = mc_click_stats(0.2, 0.1, 0.05, 1e-7, cfg)
         assert (a.none, a.c_only, a.d_only, a.both) == (b.none, b.c_only, b.d_only, b.both)
-
-    def test_stream_split_deterministic(self):
-        cfg = McConfig(samples=60_000, seed=3, streams=4)
-        a = mc_click_stats(0.2, 0.1, 0.05, 1e-7, cfg)
-        b = mc_click_stats(0.2, 0.1, 0.05, 1e-7, cfg)
-        assert a == b
 
     def test_frequencies_normalize(self):
         s = mc_click_stats(0.3, 0.2, 0.1, 1e-6, McConfig(samples=10_000, seed=1))
@@ -39,12 +32,6 @@ class TestMcClickStats:
         s = mc_click_stats(0.2, 0.2, 0.5, 0.0, cfg)
         assert s.d_only == 0.0 and s.both == 0.0
         assert s.c_only > 0.05
-
-    def test_gaussian_phase_draw(self):
-        cfg = McConfig(samples=50_000, seed=11, phase=GaussianSigma(0.05))
-        s = mc_click_stats(0.2, 0.2, 0.5, 0.0, cfg)
-        # narrow phase spread keeps the destructive port nearly dark
-        assert s.d_only < 1e-3
 
     def test_metadata(self):
         s = mc_click_stats(0.1, 0.1, 0.1, 0.0, McConfig(samples=1_000, seed=2))

@@ -8,9 +8,11 @@ import tfqkd
 from tfqkd import (
     SNSPD,
     ConfigError,
+    DecoySet,
     DetectorParams,
     DomainError,
     FullConfig,
+    ProtocolParams,
     SweepSpec,
     builtin_scenarios,
     dump_config,
@@ -198,9 +200,20 @@ class TestConfig:
         assert cfg.operating_point.tau_q == 5e-5
 
     def test_round_trip(self):
+        preset = builtin_scenarios()[0]
+        # a config built in Python: f_ec and the decoy set are shared by all
+        # protocols, so the dump holds every protocol parameter it sets
+        built = FullConfig(topology=preset.topology,
+                           operating_point=preset.operating_point,
+                           protocol=ProtocolParams(f_ec=1.3, decoys=DecoySet(u=0.5)))
         for cfg in (load_config(CONFIG_PATH),
-                    loads_config("scenario: {preset: 1}\nbudget: {tau_ps_s: 2.0e-3}\n")):
+                    loads_config("scenario: {preset: 1}\nbudget: {tau_ps_s: 2.0e-3}\n"),
+                    built):
             assert loads_config(dump_config(cfg)) == cfg
+
+    def test_f_ec_below_one_rejected(self):
+        with pytest.raises(DomainError):
+            ProtocolParams(f_ec=0.99)
 
     @pytest.mark.parametrize("preset", builtin_scenarios(), ids=lambda p: str(p.id))
     def test_preset_equals_dataclass_defaults(self, preset):
@@ -211,7 +224,6 @@ class TestConfig:
     def test_partial_decoys_checked_together(self):
         cfg = loads_config("scenario: {preset: 1}\n"
                            "protocol: {decoys: {u: 0.1, v: 0.05}}\n")
-        assert cfg.protocol.decoys == cfg.protocol.sns.decoys
         assert (cfg.protocol.decoys.u, cfg.protocol.decoys.v) == (0.1, 0.05)
 
     def test_detector_without_preset_starts_from_snspd(self):
@@ -327,11 +339,31 @@ class TestCli:
         spec = SweepSpec(start=30, stop=30, detector="spad")
         assert res.output == format_csv(run_sweep(2, spec))
 
+    def test_detector_flag_beats_config_detector(self, tmp_path):
+        path = self._config_file(tmp_path, "scenario: {preset: 2}\n"
+                                 "detector: {preset: snspd}\n")
+        res = CliRunner().invoke(cli_main, ["scenario", path, "--stop", "5",
+                                            "--detector", "spad"])
+        assert res.exit_code == 0, res.output
+        assert res.output == format_csv(run_sweep(2, SweepSpec(stop=5, detector="spad")))
+        res = CliRunner().invoke(cli_main, ["keyrate", "--config", path,
+                                            "--attenuation-db", "30",
+                                            "--detector", "spad"])
+        assert res.exit_code == 0, res.output
+        spec = SweepSpec(start=30, stop=30, detector="spad")
+        assert res.output == format_csv(run_sweep(2, spec))
+
     @pytest.mark.parametrize("args", [
         ["keyrate", "--attenuation-db", "-5"],
         ["sigma-map", "--dl-start", "0"],
         ["psd", "--fmin", "0"],
-        ["tau-solve", "--scenario", "9"]])
+        ["tau-solve", "--scenario", "9"],
+        ["psd", "--points", "-1"],
+        ["psd", "--points", "0"],
+        ["sigma-map", "--tau-points", "-2"],
+        ["sigma-map", "--dl-points", "0"],
+        ["oracle", "--points", "0"],
+        ["oracle", "--samples", "0"]])
     def test_bad_input_exits_without_traceback(self, args):
         res = CliRunner().invoke(cli_main, args)
         assert isinstance(res.exception, SystemExit)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tfqkd import (
+    DecoySet,
     DetectorParams,
     DomainError,
     McConfig,
@@ -19,6 +20,8 @@ from tfqkd import (
 )
 
 P = SnsParams()
+DECOYS = DecoySet()
+F_EC = 1.15
 NO_DARKS = DetectorParams(eta_d=0.9, dark_rate=1e-12, clock_rate=1e9)
 
 
@@ -53,32 +56,32 @@ class TestEffectiveClickProbability:
 
 class TestWindowStats:
     def test_rates_sum_to_total(self):
-        s = sns_window_stats(P, arm_t=0.03, det=SNSPD, e_phi=0.01)
+        s = sns_window_stats(P, DECOYS, arm_t=0.03, det=SNSPD, e_phi=0.01)
         assert s.n_ss + s.n_sn + s.n_ns + s.n_nn == pytest.approx(s.n_t, abs=1e-15)
 
     def test_bit_flip_error_composition(self):
-        s = sns_window_stats(P, arm_t=0.03, det=SNSPD, e_phi=0.01)
+        s = sns_window_stats(P, DECOYS, arm_t=0.03, det=SNSPD, e_phi=0.01)
         assert s.e_z == pytest.approx((s.n_ss + s.n_nn) / s.n_t, rel=1e-12)
 
     def test_e_z_invariant_in_phase_noise(self):
-        ref = sns_window_stats(P, 0.03, SNSPD, e_phi=0.0)
+        ref = sns_window_stats(P, DECOYS, 0.03, SNSPD, e_phi=0.0)
         for e_phi in (0.005, 0.01, 0.05, 0.2):
-            s = sns_window_stats(P, 0.03, SNSPD, e_phi=e_phi)
+            s = sns_window_stats(P, DECOYS, 0.03, SNSPD, e_phi=e_phi)
             assert s.e_z == ref.e_z  # exact equality, not approx
             assert s.n_t == ref.n_t
 
     def test_e1ph_monotone_in_phase_noise(self):
-        vals = [sns_window_stats(P, 0.03, SNSPD, e_phi=e).e1ph_up
+        vals = [sns_window_stats(P, DECOYS, 0.03, SNSPD, e_phi=e).e1ph_up
                 for e in (0.0, 0.01, 0.05, 0.1, 0.2)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
     def test_untagged_bounded_by_singles(self):
-        s = sns_window_stats(P, 0.03, SNSPD, e_phi=0.01)
+        s = sns_window_stats(P, DECOYS, 0.03, SNSPD, e_phi=0.01)
         assert 0.0 < s.n1_low <= s.n_sn + s.n_ns
 
     def test_rejects_bad_transmittance(self):
         with pytest.raises(DomainError):
-            sns_window_stats(P, 0.0, SNSPD, e_phi=0.01)
+            sns_window_stats(P, DECOYS, 0.0, SNSPD, e_phi=0.01)
 
 
 class TestAopp:
@@ -89,7 +92,7 @@ class TestAopp:
         assert a.e_z_prime == 0.0
 
     def test_balanced_strings_pair_everything(self):
-        s = sns_window_stats(P, 0.03, SNSPD, e_phi=0.01)
+        s = sns_window_stats(P, DECOYS, 0.03, SNSPD, e_phi=0.01)
         a = aopp_transform(s, P)
         n0 = s.n_ss + s.n_ns
         n1 = s.n_sn + s.n_nn
@@ -101,10 +104,10 @@ class TestAopp:
                            e_z=0.0, n1_low=1e-4, e1ph_up=0.03, decoy_ok=True)
         a = aopp_transform(s, P)
         assert a.n_t_prime == 0.0
-        assert sns_aopp_rate(a, P) == 0.0
+        assert sns_aopp_rate(a, P, F_EC) == 0.0
 
     def test_pairing_rejects_errors(self):
-        s = sns_window_stats(P, 0.03, SNSPD, e_phi=0.01)
+        s = sns_window_stats(P, DECOYS, 0.03, SNSPD, e_phi=0.01)
         a = aopp_transform(s, P)
         assert a.e_z_prime < s.e_z / 10.0
         assert a.n1_prime == pytest.approx(s.n1_low * a.n_t_prime / s.n_t, rel=1e-12)
@@ -115,11 +118,11 @@ class TestAopp:
         # protocol even when the plain sending probability is re-optimized
         arm_t = float(np.sqrt(1e-3 * 0.9))
         aopp = sns_aopp_rate(aopp_transform(
-            sns_window_stats(P, arm_t, SNSPD, e_phi=0.001), P), P)
+            sns_window_stats(P, DECOYS, arm_t, SNSPD, e_phi=0.001), P), P, F_EC)
         best_plain = 0.0
         for eps in np.linspace(0.01, 0.6, 40):
             p = SnsParams(epsilon=float(eps))
-            r = sns_rate(sns_window_stats(p, arm_t, SNSPD, e_phi=0.001), p)
+            r = sns_rate(sns_window_stats(p, DECOYS, arm_t, SNSPD, e_phi=0.001), p, F_EC)
             best_plain = max(best_plain, r)
         assert aopp >= best_plain
 
@@ -128,28 +131,35 @@ class TestRates:
     def test_saturated_errors_zero_rate(self):
         s = SnsWindowStats(n_t=1e-3, n_ss=4e-4, n_sn=1e-4, n_ns=1e-4, n_nn=4e-4,
                            e_z=0.8, n1_low=1e-4, e1ph_up=0.6, decoy_ok=True)
-        assert sns_rate(s, P) == 0.0
+        assert sns_rate(s, P, F_EC) == 0.0
 
     def test_decoy_failure_zero_rate(self):
         s = SnsWindowStats(n_t=1e-3, n_ss=1e-5, n_sn=5e-4, n_ns=5e-4, n_nn=1e-6,
                            e_z=0.01, n1_low=0.0, e1ph_up=1.0, decoy_ok=False)
-        assert sns_rate(s, P) == 0.0
+        assert sns_rate(s, P, F_EC) == 0.0
+
+    def test_rejects_f_ec_below_one(self):
+        s = sns_window_stats(P, DECOYS, 0.03, SNSPD, e_phi=0.01)
+        with pytest.raises(DomainError):
+            sns_rate(s, P, 0.99)
+        with pytest.raises(DomainError):
+            sns_aopp_rate(aopp_transform(s, P), P, 0.99)
 
     def test_phase_noise_hits_only_phase_error_term(self):
         arm_t = 0.03
         rates = []
         for e_phi in (0.0, 0.02, 0.05):
-            s = sns_window_stats(P, arm_t, SNSPD, e_phi=e_phi)
+            s = sns_window_stats(P, DECOYS, arm_t, SNSPD, e_phi=e_phi)
             a = aopp_transform(s, P)
-            rates.append(sns_aopp_rate(a, P))
-            assert s.e_z == sns_window_stats(P, arm_t, SNSPD, e_phi=0.0).e_z
+            rates.append(sns_aopp_rate(a, P, F_EC))
+            assert s.e_z == sns_window_stats(P, DECOYS, arm_t, SNSPD, e_phi=0.0).e_z
         assert rates[0] > rates[1] > rates[2]
 
     def test_rate_decreases_with_attenuation(self):
         prev = np.inf
         for att in (20.0, 30.0, 40.0, 50.0, 60.0):
             arm_t = float(np.sqrt(10 ** (-att / 10.0) * 0.9))
-            a = aopp_transform(sns_window_stats(P, arm_t, SNSPD, e_phi=0.001), P)
-            r = sns_aopp_rate(a, P)
+            a = aopp_transform(sns_window_stats(P, DECOYS, arm_t, SNSPD, e_phi=0.001), P)
+            r = sns_aopp_rate(a, P, F_EC)
             assert 0.0 <= r < prev
             prev = r

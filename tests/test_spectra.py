@@ -4,6 +4,7 @@ import cmath
 
 import numpy as np
 import pytest
+from scipy.constants import c as SPEED_OF_LIGHT
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,7 +22,6 @@ from tfqkd import (
     loop_gain,
     psd_cavity,
     psd_fiber,
-    psd_interference,
     psd_laser_free,
     psd_laser_stabilized,
 )
@@ -171,7 +171,7 @@ class TestInterference:
     def test_common_zero_mismatch_is_fiber_only(self):
         topo = TopologyConfig(kind=TopologyKind.COMMON_LASER, l_a=100.0, l_b=100.0)
         f = np.geomspace(1.0, 1e7, 50)
-        got = psd_interference(f, topo)
+        got = interference_spectrum(topo)(f)
         fiber_only = 4.0 * 2.0 * psd_fiber(f, 100.0, FIBER, stabilized=False)
         assert got == pytest.approx(fiber_only, rel=1e-12)
 
@@ -182,20 +182,20 @@ class TestInterference:
         fiber_only = 4.0 * (psd_fiber(1.0, 114.0, FIBER, False)
                             + psd_fiber(1.0, 111.5, FIBER, False))
         for k in (1, 2, 5):
-            f0 = k * topo.light_speed / (2 * topo.refractive_index * dl_m)
+            f0 = k * SPEED_OF_LIGHT / (2 * topo.refractive_index * dl_m)
             fib = 4.0 * (psd_fiber(f0, 114.0, FIBER, False)
                          + psd_fiber(f0, 111.5, FIBER, False))
             # at the sine zeros only the fiber term survives
             assert spec(f0) == pytest.approx(fib, rel=1e-6)
         assert spec.oscillation_period == pytest.approx(
-            topo.light_speed / (2 * topo.refractive_index * dl_m), rel=1e-12)
+            SPEED_OF_LIGHT / (2 * topo.refractive_index * dl_m), rel=1e-12)
 
     def test_independent_identical_arms(self):
         topo = TopologyConfig(kind=TopologyKind.INDEPENDENT_LASERS,
                               laser_stabilized=True, l_a=80.0, l_b=80.0)
         laser = LaserSpec()
         f = np.geomspace(1.0, 1e7, 40)
-        got = psd_interference(f, topo, laser)
+        got = interference_spectrum(topo, laser)(f)
         expected = (2.0 * psd_laser_stabilized(f, laser.free, laser.cavity, laser.loop)
                     + 2.0 * psd_fiber(f, 80.0, FIBER, False))
         assert got == pytest.approx(expected, rel=1e-12)
@@ -204,7 +204,7 @@ class TestInterference:
         topo = TopologyConfig(l_a=114.0, l_b=100.0)
         f = np.geomspace(1.0, 1e8, 300)
         laser = LaserSpec()
-        composite = psd_interference(f, topo, laser)
+        composite = interference_spectrum(topo, laser)(f)
         fiber_part = 4.0 * (psd_fiber(f, 114.0, FIBER, False)
                             + psd_fiber(f, 100.0, FIBER, False))
         assert np.all(composite - fiber_part <= 4.0 * psd_laser_free(f, laser.free) + 1e-30)
@@ -212,7 +212,7 @@ class TestInterference:
     def test_floor_added_once_when_stabilized(self):
         topo = TopologyConfig(fiber_stabilized=True, l_a=114.0, l_b=114.0)
         f = 1e6
-        got = psd_interference(f, topo)
+        got = interference_spectrum(topo)(f)
         lin = FIBER.stabilization_suppression * 44.0 * 114.0 / f**2
         floor = 1e-8 * (2e5 / (f + 2e5)) ** 2
         assert got == pytest.approx(4.0 * 2.0 * lin + floor, rel=1e-12)
@@ -221,8 +221,8 @@ class TestInterference:
         t4 = TopologyConfig(l_a=100.0, l_b=100.0)
         t2 = TopologyConfig(l_a=100.0, l_b=100.0, fiber_roundtrip_factor=2.0)
         f = 123.0
-        assert psd_interference(f, t2) == pytest.approx(
-            psd_interference(f, t4) / 2.0, rel=1e-12)
+        assert interference_spectrum(t2)(f) == pytest.approx(
+            interference_spectrum(t4)(f) / 2.0, rel=1e-12)
 
     def test_all_models_positive_and_finite(self):
         f = np.geomspace(1e-6, 1e9, 400)
@@ -234,7 +234,7 @@ class TestInterference:
             psd_fiber(f, 114.0, FIBER, True),
         ]
         for p in tfqkd.builtin_scenarios():
-            fns.append(psd_interference(f, p.topology))
+            fns.append(interference_spectrum(p.topology)(f))
         for vals in fns:
             assert np.all(vals >= 0.0)
             assert np.all(np.isfinite(vals))
@@ -243,7 +243,7 @@ class TestInterference:
         f = np.geomspace(1.0, 1e7, 50)
         fiber_only = 8.0 * psd_fiber(f, 114.0, FIBER, False)
         topo = TopologyConfig(l_a=114.0, l_b=114.0 - 1e-9)
-        near = psd_interference(f, topo)
+        near = interference_spectrum(topo)(f)
         # l_b barely differs, compare against equal-arm fiber term
         assert near == pytest.approx(fiber_only, rel=1e-4)
 
