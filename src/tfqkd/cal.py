@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
 from .decoy import _check_f_ec, binary_entropy
 from .errors import DomainError
@@ -125,12 +124,18 @@ def _parity_weight(mu: float, j: int) -> float:
     return 0.5 * (1.0 + (-1.0) ** j * math.exp(-2.0 * mu))
 
 
+@lru_cache(maxsize=64)
 def _cat_raw(mu: float, j: int, m_max: int) -> np.ndarray:
     """Coherent amplitudes restricted to parity j: entry m is the |2m+j>
-    amplitude of |sqrt(mu)>; the squared entries sum to the parity weight."""
+    amplitude of |sqrt(mu)>; the squared entries sum to the parity weight.
+    Cached per (mu, j, m_max), so the array is read-only."""
+    from scipy.special import gammaln
+
     ns = 2 * np.arange(m_max + 1) + j
     log_amp = -mu / 2.0 + 0.5 * ns * np.log(mu) - 0.5 * gammaln(ns + 1)
-    return np.exp(log_amp)
+    amp = np.exp(log_amp)
+    amp.flags.writeable = False
+    return amp
 
 
 def _cat_tail(mu: float, j: int, m_max: int, last: float) -> float:
@@ -180,11 +185,23 @@ def _bs_unitary() -> np.ndarray:
     return expm(gen)
 
 
-def _bs_probs(k_a: int, k_b: int) -> np.ndarray:
-    """Output distribution P[m_c, m_d] for the input |k_a, k_b>."""
+@lru_cache(maxsize=1)
+def _bs_table() -> tuple:
+    """Splitter output distributions of every input |k_a, k_b> with
+    k_a, k_b <= FOCK_INPUT_MAX: entry [k_a][k_b][m_c] is the probability of
+    m_c photons at c and k_a + k_b - m_c at d, as plain floats."""
     d = FOCK_TOTAL_CUTOFF + 1
-    col = _bs_unitary()[:, k_a * d + k_b]
-    return (col * col).reshape(d, d)
+    u = _bs_unitary()
+    table = []
+    for k_a in range(FOCK_INPUT_MAX + 1):
+        row = []
+        for k_b in range(FOCK_INPUT_MAX + 1):
+            col = u[:, k_a * d + k_b]
+            dist = (col * col).reshape(d, d)
+            tot = k_a + k_b
+            row.append(tuple(float(dist[m_c, tot - m_c]) for m_c in range(tot + 1)))
+        table.append(tuple(row))
+    return tuple(table)
 
 
 def _binomial_weights(n: int, t: float) -> list:
@@ -216,29 +233,27 @@ def fock_pair_yield(n_a: int, n_b: int, arm_t: float, p_d: float) -> FockYield:
         raise DomainError(f"photon numbers must lie in [0, {FOCK_INPUT_MAX}]")
     if not 0.0 <= arm_t <= 1.0 or not 0.0 <= p_d <= 1.0:
         raise DomainError("arm_t and p_d must lie in [0, 1]")
-    res = np.zeros(4)  # none, c_only, d_only, both
+    none = c_only = d_only = both = 0.0
     pa = _binomial_weights(n_a, arm_t)
     pb = _binomial_weights(n_b, arm_t)
+    table = _bs_table()
     for k_a in range(n_a + 1):
         for k_b in range(n_b + 1):
             w = pa[k_a] * pb[k_b]
             if w == 0.0:
                 continue
-            dist = _bs_probs(k_a, k_b)
             tot = k_a + k_b
-            for m_c in range(tot + 1):
-                m_d = tot - m_c
-                p_bs = dist[m_c, m_d]
+            for m_c, p_bs in enumerate(table[k_a][k_b]):
                 if p_bs == 0.0:
                     continue
                 click_c = 1.0 if m_c > 0 else p_d
-                click_d = 1.0 if m_d > 0 else p_d
+                click_d = 1.0 if m_c < tot else p_d
                 ww = w * p_bs
-                res[0] += ww * (1 - click_c) * (1 - click_d)
-                res[1] += ww * click_c * (1 - click_d)
-                res[2] += ww * (1 - click_c) * click_d
-                res[3] += ww * click_c * click_d
-    return FockYield(none=res[0], c_only=res[1], d_only=res[2], both=res[3])
+                none += ww * (1 - click_c) * (1 - click_d)
+                c_only += ww * click_c * (1 - click_d)
+                d_only += ww * (1 - click_c) * click_d
+                both += ww * click_c * click_d
+    return FockYield(none=none, c_only=c_only, d_only=d_only, both=both)
 
 
 def cal_phase_error(p: CalParams, ch: CalChannel, p_d: float) -> float:
@@ -275,6 +290,14 @@ def cal_phase_error(p: CalParams, ch: CalChannel, p_d: float) -> float:
     return total / gain_ref
 
 
+def _cal_key(p_xx: float, e_x: float, e_z: float, f_ec: float) -> float:
+    """2 p_xx [1 - f_ec H2(e_x) - H2(min(1/2, e_z))] floored at 0, e_x
+    clamped to [0, 1]."""
+    e_x = min(max(e_x, 0.0), 1.0)
+    bracket = 1.0 - f_ec * binary_entropy(e_x) - binary_entropy(min(0.5, e_z))
+    return max(0.0, 2.0 * p_xx * bracket)
+
+
 def cal_rate(p: CalParams, ch: CalChannel, p_d: float, f_ec: float) -> float:
     """Secret key per transmitted signal, both single-click outcomes summed.
 
@@ -284,7 +307,4 @@ def cal_rate(p: CalParams, ch: CalChannel, p_d: float, f_ec: float) -> float:
     p_xx = cal_gain(ch, p_d)
     if p_xx <= 0.0:
         return 0.0
-    e_x = float(np.clip(cal_bit_error(ch, p_d), 0.0, 1.0))
-    e_z = cal_phase_error(p, ch, p_d)
-    bracket = 1.0 - f_ec * binary_entropy(e_x) - binary_entropy(min(0.5, e_z))
-    return max(0.0, 2.0 * p_xx * bracket)
+    return _cal_key(p_xx, cal_bit_error(ch, p_d), cal_phase_error(p, ch, p_d), f_ec)

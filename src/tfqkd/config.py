@@ -17,7 +17,6 @@ import enum
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-import jsonschema
 import yaml
 
 from .coherence import CoherenceBudget, solve_tau_q
@@ -143,6 +142,8 @@ class FullConfig:
 
 
 def _validate(raw: dict) -> None:
+    import jsonschema
+
     validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
     errors = sorted(validator.iter_errors(raw), key=lambda e: e.json_path)
     if errors:

@@ -101,7 +101,7 @@ def qber(mu: float, m: ChannelErrorModel) -> float:
     q = gain(mu, m)
     if q <= 0.0:
         raise DomainError("QBER undefined at zero gain")
-    return float(np.clip(error_gain(mu, m) / q, 0.0, 1.0))
+    return min(max(error_gain(mu, m) / q, 0.0), 1.0)
 
 
 @dataclass(frozen=True)
@@ -125,16 +125,25 @@ def decoy_bounds(s: DecoySet, m: ChannelErrorModel) -> DecoyBounds:
     e_u, e_v, e_w = np.exp(u), np.exp(v), np.exp(w)
 
     y0 = (v * q_w * e_w - w * q_v * e_v) / (v - w)
-    y0 = float(np.clip(y0, 0.0, 1.0))
+    y0 = float(min(max(y0, 0.0), 1.0))
     y1 = (u**2 * (q_v * e_v - q_w * e_w) - (v**2 - w**2) * (q_u * e_u - y0)) \
         / (u * (u - v - w) * (v - w))
     if y1 <= 0.0:
         return DecoyBounds(y0_low=y0, y1_low=0.0, q1_low=0.0, e1ph_up=1.0, ok=False)
     y1 = float(min(y1, 1.0))
-    q1 = float(np.clip(y1 * u * np.exp(-u), 0.0, 1.0))
+    q1 = float(min(max(y1 * u * np.exp(-u), 0.0), 1.0))
     e1 = (eq_v * e_v - eq_w * e_w) / ((v - w) * y1)
-    e1 = float(np.clip(e1, 0.0, 1.0))
+    e1 = float(min(max(e1, 0.0), 1.0))
     return DecoyBounds(y0_low=y0, y1_low=y1, q1_low=q1, e1ph_up=e1, ok=True)
+
+
+def _bb84_key(b: DecoyBounds, q_u: float, e_u: float, f_ec: float) -> float:
+    """Q1 (1 - H2(e1ph)) - f_ec Q_u H2(E_u) floored at 0; no key when the
+    single-photon estimation failed."""
+    if not b.ok:
+        return 0.0
+    privacy = 1.0 - binary_entropy(min(b.e1ph_up, 0.5))
+    return max(0.0, b.q1_low * privacy - f_ec * q_u * binary_entropy(e_u))
 
 
 def bb84_rate(s: DecoySet, m: ChannelErrorModel, f_ec: float) -> float:
@@ -146,8 +155,4 @@ def bb84_rate(s: DecoySet, m: ChannelErrorModel, f_ec: float) -> float:
     b = decoy_bounds(s, m)
     if not b.ok:
         return 0.0
-    q_u = gain(s.u, m)
-    e_u = qber(s.u, m)
-    privacy = 1.0 - binary_entropy(min(b.e1ph_up, 0.5))
-    rate = b.q1_low * privacy - f_ec * q_u * binary_entropy(e_u)
-    return max(0.0, rate)
+    return _bb84_key(b, gain(s.u, m), qber(s.u, m), f_ec)

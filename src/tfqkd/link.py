@@ -118,14 +118,17 @@ def effective_transmittance(eta: float, det: DetectorParams) -> float:
     return eta * det.eta_d
 
 
-def arm_transmittance(eta: float, det: DetectorParams) -> float:
+def arm_transmittance(eta_hat: float) -> float:
     """Per-arm effective transmittance used by the twin-field protocols.
 
-    The detector efficiency is shared evenly between the arms,
-    t = sqrt(eta * eta_d), so the product of the two arms equals the full
-    effective transmittance.
+    The detector efficiency is shared evenly between the arms: from the
+    full effective transmittance eta_hat = eta * eta_d (see
+    effective_transmittance), t = sqrt(eta_hat), so the product of the two
+    arms equals eta_hat.
     """
-    return float(np.sqrt(effective_transmittance(eta, det)))
+    if not 0.0 <= eta_hat <= 1.0:
+        raise DomainError("effective transmittance must lie in [0, 1]")
+    return float(np.sqrt(eta_hat))
 
 
 def plob_bound(eta: float) -> float:

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
-from scipy.special import gammaln
 
 from .decoy import ChannelErrorModel
 from .errors import DomainError
@@ -141,6 +140,8 @@ def fock_bs_distribution(n_a: int, n_b: int) -> np.ndarray:
     """
     if n_a < 0 or n_b < 0 or n_a + n_b > 12:
         raise DomainError("fock_bs_distribution supports 0 <= n_a + n_b <= 12")
+    from scipy.special import gammaln
+
     n = n_a + n_b
     probs = np.zeros(n + 1)
     log_norm = -0.5 * (gammaln(n_a + 1) + gammaln(n_b + 1)) - 0.5 * n * math.log(2.0)
@@ -181,6 +182,8 @@ def poisson_yield_gain(mu: float, m: ChannelErrorModel) -> tuple[float, float]:
     """
     if mu < 0:
         raise DomainError("intensity must be >= 0")
+    from scipy.special import gammaln
+
     n_max = 20
     while math.exp(-mu + (n_max + 1) * math.log(max(mu, 1e-300))
                    - gammaln(n_max + 2)) > 1e-15 and n_max < 10_000:

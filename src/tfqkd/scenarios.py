@@ -20,7 +20,7 @@ import numpy as np
 from . import cal as cal_mod
 from . import sns as sns_mod
 from .coherence import CoherenceBudget, _csv_text, solve_tau_q
-from .decoy import ChannelErrorModel, DecoySet, _check_f_ec, bb84_rate, decoy_bounds, gain, qber
+from .decoy import ChannelErrorModel, DecoySet, _bb84_key, _check_f_ec, decoy_bounds, gain, qber
 from .errors import DomainError
 from .link import (
     SNSPD,
@@ -226,7 +226,7 @@ def _rates_at(att_db: float, det: DetectorParams, op: OperatingPoint,
               prot: ProtocolParams, protocols: Sequence[str]):
     eta = link_from_attenuation(att_db).eta
     eta_hat = effective_transmittance(eta, det)
-    arm_t = arm_transmittance(eta, det)
+    arm_t = arm_transmittance(eta_hat)
     nu_s = det.clock_rate
     duty = op.duty
     rates: dict = {}
@@ -246,11 +246,13 @@ def _rates_at(att_db: float, det: DetectorParams, op: OperatingPoint,
         # the scenario phase-noise QBER.
         m = ChannelErrorModel(eta_hat=eta_hat, p_dc=det.p_dc,
                               e_theta=prot.misalignment.e_theta, e_phi=op.e_phi)
-        rates["bb84"] = bb84_rate(prot.decoys, m, prot.f_ec) * nu_s
+        b = decoy_bounds(prot.decoys, m)
         q_u = gain(prot.decoys.u, m)
+        e_u = qber(prot.decoys.u, m) if q_u > 0 else 0.0
+        rates["bb84"] = _bb84_key(b, q_u, e_u, prot.f_ec) * nu_s
         diag["bb84_gain_u"] = q_u
-        diag["bb84_qber_u"] = qber(prot.decoys.u, m) if q_u > 0 else 0.0
-        if rates["bb84"] == 0.0 and not decoy_bounds(prot.decoys, m).ok:
+        diag["bb84_qber_u"] = e_u
+        if not b.ok:
             flags.append("bb84_estimation_failed")
     if "sns" in protocols or "sns_aopp" in protocols:
         stats = sns_mod.sns_window_stats(
@@ -265,7 +267,7 @@ def _rates_at(att_db: float, det: DetectorParams, op: OperatingPoint,
         if "sns" in protocols:
             rates["sns"] = sns_mod.sns_rate(stats, prot.sns, prot.f_ec) * duty * nu_s
         if "sns_aopp" in protocols:
-            aopp = sns_mod.aopp_transform(stats, prot.sns)
+            aopp = sns_mod.aopp_transform(stats)
             diag["sns_aopp_e_z"] = aopp.e_z_prime
             rates["sns_aopp"] = (sns_mod.sns_aopp_rate(aopp, prot.sns, prot.f_ec)
                                  * duty * nu_s)
@@ -273,14 +275,16 @@ def _rates_at(att_db: float, det: DetectorParams, op: OperatingPoint,
         ch = cal_mod.make_cal_channel(arm_t, prot.cal, sigma_phi=op.sigma_phi,
                                       theta=prot.misalignment.theta)
         p_xx = cal_mod.cal_gain(ch, det.p_dc)
-        diag["cal_gain"] = p_xx
         if p_xx > 0.0:
-            diag["cal_e_x"] = cal_mod.cal_bit_error(ch, det.p_dc)
-            diag["cal_e_z_bound"] = cal_mod.cal_phase_error(prot.cal, ch, det.p_dc)
+            e_x = cal_mod.cal_bit_error(ch, det.p_dc)
+            e_z = cal_mod.cal_phase_error(prot.cal, ch, det.p_dc)
+            rates["cal"] = cal_mod._cal_key(p_xx, e_x, e_z, prot.f_ec) * duty * nu_s
         else:
-            diag["cal_e_x"] = 0.0
-            diag["cal_e_z_bound"] = 1.0
-        rates["cal"] = cal_mod.cal_rate(prot.cal, ch, det.p_dc, prot.f_ec) * duty * nu_s
+            e_x, e_z = 0.0, 1.0
+            rates["cal"] = 0.0
+        diag["cal_gain"] = p_xx
+        diag["cal_e_x"] = e_x
+        diag["cal_e_z_bound"] = e_z
     return rates, diag, tuple(flags)
 
 

@@ -31,6 +31,10 @@ __all__ = [
 ]
 
 PHASE_QUADRATURE_POINTS = 256
+# cos(delta) at the midpoints of the phase-average rule
+_PHASE_COS = np.cos(2.0 * np.pi * (np.arange(PHASE_QUADRATURE_POINTS) + 0.5)
+                    / PHASE_QUADRATURE_POINTS)
+_PHASE_COS.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -102,9 +106,7 @@ def effective_click_probability(mu_a: float, mu_b: float, arm_t: float,
         raise DomainError("intensities must be >= 0")
     if not 0.0 <= arm_t <= 1.0 or not 0.0 <= p_dc < 1.0:
         raise DomainError("transmittance in [0,1] and p_dc in [0,1) required")
-    n = PHASE_QUADRATURE_POINTS
-    delta = 2.0 * np.pi * (np.arange(n) + 0.5) / n
-    cross = 2.0 * np.sqrt(mu_a * mu_b) * np.cos(delta)
+    cross = 2.0 * np.sqrt(mu_a * mu_b) * _PHASE_COS
     i_c = arm_t * (mu_a + mu_b + cross) / 2.0
     i_d = arm_t * (mu_a + mu_b - cross) / 2.0
     p_c = 1.0 - (1.0 - p_dc) * np.exp(-i_c)
@@ -129,8 +131,9 @@ def sns_window_stats(p: SnsParams, decoys: DecoySet, arm_t: float,
     p_dc = det.p_dc
     eps = p.epsilon
     n_ss = eps**2 * effective_click_probability(p.mu_z, p.mu_z, arm_t, p_dc)
-    n_sn = eps * (1 - eps) * effective_click_probability(p.mu_z, p.mu_0, arm_t, p_dc)
-    n_ns = (1 - eps) * eps * effective_click_probability(p.mu_0, p.mu_z, arm_t, p_dc)
+    # the click probability is symmetric in the two intensities, so the
+    # send/not-send and not-send/send patterns share one evaluation
+    n_sn = n_ns = eps * (1 - eps) * effective_click_probability(p.mu_z, p.mu_0, arm_t, p_dc)
     n_nn = (1 - eps) ** 2 * effective_click_probability(p.mu_0, p.mu_0, arm_t, p_dc)
     n_t = n_ss + n_sn + n_ns + n_nn
     e_z = (n_nn + n_ss) / n_t if n_t > 0 else 0.0
@@ -143,7 +146,7 @@ def sns_window_stats(p: SnsParams, decoys: DecoySet, arm_t: float,
         n1_low=float(n1), e1ph_up=b.e1ph_up, decoy_ok=b.ok)
 
 
-def aopp_transform(s: SnsWindowStats, p: SnsParams) -> AoppStats:
+def aopp_transform(s: SnsWindowStats) -> AoppStats:
     """Actively-odd-parity-paired statistics.
 
     The second party holds N0 = n_ss + n_ns zero bits and N1 = n_sn + n_nn
@@ -175,7 +178,7 @@ def _rate(n1: float, e1ph: float, n_t: float, e_z: float, p: SnsParams,
     if n1 <= 0.0:
         return 0.0
     privacy = 1.0 - binary_entropy(min(e1ph, 0.5))
-    ec = f_ec * n_t * binary_entropy(float(np.clip(e_z, 0.0, 1.0)))
+    ec = f_ec * n_t * binary_entropy(min(max(e_z, 0.0), 1.0))
     return max(0.0, p.p_z**2 * (n1 * privacy - ec))
 
 

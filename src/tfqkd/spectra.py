@@ -16,9 +16,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.constants import c as SPEED_OF_LIGHT
 
 from .errors import DomainError
+
+SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact by the SI definition of the metre
 
 __all__ = [
     "LaserFreeParams",

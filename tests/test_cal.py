@@ -96,6 +96,14 @@ class TestCatCoefficients:
         with pytest.raises(DomainError):
             cat_coefficients(0.018, 0, 2)
 
+    def test_cached_amplitudes_read_only(self):
+        from tfqkd.cal import _cat_raw
+
+        raw = _cat_raw(0.018, 1, 20)
+        assert _cat_raw(0.018, 1, 20) is raw
+        with pytest.raises(ValueError):
+            raw[0] = 0.0
+
 
 def oracle_click_pattern(n_a, n_b, t, p_d):
     """Independent route: binomial loss composed with the combinatorial
@@ -116,6 +124,39 @@ def oracle_click_pattern(n_a, n_b, t, p_d):
                 res["d_only"] += w * (1 - pc) * pd_
                 res["both"] += w * pc * pd_
     return res
+
+
+def dense_splitter_yield(n_a, n_b, t, p_d):
+    """The same loop over the full splitter output array of each input,
+    accumulated in a numpy array: must agree with fock_pair_yield bit for
+    bit."""
+    from tfqkd.cal import FOCK_TOTAL_CUTOFF, _bs_unitary
+
+    d = FOCK_TOTAL_CUTOFF + 1
+    res = np.zeros(4)
+    pa = [math.comb(n_a, k) * t**k * (1.0 - t) ** (n_a - k) for k in range(n_a + 1)]
+    pb = [math.comb(n_b, k) * t**k * (1.0 - t) ** (n_b - k) for k in range(n_b + 1)]
+    for k_a in range(n_a + 1):
+        for k_b in range(n_b + 1):
+            w = pa[k_a] * pb[k_b]
+            if w == 0.0:
+                continue
+            col = _bs_unitary()[:, k_a * d + k_b]
+            dist = (col * col).reshape(d, d)
+            tot = k_a + k_b
+            for m_c in range(tot + 1):
+                m_d = tot - m_c
+                p_bs = dist[m_c, m_d]
+                if p_bs == 0.0:
+                    continue
+                click_c = 1.0 if m_c > 0 else p_d
+                click_d = 1.0 if m_d > 0 else p_d
+                ww = w * p_bs
+                res[0] += ww * (1 - click_c) * (1 - click_d)
+                res[1] += ww * click_c * (1 - click_d)
+                res[2] += ww * (1 - click_c) * click_d
+                res[3] += ww * click_c * click_d
+    return tuple(float(v) for v in res)
 
 
 class TestFockPairYield:
@@ -159,6 +200,15 @@ class TestFockPairYield:
                         assert y.c_only == pytest.approx(ref["c_only"], abs=1e-12)
                         assert y.both == pytest.approx(ref["both"], abs=1e-12)
                         assert y.none == pytest.approx(ref["none"], abs=1e-12)
+
+    def test_bitwise_equal_to_dense_splitter_loop(self):
+        for t in (0.0, 1.0, 1e-300, 5e-324, 1e-6, 0.3, 0.5, 0.9):
+            for p_d in (0.0, 1.0, 1e-8, 0.5):
+                for n_a in range(7):
+                    for n_b in range(7):
+                        y = fock_pair_yield(n_a, n_b, t, p_d)
+                        assert (y.none, y.c_only, y.d_only, y.both) == \
+                            dense_splitter_yield(n_a, n_b, t, p_d)
 
     def test_cutoff_enforced(self):
         with pytest.raises(DomainError):

@@ -63,8 +63,13 @@ class TestDetectors:
         assert effective_transmittance(0.0, SNSPD) == 0.0
 
     def test_arm_split_convention(self):
-        t = arm_transmittance(1e-4, SNSPD)
+        t = arm_transmittance(effective_transmittance(1e-4, SNSPD))
         assert t**2 == pytest.approx(9e-5, rel=1e-12)
+
+    def test_arm_transmittance_rejects_out_of_range(self):
+        for eta_hat in (-1e-3, 1.0 + 1e-9):
+            with pytest.raises(DomainError):
+                arm_transmittance(eta_hat)
 
     def test_rejects_bad_params(self):
         with pytest.raises(DomainError):

@@ -134,6 +134,38 @@ class TestRunSweep:
             assert "bb84_estimation_failed" in r.flags
             assert r.rates["cal"] > 0.0  # unaffected protocol keeps running
 
+    def test_each_kernel_runs_once_per_point(self, monkeypatch):
+        # every point evaluates the CAL phase-error bound once, one decoy
+        # bound for BB84 and one for SNS, and the effective transmittance
+        # once; the grid reaches the losses where BB84 has no key
+        import tfqkd.cal as cal_mod
+        import tfqkd.decoy as decoy_mod
+        import tfqkd.link as link_mod
+        import tfqkd.scenarios as scen_mod
+        import tfqkd.sns as sns_mod
+
+        calls = {}
+
+        def counted(mod, name):
+            orig = getattr(mod, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return orig(*args, **kwargs)
+
+            for holder in (cal_mod, decoy_mod, link_mod, scen_mod, sns_mod):
+                if getattr(holder, name, None) is orig:
+                    monkeypatch.setattr(holder, name, wrapper)
+
+        counted(cal_mod, "cal_phase_error")
+        counted(decoy_mod, "decoy_bounds")
+        counted(link_mod, "effective_transmittance")
+        rows = run_sweep(2, SweepSpec(start=0, stop=100, step=10))
+        n = len(rows)
+        assert n == 11 and any("bb84" in r.rates and r.rates["bb84"] == 0.0 for r in rows)
+        assert calls == {"cal_phase_error": n, "decoy_bounds": 2 * n,
+                         "effective_transmittance": n}
+
     def test_curves_below_physical_bounds(self):
         # direct-link protocol under the total-channel capacity; twin-field
         # protocols under the per-arm capacity (the relay acts as a repeater)

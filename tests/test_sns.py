@@ -88,12 +88,12 @@ class TestAopp:
     def test_error_free_input_stays_error_free(self):
         s = SnsWindowStats(n_t=1e-3, n_ss=0.0, n_sn=5e-4, n_ns=5e-4, n_nn=0.0,
                            e_z=0.0, n1_low=4e-4, e1ph_up=0.03, decoy_ok=True)
-        a = aopp_transform(s, P)
+        a = aopp_transform(s)
         assert a.e_z_prime == 0.0
 
     def test_balanced_strings_pair_everything(self):
         s = sns_window_stats(P, DECOYS, 0.03, SNSPD, e_phi=0.01)
-        a = aopp_transform(s, P)
+        a = aopp_transform(s)
         n0 = s.n_ss + s.n_ns
         n1 = s.n_sn + s.n_nn
         assert a.pair_rate == min(n0, n1)
@@ -102,13 +102,13 @@ class TestAopp:
     def test_empty_side_no_survivors(self):
         s = SnsWindowStats(n_t=1e-3, n_ss=0.0, n_sn=1e-3, n_ns=0.0, n_nn=0.0,
                            e_z=0.0, n1_low=1e-4, e1ph_up=0.03, decoy_ok=True)
-        a = aopp_transform(s, P)
+        a = aopp_transform(s)
         assert a.n_t_prime == 0.0
         assert sns_aopp_rate(a, P, F_EC) == 0.0
 
     def test_pairing_rejects_errors(self):
         s = sns_window_stats(P, DECOYS, 0.03, SNSPD, e_phi=0.01)
-        a = aopp_transform(s, P)
+        a = aopp_transform(s)
         assert a.e_z_prime < s.e_z / 10.0
         assert a.n1_prime == pytest.approx(s.n1_low * a.n_t_prime / s.n_t, rel=1e-12)
         assert a.e1ph_prime == s.e1ph_up
@@ -118,7 +118,7 @@ class TestAopp:
         # protocol even when the plain sending probability is re-optimized
         arm_t = float(np.sqrt(1e-3 * 0.9))
         aopp = sns_aopp_rate(aopp_transform(
-            sns_window_stats(P, DECOYS, arm_t, SNSPD, e_phi=0.001), P), P, F_EC)
+            sns_window_stats(P, DECOYS, arm_t, SNSPD, e_phi=0.001)), P, F_EC)
         best_plain = 0.0
         for eps in np.linspace(0.01, 0.6, 40):
             p = SnsParams(epsilon=float(eps))
@@ -143,14 +143,14 @@ class TestRates:
         with pytest.raises(DomainError):
             sns_rate(s, P, 0.99)
         with pytest.raises(DomainError):
-            sns_aopp_rate(aopp_transform(s, P), P, 0.99)
+            sns_aopp_rate(aopp_transform(s), P, 0.99)
 
     def test_phase_noise_hits_only_phase_error_term(self):
         arm_t = 0.03
         rates = []
         for e_phi in (0.0, 0.02, 0.05):
             s = sns_window_stats(P, DECOYS, arm_t, SNSPD, e_phi=e_phi)
-            a = aopp_transform(s, P)
+            a = aopp_transform(s)
             rates.append(sns_aopp_rate(a, P, F_EC))
             assert s.e_z == sns_window_stats(P, DECOYS, arm_t, SNSPD, e_phi=0.0).e_z
         assert rates[0] > rates[1] > rates[2]
@@ -159,7 +159,7 @@ class TestRates:
         prev = np.inf
         for att in (20.0, 30.0, 40.0, 50.0, 60.0):
             arm_t = float(np.sqrt(10 ** (-att / 10.0) * 0.9))
-            a = aopp_transform(sns_window_stats(P, DECOYS, arm_t, SNSPD, e_phi=0.001), P)
+            a = aopp_transform(sns_window_stats(P, DECOYS, arm_t, SNSPD, e_phi=0.001))
             r = sns_aopp_rate(a, P, F_EC)
             assert 0.0 <= r < prev
             prev = r
