@@ -10,6 +10,7 @@ under Gaussian phase statistics.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -56,41 +57,72 @@ def _spectrum_of(psd) -> Spectrum:
     return Spectrum(psd)
 
 
-def _effective(spec: Spectrum):
-    """PSD with the oscillatory tail averaged beyond a fixed switch frequency."""
-    if spec.oscillation_period is None or spec.averaged_func is None:
-        return spec.func, None
-    f_switch = OSC_PERIODS * spec.oscillation_period
-    exact, averaged = spec.func, spec.averaged_func
+def _psd_values(spec: Spectrum, f_switch: Optional[float], f: np.ndarray) -> np.ndarray:
+    """The PSD on f: the exact form below f_switch, the sin^2-averaged form
+    from it on.  Each form is called once, on its own points only."""
+    if f.size == 0:
+        return np.empty(0)
+    if f_switch is None:
+        return spec.func(f)
+    below = f < f_switch
+    if below.all():
+        return spec.func(f)
+    if not below.any():
+        return spec.averaged_func(f)
+    out = np.empty(f.shape)
+    out[below] = spec.func(f[below])
+    out[~below] = spec.averaged_func(f[~below])
+    return out
 
-    def func(f):
-        f = np.asarray(f, dtype=float)
-        return np.where(f < f_switch, exact(f), averaged(f))
 
-    return func, f_switch
+def _lookup(grid: np.ndarray, f: np.ndarray):
+    """Indices of f in the sorted grid, and whether each f is in it."""
+    at = np.searchsorted(grid, f)
+    found = at < grid.size
+    found[found] = grid[at[found]] == f[found]
+    return at, found
 
 
-def _grid(f_lo: float, f_hi: float, points_per_decade: int,
-          spec: Spectrum, f_switch: Optional[float]) -> np.ndarray:
+def _merge(grid, values, at, f, f_values):
+    """Sorted union of the sorted grid and the sorted f, none of which is in
+    grid, with their values in the same order; at are the insertion
+    indices of f in grid."""
+    at = at + np.arange(f.size)
+    old = np.ones(grid.size + f.size, dtype=bool)
+    old[at] = False
+    merged, merged_values = np.empty(old.size), np.empty(old.size)
+    merged[old], merged[at] = grid, f
+    merged_values[old], merged_values[at] = values, f_values
+    return merged, merged_values
+
+
+def _oscillation_grid(f_lo: float, f_hi: float, spec: Spectrum,
+                      f_switch: Optional[float]) -> np.ndarray:
+    """OSC_POINTS_PER_PERIOD points per sin^2 period from f_lo up to the
+    switch frequency (or f_hi), clipped to [f_lo, f_hi], sorted and unique."""
+    if spec.oscillation_period is None:
+        return np.empty(0)
+    hi = min(f_hi, f_switch if f_switch is not None else f_hi)
+    step = spec.oscillation_period / OSC_POINTS_PER_PERIOD
+    n_osc = int(np.floor((hi - f_lo) / step)) if hi > f_lo else 0
+    # f_lo + step k does not decrease with k, so the clipped points are
+    # already sorted and np.unique reduces to dropping repeats
+    f = np.clip(f_lo + step * np.arange(1, n_osc + 1), f_lo, f_hi)
+    return f[np.concatenate(([True], f[1:] != f[:-1]))] if f.size else f
+
+
+def _grid(f_lo: float, f_hi: float, points_per_decade: int, knees) -> np.ndarray:
+    """Log-spaced grid on [f_lo, f_hi], refined around each knee inside it."""
     decades = np.log10(f_hi / f_lo)
     n = max(int(np.ceil(decades * points_per_decade)) + 1, 16)
     g = np.geomspace(f_lo, f_hi, n)
-    knees = [k for k in spec.knees if f_lo < k < f_hi]
+    knees = [k for k in knees if f_lo < k < f_hi]
     if knees:
         # local refinement around each knee
         extra = [np.geomspace(k / 3.0, min(k * 3.0, f_hi), points_per_decade)
                  for k in knees]
         g = np.concatenate([g, *extra])
-    if spec.oscillation_period is not None:
-        period = spec.oscillation_period
-        hi = min(f_hi, f_switch if f_switch is not None else f_hi)
-        if hi > f_lo:
-            step = period / OSC_POINTS_PER_PERIOD
-            n_osc = int(np.floor((hi - f_lo) / step))
-            if n_osc > 0:
-                g = np.concatenate([g, f_lo + step * np.arange(1, n_osc + 1)])
-    g = np.unique(np.clip(g, f_lo, f_hi))
-    return g
+    return np.unique(np.clip(g, f_lo, f_hi))
 
 
 def _tail_integral(func, f_hi: float, body: float) -> float:
@@ -117,8 +149,13 @@ def phase_variance(psd, tau_q: float, *, f_max: Optional[float] = None,
     f_max defaults to a decade above the highest model knee of the
     spectrum, or to infinity for bare callables without knees; the
     infinite tail is handled by a 1/f change of variable.  The trapezoid
-    grid is log-spaced and doubled until the estimate is stable to
-    rel_tol.
+    grid is log-spaced, refined at the knees, and doubled until the
+    estimate is stable to rel_tol.  An oscillatory spectrum adds a fixed
+    sin^2 grid (OSC_POINTS_PER_PERIOD points per period up to the switch
+    frequency OSC_PERIODS periods up), built once per call and shared by
+    every doubling pass.  Each frequency is evaluated once per call, by
+    the exact PSD below the switch frequency or by the sin^2-averaged one
+    from it on.
     """
     if tau_q <= 0:
         raise DomainError("tau_q must be > 0")
@@ -128,20 +165,38 @@ def phase_variance(psd, tau_q: float, *, f_max: Optional[float] = None,
     f_lo = 1.0 / tau_q
     if f_lo >= f_max:
         return 0.0
-    func, f_switch = _effective(spec)
+    # the sin^2-averaged PSD replaces the exact one from f_switch on
+    f_switch = None
+    if spec.oscillation_period is not None and spec.averaged_func is not None:
+        f_switch = OSC_PERIODS * spec.oscillation_period
 
     f_body = f_max if np.isfinite(f_max) else max(f_lo * 1e4, *(k * 1e3 for k in spec.knees), 1.0)
+    # Each pass integrates over the union of the fixed oscillation grid and
+    # its own log grid; done holds the log-grid points evaluated by earlier
+    # passes, so no frequency is evaluated twice.
+    osc = _oscillation_grid(f_lo, f_body, spec, f_switch)
+    osc_values = _psd_values(spec, f_switch, osc)
+    done, done_values = np.empty(0), np.empty(0)
     ppd = points_per_decade
     prev = None
     for _ in range(4):
-        g = _grid(f_lo, f_body, ppd, spec, f_switch)
-        val = float(np.trapezoid(func(g), g))
+        g = _grid(f_lo, f_body, ppd, spec.knees)
+        at_osc, on_osc = _lookup(osc, g)
+        g, at_osc = g[~on_osc], at_osc[~on_osc]
+        at, found = _lookup(done, g)
+        new = ~found
+        g_values = np.empty(g.size)
+        g_values[found] = done_values[at[found]]
+        g_values[new] = _psd_values(spec, f_switch, g[new])
+        done, done_values = _merge(done, done_values, at[new], g[new], g_values[new])
+        x, y = _merge(osc, osc_values, at_osc, g, g_values)
+        val = float(np.trapezoid(y, x))
         if prev is not None and abs(val - prev) <= rel_tol * max(abs(val), 1e-300):
             break
         prev = val
         ppd *= 2
     if not np.isfinite(f_max):
-        val += _tail_integral(func, f_body, val)
+        val += _tail_integral(functools.partial(_psd_values, spec, f_switch), f_body, val)
     if val < 0:
         raise DomainError("PSD integrated to a negative variance")
     return val
@@ -223,14 +278,18 @@ def solve_tau_q(psd, budget: CoherenceBudget = CoherenceBudget()) -> CoherenceRe
         return result(budget.tau_floor, sig_floor, floored=True)
 
     lo, hi = np.log(budget.tau_floor), np.log(budget.tau_max)
+    sig_lo = None  # sigma at exp(lo), once lo has moved
     while (np.exp(hi) - np.exp(lo)) > budget.rel_tol_tau * np.exp(lo):
         mid = 0.5 * (lo + hi)
-        if sigma_at(np.exp(mid)) <= budget.sigma_threshold:
-            lo = mid
+        sig = sigma_at(np.exp(mid))
+        if sig <= budget.sigma_threshold:
+            lo, sig_lo = mid, sig
         else:
             hi = mid
     tau = float(np.exp(lo))
-    return result(tau, sigma_at(tau))
+    # exp(lo) is the very float sig_lo was computed at; if lo never moved,
+    # exp(log(tau_floor)) may miss tau_floor by an ulp, so compute afresh
+    return result(tau, sigma_at(tau) if sig_lo is None else sig_lo)
 
 
 @dataclass(frozen=True)

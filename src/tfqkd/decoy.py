@@ -98,7 +98,11 @@ def error_gain(mu: float, m: ChannelErrorModel) -> float:
 
 def qber(mu: float, m: ChannelErrorModel) -> float:
     """Total QBER E_mu = error_gain / gain, clamped to [0, 1]."""
-    q = gain(mu, m)
+    return _qber(mu, m, gain(mu, m))
+
+
+def _qber(mu: float, m: ChannelErrorModel, q: float) -> float:
+    """qber(mu, m) for a caller that already has q = gain(mu, m)."""
     if q <= 0.0:
         raise DomainError("QBER undefined at zero gain")
     return min(max(error_gain(mu, m) / q, 0.0), 1.0)
@@ -107,14 +111,16 @@ def qber(mu: float, m: ChannelErrorModel) -> float:
 @dataclass(frozen=True)
 class DecoyBounds:
     """Decoy estimates: yield lower bounds, single-photon gain, phase-error
-    upper bound.  ok is False when the single-photon estimation failed
-    (Y1 bound non-positive), in which case the protocol yields no key."""
+    upper bound, and the signal gain Q_u they rest on.  ok is False when
+    the single-photon estimation failed (Y1 bound non-positive), in which
+    case the protocol yields no key."""
 
     y0_low: float
     y1_low: float
     q1_low: float
     e1ph_up: float
     ok: bool
+    q_u: float
 
 
 def decoy_bounds(s: DecoySet, m: ChannelErrorModel) -> DecoyBounds:
@@ -129,21 +135,22 @@ def decoy_bounds(s: DecoySet, m: ChannelErrorModel) -> DecoyBounds:
     y1 = (u**2 * (q_v * e_v - q_w * e_w) - (v**2 - w**2) * (q_u * e_u - y0)) \
         / (u * (u - v - w) * (v - w))
     if y1 <= 0.0:
-        return DecoyBounds(y0_low=y0, y1_low=0.0, q1_low=0.0, e1ph_up=1.0, ok=False)
+        return DecoyBounds(y0_low=y0, y1_low=0.0, q1_low=0.0, e1ph_up=1.0, ok=False,
+                           q_u=q_u)
     y1 = float(min(y1, 1.0))
     q1 = float(min(max(y1 * u * np.exp(-u), 0.0), 1.0))
     e1 = (eq_v * e_v - eq_w * e_w) / ((v - w) * y1)
     e1 = float(min(max(e1, 0.0), 1.0))
-    return DecoyBounds(y0_low=y0, y1_low=y1, q1_low=q1, e1ph_up=e1, ok=True)
+    return DecoyBounds(y0_low=y0, y1_low=y1, q1_low=q1, e1ph_up=e1, ok=True, q_u=q_u)
 
 
-def _bb84_key(b: DecoyBounds, q_u: float, e_u: float, f_ec: float) -> float:
+def _bb84_key(b: DecoyBounds, e_u: float, f_ec: float) -> float:
     """Q1 (1 - H2(e1ph)) - f_ec Q_u H2(E_u) floored at 0; no key when the
     single-photon estimation failed."""
     if not b.ok:
         return 0.0
     privacy = 1.0 - binary_entropy(min(b.e1ph_up, 0.5))
-    return max(0.0, b.q1_low * privacy - f_ec * q_u * binary_entropy(e_u))
+    return max(0.0, b.q1_low * privacy - f_ec * b.q_u * binary_entropy(e_u))
 
 
 def bb84_rate(s: DecoySet, m: ChannelErrorModel, f_ec: float) -> float:
@@ -155,4 +162,4 @@ def bb84_rate(s: DecoySet, m: ChannelErrorModel, f_ec: float) -> float:
     b = decoy_bounds(s, m)
     if not b.ok:
         return 0.0
-    return _bb84_key(b, gain(s.u, m), qber(s.u, m), f_ec)
+    return _bb84_key(b, _qber(s.u, m, b.q_u), f_ec)

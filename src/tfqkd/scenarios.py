@@ -20,7 +20,7 @@ import numpy as np
 from . import cal as cal_mod
 from . import sns as sns_mod
 from .coherence import CoherenceBudget, _csv_text, solve_tau_q
-from .decoy import ChannelErrorModel, DecoySet, _bb84_key, _check_f_ec, decoy_bounds, gain, qber
+from .decoy import ChannelErrorModel, DecoySet, _bb84_key, _check_f_ec, _qber, decoy_bounds
 from .errors import DomainError
 from .link import (
     SNSPD,
@@ -247,10 +247,9 @@ def _rates_at(att_db: float, det: DetectorParams, op: OperatingPoint,
         m = ChannelErrorModel(eta_hat=eta_hat, p_dc=det.p_dc,
                               e_theta=prot.misalignment.e_theta, e_phi=op.e_phi)
         b = decoy_bounds(prot.decoys, m)
-        q_u = gain(prot.decoys.u, m)
-        e_u = qber(prot.decoys.u, m) if q_u > 0 else 0.0
-        rates["bb84"] = _bb84_key(b, q_u, e_u, prot.f_ec) * nu_s
-        diag["bb84_gain_u"] = q_u
+        e_u = _qber(prot.decoys.u, m, b.q_u) if b.q_u > 0 else 0.0
+        rates["bb84"] = _bb84_key(b, e_u, prot.f_ec) * nu_s
+        diag["bb84_gain_u"] = b.q_u
         diag["bb84_qber_u"] = e_u
         if not b.ok:
             flags.append("bb84_estimation_failed")

@@ -146,9 +146,12 @@ class LaserSpec:
     loop: LoopParams = field(default_factory=LoopParams)
 
     def psd(self, f, stabilized: bool):
+        return self._psd(_as_positive_freq(f), stabilized)
+
+    def _psd(self, f, stabilized: bool):
         if stabilized:
-            return psd_laser_stabilized(f, self.free, self.cavity, self.loop)
-        return psd_laser_free(f, self.free)
+            return _laser_stabilized(f, self.free, self.cavity, self.loop)
+        return _laser_free(f, self.free)
 
 
 class TopologyKind(enum.Enum):
@@ -191,14 +194,20 @@ class TopologyConfig:
 
 def psd_laser_free(f, p: LaserFreeParams):
     """Free-running laser phase noise (rad^2/Hz)."""
-    f = _as_positive_freq(f)
+    return _laser_free(_as_positive_freq(f), p)
+
+
+def _laser_free(f, p: LaserFreeParams):
     rolloff = (p.f_c / (f + p.f_c)) ** 2
     return p.r3 / f**3 + p.r2 / f**2 * rolloff
 
 
 def psd_cavity(f, p: CavityParams):
     """Reference-cavity phase noise (rad^2/Hz)."""
-    f = _as_positive_freq(f)
+    return _cavity(_as_positive_freq(f), p)
+
+
+def _cavity(f, p: CavityParams):
     return p.c4 / f**4 + p.c3 / f**3 + p.c2 / f**2
 
 
@@ -208,7 +217,10 @@ def loop_gain(f, p: LoopParams):
     Second-order integrator with a zero at B*gamma and a pole at B*delta;
     |G| diverges as f -> 0 and falls off as 1/f^2 well above the pole.
     """
-    f = _as_positive_freq(f)
+    return _loop_gain(_as_positive_freq(f), p)
+
+
+def _loop_gain(f, p: LoopParams):
     w2 = (2.0 * np.pi * f) ** 2
     zero = 1j * f + p.bandwidth * p.gamma
     pole = 1j * f + p.bandwidth * p.delta
@@ -218,9 +230,12 @@ def loop_gain(f, p: LoopParams):
 def psd_laser_stabilized(f, laser: LaserFreeParams, cavity: CavityParams,
                          loop: LoopParams):
     """Cavity-stabilized laser noise: cavity floor plus servo-suppressed free noise."""
-    f = _as_positive_freq(f)
-    suppression = np.abs(1.0 / (1.0 + loop_gain(f, loop))) ** 2
-    return psd_cavity(f, cavity) + suppression * psd_laser_free(f, laser)
+    return _laser_stabilized(_as_positive_freq(f), laser, cavity, loop)
+
+
+def _laser_stabilized(f, laser: LaserFreeParams, cavity: CavityParams, loop: LoopParams):
+    suppression = np.abs(1.0 / (1.0 + _loop_gain(f, loop))) ** 2
+    return _cavity(f, cavity) + suppression * _laser_free(f, laser)
 
 
 def psd_fiber(f, length_km: float, p: FiberParams, stabilized: bool):
@@ -241,6 +256,10 @@ def psd_fiber_linear(f, length_km: float, p: FiberParams, stabilized: bool):
     f = _as_positive_freq(f)
     if length_km < 0:
         raise DomainError("fiber length must be >= 0")
+    return _fiber_linear(f, length_km, p, stabilized)
+
+
+def _fiber_linear(f, length_km: float, p: FiberParams, stabilized: bool):
     if stabilized:
         return p.stabilization_suppression * p.noise_per_km * length_km / f**2
     return p.noise_per_km * length_km / f**2 * (p.f_c_free / (f + p.f_c_free)) ** 2
@@ -248,7 +267,10 @@ def psd_fiber_linear(f, length_km: float, p: FiberParams, stabilized: bool):
 
 def psd_detection_floor(f, p: FiberParams):
     """White detection floor of the fiber-noise sensing interference."""
-    f = _as_positive_freq(f)
+    return _detection_floor(_as_positive_freq(f), p)
+
+
+def _detection_floor(f, p: FiberParams):
     return p.s0 * (p.f_c_floor / (f + p.f_c_floor)) ** 2
 
 
@@ -280,11 +302,13 @@ class Spectrum:
 
 def _composite_parts(topo: TopologyConfig, laser: LaserSpec, fiber: FiberParams,
                      delta_l_km: Optional[float]):
-    """Return (laser_term, fiber_term, floor_term) callables for a topology.
+    """Return (laser_term, laser_term_avg, fiber_term, floor_term) callables
+    for a topology.
 
     delta_l_km overrides the delay mismatch of the common-laser term while
     the fiber-noise terms keep the configured arm lengths; this is what
-    mismatch maps sweep.
+    mismatch maps sweep.  The terms take a float array of frequencies
+    already checked by _as_positive_freq and check nothing themselves.
     """
     dl = topo.delta_l if delta_l_km is None else delta_l_km
     if dl < 0:
@@ -293,8 +317,8 @@ def _composite_parts(topo: TopologyConfig, laser: LaserSpec, fiber: FiberParams,
     fib_stab = topo.fiber_stabilized
 
     def fiber_term(f):
-        both = (psd_fiber_linear(f, topo.l_a, fiber, fib_stab)
-                + psd_fiber_linear(f, topo.l_b, fiber, fib_stab))
+        both = (_fiber_linear(f, topo.l_a, fiber, fib_stab)
+                + _fiber_linear(f, topo.l_b, fiber, fib_stab))
         if topo.kind is TopologyKind.COMMON_LASER:
             return topo.fiber_roundtrip_factor * both
         return both
@@ -303,23 +327,22 @@ def _composite_parts(topo: TopologyConfig, laser: LaserSpec, fiber: FiberParams,
         delay = topo.refractive_index * dl * 1e3 / SPEED_OF_LIGHT  # s
 
         def laser_term(f):
-            f = _as_positive_freq(f)
-            return 4.0 * np.sin(2.0 * np.pi * f * delay) ** 2 * laser.psd(f, stab)
+            return 4.0 * np.sin(2.0 * np.pi * f * delay) ** 2 * laser._psd(f, stab)
 
         def laser_term_avg(f):
-            return 2.0 * laser.psd(f, stab)
+            return 2.0 * laser._psd(f, stab)
     else:
         def laser_term(f):
-            return 2.0 * laser.psd(f, stab)
+            return 2.0 * laser._psd(f, stab)
 
         laser_term_avg = laser_term
 
     if fib_stab:
         def floor_term(f):
-            return psd_detection_floor(f, fiber)
+            return _detection_floor(f, fiber)
     else:
         def floor_term(f):
-            return np.zeros_like(_as_positive_freq(f))
+            return np.zeros_like(f)
 
     return laser_term, laser_term_avg, fiber_term, floor_term
 
@@ -340,6 +363,7 @@ def interference_spectrum(topo: TopologyConfig,
         topo, laser, fiber, delta_l_km)
 
     def func(f):
+        f = _as_positive_freq(f)
         return laser_term(f) + fiber_term(f) + floor_term(f)
 
     knees = [fiber.f_c_free, laser.free.f_c]
@@ -353,6 +377,7 @@ def interference_spectrum(topo: TopologyConfig,
         period = SPEED_OF_LIGHT / (2.0 * topo.refractive_index * dl * 1e3)
 
         def averaged(f):
+            f = _as_positive_freq(f)
             return laser_avg(f) + fiber_term(f) + floor_term(f)
 
         return Spectrum(func, knees=tuple(knees), oscillation_period=period,

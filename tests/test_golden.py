@@ -11,9 +11,11 @@ from tfqkd import (
     SweepSpec,
     TopologyConfig,
     TopologyKind,
+    builtin_scenarios,
     format_csv,
     interference_spectrum,
     run_sweep,
+    sigma_map,
 )
 
 OUT = Path(__file__).resolve().parent.parent / "demos" / "out"
@@ -48,3 +50,11 @@ def test_interference_psd_matches_demo_output():
               for i, f in enumerate(freqs)]
     golden = (OUT / "interference_psd.csv").read_bytes()
     assert ("\n".join(lines) + "\n").encode() == golden
+
+
+def test_sigma_map_matches_demo_output():
+    # the mismatch map of demos/coherence_budget.py
+    topo = builtin_scenarios()[0].topology
+    m = sigma_map(topo, np.geomspace(0.005, 10.0, 12), np.geomspace(1e-6, 0.1, 16))
+    golden = (OUT / "sigma_map.csv").read_bytes()
+    assert m.csv_text().encode() == golden

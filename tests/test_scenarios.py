@@ -121,7 +121,7 @@ class TestRunSweep:
 
         def failing(s, m):
             return DecoyBounds(y0_low=0.0, y1_low=0.0, q1_low=0.0,
-                               e1ph_up=1.0, ok=False)
+                               e1ph_up=1.0, ok=False, q_u=decoy_mod.gain(s.u, m))
 
         for mod in (decoy_mod, scen_mod, sns_mod):
             monkeypatch.setattr(mod, "decoy_bounds", failing)
@@ -136,8 +136,9 @@ class TestRunSweep:
 
     def test_each_kernel_runs_once_per_point(self, monkeypatch):
         # every point evaluates the CAL phase-error bound once, one decoy
-        # bound for BB84 and one for SNS, and the effective transmittance
-        # once; the grid reaches the losses where BB84 has no key
+        # bound for BB84 and one for SNS, each decoy gain once, and the
+        # effective transmittance once; the grid reaches the losses where
+        # BB84 has no key
         import tfqkd.cal as cal_mod
         import tfqkd.decoy as decoy_mod
         import tfqkd.link as link_mod
@@ -159,11 +160,12 @@ class TestRunSweep:
 
         counted(cal_mod, "cal_phase_error")
         counted(decoy_mod, "decoy_bounds")
+        counted(decoy_mod, "gain")
         counted(link_mod, "effective_transmittance")
         rows = run_sweep(2, SweepSpec(start=0, stop=100, step=10))
         n = len(rows)
         assert n == 11 and any("bb84" in r.rates and r.rates["bb84"] == 0.0 for r in rows)
-        assert calls == {"cal_phase_error": n, "decoy_bounds": 2 * n,
+        assert calls == {"cal_phase_error": n, "decoy_bounds": 2 * n, "gain": 6 * n,
                          "effective_transmittance": n}
 
     def test_curves_below_physical_bounds(self):

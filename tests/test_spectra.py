@@ -250,3 +250,53 @@ class TestInterference:
     def test_rejects_inverted_arms(self):
         with pytest.raises(DomainError):
             TopologyConfig(l_a=10.0, l_b=20.0)
+
+
+class TestInputCheck:
+    BAD = (0.0, -1.0, np.nan, np.inf, np.array([1.0, 0.0]))
+    TOPOLOGIES = (
+        TopologyConfig(l_a=114.0, l_b=111.5),
+        TopologyConfig(l_a=114.0, l_b=111.5, laser_stabilized=True, fiber_stabilized=True),
+        TopologyConfig(kind=TopologyKind.INDEPENDENT_LASERS, laser_stabilized=True),
+    )
+
+    def test_every_model_rejects_bad_frequency(self):
+        from tfqkd.spectra import psd_detection_floor, psd_fiber_linear
+        models = (
+            lambda f: psd_laser_free(f, LASER),
+            lambda f: psd_cavity(f, CAVITY),
+            lambda f: loop_gain(f, LOOP),
+            lambda f: psd_laser_stabilized(f, LASER, CAVITY, LOOP),
+            lambda f: psd_fiber(f, 10.0, FIBER, stabilized=True),
+            lambda f: psd_fiber_linear(f, 10.0, FIBER, stabilized=False),
+            lambda f: psd_detection_floor(f, FIBER),
+            lambda f: LaserSpec().psd(f, stabilized=True),
+            lambda f: LaserSpec().psd(f, stabilized=False),
+        )
+        for topo in self.TOPOLOGIES:
+            spec = interference_spectrum(topo)
+            models += (spec.func,) + ((spec.averaged_func,) if spec.averaged_func else ())
+        for model in models:
+            for bad in self.BAD:
+                with pytest.raises(DomainError):
+                    model(bad)
+
+    def test_composite_checks_input_once_per_call(self, monkeypatch):
+        import tfqkd.spectra as spectra_mod
+        calls = []
+        check = spectra_mod._as_positive_freq
+
+        def counted(f):
+            calls.append(f)
+            return check(f)
+
+        monkeypatch.setattr(spectra_mod, "_as_positive_freq", counted)
+        f = np.geomspace(1.0, 1e7, 40)
+        for topo in self.TOPOLOGIES:
+            spec = interference_spectrum(topo)
+            for psd in (spec.func, spec.averaged_func):
+                if psd is None:
+                    continue
+                calls.clear()
+                psd(f)
+                assert len(calls) == 1
