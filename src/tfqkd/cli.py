@@ -26,8 +26,8 @@ from .scenarios import (
 )
 from .spectra import interference_spectrum
 
-# lower ends of the log-spaced grids must be > 0, and so must point counts
-_POSITIVE = click.FloatRange(min=0, min_open=True)
+# log-grid ends finite and > 0 (the library rejects NaN), point counts >= 1
+_POSITIVE = click.FloatRange(min=0, max=float("inf"), min_open=True, max_open=True)
 _COUNT = click.IntRange(min=1)
 
 

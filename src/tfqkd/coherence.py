@@ -10,7 +10,6 @@ under Gaussian phase statistics.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -31,12 +30,20 @@ __all__ = [
     "sigma_map",
 ]
 
-# Oscillatory sin^2 self-delay handling: resolve the first OSC_PERIODS
-# periods with OSC_POINTS_PER_PERIOD samples, then replace sin^2 by its
+# Oscillatory sin^2 self-delay handling: the exact PSD up to the switch
+# frequency OSC_PERIODS periods up, then the PSD with sin^2 replaced by its
 # mean 1/2.  Detail beyond ~50 periods moves the variance at well under
 # the 1% level.
 OSC_PERIODS = 50.0
-OSC_POINTS_PER_PERIOD = 1000
+# Resolution of the one integration grid: log-spaced nodes per decade, and
+# uniform nodes per sin^2 period below the switch frequency.  Over the demo
+# sigma map sigma is then within 2e-9 of an mpmath reference.
+_POINTS_PER_DECADE = 800
+_POINTS_PER_PERIOD = 128
+# Largest relative change of any queried variance when every other node
+# is dropped; beyond it the grid does not resolve the spectrum.  The
+# returned variance is then good to about 1/15 of this.
+_GRID_RTOL = 1e-4
 
 
 def _csv_text(header, rows) -> str:
@@ -57,74 +64,6 @@ def _spectrum_of(psd) -> Spectrum:
     return Spectrum(psd)
 
 
-def _psd_values(spec: Spectrum, f_switch: Optional[float], f: np.ndarray) -> np.ndarray:
-    """The PSD on f: the exact form below f_switch, the sin^2-averaged form
-    from it on.  Each form is called once, on its own points only."""
-    if f.size == 0:
-        return np.empty(0)
-    if f_switch is None:
-        return spec.func(f)
-    below = f < f_switch
-    if below.all():
-        return spec.func(f)
-    if not below.any():
-        return spec.averaged_func(f)
-    out = np.empty(f.shape)
-    out[below] = spec.func(f[below])
-    out[~below] = spec.averaged_func(f[~below])
-    return out
-
-
-def _lookup(grid: np.ndarray, f: np.ndarray):
-    """Indices of f in the sorted grid, and whether each f is in it."""
-    at = np.searchsorted(grid, f)
-    found = at < grid.size
-    found[found] = grid[at[found]] == f[found]
-    return at, found
-
-
-def _merge(grid, values, at, f, f_values):
-    """Sorted union of the sorted grid and the sorted f, none of which is in
-    grid, with their values in the same order; at are the insertion
-    indices of f in grid."""
-    at = at + np.arange(f.size)
-    old = np.ones(grid.size + f.size, dtype=bool)
-    old[at] = False
-    merged, merged_values = np.empty(old.size), np.empty(old.size)
-    merged[old], merged[at] = grid, f
-    merged_values[old], merged_values[at] = values, f_values
-    return merged, merged_values
-
-
-def _oscillation_grid(f_lo: float, f_hi: float, spec: Spectrum,
-                      f_switch: Optional[float]) -> np.ndarray:
-    """OSC_POINTS_PER_PERIOD points per sin^2 period from f_lo up to the
-    switch frequency (or f_hi), clipped to [f_lo, f_hi], sorted and unique."""
-    if spec.oscillation_period is None:
-        return np.empty(0)
-    hi = min(f_hi, f_switch if f_switch is not None else f_hi)
-    step = spec.oscillation_period / OSC_POINTS_PER_PERIOD
-    n_osc = int(np.floor((hi - f_lo) / step)) if hi > f_lo else 0
-    # f_lo + step k does not decrease with k, so the clipped points are
-    # already sorted and np.unique reduces to dropping repeats
-    f = np.clip(f_lo + step * np.arange(1, n_osc + 1), f_lo, f_hi)
-    return f[np.concatenate(([True], f[1:] != f[:-1]))] if f.size else f
-
-
-def _grid(f_lo: float, f_hi: float, points_per_decade: int, knees) -> np.ndarray:
-    """Log-spaced grid on [f_lo, f_hi], refined around each knee inside it."""
-    decades = np.log10(f_hi / f_lo)
-    n = max(int(np.ceil(decades * points_per_decade)) + 1, 16)
-    g = np.geomspace(f_lo, f_hi, n)
-    knees = [k for k in knees if f_lo < k < f_hi]
-    if knees:
-        # local refinement around each knee
-        extra = [np.geomspace(k / 3.0, min(k * 3.0, f_hi), points_per_decade)
-                 for k in knees]
-        g = np.concatenate([g, *extra])
-    return np.unique(np.clip(g, f_lo, f_hi))
-
-
 def _tail_integral(func, f_hi: float, body: float) -> float:
     """Integral of func on [f_hi, inf) via the substitution u = 1/f.
 
@@ -141,65 +80,112 @@ def _tail_integral(func, f_hi: float, body: float) -> float:
     return float(np.trapezoid(g, u) + remainder)
 
 
-def phase_variance(psd, tau_q: float, *, f_max: Optional[float] = None,
-                   rel_tol: float = 1e-4, points_per_decade: int = 200) -> float:
+def _simpson_tail(f: np.ndarray, y: np.ndarray, y_end: np.ndarray) -> np.ndarray:
+    """Entry i is the integral of y from f[2i] to f[-1]: the trapezoid in
+    ln f (on f*y) lifted by one Richardson step against every other node,
+    which is Simpson's rule on equal step pairs and stays finite on
+    zero-width ones.  A step starts on y and ends on y_end, which differ
+    only at a jump of the PSD."""
+    def trapezoid_tail(f, y, y_end):
+        seg = 0.5 * np.diff(np.log(f)) * (f[:-1] * y[:-1] + f[1:] * y_end[1:])
+        return np.append(np.cumsum(seg[::-1])[::-1], 0.0)
+
+    fine = trapezoid_tail(f, y, y_end)[::2]
+    return fine + (fine - trapezoid_tail(f[::2], y[::2], y_end[::2])) / 3.0
+
+
+def _variance_curve(spec: Spectrum, f_query: np.ndarray, f_max: Optional[float]):
+    """The accumulated variance on one grid: nodes f and c[i], the PSD
+    integral from f[i] to f_max, i.e. sigma^2 of the window 1/f[i].
+
+    f_max defaults to spec.default_f_max().  The grid spans [min f_query,
+    f_max], or a finite body plus the 1/f tail integral when f_max is
+    infinite.  It is log-spaced, uniform over the sin^2 periods below the
+    switch frequency, and has the switch frequency, the knees and every
+    f_query below f_max as nodes.  Each node is evaluated once, with the
+    exact PSD below the switch frequency and the sin^2-averaged one from
+    it on; the switch node alone gets both, ending the one range and
+    starting the other.  One reverse cumulative sum (Simpson's rule) gives
+    c.  Raises DivergentIntegralError when the same rule on every other
+    node moves a queried variance by more than _GRID_RTOL.
+    """
+    f_max = spec.default_f_max() if f_max is None else f_max
+    if not f_max > 0:
+        raise DomainError("f_max must be > 0")
+    f_lo, f_top = float(np.min(f_query)), float(np.max(f_query))
+    if f_lo >= f_max:
+        return np.array([f_lo]), np.zeros(1)
+    f_switch = None
+    if spec.oscillation_period is not None and spec.averaged_func is not None:
+        f_switch = OSC_PERIODS * spec.oscillation_period
+    f_hi = f_max
+    if not np.isfinite(f_max):
+        # a finite body; the tail beyond it, above the switch frequency,
+        # is integrated in 1/f
+        f_hi = max(f_top * 1e4, *(k * 1e3 for k in spec.knees), f_switch or 0.0, 1.0)
+    # segments between consecutive breakpoints, each in a multiple of four
+    # equal steps (so breakpoints stay nodes of the every-other-node grid):
+    # uniform in f over the sin^2 periods, from where such a step is finer
+    # than a log step, and in log f elsewhere
+    breaks = [f_lo, f_hi, *f_query, *spec.knees]
+    uniform = (np.inf, np.inf)
+    if spec.oscillation_period is not None:
+        step = spec.oscillation_period / _POINTS_PER_PERIOD
+        uniform = (step / np.expm1(np.log(10.0) / _POINTS_PER_DECADE),
+                   f_hi if f_switch is None else min(f_switch, f_hi))
+        breaks += uniform
+    breaks = np.unique(np.clip(breaks, f_lo, f_hi))
+    nodes = []
+    for a, b in zip(breaks[:-1], breaks[1:]):
+        if uniform[0] <= a and b <= uniform[1]:
+            n = np.ceil((b - a) / step / 4)
+            nodes.append(np.linspace(a, b, 4 * int(max(n, 1)) + 1)[:-1])
+        else:
+            n = np.ceil(np.log10(b / a) * _POINTS_PER_DECADE / 4)
+            nodes.append(np.geomspace(a, b, 4 * int(max(n, 1)) + 1)[:-1])
+    f = np.append(np.concatenate(nodes), f_hi)
+    # the exact PSD below the switch node, the averaged one from it on; the
+    # switch node also ends the exact range with the exact value
+    k = f.size if f_switch is None else int(np.searchsorted(f, f_switch))
+    if k == f.size:
+        y = y_end = spec.func(f)
+    elif k == 0:
+        y = y_end = spec.averaged_func(f)
+    else:
+        exact, averaged = spec.func(f[:k + 1]), spec.averaged_func(f[k:])
+        y, y_end = np.concatenate((exact[:-1], averaged)), np.concatenate((exact, averaged[1:]))
+    c = _simpson_tail(f, y, y_end)
+    change = np.abs(c[::2] - _simpson_tail(f[::2], y[::2], y_end[::2]))
+    f = f[::2]
+    queried = f[::2] <= f_top
+    if not np.all(change[queried] <= _GRID_RTOL * c[::2][queried]):
+        raise DivergentIntegralError(
+            "phase variance does not converge on the integration grid")
+    if not np.isfinite(f_max):
+        c += _tail_integral(spec.func if f_switch is None else spec.averaged_func, f_hi, c[0])
+    if np.any(c < 0):
+        raise DomainError("PSD integrated to a negative variance")
+    return f, c
+
+
+def phase_variance(psd, tau_q: float, *, f_max: Optional[float] = None) -> float:
     """Phase variance (rad^2) accumulated over tau_q: integral of the PSD
     on [1/tau_q, f_max].
 
     f_max defaults to a decade above the highest model knee of the
     spectrum, or to infinity for bare callables without knees; the
-    infinite tail is handled by a 1/f change of variable.  The trapezoid
-    grid is log-spaced, refined at the knees, and doubled until the
-    estimate is stable to rel_tol.  An oscillatory spectrum adds a fixed
-    sin^2 grid (OSC_POINTS_PER_PERIOD points per period up to the switch
-    frequency OSC_PERIODS periods up), built once per call and shared by
-    every doubling pass.  Each frequency is evaluated once per call, by
-    the exact PSD below the switch frequency or by the sin^2-averaged one
-    from it on.
+    infinite tail is handled by a 1/f change of variable.  This is the
+    single-window case of the one cumulative integral that sigma_map and
+    solve_tau_q read too: one fixed grid, log-spaced and uniform over the
+    sin^2 periods below the switch frequency, evaluated and summed once.
+    A grid that does not resolve the spectrum raises
+    DivergentIntegralError instead of returning a value.
     """
-    if tau_q <= 0:
-        raise DomainError("tau_q must be > 0")
+    if not (np.isfinite(tau_q) and tau_q > 0):
+        raise DomainError("tau_q must be finite and > 0")
     spec = _spectrum_of(psd)
-    if f_max is None:
-        f_max = spec.default_f_max()
-    f_lo = 1.0 / tau_q
-    if f_lo >= f_max:
-        return 0.0
-    # the sin^2-averaged PSD replaces the exact one from f_switch on
-    f_switch = None
-    if spec.oscillation_period is not None and spec.averaged_func is not None:
-        f_switch = OSC_PERIODS * spec.oscillation_period
-
-    f_body = f_max if np.isfinite(f_max) else max(f_lo * 1e4, *(k * 1e3 for k in spec.knees), 1.0)
-    # Each pass integrates over the union of the fixed oscillation grid and
-    # its own log grid; done holds the log-grid points evaluated by earlier
-    # passes, so no frequency is evaluated twice.
-    osc = _oscillation_grid(f_lo, f_body, spec, f_switch)
-    osc_values = _psd_values(spec, f_switch, osc)
-    done, done_values = np.empty(0), np.empty(0)
-    ppd = points_per_decade
-    prev = None
-    for _ in range(4):
-        g = _grid(f_lo, f_body, ppd, spec.knees)
-        at_osc, on_osc = _lookup(osc, g)
-        g, at_osc = g[~on_osc], at_osc[~on_osc]
-        at, found = _lookup(done, g)
-        new = ~found
-        g_values = np.empty(g.size)
-        g_values[found] = done_values[at[found]]
-        g_values[new] = _psd_values(spec, f_switch, g[new])
-        done, done_values = _merge(done, done_values, at[new], g[new], g_values[new])
-        x, y = _merge(osc, osc_values, at_osc, g, g_values)
-        val = float(np.trapezoid(y, x))
-        if prev is not None and abs(val - prev) <= rel_tol * max(abs(val), 1e-300):
-            break
-        prev = val
-        ppd *= 2
-    if not np.isfinite(f_max):
-        val += _tail_integral(functools.partial(_psd_values, spec, f_switch), f_body, val)
-    if val < 0:
-        raise DomainError("PSD integrated to a negative variance")
-    return val
+    _, c = _variance_curve(spec, np.array([1.0 / tau_q]), f_max)
+    return float(c[0])
 
 
 def qber_from_variance(sigma2: float) -> float:
@@ -231,12 +217,12 @@ class CoherenceBudget:
     tau_max: float = 0.1
     tau_ps: float = 1e-3
     tau_floor: float = 1e-6
-    rel_tol_tau: float = 0.01
     f_max: Optional[float] = None
 
     def __post_init__(self):
-        if min(self.sigma_threshold, self.tau_max, self.tau_ps, self.tau_floor) <= 0:
-            raise DomainError("budget values must be > 0")
+        finite = (self.sigma_threshold, self.tau_max, self.tau_ps, self.tau_floor)
+        if not (all(0 < v < np.inf for v in finite) and (self.f_max is None or self.f_max > 0)):
+            raise DomainError("budget values must be > 0, and finite except f_max")
         if self.tau_floor >= self.tau_max:
             raise DomainError("tau_floor must be below tau_max")
 
@@ -259,37 +245,36 @@ def solve_tau_q(psd, budget: CoherenceBudget = CoherenceBudget()) -> CoherenceRe
 
     If the threshold is never reached the result is clipped at tau_max
     with the (smaller) variance accumulated there; if it is exceeded even
-    at tau_floor the floor is returned with the floored flag set.  The
-    search is a bisection in log tau on the monotone sigma(tau).
+    at tau_floor the floor is returned with the floored flag set.
+    Otherwise sigma^2 comes from one cumulative grid over [1/tau_max,
+    f_max] with 1/tau_floor as a node: the first node whose variance is
+    within the threshold and the node before it bracket the window, and
+    one interpolation of the variance in log f inside that segment gives
+    tau_q, at which sigma is the threshold.  A grid that does not resolve
+    the spectrum raises DivergentIntegralError.
     """
-    def sigma_at(tau):
-        return float(np.sqrt(phase_variance(psd, tau, f_max=budget.f_max)))
+    spec = _spectrum_of(psd)
+    f_ends = np.array([1.0 / budget.tau_max, 1.0 / budget.tau_floor])
+    f, c = _variance_curve(spec, f_ends, budget.f_max)
+    # queries below f_max are nodes, where interp returns c itself
+    var_max, var_floor = np.interp(f_ends, f, c, right=0.0)
 
     def result(tau, sig, clipped=False, floored=False):
         return CoherenceResult(
             tau_q=tau, sigma_phi=sig, duty_cycle=duty_cycle(tau, budget.tau_ps),
             e_phi=qber_from_variance(sig * sig), clipped=clipped, floored=floored)
 
-    sig_max = sigma_at(budget.tau_max)
-    if sig_max <= budget.sigma_threshold:
-        return result(budget.tau_max, sig_max, clipped=True)
-    sig_floor = sigma_at(budget.tau_floor)
-    if sig_floor > budget.sigma_threshold:
-        return result(budget.tau_floor, sig_floor, floored=True)
-
-    lo, hi = np.log(budget.tau_floor), np.log(budget.tau_max)
-    sig_lo = None  # sigma at exp(lo), once lo has moved
-    while (np.exp(hi) - np.exp(lo)) > budget.rel_tol_tau * np.exp(lo):
-        mid = 0.5 * (lo + hi)
-        sig = sigma_at(np.exp(mid))
-        if sig <= budget.sigma_threshold:
-            lo, sig_lo = mid, sig
-        else:
-            hi = mid
-    tau = float(np.exp(lo))
-    # exp(lo) is the very float sig_lo was computed at; if lo never moved,
-    # exp(log(tau_floor)) may miss tau_floor by an ulp, so compute afresh
-    return result(tau, sigma_at(tau) if sig_lo is None else sig_lo)
+    level = budget.sigma_threshold ** 2
+    if var_max <= level:
+        return result(budget.tau_max, float(np.sqrt(var_max)), clipped=True)
+    if var_floor > level:
+        return result(budget.tau_floor, float(np.sqrt(var_floor)), floored=True)
+    # c falls along the nodes from above the level at 1/tau_max to at most
+    # the level at 1/tau_floor (or 0 at f_max)
+    i = int(np.argmax(c <= level))
+    lo, hi = np.log(f[i - 1]), np.log(f[i])
+    log_f = lo + (c[i - 1] - level) / (c[i - 1] - c[i]) * (hi - lo)
+    return result(float(np.exp(-log_f)), budget.sigma_threshold)
 
 
 @dataclass(frozen=True)
@@ -350,16 +335,23 @@ def sigma_map(topo_template: TopologyConfig,
     The mismatch axis drives only the self-delay term of the common-laser
     interference; the fiber-noise terms keep the template arm lengths so
     that independent-laser maps are exactly flat along the mismatch axis.
+    Each mismatch column is one pass of the cumulative integral: one grid
+    over [1/max tau, f_max] with every 1/tau as a node, evaluated and
+    summed once, from which the whole column is read.  A grid that does
+    not resolve the spectrum raises DivergentIntegralError.
     """
     dl = np.asarray(list(delta_l_grid), dtype=float)
     taus = np.asarray(list(tau_grid), dtype=float)
     if dl.size == 0 or taus.size == 0:
         raise DomainError("grids must be non-empty")
+    if not (np.all(np.isfinite(dl)) and np.all((0 < taus) & (taus < np.inf))):
+        raise DomainError("grid values must be finite, and integration times > 0")
     if np.any(np.diff(dl) <= 0) or np.any(np.diff(taus) <= 0):
         raise DomainError("grids must be strictly increasing")
     out = np.empty((taus.size, dl.size))
+    f_query = 1.0 / taus
     for j, d in enumerate(dl):
         spec = interference_spectrum(topo_template, laser, fiber, delta_l_km=float(d))
-        for i, tau in enumerate(taus):
-            out[i, j] = np.sqrt(phase_variance(spec, float(tau), f_max=budget.f_max))
+        f, c = _variance_curve(spec, f_query, budget.f_max)
+        out[:, j] = np.sqrt(np.interp(f_query, f, c, right=0.0))
     return SigmaMap(delta_l_km=dl, tau_q_s=taus, sigma_phi=out)

@@ -217,10 +217,7 @@ def loop_gain(f, p: LoopParams):
     Second-order integrator with a zero at B*gamma and a pole at B*delta;
     |G| diverges as f -> 0 and falls off as 1/f^2 well above the pole.
     """
-    return _loop_gain(_as_positive_freq(f), p)
-
-
-def _loop_gain(f, p: LoopParams):
+    f = _as_positive_freq(f)
     w2 = (2.0 * np.pi * f) ** 2
     zero = 1j * f + p.bandwidth * p.gamma
     pole = 1j * f + p.bandwidth * p.delta
@@ -233,9 +230,17 @@ def psd_laser_stabilized(f, laser: LaserFreeParams, cavity: CavityParams,
     return _laser_stabilized(_as_positive_freq(f), laser, cavity, loop)
 
 
+def _suppression(f, p: LoopParams):
+    """Servo suppression |1/(1+G)|^2 of loop_gain in real arithmetic:
+    w^4 (f^2 + b^2) / ((w^2 b + g0 a)^2 + f^2 (w^2 + g0)^2), w = 2 pi f."""
+    w2 = (2.0 * np.pi * f) ** 2
+    a, b = p.bandwidth * p.gamma, p.bandwidth * p.delta
+    f2 = f * f
+    return w2 * w2 * (f2 + b * b) / ((w2 * b + p.g0 * a) ** 2 + f2 * (w2 + p.g0) ** 2)
+
+
 def _laser_stabilized(f, laser: LaserFreeParams, cavity: CavityParams, loop: LoopParams):
-    suppression = np.abs(1.0 / (1.0 + _loop_gain(f, loop))) ** 2
-    return _cavity(f, cavity) + suppression * _laser_free(f, laser)
+    return _cavity(f, cavity) + _suppression(f, loop) * _laser_free(f, laser)
 
 
 def psd_fiber(f, length_km: float, p: FiberParams, stabilized: bool):
@@ -311,8 +316,8 @@ def _composite_parts(topo: TopologyConfig, laser: LaserSpec, fiber: FiberParams,
     already checked by _as_positive_freq and check nothing themselves.
     """
     dl = topo.delta_l if delta_l_km is None else delta_l_km
-    if dl < 0:
-        raise DomainError("delay mismatch must be >= 0")
+    if not 0.0 <= dl < np.inf:
+        raise DomainError("delay mismatch must be finite and >= 0")
     stab = topo.laser_stabilized
     fib_stab = topo.fiber_stabilized
 

@@ -8,6 +8,7 @@ from scipy.integrate import quad
 
 import tfqkd
 import tfqkd.coherence as coherence
+from reference import reference_sigma, reference_variance
 from tfqkd import (
     CoherenceBudget,
     DivergentIntegralError,
@@ -29,55 +30,6 @@ def flat_1_over_f2(a):
     return Spectrum(lambda f: a / np.asarray(f, float) ** 2)
 
 
-def reference_phase_variance(psd, tau_q, f_max=None, rel_tol=1e-4, points_per_decade=200):
-    """The integrator as a plain loop: every doubling pass rebuilds the dense
-    grid, oscillation points included, and evaluates both PSD forms on all
-    of it before picking one per point."""
-    spec = psd if isinstance(psd, Spectrum) else Spectrum(psd)
-    if f_max is None:
-        f_max = spec.default_f_max()
-    f_lo = 1.0 / tau_q
-    if f_lo >= f_max:
-        return 0.0
-    f_switch = None
-    func = spec.func
-    if spec.oscillation_period is not None and spec.averaged_func is not None:
-        f_switch = coherence.OSC_PERIODS * spec.oscillation_period
-
-        def func(f):
-            f = np.asarray(f, dtype=float)
-            return np.where(f < f_switch, spec.func(f), spec.averaged_func(f))
-
-    def grid(f_hi, ppd):
-        n = max(int(np.ceil(np.log10(f_hi / f_lo) * ppd)) + 1, 16)
-        g = np.geomspace(f_lo, f_hi, n)
-        knees = [k for k in spec.knees if f_lo < k < f_hi]
-        if knees:
-            g = np.concatenate([g, *(np.geomspace(k / 3.0, min(k * 3.0, f_hi), ppd)
-                                     for k in knees)])
-        if spec.oscillation_period is not None:
-            hi = min(f_hi, f_switch if f_switch is not None else f_hi)
-            if hi > f_lo:
-                step = spec.oscillation_period / coherence.OSC_POINTS_PER_PERIOD
-                n_osc = int(np.floor((hi - f_lo) / step))
-                if n_osc > 0:
-                    g = np.concatenate([g, f_lo + step * np.arange(1, n_osc + 1)])
-        return np.unique(np.clip(g, f_lo, f_hi))
-
-    f_body = f_max if np.isfinite(f_max) else max(f_lo * 1e4, *(k * 1e3 for k in spec.knees), 1.0)
-    ppd, prev = points_per_decade, None
-    for _ in range(4):
-        g = grid(f_body, ppd)
-        val = float(np.trapezoid(func(g), g))
-        if prev is not None and abs(val - prev) <= rel_tol * max(abs(val), 1e-300):
-            break
-        prev = val
-        ppd *= 2
-    if not np.isfinite(f_max):
-        val += coherence._tail_integral(func, f_body, val)
-    return val
-
-
 def oscillatory_bare_spectrum(period):
     """A common-laser-like 1/f^2 spectrum with no knees, so f_max is infinite."""
     def exact(f):
@@ -91,8 +43,7 @@ def oscillatory_bare_spectrum(period):
     return Spectrum(exact, oscillation_period=period, averaged_func=averaged)
 
 
-def hexes(values):
-    return [float(v).hex() for v in values]
+SIGMA_RTOL = 2e-5  # certified accuracy of sigma against the mpmath reference
 
 
 class TestPhaseVariance:
@@ -131,41 +82,98 @@ class TestPhaseVariance:
             phase_variance(flat_1_over_f2(1.0), 0.0)
 
     def test_oscillatory_term_refined(self):
-        # common topology with km-scale mismatch: integral must be stable
-        # against grid density (oscillation handling, not luck)
+        # common topology with km-scale mismatch: the sin^2 periods are
+        # resolved, not sampled by luck
         topo = TopologyConfig(l_a=114.0, l_b=111.5)
         spec = interference_spectrum(topo)
-        v1 = phase_variance(spec, 5e-5, points_per_decade=200)
-        v2 = phase_variance(spec, 5e-5, points_per_decade=500)
-        assert v1 == pytest.approx(v2, rel=2e-3)
+        assert phase_variance(spec, 5e-5) == pytest.approx(
+            reference_variance(spec, 5e-5), rel=2 * SIGMA_RTOL)
+
+    @pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf, -1e-3])
+    def test_rejects_non_finite_tau(self, tau):
+        with pytest.raises(DomainError):
+            phase_variance(flat_1_over_f2(1.0), tau)
+
+    @pytest.mark.parametrize("f_max", [np.nan, 0.0, -1.0])
+    def test_rejects_bad_f_max(self, f_max):
+        with pytest.raises(DomainError):
+            phase_variance(flat_1_over_f2(1.0), 1e-3, f_max=f_max)
+
+    def test_feature_narrower_than_grid_raises(self):
+        # a 0.01 Hz wide Lorentzian line at a 10 kHz knee, a grid node
+        # among nodes some 30 Hz apart: the grid and its every-other-node
+        # subgrid disagree, so no value is returned
+        f0, width = 1e4, 1e-2
+
+        def psd(f):
+            f = np.asarray(f, float)
+            return 1e-6 / f**2 + 1e-3 * width / ((f - f0) ** 2 + width**2)
+
+        spec = Spectrum(psd, knees=(f0,))
+        with pytest.raises(DivergentIntegralError, match="does not converge"):
+            phase_variance(spec, 1e-3)
+        with pytest.raises(DivergentIntegralError):
+            solve_tau_q(spec)
 
 
-class TestOneEvaluationPerFrequency:
-    TAUS = np.geomspace(1e-7, 1.0, 8)
+class TestAgainstReference:
+    """sigma from every caller of the one integral against mpmath."""
 
-    @pytest.mark.parametrize("f_max", [None, 1e6])
+    # cells where the earlier doubling integrator was furthest off
+    @pytest.mark.parametrize("dl, tau", [(10.0, 2.154434690031884e-06),
+                                         (5.010791869084166, 1e-06),
+                                         (2.510803515527999, 1e-06),
+                                         (10.0, 4.641588833612779e-06)])
+    def test_demo_map_cells(self, dl, tau):
+        topo = tfqkd.builtin_scenarios()[0].topology
+        spec = interference_spectrum(topo, delta_l_km=dl)
+        ref = reference_sigma(spec, tau)
+        assert np.sqrt(phase_variance(spec, tau)) == pytest.approx(ref, rel=SIGMA_RTOL)
+        m = sigma_map(topo, [dl], [tau / 10, tau, tau * 10])
+        assert m.sigma_phi[1, 0] == pytest.approx(ref, rel=SIGMA_RTOL)
+
     @pytest.mark.parametrize("sid", range(1, 8))
-    def test_presets_bit_identical_to_reference(self, sid, f_max):
-        spec = interference_spectrum(tfqkd.builtin_scenarios()[sid - 1].topology)
-        assert (hexes(phase_variance(spec, t, f_max=f_max) for t in self.TAUS)
-                == hexes(reference_phase_variance(spec, t, f_max=f_max) for t in self.TAUS))
+    def test_presets_at_their_window(self, sid):
+        preset = tfqkd.builtin_scenarios()[sid - 1]
+        spec = interference_spectrum(preset.topology)
+        budget = CoherenceBudget()
+        res = solve_tau_q(spec, budget)
+        assert not res.floored
+        ref = reference_variance(spec, res.tau_q)
+        assert res.sigma_phi == pytest.approx(np.sqrt(ref), rel=SIGMA_RTOL)
+        assert np.sqrt(ref) <= budget.sigma_threshold * (1 + SIGMA_RTOL)
+        if not res.clipped:
+            # the reference root, one Newton step from tau_q on
+            # d sigma^2 / d tau = S(1/tau) / tau^2, lies within 1e-3 of tau_q
+            slope = spec.func(np.array([1.0 / res.tau_q]))[0] / res.tau_q**2
+            root = res.tau_q + (budget.sigma_threshold**2 - ref) / slope
+            assert root == pytest.approx(res.tau_q, rel=1e-3)
 
-    @pytest.mark.parametrize("f_max", [None, 1e6])
-    @pytest.mark.parametrize("dl", [0.0, *np.geomspace(0.001, 10.0, 5)])
-    @pytest.mark.parametrize("sid", [1, 4])
-    def test_mismatch_bit_identical_to_reference(self, sid, dl, f_max):
-        topo = tfqkd.builtin_scenarios()[sid - 1].topology
-        spec = interference_spectrum(topo, delta_l_km=float(dl))
-        assert (hexes(phase_variance(spec, t, f_max=f_max) for t in self.TAUS)
-                == hexes(reference_phase_variance(spec, t, f_max=f_max) for t in self.TAUS))
+    @pytest.mark.parametrize("dl", [0.001, 1.0, 10.0])
+    def test_scenario_4_mismatch_column(self, dl):
+        topo = tfqkd.builtin_scenarios()[3].topology
+        taus = [1e-5, 1e-3]
+        m = sigma_map(topo, [dl], taus)
+        spec = interference_spectrum(topo, delta_l_km=dl)
+        for i, tau in enumerate(taus):
+            assert m.sigma_phi[i, 0] == pytest.approx(reference_sigma(spec, tau), rel=SIGMA_RTOL)
 
     @pytest.mark.parametrize("spec", [flat_1_over_f2(0.7).func, oscillatory_bare_spectrum(2e3)],
                              ids=["bare_callable", "oscillatory_no_knees"])
-    def test_infinite_f_max_bit_identical_to_reference(self, spec):
+    def test_infinite_f_max(self, spec):
         # no knees: f_max is infinite and the tail integral runs
-        assert (hexes(phase_variance(spec, t) for t in self.TAUS)
-                == hexes(reference_phase_variance(spec, t) for t in self.TAUS))
+        for tau in (1e-5, 1e-2):
+            assert phase_variance(spec, tau) == pytest.approx(
+                reference_variance(spec, tau), rel=2 * SIGMA_RTOL)
 
+    def test_finite_f_max(self):
+        spec = interference_spectrum(tfqkd.builtin_scenarios()[2].topology)
+        for tau in (1e-5, 1e-3):
+            assert phase_variance(spec, tau, f_max=1e6) == pytest.approx(
+                reference_variance(spec, tau, f_max=1e6), rel=2 * SIGMA_RTOL)
+
+
+class TestOneEvaluationPerFrequency:
     @pytest.mark.parametrize("tau", [1e-6, 1e-4, 1e-2])
     def test_each_frequency_reaches_one_form_once(self, tau):
         base = interference_spectrum(TopologyConfig(l_a=114.0, l_b=113.0))
@@ -184,9 +192,11 @@ class TestOneEvaluationPerFrequency:
         exact = np.concatenate(seen["exact"])
         averaged = np.concatenate(seen["averaged"])
         assert exact.size and averaged.size
-        assert np.all(exact < f_switch) and np.all(averaged >= f_switch)
+        # the switch node ends the exact piece and starts the averaged one
+        assert np.all(exact <= f_switch) and np.all(averaged >= f_switch)
         both = np.concatenate([exact, averaged])
-        assert np.unique(both).size == both.size
+        assert np.count_nonzero(both == f_switch) == 2
+        assert np.unique(both).size == both.size - 1
 
 
 class TestQber:
@@ -252,10 +262,10 @@ class TestSolveTauQ:
         spec = flat_1_over_f2(4.0)  # tau* = 0.01
         res = solve_tau_q(spec, budget)
         assert not res.clipped and not res.floored
-        assert res.tau_q == pytest.approx(0.01, rel=0.02)
+        assert res.tau_q == pytest.approx(0.01, rel=1e-6)
         sig_here = np.sqrt(phase_variance(spec, res.tau_q))
-        sig_past = np.sqrt(phase_variance(spec, res.tau_q * (1 + 2 * budget.rel_tol_tau)))
-        assert sig_here <= budget.sigma_threshold <= sig_past
+        sig_past = np.sqrt(phase_variance(spec, res.tau_q * (1 + 1e-3)))
+        assert sig_here <= budget.sigma_threshold * (1 + 1e-9) < sig_past
 
     def test_floored_flag(self):
         spec = flat_1_over_f2(1e6)  # sigma(1us) = 1 > 0.2
@@ -263,44 +273,36 @@ class TestSolveTauQ:
         assert res.floored
         assert res.tau_q == 1e-6
 
-    def test_reuses_sigma_of_last_accepted_window(self, monkeypatch):
-        # scenario 1 bisects: sigma at the two bracket ends and at 11
-        # midpoints, and none after the search; fields as the search that
-        # integrated once more at the returned window gave them
+    def test_one_grid_per_solve(self, monkeypatch):
+        # the window comes from one cumulative integral, not from repeated
+        # phase_variance calls
         calls = []
-        orig = coherence.phase_variance
+        orig = coherence._variance_curve
 
         def counted(*args, **kwargs):
             calls.append(args[1])
             return orig(*args, **kwargs)
 
-        monkeypatch.setattr(coherence, "phase_variance", counted)
+        monkeypatch.setattr(coherence, "_variance_curve", counted)
         res = tfqkd.solve_scenario(tfqkd.builtin_scenarios()[0])
-        assert len(calls) == 13
-        assert hexes([res.tau_q, res.sigma_phi, res.duty_cycle, res.e_phi]) == [
-            "0x1.682684e39b5a9p-11", "0x1.982122bb9922bp-3",
-            "0x1.a0fb25d56441ep-2", "0x1.421f62b9c6d02p-7"]
+        assert len(calls) == 1
         assert not res.clipped and not res.floored
+        assert res.sigma_phi == 0.2
 
-    def test_window_never_raised_is_integrated_afresh(self, monkeypatch):
-        # threshold just above sigma(tau_floor): every midpoint fails, the
-        # window stays at exp(log(tau_floor)), an ulp off tau_floor, so
-        # its sigma is computed there and not taken from the floor check
-        calls = []
-        orig = coherence.phase_variance
+    @pytest.mark.parametrize("field", ["sigma_threshold", "tau_max", "tau_ps", "tau_floor"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1.0])
+    def test_budget_rejects_non_finite_or_non_positive(self, field, value):
+        with pytest.raises(DomainError):
+            CoherenceBudget(**{field: value})
 
-        def counted(*args, **kwargs):
-            calls.append(args[1])
-            return orig(*args, **kwargs)
+    @pytest.mark.parametrize("f_max", [np.nan, 0.0, -1.0])
+    def test_budget_rejects_bad_f_max(self, f_max):
+        with pytest.raises(DomainError):
+            CoherenceBudget(f_max=f_max)
 
-        monkeypatch.setattr(coherence, "phase_variance", counted)
-        budget = CoherenceBudget(sigma_threshold=float.fromhex("0x1.b6a789c4e429ap-11"))
-        res = solve_tau_q(flat_1_over_f2(0.7), budget)
-        assert len(calls) == 14 and calls[-1] == res.tau_q != budget.tau_floor
-        assert hexes([res.tau_q, res.sigma_phi, res.duty_cycle, res.e_phi]) == [
-            "0x1.0c6f7a0b5ed8fp-20", "0x1.b6a789bd88280p-11",
-            "0x1.05e1d27a3ee9ep-10", "0x1.77d0d82d5b8e2p-23"]
-        assert not res.clipped and not res.floored
+    def test_budget_allows_infinite_f_max(self):
+        res = solve_tau_q(flat_1_over_f2(4.0), CoherenceBudget(f_max=np.inf))
+        assert res.tau_q == pytest.approx(0.01, rel=1e-6)
 
     def test_result_fields_consistent(self):
         spec = flat_1_over_f2(4.0)
@@ -352,6 +354,13 @@ class TestSigmaMap:
             sigma_map(topo, [], [1e-4])
         with pytest.raises(DomainError):
             sigma_map(topo, [1.0, 0.5], [1e-4, 1e-3])
+
+    @pytest.mark.parametrize("dl, taus", [([np.nan, 1.0], [1e-4]), ([1.0], [1e-4, np.nan]),
+                                          ([1.0, np.inf], [1e-4]), ([1.0], [1e-4, np.inf]),
+                                          ([1.0], [-1e-4, 1e-3])])
+    def test_rejects_non_finite_grids(self, dl, taus):
+        with pytest.raises(DomainError):
+            sigma_map(tfqkd.builtin_scenarios()[0].topology, dl, taus)
 
     def test_csv_export(self, tmp_path):
         topo = tfqkd.builtin_scenarios()[0].topology

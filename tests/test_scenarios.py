@@ -397,8 +397,15 @@ class TestCli:
         ["sigma-map", "--tau-points", "-2"],
         ["sigma-map", "--dl-points", "0"],
         ["oracle", "--points", "0"],
-        ["oracle", "--samples", "0"]])
-    def test_bad_input_exits_without_traceback(self, args):
+        ["oracle", "--samples", "0"],
+        ["sigma-map", "--dl-start", "nan"],
+        ["sigma-map", "--tau-stop", "nan"],
+        ["sigma-map", "--dl-stop", "inf"],
+        ["tau-solve", "--config", "NAN_BUDGET_YAML"]])
+    def test_bad_input_exits_without_traceback(self, args, tmp_path):
+        nan_budget = tmp_path / "nan_budget.yaml"
+        nan_budget.write_text("scenario: {preset: 1}\nbudget: {tau_max_s: .nan}\n")
+        args = [str(nan_budget) if a == "NAN_BUDGET_YAML" else a for a in args]
         res = CliRunner().invoke(cli_main, args)
         assert isinstance(res.exception, SystemExit)
         assert res.exit_code != 0

@@ -125,6 +125,13 @@ class TestLaserStabilized:
         assert psd_laser_stabilized(f, LASER, CAVITY, LOOP) == pytest.approx(
             cav + supp * free, rel=1e-12)
 
+    @pytest.mark.parametrize("loop", [LOOP, LoopParams(bandwidth=1e3, gamma=0.5, delta=2.0)])
+    def test_real_suppression_matches_complex_loop_gain(self, loop):
+        from tfqkd.spectra import _suppression
+        f = np.geomspace(1e-3, 1e9, 4001)
+        complex_form = np.abs(1.0 / (1.0 + loop_gain(f, loop))) ** 2
+        assert np.allclose(_suppression(f, loop), complex_form, rtol=1e-13, atol=0)
+
     def test_never_below_cavity(self):
         f = np.geomspace(1e-2, 1e9, 200)
         assert np.all(psd_laser_stabilized(f, LASER, CAVITY, LOOP)
@@ -250,6 +257,12 @@ class TestInterference:
     def test_rejects_inverted_arms(self):
         with pytest.raises(DomainError):
             TopologyConfig(l_a=10.0, l_b=20.0)
+
+    @pytest.mark.parametrize("dl", [np.nan, np.inf, -1.0])
+    def test_rejects_bad_mismatch_override(self, dl):
+        for topo in TestInputCheck.TOPOLOGIES:
+            with pytest.raises(DomainError):
+                interference_spectrum(topo, delta_l_km=dl)
 
 
 class TestInputCheck:
