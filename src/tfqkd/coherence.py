@@ -296,6 +296,8 @@ class SigmaMap:
         column never reaches the level, tau grid minimum where it is
         already above it.
         """
+        if not np.isfinite(level):
+            raise DomainError("isoline level must be finite")
         taus = np.full(self.delta_l_km.shape, np.nan)
         log_tau = np.log(self.tau_q_s)
         for j in range(self.delta_l_km.size):

@@ -10,6 +10,7 @@ for the decoy-state formulas.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -30,14 +31,15 @@ __all__ = [
 ]
 
 BIT_GENERATOR = "philox4x64"  # counter-based
+# The stream is laid out in chunks of _CHUNK samples and sampled in blocks
+# of _BLOCK samples; a chunk holds a whole number of blocks.
+_CHUNK = 1 << 20
+_BLOCK = 1 << 18
 
 
 @dataclass(frozen=True)
 class UniformRandomized:
     """Relative phase uniform on [0, 2 pi)."""
-
-    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.uniform(0.0, 2.0 * np.pi, n)
 
 
 @dataclass(frozen=True)
@@ -45,9 +47,6 @@ class FixedDelta:
     """Deterministic relative phase (rad)."""
 
     delta: float = 0.0
-
-    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return np.full(n, self.delta)
 
 
 PhaseDistribution = Union[UniformRandomized, FixedDelta]
@@ -83,6 +82,21 @@ class McClickStats:
     bit_generator: str = BIT_GENERATOR
 
 
+def _pool_size() -> int:
+    return len(os.sched_getaffinity(0))
+
+
+def _stream_at(seed: int, offset: int) -> np.random.Generator:
+    """Generator whose next double is double `offset` of the seed's stream.
+
+    One Philox counter step yields four doubles, so advance whole steps
+    and discard the remainder.
+    """
+    rng = np.random.Generator(np.random.Philox(seed).advance(offset // 4))
+    rng.random(offset % 4)
+    return rng
+
+
 def mc_click_stats(mu_a: float, mu_b: float, arm_t: float, p_d: float,
                    cfg: McConfig = McConfig()) -> McClickStats:
     """Sampled click statistics of two interfering attenuated pulses.
@@ -91,37 +105,80 @@ def mc_click_stats(mu_a: float, mu_b: float, arm_t: float, p_d: float,
     intensities t (mu_a + mu_b +/- 2 sqrt(mu_a mu_b) cos delta) / 2 and
     draws threshold clicks with probability 1 - (1 - p_d) exp(-I).
     Intensity-level sampling suffices here: every analytic formula under
-    test is itself an intensity-level model.  Deterministic for a fixed
-    seed: one Philox stream, drawn in chunks.
+    test is itself an intensity-level model.
+
+    Deterministic for a fixed seed: all draws come from one Philox
+    stream.  Per chunk of 2^20 samples it holds the chunk's phases
+    (uniform law only), then its uniforms for detector c, then those for
+    detector d.  Blocks of 2^18 samples open their slices of that stream
+    directly and run on a thread pool of one worker per available core,
+    so the counts do not depend on the core count.
     """
     if mu_a < 0 or mu_b < 0:
         raise DomainError("intensities must be >= 0")
     if not 0.0 <= arm_t <= 1.0 or not 0.0 <= p_d <= 1.0:
         raise DomainError("arm transmittance and dark probability must lie in [0, 1]")
-    counts = np.zeros(4, dtype=np.int64)  # none, c_only, d_only, both
+    from concurrent.futures import ThreadPoolExecutor
+
     base = arm_t * (mu_a + mu_b) / 2.0
     cross = arm_t * np.sqrt(mu_a * mu_b)
     # survival probabilities multiply to a phase-independent constant
     surv_prod = (1.0 - p_d) ** 2 * np.exp(-2.0 * base)
-    chunk = 1 << 20
-    rng = np.random.Generator(np.random.Philox(cfg.seed))
-    for done in range(0, cfg.samples, chunk):
-        m = min(chunk, cfg.samples - done)
-        buf = np.cos(cfg.phase.draw(rng, m))
-        buf *= -cross
-        buf -= base
-        np.exp(buf, out=buf)
-        buf *= 1.0 - p_d  # no-click probability at detector c
-        click_c = rng.random(m) >= buf
-        np.divide(surv_prod, buf, out=buf)  # no-click probability at d
-        click_d = rng.random(m) >= buf
-        n_both = np.count_nonzero(click_c & click_d)
-        n_c = np.count_nonzero(click_c)
-        n_d = np.count_nonzero(click_d)
-        counts[3] += n_both
-        counts[1] += n_c - n_both
-        counts[2] += n_d - n_both
-        counts[0] += m - n_c - n_d + n_both
+
+    def no_click_c(phases):
+        # in place: relative phases -> no-click probability at detector c
+        np.cos(phases, out=phases)
+        phases *= -cross
+        phases -= base
+        np.exp(phases, out=phases)
+        phases *= 1.0 - p_d
+        return phases
+
+    uniform = isinstance(cfg.phase, UniformRandomized)
+    if uniform:
+        fixed = None, None
+    else:  # one phase, so the same two no-click probabilities for every sample
+        thr = no_click_c(np.array([cfg.phase.delta]))
+        fixed = thr, np.divide(surv_prod, thr)
+    # (first sample of the chunk, chunk length, block start in the chunk)
+    blocks = [(done, min(_CHUNK, cfg.samples - done), lo)
+              for done in range(0, cfg.samples, _CHUNK)
+              for lo in range(0, min(_CHUNK, cfg.samples - done), _BLOCK)]
+
+    def count(share):  # one worker: its buffers serve its whole share of blocks
+        size = min(_BLOCK, cfg.samples)
+        phase_buf = np.empty(size) if uniform else None
+        u = np.empty(size)
+        click_c, click_d = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
+        n_c = n_d = n_both = 0
+        no_c, no_d = fixed
+        for done, m, lo in share:
+            n = min(_BLOCK, m - lo)
+            at = (3 if uniform else 2) * done + lo  # the block's first draw
+            un, cc, cd = u[:n], click_c[:n], click_d[:n]
+            if uniform:
+                no_c = no_d = phase_buf[:n]
+                _stream_at(cfg.seed, at).random(out=no_c)
+                no_c *= 2.0 * np.pi
+                no_click_c(no_c)
+                at += m
+            _stream_at(cfg.seed, at).random(out=un)
+            np.greater_equal(un, no_c, out=cc)
+            if uniform:  # the c probabilities are used up: overwrite with d's
+                np.divide(surv_prod, no_d, out=no_d)
+            _stream_at(cfg.seed, at + m).random(out=un)
+            np.greater_equal(un, no_d, out=cd)
+            n_c += int(np.count_nonzero(cc))
+            n_d += int(np.count_nonzero(cd))
+            n_both += int(np.count_nonzero(np.logical_and(cc, cd, out=cc)))
+        return n_c, n_d, n_both
+
+    workers = min(_pool_size(), len(blocks))
+    with ThreadPoolExecutor(workers) as pool:
+        n_c, n_d, n_both = map(sum, zip(*pool.map(
+            count, (blocks[w::workers] for w in range(workers)))))
+    counts = np.array([cfg.samples - n_c - n_d + n_both, n_c - n_both,
+                       n_d - n_both, n_both], dtype=np.int64)  # none, c, d, both
     freq = counts / cfg.samples
     se = np.sqrt(freq * (1.0 - freq) / cfg.samples)
     return McClickStats(

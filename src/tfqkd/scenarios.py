@@ -180,6 +180,8 @@ class SweepSpec:
     def __post_init__(self):
         if self.x_axis not in ("total_attenuation_db", "total_length_km"):
             raise DomainError(f"unknown x_axis {self.x_axis!r}")
+        if not all(map(math.isfinite, (self.start, self.stop, self.step))):
+            raise DomainError("sweep start, stop and step must be finite")
         if self.step <= 0 or self.stop < self.start or self.start < 0:
             raise DomainError("sweep range requires 0 <= start <= stop and step > 0")
         if not self.protocols:

@@ -342,6 +342,13 @@ class TestSigmaMap:
         iso = m.isoline(0.2)
         assert np.all(np.isnan(iso) | (iso > 1.0))
 
+    def test_isoline_rejects_non_finite_level(self):
+        topo = tfqkd.builtin_scenarios()[0].topology
+        m = sigma_map(topo, [0.02, 0.5], [1e-5, 1e-4, 1e-3])
+        for level in (np.nan, np.inf):
+            with pytest.raises(DomainError):
+                m.isoline(level)
+
     def test_free_running_large_mismatch_below_100us(self):
         topo = TopologyConfig(l_a=114.0, l_b=114.0)
         m = sigma_map(topo, [1.0, 2.5, 5.0], np.geomspace(1e-6, 1e-3, 16))

@@ -7,9 +7,11 @@ import sys
 
 def test_import_loads_no_scipy():
     # scipy is needed only by the CAL beamsplitter, the cat amplitudes and
-    # the oracles, and is imported where they run
+    # the oracles, and the thread pool only by the Monte-Carlo oracle; each
+    # is imported where it runs
     code = ("import sys, tfqkd; "
-            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+            "print(sorted(m for m in sys.modules"
+            " if m == 'scipy' or m.startswith(('scipy.', 'concurrent.futures'))))")
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))

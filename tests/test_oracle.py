@@ -3,13 +3,105 @@
 import numpy as np
 import pytest
 
+import tfqkd.oracle as oracle
 from tfqkd import (
+    CalParams,
     DomainError,
     FixedDelta,
     McConfig,
+    UniformRandomized,
     fock_bs_distribution,
+    make_cal_channel,
     mc_click_stats,
 )
+
+
+def reference_mc_counts(mu_a, mu_b, arm_t, p_d, cfg):
+    """Counts (none, c_only, d_only, both) from one sequential Philox stream.
+
+    The oracle's original loop: per chunk of 2^20 samples it draws the
+    phases (uniform law only), then the c uniforms, then the d uniforms.
+    """
+    counts = np.zeros(4, dtype=np.int64)
+    base = arm_t * (mu_a + mu_b) / 2.0
+    cross = arm_t * np.sqrt(mu_a * mu_b)
+    surv_prod = (1.0 - p_d) ** 2 * np.exp(-2.0 * base)
+    chunk = 1 << 20
+    rng = np.random.Generator(np.random.Philox(cfg.seed))
+    for done in range(0, cfg.samples, chunk):
+        m = min(chunk, cfg.samples - done)
+        if isinstance(cfg.phase, FixedDelta):
+            phases = np.full(m, cfg.phase.delta)
+        else:
+            phases = rng.uniform(0.0, 2.0 * np.pi, m)
+        buf = np.cos(phases)
+        buf *= -cross
+        buf -= base
+        np.exp(buf, out=buf)
+        buf *= 1.0 - p_d
+        click_c = rng.random(m) >= buf
+        np.divide(surv_prod, buf, out=buf)
+        click_d = rng.random(m) >= buf
+        n_both = np.count_nonzero(click_c & click_d)
+        n_c = np.count_nonzero(click_c)
+        n_d = np.count_nonzero(click_d)
+        counts[3] += n_both
+        counts[1] += n_c - n_both
+        counts[2] += n_d - n_both
+        counts[0] += m - n_c - n_d + n_both
+    return tuple(int(c) for c in counts)
+
+
+def _counts(s):
+    return tuple(round(f * s.samples) for f in (s.none, s.c_only, s.d_only, s.both))
+
+
+def _criterion_3_point(k):
+    """(arm_t, p_dc, mu_z, mu_0, delta) of point k of acceptance criterion 3."""
+    rng = np.random.Generator(np.random.Philox(2024))
+    for _ in range(k + 1):
+        arm_t = float(10.0 ** rng.uniform(-2.0, -0.5))
+        p_dc = float(10.0 ** rng.uniform(-8.0, -5.5))
+        mu_z = float(rng.uniform(0.1, 0.4))
+        mu_0 = float(10.0 ** rng.uniform(-5.0, -4.0))
+        ch = make_cal_channel(arm_t, CalParams(), sigma_phi=float(rng.uniform(0, 0.3)),
+                              theta=0.28)
+    return arm_t, p_dc, mu_z, mu_0, float(np.arccos(ch.omega))
+
+
+_ARM_T, _P_DC, _MU_Z, _MU_0, _DELTA = _criterion_3_point(0)
+# sample counts around the block (2^18) and chunk (2^20) edges, with
+# stream offsets that are not a multiple of the four doubles per counter
+_SAMPLE_COUNTS = (1, 3, 5, (1 << 18) - 1, (1 << 18) + 1, 1 << 20, (1 << 20) + 3,
+                  3_000_001)
+_PHASES = (UniformRandomized(), FixedDelta(0.0), FixedDelta(np.pi),
+           FixedDelta(_DELTA), FixedDelta(np.pi - _DELTA), FixedDelta(0.3),
+           FixedDelta(np.pi / 2), FixedDelta(2.5), FixedDelta(-0.7))
+
+
+class TestSingleStreamIdentity:
+    @pytest.mark.parametrize("seed", [17_000, 17_101, 17_710])
+    @pytest.mark.parametrize("phase", _PHASES)
+    def test_counts_match_sequential_stream(self, phase, seed):
+        # signal/near-vacuum pulses for the uniform law, equal CAL-like
+        # pulses at a bright arm for the fixed phases, so both click often
+        if isinstance(phase, UniformRandomized):
+            args = (_MU_Z, _MU_0, _ARM_T, _P_DC)
+        else:
+            args = (0.3, 0.3, 0.5, 1e-3)
+        for n in _SAMPLE_COUNTS:
+            cfg = McConfig(samples=n, seed=seed, phase=phase)
+            assert _counts(mc_click_stats(*args, cfg)) == reference_mc_counts(*args, cfg), n
+
+    @pytest.mark.parametrize("phase", [UniformRandomized(), FixedDelta(_DELTA)])
+    def test_counts_independent_of_pool_size(self, phase, monkeypatch):
+        runs = []
+        for workers in (1, 3):
+            monkeypatch.setattr(oracle, "_pool_size", lambda w=workers: w)
+            runs.append([_counts(mc_click_stats(
+                0.3, 0.2, 0.4, 1e-4, McConfig(samples=n, seed=17_000, phase=phase)))
+                for n in ((1 << 20) + 3, 3_000_001)])
+        assert runs[0] == runs[1]
 
 
 class TestMcClickStats:

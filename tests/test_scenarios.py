@@ -1,5 +1,7 @@
 """Scenario presets, sweeps, configuration loading and CSV emission."""
 
+import math
+
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -79,6 +81,12 @@ class TestSweepSpec:
             SweepSpec(x_axis="frequency")
         with pytest.raises(DomainError):
             SweepSpec(detector="pmt")
+
+    @pytest.mark.parametrize("field", ["start", "stop", "step"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_range(self, field, value):
+        with pytest.raises(DomainError):
+            SweepSpec(**{field: value})
 
 
 class TestRunSweep:
@@ -401,11 +409,20 @@ class TestCli:
         ["sigma-map", "--dl-start", "nan"],
         ["sigma-map", "--tau-stop", "nan"],
         ["sigma-map", "--dl-stop", "inf"],
-        ["tau-solve", "--config", "NAN_BUDGET_YAML"]])
+        ["tau-solve", "--config", "NAN_BUDGET_YAML"],
+        ["keyrate", "--scenario", "2", "--attenuation-db", "nan"],
+        ["keyrate", "--scenario", "2", "--attenuation-db", "inf"],
+        ["scenario", "2", "--start", "nan", "--stop", "3"],
+        ["scenario", "2", "--step", "nan"],
+        ["scenario", "2", "--start", "0", "--stop", "inf"],
+        ["sigma-map", "--scenario", "1", "--dl-points", "2", "--tau-points", "3",
+         "--level", "nan", "--isolines-out", "ISOLINES_OUT"]])
     def test_bad_input_exits_without_traceback(self, args, tmp_path):
         nan_budget = tmp_path / "nan_budget.yaml"
         nan_budget.write_text("scenario: {preset: 1}\nbudget: {tau_max_s: .nan}\n")
-        args = [str(nan_budget) if a == "NAN_BUDGET_YAML" else a for a in args]
+        paths = {"NAN_BUDGET_YAML": str(nan_budget),
+                 "ISOLINES_OUT": str(tmp_path / "isolines.csv")}
+        args = [paths.get(a, a) for a in args]
         res = CliRunner().invoke(cli_main, args)
         assert isinstance(res.exception, SystemExit)
         assert res.exit_code != 0
