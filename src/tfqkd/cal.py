@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -32,7 +33,6 @@ __all__ = [
     "cal_rate",
 ]
 
-FOCK_TOTAL_CUTOFF = 12  # largest total photon number evolved exactly
 FOCK_INPUT_MAX = 6  # per-port input limit for pair yields
 
 
@@ -129,10 +129,9 @@ def _cat_raw(mu: float, j: int, m_max: int) -> np.ndarray:
     """Coherent amplitudes restricted to parity j: entry m is the |2m+j>
     amplitude of |sqrt(mu)>; the squared entries sum to the parity weight.
     Cached per (mu, j, m_max), so the array is read-only."""
-    from scipy.special import gammaln
-
     ns = 2 * np.arange(m_max + 1) + j
-    log_amp = -mu / 2.0 + 0.5 * ns * np.log(mu) - 0.5 * gammaln(ns + 1)
+    log_fact = np.array([math.log(math.factorial(n)) for n in ns])
+    log_amp = -mu / 2.0 + 0.5 * ns * np.log(mu) - 0.5 * log_fact
     amp = np.exp(log_amp)
     amp.flags.writeable = False
     return amp
@@ -166,42 +165,32 @@ def cat_coefficients(mu_zeta: float, j: int, n_max: int) -> np.ndarray:
     return out / math.sqrt(_parity_weight(mu_zeta, j))
 
 
-@lru_cache(maxsize=1)
-def _bs_unitary() -> np.ndarray:
-    """Balanced beamsplitter on the truncated two-mode number space.
+def _bs_exact(n_a: int, n_b: int) -> tuple:
+    """Exact output distribution of the balanced beamsplitter for |n_a, n_b>.
 
-    exp[(pi/4)(a^dag b - a b^dag)] evaluated once on the
-    (cutoff+1)^2-dimensional space; the generator conserves total photon
-    number, so truncation is exact for inputs within the cutoff.  scipy.linalg
-    is imported here, on first use, so commands without CAL rates skip it.
+    Entry m_c is the probability, as a Fraction, of m_c photons at c and
+    m_d = n - m_c at d:
+    m_c! m_d! / (n_a! n_b! 2^n) (sum_j (-1)^j C(n_a, m_c - j) C(n_b, j))^2,
+    where j counts the photons from b that leave at c.
     """
-    from scipy.linalg import expm
-
-    d = FOCK_TOTAL_CUTOFF + 1
-    a = np.diag(np.sqrt(np.arange(1.0, d)), k=1)
-    a_full = np.kron(a, np.eye(d))
-    b_full = np.kron(np.eye(d), a)
-    gen = (a_full.T @ b_full - a_full @ b_full.T) * (np.pi / 4.0)
-    return expm(gen)
+    n = n_a + n_b
+    norm = math.factorial(n_a) * math.factorial(n_b) * 2**n
+    return tuple(
+        Fraction(math.factorial(m_c) * math.factorial(n - m_c)
+                 * sum((-1) ** j * math.comb(n_a, m_c - j) * math.comb(n_b, j)
+                       for j in range(max(0, m_c - n_a), min(n_b, m_c) + 1)) ** 2, norm)
+        for m_c in range(n + 1))
 
 
 @lru_cache(maxsize=1)
 def _bs_table() -> tuple:
     """Splitter output distributions of every input |k_a, k_b> with
     k_a, k_b <= FOCK_INPUT_MAX: entry [k_a][k_b][m_c] is the probability of
-    m_c photons at c and k_a + k_b - m_c at d, as plain floats."""
-    d = FOCK_TOTAL_CUTOFF + 1
-    u = _bs_unitary()
-    table = []
-    for k_a in range(FOCK_INPUT_MAX + 1):
-        row = []
-        for k_b in range(FOCK_INPUT_MAX + 1):
-            col = u[:, k_a * d + k_b]
-            dist = (col * col).reshape(d, d)
-            tot = k_a + k_b
-            row.append(tuple(float(dist[m_c, tot - m_c]) for m_c in range(tot + 1)))
-        table.append(tuple(row))
-    return tuple(table)
+    m_c photons at c and k_a + k_b - m_c at d, each exact value rounded
+    once to the nearest float."""
+    return tuple(tuple(tuple(map(float, _bs_exact(k_a, k_b)))
+                       for k_b in range(FOCK_INPUT_MAX + 1))
+                 for k_a in range(FOCK_INPUT_MAX + 1))
 
 
 def _binomial_weights(n: int, t: float) -> list:
@@ -225,7 +214,7 @@ def fock_pair_yield(n_a: int, n_b: int, arm_t: float, p_d: float) -> FockYield:
     loss, interfere on the balanced splitter and hit threshold detectors.
 
     Loss acts as a binomial on each input before the splitter; the
-    splitter itself is evolved exactly on the truncated number space.
+    splitter probabilities are exact rationals, each rounded once.
     With unlimited decoy intensities these equal the yields entering the
     phase-error bound.
     """

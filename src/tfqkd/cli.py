@@ -127,11 +127,13 @@ def sigma_map_cmd(scenario_id, config, dl_start, dl_stop, dl_points, tau_start,
     dl = np.geomspace(dl_start, dl_stop, dl_points)
     taus = np.geomspace(tau_start, tau_stop, tau_points)
     m = sigma_map(cfg.topology, dl, taus, cfg.budget, cfg.laser, cfg.fiber)
+    # isolines first, so that a bad level leaves no partial output
+    iso = None if isolines_out is None else _csv_text(
+        ("level_rad", "delta_l_km", "tau_q_s"),
+        [(lv, d, t) for lv in level for d, t in zip(m.delta_l_km, m.isoline(lv))])
     _write(m.csv_text(), out)
-    if isolines_out is not None:
-        _write(_csv_text(("level_rad", "delta_l_km", "tau_q_s"), (
-            (lv, d, t) for lv in level
-            for d, t in zip(m.delta_l_km, m.isoline(lv)))), isolines_out)
+    if iso is not None:
+        _write(iso, isolines_out)
 
 
 @main.command()

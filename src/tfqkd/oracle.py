@@ -1,10 +1,11 @@
 """Independent brute-force validators for the analytic channel models.
 
-Three routes that deliberately avoid the code paths they check: a seeded
+Three routes that avoid the approximations they check: a seeded
 Monte-Carlo simulation of threshold-detector clicks on interfering
-attenuated coherent pulses, an exact combinatorial beamsplitter
-distribution for photon-number inputs, and exact Poisson-mixture gains
-for the decoy-state formulas.
+attenuated coherent pulses, the exact combinatorial beamsplitter
+distribution for photon-number inputs (the rationals behind the CAL
+splitter table, rounded once), and exact Poisson-mixture gains for the
+decoy-state formulas.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from typing import Union
 
 import numpy as np
 
+from .cal import _bs_exact
 from .decoy import ChannelErrorModel
 from .errors import DomainError
 
@@ -192,27 +194,12 @@ def fock_bs_distribution(n_a: int, n_b: int) -> np.ndarray:
 
     Entry k of the returned array is the probability of finding k photons
     in output port c (and n_a + n_b - k in port d) for the input
-    |n_a, n_b>.  Amplitudes are summed combinatorially with log-space
-    factorials to keep large n stable.
+    |n_a, n_b>: the exact rational of the combinatorial amplitude sum,
+    rounded once.
     """
     if n_a < 0 or n_b < 0 or n_a + n_b > 12:
         raise DomainError("fock_bs_distribution supports 0 <= n_a + n_b <= 12")
-    from scipy.special import gammaln
-
-    n = n_a + n_b
-    probs = np.zeros(n + 1)
-    log_norm = -0.5 * (gammaln(n_a + 1) + gammaln(n_b + 1)) - 0.5 * n * math.log(2.0)
-    for mc in range(n + 1):
-        md = n - mc
-        amp = 0.0
-        for i in range(max(0, mc - n_b), min(n_a, mc) + 1):
-            j = mc - i
-            log_term = (gammaln(n_a + 1) - gammaln(i + 1) - gammaln(n_a - i + 1)
-                        + gammaln(n_b + 1) - gammaln(j + 1) - gammaln(n_b - j + 1)
-                        + 0.5 * (gammaln(mc + 1) + gammaln(md + 1)) + log_norm)
-            amp += (-1.0) ** (n_b - j) * math.exp(log_term)
-        probs[mc] = amp * amp
-    return probs
+    return np.array([float(p) for p in _bs_exact(n_a, n_b)])
 
 
 def poisson_true_yields(m: ChannelErrorModel, n: int) -> tuple[float, float]:
@@ -239,14 +226,13 @@ def poisson_yield_gain(mu: float, m: ChannelErrorModel) -> tuple[float, float]:
     """
     if mu < 0:
         raise DomainError("intensity must be >= 0")
-    from scipy.special import gammaln
-
     n_max = 20
     while math.exp(-mu + (n_max + 1) * math.log(max(mu, 1e-300))
-                   - gammaln(n_max + 2)) > 1e-15 and n_max < 10_000:
+                   - math.lgamma(n_max + 2)) > 1e-15 and n_max < 10_000:
         n_max *= 2
     ns = np.arange(n_max + 1)
-    log_pn = -mu + ns * (np.log(mu) if mu > 0 else 0.0) - gammaln(ns + 1)
+    log_fact = np.array([math.lgamma(n + 1) for n in range(n_max + 1)])
+    log_pn = -mu + ns * (np.log(mu) if mu > 0 else 0.0) - log_fact
     p_n = np.exp(log_pn)
     if mu == 0.0:
         p_n = np.zeros(n_max + 1)

@@ -52,6 +52,7 @@ __all__ = [
 
 DETECTORS = {"snspd": SNSPD, "spad": SPAD}
 PROTOCOL_NAMES = ("bb84", "sns", "sns_aopp", "cal", "plob", "plob_realistic")
+MAX_SWEEP_POINTS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -184,6 +185,8 @@ class SweepSpec:
             raise DomainError("sweep start, stop and step must be finite")
         if self.step <= 0 or self.stop < self.start or self.start < 0:
             raise DomainError("sweep range requires 0 <= start <= stop and step > 0")
+        if self._size() > MAX_SWEEP_POINTS:
+            raise DomainError(f"sweep grid exceeds {MAX_SWEEP_POINTS} points")
         if not self.protocols:
             raise DomainError("protocol list must not be empty")
         for name in self.protocols:
@@ -194,11 +197,16 @@ class SweepSpec:
         if self.alpha < 0 or self.a_plus < 0:
             raise DomainError("attenuation terms must be >= 0")
 
+    def _size(self) -> int:
+        """Point count, capped at MAX_SWEEP_POINTS + 1 so that any range
+        counts; a 1e-9 step slack keeps whole-step ranges from losing their
+        last point to rounding."""
+        return math.floor(min((self.stop - self.start) / self.step + 1e-9,
+                              MAX_SWEEP_POINTS)) + 1
+
     def grid(self) -> np.ndarray:
-        """Points start + k*step up to stop; a 1e-9 step slack keeps whole-step
-        ranges from losing their last point to rounding."""
-        n = int(math.floor((self.stop - self.start) / self.step + 1e-9)) + 1
-        return self.start + self.step * np.arange(n)
+        """Points start + k*step up to stop."""
+        return self.start + self.step * np.arange(self._size())
 
 
 @dataclass(frozen=True)

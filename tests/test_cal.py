@@ -2,6 +2,8 @@
 phase-error bound and rate."""
 
 import math
+from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -126,37 +128,46 @@ def oracle_click_pattern(n_a, n_b, t, p_d):
     return res
 
 
-def dense_splitter_yield(n_a, n_b, t, p_d):
-    """The same loop over the full splitter output array of each input,
-    accumulated in a numpy array: must agree with fock_pair_yield bit for
-    bit."""
-    from tfqkd.cal import FOCK_TOTAL_CUTOFF, _bs_unitary
+@lru_cache(maxsize=None)
+def exact_splitter(n_a, n_b):
+    """Independent exact route: expand (x + y)^n_a (x - y)^n_b, with x and
+    y the creation operators of ports c and d, in integers; the
+    coefficient k of x^m_c y^m_d gives the probability
+    k^2 m_c! m_d! / (2^n n_a! n_b!)."""
+    poly = [1]  # poly[m] is the coefficient of x^m
+    for sign in (1,) * n_a + (-1,) * n_b:  # times (x + sign y)
+        poly = [(poly[m - 1] if m > 0 else 0) + sign * (poly[m] if m < len(poly) else 0)
+                for m in range(len(poly) + 1)]
+    n = n_a + n_b
+    norm = 2**n * math.factorial(n_a) * math.factorial(n_b)
+    return tuple(Fraction(k * k * math.factorial(m_c) * math.factorial(n - m_c), norm)
+                 for m_c, k in enumerate(poly))
 
-    d = FOCK_TOTAL_CUTOFF + 1
-    res = np.zeros(4)
-    pa = [math.comb(n_a, k) * t**k * (1.0 - t) ** (n_a - k) for k in range(n_a + 1)]
-    pb = [math.comb(n_b, k) * t**k * (1.0 - t) ** (n_b - k) for k in range(n_b + 1)]
+
+def exact_pair_yield(n_a, n_b, t, p_d):
+    """(none, c_only, d_only, both) of the float inputs as exact Fractions.
+
+    With t = a/q and p_d = b/r, every term is an integer over the common
+    denominator q^n 2^12 6!^2 r^2, so the sums run in integers.
+    """
+    a, q = t.as_integer_ratio()
+    b, r = p_d.as_integer_ratio()
+    scale = 2**12 * math.factorial(6) ** 2  # a multiple of every splitter denominator
+    res = [0] * 4
     for k_a in range(n_a + 1):
         for k_b in range(n_b + 1):
-            w = pa[k_a] * pb[k_b]
-            if w == 0.0:
-                continue
-            col = _bs_unitary()[:, k_a * d + k_b]
-            dist = (col * col).reshape(d, d)
-            tot = k_a + k_b
-            for m_c in range(tot + 1):
-                m_d = tot - m_c
-                p_bs = dist[m_c, m_d]
-                if p_bs == 0.0:
-                    continue
-                click_c = 1.0 if m_c > 0 else p_d
-                click_d = 1.0 if m_d > 0 else p_d
-                ww = w * p_bs
-                res[0] += ww * (1 - click_c) * (1 - click_d)
-                res[1] += ww * click_c * (1 - click_d)
-                res[2] += ww * (1 - click_c) * click_d
-                res[3] += ww * click_c * click_d
-    return tuple(float(v) for v in res)
+            w = (math.comb(n_a, k_a) * math.comb(n_b, k_b) * a ** (k_a + k_b)
+                 * (q - a) ** (n_a + n_b - k_a - k_b))
+            dist = exact_splitter(k_a, k_b)
+            for m_c, p_bs in enumerate(dist):
+                ww = w * int(p_bs * scale)
+                pc = r if m_c > 0 else b
+                pd_ = r if m_c < len(dist) - 1 else b
+                res[0] += ww * (r - pc) * (r - pd_)
+                res[1] += ww * pc * (r - pd_)
+                res[2] += ww * (r - pc) * pd_
+                res[3] += ww * pc * pd_
+    return [Fraction(v, q ** (n_a + n_b) * scale * r * r) for v in res]
 
 
 class TestFockPairYield:
@@ -201,14 +212,51 @@ class TestFockPairYield:
                         assert y.both == pytest.approx(ref["both"], abs=1e-12)
                         assert y.none == pytest.approx(ref["none"], abs=1e-12)
 
-    def test_bitwise_equal_to_dense_splitter_loop(self):
+    def test_splitter_table_is_exact_and_correctly_rounded(self):
+        from tfqkd.cal import FOCK_INPUT_MAX, _bs_table
+
+        table = _bs_table()
+        zeros = 0
+        for k_a in range(FOCK_INPUT_MAX + 1):
+            for k_b in range(FOCK_INPUT_MAX + 1):
+                ref = exact_splitter(k_a, k_b)
+                assert sum(ref) == 1
+                assert table[k_a][k_b] == tuple(float(p) for p in ref)
+                zeros += sum(p == 0.0 for p in table[k_a][k_b])
+        assert zeros == 31  # the Hong-Ou-Mandel cancellations
+
+    def test_splitter_table_matches_matrix_exponential(self):
+        # exp[(pi/4)(a^dag b - a b^dag)] on the two-mode space of up to 12
+        # photons, which the generator leaves invariant
+        from scipy.linalg import expm
+
+        from tfqkd.cal import FOCK_INPUT_MAX, _bs_table
+
+        d = 2 * FOCK_INPUT_MAX + 1
+        a = np.diag(np.sqrt(np.arange(1.0, d)), k=1)
+        a_full, b_full = np.kron(a, np.eye(d)), np.kron(np.eye(d), a)
+        u = expm((a_full.T @ b_full - a_full @ b_full.T) * (np.pi / 4.0))
+        entries = 0
+        for k_a, row in enumerate(_bs_table()):
+            for k_b, dist in enumerate(row):
+                col = u[:, k_a * d + k_b].reshape(d, d)
+                for m_c, p in enumerate(dist):
+                    assert abs(p - col[m_c, k_a + k_b - m_c] ** 2) <= 1e-14
+                    entries += 1
+        assert entries == 343
+
+    def test_within_sixteen_ulp_of_exact(self):
+        # the splitter is exact; what remains is the rounding of the float
+        # loss and click arithmetic (at most 11 ulp on this grid)
         for t in (0.0, 1.0, 1e-300, 5e-324, 1e-6, 0.3, 0.5, 0.9):
             for p_d in (0.0, 1.0, 1e-8, 0.5):
                 for n_a in range(7):
                     for n_b in range(7):
                         y = fock_pair_yield(n_a, n_b, t, p_d)
-                        assert (y.none, y.c_only, y.d_only, y.both) == \
-                            dense_splitter_yield(n_a, n_b, t, p_d)
+                        got = (y.none, y.c_only, y.d_only, y.both)
+                        for v, ref in zip(got, exact_pair_yield(n_a, n_b, t, p_d)):
+                            assert abs(Fraction(v) - ref) <= 16 * Fraction(
+                                math.ulp(float(ref))), (n_a, n_b, t, p_d)
 
     def test_cutoff_enforced(self):
         with pytest.raises(DomainError):

@@ -88,6 +88,14 @@ class TestSweepSpec:
         with pytest.raises(DomainError):
             SweepSpec(**{field: value})
 
+    def test_rejects_oversized_grid(self):
+        from tfqkd.scenarios import MAX_SWEEP_POINTS
+
+        assert SweepSpec(stop=MAX_SWEEP_POINTS - 1).grid().size == MAX_SWEEP_POINTS
+        for stop, step in ((MAX_SWEEP_POINTS, 1.0), (1e15, 1.0), (1.0, 1e-320)):
+            with pytest.raises(DomainError):
+                SweepSpec(stop=stop, step=step)
+
 
 class TestRunSweep:
     def test_rows_ordered_and_complete(self):
@@ -416,7 +424,8 @@ class TestCli:
         ["scenario", "2", "--step", "nan"],
         ["scenario", "2", "--start", "0", "--stop", "inf"],
         ["sigma-map", "--scenario", "1", "--dl-points", "2", "--tau-points", "3",
-         "--level", "nan", "--isolines-out", "ISOLINES_OUT"]])
+         "--level", "nan", "--isolines-out", "ISOLINES_OUT"],
+        ["scenario", "2", "--stop", "1e15"]])
     def test_bad_input_exits_without_traceback(self, args, tmp_path):
         nan_budget = tmp_path / "nan_budget.yaml"
         nan_budget.write_text("scenario: {preset: 1}\nbudget: {tau_max_s: .nan}\n")
@@ -427,3 +436,11 @@ class TestCli:
         assert isinstance(res.exception, SystemExit)
         assert res.exit_code != 0
         assert "Traceback" not in res.output
+
+    def test_bad_isoline_level_writes_no_map(self, tmp_path):
+        res = CliRunner().invoke(cli_main, [
+            "sigma-map", "--scenario", "1", "--dl-points", "2", "--tau-points", "3",
+            "--level", "nan", "--isolines-out", str(tmp_path / "isolines.csv")])
+        assert res.exit_code == 1
+        assert res.stdout == ""
+        assert not (tmp_path / "isolines.csv").exists()
