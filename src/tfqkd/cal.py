@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .decoy import _check_f_ec, binary_entropy
+from .decoy import _check_f_ec, _h2, _scalars
 from .errors import DomainError
 
 __all__ = [
@@ -65,8 +65,9 @@ class CalParams:
 class CalChannel:
     """Channel as seen by the signal states.
 
-    gamma = arm_t * mu_zeta combines per-arm transmittance and intensity;
-    the interference contrast is omega = cos(sigma_phi) cos(theta).
+    gamma = arm_t * mu_zeta combines per-arm transmittance and intensity
+    (an array of them in the sweeps); the interference contrast is
+    omega = cos(sigma_phi) cos(theta).
     """
 
     gamma: float
@@ -74,20 +75,40 @@ class CalChannel:
     theta: float = 0.0
 
     def __post_init__(self):
-        if self.gamma < 0:
+        if np.any(self.gamma < 0):
             raise DomainError("gamma must be >= 0")
 
     @property
     def omega(self) -> float:
         return math.cos(self.sigma_phi) * math.cos(self.theta)
 
+    @property
+    def contrast_loss(self) -> float:
+        """1 - omega as 2 sin^2(sigma_phi/2) + cos(sigma_phi) 2 sin^2(theta/2),
+        which keeps its digits when both angles are small."""
+        return 2.0 * (math.sin(self.sigma_phi / 2.0) ** 2
+                      + math.cos(self.sigma_phi) * math.sin(self.theta / 2.0) ** 2)
+
 
 def make_cal_channel(arm_t: float, p: CalParams, sigma_phi: float = 0.0,
                      theta: float = 0.0) -> CalChannel:
-    """Channel for a given per-arm effective transmittance."""
-    if not 0.0 <= arm_t <= 1.0:
+    """Channel for a given per-arm effective transmittance (or an array of them)."""
+    if not np.all((0.0 <= arm_t) & (arm_t <= 1.0)):
         raise DomainError("arm transmittance must lie in [0, 1]")
     return CalChannel(gamma=arm_t * p.mu_zeta, sigma_phi=sigma_phi, theta=theta)
+
+
+def _check_dark(p_d: float) -> None:
+    if not 0.0 <= p_d <= 1.0:
+        raise DomainError("dark probability must lie in [0, 1]")
+
+
+def _cal_bracket(g, omega: float, p_d: float):
+    """cosh(g omega) - (1 - p_d) e^{-g} as a sum of terms >= 0:
+    cosh(y) - 1 = e^2 / (2 (1 + e)) with e = expm1(|y|), plus
+    p_d - (1 - p_d) expm1(-g)."""
+    e = np.expm1(np.abs(g * omega))
+    return e * e / (2.0 * (1.0 + e)) + p_d - (1.0 - p_d) * np.expm1(-g)
 
 
 def cal_gain(ch: CalChannel, p_d: float) -> float:
@@ -97,11 +118,13 @@ def cal_gain(ch: CalChannel, p_d: float) -> float:
     - (1-p_d)^2 e^{-2 gamma}; the two single-click outcomes are equal by
     symmetry.
     """
-    if not 0.0 <= p_d <= 1.0:
-        raise DomainError("dark probability must lie in [0, 1]")
-    g, om = ch.gamma, ch.omega
-    return float(0.5 * (1 - p_d) * (math.exp(-g * om) + math.exp(g * om))
-                 * math.exp(-g) - (1 - p_d) ** 2 * math.exp(-2 * g))
+    return float(_cal_gain(ch, p_d))
+
+
+def _cal_gain(ch: CalChannel, p_d: float):
+    """cal_gain as (1-p_d) e^{-gamma} [cosh(gamma omega) - (1-p_d) e^{-gamma}]."""
+    _check_dark(p_d)
+    return (1.0 - p_d) * np.exp(-ch.gamma) * _cal_bracket(ch.gamma, ch.omega, p_d)
 
 
 def cal_bit_error(ch: CalChannel, p_d: float) -> float:
@@ -110,13 +133,17 @@ def cal_bit_error(ch: CalChannel, p_d: float) -> float:
     Grows with the phase mismatch through omega and tends to 1/2 when dark
     counts dominate.
     """
-    if not 0.0 <= p_d <= 1.0:
-        raise DomainError("dark probability must lie in [0, 1]")
-    g, om = ch.gamma, ch.omega
-    den = math.exp(-g * om) + math.exp(g * om) - 2 * (1 - p_d) * math.exp(-g)
-    if den <= 0.0:
+    return float(_cal_bit_error(ch, p_d))
+
+
+def _cal_bit_error(ch: CalChannel, p_d: float):
+    """(e^{-gamma omega} - (1-p_d) e^{-gamma}) / (2 [cosh(gamma omega) - (1-p_d) e^{-gamma}])
+    with the numerator as e^{-gamma} [expm1(gamma (1 - omega)) + p_d]."""
+    _check_dark(p_d)
+    den = 2.0 * _cal_bracket(ch.gamma, ch.omega, p_d)
+    if np.any(den <= 0.0):
         raise DomainError("bit error undefined at zero gain")
-    return float((math.exp(-g * om) - (1 - p_d) * math.exp(-g)) / den)
+    return np.exp(-ch.gamma) * (np.expm1(ch.gamma * ch.contrast_loss) + p_d) / den
 
 
 def _parity_weight(mu: float, j: int) -> float:
@@ -144,6 +171,21 @@ def _cat_tail(mu: float, j: int, m_max: int, last: float) -> float:
     if q >= 1.0:
         raise DomainError("m_max too small for this intensity")
     return last * q / (1.0 - q)
+
+
+@lru_cache(maxsize=64)
+def _cat_remainder(mu: float, j: int, m_max: int, sset: tuple) -> float:
+    """(amplitude sum + tail)^2 minus the amplitude products over sset.
+
+    This is the sum of the products over the pairs outside sset plus the
+    tail terms, so it is summed as such, term by term, and nothing cancels.
+    """
+    raw = _cat_raw(mu, j, m_max)
+    tail = _cat_tail(mu, j, m_max, raw[-1])
+    pairs = np.outer(raw, raw)
+    for m_a, m_b in sset:
+        pairs[m_a, m_b] -= raw[m_a] * raw[m_b]
+    return float(pairs.sum() + (2.0 * raw.sum() + tail) * tail)
 
 
 def cat_coefficients(mu_zeta: float, j: int, n_max: int) -> np.ndarray:
@@ -182,21 +224,26 @@ def _bs_exact(n_a: int, n_b: int) -> tuple:
         for m_c in range(n + 1))
 
 
-@lru_cache(maxsize=1)
-def _bs_table() -> tuple:
-    """Splitter output distributions of every input |k_a, k_b> with
-    k_a, k_b <= FOCK_INPUT_MAX: entry [k_a][k_b][m_c] is the probability of
-    m_c photons at c and k_a + k_b - m_c at d, each exact value rounded
-    once to the nearest float."""
-    return tuple(tuple(tuple(map(float, _bs_exact(k_a, k_b)))
-                       for k_b in range(FOCK_INPUT_MAX + 1))
-                 for k_a in range(FOCK_INPUT_MAX + 1))
+@lru_cache(maxsize=None)
+def _yield_coefficients(n_a: int, n_b: int) -> tuple:
+    """The pair yields of |n_a, n_b> as polynomials in the transmittance.
 
-
-def _binomial_weights(n: int, t: float) -> list:
-    """Survivor distribution of n photons through transmittance t; plain
-    powers stay finite for any t in [0, 1], subnormals included."""
-    return [math.comb(n, k) * t**k * (1.0 - t) ** (n - k) for k in range(n + 1)]
+    Entry k of (all_c, all_d, split) sums, over the survivor pairs
+    k_a + k_b = k >= 1, C(n_a, k_a) C(n_b, k_b) times the splitter
+    probability that all k photons leave at c, all at d, or some at each.
+    Each exact sum is rounded once.
+    """
+    sums = [[Fraction(0)] * (n_a + n_b + 1) for _ in range(3)]
+    for k_a in range(n_a + 1):
+        for k_b in range(n_b + 1):
+            k = k_a + k_b
+            if k == 0:
+                continue
+            mult = math.comb(n_a, k_a) * math.comb(n_b, k_b)
+            dist = _bs_exact(k_a, k_b)
+            for acc, prob in zip(sums, (dist[k], dist[0], 1 - dist[0] - dist[k])):
+                acc[k] += mult * prob
+    return tuple(tuple(map(float, acc)) for acc in sums)
 
 
 @dataclass(frozen=True)
@@ -213,36 +260,35 @@ def fock_pair_yield(n_a: int, n_b: int, arm_t: float, p_d: float) -> FockYield:
     """Exact click-pattern probabilities when |n_a>, |n_b> cross per-arm
     loss, interfere on the balanced splitter and hit threshold detectors.
 
-    Loss acts as a binomial on each input before the splitter; the
-    splitter probabilities are exact rationals, each rounded once.
-    With unlimited decoy intensities these equal the yields entering the
-    phase-error bound.
+    Loss leaves k of the n = n_a + n_b photons with weight
+    t^k (1 - t)^(n - k) times an exact rational coefficient; with no
+    survivor only dark counts click.  With unlimited decoy intensities
+    these equal the yields entering the phase-error bound.
     """
+    return _scalars(_fock_pair_yield(n_a, n_b, arm_t, p_d))
+
+
+def _fock_pair_yield(n_a: int, n_b: int, arm_t, p_d: float) -> FockYield:
+    """fock_pair_yield of every transmittance in arm_t, as arrays."""
     if not 0 <= n_a <= FOCK_INPUT_MAX or not 0 <= n_b <= FOCK_INPUT_MAX:
         raise DomainError(f"photon numbers must lie in [0, {FOCK_INPUT_MAX}]")
-    if not 0.0 <= arm_t <= 1.0 or not 0.0 <= p_d <= 1.0:
+    if not np.all((0.0 <= arm_t) & (arm_t <= 1.0)) or not 0.0 <= p_d <= 1.0:
         raise DomainError("arm_t and p_d must lie in [0, 1]")
-    none = c_only = d_only = both = 0.0
-    pa = _binomial_weights(n_a, arm_t)
-    pb = _binomial_weights(n_b, arm_t)
-    table = _bs_table()
-    for k_a in range(n_a + 1):
-        for k_b in range(n_b + 1):
-            w = pa[k_a] * pb[k_b]
-            if w == 0.0:
-                continue
-            tot = k_a + k_b
-            for m_c, p_bs in enumerate(table[k_a][k_b]):
-                if p_bs == 0.0:
-                    continue
-                click_c = 1.0 if m_c > 0 else p_d
-                click_d = 1.0 if m_c < tot else p_d
-                ww = w * p_bs
-                none += ww * (1 - click_c) * (1 - click_d)
-                c_only += ww * click_c * (1 - click_d)
-                d_only += ww * (1 - click_c) * click_d
-                both += ww * click_c * click_d
-    return FockYield(none=none, c_only=c_only, d_only=d_only, both=both)
+    n = n_a + n_b
+    loss = 1.0 - arm_t
+    vacuum = np.power(loss, n)
+    coef_c, coef_d, coef_split = _yield_coefficients(n_a, n_b)
+    at_c = at_d = split = 0.0  # survivors all at c, all at d, at both
+    for k in range(1, n + 1):
+        weight = np.power(arm_t, k) * np.power(loss, n - k)
+        at_c = at_c + coef_c[k] * weight
+        at_d = at_d + coef_d[k] * weight
+        split = split + coef_split[k] * weight
+    dark = p_d * (1.0 - p_d) * vacuum
+    return FockYield(none=(1.0 - p_d) * (1.0 - p_d) * vacuum,
+                     c_only=dark + (1.0 - p_d) * at_c,
+                     d_only=dark + (1.0 - p_d) * at_d,
+                     both=p_d * p_d * vacuum + split + p_d * (at_c + at_d))
 
 
 def cal_phase_error(p: CalParams, ch: CalChannel, p_d: float) -> float:
@@ -255,36 +301,37 @@ def cal_phase_error(p: CalParams, ch: CalChannel, p_d: float) -> float:
     only phase-randomized quantities, so it does not move with sigma_phi;
     it may exceed 1/2, which downstream rates clamp.
     """
+    return float(_cal_phase_error(p, ch, p_d))
+
+
+def _cal_phase_error(p: CalParams, ch: CalChannel, p_d: float):
+    """cal_phase_error of every gamma in ch, as an array."""
     if p.mu_zeta <= 0:
         raise DomainError("intensity must be > 0")
     arm_t = ch.gamma / p.mu_zeta
-    if arm_t > 1.0 + 1e-12:
+    if np.any(arm_t > 1.0 + 1e-12):
         raise DomainError("channel gamma inconsistent with intensity")
-    arm_t = min(arm_t, 1.0)
-    gain_ref = cal_gain(replace(ch, sigma_phi=0.0), p_d)
-    if gain_ref <= 0.0:
+    arm_t = np.minimum(arm_t, 1.0)
+    gain_ref = _cal_gain(replace(ch, sigma_phi=0.0), p_d)
+    if np.any(gain_ref <= 0.0):
         raise DomainError("phase error undefined at zero gain")
     total = 0.0
     for j, sset in ((0, p.set_even), (1, p.set_odd)):
         raw = _cat_raw(p.mu_zeta, j, p.m_max)
         explicit = 0.0
-        overlap = 0.0
         for m_a, m_b in sset:
-            y = fock_pair_yield(2 * m_a + j, 2 * m_b + j, arm_t, p_d).c_only
-            explicit += raw[m_a] * raw[m_b] * math.sqrt(max(y, 0.0))
-            overlap += raw[m_a] * raw[m_b]
-        amp_sum = float(raw.sum()) + _cat_tail(p.mu_zeta, j, p.m_max, raw[-1])
-        delta = amp_sum**2 - overlap
-        total += (explicit + delta) ** 2
+            y = _fock_pair_yield(2 * m_a + j, 2 * m_b + j, arm_t, p_d).c_only
+            explicit = explicit + raw[m_a] * raw[m_b] * np.sqrt(np.maximum(y, 0.0))
+        total = total + np.square(explicit + _cat_remainder(p.mu_zeta, j, p.m_max, sset))
     return total / gain_ref
 
 
-def _cal_key(p_xx: float, e_x: float, e_z: float, f_ec: float) -> float:
+def _cal_key(p_xx, e_x, e_z, f_ec: float):
     """2 p_xx [1 - f_ec H2(e_x) - H2(min(1/2, e_z))] floored at 0, e_x
     clamped to [0, 1]."""
-    e_x = min(max(e_x, 0.0), 1.0)
-    bracket = 1.0 - f_ec * binary_entropy(e_x) - binary_entropy(min(0.5, e_z))
-    return max(0.0, 2.0 * p_xx * bracket)
+    bracket = 1.0 - f_ec * _h2(np.clip(e_x, 0.0, 1.0)) - _h2(np.minimum(0.5, e_z))
+    key = 2.0 * p_xx * bracket
+    return np.where(key > 0.0, key, 0.0)
 
 
 def cal_rate(p: CalParams, ch: CalChannel, p_d: float, f_ec: float) -> float:
@@ -296,4 +343,4 @@ def cal_rate(p: CalParams, ch: CalChannel, p_d: float, f_ec: float) -> float:
     p_xx = cal_gain(ch, p_d)
     if p_xx <= 0.0:
         return 0.0
-    return _cal_key(p_xx, cal_bit_error(ch, p_d), cal_phase_error(p, ch, p_d), f_ec)
+    return float(_cal_key(p_xx, cal_bit_error(ch, p_d), cal_phase_error(p, ch, p_d), f_ec))

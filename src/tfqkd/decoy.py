@@ -8,7 +8,7 @@ single-photon estimation of the sending-or-not-sending protocol.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,13 +27,25 @@ __all__ = [
 ]
 
 
+def _scalars(obj):
+    """The dataclass obj with each array-valued field of a single point
+    turned into a Python scalar; the public per-point functions of the
+    protocol modules return their kernels' results through it."""
+    return replace(obj, **{k: np.asarray(v).item() for k, v in vars(obj).items()})
+
+
 def binary_entropy(p: float) -> float:
     """H2(p) with H2(0) = H2(1) = 0; symmetric about 1/2."""
-    if not 0.0 <= p <= 1.0:
+    return float(_h2(p))
+
+
+def _h2(p):
+    """binary_entropy of each entry of p."""
+    if not np.all((0.0 <= p) & (p <= 1.0)):
         raise DomainError("binary entropy argument must lie in [0, 1]")
-    if p == 0.0 or p == 1.0:
-        return 0.0
-    return float(-p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p))
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0 log 0 at the ends
+        h = -p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p)
+    return np.where((p == 0.0) | (p == 1.0), 0.0, h)
 
 
 def _check_f_ec(f_ec: float) -> None:
@@ -59,7 +71,10 @@ class DecoySet:
 
 @dataclass(frozen=True)
 class ChannelErrorModel:
-    """Effective transmittance, dark counts per signal and the two error terms."""
+    """Effective transmittance, dark counts per signal and the two error terms.
+
+    The sweeps pass an array of transmittances as eta_hat.
+    """
 
     eta_hat: float
     p_dc: float
@@ -69,7 +84,7 @@ class ChannelErrorModel:
     def __post_init__(self):
         for name in ("eta_hat", "p_dc", "e_theta", "e_phi"):
             val = getattr(self, name)
-            if not 0.0 <= val <= 1.0:
+            if not np.all((0.0 <= val) & (val <= 1.0)):
                 raise DomainError(f"{name} must lie in [0, 1]")
 
     @property
@@ -79,9 +94,15 @@ class ChannelErrorModel:
 
 def gain(mu: float, m: ChannelErrorModel) -> float:
     """Click probability for intensity mu: 1 - (1 - p_dc) exp(-mu eta_hat)."""
+    return float(_gain(mu, m))
+
+
+def _gain(mu, m):
+    """gain, as p_dc - (1 - p_dc) expm1(-mu eta_hat), which keeps its
+    digits where exp(-mu eta_hat) is close to 1."""
     if mu < 0:
         raise DomainError("intensity must be >= 0")
-    return float(1.0 - (1.0 - m.p_dc) * np.exp(-mu * m.eta_hat))
+    return m.p_dc - (1.0 - m.p_dc) * np.expm1(-mu * m.eta_hat)
 
 
 def error_gain(mu: float, m: ChannelErrorModel) -> float:
@@ -90,22 +111,26 @@ def error_gain(mu: float, m: ChannelErrorModel) -> float:
     Dark counts err half the time; misalignment and phase noise err on the
     detected-signal fraction: p_dc/2 + (e_theta + e_phi - p_dc/2)(1 - exp(-mu eta_hat)).
     """
+    return float(_error_gain(mu, m))
+
+
+def _error_gain(mu, m):
     if mu < 0:
         raise DomainError("intensity must be >= 0")
     signal = -np.expm1(-mu * m.eta_hat)
-    return float(m.p_dc / 2.0 + (m.e_total - m.p_dc / 2.0) * signal)
+    return m.p_dc / 2.0 + (m.e_total - m.p_dc / 2.0) * signal
 
 
 def qber(mu: float, m: ChannelErrorModel) -> float:
     """Total QBER E_mu = error_gain / gain, clamped to [0, 1]."""
-    return _qber(mu, m, gain(mu, m))
+    return float(_qber(_error_gain(mu, m), _gain(mu, m)))
 
 
-def _qber(mu: float, m: ChannelErrorModel, q: float) -> float:
-    """qber(mu, m) for a caller that already has q = gain(mu, m)."""
-    if q <= 0.0:
+def _qber(eq, q):
+    """QBER from the error gain eq and the gain q."""
+    if np.any(q <= 0.0):
         raise DomainError("QBER undefined at zero gain")
-    return min(max(error_gain(mu, m) / q, 0.0), 1.0)
+    return np.clip(eq / q, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -125,32 +150,34 @@ class DecoyBounds:
 
 def decoy_bounds(s: DecoySet, m: ChannelErrorModel) -> DecoyBounds:
     """Closed-form three-intensity bounds, all clamped to [0, 1]."""
+    return _scalars(_bounds(s, m))
+
+
+def _bounds(s: DecoySet, m: ChannelErrorModel) -> DecoyBounds:
+    """decoy_bounds of every transmittance in m.eta_hat, as arrays."""
     u, v, w = s.u, s.v, s.w
-    q_u, q_v, q_w = gain(u, m), gain(v, m), gain(w, m)
-    eq_v, eq_w = error_gain(v, m), error_gain(w, m)
+    q_u, q_v, q_w = _gain(u, m), _gain(v, m), _gain(w, m)
+    eq_v, eq_w = _error_gain(v, m), _error_gain(w, m)
     e_u, e_v, e_w = np.exp(u), np.exp(v), np.exp(w)
 
-    y0 = (v * q_w * e_w - w * q_v * e_v) / (v - w)
-    y0 = float(min(max(y0, 0.0), 1.0))
+    y0 = np.clip((v * q_w * e_w - w * q_v * e_v) / (v - w), 0.0, 1.0)
     y1 = (u**2 * (q_v * e_v - q_w * e_w) - (v**2 - w**2) * (q_u * e_u - y0)) \
         / (u * (u - v - w) * (v - w))
-    if y1 <= 0.0:
-        return DecoyBounds(y0_low=y0, y1_low=0.0, q1_low=0.0, e1ph_up=1.0, ok=False,
-                           q_u=q_u)
-    y1 = float(min(y1, 1.0))
-    q1 = float(min(max(y1 * u * np.exp(-u), 0.0), 1.0))
-    e1 = (eq_v * e_v - eq_w * e_w) / ((v - w) * y1)
-    e1 = float(min(max(e1, 0.0), 1.0))
-    return DecoyBounds(y0_low=y0, y1_low=y1, q1_low=q1, e1ph_up=e1, ok=True, q_u=q_u)
+    ok = y1 > 0.0
+    y1 = np.where(ok, np.minimum(y1, 1.0), 0.0)
+    q1 = np.clip(y1 * u * np.exp(-u), 0.0, 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # y1 = 0 where not ok
+        e1 = np.clip((eq_v * e_v - eq_w * e_w) / ((v - w) * y1), 0.0, 1.0)
+    return DecoyBounds(y0_low=y0, y1_low=y1, q1_low=q1, e1ph_up=np.where(ok, e1, 1.0),
+                       ok=ok, q_u=q_u)
 
 
-def _bb84_key(b: DecoyBounds, e_u: float, f_ec: float) -> float:
+def _bb84_key(b: DecoyBounds, e_u, f_ec: float):
     """Q1 (1 - H2(e1ph)) - f_ec Q_u H2(E_u) floored at 0; no key when the
     single-photon estimation failed."""
-    if not b.ok:
-        return 0.0
-    privacy = 1.0 - binary_entropy(min(b.e1ph_up, 0.5))
-    return max(0.0, b.q1_low * privacy - f_ec * b.q_u * binary_entropy(e_u))
+    privacy = 1.0 - _h2(np.minimum(b.e1ph_up, 0.5))
+    key = b.q1_low * privacy - f_ec * b.q_u * _h2(e_u)
+    return np.where(b.ok & (key > 0.0), key, 0.0)
 
 
 def bb84_rate(s: DecoySet, m: ChannelErrorModel, f_ec: float) -> float:
@@ -159,7 +186,7 @@ def bb84_rate(s: DecoySet, m: ChannelErrorModel, f_ec: float) -> float:
     R = Q1 (1 - H2(e1ph)) - f_ec * Q_u * H2(E_u).
     """
     _check_f_ec(f_ec)
-    b = decoy_bounds(s, m)
+    b = _bounds(s, m)
     if not b.ok:
         return 0.0
-    return _bb84_key(b, _qber(s.u, m, b.q_u), f_ec)
+    return float(_bb84_key(b, _qber(_error_gain(s.u, m), b.q_u), f_ec))

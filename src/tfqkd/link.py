@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -95,44 +96,61 @@ def balanced_link(ch: ChannelParams) -> LinkBudget:
     """Transmittance budget after balancing the arms at the middle node.
 
     The lossier arm (length l_a plus instrumentation loss) sets the pace;
-    the other arm is padded to match, so eta = eta_arm^2 and the effective
-    length is 2 l_a.
+    the other arm is padded to match, so the total loss is twice that
+    arm's and the effective length is 2 l_a.
     """
-    att_db = ch.alpha * ch.l_a + ch.a_plus
-    eta_arm = 10.0 ** (-att_db / 10.0)
-    return LinkBudget(eta=eta_arm**2, eta_arm=eta_arm, l_eff_km=2.0 * ch.l_a)
+    budget = link_from_attenuation(_balanced_db(ch.alpha, ch.a_plus, ch.l_a))
+    return replace(budget, l_eff_km=2.0 * ch.l_a)
+
+
+def _balanced_db(alpha, a_plus, l_a):
+    """Total loss in dB of a balanced link whose lossier arm has length
+    l_a (an array in the sweeps): 2 (alpha l_a + a_plus)."""
+    return 2.0 * (alpha * l_a + a_plus)
 
 
 def link_from_attenuation(total_db: float) -> LinkBudget:
     """Budget for a given total (end-to-end) attenuation in dB, arms balanced."""
     if total_db < 0:
         raise DomainError("attenuation must be >= 0 dB")
-    eta = 10.0 ** (-total_db / 10.0)
-    return LinkBudget(eta=eta, eta_arm=float(np.sqrt(eta)), l_eff_km=float("nan"))
+    eta = _transmittance([total_db]).item()
+    return LinkBudget(eta=eta, eta_arm=math.sqrt(eta), l_eff_km=float("nan"))
 
 
-def effective_transmittance(eta: float, det: DetectorParams) -> float:
-    """Total transmittance including detector efficiency."""
-    if not 0.0 <= eta <= 1.0:
+def _transmittance(total_db) -> np.ndarray:
+    """10^(-dB/10) of each loss, each a Python float power: numpy's array
+    power differs from it in the last bit on some inputs."""
+    return np.array([10.0 ** (-a / 10.0) for a in np.asarray(total_db, dtype=float).tolist()])
+
+
+def effective_transmittance(eta, det: DetectorParams):
+    """Total transmittance including detector efficiency; eta may be an array."""
+    if not np.all((0.0 <= eta) & (eta <= 1.0)):
         raise DomainError("transmittance must lie in [0, 1]")
     return eta * det.eta_d
 
 
-def arm_transmittance(eta_hat: float) -> float:
+def arm_transmittance(eta_hat):
     """Per-arm effective transmittance used by the twin-field protocols.
 
     The detector efficiency is shared evenly between the arms: from the
     full effective transmittance eta_hat = eta * eta_d (see
     effective_transmittance), t = sqrt(eta_hat), so the product of the two
-    arms equals eta_hat.
+    arms equals eta_hat.  eta_hat may be an array.
     """
-    if not 0.0 <= eta_hat <= 1.0:
+    if not np.all((0.0 <= eta_hat) & (eta_hat <= 1.0)):
         raise DomainError("effective transmittance must lie in [0, 1]")
-    return float(np.sqrt(eta_hat))
+    return np.sqrt(eta_hat)
 
 
 def plob_bound(eta: float) -> float:
     """Repeaterless secret-key capacity -log2(1 - eta) in bits per signal."""
     if not 0.0 <= eta < 1.0:
         raise DomainError("plob_bound requires eta in [0, 1)")
-    return float(-np.log2(1.0 - eta))
+    return float(_plob(eta))
+
+
+def _plob(eta):
+    """-log2(1 - eta) as -log1p(-eta)/ln 2, which keeps its digits at small
+    eta where 1 - eta rounds to 1; infinite at eta = 1."""
+    return -np.log1p(-eta) / math.log(2.0)

@@ -4,7 +4,7 @@ Three routes that avoid the approximations they check: a seeded
 Monte-Carlo simulation of threshold-detector clicks on interfering
 attenuated coherent pulses, the exact combinatorial beamsplitter
 distribution for photon-number inputs (the rationals behind the CAL
-splitter table, rounded once), and exact Poisson-mixture gains for the
+pair yields, rounded once), and exact Poisson-mixture gains for the
 decoy-state formulas.
 """
 

@@ -12,7 +12,7 @@ identical key-rate curves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -20,17 +20,18 @@ import numpy as np
 from . import cal as cal_mod
 from . import sns as sns_mod
 from .coherence import CoherenceBudget, _csv_text, solve_tau_q
-from .decoy import ChannelErrorModel, DecoySet, _bb84_key, _check_f_ec, _qber, decoy_bounds
+from .decoy import ChannelErrorModel, DecoySet, _bb84_key, _bounds, _check_f_ec, _error_gain, _qber
 from .errors import DomainError
 from .link import (
     SNSPD,
     SPAD,
     DetectorParams,
     MisalignmentParams,
+    _balanced_db,
+    _plob,
+    _transmittance,
     arm_transmittance,
     effective_transmittance,
-    link_from_attenuation,
-    plob_bound,
 )
 from .spectra import FiberParams, LaserSpec, TopologyConfig, TopologyKind, interference_spectrum
 
@@ -232,69 +233,69 @@ def solve_scenario(preset: ScenarioPreset,
     return solve_tau_q(spectrum, budget)
 
 
-def _rates_at(att_db: float, det: DetectorParams, op: OperatingPoint,
-              prot: ProtocolParams, protocols: Sequence[str]):
-    eta = link_from_attenuation(att_db).eta
+def _rates(eta: np.ndarray, det: DetectorParams, op: OperatingPoint,
+           prot: ProtocolParams, protocols: Sequence[str]):
+    """Rates, diagnostics and failure masks of the selected protocols at
+    every total transmittance in eta, each one array over the grid."""
     eta_hat = effective_transmittance(eta, det)
     arm_t = arm_transmittance(eta_hat)
     nu_s = det.clock_rate
     duty = op.duty
+    e_theta = prot.misalignment.e_theta
     rates: dict = {}
     diag: dict = {}
-    flags: list = []
+    failed: dict = {}
 
-    if "plob" in protocols:
-        rates["plob"] = math.inf if eta >= 1.0 else plob_bound(eta) * nu_s
-    if "plob_realistic" in protocols:
-        rates["plob_realistic"] = (math.inf if eta_hat >= 1.0
-                                   else plob_bound(eta_hat) * nu_s)
+    with np.errstate(divide="ignore"):  # eta = 1 at 0 dB: an infinite bound
+        if "plob" in protocols:
+            rates["plob"] = _plob(eta) * nu_s
+        if "plob_realistic" in protocols:
+            rates["plob_realistic"] = _plob(eta_hat) * nu_s
     # Rate functions give key per transmitted signal; the duty cycle is
     # applied here.
     if "bb84" in protocols:
         # Self-referenced receiver: no twin-field stabilization overhead,
         # asymptotic duty cycle 1; the channel error model still carries
         # the scenario phase-noise QBER.
-        m = ChannelErrorModel(eta_hat=eta_hat, p_dc=det.p_dc,
-                              e_theta=prot.misalignment.e_theta, e_phi=op.e_phi)
-        b = decoy_bounds(prot.decoys, m)
-        e_u = _qber(prot.decoys.u, m, b.q_u) if b.q_u > 0 else 0.0
+        m = ChannelErrorModel(eta_hat=eta_hat, p_dc=det.p_dc, e_theta=e_theta,
+                              e_phi=op.e_phi)
+        b = _bounds(prot.decoys, m)
+        clicked = b.q_u > 0
+        e_u = np.zeros(eta.size)
+        e_u[clicked] = _qber(_error_gain(prot.decoys.u, m)[clicked], b.q_u[clicked])
         rates["bb84"] = _bb84_key(b, e_u, prot.f_ec) * nu_s
         diag["bb84_gain_u"] = b.q_u
         diag["bb84_qber_u"] = e_u
-        if not b.ok:
-            flags.append("bb84_estimation_failed")
+        failed["bb84_estimation_failed"] = ~b.ok
     if "sns" in protocols or "sns_aopp" in protocols:
-        stats = sns_mod.sns_window_stats(
-            prot.sns, prot.decoys, arm_t, det, e_phi=op.e_phi,
-            e_theta=prot.misalignment.e_theta)
+        stats = sns_mod._window_stats(prot.sns, prot.decoys, arm_t, det.p_dc,
+                                      op.e_phi, e_theta)
         diag["sns_n_t"] = stats.n_t
         diag["sns_e_z"] = stats.e_z
         diag["sns_n1_low"] = stats.n1_low
         diag["sns_e1ph_up"] = stats.e1ph_up
-        if not stats.decoy_ok:
-            flags.append("sns_estimation_failed")
+        failed["sns_estimation_failed"] = ~stats.decoy_ok
         if "sns" in protocols:
-            rates["sns"] = sns_mod.sns_rate(stats, prot.sns, prot.f_ec) * duty * nu_s
+            rates["sns"] = sns_mod._sns_rate(stats, prot.sns, prot.f_ec) * duty * nu_s
         if "sns_aopp" in protocols:
-            aopp = sns_mod.aopp_transform(stats)
+            aopp = sns_mod._aopp(stats)
             diag["sns_aopp_e_z"] = aopp.e_z_prime
-            rates["sns_aopp"] = (sns_mod.sns_aopp_rate(aopp, prot.sns, prot.f_ec)
-                                 * duty * nu_s)
+            rates["sns_aopp"] = sns_mod._aopp_rate(aopp, prot.sns, prot.f_ec) * duty * nu_s
     if "cal" in protocols:
         ch = cal_mod.make_cal_channel(arm_t, prot.cal, sigma_phi=op.sigma_phi,
                                       theta=prot.misalignment.theta)
-        p_xx = cal_mod.cal_gain(ch, det.p_dc)
-        if p_xx > 0.0:
-            e_x = cal_mod.cal_bit_error(ch, det.p_dc)
-            e_z = cal_mod.cal_phase_error(prot.cal, ch, det.p_dc)
-            rates["cal"] = cal_mod._cal_key(p_xx, e_x, e_z, prot.f_ec) * duty * nu_s
-        else:
-            e_x, e_z = 0.0, 1.0
-            rates["cal"] = 0.0
+        p_xx = cal_mod._cal_gain(ch, det.p_dc)
+        # bit and phase error only where there is gain, as cal_rate does
+        keyed = p_xx > 0.0
+        ch_keyed = replace(ch, gamma=ch.gamma[keyed])
+        e_x, e_z = np.zeros(eta.size), np.ones(eta.size)
+        e_x[keyed] = cal_mod._cal_bit_error(ch_keyed, det.p_dc)
+        e_z[keyed] = cal_mod._cal_phase_error(prot.cal, ch_keyed, det.p_dc)
+        rates["cal"] = cal_mod._cal_key(p_xx, e_x, e_z, prot.f_ec) * duty * nu_s
         diag["cal_gain"] = p_xx
         diag["cal_e_x"] = e_x
         diag["cal_e_z_bound"] = e_z
-    return rates, diag, tuple(flags)
+    return rates, diag, failed
 
 
 def run_sweep(scenario, spec: Optional[SweepSpec] = None,
@@ -303,9 +304,10 @@ def run_sweep(scenario, spec: Optional[SweepSpec] = None,
     """Key-rate sweep for a scenario.
 
     The coherence operating point is fixed per scenario (solved for the
-    nominal 114 km arms), not re-solved per sweep point.  Individual
-    protocol estimation failures are recorded as zero rate with a flag
-    and the sweep continues.
+    nominal 114 km arms), not re-solved per sweep point.  The length axis
+    is the total length of a balanced link with equal arms
+    (link.balanced_link).  Individual protocol estimation failures are
+    recorded as zero rate with a flag and the sweep continues.
     """
     if isinstance(scenario, int):
         scenario = builtin_scenario(scenario)
@@ -316,16 +318,23 @@ def run_sweep(scenario, spec: Optional[SweepSpec] = None,
     if not isinstance(op, OperatingPoint):
         raise DomainError("scenario must be a preset id, ScenarioPreset or OperatingPoint")
 
-    rows = []
-    for x in spec.grid():
-        att = float(x) if spec.x_axis == "total_attenuation_db" \
-            else spec.alpha * float(x) + spec.a_plus
-        rates, diag, flags = _rates_at(att, det, op, prot, spec.protocols)
-        rows.append(SweepRow(
-            x_name=spec.x_axis, x=float(x), rates=rates, duty_cycle=op.duty,
-            sigma_phi=op.sigma_phi, e_phi=op.e_phi, diagnostics=diag,
-            flags=flags))
-    return rows
+    x = spec.grid()
+    att = x if spec.x_axis == "total_attenuation_db" \
+        else _balanced_db(spec.alpha, spec.a_plus, x / 2.0)
+    rates, diag, failed = _rates(_transmittance(att), det, op, prot, spec.protocols)
+    n = x.size
+    return [SweepRow(x_name=spec.x_axis, x=xi, rates=r, duty_cycle=op.duty,
+                     sigma_phi=op.sigma_phi, e_phi=op.e_phi, diagnostics=d,
+                     flags=tuple(name for name, f in fl.items() if f))
+            for xi, r, d, fl in zip(x.tolist(), _per_point(rates, n), _per_point(diag, n),
+                                    _per_point(failed, n))]
+
+
+def _per_point(arrays: dict, n: int) -> list:
+    """One {name: value} dict per grid point from one array per name."""
+    if not arrays:
+        return [{} for _ in range(n)]
+    return [dict(zip(arrays, v)) for v in zip(*(a.tolist() for a in arrays.values()))]
 
 
 def format_csv(rows: Sequence[SweepRow]) -> str:

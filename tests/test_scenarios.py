@@ -1,6 +1,8 @@
 """Scenario presets, sweeps, configuration loading and CSV emission."""
 
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +10,10 @@ from click.testing import CliRunner
 
 import tfqkd
 from tfqkd import (
+    PROTOCOL_NAMES,
     SNSPD,
+    ChannelErrorModel,
+    ChannelParams,
     ConfigError,
     DecoySet,
     DetectorParams,
@@ -16,18 +21,86 @@ from tfqkd import (
     FullConfig,
     ProtocolParams,
     SweepSpec,
+    aopp_transform,
+    arm_transmittance,
+    balanced_link,
+    bb84_rate,
     builtin_scenarios,
+    cal_bit_error,
+    cal_gain,
+    cal_phase_error,
+    cal_rate,
+    decoy_bounds,
     dump_config,
+    effective_transmittance,
     format_csv,
     link_from_attenuation,
     loads_config,
     load_config,
+    make_cal_channel,
     plob_bound,
+    qber,
     run_sweep,
+    sns_aopp_rate,
+    sns_rate,
+    sns_window_stats,
 )
 from tfqkd.cli import main as cli_main
+from tfqkd.scenarios import builtin_scenario
 
 CONFIG_PATH = "configs/scenario1.yaml"
+
+
+def scalar_point(sid, spec, x):
+    """(rates, diagnostics, flags) of one sweep point from the public
+    per-point functions: the per-point loop the sweep replaced."""
+    op, prot = builtin_scenario(sid).operating_point, ProtocolParams()
+    det = tfqkd.DETECTORS[spec.detector]
+    if spec.x_axis == "total_attenuation_db":
+        eta = link_from_attenuation(x).eta
+    else:
+        eta = balanced_link(ChannelParams(alpha=spec.alpha, a_plus=spec.a_plus,
+                                          l_a=x / 2, l_b=x / 2)).eta
+    eta_hat = effective_transmittance(eta, det)
+    arm_t = arm_transmittance(eta_hat)
+    nu, duty, p_dc = det.clock_rate, op.duty, det.p_dc
+    rates, diag, flags = {}, {}, []
+    if "plob" in spec.protocols:
+        rates["plob"] = math.inf if eta >= 1.0 else plob_bound(eta) * nu
+    if "plob_realistic" in spec.protocols:
+        rates["plob_realistic"] = math.inf if eta_hat >= 1.0 else plob_bound(eta_hat) * nu
+    if "bb84" in spec.protocols:
+        m = ChannelErrorModel(eta_hat=eta_hat, p_dc=p_dc,
+                              e_theta=prot.misalignment.e_theta, e_phi=op.e_phi)
+        b = decoy_bounds(prot.decoys, m)
+        rates["bb84"] = bb84_rate(prot.decoys, m, prot.f_ec) * nu
+        diag["bb84_gain_u"] = b.q_u
+        diag["bb84_qber_u"] = qber(prot.decoys.u, m) if b.q_u > 0 else 0.0
+        if not b.ok:
+            flags.append("bb84_estimation_failed")
+    if "sns" in spec.protocols or "sns_aopp" in spec.protocols:
+        s = sns_window_stats(prot.sns, prot.decoys, arm_t, det, e_phi=op.e_phi,
+                             e_theta=prot.misalignment.e_theta)
+        diag.update(sns_n_t=s.n_t, sns_e_z=s.e_z, sns_n1_low=s.n1_low,
+                    sns_e1ph_up=s.e1ph_up)
+        if not s.decoy_ok:
+            flags.append("sns_estimation_failed")
+        if "sns" in spec.protocols:
+            rates["sns"] = sns_rate(s, prot.sns, prot.f_ec) * duty * nu
+        if "sns_aopp" in spec.protocols:
+            a = aopp_transform(s)
+            diag["sns_aopp_e_z"] = a.e_z_prime
+            rates["sns_aopp"] = sns_aopp_rate(a, prot.sns, prot.f_ec) * duty * nu
+    if "cal" in spec.protocols:
+        ch = make_cal_channel(arm_t, prot.cal, sigma_phi=op.sigma_phi,
+                              theta=prot.misalignment.theta)
+        p_xx = cal_gain(ch, p_dc)
+        keyed = p_xx > 0.0
+        rates["cal"] = cal_rate(prot.cal, ch, p_dc, prot.f_ec) * duty * nu
+        diag["cal_gain"] = p_xx
+        diag["cal_e_x"] = cal_bit_error(ch, p_dc) if keyed else 0.0
+        diag["cal_e_z_bound"] = cal_phase_error(prot.cal, ch, p_dc) if keyed else 1.0
+    return rates, diag, tuple(flags)
 
 
 class TestPresets:
@@ -112,6 +185,15 @@ class TestRunSweep:
         row_a = run_sweep(2, SweepSpec(start=20.0, stop=20.0, step=1.0))[0]
         assert row_l.rates["sns_aopp"] == row_a.rates["sns_aopp"]
 
+    def test_length_axis_pads_both_arms(self):
+        # a balanced link of 2 x 50 km charges a_plus to each arm, as
+        # balanced_link does: 0.2 * 100 + 2 * 1.5 = 23 dB
+        spec = SweepSpec(x_axis="total_length_km", start=100.0, stop=100.0, a_plus=1.5)
+        row = run_sweep(2, spec)[0]
+        budget = balanced_link(ChannelParams(alpha=0.2, a_plus=1.5, l_a=50.0, l_b=50.0))
+        assert budget.eta == link_from_attenuation(23.0).eta
+        assert row.rates == run_sweep(2, SweepSpec(start=23.0, stop=23.0))[0].rates
+
     def test_protocol_subset(self):
         rows = run_sweep(2, SweepSpec(start=40, stop=40, step=1,
                                       protocols=("cal", "plob_realistic")))
@@ -133,14 +215,16 @@ class TestRunSweep:
         import tfqkd.decoy as decoy_mod
         import tfqkd.scenarios as scen_mod
         import tfqkd.sns as sns_mod
-        from tfqkd import DecoyBounds
+
+        bounds = decoy_mod._bounds
 
         def failing(s, m):
-            return DecoyBounds(y0_low=0.0, y1_low=0.0, q1_low=0.0,
-                               e1ph_up=1.0, ok=False, q_u=decoy_mod.gain(s.u, m))
+            b = bounds(s, m)
+            return replace(b, y1_low=0.0 * b.y1_low, q1_low=0.0 * b.q1_low,
+                           e1ph_up=np.ones_like(b.e1ph_up), ok=np.zeros_like(b.ok))
 
         for mod in (decoy_mod, scen_mod, sns_mod):
-            monkeypatch.setattr(mod, "decoy_bounds", failing)
+            monkeypatch.setattr(mod, "_bounds", failing)
         rows = run_sweep(2, SweepSpec(start=40, stop=42, step=1.0))
         assert len(rows) == 3
         for r in rows:
@@ -150,39 +234,78 @@ class TestRunSweep:
             assert "bb84_estimation_failed" in r.flags
             assert r.rates["cal"] > 0.0  # unaffected protocol keeps running
 
-    def test_each_kernel_runs_once_per_point(self, monkeypatch):
-        # every point evaluates the CAL phase-error bound once, one decoy
-        # bound for BB84 and one for SNS, each decoy gain once, and the
-        # effective transmittance once; the grid reaches the losses where
-        # BB84 has no key
+    def test_kernel_calls_do_not_grow_with_points(self, monkeypatch):
+        # a sweep evaluates each kernel once over its whole grid: every
+        # function of the link and protocol modules is called as often for
+        # 11 points as for 101, and none of the per-point public functions
+        # is called at all; the grid reaches the losses where BB84 has no key
+        import inspect
+
         import tfqkd.cal as cal_mod
         import tfqkd.decoy as decoy_mod
         import tfqkd.link as link_mod
         import tfqkd.scenarios as scen_mod
         import tfqkd.sns as sns_mod
 
-        calls = {}
+        holders = (cal_mod, decoy_mod, link_mod, scen_mod, sns_mod)
+        calls: dict = {}
 
-        def counted(mod, name):
-            orig = getattr(mod, name)
-
+        def counted(name, fn):
             def wrapper(*args, **kwargs):
                 calls[name] = calls.get(name, 0) + 1
-                return orig(*args, **kwargs)
+                return fn(*args, **kwargs)
+            return wrapper
 
-            for holder in (cal_mod, decoy_mod, link_mod, scen_mod, sns_mod):
-                if getattr(holder, name, None) is orig:
-                    monkeypatch.setattr(holder, name, wrapper)
+        for mod in (cal_mod, decoy_mod, link_mod, sns_mod):
+            for name, fn in list(vars(mod).items()):
+                if inspect.isfunction(fn) and fn.__module__ == mod.__name__:
+                    wrapper = counted(f"{mod.__name__}.{name}", fn)
+                    for holder in holders:
+                        if getattr(holder, name, None) is fn:
+                            monkeypatch.setattr(holder, name, wrapper)
+        per_sweep = []
+        for step in (10.0, 1.0):
+            calls.clear()
+            rows = run_sweep(2, SweepSpec(start=0, stop=100, step=step))
+            assert any(r.rates["bb84"] == 0.0 for r in rows)
+            per_sweep.append(dict(calls))
+        assert per_sweep[0] == per_sweep[1]
+        public = {f"{m.__name__}.{n}" for m in (cal_mod, decoy_mod, link_mod, sns_mod)
+                  for n in m.__all__}
+        assert public & set(per_sweep[0]) == {"tfqkd.cal.make_cal_channel",
+                                              "tfqkd.link.effective_transmittance",
+                                              "tfqkd.link.arm_transmittance"}
+        assert all(per_sweep[0][f"tfqkd.link.{n}"] == 1
+                   for n in ("effective_transmittance", "arm_transmittance", "_transmittance"))
 
-        counted(cal_mod, "cal_phase_error")
-        counted(decoy_mod, "decoy_bounds")
-        counted(decoy_mod, "gain")
-        counted(link_mod, "effective_transmittance")
-        rows = run_sweep(2, SweepSpec(start=0, stop=100, step=10))
-        n = len(rows)
-        assert n == 11 and any("bb84" in r.rates and r.rates["bb84"] == 0.0 for r in rows)
-        assert calls == {"cal_phase_error": n, "decoy_bounds": 2 * n, "gain": 6 * n,
-                         "effective_transmittance": n}
+    @pytest.mark.parametrize("sid, detector, protocols", [
+        (2, "snspd", PROTOCOL_NAMES), (5, "spad", PROTOCOL_NAMES),
+        (3, "snspd", ("cal", "plob_realistic")), (2, "spad", ("sns_aopp",)),
+        (7, "snspd", ("bb84", "plob")), (5, "snspd", ("sns", "cal"))])
+    def test_rows_equal_scalar_functions(self, sid, detector, protocols):
+        # every value, diagnostic and flag of a sweep row equals the public
+        # per-point functions composed at that point
+        spec = SweepSpec(start=0.0, stop=130.0, step=2.5, detector=detector,
+                         protocols=protocols)
+        lengths = SweepSpec(x_axis="total_length_km", start=0.0, stop=400.0, step=25.0,
+                            detector=detector, protocols=protocols, a_plus=1.5)
+        for sp in (spec, lengths):
+            for row in run_sweep(sid, sp):
+                assert (row.rates, row.diagnostics, row.flags) == scalar_point(sid, sp, row.x)
+
+    def test_edge_grid(self):
+        # 0 dB (eta = 1, an infinite PLOB bound) to 200 dB with warnings as
+        # errors; from 3240 dB eta underflows to 0 and the SNS window
+        # statistics reject the zero arm transmittance, as before
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = run_sweep(2, SweepSpec(start=0.0, stop=200.0, step=0.5))
+        assert rows[0].rates["plob"] == math.inf
+        assert all(0.0 < r.rates["plob"] < math.inf for r in rows[1:])
+        assert all(v >= 0.0 for r in rows for v in r.rates.values())
+        for start in (3240.0, 3230.0):
+            with pytest.raises(DomainError, match="arm transmittance"):
+                run_sweep(2, SweepSpec(start=start, stop=3250.0, step=5.0))
 
     def test_curves_below_physical_bounds(self):
         # direct-link protocol under the total-channel capacity; twin-field

@@ -42,6 +42,12 @@ class TestEffectiveClickProbability:
         got = effective_click_probability(0.0, 0.0, 0.5, p_dc)
         assert got == pytest.approx(2.0 * p_dc * (1.0 - p_dc), rel=1e-9)
 
+    def test_rejects_intensities_beyond_the_closed_form(self):
+        # exp(-S) and I0(x) would under- and overflow
+        effective_click_probability(500.0, 500.0, 1.0, 0.0)
+        with pytest.raises(DomainError):
+            effective_click_probability(600.0, 600.0, 1.0, 0.0)
+
     def test_matches_monte_carlo(self):
         for seed, (mu_a, mu_b, t, p_dc) in enumerate([
                 (0.2, 0.2, 0.03, 1e-8), (0.2, 5e-6, 0.1, 1e-7),
