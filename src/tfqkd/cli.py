@@ -15,7 +15,7 @@ from . import sns as sns_mod
 from .cal import CalParams, cal_gain, make_cal_channel
 from .coherence import _csv_text, sigma_map, solve_tau_q
 from .config import FullConfig, load_config
-from .errors import TfqkdError
+from .errors import DomainError, TfqkdError
 from .link import MisalignmentParams
 from .scenarios import (
     DETECTORS,
@@ -123,17 +123,18 @@ def tau_solve(scenario_id, config, out):
 def sigma_map_cmd(scenario_id, config, dl_start, dl_stop, dl_points, tau_start,
                   tau_stop, tau_points, level, out, isolines_out):
     """Map sigma_phi over (mismatch, integration time) and extract isolines."""
+    if not np.all(np.isfinite(level)):
+        raise DomainError("isoline levels must be finite")
     cfg = _context(scenario_id, config)
     dl = np.geomspace(dl_start, dl_stop, dl_points)
     taus = np.geomspace(tau_start, tau_stop, tau_points)
     m = sigma_map(cfg.topology, dl, taus, cfg.budget, cfg.laser, cfg.fiber)
-    # isolines first, so that a bad level leaves no partial output
-    iso = None if isolines_out is None else _csv_text(
-        ("level_rad", "delta_l_km", "tau_q_s"),
-        [(lv, d, t) for lv in level for d, t in zip(m.delta_l_km, m.isoline(lv))])
     _write(m.csv_text(), out)
-    if iso is not None:
-        _write(iso, isolines_out)
+    if isolines_out is not None:
+        _write(_csv_text(
+            ("level_rad", "delta_l_km", "tau_q_s"),
+            [(lv, d, t) for lv in level for d, t in zip(m.delta_l_km, m.isoline(lv))]),
+            isolines_out)
 
 
 @main.command()

@@ -80,18 +80,12 @@ def _tail_integral(func, f_hi: float, body: float) -> float:
     return float(np.trapezoid(g, u) + remainder)
 
 
-def _simpson_tail(f: np.ndarray, y: np.ndarray, y_end: np.ndarray) -> np.ndarray:
-    """Entry i is the integral of y from f[2i] to f[-1]: the trapezoid in
-    ln f (on f*y) lifted by one Richardson step against every other node,
-    which is Simpson's rule on equal step pairs and stays finite on
-    zero-width ones.  A step starts on y and ends on y_end, which differ
-    only at a jump of the PSD."""
-    def trapezoid_tail(f, y, y_end):
-        seg = 0.5 * np.diff(np.log(f)) * (f[:-1] * y[:-1] + f[1:] * y_end[1:])
-        return np.append(np.cumsum(seg[::-1])[::-1], 0.0)
-
-    fine = trapezoid_tail(f, y, y_end)[::2]
-    return fine + (fine - trapezoid_tail(f[::2], y[::2], y_end[::2])) / 3.0
+def _trapezoid_tail(ln_f: np.ndarray, fy: np.ndarray, fy_end: np.ndarray) -> np.ndarray:
+    """Entry i is the trapezoid in ln f of f*y from node i to the last
+    node.  A step starts on fy and ends on fy_end, which differ only at a
+    jump of the PSD."""
+    seg = 0.5 * np.diff(ln_f) * (fy[:-1] + fy_end[1:])
+    return np.append(np.cumsum(seg[::-1])[::-1], 0.0)
 
 
 def _variance_curve(spec: Spectrum, f_query: np.ndarray, f_max: Optional[float]):
@@ -105,9 +99,10 @@ def _variance_curve(spec: Spectrum, f_query: np.ndarray, f_max: Optional[float])
     f_query below f_max as nodes.  Each node is evaluated once, with the
     exact PSD below the switch frequency and the sin^2-averaged one from
     it on; the switch node alone gets both, ending the one range and
-    starting the other.  One reverse cumulative sum (Simpson's rule) gives
-    c.  Raises DivergentIntegralError when the same rule on every other
-    node moves a queried variance by more than _GRID_RTOL.
+    starting the other.  The trapezoid tails on every, every other and
+    every fourth node, each summed once, give c by one Richardson step
+    (Simpson's rule).  Raises DivergentIntegralError when the same rule on
+    every other node moves a queried variance by more than _GRID_RTOL.
     """
     f_max = spec.default_f_max() if f_max is None else f_max
     if not f_max > 0:
@@ -128,22 +123,28 @@ def _variance_curve(spec: Spectrum, f_query: np.ndarray, f_max: Optional[float])
     # uniform in f over the sin^2 periods, from where such a step is finer
     # than a log step, and in log f elsewhere
     breaks = [f_lo, f_hi, *f_query, *spec.knees]
-    uniform = (np.inf, np.inf)
+    step = lin_lo = lin_hi = np.inf  # no uniform segment without a period
     if spec.oscillation_period is not None:
         step = spec.oscillation_period / _POINTS_PER_PERIOD
-        uniform = (step / np.expm1(np.log(10.0) / _POINTS_PER_DECADE),
-                   f_hi if f_switch is None else min(f_switch, f_hi))
-        breaks += uniform
+        lin_lo = step / np.expm1(np.log(10.0) / _POINTS_PER_DECADE)
+        lin_hi = f_hi if f_switch is None else min(f_switch, f_hi)
+        breaks += [lin_lo, lin_hi]
     breaks = np.unique(np.clip(breaks, f_lo, f_hi))
-    nodes = []
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        if uniform[0] <= a and b <= uniform[1]:
-            n = np.ceil((b - a) / step / 4)
-            nodes.append(np.linspace(a, b, 4 * int(max(n, 1)) + 1)[:-1])
-        else:
-            n = np.ceil(np.log10(b / a) * _POINTS_PER_DECADE / 4)
-            nodes.append(np.geomspace(a, b, 4 * int(max(n, 1)) + 1)[:-1])
-    f = np.append(np.concatenate(nodes), f_hi)
+    a, b = breaks[:-1], breaks[1:]
+    lin = (lin_lo <= a) & (b <= lin_hi)
+    n = np.where(lin, (b - a) / step / 4, np.log10(b / a) * _POINTS_PER_DECADE / 4)
+    x_a, x_b = np.where(lin, a, np.log10(a)), np.where(lin, b, np.log10(b))
+    count = 4 * np.maximum(np.ceil(n), 1).astype(np.intp)
+    # all nodes in one pass, by the float operations of linspace and
+    # geomspace: x_a + k * dx with dx = (x_b - x_a) / count, then 10**x in
+    # the log segments, whose node 0 is a itself
+    first = np.cumsum(count) - count
+    seg = np.repeat(np.arange(a.size), count)
+    f = x_a[seg] + (np.arange(seg.size) - first[seg]) * ((x_b - x_a) / count)[seg]
+    log = ~lin[seg]
+    f[log] = np.power(10.0, f[log])
+    f[first] = a
+    f = np.append(f, f_hi)
     # the exact PSD below the switch node, the averaged one from it on; the
     # switch node also ends the exact range with the exact value
     k = f.size if f_switch is None else int(np.searchsorted(f, f_switch))
@@ -154,8 +155,13 @@ def _variance_curve(spec: Spectrum, f_query: np.ndarray, f_max: Optional[float])
     else:
         exact, averaged = spec.func(f[:k + 1]), spec.averaged_func(f[k:])
         y, y_end = np.concatenate((exact[:-1], averaged)), np.concatenate((exact, averaged[1:]))
-    c = _simpson_tail(f, y, y_end)
-    change = np.abs(c[::2] - _simpson_tail(f[::2], y[::2], y_end[::2]))
+    # a Richardson step of each tail against the next coarser one is
+    # Simpson's rule on equal step pairs and stays finite on zero-width
+    # ones: c on every other node, and its check on every fourth
+    ln_f, fy, fy_end = np.log(f), f * y, f * y_end
+    t1, t2, t4 = (_trapezoid_tail(ln_f[::s], fy[::s], fy_end[::s]) for s in (1, 2, 4))
+    c = t1[::2] + (t1[::2] - t2) / 3.0
+    change = np.abs(c[::2] - (t2[::2] + (t2[::2] - t4) / 3.0))
     f = f[::2]
     queried = f[::2] <= f_top
     if not np.all(change[queried] <= _GRID_RTOL * c[::2][queried]):

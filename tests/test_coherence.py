@@ -46,6 +46,67 @@ def oscillatory_bare_spectrum(period):
 SIGMA_RTOL = 2e-5  # certified accuracy of sigma against the mpmath reference
 
 
+def _reference_simpson_tail(f, y, y_end):
+    def trapezoid_tail(f, y, y_end):
+        seg = 0.5 * np.diff(np.log(f)) * (f[:-1] * y[:-1] + f[1:] * y_end[1:])
+        return np.append(np.cumsum(seg[::-1])[::-1], 0.0)
+
+    fine = trapezoid_tail(f, y, y_end)[::2]
+    return fine + (fine - trapezoid_tail(f[::2], y[::2], y_end[::2])) / 3.0
+
+
+def reference_variance_curve(spec, f_query, f_max):
+    """(f, c) of the integrator's original loop: one geomspace or linspace
+    call per segment, and the Simpson tail taken on every other node again
+    for the convergence check."""
+    f_max = spec.default_f_max() if f_max is None else f_max
+    f_lo, f_top = float(np.min(f_query)), float(np.max(f_query))
+    if f_lo >= f_max:
+        return np.array([f_lo]), np.zeros(1)
+    f_switch = None
+    if spec.oscillation_period is not None and spec.averaged_func is not None:
+        f_switch = coherence.OSC_PERIODS * spec.oscillation_period
+    f_hi = f_max
+    if not np.isfinite(f_max):
+        f_hi = max(f_top * 1e4, *(k * 1e3 for k in spec.knees), f_switch or 0.0, 1.0)
+    breaks = [f_lo, f_hi, *f_query, *spec.knees]
+    uniform = (np.inf, np.inf)
+    if spec.oscillation_period is not None:
+        step = spec.oscillation_period / coherence._POINTS_PER_PERIOD
+        uniform = (step / np.expm1(np.log(10.0) / coherence._POINTS_PER_DECADE),
+                   f_hi if f_switch is None else min(f_switch, f_hi))
+        breaks += uniform
+    breaks = np.unique(np.clip(breaks, f_lo, f_hi))
+    nodes = []
+    for a, b in zip(breaks[:-1], breaks[1:]):
+        if uniform[0] <= a and b <= uniform[1]:
+            n = np.ceil((b - a) / step / 4)
+            nodes.append(np.linspace(a, b, 4 * int(max(n, 1)) + 1)[:-1])
+        else:
+            n = np.ceil(np.log10(b / a) * coherence._POINTS_PER_DECADE / 4)
+            nodes.append(np.geomspace(a, b, 4 * int(max(n, 1)) + 1)[:-1])
+    f = np.append(np.concatenate(nodes), f_hi)
+    k = f.size if f_switch is None else int(np.searchsorted(f, f_switch))
+    if k == f.size:
+        y = y_end = spec.func(f)
+    elif k == 0:
+        y = y_end = spec.averaged_func(f)
+    else:
+        exact, averaged = spec.func(f[:k + 1]), spec.averaged_func(f[k:])
+        y, y_end = np.concatenate((exact[:-1], averaged)), np.concatenate((exact, averaged[1:]))
+    c = _reference_simpson_tail(f, y, y_end)
+    change = np.abs(c[::2] - _reference_simpson_tail(f[::2], y[::2], y_end[::2]))
+    f = f[::2]
+    queried = f[::2] <= f_top
+    if not np.all(change[queried] <= coherence._GRID_RTOL * c[::2][queried]):
+        raise DivergentIntegralError(
+            "phase variance does not converge on the integration grid")
+    if not np.isfinite(f_max):
+        c += coherence._tail_integral(
+            spec.func if f_switch is None else spec.averaged_func, f_hi, c[0])
+    return f, c
+
+
 class TestPhaseVariance:
     def test_closed_form_1_over_f2(self):
         # S = a/f^2 integrates to a * tau from 1/tau to infinity
@@ -171,6 +232,81 @@ class TestAgainstReference:
         for tau in (1e-5, 1e-3):
             assert phase_variance(spec, tau, f_max=1e6) == pytest.approx(
                 reference_variance(spec, tau, f_max=1e6), rel=2 * SIGMA_RTOL)
+
+
+class TestGridAgainstLoop:
+    """The one-pass grid against the per-segment loop, bit for bit."""
+
+    @pytest.fixture
+    def compared(self, monkeypatch):
+        """Every integrator call, checked against the loop."""
+        calls = []
+        new = coherence._variance_curve
+
+        def checked(spec, f_query, f_max):
+            f, c = new(spec, f_query, f_max)
+            f_ref, c_ref = reference_variance_curve(spec, f_query, f_max)
+            assert np.array_equal(f, f_ref) and np.array_equal(c, c_ref)
+            calls.append(f.size)
+            return f, c
+
+        monkeypatch.setattr(coherence, "_variance_curve", checked)
+        return calls
+
+    def test_preset_solves(self, compared):
+        for preset in tfqkd.builtin_scenarios():
+            tfqkd.solve_scenario(preset)
+        assert len(compared) == 7
+
+    def test_demo_map_columns(self, compared):
+        topo = tfqkd.builtin_scenarios()[0].topology
+        sigma_map(topo, np.geomspace(0.005, 10.0, 12), np.geomspace(1e-6, 0.1, 16))
+        assert len(compared) == 12
+
+    def test_independent_lasers(self, compared):
+        topo = TopologyConfig(kind=TopologyKind.INDEPENDENT_LASERS)
+        spec = interference_spectrum(topo)
+        assert spec.oscillation_period is None
+        solve_tau_q(spec)
+        sigma_map(topo, [1.0], np.geomspace(1e-6, 0.1, 9))
+        assert len(compared) == 2
+
+    def test_bare_callable_tail(self, compared):
+        for tau in (1e-5, 1e-2):
+            phase_variance(flat_1_over_f2(0.7).func, tau, f_max=np.inf)
+        assert len(compared) == 2
+
+    def test_query_one_ulp_above_knee(self, compared):
+        spec = interference_spectrum(tfqkd.builtin_scenarios()[0].topology)
+        for knee in spec.knees:
+            f_query = np.array([knee / 100, np.nextafter(knee, np.inf)])
+            coherence._variance_curve(spec, f_query, None)
+        assert len(compared) == len(spec.knees)
+
+    def test_segment_shorter_than_one_step(self, compared):
+        # two queries closer than one log step, and two closer than one
+        # uniform step below the switch frequency: each segment gets the
+        # minimum of four steps
+        spec = interference_spectrum(TopologyConfig(l_a=114.0, l_b=113.0))
+        step = spec.oscillation_period / coherence._POINTS_PER_PERIOD
+        f0 = 10 * spec.oscillation_period
+        coherence._variance_curve(spec, np.array([1e5, 1e5 * (1 + 1e-6)]), None)
+        coherence._variance_curve(spec, np.array([f0, f0 + step / 3]), None)
+        assert len(compared) == 2
+
+
+def test_grid_makes_no_per_segment_numpy_call(monkeypatch):
+    taus = np.geomspace(1e-6, 0.1, 200)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("per-segment grid call")
+
+    monkeypatch.setattr(np, "geomspace", forbidden)
+    monkeypatch.setattr(np, "linspace", forbidden)
+    m = sigma_map(tfqkd.builtin_scenarios()[3].topology, [2.5], taus)
+    assert np.all(np.isfinite(m.sigma_phi))
+    for preset in tfqkd.builtin_scenarios():
+        assert np.isfinite(tfqkd.solve_scenario(preset).tau_q)
 
 
 class TestOneEvaluationPerFrequency:

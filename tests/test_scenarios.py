@@ -560,6 +560,14 @@ class TestCli:
         assert res.exit_code != 0
         assert "Traceback" not in res.output
 
+    @pytest.mark.parametrize("level", ["nan", "inf", "-inf"])
+    def test_non_finite_level_rejected_without_isolines_out(self, level):
+        res = CliRunner().invoke(cli_main, [
+            "sigma-map", "--scenario", "6", "--level", "0.2", "--level", level])
+        assert res.exit_code == 1
+        assert res.stdout == ""
+        assert "isoline levels must be finite" in res.output
+
     def test_bad_isoline_level_writes_no_map(self, tmp_path):
         res = CliRunner().invoke(cli_main, [
             "sigma-map", "--scenario", "1", "--dl-points", "2", "--tau-points", "3",
