@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .decoy import _check_f_ec, _h2, _scalars
+from .decoy import _check_f_ec, _scalars, binary_entropy
 from .errors import DomainError
 
 __all__ = [
@@ -52,8 +52,8 @@ class CalParams:
     m_max: int = 20
 
     def __post_init__(self):
-        if self.mu_zeta <= 0:
-            raise DomainError("signal intensity must be > 0")
+        if not 0 < self.mu_zeta < np.inf:
+            raise DomainError("signal intensity must be finite and > 0")
         if self.m_max < 2:
             raise DomainError("m_max must be >= 2")
         top = max(2 * m + 1 for pair in self.set_even + self.set_odd for m in pair)
@@ -65,9 +65,8 @@ class CalParams:
 class CalChannel:
     """Channel as seen by the signal states.
 
-    gamma = arm_t * mu_zeta combines per-arm transmittance and intensity
-    (an array of them in the sweeps); the interference contrast is
-    omega = cos(sigma_phi) cos(theta).
+    gamma = arm_t * mu_zeta combines per-arm transmittance and intensity;
+    the interference contrast is omega = cos(sigma_phi) cos(theta).
     """
 
     gamma: float
@@ -75,8 +74,10 @@ class CalChannel:
     theta: float = 0.0
 
     def __post_init__(self):
-        if np.any(self.gamma < 0):
-            raise DomainError("gamma must be >= 0")
+        if not np.all((0 <= self.gamma) & (self.gamma < np.inf)):
+            raise DomainError("gamma must be finite and >= 0")
+        if not (-np.inf < self.sigma_phi < np.inf and -np.inf < self.theta < np.inf):
+            raise DomainError("sigma_phi and theta must be finite")
 
     @property
     def omega(self) -> float:
@@ -90,9 +91,9 @@ class CalChannel:
                       + math.cos(self.sigma_phi) * math.sin(self.theta / 2.0) ** 2)
 
 
-def make_cal_channel(arm_t: float, p: CalParams, sigma_phi: float = 0.0,
+def make_cal_channel(arm_t, p: CalParams, sigma_phi: float = 0.0,
                      theta: float = 0.0) -> CalChannel:
-    """Channel for a given per-arm effective transmittance (or an array of them)."""
+    """Channel for a given per-arm effective transmittance."""
     if not np.all((0.0 <= arm_t) & (arm_t <= 1.0)):
         raise DomainError("arm transmittance must lie in [0, 1]")
     return CalChannel(gamma=arm_t * p.mu_zeta, sigma_phi=sigma_phi, theta=theta)
@@ -111,39 +112,31 @@ def _cal_bracket(g, omega: float, p_d: float):
     return e * e / (2.0 * (1.0 + e)) + p_d - (1.0 - p_d) * np.expm1(-g)
 
 
-def cal_gain(ch: CalChannel, p_d: float) -> float:
+def cal_gain(ch: CalChannel, p_d: float):
     """Gain of one single-click outcome when both parties pick the key basis.
 
     (1/2)(1-p_d)(e^{-gamma omega} + e^{gamma omega}) e^{-gamma}
-    - (1-p_d)^2 e^{-2 gamma}; the two single-click outcomes are equal by
-    symmetry.
+    - (1-p_d)^2 e^{-2 gamma}, evaluated as
+    (1-p_d) e^{-gamma} [cosh(gamma omega) - (1-p_d) e^{-gamma}]; the two
+    single-click outcomes are equal by symmetry.
     """
-    return float(_cal_gain(ch, p_d))
-
-
-def _cal_gain(ch: CalChannel, p_d: float):
-    """cal_gain as (1-p_d) e^{-gamma} [cosh(gamma omega) - (1-p_d) e^{-gamma}]."""
     _check_dark(p_d)
-    return (1.0 - p_d) * np.exp(-ch.gamma) * _cal_bracket(ch.gamma, ch.omega, p_d)
+    return _scalars((1.0 - p_d) * np.exp(-ch.gamma) * _cal_bracket(ch.gamma, ch.omega, p_d))
 
 
-def cal_bit_error(ch: CalChannel, p_d: float) -> float:
+def cal_bit_error(ch: CalChannel, p_d: float):
     """Bit-error rate of the single-click key outcomes.
 
+    (e^{-gamma omega} - (1-p_d) e^{-gamma}) / (2 [cosh(gamma omega) - (1-p_d) e^{-gamma}])
+    with the numerator as e^{-gamma} [expm1(gamma (1 - omega)) + p_d].
     Grows with the phase mismatch through omega and tends to 1/2 when dark
-    counts dominate.
+    counts dominate; undefined where the gain is 0.
     """
-    return float(_cal_bit_error(ch, p_d))
-
-
-def _cal_bit_error(ch: CalChannel, p_d: float):
-    """(e^{-gamma omega} - (1-p_d) e^{-gamma}) / (2 [cosh(gamma omega) - (1-p_d) e^{-gamma}])
-    with the numerator as e^{-gamma} [expm1(gamma (1 - omega)) + p_d]."""
     _check_dark(p_d)
     den = 2.0 * _cal_bracket(ch.gamma, ch.omega, p_d)
     if np.any(den <= 0.0):
         raise DomainError("bit error undefined at zero gain")
-    return np.exp(-ch.gamma) * (np.expm1(ch.gamma * ch.contrast_loss) + p_d) / den
+    return _scalars(np.exp(-ch.gamma) * (np.expm1(ch.gamma * ch.contrast_loss) + p_d) / den)
 
 
 def _parity_weight(mu: float, j: int) -> float:
@@ -256,7 +249,7 @@ class FockYield:
     both: float
 
 
-def fock_pair_yield(n_a: int, n_b: int, arm_t: float, p_d: float) -> FockYield:
+def fock_pair_yield(n_a: int, n_b: int, arm_t, p_d: float) -> FockYield:
     """Exact click-pattern probabilities when |n_a>, |n_b> cross per-arm
     loss, interfere on the balanced splitter and hit threshold detectors.
 
@@ -265,11 +258,6 @@ def fock_pair_yield(n_a: int, n_b: int, arm_t: float, p_d: float) -> FockYield:
     survivor only dark counts click.  With unlimited decoy intensities
     these equal the yields entering the phase-error bound.
     """
-    return _scalars(_fock_pair_yield(n_a, n_b, arm_t, p_d))
-
-
-def _fock_pair_yield(n_a: int, n_b: int, arm_t, p_d: float) -> FockYield:
-    """fock_pair_yield of every transmittance in arm_t, as arrays."""
     if not 0 <= n_a <= FOCK_INPUT_MAX or not 0 <= n_b <= FOCK_INPUT_MAX:
         raise DomainError(f"photon numbers must lie in [0, {FOCK_INPUT_MAX}]")
     if not np.all((0.0 <= arm_t) & (arm_t <= 1.0)) or not 0.0 <= p_d <= 1.0:
@@ -285,13 +273,13 @@ def _fock_pair_yield(n_a: int, n_b: int, arm_t, p_d: float) -> FockYield:
         at_d = at_d + coef_d[k] * weight
         split = split + coef_split[k] * weight
     dark = p_d * (1.0 - p_d) * vacuum
-    return FockYield(none=(1.0 - p_d) * (1.0 - p_d) * vacuum,
-                     c_only=dark + (1.0 - p_d) * at_c,
-                     d_only=dark + (1.0 - p_d) * at_d,
-                     both=p_d * p_d * vacuum + split + p_d * (at_c + at_d))
+    return _scalars(FockYield(none=(1.0 - p_d) * (1.0 - p_d) * vacuum,
+                              c_only=dark + (1.0 - p_d) * at_c,
+                              d_only=dark + (1.0 - p_d) * at_d,
+                              both=p_d * p_d * vacuum + split + p_d * (at_c + at_d)))
 
 
-def cal_phase_error(p: CalParams, ch: CalChannel, p_d: float) -> float:
+def cal_phase_error(p: CalParams, ch: CalChannel, p_d: float):
     """Upper bound on the phase error of the single-click key outcomes.
 
     Sums, per parity sector, the coherent amplitudes times the square
@@ -299,20 +287,14 @@ def cal_phase_error(p: CalParams, ch: CalChannel, p_d: float) -> float:
     every remaining yield by 1 inside the tail term, squares, and divides
     by the key-basis gain of the phase-aligned channel.  The bound uses
     only phase-randomized quantities, so it does not move with sigma_phi;
-    it may exceed 1/2, which downstream rates clamp.
+    it may exceed 1/2, which downstream rates clamp.  Undefined where the
+    gain is 0.
     """
-    return float(_cal_phase_error(p, ch, p_d))
-
-
-def _cal_phase_error(p: CalParams, ch: CalChannel, p_d: float):
-    """cal_phase_error of every gamma in ch, as an array."""
-    if p.mu_zeta <= 0:
-        raise DomainError("intensity must be > 0")
     arm_t = ch.gamma / p.mu_zeta
     if np.any(arm_t > 1.0 + 1e-12):
         raise DomainError("channel gamma inconsistent with intensity")
     arm_t = np.minimum(arm_t, 1.0)
-    gain_ref = _cal_gain(replace(ch, sigma_phi=0.0), p_d)
+    gain_ref = cal_gain(replace(ch, sigma_phi=0.0), p_d)
     if np.any(gain_ref <= 0.0):
         raise DomainError("phase error undefined at zero gain")
     total = 0.0
@@ -320,27 +302,27 @@ def _cal_phase_error(p: CalParams, ch: CalChannel, p_d: float):
         raw = _cat_raw(p.mu_zeta, j, p.m_max)
         explicit = 0.0
         for m_a, m_b in sset:
-            y = _fock_pair_yield(2 * m_a + j, 2 * m_b + j, arm_t, p_d).c_only
+            y = fock_pair_yield(2 * m_a + j, 2 * m_b + j, arm_t, p_d).c_only
             explicit = explicit + raw[m_a] * raw[m_b] * np.sqrt(np.maximum(y, 0.0))
         total = total + np.square(explicit + _cat_remainder(p.mu_zeta, j, p.m_max, sset))
-    return total / gain_ref
+    return _scalars(total / gain_ref)
 
 
-def _cal_key(p_xx, e_x, e_z, f_ec: float):
-    """2 p_xx [1 - f_ec H2(e_x) - H2(min(1/2, e_z))] floored at 0, e_x
-    clamped to [0, 1]."""
-    bracket = 1.0 - f_ec * _h2(np.clip(e_x, 0.0, 1.0)) - _h2(np.minimum(0.5, e_z))
-    key = 2.0 * p_xx * bracket
-    return np.where(key > 0.0, key, 0.0)
-
-
-def cal_rate(p: CalParams, ch: CalChannel, p_d: float, f_ec: float) -> float:
+def cal_rate(p: CalParams, ch: CalChannel, p_d: float, f_ec: float):
     """Secret key per transmitted signal, both single-click outcomes summed.
 
-    R = 2 p_xx [1 - f_ec H2(e_x) - H2(min(1/2, e_z))], floored at 0.
+    R = 2 p_xx [1 - f_ec H2(e_x) - H2(min(1/2, e_z))], floored at 0, with
+    e_x clamped to [0, 1]; no key where the gain p_xx is 0, so the bit and
+    phase errors are only evaluated where there is gain.
     """
     _check_f_ec(f_ec)
     p_xx = cal_gain(ch, p_d)
-    if p_xx <= 0.0:
-        return 0.0
-    return float(_cal_key(p_xx, cal_bit_error(ch, p_d), cal_phase_error(p, ch, p_d), f_ec))
+    keyed = np.asarray(p_xx > 0.0)
+    ch_keyed = replace(ch, gamma=np.asarray(ch.gamma)[keyed])
+    e_x, e_z = np.zeros(keyed.shape), np.ones(keyed.shape)
+    e_x[keyed] = cal_bit_error(ch_keyed, p_d)
+    e_z[keyed] = cal_phase_error(p, ch_keyed, p_d)
+    bracket = (1.0 - f_ec * binary_entropy(np.clip(e_x, 0.0, 1.0))
+               - binary_entropy(np.minimum(0.5, e_z)))
+    key = 2.0 * p_xx * bracket
+    return _scalars(np.where(key > 0.0, key, 0.0))

@@ -8,7 +8,7 @@ single-photon estimation of the sending-or-not-sending protocol.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, is_dataclass, replace
 
 import numpy as np
 
@@ -28,30 +28,30 @@ __all__ = [
 
 
 def _scalars(obj):
-    """The dataclass obj with each array-valued field of a single point
-    turned into a Python scalar; the public per-point functions of the
-    protocol modules return their kernels' results through it."""
-    return replace(obj, **{k: np.asarray(v).item() for k, v in vars(obj).items()})
+    """obj with each 0-d result turned into a Python scalar: a dataclass
+    field by field, or a bare array; anything of higher rank is returned
+    as it is.  Every public kernel of the protocol modules returns through
+    it, so a float input gives floats and an array input gives arrays."""
+    if is_dataclass(obj):
+        points = {k: np.asarray(v).item() for k, v in vars(obj).items() if np.ndim(v) == 0}
+        return replace(obj, **points) if points else obj
+    return np.asarray(obj).item() if np.ndim(obj) == 0 else obj
 
 
-def binary_entropy(p: float) -> float:
+def binary_entropy(p):
     """H2(p) with H2(0) = H2(1) = 0; symmetric about 1/2."""
-    return float(_h2(p))
-
-
-def _h2(p):
-    """binary_entropy of each entry of p."""
     if not np.all((0.0 <= p) & (p <= 1.0)):
         raise DomainError("binary entropy argument must lie in [0, 1]")
     with np.errstate(divide="ignore", invalid="ignore"):  # 0 log 0 at the ends
         h = -p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p)
-    return np.where((p == 0.0) | (p == 1.0), 0.0, h)
+    return _scalars(np.where((p == 0.0) | (p == 1.0), 0.0, h))
 
 
 def _check_f_ec(f_ec: float) -> None:
-    """Reject an error-correction inefficiency below the Shannon limit 1."""
-    if f_ec < 1.0:
-        raise DomainError("error-correction inefficiency must be >= 1")
+    """Reject an error-correction inefficiency below the Shannon limit 1,
+    or one that is not finite."""
+    if not 1.0 <= f_ec < np.inf:
+        raise DomainError("error-correction inefficiency must be >= 1 and finite")
 
 
 @dataclass(frozen=True)
@@ -63,18 +63,15 @@ class DecoySet:
     w: float = 1e-5
 
     def __post_init__(self):
-        if not self.u > self.v > self.w >= 0.0:
-            raise DomainError("decoy intensities must satisfy u > v > w >= 0")
+        if not np.inf > self.u > self.v > self.w >= 0.0:
+            raise DomainError("decoy intensities must satisfy u > v > w >= 0, u finite")
         if self.u - self.v - self.w <= 0.0:
             raise DomainError("single-photon bound requires u > v + w")
 
 
 @dataclass(frozen=True)
 class ChannelErrorModel:
-    """Effective transmittance, dark counts per signal and the two error terms.
-
-    The sweeps pass an array of transmittances as eta_hat.
-    """
+    """Effective transmittance, dark counts per signal and the two error terms."""
 
     eta_hat: float
     p_dc: float
@@ -92,45 +89,34 @@ class ChannelErrorModel:
         return self.e_theta + self.e_phi
 
 
-def gain(mu: float, m: ChannelErrorModel) -> float:
-    """Click probability for intensity mu: 1 - (1 - p_dc) exp(-mu eta_hat)."""
-    return float(_gain(mu, m))
-
-
-def _gain(mu, m):
-    """gain, as p_dc - (1 - p_dc) expm1(-mu eta_hat), which keeps its
-    digits where exp(-mu eta_hat) is close to 1."""
+def gain(mu: float, m: ChannelErrorModel):
+    """Click probability for intensity mu: 1 - (1 - p_dc) exp(-mu eta_hat),
+    as p_dc - (1 - p_dc) expm1(-mu eta_hat), which keeps its digits where
+    exp(-mu eta_hat) is close to 1."""
     if mu < 0:
         raise DomainError("intensity must be >= 0")
-    return m.p_dc - (1.0 - m.p_dc) * np.expm1(-mu * m.eta_hat)
+    return _scalars(m.p_dc - (1.0 - m.p_dc) * np.expm1(-mu * m.eta_hat))
 
 
-def error_gain(mu: float, m: ChannelErrorModel) -> float:
+def error_gain(mu: float, m: ChannelErrorModel):
     """Joint probability of a click that is also an error, E_mu * Q_mu.
 
     Dark counts err half the time; misalignment and phase noise err on the
     detected-signal fraction: p_dc/2 + (e_theta + e_phi - p_dc/2)(1 - exp(-mu eta_hat)).
     """
-    return float(_error_gain(mu, m))
-
-
-def _error_gain(mu, m):
     if mu < 0:
         raise DomainError("intensity must be >= 0")
     signal = -np.expm1(-mu * m.eta_hat)
-    return m.p_dc / 2.0 + (m.e_total - m.p_dc / 2.0) * signal
+    return _scalars(m.p_dc / 2.0 + (m.e_total - m.p_dc / 2.0) * signal)
 
 
-def qber(mu: float, m: ChannelErrorModel) -> float:
-    """Total QBER E_mu = error_gain / gain, clamped to [0, 1]."""
-    return float(_qber(_error_gain(mu, m), _gain(mu, m)))
-
-
-def _qber(eq, q):
-    """QBER from the error gain eq and the gain q."""
+def qber(mu: float, m: ChannelErrorModel):
+    """Total QBER E_mu = error_gain / gain, clamped to [0, 1]; undefined
+    where the gain is 0."""
+    q = gain(mu, m)
     if np.any(q <= 0.0):
         raise DomainError("QBER undefined at zero gain")
-    return np.clip(eq / q, 0.0, 1.0)
+    return _scalars(np.clip(error_gain(mu, m) / q, 0.0, 1.0))
 
 
 @dataclass(frozen=True)
@@ -150,14 +136,9 @@ class DecoyBounds:
 
 def decoy_bounds(s: DecoySet, m: ChannelErrorModel) -> DecoyBounds:
     """Closed-form three-intensity bounds, all clamped to [0, 1]."""
-    return _scalars(_bounds(s, m))
-
-
-def _bounds(s: DecoySet, m: ChannelErrorModel) -> DecoyBounds:
-    """decoy_bounds of every transmittance in m.eta_hat, as arrays."""
     u, v, w = s.u, s.v, s.w
-    q_u, q_v, q_w = _gain(u, m), _gain(v, m), _gain(w, m)
-    eq_v, eq_w = _error_gain(v, m), _error_gain(w, m)
+    q_u, q_v, q_w = gain(u, m), gain(v, m), gain(w, m)
+    eq_v, eq_w = error_gain(v, m), error_gain(w, m)
     e_u, e_v, e_w = np.exp(u), np.exp(v), np.exp(w)
 
     y0 = np.clip((v * q_w * e_w - w * q_v * e_v) / (v - w), 0.0, 1.0)
@@ -168,25 +149,22 @@ def _bounds(s: DecoySet, m: ChannelErrorModel) -> DecoyBounds:
     q1 = np.clip(y1 * u * np.exp(-u), 0.0, 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):  # y1 = 0 where not ok
         e1 = np.clip((eq_v * e_v - eq_w * e_w) / ((v - w) * y1), 0.0, 1.0)
-    return DecoyBounds(y0_low=y0, y1_low=y1, q1_low=q1, e1ph_up=np.where(ok, e1, 1.0),
-                       ok=ok, q_u=q_u)
+    return _scalars(DecoyBounds(y0_low=y0, y1_low=y1, q1_low=q1,
+                                e1ph_up=np.where(ok, e1, 1.0), ok=ok, q_u=q_u))
 
 
-def _bb84_key(b: DecoyBounds, e_u, f_ec: float):
-    """Q1 (1 - H2(e1ph)) - f_ec Q_u H2(E_u) floored at 0; no key when the
-    single-photon estimation failed."""
-    privacy = 1.0 - _h2(np.minimum(b.e1ph_up, 0.5))
-    key = b.q1_low * privacy - f_ec * b.q_u * _h2(e_u)
-    return np.where(b.ok & (key > 0.0), key, 0.0)
-
-
-def bb84_rate(s: DecoySet, m: ChannelErrorModel, f_ec: float) -> float:
+def bb84_rate(s: DecoySet, m: ChannelErrorModel, f_ec: float):
     """Asymptotic decoy BB84 secret key per transmitted signal, floored at 0.
 
-    R = Q1 (1 - H2(e1ph)) - f_ec * Q_u * H2(E_u).
+    R = Q1 (1 - H2(e1ph)) - f_ec * Q_u * H2(E_u); no key where the
+    single-photon estimation failed, which includes every point without
+    gain, so E_u is only evaluated where the estimation held.
     """
     _check_f_ec(f_ec)
-    b = _bounds(s, m)
-    if not b.ok:
-        return 0.0
-    return float(_bb84_key(b, _qber(_error_gain(s.u, m), b.q_u), f_ec))
+    b = decoy_bounds(s, m)
+    ok = np.asarray(b.ok)
+    e_u = np.zeros(ok.shape)
+    e_u[ok] = qber(s.u, replace(m, eta_hat=np.asarray(m.eta_hat)[ok]))
+    privacy = 1.0 - binary_entropy(np.minimum(b.e1ph_up, 0.5))
+    key = b.q1_low * privacy - f_ec * b.q_u * binary_entropy(e_u)
+    return _scalars(np.where(ok & (key > 0.0), key, 0.0))

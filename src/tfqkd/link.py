@@ -7,6 +7,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .decoy import _scalars
 from .errors import DomainError
 
 __all__ = [
@@ -52,8 +53,8 @@ class DetectorParams:
     def __post_init__(self):
         if not 0.0 < self.eta_d <= 1.0:
             raise DomainError("detector efficiency must lie in (0, 1]")
-        if self.dark_rate < 0 or self.clock_rate <= 0:
-            raise DomainError("dark rate must be >= 0 and clock rate > 0")
+        if self.dark_rate < 0 or not 0 < self.clock_rate < np.inf:
+            raise DomainError("dark rate must be >= 0 and clock rate finite and > 0")
         if not 0.0 <= self.p_dc < 1.0:
             raise DomainError("dark counts per signal must lie in [0, 1)")
 
@@ -143,14 +144,10 @@ def arm_transmittance(eta_hat):
     return np.sqrt(eta_hat)
 
 
-def plob_bound(eta: float) -> float:
-    """Repeaterless secret-key capacity -log2(1 - eta) in bits per signal."""
-    if not 0.0 <= eta < 1.0:
+def plob_bound(eta):
+    """Repeaterless secret-key capacity -log2(1 - eta) in bits per signal,
+    as -log1p(-eta)/ln 2, which keeps its digits at small eta where
+    1 - eta rounds to 1."""
+    if not np.all((0.0 <= eta) & (eta < 1.0)):
         raise DomainError("plob_bound requires eta in [0, 1)")
-    return float(_plob(eta))
-
-
-def _plob(eta):
-    """-log2(1 - eta) as -log1p(-eta)/ln 2, which keeps its digits at small
-    eta where 1 - eta rounds to 1; infinite at eta = 1."""
-    return -np.log1p(-eta) / math.log(2.0)
+    return _scalars(-np.log1p(-eta) / math.log(2.0))

@@ -20,7 +20,7 @@ import numpy as np
 from . import cal as cal_mod
 from . import sns as sns_mod
 from .coherence import CoherenceBudget, _csv_text, solve_tau_q
-from .decoy import ChannelErrorModel, DecoySet, _bb84_key, _bounds, _check_f_ec, _error_gain, _qber
+from .decoy import ChannelErrorModel, DecoySet, _check_f_ec, bb84_rate, decoy_bounds, qber
 from .errors import DomainError
 from .link import (
     SNSPD,
@@ -28,10 +28,10 @@ from .link import (
     DetectorParams,
     MisalignmentParams,
     _balanced_db,
-    _plob,
     _transmittance,
     arm_transmittance,
     effective_transmittance,
+    plob_bound,
 )
 from .spectra import FiberParams, LaserSpec, TopologyConfig, TopologyKind, interference_spectrum
 
@@ -66,10 +66,10 @@ class OperatingPoint:
     tau_ps: float = 1e-3
 
     def __post_init__(self):
-        if self.tau_q <= 0 or self.tau_ps <= 0:
-            raise DomainError("times must be > 0")
-        if self.sigma_phi < 0 or not 0.0 <= self.e_phi <= 0.5:
-            raise DomainError("sigma_phi >= 0 and e_phi in [0, 0.5] required")
+        if not (0 < self.tau_q < np.inf and 0 < self.tau_ps < np.inf):
+            raise DomainError("times must be finite and > 0")
+        if not (0 <= self.sigma_phi < np.inf and 0.0 <= self.e_phi <= 0.5):
+            raise DomainError("finite sigma_phi >= 0 and e_phi in [0, 0.5] required")
 
     @property
     def duty(self) -> float:
@@ -233,6 +233,14 @@ def solve_scenario(preset: ScenarioPreset,
     return solve_tau_q(spectrum, budget)
 
 
+def _capacity(eta: np.ndarray) -> np.ndarray:
+    """plob_bound of each transmittance in eta, infinite where eta = 1."""
+    bound = np.full(eta.shape, np.inf)
+    below = eta < 1.0
+    bound[below] = plob_bound(eta[below])
+    return bound
+
+
 def _rates(eta: np.ndarray, det: DetectorParams, op: OperatingPoint,
            prot: ProtocolParams, protocols: Sequence[str]):
     """Rates, diagnostics and failure masks of the selected protocols at
@@ -246,52 +254,50 @@ def _rates(eta: np.ndarray, det: DetectorParams, op: OperatingPoint,
     diag: dict = {}
     failed: dict = {}
 
-    with np.errstate(divide="ignore"):  # eta = 1 at 0 dB: an infinite bound
-        if "plob" in protocols:
-            rates["plob"] = _plob(eta) * nu_s
-        if "plob_realistic" in protocols:
-            rates["plob_realistic"] = _plob(eta_hat) * nu_s
+    if "plob" in protocols:
+        rates["plob"] = _capacity(eta) * nu_s
+    if "plob_realistic" in protocols:
+        rates["plob_realistic"] = _capacity(eta_hat) * nu_s
     # Rate functions give key per transmitted signal; the duty cycle is
-    # applied here.
+    # applied here.  The QBER and the CAL errors are undefined without
+    # gain, so their diagnostics read 0 (e_z 1) at such points.
     if "bb84" in protocols:
         # Self-referenced receiver: no twin-field stabilization overhead,
         # asymptotic duty cycle 1; the channel error model still carries
         # the scenario phase-noise QBER.
         m = ChannelErrorModel(eta_hat=eta_hat, p_dc=det.p_dc, e_theta=e_theta,
                               e_phi=op.e_phi)
-        b = _bounds(prot.decoys, m)
+        b = decoy_bounds(prot.decoys, m)
         clicked = b.q_u > 0
         e_u = np.zeros(eta.size)
-        e_u[clicked] = _qber(_error_gain(prot.decoys.u, m)[clicked], b.q_u[clicked])
-        rates["bb84"] = _bb84_key(b, e_u, prot.f_ec) * nu_s
+        e_u[clicked] = qber(prot.decoys.u, replace(m, eta_hat=eta_hat[clicked]))
+        rates["bb84"] = bb84_rate(prot.decoys, m, prot.f_ec) * nu_s
         diag["bb84_gain_u"] = b.q_u
         diag["bb84_qber_u"] = e_u
         failed["bb84_estimation_failed"] = ~b.ok
     if "sns" in protocols or "sns_aopp" in protocols:
-        stats = sns_mod._window_stats(prot.sns, prot.decoys, arm_t, det.p_dc,
-                                      op.e_phi, e_theta)
+        stats = sns_mod.sns_window_stats(prot.sns, prot.decoys, arm_t, det, op.e_phi, e_theta)
         diag["sns_n_t"] = stats.n_t
         diag["sns_e_z"] = stats.e_z
         diag["sns_n1_low"] = stats.n1_low
         diag["sns_e1ph_up"] = stats.e1ph_up
         failed["sns_estimation_failed"] = ~stats.decoy_ok
         if "sns" in protocols:
-            rates["sns"] = sns_mod._sns_rate(stats, prot.sns, prot.f_ec) * duty * nu_s
+            rates["sns"] = sns_mod.sns_rate(stats, prot.sns, prot.f_ec) * duty * nu_s
         if "sns_aopp" in protocols:
-            aopp = sns_mod._aopp(stats)
+            aopp = sns_mod.aopp_transform(stats)
             diag["sns_aopp_e_z"] = aopp.e_z_prime
-            rates["sns_aopp"] = sns_mod._aopp_rate(aopp, prot.sns, prot.f_ec) * duty * nu_s
+            rates["sns_aopp"] = sns_mod.sns_aopp_rate(aopp, prot.sns, prot.f_ec) * duty * nu_s
     if "cal" in protocols:
         ch = cal_mod.make_cal_channel(arm_t, prot.cal, sigma_phi=op.sigma_phi,
                                       theta=prot.misalignment.theta)
-        p_xx = cal_mod._cal_gain(ch, det.p_dc)
-        # bit and phase error only where there is gain, as cal_rate does
+        p_xx = cal_mod.cal_gain(ch, det.p_dc)
         keyed = p_xx > 0.0
         ch_keyed = replace(ch, gamma=ch.gamma[keyed])
         e_x, e_z = np.zeros(eta.size), np.ones(eta.size)
-        e_x[keyed] = cal_mod._cal_bit_error(ch_keyed, det.p_dc)
-        e_z[keyed] = cal_mod._cal_phase_error(prot.cal, ch_keyed, det.p_dc)
-        rates["cal"] = cal_mod._cal_key(p_xx, e_x, e_z, prot.f_ec) * duty * nu_s
+        e_x[keyed] = cal_mod.cal_bit_error(ch_keyed, det.p_dc)
+        e_z[keyed] = cal_mod.cal_phase_error(prot.cal, ch_keyed, det.p_dc)
+        rates["cal"] = cal_mod.cal_rate(prot.cal, ch, det.p_dc, prot.f_ec) * duty * nu_s
         diag["cal_gain"] = p_xx
         diag["cal_e_x"] = e_x
         diag["cal_e_z_bound"] = e_z

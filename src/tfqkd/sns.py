@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decoy import ChannelErrorModel, DecoySet, _bounds, _check_f_ec, _h2, _scalars
+from .decoy import ChannelErrorModel, DecoySet, _check_f_ec, _scalars, binary_entropy, decoy_bounds
 from .errors import DomainError
 from .link import DetectorParams
 
@@ -91,8 +91,7 @@ class AoppStats:
     pair_rate: float
 
 
-def effective_click_probability(mu_a: float, mu_b: float, arm_t: float,
-                                p_dc: float) -> float:
+def effective_click_probability(mu_a: float, mu_b: float, arm_t, p_dc: float):
     """Probability that exactly one threshold detector clicks.
 
     Phase-randomized inputs of intensities mu_a, mu_b reach the balanced
@@ -100,16 +99,9 @@ def effective_click_probability(mu_a: float, mu_b: float, arm_t: float,
     are t (mu_a + mu_b +/- 2 sqrt(mu_a mu_b) cos delta) / 2.  Averaged over
     the relative phase delta, the probability is
     2 (1-p) e^{-S} [(I0(x) - 1) + p - (1-p) expm1(-S)] with
-    S = t (mu_a + mu_b) / 2 and x = t sqrt(mu_a mu_b), p = p_dc.
-    """
-    return float(_click(mu_a, mu_b, arm_t, p_dc))
-
-
-def _click(mu_a: float, mu_b: float, arm_t, p_dc: float):
-    """effective_click_probability of every per-arm transmittance in arm_t.
-
-    Every term in the bracket is >= 0, so nothing cancels at small
-    intensities or dark counts.
+    S = t (mu_a + mu_b) / 2 and x = t sqrt(mu_a mu_b), p = p_dc.  Every
+    term in the bracket is >= 0, so nothing cancels at small intensities
+    or dark counts.
     """
     if mu_a < 0 or mu_b < 0:
         raise DomainError("intensities must be >= 0")
@@ -119,8 +111,8 @@ def _click(mu_a: float, mu_b: float, arm_t, p_dc: float):
     if np.any(s > MAX_DETECTED_PHOTONS):
         raise DomainError(f"mean detected photon number above {MAX_DETECTED_PHOTONS:g}")
     x = arm_t * np.sqrt(mu_a * mu_b)
-    return 2.0 * (1.0 - p_dc) * np.exp(-s) * (
-        _i0_minus_1(x) + p_dc - (1.0 - p_dc) * np.expm1(-s))
+    return _scalars(2.0 * (1.0 - p_dc) * np.exp(-s) * (
+        _i0_minus_1(x) + p_dc - (1.0 - p_dc) * np.expm1(-s)))
 
 
 def _i0_minus_1(x):
@@ -136,7 +128,7 @@ def _i0_minus_1(x):
     return total
 
 
-def sns_window_stats(p: SnsParams, decoys: DecoySet, arm_t: float,
+def sns_window_stats(p: SnsParams, decoys: DecoySet, arm_t,
                      det: DetectorParams, e_phi: float,
                      e_theta: float = 0.02) -> SnsWindowStats:
     """Effective-window rates and decoy bounds for the signal basis.
@@ -148,30 +140,24 @@ def sns_window_stats(p: SnsParams, decoys: DecoySet, arm_t: float,
     The bit-flip error e_z involves no interference and is therefore
     independent of e_phi by construction.
     """
-    return _scalars(_window_stats(p, decoys, arm_t, det.p_dc, e_phi, e_theta))
-
-
-def _window_stats(p: SnsParams, decoys: DecoySet, arm_t, p_dc: float,
-                  e_phi: float, e_theta: float) -> SnsWindowStats:
-    """sns_window_stats of every per-arm transmittance in arm_t, as arrays."""
     if not np.all((0.0 < arm_t) & (arm_t <= 1.0)):
         raise DomainError("arm transmittance must lie in (0, 1]")
-    eps = p.epsilon
-    n_ss = eps**2 * _click(p.mu_z, p.mu_z, arm_t, p_dc)
+    eps, p_dc = p.epsilon, det.p_dc
+    n_ss = eps**2 * effective_click_probability(p.mu_z, p.mu_z, arm_t, p_dc)
     # the click probability is symmetric in the two intensities, so the
     # send/not-send and not-send/send patterns share one evaluation
-    n_sn = n_ns = eps * (1 - eps) * _click(p.mu_z, p.mu_0, arm_t, p_dc)
-    n_nn = (1 - eps) ** 2 * _click(p.mu_0, p.mu_0, arm_t, p_dc)
+    n_sn = n_ns = eps * (1 - eps) * effective_click_probability(p.mu_z, p.mu_0, arm_t, p_dc)
+    n_nn = (1 - eps) ** 2 * effective_click_probability(p.mu_0, p.mu_0, arm_t, p_dc)
     n_t = n_ss + n_sn + n_ns + n_nn
     with np.errstate(invalid="ignore"):  # 0/0 where no window clicks
-        e_z = np.where(n_t > 0, (n_nn + n_ss) / n_t, 0.0)
+        e_z = np.where(n_t > 0, np.divide(n_nn + n_ss, n_t), 0.0)
 
     m = ChannelErrorModel(eta_hat=arm_t, p_dc=p_dc, e_theta=e_theta, e_phi=e_phi)
-    b = _bounds(decoys, m)
+    b = decoy_bounds(decoys, m)
     n1 = 2.0 * eps * (1 - eps) * p.mu_z * np.exp(-p.mu_z) * b.y1_low
-    return SnsWindowStats(
+    return _scalars(SnsWindowStats(
         n_t=n_t, n_ss=n_ss, n_sn=n_sn, n_ns=n_ns, n_nn=n_nn, e_z=e_z,
-        n1_low=n1, e1ph_up=b.e1ph_up, decoy_ok=b.ok)
+        n1_low=n1, e1ph_up=b.e1ph_up, decoy_ok=b.ok))
 
 
 def aopp_transform(s: SnsWindowStats) -> AoppStats:
@@ -184,11 +170,6 @@ def aopp_transform(s: SnsWindowStats) -> AoppStats:
     only in the both-flipped case.  Untagged single photons scale with the
     surviving fraction; the phase error is untouched by pairing.
     """
-    return _scalars(_aopp(s))
-
-
-def _aopp(s: SnsWindowStats) -> AoppStats:
-    """aopp_transform of window statistics with array fields."""
     n0 = np.add(s.n_ss, s.n_ns)
     n1_bits = np.add(s.n_sn, s.n_nn)
     paired = (n0 > 0.0) & (n1_bits > 0.0)
@@ -200,35 +181,27 @@ def _aopp(s: SnsWindowStats) -> AoppStats:
         n_t_prime = pairs * keep
         e_z_prime = np.where(keep > 0, e0 * e1 / keep, 0.0)
         scale = np.where(s.n_t > 0, n_t_prime / s.n_t, 0.0)
-    return AoppStats(
+    return _scalars(AoppStats(
         n_t_prime=np.where(paired, n_t_prime, 0.0),
         n1_prime=np.where(paired, s.n1_low * scale, 0.0),
         e_z_prime=np.where(paired, e_z_prime, 0.0),
-        e1ph_prime=s.e1ph_up, pair_rate=np.where(paired, pairs, 0.0))
+        e1ph_prime=s.e1ph_up, pair_rate=np.where(paired, pairs, 0.0)))
 
 
 def _rate(n1, e1ph, n_t, e_z, p: SnsParams, f_ec: float):
     _check_f_ec(f_ec)
-    privacy = 1.0 - _h2(np.minimum(e1ph, 0.5))
-    ec = f_ec * n_t * _h2(np.clip(e_z, 0.0, 1.0))
+    privacy = 1.0 - binary_entropy(np.minimum(e1ph, 0.5))
+    ec = f_ec * n_t * binary_entropy(np.clip(e_z, 0.0, 1.0))
     key = p.p_z**2 * (n1 * privacy - ec)
-    return np.where((n1 > 0.0) & (key > 0.0), key, 0.0)
+    return _scalars(np.where((n1 > 0.0) & (key > 0.0), key, 0.0))
 
 
-def sns_rate(s: SnsWindowStats, p: SnsParams, f_ec: float) -> float:
+def sns_rate(s: SnsWindowStats, p: SnsParams, f_ec: float):
     """Plain protocol secret key per transmitted signal, floored at 0."""
-    return float(_sns_rate(s, p, f_ec))
-
-
-def _sns_rate(s: SnsWindowStats, p: SnsParams, f_ec: float):
     n1 = np.where(s.decoy_ok, s.n1_low, 0.0)
     return _rate(n1, s.e1ph_up, s.n_t, s.e_z, p, f_ec)
 
 
-def sns_aopp_rate(a: AoppStats, p: SnsParams, f_ec: float) -> float:
+def sns_aopp_rate(a: AoppStats, p: SnsParams, f_ec: float):
     """Secret key per transmitted signal after odd-parity pairing."""
-    return float(_aopp_rate(a, p, f_ec))
-
-
-def _aopp_rate(a: AoppStats, p: SnsParams, f_ec: float):
     return _rate(a.n1_prime, a.e1ph_prime, a.n_t_prime, a.e_z_prime, p, f_ec)

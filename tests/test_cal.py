@@ -28,6 +28,16 @@ CAL = CalParams()
 F_EC = 1.15
 
 
+class TestChannel:
+    @pytest.mark.parametrize("kw", [
+        {"gamma": math.nan}, {"gamma": math.inf}, {"gamma": np.array([0.1, math.nan])},
+        {"gamma": 0.1, "sigma_phi": math.inf}, {"gamma": 0.1, "sigma_phi": math.nan},
+        {"gamma": 0.1, "theta": -math.inf}, {"gamma": 0.1, "theta": math.nan}])
+    def test_rejects_non_finite(self, kw):
+        with pytest.raises(DomainError):
+            CalChannel(**kw)
+
+
 class TestGain:
     def test_dark_free_aligned(self):
         for gamma in (1e-4, 1e-2, 0.3):

@@ -216,7 +216,7 @@ class TestRunSweep:
         import tfqkd.scenarios as scen_mod
         import tfqkd.sns as sns_mod
 
-        bounds = decoy_mod._bounds
+        bounds = decoy_mod.decoy_bounds
 
         def failing(s, m):
             b = bounds(s, m)
@@ -224,7 +224,7 @@ class TestRunSweep:
                            e1ph_up=np.ones_like(b.e1ph_up), ok=np.zeros_like(b.ok))
 
         for mod in (decoy_mod, scen_mod, sns_mod):
-            monkeypatch.setattr(mod, "_bounds", failing)
+            monkeypatch.setattr(mod, "decoy_bounds", failing)
         rows = run_sweep(2, SweepSpec(start=40, stop=42, step=1.0))
         assert len(rows) == 3
         for r in rows:
@@ -235,10 +235,10 @@ class TestRunSweep:
             assert r.rates["cal"] > 0.0  # unaffected protocol keeps running
 
     def test_kernel_calls_do_not_grow_with_points(self, monkeypatch):
-        # a sweep evaluates each kernel once over its whole grid: every
-        # function of the link and protocol modules is called as often for
-        # 11 points as for 101, and none of the per-point public functions
-        # is called at all; the grid reaches the losses where BB84 has no key
+        # a sweep evaluates each kernel over its whole grid: every function
+        # of the link and protocol modules is called as often for 11 points
+        # as for 101, and the public kernels exactly as often as listed; the
+        # grid reaches the losses where BB84 has no key
         import inspect
 
         import tfqkd.cal as cal_mod
@@ -263,6 +263,7 @@ class TestRunSweep:
                     for holder in holders:
                         if getattr(holder, name, None) is fn:
                             monkeypatch.setattr(holder, name, wrapper)
+        run_sweep(2, SweepSpec(start=0, stop=0))  # fill the CAL coefficient caches
         per_sweep = []
         for step in (10.0, 1.0):
             calls.clear()
@@ -272,9 +273,20 @@ class TestRunSweep:
         assert per_sweep[0] == per_sweep[1]
         public = {f"{m.__name__}.{n}" for m in (cal_mod, decoy_mod, link_mod, sns_mod)
                   for n in m.__all__}
-        assert public & set(per_sweep[0]) == {"tfqkd.cal.make_cal_channel",
-                                              "tfqkd.link.effective_transmittance",
-                                              "tfqkd.link.arm_transmittance"}
+        assert {k: v for k, v in per_sweep[0].items() if k in public} == {
+            "tfqkd.link.effective_transmittance": 1, "tfqkd.link.arm_transmittance": 1,
+            "tfqkd.link.plob_bound": 2,
+            # bb84: the diagnostics' bounds and QBER, then bb84_rate's own
+            "tfqkd.decoy.bb84_rate": 1, "tfqkd.decoy.decoy_bounds": 3,
+            "tfqkd.decoy.qber": 2, "tfqkd.decoy.gain": 11, "tfqkd.decoy.error_gain": 8,
+            "tfqkd.decoy.binary_entropy": 8,
+            "tfqkd.sns.sns_window_stats": 1, "tfqkd.sns.effective_click_probability": 3,
+            "tfqkd.sns.sns_rate": 1, "tfqkd.sns.aopp_transform": 1,
+            "tfqkd.sns.sns_aopp_rate": 1,
+            # cal: the diagnostics, then cal_rate's own
+            "tfqkd.cal.make_cal_channel": 1, "tfqkd.cal.cal_rate": 1,
+            "tfqkd.cal.cal_gain": 4, "tfqkd.cal.cal_bit_error": 2,
+            "tfqkd.cal.cal_phase_error": 2, "tfqkd.cal.fock_pair_yield": 10}
         assert all(per_sweep[0][f"tfqkd.link.{n}"] == 1
                    for n in ("effective_transmittance", "arm_transmittance", "_transmittance"))
 
@@ -409,6 +421,20 @@ class TestConfig:
         ("loop: {gamma: 2.0}", "loop")])
     def test_model_check_failure_is_config_error(self, text, section):
         with pytest.raises(ConfigError, match=section):
+            loads_config("scenario: {preset: 1}\n" + text)
+
+    @pytest.mark.parametrize("text", [
+        "operating_point: {tau_q_s: .nan, sigma_phi_rad: 0.2, e_phi: 0.01}",
+        "operating_point: {tau_q_s: .inf, sigma_phi_rad: 0.2, e_phi: 0.01}",
+        "operating_point: {tau_q_s: 7.0e-4, sigma_phi_rad: .nan, e_phi: 0.01}",
+        "operating_point: {tau_q_s: 7.0e-4, sigma_phi_rad: .inf, e_phi: 0.01}",
+        "protocol: {f_ec: .nan}",
+        "protocol: {f_ec: .inf}",
+        "protocol: {cal: {mu_zeta: .nan}}",
+        "protocol: {decoys: {u: .inf}}",
+        "detector: {clock_rate_hz: .inf}"])
+    def test_non_finite_model_value_rejected(self, text):
+        with pytest.raises(ConfigError):
             loads_config("scenario: {preset: 1}\n" + text)
 
     def test_override_coefficient(self):
@@ -558,6 +584,16 @@ class TestCli:
         res = CliRunner().invoke(cli_main, args)
         assert isinstance(res.exception, SystemExit)
         assert res.exit_code != 0
+        assert "Traceback" not in res.output
+
+    def test_infinite_sigma_phi_exits_without_output(self, tmp_path):
+        path = tmp_path / "cfg.yaml"
+        path.write_text("scenario: {preset: 1}\noperating_point: "
+                        "{tau_q_s: 7.0e-4, sigma_phi_rad: .inf, e_phi: 0.01}\n")
+        res = CliRunner().invoke(cli_main, ["keyrate", "--config", str(path),
+                                            "--attenuation-db", "40"])
+        assert res.exit_code == 1
+        assert res.stdout == ""
         assert "Traceback" not in res.output
 
     @pytest.mark.parametrize("level", ["nan", "inf", "-inf"])
