@@ -75,6 +75,7 @@ from .scenarios import (
     ScenarioPreset,
     SweepRow,
     SweepSpec,
+    SweepTable,
     builtin_scenarios,
     canonical_operating_point,
     emit_csv,

@@ -239,6 +239,18 @@ def _yield_coefficients(n_a: int, n_b: int) -> tuple:
     return tuple(tuple(map(float, acc)) for acc in sums)
 
 
+def _survivors(n: int, polys, arm_t):
+    """(1 - t)^n, and sum_k poly[k] t^k (1 - t)^(n - k) over k = 1..n for
+    each polynomial in polys: the loss weights of the survivor counts of
+    n photons at per-arm transmittance t, summed in increasing k."""
+    loss = 1.0 - arm_t
+    sums = [0.0] * len(polys)
+    for k in range(1, n + 1):
+        weight = np.power(arm_t, k) * np.power(loss, n - k)
+        sums = [acc + poly[k] * weight for acc, poly in zip(sums, polys)]
+    return np.power(loss, n), sums
+
+
 @dataclass(frozen=True)
 class FockYield:
     """Click-pattern probabilities for a photon-number pair input."""
@@ -262,16 +274,8 @@ def fock_pair_yield(n_a: int, n_b: int, arm_t, p_d: float) -> FockYield:
         raise DomainError(f"photon numbers must lie in [0, {FOCK_INPUT_MAX}]")
     if not np.all((0.0 <= arm_t) & (arm_t <= 1.0)) or not 0.0 <= p_d <= 1.0:
         raise DomainError("arm_t and p_d must lie in [0, 1]")
-    n = n_a + n_b
-    loss = 1.0 - arm_t
-    vacuum = np.power(loss, n)
-    coef_c, coef_d, coef_split = _yield_coefficients(n_a, n_b)
-    at_c = at_d = split = 0.0  # survivors all at c, all at d, at both
-    for k in range(1, n + 1):
-        weight = np.power(arm_t, k) * np.power(loss, n - k)
-        at_c = at_c + coef_c[k] * weight
-        at_d = at_d + coef_d[k] * weight
-        split = split + coef_split[k] * weight
+    # survivors all at c, all at d, at both
+    vacuum, (at_c, at_d, split) = _survivors(n_a + n_b, _yield_coefficients(n_a, n_b), arm_t)
     dark = p_d * (1.0 - p_d) * vacuum
     return _scalars(FockYield(none=(1.0 - p_d) * (1.0 - p_d) * vacuum,
                               c_only=dark + (1.0 - p_d) * at_c,
@@ -297,23 +301,31 @@ def cal_phase_error(p: CalParams, ch: CalChannel, p_d: float):
     gain_ref = cal_gain(replace(ch, sigma_phi=0.0), p_d)
     if np.any(gain_ref <= 0.0):
         raise DomainError("phase error undefined at zero gain")
+    roots: dict = {}  # sqrt of the c-only yield per survivor polynomial
     total = 0.0
     for j, sset in ((0, p.set_even), (1, p.set_odd)):
         raw = _cat_raw(p.mu_zeta, j, p.m_max)
         explicit = 0.0
         for m_a, m_b in sset:
-            y = fock_pair_yield(2 * m_a + j, 2 * m_b + j, arm_t, p_d).c_only
-            explicit = explicit + raw[m_a] * raw[m_b] * np.sqrt(np.maximum(y, 0.0))
+            n_a, n_b = 2 * m_a + j, 2 * m_b + j
+            n, poly = n_a + n_b, _yield_coefficients(n_a, n_b)[0]  # all at c
+            if (n, poly) not in roots:
+                vacuum, (at_c,) = _survivors(n, (poly,), arm_t)
+                y = p_d * (1.0 - p_d) * vacuum + (1.0 - p_d) * at_c  # fock_pair_yield's c_only
+                roots[n, poly] = np.sqrt(np.maximum(y, 0.0))
+            explicit = explicit + raw[m_a] * raw[m_b] * roots[n, poly]
         total = total + np.square(explicit + _cat_remainder(p.mu_zeta, j, p.m_max, sset))
     return _scalars(total / gain_ref)
 
 
-def cal_rate(p: CalParams, ch: CalChannel, p_d: float, f_ec: float):
-    """Secret key per transmitted signal, both single-click outcomes summed.
+def _cal_columns(p: CalParams, ch: CalChannel, p_d: float, f_ec: float):
+    """The CAL key per transmitted signal and the columns it rests on:
+    (key, gain p_xx, bit error e_x, phase-error bound e_z), each evaluated
+    once over the whole input.
 
-    R = 2 p_xx [1 - f_ec H2(e_x) - H2(min(1/2, e_z))], floored at 0, with
-    e_x clamped to [0, 1]; no key where the gain p_xx is 0, so the bit and
-    phase errors are only evaluated where there is gain.
+    e_x and e_z are evaluated only where there is gain and read 0 and 1
+    elsewhere; the key, floored at 0, is
+    2 p_xx [1 - f_ec H2(e_x) - H2(min(1/2, e_z))] with e_x clamped to [0, 1].
     """
     _check_f_ec(f_ec)
     p_xx = cal_gain(ch, p_d)
@@ -325,4 +337,14 @@ def cal_rate(p: CalParams, ch: CalChannel, p_d: float, f_ec: float):
     bracket = (1.0 - f_ec * binary_entropy(np.clip(e_x, 0.0, 1.0))
                - binary_entropy(np.minimum(0.5, e_z)))
     key = 2.0 * p_xx * bracket
-    return _scalars(np.where(key > 0.0, key, 0.0))
+    return np.where(key > 0.0, key, 0.0), p_xx, e_x, e_z
+
+
+def cal_rate(p: CalParams, ch: CalChannel, p_d: float, f_ec: float):
+    """Secret key per transmitted signal, both single-click outcomes summed.
+
+    R = 2 p_xx [1 - f_ec H2(e_x) - H2(min(1/2, e_z))], floored at 0, with
+    e_x clamped to [0, 1]; no key where the gain p_xx is 0, so the bit and
+    phase errors are only evaluated where there is gain.
+    """
+    return _scalars(_cal_columns(p, ch, p_d, f_ec)[0])

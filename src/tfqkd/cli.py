@@ -13,8 +13,9 @@ import numpy as np
 from . import oracle as oracle_mod
 from . import sns as sns_mod
 from .cal import CalParams, cal_gain, make_cal_channel
-from .coherence import _csv_text, sigma_map, solve_tau_q
+from .coherence import sigma_map, solve_tau_q
 from .config import FullConfig, load_config
+from .csvtext import csv_text
 from .errors import DomainError, TfqkdError
 from .link import MisalignmentParams
 from .scenarios import (
@@ -88,7 +89,7 @@ def psd(scenario_id, config, fmin, fmax, points, out):
     cfg = _context(scenario_id, config)
     spec = interference_spectrum(cfg.topology, cfg.laser, cfg.fiber)
     f = np.geomspace(fmin, fmax, points)
-    _write(_csv_text(("f_hz", "s_phi_rad2_per_hz"), zip(f, spec(f))), out)
+    _write(csv_text(("f_hz", "s_phi_rad2_per_hz"), (f, spec(f))), out)
 
 
 @main.command("tau-solve")
@@ -100,10 +101,10 @@ def tau_solve(scenario_id, config, out):
     cfg = _context(scenario_id, config)
     spec = interference_spectrum(cfg.topology, cfg.laser, cfg.fiber)
     res = solve_tau_q(spec, cfg.budget)
-    _write(_csv_text(
+    _write(csv_text(
         ("tau_q_s", "sigma_phi_rad", "duty_cycle", "e_phi", "clipped", "floored"),
-        [(res.tau_q, res.sigma_phi, res.duty_cycle, res.e_phi,
-          int(res.clipped), int(res.floored))]), out)
+        [[res.tau_q], [res.sigma_phi], [res.duty_cycle], [res.e_phi],
+         [int(res.clipped)], [int(res.floored)]]), out)
 
 
 @main.command("sigma-map")
@@ -131,9 +132,10 @@ def sigma_map_cmd(scenario_id, config, dl_start, dl_stop, dl_points, tau_start,
     m = sigma_map(cfg.topology, dl, taus, cfg.budget, cfg.laser, cfg.fiber)
     _write(m.csv_text(), out)
     if isolines_out is not None:
-        _write(_csv_text(
+        _write(csv_text(
             ("level_rad", "delta_l_km", "tau_q_s"),
-            [(lv, d, t) for lv in level for d, t in zip(m.delta_l_km, m.isoline(lv))]),
+            (np.repeat(level, m.delta_l_km.size), np.tile(m.delta_l_km, len(level)),
+             np.concatenate([m.isoline(lv) for lv in level]))),
             isolines_out)
 
 
@@ -221,8 +223,8 @@ def oracle(seed, samples, points, out):
         se = 0.5 * float(np.hypot(mc_eq.se_c_only, mc_op.se_c_only))
         z = (ana_gain - val) / se if se > 0 else 0.0
         rows.append((k, "cal_gain", ana_gain, val, se, f"{z:.6f}", mc_eq.bit_generator))
-    _write(_csv_text(("point", "quantity", "analytic", "oracle", "oracle_se",
-                      "z_score", "bit_generator"), rows), out)
+    _write(csv_text(("point", "quantity", "analytic", "oracle", "oracle_se",
+                     "z_score", "bit_generator"), zip(*rows)), out)
 
 
 if __name__ == "__main__":

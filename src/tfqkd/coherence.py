@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .csvtext import csv_text
 from .errors import DivergentIntegralError, DomainError
 from .spectra import FiberParams, LaserSpec, Spectrum, TopologyConfig, interference_spectrum
 
@@ -44,18 +45,6 @@ _POINTS_PER_PERIOD = 128
 # is dropped; beyond it the grid does not resolve the spectrum.  The
 # returned variance is then good to about 1/15 of this.
 _GRID_RTOL = 1e-4
-
-
-def _csv_text(header, rows) -> str:
-    """CSV text of a header and rows: floats as .12e, any other cell as str.
-
-    Identical inputs produce byte-identical text; every CSV the package
-    writes goes through here.
-    """
-    lines = [",".join(header)]
-    lines += [",".join(f"{v:.12e}" if isinstance(v, (float, np.floating)) else str(v)
-                       for v in row) for row in rows]
-    return "\n".join(lines) + "\n"
 
 
 def _spectrum_of(psd) -> Spectrum:
@@ -326,10 +315,10 @@ class SigmaMap:
 
     def csv_text(self) -> str:
         """The long-format CSV of to_csv as a string."""
-        return _csv_text(("delta_l_km", "tau_q_s", "sigma_phi_rad"), (
-            (dl, tau, self.sigma_phi[i, j])
-            for j, dl in enumerate(self.delta_l_km)
-            for i, tau in enumerate(self.tau_q_s)))
+        n_dl, n_tau = self.delta_l_km.size, self.tau_q_s.size
+        return csv_text(("delta_l_km", "tau_q_s", "sigma_phi_rad"), (
+            np.repeat(self.delta_l_km, n_tau), np.tile(self.tau_q_s, n_dl),
+            self.sigma_phi.T.ravel()))
 
 
 def sigma_map(topo_template: TopologyConfig,

@@ -153,18 +153,30 @@ def decoy_bounds(s: DecoySet, m: ChannelErrorModel) -> DecoyBounds:
                                 e1ph_up=np.where(ok, e1, 1.0), ok=ok, q_u=q_u))
 
 
+def _bb84_columns(s: DecoySet, m: ChannelErrorModel, f_ec: float):
+    """The BB84 key per transmitted signal and the columns it rests on:
+    (key, decoy bounds, E_u), each evaluated once over the whole input.
+
+    E_u is evaluated only where there is signal gain and reads 0
+    elsewhere; the key, floored at 0, is R = Q1 (1 - H2(e1ph)) - f_ec *
+    Q_u * H2(E_u) where the single-photon estimation held (which implies
+    gain) and 0 where it failed.
+    """
+    _check_f_ec(f_ec)
+    b = decoy_bounds(s, m)
+    clicked = np.asarray(b.q_u > 0.0)
+    e_u = np.zeros(clicked.shape)
+    e_u[clicked] = qber(s.u, replace(m, eta_hat=np.asarray(m.eta_hat)[clicked]))
+    privacy = 1.0 - binary_entropy(np.minimum(b.e1ph_up, 0.5))
+    key = b.q1_low * privacy - f_ec * b.q_u * binary_entropy(e_u)
+    return np.where(b.ok & (key > 0.0), key, 0.0), b, e_u
+
+
 def bb84_rate(s: DecoySet, m: ChannelErrorModel, f_ec: float):
     """Asymptotic decoy BB84 secret key per transmitted signal, floored at 0.
 
     R = Q1 (1 - H2(e1ph)) - f_ec * Q_u * H2(E_u); no key where the
     single-photon estimation failed, which includes every point without
-    gain, so E_u is only evaluated where the estimation held.
+    gain, so E_u is only evaluated where there is gain.
     """
-    _check_f_ec(f_ec)
-    b = decoy_bounds(s, m)
-    ok = np.asarray(b.ok)
-    e_u = np.zeros(ok.shape)
-    e_u[ok] = qber(s.u, replace(m, eta_hat=np.asarray(m.eta_hat)[ok]))
-    privacy = 1.0 - binary_entropy(np.minimum(b.e1ph_up, 0.5))
-    key = b.q1_low * privacy - f_ec * b.q_u * binary_entropy(e_u)
-    return _scalars(np.where(ok & (key > 0.0), key, 0.0))
+    return _scalars(_bb84_columns(s, m, f_ec)[0])

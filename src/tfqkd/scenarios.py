@@ -7,20 +7,30 @@ canonical operating point (transmission window, phase deviation,
 phase-noise QBER) used by the sweeps, quantized to the displayed
 precision so that scenarios with equivalent phase-noise budgets produce
 identical key-rate curves.
+
+run_sweep returns a SweepTable: the grid, one array per rate and
+diagnostic column, one boolean mask per failure flag, and the operating
+point.  Each protocol ingredient is evaluated once per sweep, over the
+whole grid.  format_csv and emit_csv write the table column by column
+through csvtext.csv_text, one row template for every line; the table
+also reads as a sequence of SweepRow, built on first access and cached.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from collections.abc import Sequence
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
 from . import cal as cal_mod
 from . import sns as sns_mod
-from .coherence import CoherenceBudget, _csv_text, solve_tau_q
-from .decoy import ChannelErrorModel, DecoySet, _check_f_ec, bb84_rate, decoy_bounds, qber
+from .coherence import CoherenceBudget, solve_tau_q
+from .csvtext import csv_text
+from .decoy import ChannelErrorModel, DecoySet, _bb84_columns, _check_f_ec
 from .errors import DomainError
 from .link import (
     SNSPD,
@@ -41,6 +51,7 @@ __all__ = [
     "ProtocolParams",
     "SweepSpec",
     "SweepRow",
+    "SweepTable",
     "DETECTORS",
     "PROTOCOL_NAMES",
     "builtin_scenarios",
@@ -108,14 +119,7 @@ def _topo(kind, laser_stab, fiber_stab, delta_l_km):
         l_a=114.0, l_b=114.0 - delta_l_km)
 
 
-def builtin_scenarios() -> tuple[ScenarioPreset, ...]:
-    """The seven standard scenarios for 114 km arms.
-
-    Nominally equal arms keep a 20 m mismatch so the common-laser
-    self-delay term is not trivially zero.  Where the threshold sigma is
-    never reached within the 100 ms clip, the expected sigma is the value
-    accumulated at the clip.
-    """
+def _build_presets() -> tuple[ScenarioPreset, ...]:
     common, indep = TopologyKind.COMMON_LASER, TopologyKind.INDEPENDENT_LASERS
     rows = (
         (1, "common free-running laser, matched arms, free fibers",
@@ -140,9 +144,23 @@ def builtin_scenarios() -> tuple[ScenarioPreset, ...]:
         for i, lab, t, tau, sig in rows)
 
 
+_PRESETS = _build_presets()
+
+
+def builtin_scenarios() -> tuple[ScenarioPreset, ...]:
+    """The seven standard scenarios for 114 km arms, built once at import.
+
+    Nominally equal arms keep a 20 m mismatch so the common-laser
+    self-delay term is not trivially zero.  Where the threshold sigma is
+    never reached within the 100 ms clip, the expected sigma is the value
+    accumulated at the clip.
+    """
+    return _PRESETS
+
+
 def builtin_scenario(scenario_id: int) -> ScenarioPreset:
     """The built-in scenario with the given id (1-7)."""
-    for preset in builtin_scenarios():
+    for preset in _PRESETS:
         if preset.id == scenario_id:
             return preset
     raise DomainError(f"unknown scenario id {scenario_id}; built-in ids are 1-7")
@@ -206,8 +224,8 @@ class SweepSpec:
                               MAX_SWEEP_POINTS)) + 1
 
     def grid(self) -> np.ndarray:
-        """Points start + k*step up to stop."""
-        return self.start + self.step * np.arange(self._size())
+        """Points start + k*step up to stop, as floats also for int bounds."""
+        return self.start + self.step * np.arange(self._size(), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -244,7 +262,8 @@ def _capacity(eta: np.ndarray) -> np.ndarray:
 def _rates(eta: np.ndarray, det: DetectorParams, op: OperatingPoint,
            prot: ProtocolParams, protocols: Sequence[str]):
     """Rates, diagnostics and failure masks of the selected protocols at
-    every total transmittance in eta, each one array over the grid."""
+    every total transmittance in eta, each one array over the grid, with
+    each protocol ingredient evaluated once."""
     eta_hat = effective_transmittance(eta, det)
     arm_t = arm_transmittance(eta_hat)
     nu_s = det.clock_rate
@@ -267,11 +286,8 @@ def _rates(eta: np.ndarray, det: DetectorParams, op: OperatingPoint,
         # the scenario phase-noise QBER.
         m = ChannelErrorModel(eta_hat=eta_hat, p_dc=det.p_dc, e_theta=e_theta,
                               e_phi=op.e_phi)
-        b = decoy_bounds(prot.decoys, m)
-        clicked = b.q_u > 0
-        e_u = np.zeros(eta.size)
-        e_u[clicked] = qber(prot.decoys.u, replace(m, eta_hat=eta_hat[clicked]))
-        rates["bb84"] = bb84_rate(prot.decoys, m, prot.f_ec) * nu_s
+        key, b, e_u = _bb84_columns(prot.decoys, m, prot.f_ec)
+        rates["bb84"] = key * nu_s
         diag["bb84_gain_u"] = b.q_u
         diag["bb84_qber_u"] = e_u
         failed["bb84_estimation_failed"] = ~b.ok
@@ -291,25 +307,73 @@ def _rates(eta: np.ndarray, det: DetectorParams, op: OperatingPoint,
     if "cal" in protocols:
         ch = cal_mod.make_cal_channel(arm_t, prot.cal, sigma_phi=op.sigma_phi,
                                       theta=prot.misalignment.theta)
-        p_xx = cal_mod.cal_gain(ch, det.p_dc)
-        keyed = p_xx > 0.0
-        ch_keyed = replace(ch, gamma=ch.gamma[keyed])
-        e_x, e_z = np.zeros(eta.size), np.ones(eta.size)
-        e_x[keyed] = cal_mod.cal_bit_error(ch_keyed, det.p_dc)
-        e_z[keyed] = cal_mod.cal_phase_error(prot.cal, ch_keyed, det.p_dc)
-        rates["cal"] = cal_mod.cal_rate(prot.cal, ch, det.p_dc, prot.f_ec) * duty * nu_s
+        key, p_xx, e_x, e_z = cal_mod._cal_columns(prot.cal, ch, det.p_dc, prot.f_ec)
+        rates["cal"] = key * duty * nu_s
         diag["cal_gain"] = p_xx
         diag["cal_e_x"] = e_x
         diag["cal_e_z_bound"] = e_z
     return rates, diag, failed
 
 
+@dataclass(frozen=True, eq=False)
+class SweepTable(Sequence):
+    """A key-rate sweep as columns, each one array over the grid.
+
+    x holds the grid points of the x_name axis; rates maps each selected
+    protocol, in PROTOCOL_NAMES order, to its key rate in bits/s;
+    diagnostics maps each diagnostic, in sorted order, to its values;
+    flags maps each failure flag to its boolean mask; operating_point is
+    the scenario's coherence operating point, the same at every point.
+    format_csv and emit_csv write the columns as they are.  As a sequence
+    the table holds one SweepRow per grid point, built from the columns on
+    first access and then cached.
+    """
+
+    x_name: str
+    x: np.ndarray
+    rates: dict
+    diagnostics: dict
+    flags: dict
+    operating_point: OperatingPoint
+
+    def __len__(self) -> int:
+        return self.x.size
+
+    def __getitem__(self, i):
+        return self._rows[i]
+
+    def __iter__(self):
+        return iter(self._rows)
+
+    def _point_flags(self) -> list:
+        """The names of the flags set at each point, as one tuple per point."""
+        if not any(mask.any() for mask in self.flags.values()):
+            return [()] * len(self)
+        names = list(self.flags)
+        return [tuple(name for name, f in zip(names, point) if f)
+                for point in np.column_stack(list(self.flags.values())).tolist()]
+
+    @cached_property
+    def _rows(self) -> list:
+        x_name, op = self.x_name, self.operating_point
+        duty, sigma_phi, e_phi = op.duty, op.sigma_phi, op.e_phi
+        rate_names, diag_names = tuple(self.rates), tuple(self.diagnostics)
+        k = 1 + len(rate_names)
+        values = np.column_stack(
+            (self.x, *self.rates.values(), *self.diagnostics.values())).tolist()
+        return [SweepRow(x_name, v[0], dict(zip(rate_names, v[1:k])), duty, sigma_phi,
+                         e_phi, dict(zip(diag_names, v[k:])), flags)
+                for v, flags in zip(values, self._point_flags())]
+
+
 def run_sweep(scenario, spec: Optional[SweepSpec] = None,
               prot: Optional[ProtocolParams] = None,
-              detector: Optional[DetectorParams] = None) -> list:
-    """Key-rate sweep for a scenario.
+              detector: Optional[DetectorParams] = None) -> SweepTable:
+    """Key-rate sweep for a scenario, as a SweepTable of columns.
 
-    The coherence operating point is fixed per scenario (solved for the
+    Each protocol ingredient (decoy bounds, QBER, CAL gain and errors, SNS
+    window statistics) is evaluated once over the whole grid.  The
+    coherence operating point is fixed per scenario (solved for the
     nominal 114 km arms), not re-solved per sweep point.  The length axis
     is the total length of a balanced link with equal arms
     (link.balanced_link).  Individual protocol estimation failures are
@@ -328,46 +392,36 @@ def run_sweep(scenario, spec: Optional[SweepSpec] = None,
     att = x if spec.x_axis == "total_attenuation_db" \
         else _balanced_db(spec.alpha, spec.a_plus, x / 2.0)
     rates, diag, failed = _rates(_transmittance(att), det, op, prot, spec.protocols)
-    n = x.size
-    return [SweepRow(x_name=spec.x_axis, x=xi, rates=r, duty_cycle=op.duty,
-                     sigma_phi=op.sigma_phi, e_phi=op.e_phi, diagnostics=d,
-                     flags=tuple(name for name, f in fl.items() if f))
-            for xi, r, d, fl in zip(x.tolist(), _per_point(rates, n), _per_point(diag, n),
-                                    _per_point(failed, n))]
+    return SweepTable(x_name=spec.x_axis, x=x,
+                      rates={p: rates[p] for p in PROTOCOL_NAMES if p in rates},
+                      diagnostics=dict(sorted(diag.items())), flags=failed,
+                      operating_point=op)
 
 
-def _per_point(arrays: dict, n: int) -> list:
-    """One {name: value} dict per grid point from one array per name."""
-    if not arrays:
-        return [{} for _ in range(n)]
-    return [dict(zip(arrays, v)) for v in zip(*(a.tolist() for a in arrays.values()))]
-
-
-def format_csv(rows: Sequence[SweepRow]) -> str:
-    """Render sweep rows as CSV with a fixed header.
+def format_csv(table: SweepTable) -> str:
+    """Render a sweep table as CSV with a fixed header.
 
     Columns: the x axis, one rate column per protocol in canonical order,
     duty cycle, sigma_phi, e_phi, the per-protocol diagnostics in sorted
-    order, and a flags column.  Scientific notation with 12 digits;
-    identical inputs produce byte-identical text.
+    order, and a flags column (the flags set at the point, joined by ';').
+    Every number prints as %.12e through the one row template of
+    csvtext.csv_text; the three operating-point columns, equal at every
+    point, are printed once.  Identical inputs produce byte-identical text.
     """
-    if not rows:
-        raise DomainError("no rows to emit")
-    protocols = [p for p in PROTOCOL_NAMES if p in rows[0].rates]
-    diag_keys = sorted(rows[0].diagnostics)
-    header = ([rows[0].x_name]
-              + [f"rate_{p}_bits_per_s" for p in protocols]
+    if not isinstance(table, SweepTable):
+        raise DomainError("format_csv takes the SweepTable that run_sweep returns")
+    op, n = table.operating_point, len(table)
+    header = ([table.x_name]
+              + [f"rate_{p}_bits_per_s" for p in table.rates]
               + ["duty_cycle", "sigma_phi_rad", "e_phi"]
-              + diag_keys + ["flags"])
-    return _csv_text(header, (
-        [float(v) for v in (row.x, *(row.rates[p] for p in protocols),
-                            row.duty_cycle, row.sigma_phi, row.e_phi,
-                            *(row.diagnostics[k] for k in diag_keys))]
-        + [";".join(row.flags)]
-        for row in rows))
+              + list(table.diagnostics) + ["flags"])
+    return csv_text(header, (
+        table.x, *table.rates.values(),
+        *([f"{v:.12e}"] * n for v in (op.duty, op.sigma_phi, op.e_phi)),
+        *table.diagnostics.values(), [";".join(f) for f in table._point_flags()]))
 
 
-def emit_csv(rows: Sequence[SweepRow], path) -> None:
-    """Write sweep rows to a CSV file; see format_csv."""
+def emit_csv(table: SweepTable, path) -> None:
+    """Write a sweep table to a CSV file; see format_csv."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(format_csv(rows))
+        fh.write(format_csv(table))

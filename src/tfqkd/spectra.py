@@ -60,10 +60,10 @@ class LaserFreeParams:
     f_c: float = 2e6
 
     def __post_init__(self):
-        if self.r3 < 0 or self.r2 < 0:
-            raise DomainError("laser noise coefficients must be >= 0")
-        if self.f_c <= 0:
-            raise DomainError("laser roll-off cutoff f_c must be > 0")
+        if not (0 <= self.r3 < np.inf and 0 <= self.r2 < np.inf):
+            raise DomainError("laser noise coefficients must be finite and >= 0")
+        if not 0 < self.f_c < np.inf:
+            raise DomainError("laser roll-off cutoff f_c must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -75,8 +75,8 @@ class CavityParams:
     c2: float = 2e-3
 
     def __post_init__(self):
-        if self.c4 < 0 or self.c3 < 0 or self.c2 < 0:
-            raise DomainError("cavity noise coefficients must be >= 0")
+        if not (0 <= self.c4 < np.inf and 0 <= self.c3 < np.inf and 0 <= self.c2 < np.inf):
+            raise DomainError("cavity noise coefficients must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -93,10 +93,10 @@ class LoopParams:
     delta: float = 10.0
 
     def __post_init__(self):
-        if self.bandwidth <= 0:
-            raise DomainError("loop bandwidth must be > 0")
-        if not (0.0 < self.gamma < 1.0 < self.delta):
-            raise DomainError("loop shape requires 0 < gamma < 1 < delta")
+        if not 0 < self.bandwidth < np.inf:
+            raise DomainError("loop bandwidth must be finite and > 0")
+        if not (0.0 < self.gamma < 1.0 < self.delta < np.inf):
+            raise DomainError("loop shape requires 0 < gamma < 1 < delta, delta finite")
 
     @property
     def g0(self) -> float:
@@ -124,12 +124,12 @@ class FiberParams:
     lambda_q_nm: float = 1542.14
 
     def __post_init__(self):
-        if self.noise_per_km < 0 or self.s0 < 0:
-            raise DomainError("fiber noise coefficients must be >= 0")
-        if self.f_c_free <= 0 or self.f_c_floor <= 0:
-            raise DomainError("fiber cutoff frequencies must be > 0")
-        if self.lambda_s_nm == 0:
-            raise DomainError("sensing wavelength must be nonzero")
+        if not (0 <= self.noise_per_km < np.inf and 0 <= self.s0 < np.inf):
+            raise DomainError("fiber noise coefficients must be finite and >= 0")
+        if not (0 < self.f_c_free < np.inf and 0 < self.f_c_floor < np.inf):
+            raise DomainError("fiber cutoff frequencies must be finite and > 0")
+        if not (0 < abs(self.lambda_s_nm) < np.inf and abs(self.lambda_q_nm) < np.inf):
+            raise DomainError("wavelengths must be finite, the sensing one nonzero")
 
     @property
     def stabilization_suppression(self) -> float:
@@ -179,12 +179,12 @@ class TopologyConfig:
     fiber_roundtrip_factor: float = 4.0
 
     def __post_init__(self):
-        if not (self.l_a >= self.l_b >= 0.0):
-            raise DomainError("arm lengths must satisfy l_a >= l_b >= 0")
-        if self.refractive_index <= 0:
-            raise DomainError("refractive index must be > 0")
-        if self.fiber_roundtrip_factor < 0:
-            raise DomainError("fiber round-trip factor must be >= 0")
+        if not (np.inf > self.l_a >= self.l_b >= 0.0):
+            raise DomainError("arm lengths must satisfy l_a >= l_b >= 0, l_a finite")
+        if not 0 < self.refractive_index < np.inf:
+            raise DomainError("refractive index must be finite and > 0")
+        if not 0 <= self.fiber_roundtrip_factor < np.inf:
+            raise DomainError("fiber round-trip factor must be finite and >= 0")
 
     @property
     def delta_l(self) -> float:

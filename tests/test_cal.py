@@ -324,6 +324,29 @@ class TestPhaseError:
         ch = make_cal_channel(0.03, base, theta=0.28)
         assert cal_phase_error(bigger, ch, 1e-8) <= cal_phase_error(base, ch, 1e-8)
 
+    @pytest.mark.parametrize("p", [CAL, CalParams(
+        set_even=((0, 0), (0, 1), (1, 0), (1, 1), (0, 2), (2, 0)),
+        set_odd=((0, 0), (0, 1), (1, 0), (1, 1)))])
+    def test_equals_sum_over_fock_pair_yields(self, p):
+        # the bound reads each distinct c-only yield once; every value is
+        # bit for bit the sum over fock_pair_yield(...).c_only
+        from tfqkd.cal import _cat_raw, _cat_remainder
+
+        t = np.array([1.0, 0.3, 0.03, 1e-4, 1e-9])
+        ch = make_cal_channel(t, p, sigma_phi=0.2, theta=0.28)
+        total = 0.0
+        for j, sset in ((0, p.set_even), (1, p.set_odd)):
+            raw = _cat_raw(p.mu_zeta, j, p.m_max)
+            explicit = 0.0
+            for m_a, m_b in sset:
+                y = fock_pair_yield(2 * m_a + j, 2 * m_b + j, t, 1e-8).c_only
+                explicit = explicit + raw[m_a] * raw[m_b] * np.sqrt(np.maximum(y, 0.0))
+            total = total + np.square(explicit + _cat_remainder(p.mu_zeta, j, p.m_max, sset))
+        expected = total / cal_gain(make_cal_channel(t, p, theta=0.28), 1e-8)
+        assert np.array_equal(cal_phase_error(p, ch, 1e-8), expected)
+        assert [cal_phase_error(p, make_cal_channel(ti, p, sigma_phi=0.2, theta=0.28), 1e-8)
+                for ti in t] == expected.tolist()
+
     def test_error_at_zero_gain(self):
         ch = CalChannel(gamma=0.0)
         with pytest.raises(DomainError):

@@ -21,6 +21,7 @@ from tfqkd import (
     FullConfig,
     ProtocolParams,
     SweepSpec,
+    SweepTable,
     aopp_transform,
     arm_transmittance,
     balanced_link,
@@ -107,6 +108,9 @@ class TestPresets:
     def test_seven_scenarios(self):
         presets = builtin_scenarios()
         assert [p.id for p in presets] == [1, 2, 3, 4, 5, 6, 7]
+        # built once at import, not on every sweep
+        assert builtin_scenarios() is presets
+        assert all(builtin_scenario(p.id) is p for p in presets)
 
     def test_operating_point_classes(self):
         ops = {p.id: p.operating_point for p in builtin_scenarios()}
@@ -213,7 +217,6 @@ class TestRunSweep:
         # the closed-form single-photon bound cannot fail for the Poissonian
         # click model, so force the failure path to check flag propagation
         import tfqkd.decoy as decoy_mod
-        import tfqkd.scenarios as scen_mod
         import tfqkd.sns as sns_mod
 
         bounds = decoy_mod.decoy_bounds
@@ -223,7 +226,7 @@ class TestRunSweep:
             return replace(b, y1_low=0.0 * b.y1_low, q1_low=0.0 * b.q1_low,
                            e1ph_up=np.ones_like(b.e1ph_up), ok=np.zeros_like(b.ok))
 
-        for mod in (decoy_mod, scen_mod, sns_mod):
+        for mod in (decoy_mod, sns_mod):
             monkeypatch.setattr(mod, "decoy_bounds", failing)
         rows = run_sweep(2, SweepSpec(start=40, stop=42, step=1.0))
         assert len(rows) == 3
@@ -276,17 +279,22 @@ class TestRunSweep:
         assert {k: v for k, v in per_sweep[0].items() if k in public} == {
             "tfqkd.link.effective_transmittance": 1, "tfqkd.link.arm_transmittance": 1,
             "tfqkd.link.plob_bound": 2,
-            # bb84: the diagnostics' bounds and QBER, then bb84_rate's own
-            "tfqkd.decoy.bb84_rate": 1, "tfqkd.decoy.decoy_bounds": 3,
-            "tfqkd.decoy.qber": 2, "tfqkd.decoy.gain": 11, "tfqkd.decoy.error_gain": 8,
+            # bb84: one set of bounds for the rate and the diagnostics, and
+            # one for the SNS window statistics; one QBER
+            "tfqkd.decoy.decoy_bounds": 2, "tfqkd.decoy.qber": 1,
+            "tfqkd.decoy.gain": 7, "tfqkd.decoy.error_gain": 5,
             "tfqkd.decoy.binary_entropy": 8,
             "tfqkd.sns.sns_window_stats": 1, "tfqkd.sns.effective_click_probability": 3,
             "tfqkd.sns.sns_rate": 1, "tfqkd.sns.aopp_transform": 1,
             "tfqkd.sns.sns_aopp_rate": 1,
-            # cal: the diagnostics, then cal_rate's own
-            "tfqkd.cal.make_cal_channel": 1, "tfqkd.cal.cal_rate": 1,
-            "tfqkd.cal.cal_gain": 4, "tfqkd.cal.cal_bit_error": 2,
-            "tfqkd.cal.cal_phase_error": 2, "tfqkd.cal.fock_pair_yield": 10}
+            # cal: one gain, bit error and phase-error bound for the rate and
+            # the diagnostics; the bound reads its c-only yields without
+            # fock_pair_yield, and its aligned gain is the second cal_gain
+            "tfqkd.cal.make_cal_channel": 1, "tfqkd.cal.cal_gain": 2,
+            "tfqkd.cal.cal_bit_error": 1, "tfqkd.cal.cal_phase_error": 1}
+        # one survivor polynomial per distinct c-only yield: the (0, 2) and
+        # (2, 0) inputs share theirs
+        assert per_sweep[0]["tfqkd.cal._survivors"] == 4
         assert all(per_sweep[0][f"tfqkd.link.{n}"] == 1
                    for n in ("effective_transmittance", "arm_transmittance", "_transmittance"))
 
@@ -338,6 +346,25 @@ class TestRunSweep:
         assert len({r.e_phi for r in rows}) == 1
 
 
+class TestSweepTable:
+    def test_columns_and_rows(self):
+        table = run_sweep(2, SweepSpec(start=10, stop=40, step=10))
+        assert isinstance(table, SweepTable) and len(table) == 4
+        assert list(table.rates) == list(PROTOCOL_NAMES)
+        assert list(table.diagnostics) == sorted(table.diagnostics)
+        assert table.operating_point == builtin_scenario(2).operating_point
+        assert [r.x for r in table] == table.x.tolist() == [10.0, 20.0, 30.0, 40.0]
+        # rows are built on first access and then cached
+        assert table[-1] is table[3] and table[1:3] == list(table)[1:3]
+        assert all(a is b for a, b in zip(table, list(table)))
+        for i, row in enumerate(table):
+            assert row.rates == {p: a[i] for p, a in table.rates.items()}
+            assert row.diagnostics == {k: a[i] for k, a in table.diagnostics.items()}
+            assert row.duty_cycle == table.operating_point.duty
+        with pytest.raises(IndexError):
+            table[4]
+
+
 class TestCsv:
     def test_deterministic(self, tmp_path):
         rows = run_sweep(2, SweepSpec(start=0, stop=20, step=5))
@@ -352,6 +379,53 @@ class TestCsv:
         assert lines[0].startswith("total_attenuation_db,rate_bb84_bits_per_s,")
         assert lines[0].endswith(",flags")
         assert len(lines) == 1 + 4
+
+    @staticmethod
+    def _cell_text(rows):
+        """The sweep CSV of rows as the per-cell formatter wrote it: each
+        value converted to float and printed with f"{v:.12e}", the flags
+        joined by ';' and printed with str."""
+        protocols = [p for p in PROTOCOL_NAMES if p in rows[0].rates]
+        diag = sorted(rows[0].diagnostics)
+        header = ([rows[0].x_name] + [f"rate_{p}_bits_per_s" for p in protocols]
+                  + ["duty_cycle", "sigma_phi_rad", "e_phi"] + diag + ["flags"])
+        lines = [",".join(header)]
+        for r in rows:
+            cells = [float(v) for v in (r.x, *(r.rates[p] for p in protocols),
+                                        r.duty_cycle, r.sigma_phi, r.e_phi,
+                                        *(r.diagnostics[k] for k in diag))]
+            lines.append(",".join([f"{v:.12e}" for v in cells] + [str(";".join(r.flags))]))
+        return "\n".join(lines) + "\n"
+
+    def test_template_equals_per_cell_formatter(self):
+        # the 29 sweeps: seven scenarios x both detectors on 0-100 dB (0 dB
+        # has an infinite PLOB rate) and on 0-600 km with a_plus = 1.5, and
+        # SNS/CAL over 0-200 dB in 0.5 dB steps; then int bounds, a single
+        # protocol, and flags set at every point
+        specs = [SweepSpec(start=0.0, stop=100.0, step=1.0, detector=d) for d in ("snspd", "spad")]
+        specs += [SweepSpec(x_axis="total_length_km", start=0.0, stop=600.0, step=6.0,
+                            detector=d, a_plus=1.5) for d in ("snspd", "spad")]
+        sweeps = [(sid, spec, None) for sid in range(1, 8) for spec in specs]
+        sweeps.append((2, SweepSpec(start=0.0, stop=200.0, step=0.5, protocols=("sns", "cal")),
+                       None))
+        assert len(sweeps) == 29
+        sweeps += [(1, SweepSpec(start=0, stop=3, step=1), None),
+                   (3, SweepSpec(stop=10, protocols=("plob",)), None)]
+        tables = [run_sweep(sid, spec, detector=det) for sid, spec, det in sweeps]
+        t = tables[0]
+        tables.append(SweepTable(t.x_name, t.x, t.rates, t.diagnostics, {
+            "bb84_estimation_failed": t.x % 2 == 0, "sns_estimation_failed": t.x % 3 == 0},
+            t.operating_point))
+        for table in tables:
+            assert format_csv(table).split("\n") == self._cell_text(list(table)).split("\n")
+        assert tables[-1][6].flags == ("bb84_estimation_failed", "sns_estimation_failed")
+        header, first = format_csv(run_sweep(2, specs[0])).split("\n")[:2]
+        assert dict(zip(header.split(","), first.split(",")))["rate_plob_bits_per_s"] == "inf"
+
+    def test_format_csv_takes_only_a_table(self):
+        for rows in ([], None, "rows", (1, 2), list(run_sweep(2, SweepSpec(stop=3)))):
+            with pytest.raises(DomainError, match="SweepTable"):
+                format_csv(rows)
 
     def test_emit_roundtrip_stable(self, tmp_path):
         rows = run_sweep(1, SweepSpec(start=0, stop=2, step=1))
@@ -595,6 +669,27 @@ class TestCli:
         assert res.exit_code == 1
         assert res.stdout == ""
         assert "Traceback" not in res.output
+
+    @pytest.mark.parametrize("section, text", [
+        ("laser", "laser: {r3: .inf}"), ("laser", "laser: {r3: .nan}"),
+        ("fiber", "fiber: {noise_per_km: .inf}"), ("fiber", "fiber: {noise_per_km: .nan}"),
+        ("topology", "topology: {refractive_index: .inf}"),
+        ("topology", "topology: {fiber_roundtrip_factor: .nan}")])
+    def test_non_finite_spectrum_coefficient_named_without_warning(self, tmp_path,
+                                                                    section, text):
+        # the config check names the section; the integrator never sees
+        # the value, so no numpy warning and no divergence error blames it
+        path = tmp_path / "cfg.yaml"
+        path.write_text("scenario: {preset: 1}\n" + text + "\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = CliRunner().invoke(cli_main, ["tau-solve", "--config", str(path)])
+        assert res.exit_code == 1
+        assert res.stdout == ""
+        assert f"Error: {section}: " in res.output
+        assert "finite" in res.output
+        assert "Warning" not in res.output and not caught
+        assert "converge" not in res.output
 
     @pytest.mark.parametrize("level", ["nan", "inf", "-inf"])
     def test_non_finite_level_rejected_without_isolines_out(self, level):

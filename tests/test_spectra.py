@@ -174,6 +174,21 @@ class TestFiber:
             psd_fiber(1.0, -1.0, FIBER, stabilized=False)
 
 
+@pytest.mark.parametrize("cls, field", [
+    (LaserFreeParams, "r3"), (LaserFreeParams, "r2"), (LaserFreeParams, "f_c"),
+    (CavityParams, "c4"), (CavityParams, "c3"), (CavityParams, "c2"),
+    (LoopParams, "bandwidth"), (LoopParams, "gamma"), (LoopParams, "delta"),
+    (FiberParams, "noise_per_km"), (FiberParams, "f_c_free"), (FiberParams, "s0"),
+    (FiberParams, "f_c_floor"), (FiberParams, "lambda_s_nm"), (FiberParams, "lambda_q_nm"),
+    (TopologyConfig, "l_a"), (TopologyConfig, "refractive_index"),
+    (TopologyConfig, "fiber_roundtrip_factor")])
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_spectrum_coefficients_reject_non_finite(cls, field, value):
+    # nan < 0 is False, so each lower-bound check also bounds the value above
+    with pytest.raises(DomainError):
+        cls(**{field: value})
+
+
 class TestInterference:
     def test_common_zero_mismatch_is_fiber_only(self):
         topo = TopologyConfig(kind=TopologyKind.COMMON_LASER, l_a=100.0, l_b=100.0)
