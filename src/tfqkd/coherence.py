@@ -73,8 +73,14 @@ def _trapezoid_tail(ln_f: np.ndarray, fy: np.ndarray, fy_end: np.ndarray) -> np.
     """Entry i is the trapezoid in ln f of f*y from node i to the last
     node.  A step starts on fy and ends on fy_end, which differ only at a
     jump of the PSD."""
-    seg = 0.5 * np.diff(ln_f) * (fy[:-1] + fy_end[1:])
-    return np.append(np.cumsum(seg[::-1])[::-1], 0.0)
+    seg = np.subtract(ln_f[1:], ln_f[:-1])
+    seg *= 0.5
+    seg *= np.add(fy[:-1], fy_end[1:])
+    tail = np.empty(ln_f.size)
+    tail[-1] = 0.0
+    # the running sum from the last step backwards, written back to front
+    np.cumsum(seg[::-1], out=tail[-2::-1])
+    return tail
 
 
 def _variance_curve(spec: Spectrum, f_query: np.ndarray, f_max: Optional[float]):
@@ -118,8 +124,10 @@ def _variance_curve(spec: Spectrum, f_query: np.ndarray, f_max: Optional[float])
         lin_lo = step / np.expm1(np.log(10.0) / _POINTS_PER_DECADE)
         lin_hi = f_hi if f_switch is None else min(f_switch, f_hi)
         breaks += [lin_lo, lin_hi]
-    breaks = np.unique(np.clip(breaks, f_lo, f_hi))
-    a, b = breaks[:-1], breaks[1:]
+    breaks = np.clip(breaks, f_lo, f_hi)
+    breaks.sort()
+    distinct = breaks[1:] != breaks[:-1]
+    a, b = breaks[:-1][distinct], breaks[1:][distinct]
     lin = (lin_lo <= a) & (b <= lin_hi)
     n = np.where(lin, (b - a) / step / 4, np.log10(b / a) * _POINTS_PER_DECADE / 4)
     x_a, x_b = np.where(lin, a, np.log10(a)), np.where(lin, b, np.log10(b))
@@ -128,26 +136,33 @@ def _variance_curve(spec: Spectrum, f_query: np.ndarray, f_max: Optional[float])
     # geomspace: x_a + k * dx with dx = (x_b - x_a) / count, then 10**x in
     # the log segments, whose node 0 is a itself
     first = np.cumsum(count) - count
-    seg = np.repeat(np.arange(a.size), count)
-    f = x_a[seg] + (np.arange(seg.size) - first[seg]) * ((x_b - x_a) / count)[seg]
-    log = ~lin[seg]
-    f[log] = np.power(10.0, f[log])
-    f[first] = a
-    f = np.append(f, f_hi)
-    # the exact PSD below the switch node, the averaged one from it on; the
-    # switch node also ends the exact range with the exact value
+    f = np.empty(count.sum() + 1)
+    x = f[:-1]
+    np.multiply(np.arange(x.size) - np.repeat(first, count),
+                np.repeat((x_b - x_a) / count, count), out=x)
+    x += np.repeat(x_a, count)
+    np.power(10.0, x, out=x, where=np.repeat(~lin, count))
+    x[first] = a
+    f[-1] = f_hi
+    # f*y with the exact PSD below the switch node and the averaged one
+    # from it on; fy_end, where a step ends, also ends the exact range at
+    # the switch node with the exact value
     k = f.size if f_switch is None else int(np.searchsorted(f, f_switch))
     if k == f.size:
-        y = y_end = spec.func(f)
+        fy = fy_end = f * spec.func(f)
     elif k == 0:
-        y = y_end = spec.averaged_func(f)
+        fy = fy_end = f * spec.averaged_func(f)
     else:
         exact, averaged = spec.func(f[:k + 1]), spec.averaged_func(f[k:])
-        y, y_end = np.concatenate((exact[:-1], averaged)), np.concatenate((exact, averaged[1:]))
+        fy = np.empty_like(f)
+        np.multiply(f[:k], exact[:-1], out=fy[:k])
+        np.multiply(f[k:], averaged, out=fy[k:])
+        fy_end = fy.copy()
+        fy_end[k] = f[k] * exact[-1]
     # a Richardson step of each tail against the next coarser one is
     # Simpson's rule on equal step pairs and stays finite on zero-width
     # ones: c on every other node, and its check on every fourth
-    ln_f, fy, fy_end = np.log(f), f * y, f * y_end
+    ln_f = np.log(f)
     t1, t2, t4 = (_trapezoid_tail(ln_f[::s], fy[::s], fy_end[::s]) for s in (1, 2, 4))
     c = t1[::2] + (t1[::2] - t2) / 3.0
     change = np.abs(c[::2] - (t2[::2] + (t2[::2] - t4) / 3.0))

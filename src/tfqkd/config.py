@@ -14,10 +14,9 @@ every default comes from the dataclasses.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass, field, replace
 from typing import Optional
-
-import yaml
 
 from .coherence import CoherenceBudget, solve_tau_q
 from .errors import ConfigError, DomainError
@@ -141,13 +140,74 @@ class FullConfig:
                               e_phi=res.e_phi, tau_ps=self.budget.tau_ps)
 
 
-def _validate(raw: dict) -> None:
-    import jsonschema
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
-    validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
-    errors = sorted(validator.iter_errors(raw), key=lambda e: e.json_path)
+
+# JSON Schema types as Draft 2020-12 defines them on YAML values: bools are
+# not numbers, and a float with an integer value is an integer.
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "boolean": lambda v: isinstance(v, bool),
+    "number": _is_number,
+    "integer": lambda v: _is_number(v) and (isinstance(v, int) or v.is_integer()),
+}
+
+_BOUNDS = {
+    "minimum": (operator.lt, "less than the minimum"),
+    "exclusiveMinimum": (operator.le, "less than or equal to the minimum"),
+    "maximum": (operator.gt, "greater than the maximum"),
+}
+
+
+def _schema_errors(value, schema: dict, path: str = "$"):
+    """Yield (JSON path, message) for each way value breaks schema.
+
+    Covers the keywords CONFIG_SCHEMA uses, visited in schema order with
+    the messages of the jsonschema package, so that errors sorted by path
+    read as its Draft202012Validator reports them.  Each keyword other
+    than type applies only to values of its own type; NaN passes the
+    bounds, as every comparison with it is false.  The model dataclasses
+    reject it when the configuration is built.
+    """
+    for keyword, arg in schema.items():
+        if keyword == "type":
+            if not _TYPES[arg](value):
+                yield path, f"{value!r} is not of type {arg!r}"
+        elif keyword == "enum":
+            if value not in arg:  # string enums only: no bool/int aliasing
+                yield path, f"{value!r} is not one of {arg!r}"
+        elif keyword in _BOUNDS:
+            breaks, text = _BOUNDS[keyword]
+            if _is_number(value) and breaks(value, arg):
+                yield path, f"{value!r} is {text} of {arg!r}"
+        elif keyword == "minItems":
+            if isinstance(value, list) and len(value) < arg:
+                yield path, f"{value!r} {'should be non-empty' if arg == 1 else 'is too short'}"
+        elif keyword == "items":
+            if isinstance(value, list):
+                for i, item in enumerate(value):
+                    yield from _schema_errors(item, arg, f"{path}[{i}]")
+        elif keyword == "properties":
+            if isinstance(value, dict):
+                for key, sub in arg.items():
+                    if key in value:
+                        yield from _schema_errors(value[key], sub, f"{path}.{key}")
+        elif keyword == "additionalProperties":
+            extras = sorted((k for k in value if k not in schema["properties"]), key=str) \
+                if isinstance(value, dict) and not arg else []
+            if extras:
+                yield path, "Additional properties are not allowed ({} {} unexpected)".format(
+                    ", ".join(map(repr, extras)), "was" if len(extras) == 1 else "were")
+        else:
+            raise KeyError(f"schema keyword {keyword!r} is not supported")
+
+
+def _validate(raw: dict) -> None:
+    errors = sorted(_schema_errors(raw, CONFIG_SCHEMA), key=lambda e: e[0])
     if errors:
-        msgs = "; ".join(f"{e.json_path}: {e.message}" for e in errors)
+        msgs = "; ".join(f"{path}: {message}" for path, message in errors)
         raise ConfigError(f"configuration invalid: {msgs}")
 
 
@@ -227,6 +287,8 @@ def _build(raw: dict) -> FullConfig:
 
 def loads_config(text: str) -> FullConfig:
     """Parse and validate a YAML configuration string."""
+    import yaml
+
     raw = yaml.safe_load(text)
     if raw is None:
         raw = {}
@@ -265,4 +327,6 @@ def _to_dict(cfg: FullConfig) -> dict:
 
 def dump_config(cfg: FullConfig) -> str:
     """Serialize a configuration to YAML; loads_config(dump_config(c)) == c."""
+    import yaml
+
     return yaml.safe_dump(_to_dict(cfg), sort_keys=True)

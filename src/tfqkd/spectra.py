@@ -146,12 +146,9 @@ class LaserSpec:
     loop: LoopParams = field(default_factory=LoopParams)
 
     def psd(self, f, stabilized: bool):
-        return self._psd(_as_positive_freq(f), stabilized)
-
-    def _psd(self, f, stabilized: bool):
         if stabilized:
-            return _laser_stabilized(f, self.free, self.cavity, self.loop)
-        return _laser_free(f, self.free)
+            return psd_laser_stabilized(f, self.free, self.cavity, self.loop)
+        return psd_laser_free(f, self.free)
 
 
 class TopologyKind(enum.Enum):
@@ -194,21 +191,25 @@ class TopologyConfig:
 
 def psd_laser_free(f, p: LaserFreeParams):
     """Free-running laser phase noise (rad^2/Hz)."""
-    return _laser_free(_as_positive_freq(f), p)
+    f = _as_positive_freq(f)
+    return _laser_free(f, f**2, f**3, p)
 
 
-def _laser_free(f, p: LaserFreeParams):
+# The private models take the powers of f they share from the caller,
+# which evaluates each of them once: f2 = f**2, f3 = f**3, w2 = (2 pi f)**2.
+def _laser_free(f, f2, f3, p: LaserFreeParams):
     rolloff = (p.f_c / (f + p.f_c)) ** 2
-    return p.r3 / f**3 + p.r2 / f**2 * rolloff
+    return p.r3 / f3 + p.r2 / f2 * rolloff
 
 
 def psd_cavity(f, p: CavityParams):
     """Reference-cavity phase noise (rad^2/Hz)."""
-    return _cavity(_as_positive_freq(f), p)
+    f = _as_positive_freq(f)
+    return _cavity(f, f**2, f**3, p)
 
 
-def _cavity(f, p: CavityParams):
-    return p.c4 / f**4 + p.c3 / f**3 + p.c2 / f**2
+def _cavity(f, f2, f3, p: CavityParams):
+    return p.c4 / f**4 + p.c3 / f3 + p.c2 / f2
 
 
 def loop_gain(f, p: LoopParams):
@@ -227,20 +228,22 @@ def loop_gain(f, p: LoopParams):
 def psd_laser_stabilized(f, laser: LaserFreeParams, cavity: CavityParams,
                          loop: LoopParams):
     """Cavity-stabilized laser noise: cavity floor plus servo-suppressed free noise."""
-    return _laser_stabilized(_as_positive_freq(f), laser, cavity, loop)
+    f = _as_positive_freq(f)
+    return _laser_stabilized(f, f**2, (2.0 * np.pi * f) ** 2, laser, cavity, loop)
 
 
-def _suppression(f, p: LoopParams):
+def _suppression(f2, w2, p: LoopParams):
     """Servo suppression |1/(1+G)|^2 of loop_gain in real arithmetic:
     w^4 (f^2 + b^2) / ((w^2 b + g0 a)^2 + f^2 (w^2 + g0)^2), w = 2 pi f."""
-    w2 = (2.0 * np.pi * f) ** 2
     a, b = p.bandwidth * p.gamma, p.bandwidth * p.delta
-    f2 = f * f
     return w2 * w2 * (f2 + b * b) / ((w2 * b + p.g0 * a) ** 2 + f2 * (w2 + p.g0) ** 2)
 
 
-def _laser_stabilized(f, laser: LaserFreeParams, cavity: CavityParams, loop: LoopParams):
-    return _cavity(f, cavity) + _suppression(f, loop) * _laser_free(f, laser)
+def _laser_stabilized(f, f2, w2, laser: LaserFreeParams, cavity: CavityParams,
+                      loop: LoopParams):
+    f3 = f**3
+    return (_cavity(f, f2, f3, cavity)
+            + _suppression(f2, w2, loop) * _laser_free(f, f2, f3, laser))
 
 
 def psd_fiber(f, length_km: float, p: FiberParams, stabilized: bool):
@@ -261,13 +264,19 @@ def psd_fiber_linear(f, length_km: float, p: FiberParams, stabilized: bool):
     f = _as_positive_freq(f)
     if length_km < 0:
         raise DomainError("fiber length must be >= 0")
-    return _fiber_linear(f, length_km, p, stabilized)
+    rolloff = None if stabilized else _fiber_rolloff(f, p)
+    return _fiber_linear(f**2, rolloff, length_km, p, stabilized)
 
 
-def _fiber_linear(f, length_km: float, p: FiberParams, stabilized: bool):
+def _fiber_rolloff(f, p: FiberParams):
+    return (p.f_c_free / (f + p.f_c_free)) ** 2
+
+
+def _fiber_linear(f2, rolloff, length_km: float, p: FiberParams, stabilized: bool):
+    """rolloff is _fiber_rolloff(f, p), unused when stabilized."""
     if stabilized:
-        return p.stabilization_suppression * p.noise_per_km * length_km / f**2
-    return p.noise_per_km * length_km / f**2 * (p.f_c_free / (f + p.f_c_free)) ** 2
+        return p.stabilization_suppression * p.noise_per_km * length_km / f2
+    return p.noise_per_km * length_km / f2 * rolloff
 
 
 def psd_detection_floor(f, p: FiberParams):
@@ -305,51 +314,42 @@ class Spectrum:
         return 10.0 * max(self.knees)
 
 
-def _composite_parts(topo: TopologyConfig, laser: LaserSpec, fiber: FiberParams,
-                     delta_l_km: Optional[float]):
-    """Return (laser_term, laser_term_avg, fiber_term, floor_term) callables
-    for a topology.
+def _composite(topo: TopologyConfig, laser: LaserSpec, fiber: FiberParams, dl: float):
+    """Return psd(f, averaged): the interference PSD of a topology on
+    frequencies already checked by _as_positive_freq, with the sin^2
+    self-delay factor replaced by its mean 1/2 when averaged is true.
 
-    delta_l_km overrides the delay mismatch of the common-laser term while
-    the fiber-noise terms keep the configured arm lengths; this is what
-    mismatch maps sweep.  The terms take a float array of frequencies
-    already checked by _as_positive_freq and check nothing themselves.
+    dl is the delay mismatch of the common-laser term while the
+    fiber-noise terms keep the configured arm lengths; this is what
+    mismatch maps sweep.  One call evaluates f**2, 2 pi f, the roll-offs
+    and the laser PSD once each, by the float operations of the public
+    single-term models.
     """
-    dl = topo.delta_l if delta_l_km is None else delta_l_km
-    if not 0.0 <= dl < np.inf:
-        raise DomainError("delay mismatch must be finite and >= 0")
-    stab = topo.laser_stabilized
-    fib_stab = topo.fiber_stabilized
+    common = topo.kind is TopologyKind.COMMON_LASER
+    stab, fib_stab = topo.laser_stabilized, topo.fiber_stabilized
+    delay = topo.refractive_index * dl * 1e3 / SPEED_OF_LIGHT  # s
 
-    def fiber_term(f):
-        both = (_fiber_linear(f, topo.l_a, fiber, fib_stab)
-                + _fiber_linear(f, topo.l_b, fiber, fib_stab))
-        if topo.kind is TopologyKind.COMMON_LASER:
-            return topo.fiber_roundtrip_factor * both
-        return both
+    def psd(f, averaged: bool):
+        f2 = f**2
+        sin2 = common and not averaged
+        w = 2.0 * np.pi * f if stab or sin2 else None
+        if stab:
+            s_laser = _laser_stabilized(f, f2, w**2, laser.free, laser.cavity, laser.loop)
+        else:
+            s_laser = _laser_free(f, f2, f**3, laser.free)
+        if sin2:
+            total = 4.0 * np.sin(w * delay) ** 2 * s_laser
+        else:
+            total = 2.0 * s_laser
+        rolloff = None if fib_stab else _fiber_rolloff(f, fiber)
+        both = (_fiber_linear(f2, rolloff, topo.l_a, fiber, fib_stab)
+                + _fiber_linear(f2, rolloff, topo.l_b, fiber, fib_stab))
+        total = total + (topo.fiber_roundtrip_factor * both if common else both)
+        if fib_stab:
+            return total + _detection_floor(f, fiber)
+        return total
 
-    if topo.kind is TopologyKind.COMMON_LASER:
-        delay = topo.refractive_index * dl * 1e3 / SPEED_OF_LIGHT  # s
-
-        def laser_term(f):
-            return 4.0 * np.sin(2.0 * np.pi * f * delay) ** 2 * laser._psd(f, stab)
-
-        def laser_term_avg(f):
-            return 2.0 * laser._psd(f, stab)
-    else:
-        def laser_term(f):
-            return 2.0 * laser._psd(f, stab)
-
-        laser_term_avg = laser_term
-
-    if fib_stab:
-        def floor_term(f):
-            return _detection_floor(f, fiber)
-    else:
-        def floor_term(f):
-            return np.zeros_like(f)
-
-    return laser_term, laser_term_avg, fiber_term, floor_term
+    return psd
 
 
 def interference_spectrum(topo: TopologyConfig,
@@ -363,13 +363,15 @@ def interference_spectrum(topo: TopologyConfig,
     stabilization the sensing-detection floor is added once per link; it
     is measurement noise of the cancellation servo, not propagating fiber
     noise, so it does not pick up round-trip or per-arm factors.
+    delta_l_km overrides the delay mismatch of the common-laser term only.
     """
-    laser_term, laser_avg, fiber_term, floor_term = _composite_parts(
-        topo, laser, fiber, delta_l_km)
+    dl = topo.delta_l if delta_l_km is None else delta_l_km
+    if not 0.0 <= dl < np.inf:
+        raise DomainError("delay mismatch must be finite and >= 0")
+    psd = _composite(topo, laser, fiber, dl)
 
     def func(f):
-        f = _as_positive_freq(f)
-        return laser_term(f) + fiber_term(f) + floor_term(f)
+        return psd(_as_positive_freq(f), False)
 
     knees = [fiber.f_c_free, laser.free.f_c]
     if topo.laser_stabilized:
@@ -377,13 +379,11 @@ def interference_spectrum(topo: TopologyConfig,
     if topo.fiber_stabilized:
         knees.append(fiber.f_c_floor)
 
-    dl = topo.delta_l if delta_l_km is None else delta_l_km
     if topo.kind is TopologyKind.COMMON_LASER and dl > 0:
         period = SPEED_OF_LIGHT / (2.0 * topo.refractive_index * dl * 1e3)
 
         def averaged(f):
-            f = _as_positive_freq(f)
-            return laser_avg(f) + fiber_term(f) + floor_term(f)
+            return psd(_as_positive_freq(f), True)
 
         return Spectrum(func, knees=tuple(knees), oscillation_period=period,
                         averaged_func=averaged)

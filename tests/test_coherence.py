@@ -263,6 +263,20 @@ class TestGridAgainstLoop:
         sigma_map(topo, np.geomspace(0.005, 10.0, 12), np.geomspace(1e-6, 0.1, 16))
         assert len(compared) == 12
 
+    @pytest.mark.parametrize("sid", [4, 5])
+    def test_cli_default_map_columns(self, compared, sid):
+        # the sigma-map command's default ranges on the stabilized-laser
+        # presets: uniform segments below the switch node in most columns,
+        # and columns switching inside the grid
+        topo = tfqkd.builtin_scenarios()[sid - 1].topology
+        dls, taus = np.geomspace(0.001, 10.0, 25), np.geomspace(1e-6, 1.0, 25)
+        sigma_map(topo, dls, taus)
+        assert len(compared) == 25
+        switches = [coherence.OSC_PERIODS * interference_spectrum(topo, delta_l_km=d)
+                    .oscillation_period for d in dls]
+        f_hi = interference_spectrum(topo).default_f_max()
+        assert sum(1.0 / taus[-1] < s < f_hi for s in switches) > 10
+
     def test_independent_lasers(self, compared):
         topo = TopologyConfig(kind=TopologyKind.INDEPENDENT_LASERS)
         spec = interference_spectrum(topo)

@@ -33,13 +33,42 @@ def test_sweep_with_cal_rates_loads_no_scipy():
 
 
 def test_keyrate_command_loads_no_scipy():
-    out = run_python("-X", "importtime", "-m", "tfqkd.cli", "keyrate",
-                     "--scenario", "2", "--attenuation-db", "40")
-    assert out.stdout.startswith("total_attenuation_db,")
-    imported = [line.rsplit("|", 1)[-1].strip() for line in out.stderr.splitlines()
-                if line.startswith("import time:")]
+    stdout, imported = imported_modules("keyrate", "--scenario", "2", "--attenuation-db", "40")
+    assert stdout.startswith("total_attenuation_db,")
     assert "tfqkd.cal" in imported
     assert not [m for m in imported if m == "scipy" or m.startswith("scipy.")]
+
+
+def imported_modules(*command):
+    """Names of the modules a fresh `tfqkd` CLI process imports."""
+    out = run_python("-X", "importtime", "-m", "tfqkd.cli", *command)
+    return out.stdout, [line.rsplit("|", 1)[-1].strip() for line in out.stderr.splitlines()
+                        if line.startswith("import time:")]
+
+
+def test_import_loads_no_yaml_or_jsonschema():
+    # PyYAML loads only where a configuration is read or written, and the
+    # schema check is the package's own
+    out = run_python("-c", "import sys, tfqkd; print(sorted(m for m in sys.modules"
+                     " if m.split('.')[0] in ('yaml', 'jsonschema')))")
+    assert out.stdout.strip() == "[]"
+
+
+def test_config_command_loads_no_jsonschema():
+    config = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "configs", "scenario1.yaml")
+    stdout, imported = imported_modules("scenario", config, "--stop", "1")
+    assert stdout.startswith("total_attenuation_db,")
+    assert "yaml" in imported
+    assert not [m for m in imported if m.split(".")[0] == "jsonschema"]
+
+
+def test_tau_solve_loads_no_numpy_ma():
+    # the integration grid dedupes its breakpoints by a sort, not np.unique
+    stdout, imported = imported_modules("tau-solve", "--scenario", "3")
+    assert stdout.startswith("tau_q_s,")
+    assert "tfqkd.coherence" in imported
+    assert not [m for m in imported if m == "numpy.ma" or m.startswith("numpy.ma.")]
 
 
 def test_speed_of_light_is_the_si_value():

@@ -130,7 +130,7 @@ class TestLaserStabilized:
         from tfqkd.spectra import _suppression
         f = np.geomspace(1e-3, 1e9, 4001)
         complex_form = np.abs(1.0 / (1.0 + loop_gain(f, loop))) ** 2
-        assert np.allclose(_suppression(f, loop), complex_form, rtol=1e-13, atol=0)
+        assert np.allclose(_suppression(f * f, (2 * np.pi * f) ** 2, loop), complex_form, rtol=1e-13, atol=0)
 
     def test_never_below_cavity(self):
         f = np.geomspace(1e-2, 1e9, 200)
@@ -328,3 +328,39 @@ class TestInputCheck:
                 calls.clear()
                 psd(f)
                 assert len(calls) == 1
+
+
+class TestCompositeEqualsSingleTerms:
+    """The composite PSD is the docstring's sum of the public single-term
+    PSDs, bit for bit, on every preset's laser and fiber path."""
+
+    F = np.geomspace(1.0, 3e7, 2001)
+
+    @staticmethod
+    def single_terms(topo, dl, f, averaged):
+        from tfqkd.spectra import psd_detection_floor, psd_fiber_linear
+        laser = LaserSpec().psd(f, stabilized=topo.laser_stabilized)
+        fibers = (psd_fiber_linear(f, topo.l_a, FIBER, topo.fiber_stabilized)
+                  + psd_fiber_linear(f, topo.l_b, FIBER, topo.fiber_stabilized))
+        if topo.kind is TopologyKind.INDEPENDENT_LASERS:
+            total = 2.0 * laser + fibers
+        else:
+            delay = topo.refractive_index * dl * 1e3 / SPEED_OF_LIGHT
+            laser_term = 2.0 * laser if averaged else (
+                4.0 * np.sin(2.0 * np.pi * f * delay) ** 2 * laser)
+            total = laser_term + topo.fiber_roundtrip_factor * fibers
+        if topo.fiber_stabilized:
+            total = total + psd_detection_floor(f, FIBER)
+        return total
+
+    @pytest.mark.parametrize("preset", tfqkd.builtin_scenarios(), ids=lambda p: str(p.id))
+    @pytest.mark.parametrize("dl", [0.0, 0.02, 2.5, 10.0])
+    def test_bit_identical(self, preset, dl):
+        topo = preset.topology
+        spec = interference_spectrum(topo, delta_l_km=dl)
+        assert np.array_equal(spec.func(self.F), self.single_terms(topo, dl, self.F, False))
+        common = topo.kind is TopologyKind.COMMON_LASER
+        assert (spec.averaged_func is not None) == (common and dl > 0)
+        if spec.averaged_func is not None:
+            assert np.array_equal(spec.averaged_func(self.F),
+                                  self.single_terms(topo, dl, self.F, True))
