@@ -22,7 +22,7 @@ from .cal import (
 )
 from .coherence import (
     CoherenceBudget,
-    CoherenceResult,
+    OperatingPoint,
     SigmaMap,
     duty_cycle,
     phase_variance,
@@ -32,6 +32,7 @@ from .coherence import (
     solve_tau_q,
 )
 from .config import FullConfig, dump_config, load_config, loads_config
+from .csvtext import csv_text
 from .decoy import (
     ChannelErrorModel,
     DecoyBounds,
@@ -70,14 +71,13 @@ from .oracle import (
 from .scenarios import (
     DETECTORS,
     PROTOCOL_NAMES,
-    OperatingPoint,
     ProtocolParams,
     ScenarioPreset,
     SweepRow,
     SweepSpec,
     SweepTable,
+    builtin_scenario,
     builtin_scenarios,
-    canonical_operating_point,
     emit_csv,
     format_csv,
     run_sweep,

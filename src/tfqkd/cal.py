@@ -251,6 +251,12 @@ def _survivors(n: int, polys, arm_t):
     return np.power(loss, n), sums
 
 
+def _one_click(vacuum, at, p_d: float):
+    """P(one given detector alone clicks) from the weights of no survivor
+    and of all survivors reaching it, with dark counts p_d at both."""
+    return p_d * (1.0 - p_d) * vacuum + (1.0 - p_d) * at
+
+
 @dataclass(frozen=True)
 class FockYield:
     """Click-pattern probabilities for a photon-number pair input."""
@@ -276,10 +282,9 @@ def fock_pair_yield(n_a: int, n_b: int, arm_t, p_d: float) -> FockYield:
         raise DomainError("arm_t and p_d must lie in [0, 1]")
     # survivors all at c, all at d, at both
     vacuum, (at_c, at_d, split) = _survivors(n_a + n_b, _yield_coefficients(n_a, n_b), arm_t)
-    dark = p_d * (1.0 - p_d) * vacuum
     return _scalars(FockYield(none=(1.0 - p_d) * (1.0 - p_d) * vacuum,
-                              c_only=dark + (1.0 - p_d) * at_c,
-                              d_only=dark + (1.0 - p_d) * at_d,
+                              c_only=_one_click(vacuum, at_c, p_d),
+                              d_only=_one_click(vacuum, at_d, p_d),
                               both=p_d * p_d * vacuum + split + p_d * (at_c + at_d)))
 
 
@@ -311,7 +316,7 @@ def cal_phase_error(p: CalParams, ch: CalChannel, p_d: float):
             n, poly = n_a + n_b, _yield_coefficients(n_a, n_b)[0]  # all at c
             if (n, poly) not in roots:
                 vacuum, (at_c,) = _survivors(n, (poly,), arm_t)
-                y = p_d * (1.0 - p_d) * vacuum + (1.0 - p_d) * at_c  # fock_pair_yield's c_only
+                y = _one_click(vacuum, at_c, p_d)
                 roots[n, poly] = np.sqrt(np.maximum(y, 0.0))
             explicit = explicit + raw[m_a] * raw[m_b] * roots[n, poly]
         total = total + np.square(explicit + _cat_remainder(p.mu_zeta, j, p.m_max, sset))

@@ -21,7 +21,7 @@ from .spectra import FiberParams, LaserSpec, Spectrum, TopologyConfig, interfere
 
 __all__ = [
     "CoherenceBudget",
-    "CoherenceResult",
+    "OperatingPoint",
     "SigmaMap",
     "phase_variance",
     "qber_from_variance",
@@ -48,9 +48,7 @@ _GRID_RTOL = 1e-4
 
 
 def _spectrum_of(psd) -> Spectrum:
-    if isinstance(psd, Spectrum):
-        return psd
-    return Spectrum(psd)
+    return psd if isinstance(psd, Spectrum) else Spectrum(psd)
 
 
 def _tail_integral(func, f_hi: float, body: float) -> float:
@@ -238,20 +236,33 @@ class CoherenceBudget:
 
 
 @dataclass(frozen=True)
-class CoherenceResult:
-    """Solved transmission window and the derived duty cycle and QBER."""
+class OperatingPoint:
+    """Transmission window, residual phase deviation, phase-noise QBER and
+    stabilization overhead: what solve_tau_q returns and run_sweep reads.
+    Only the solve sets clipped (window at tau_max) or floored (at tau_floor).
+    """
 
     tau_q: float
     sigma_phi: float
-    duty_cycle: float
     e_phi: float
+    tau_ps: float = 1e-3
     clipped: bool = False
     floored: bool = False
 
+    def __post_init__(self):
+        if not (0 < self.tau_q < np.inf and 0 < self.tau_ps < np.inf):
+            raise DomainError("times must be finite and > 0")
+        if not (0 <= self.sigma_phi < np.inf and 0.0 <= self.e_phi <= 0.5):
+            raise DomainError("finite sigma_phi >= 0 and e_phi in [0, 0.5] required")
 
-def solve_tau_q(psd, budget: CoherenceBudget = CoherenceBudget()) -> CoherenceResult:
+    @property
+    def duty_cycle(self) -> float:
+        return duty_cycle(self.tau_q, self.tau_ps)
+
+
+def solve_tau_q(psd, budget: CoherenceBudget = CoherenceBudget()) -> OperatingPoint:
     """Largest tau_q <= tau_max whose accumulated sigma stays at or below
-    the threshold.
+    the threshold, as the operating point with the budget's tau_ps.
 
     If the threshold is never reached the result is clipped at tau_max
     with the (smaller) variance accumulated there; if it is exceeded even
@@ -270,21 +281,21 @@ def solve_tau_q(psd, budget: CoherenceBudget = CoherenceBudget()) -> CoherenceRe
     var_max, var_floor = np.interp(f_ends, f, c, right=0.0)
 
     def result(tau, sig, clipped=False, floored=False):
-        return CoherenceResult(
-            tau_q=tau, sigma_phi=sig, duty_cycle=duty_cycle(tau, budget.tau_ps),
-            e_phi=qber_from_variance(sig * sig), clipped=clipped, floored=floored)
+        return OperatingPoint(
+            tau_q=float(tau), sigma_phi=float(sig), e_phi=float(qber_from_variance(sig * sig)),
+            tau_ps=float(budget.tau_ps), clipped=clipped, floored=floored)
 
     level = budget.sigma_threshold ** 2
     if var_max <= level:
-        return result(budget.tau_max, float(np.sqrt(var_max)), clipped=True)
+        return result(budget.tau_max, np.sqrt(var_max), clipped=True)
     if var_floor > level:
-        return result(budget.tau_floor, float(np.sqrt(var_floor)), floored=True)
+        return result(budget.tau_floor, np.sqrt(var_floor), floored=True)
     # c falls along the nodes from above the level at 1/tau_max to at most
     # the level at 1/tau_floor (or 0 at f_max)
     i = int(np.argmax(c <= level))
     lo, hi = np.log(f[i - 1]), np.log(f[i])
     log_f = lo + (c[i - 1] - level) / (c[i - 1] - c[i]) * (hi - lo)
-    return result(float(np.exp(-log_f)), budget.sigma_threshold)
+    return result(np.exp(-log_f), budget.sigma_threshold)
 
 
 @dataclass(frozen=True)

@@ -18,18 +18,11 @@ import operator
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from .coherence import CoherenceBudget, solve_tau_q
+from .coherence import CoherenceBudget, OperatingPoint, solve_tau_q
 from .errors import ConfigError, DomainError
 from .link import DetectorParams
-from .scenarios import (
-    DETECTORS,
-    OperatingPoint,
-    PROTOCOL_NAMES,
-    ProtocolParams,
-    SweepSpec,
-    builtin_scenario,
-)
-from .spectra import FiberParams, LaserSpec, TopologyConfig, TopologyKind
+from .scenarios import DETECTORS, PROTOCOL_NAMES, ProtocolParams, SweepSpec, builtin_scenario
+from .spectra import FiberParams, LaserSpec, TopologyConfig, TopologyKind, interference_spectrum
 
 __all__ = ["FullConfig", "load_config", "loads_config", "dump_config"]
 
@@ -133,11 +126,8 @@ class FullConfig:
         """Explicit operating point, or a live solve on the configured spectrum."""
         if self.operating_point is not None:
             return self.operating_point
-        from .spectra import interference_spectrum
-        res = solve_tau_q(interference_spectrum(self.topology, self.laser,
-                                                self.fiber), self.budget)
-        return OperatingPoint(tau_q=res.tau_q, sigma_phi=res.sigma_phi,
-                              e_phi=res.e_phi, tau_ps=self.budget.tau_ps)
+        return solve_tau_q(interference_spectrum(self.topology, self.laser, self.fiber),
+                           self.budget)
 
 
 def _is_number(value) -> bool:
@@ -285,11 +275,16 @@ def _build(raw: dict) -> FullConfig:
     return _apply(base, updates, raw)
 
 
-def loads_config(text: str) -> FullConfig:
-    """Parse and validate a YAML configuration string."""
+def _parse(text: str, source: str) -> FullConfig:
     import yaml
 
-    raw = yaml.safe_load(text)
+    try:
+        raw = yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+        problem = " ".join(str(getattr(exc, "problem", None) or exc).split())
+        raise ConfigError(f"{source}: invalid YAML{where}: {problem}") from exc
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):
@@ -298,10 +293,20 @@ def loads_config(text: str) -> FullConfig:
     return _build(raw)
 
 
+def loads_config(text: str) -> FullConfig:
+    """Parse and validate a YAML configuration string."""
+    return _parse(text, "configuration")
+
+
 def load_config(path) -> FullConfig:
-    """Load, schema-validate and resolve a YAML configuration file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads_config(fh.read())
+    """Load, schema-validate and resolve a YAML configuration file; one that
+    cannot be read, decoded as UTF-8 or parsed raises a ConfigError naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return _parse(fh.read(), str(path))
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigError(f"{path}: cannot read configuration: {reason}") from exc
 
 
 def _to_dict(cfg: FullConfig) -> dict:

@@ -1,5 +1,7 @@
 """Exception types shared across the simulator."""
 
+__all__ = ["TfqkdError", "DomainError", "DivergentIntegralError", "ConfigError"]
+
 
 class TfqkdError(Exception):
     """Base class for all simulator errors."""

@@ -212,10 +212,14 @@ def poisson_true_yields(m: ChannelErrorModel, n: int) -> tuple[float, float]:
     """
     if n < 0:
         raise DomainError("photon number must be >= 0")
+    return _yields(m, n)
+
+
+def _yields(m: ChannelErrorModel, n):
+    """poisson_true_yields at photon number n, or over an array of them."""
     miss = (1.0 - m.eta_hat) ** n
-    y_n = 1.0 - (1.0 - m.p_dc) * miss
-    ey_n = m.p_dc / 2.0 + (m.e_total - m.p_dc / 2.0) * (1.0 - miss)
-    return y_n, ey_n
+    return (1.0 - (1.0 - m.p_dc) * miss,
+            m.p_dc / 2.0 + (m.e_total - m.p_dc / 2.0) * (1.0 - miss))
 
 
 def poisson_yield_gain(mu: float, m: ChannelErrorModel) -> tuple[float, float]:
@@ -237,9 +241,7 @@ def poisson_yield_gain(mu: float, m: ChannelErrorModel) -> tuple[float, float]:
     if mu == 0.0:
         p_n = np.zeros(n_max + 1)
         p_n[0] = 1.0
-    miss = (1.0 - m.eta_hat) ** ns
-    y = 1.0 - (1.0 - m.p_dc) * miss
-    ey = m.p_dc / 2.0 + (m.e_total - m.p_dc / 2.0) * (1.0 - miss)
+    y, ey = _yields(m, ns)
     q = float(np.dot(p_n, y))
     eq = float(np.dot(p_n, ey))
     if q <= 0.0:

@@ -2,11 +2,12 @@
 
 Seven built-in scenarios cover the combinations of laser distribution
 scheme, laser and fiber stabilization and arm mismatch studied for a
-114 km-arm link.  Each carries the solved coherence thresholds plus a
-canonical operating point (transmission window, phase deviation,
-phase-noise QBER) used by the sweeps, quantized to the displayed
-precision so that scenarios with equivalent phase-noise budgets produce
-identical key-rate curves.
+114 km-arm link.  Each carries a canonical operating point (transmission
+window, phase deviation, phase-noise QBER) used by the sweeps: its solved
+coherence thresholds quantized to the displayed precision, so that
+scenarios with equivalent phase-noise budgets produce identical key-rate
+curves.  A live solve (solve_scenario) returns the same OperatingPoint
+type, and run_sweep takes either.
 
 run_sweep returns a SweepTable: the grid, one array per rate and
 diagnostic column, one boolean mask per failure flag, and the operating
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import cal as cal_mod
 from . import sns as sns_mod
-from .coherence import CoherenceBudget, solve_tau_q
+from .coherence import CoherenceBudget, OperatingPoint, solve_tau_q
 from .csvtext import csv_text
 from .decoy import ChannelErrorModel, DecoySet, _bb84_columns, _check_f_ec
 from .errors import DomainError
@@ -56,7 +57,7 @@ __all__ = [
     "PROTOCOL_NAMES",
     "builtin_scenarios",
     "builtin_scenario",
-    "canonical_operating_point",
+    "solve_scenario",
     "run_sweep",
     "format_csv",
     "emit_csv",
@@ -68,49 +69,22 @@ MAX_SWEEP_POINTS = 1_000_000
 
 
 @dataclass(frozen=True)
-class OperatingPoint:
-    """Coherence operating point of a scenario: window, deviation, QBER, overhead."""
-
-    tau_q: float
-    sigma_phi: float
-    e_phi: float
-    tau_ps: float = 1e-3
-
-    def __post_init__(self):
-        if not (0 < self.tau_q < np.inf and 0 < self.tau_ps < np.inf):
-            raise DomainError("times must be finite and > 0")
-        if not (0 <= self.sigma_phi < np.inf and 0.0 <= self.e_phi <= 0.5):
-            raise DomainError("finite sigma_phi >= 0 and e_phi in [0, 0.5] required")
-
-    @property
-    def duty(self) -> float:
-        return self.tau_q / (self.tau_q + self.tau_ps)
-
-
-def canonical_operating_point(tau_q: float, sigma: float,
-                              tau_ps: float = 1e-3) -> OperatingPoint:
-    """Operating point quantized to the precision the scenarios are quoted at.
-
-    The phase-noise QBER uses the small-phase sigma^2/4 mapping rounded to
-    1e-3 (the threshold sigma = 0.2 rad maps to exactly 0.01); the stored
-    deviation is re-derived from the rounded QBER so that scenarios with
-    the same QBER class share a bit-identical operating point.
-    """
-    e_phi = round(sigma * sigma / 4.0, 3)
-    return OperatingPoint(tau_q=tau_q, sigma_phi=2.0 * math.sqrt(e_phi),
-                          e_phi=e_phi, tau_ps=tau_ps)
-
-
-@dataclass(frozen=True)
 class ScenarioPreset:
-    """A named topology plus its solved thresholds and sweep operating point."""
+    """A named topology plus its sweep operating point."""
 
     id: int
     label: str
     topology: TopologyConfig
-    expected_tau_q: float
-    expected_sigma: float
     operating_point: OperatingPoint
+
+
+def _canonical_operating_point(tau_q: float, sigma: float) -> OperatingPoint:
+    """Operating point at the precision the scenarios are quoted at: the
+    small-phase QBER sigma^2/4 rounded to 1e-3 (sigma = 0.2 rad gives exactly
+    0.01) and sigma re-derived from it, so that scenarios of one QBER class
+    share a bit-identical operating point."""
+    e_phi = round(sigma * sigma / 4.0, 3)
+    return OperatingPoint(tau_q=tau_q, sigma_phi=2.0 * math.sqrt(e_phi), e_phi=e_phi)
 
 
 def _topo(kind, laser_stab, fiber_stab, delta_l_km):
@@ -138,9 +112,8 @@ def _build_presets() -> tuple[ScenarioPreset, ...]:
          _topo(indep, True, True, 0.02), 0.1, 0.07),
     )
     return tuple(
-        ScenarioPreset(id=i, label=lab, topology=t, expected_tau_q=tau,
-                       expected_sigma=sig,
-                       operating_point=canonical_operating_point(tau, sig))
+        ScenarioPreset(id=i, label=lab, topology=t,
+                       operating_point=_canonical_operating_point(tau, sig))
         for i, lab, t, tau, sig in rows)
 
 
@@ -152,8 +125,8 @@ def builtin_scenarios() -> tuple[ScenarioPreset, ...]:
 
     Nominally equal arms keep a 20 m mismatch so the common-laser
     self-delay term is not trivially zero.  Where the threshold sigma is
-    never reached within the 100 ms clip, the expected sigma is the value
-    accumulated at the clip.
+    never reached within the 100 ms clip, the operating point's sigma is
+    the value accumulated at the clip.
     """
     return _PRESETS
 
@@ -245,8 +218,9 @@ class SweepRow:
 def solve_scenario(preset: ScenarioPreset,
                    laser: LaserSpec = LaserSpec(),
                    fiber: FiberParams = FiberParams(),
-                   budget: CoherenceBudget = CoherenceBudget()):
-    """Live coherence solve for a preset topology (validation path)."""
+                   budget: CoherenceBudget = CoherenceBudget()) -> OperatingPoint:
+    """Live coherence solve for a preset topology: the solved operating
+    point, which run_sweep takes in place of the preset's canonical one."""
     spectrum = interference_spectrum(preset.topology, laser, fiber)
     return solve_tau_q(spectrum, budget)
 
@@ -267,7 +241,7 @@ def _rates(eta: np.ndarray, det: DetectorParams, op: OperatingPoint,
     eta_hat = effective_transmittance(eta, det)
     arm_t = arm_transmittance(eta_hat)
     nu_s = det.clock_rate
-    duty = op.duty
+    duty = op.duty_cycle
     e_theta = prot.misalignment.e_theta
     rates: dict = {}
     diag: dict = {}
@@ -356,7 +330,7 @@ class SweepTable(Sequence):
     @cached_property
     def _rows(self) -> list:
         x_name, op = self.x_name, self.operating_point
-        duty, sigma_phi, e_phi = op.duty, op.sigma_phi, op.e_phi
+        duty, sigma_phi, e_phi = op.duty_cycle, op.sigma_phi, op.e_phi
         rate_names, diag_names = tuple(self.rates), tuple(self.diagnostics)
         k = 1 + len(rate_names)
         values = np.column_stack(
@@ -417,7 +391,7 @@ def format_csv(table: SweepTable) -> str:
               + list(table.diagnostics) + ["flags"])
     return csv_text(header, (
         table.x, *table.rates.values(),
-        *([f"{v:.12e}"] * n for v in (op.duty, op.sigma_phi, op.e_phi)),
+        *([f"{v:.12e}"] * n for v in (op.duty_cycle, op.sigma_phi, op.e_phi)),
         *table.diagnostics.values(), [";".join(f) for f in table._point_flags()]))
 
 

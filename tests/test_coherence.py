@@ -13,6 +13,7 @@ from tfqkd import (
     CoherenceBudget,
     DivergentIntegralError,
     DomainError,
+    OperatingPoint,
     Spectrum,
     TopologyConfig,
     TopologyKind,
@@ -459,6 +460,22 @@ class TestSolveTauQ:
         res = solve_tau_q(spec)
         assert res.duty_cycle == pytest.approx(res.tau_q / (res.tau_q + 1e-3), rel=1e-12)
         assert res.e_phi == pytest.approx(qber_from_variance(res.sigma_phi**2), rel=1e-12)
+
+    @pytest.mark.parametrize("sid, budget, state", [
+        *((sid, CoherenceBudget(), "clipped" if sid in (2, 5, 7) else None)
+          for sid in range(1, 8)),
+        (2, CoherenceBudget(tau_max=1, tau_ps=1), "clipped"),
+        (3, CoherenceBudget(sigma_threshold=1e-3), "floored")])
+    def test_solved_point_holds_python_scalars(self, sid, budget, state):
+        # one type from the solve to the sweep, with plain float and bool
+        # fields also for int budget values, and the duty cycle derived
+        op = tfqkd.solve_scenario(tfqkd.builtin_scenario(sid), budget=budget)
+        assert isinstance(op, OperatingPoint)
+        for field in dataclasses.fields(op):
+            kind = bool if field.name in ("clipped", "floored") else float
+            assert type(getattr(op, field.name)) is kind, field.name
+        assert op.duty_cycle == duty_cycle(op.tau_q, budget.tau_ps)
+        assert op.clipped == (state == "clipped") and op.floored == (state == "floored")
 
 
 class TestSigmaMap:

@@ -1,6 +1,9 @@
-"""Import footprint of the package."""
+"""Import footprint and namespace of the package."""
 
+import importlib
+import inspect
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -69,6 +72,22 @@ def test_tau_solve_loads_no_numpy_ma():
     assert stdout.startswith("tau_q_s,")
     assert "tfqkd.coherence" in imported
     assert not [m for m in imported if m == "numpy.ma" or m.startswith("numpy.ma.")]
+
+
+def test_namespace_matches_module_all():
+    # each module's __all__ is what the package exports from it, and each
+    # public class and function in the package is in its module's __all__
+    import tfqkd
+
+    for info in pkgutil.iter_modules(tfqkd.__path__):
+        if info.name == "cli":  # the command-line entry point exports nothing
+            continue
+        module = importlib.import_module(f"tfqkd.{info.name}")
+        for name in module.__all__:
+            assert getattr(tfqkd, name, None) is getattr(module, name), f"{info.name}.{name}"
+    for name, obj in vars(tfqkd).items():
+        if not name.startswith("_") and (inspect.isclass(obj) or inspect.isfunction(obj)):
+            assert name in sys.modules[obj.__module__].__all__, name
 
 
 def test_speed_of_light_is_the_si_value():

@@ -45,6 +45,7 @@ from tfqkd import (
     sns_aopp_rate,
     sns_rate,
     sns_window_stats,
+    solve_scenario,
 )
 from tfqkd.cli import main as cli_main
 from tfqkd.scenarios import builtin_scenario
@@ -64,7 +65,7 @@ def scalar_point(sid, spec, x):
                                           l_a=x / 2, l_b=x / 2)).eta
     eta_hat = effective_transmittance(eta, det)
     arm_t = arm_transmittance(eta_hat)
-    nu, duty, p_dc = det.clock_rate, op.duty, det.p_dc
+    nu, duty, p_dc = det.clock_rate, op.duty_cycle, det.p_dc
     rates, diag, flags = {}, {}, []
     if "plob" in spec.protocols:
         rates["plob"] = math.inf if eta >= 1.0 else plob_bound(eta) * nu
@@ -360,7 +361,7 @@ class TestSweepTable:
         for i, row in enumerate(table):
             assert row.rates == {p: a[i] for p, a in table.rates.items()}
             assert row.diagnostics == {k: a[i] for k, a in table.diagnostics.items()}
-            assert row.duty_cycle == table.operating_point.duty
+            assert row.duty_cycle == table.operating_point.duty_cycle
         with pytest.raises(IndexError):
             table[4]
 
@@ -523,6 +524,19 @@ class TestConfig:
         with pytest.raises(ConfigError):
             loads_config("- 1\n- 2\n")
 
+    def test_bad_yaml_syntax(self):
+        with pytest.raises(ConfigError, match="invalid YAML at line 1, column 15"):
+            loads_config("laser: {r3: [1")
+
+    @pytest.mark.parametrize("preset", builtin_scenarios(), ids=lambda p: str(p.id))
+    def test_solved_point_sweeps_like_a_config_without_one(self, preset):
+        # the solve is the operating point a configuration without one sweeps
+        spec = SweepSpec(start=0, stop=60, step=5)
+        cfg = loads_config(dump_config(FullConfig(topology=preset.topology)))
+        assert cfg.operating_point is None
+        assert format_csv(run_sweep(solve_scenario(preset), spec)) == format_csv(
+            run_sweep(cfg.resolve_operating_point(), spec))
+
 
 class TestCli:
     def test_scenario_deterministic(self, tmp_path):
@@ -659,6 +673,34 @@ class TestCli:
         assert isinstance(res.exception, SystemExit)
         assert res.exit_code != 0
         assert "Traceback" not in res.output
+
+    @pytest.mark.parametrize("command, content", [
+        (["tau-solve", "--config", "{file}"], b"laser: {r3: [1\n"),
+        (["scenario", "{file}"], b"\xff\xfescenario: {preset: 1}\n"),
+        (["scenario", "{missing}"], None),
+        (["tau-solve", "--config", "{dir}"], None)],
+        ids=["yaml-syntax", "not-utf8", "missing-file", "directory"])
+    def test_unreadable_config_is_one_error_line(self, tmp_path, command, content):
+        path = tmp_path / "bad.yaml"
+        if content is not None:
+            path.write_bytes(content)
+        names = {"file": str(path), "missing": str(tmp_path / "missing.yaml"),
+                 "dir": str(tmp_path)}
+        args = [a.format(**names) for a in command]
+        res = CliRunner().invoke(cli_main, args)
+        assert isinstance(res.exception, SystemExit) and res.exit_code == 1
+        assert res.stdout == ""
+        assert "Traceback" not in res.output
+        lines = res.output.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"Error: {args[-1]}: ")
+
+    def test_int_budget_prints_float_window(self, tmp_path):
+        # a window clipped at an int tau_max prints as a float, not "1"
+        path = tmp_path / "cfg.yaml"
+        path.write_text("scenario: {preset: 2}\nbudget: {tau_max_s: 1}\n")
+        res = CliRunner().invoke(cli_main, ["tau-solve", "--config", str(path)])
+        assert res.exit_code == 0, res.output
+        assert res.output.split("\n")[1].startswith("1.000000000000e+00,")
 
     def test_infinite_sigma_phi_exits_without_output(self, tmp_path):
         path = tmp_path / "cfg.yaml"
