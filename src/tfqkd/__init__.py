@@ -48,9 +48,7 @@ from .errors import ConfigError, DivergentIntegralError, DomainError, TfqkdError
 from .link import (
     SNSPD,
     SPAD,
-    ChannelParams,
     DetectorParams,
-    LinkBudget,
     MisalignmentParams,
     arm_transmittance,
     balanced_link,

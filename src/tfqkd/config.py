@@ -31,8 +31,8 @@ _NONNEG = {"type": "number", "minimum": 0}
 _BOOL = {"type": "boolean"}
 
 # (YAML section, key, schema fragment, dotted FullConfig path it sets).
-# The two preset keys set no path: they pick the object the other keys
-# of their section override.
+# The scenario preset sets no path: it picks the topology and operating
+# point the other sections override.
 _FIELDS = (
     ("scenario", "preset", {"type": "integer", "minimum": 1, "maximum": 7}, None),
     ("topology", "kind", {"enum": [k.value for k in TopologyKind]}, "topology.kind"),
@@ -77,7 +77,6 @@ _FIELDS = (
     ("operating_point", "tau_q_s", _POS, "operating_point.tau_q"),
     ("operating_point", "sigma_phi_rad", _NONNEG, "operating_point.sigma_phi"),
     ("operating_point", "e_phi", _NONNEG, "operating_point.e_phi"),
-    ("detector", "preset", {"enum": sorted(DETECTORS)}, None),
     ("detector", "eta_d", _POS, "detector.eta_d"),
     ("detector", "dark_rate_hz", _NONNEG, "detector.dark_rate"),
     ("detector", "clock_rate_hz", _POS, "detector.clock_rate"),
@@ -262,7 +261,9 @@ def _build(raw: dict) -> FullConfig:
         topology=preset.topology if preset else TopologyConfig(),
         operating_point=None if preset is None or op_raw is not None
         else preset.operating_point,
-        detector=DETECTORS[det_raw.get("preset", "snspd")] if det_raw else None)
+        # a detector section overrides fields of the sweep's detector preset
+        detector=DETECTORS[_section(raw, "sweep").get("detector", SweepSpec.detector)]
+        if det_raw else None)
 
     updates = {}
     for section, key, _, target in _FIELDS:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -11,10 +11,8 @@ from .decoy import _scalars
 from .errors import DomainError
 
 __all__ = [
-    "ChannelParams",
     "DetectorParams",
     "MisalignmentParams",
-    "LinkBudget",
     "SNSPD",
     "SPAD",
     "balanced_link",
@@ -23,23 +21,6 @@ __all__ = [
     "arm_transmittance",
     "plob_bound",
 ]
-
-
-@dataclass(frozen=True)
-class ChannelParams:
-    """Fiber channel: attenuation coefficient alpha (dB/km), instrumentation
-    loss a_plus (dB) charged to the longer arm, and arm lengths in km."""
-
-    alpha: float = 0.2
-    a_plus: float = 0.0
-    l_a: float = 114.0
-    l_b: float = 114.0
-
-    def __post_init__(self):
-        if self.alpha < 0 or self.a_plus < 0:
-            raise DomainError("attenuation terms must be >= 0")
-        if not (self.l_a >= self.l_b >= 0):
-            raise DomainError("arm lengths must satisfy l_a >= l_b >= 0")
 
 
 @dataclass(frozen=True)
@@ -84,44 +65,25 @@ class MisalignmentParams:
         return 2.0 * np.arcsin(np.sqrt(self.e_theta))
 
 
-@dataclass(frozen=True)
-class LinkBudget:
-    """Balanced-link transmittances: total eta, per-arm eta_arm, effective length."""
+def balanced_link(l_a, alpha, a_plus):
+    """Total transmittance of a link balanced at the middle node.
 
-    eta: float
-    eta_arm: float
-    l_eff_km: float
-
-
-def balanced_link(ch: ChannelParams) -> LinkBudget:
-    """Transmittance budget after balancing the arms at the middle node.
-
-    The lossier arm (length l_a plus instrumentation loss) sets the pace;
-    the other arm is padded to match, so the total loss is twice that
-    arm's and the effective length is 2 l_a.
+    The lossier arm (length l_a in km, an array in the sweeps, plus the
+    instrumentation loss a_plus in dB) sets the pace; the other arm is
+    padded to match, so the total loss is 2 (alpha l_a + a_plus) dB.
     """
-    budget = link_from_attenuation(_balanced_db(ch.alpha, ch.a_plus, ch.l_a))
-    return replace(budget, l_eff_km=2.0 * ch.l_a)
+    return link_from_attenuation(2.0 * (alpha * l_a + a_plus))
 
 
-def _balanced_db(alpha, a_plus, l_a):
-    """Total loss in dB of a balanced link whose lossier arm has length
-    l_a (an array in the sweeps): 2 (alpha l_a + a_plus)."""
-    return 2.0 * (alpha * l_a + a_plus)
-
-
-def link_from_attenuation(total_db: float) -> LinkBudget:
-    """Budget for a given total (end-to-end) attenuation in dB, arms balanced."""
-    if total_db < 0:
-        raise DomainError("attenuation must be >= 0 dB")
-    eta = _transmittance([total_db]).item()
-    return LinkBudget(eta=eta, eta_arm=math.sqrt(eta), l_eff_km=float("nan"))
-
-
-def _transmittance(total_db) -> np.ndarray:
-    """10^(-dB/10) of each loss, each a Python float power: numpy's array
-    power differs from it in the last bit on some inputs."""
-    return np.array([10.0 ** (-a / 10.0) for a in np.asarray(total_db, dtype=float).tolist()])
+def link_from_attenuation(total_db):
+    """Total transmittance 10^(-dB/10) of each end-to-end loss in dB, each
+    a Python float power: numpy's array power differs from it in the last
+    bit on some inputs."""
+    db = np.asarray(total_db, dtype=float)
+    if not np.all(db >= 0.0):
+        raise DomainError("attenuation must be a number >= 0 dB")
+    eta = [10.0 ** (-a / 10.0) for a in db.ravel().tolist()]
+    return _scalars(np.array(eta).reshape(db.shape))
 
 
 def effective_transmittance(eta, det: DetectorParams):

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import cal as cal_mod
 from . import sns as sns_mod
-from .coherence import CoherenceBudget, OperatingPoint, solve_tau_q
+from .coherence import CoherenceBudget, OperatingPoint, qber_small_angle, solve_tau_q
 from .csvtext import csv_text
 from .decoy import ChannelErrorModel, DecoySet, _bb84_columns, _check_f_ec
 from .errors import DomainError
@@ -38,10 +38,10 @@ from .link import (
     SPAD,
     DetectorParams,
     MisalignmentParams,
-    _balanced_db,
-    _transmittance,
     arm_transmittance,
+    balanced_link,
     effective_transmittance,
+    link_from_attenuation,
     plob_bound,
 )
 from .spectra import FiberParams, LaserSpec, TopologyConfig, TopologyKind, interference_spectrum
@@ -83,7 +83,7 @@ def _canonical_operating_point(tau_q: float, sigma: float) -> OperatingPoint:
     small-phase QBER sigma^2/4 rounded to 1e-3 (sigma = 0.2 rad gives exactly
     0.01) and sigma re-derived from it, so that scenarios of one QBER class
     share a bit-identical operating point."""
-    e_phi = round(sigma * sigma / 4.0, 3)
+    e_phi = round(qber_small_angle(sigma * sigma), 3)
     return OperatingPoint(tau_q=tau_q, sigma_phi=2.0 * math.sqrt(e_phi), e_phi=e_phi)
 
 
@@ -186,8 +186,8 @@ class SweepSpec:
                 raise DomainError(f"unknown protocol {name!r}")
         if self.detector not in DETECTORS:
             raise DomainError(f"unknown detector preset {self.detector!r}")
-        if self.alpha < 0 or self.a_plus < 0:
-            raise DomainError("attenuation terms must be >= 0")
+        if not (0.0 <= self.alpha < math.inf and 0.0 <= self.a_plus < math.inf):
+            raise DomainError("attenuation terms alpha and a_plus must be finite and >= 0")
 
     def _size(self) -> int:
         """Point count, capped at MAX_SWEEP_POINTS + 1 so that any range
@@ -363,9 +363,9 @@ def run_sweep(scenario, spec: Optional[SweepSpec] = None,
         raise DomainError("scenario must be a preset id, ScenarioPreset or OperatingPoint")
 
     x = spec.grid()
-    att = x if spec.x_axis == "total_attenuation_db" \
-        else _balanced_db(spec.alpha, spec.a_plus, x / 2.0)
-    rates, diag, failed = _rates(_transmittance(att), det, op, prot, spec.protocols)
+    eta = link_from_attenuation(x) if spec.x_axis == "total_attenuation_db" \
+        else balanced_link(x / 2.0, spec.alpha, spec.a_plus)
+    rates, diag, failed = _rates(eta, det, op, prot, spec.protocols)
     return SweepTable(x_name=spec.x_axis, x=x,
                       rates={p: rates[p] for p in PROTOCOL_NAMES if p in rates},
                       diagnostics=dict(sorted(diag.items())), flags=failed,

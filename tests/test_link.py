@@ -6,7 +6,6 @@ import pytest
 from tfqkd import (
     SNSPD,
     SPAD,
-    ChannelParams,
     DetectorParams,
     DomainError,
     MisalignmentParams,
@@ -20,34 +19,49 @@ from tfqkd import (
 
 class TestBalancedLink:
     def test_symmetric_100km(self):
-        lb = balanced_link(ChannelParams(alpha=0.2, a_plus=0.0, l_a=100.0, l_b=100.0))
-        assert lb.eta_arm == pytest.approx(1e-2, rel=1e-12)
-        assert lb.eta == pytest.approx(1e-4, rel=1e-12)
-        assert lb.l_eff_km == 200.0
+        eta = balanced_link(100.0, 0.2, 0.0)
+        assert type(eta) is float
+        assert eta == pytest.approx(1e-4, rel=1e-12)
 
     def test_zero_length(self):
-        lb = balanced_link(ChannelParams(l_a=0.0, l_b=0.0))
-        assert lb.eta == 1.0
+        assert balanced_link(0.0, 0.2, 0.0) == 1.0
 
     def test_worst_arm_rules(self):
-        lb = balanced_link(ChannelParams(alpha=0.2, l_a=125.0, l_b=122.5))
-        assert lb.eta_arm == pytest.approx(10 ** (-25.0 / 10.0), rel=1e-12)
+        # the lossier 125 km arm sets the pace: 2 x 25 dB
+        assert balanced_link(125.0, 0.2, 0.0) == link_from_attenuation(50.0)
 
     def test_total_is_square_of_worst_arm(self):
-        for la, lb_km, aplus in ((50.0, 10.0, 0.0), (80.0, 80.0, 3.0), (10.0, 0.0, 1.0)):
-            lb = balanced_link(ChannelParams(l_a=la, l_b=lb_km, a_plus=aplus))
-            assert lb.eta == pytest.approx(lb.eta_arm**2, rel=1e-12)
+        for la, aplus in ((50.0, 0.0), (80.0, 3.0), (10.0, 1.0)):
+            per_arm = 10.0 ** (-(0.2 * la + aplus) / 10.0)
+            assert balanced_link(la, 0.2, aplus) == pytest.approx(per_arm**2, rel=1e-12)
 
     def test_monotone_in_length_and_loss(self):
-        e1 = balanced_link(ChannelParams(l_a=100.0, l_b=100.0)).eta
-        e2 = balanced_link(ChannelParams(l_a=101.0, l_b=100.0)).eta
-        e3 = balanced_link(ChannelParams(l_a=100.0, l_b=100.0, a_plus=1.0)).eta
+        e1 = balanced_link(100.0, 0.2, 0.0)
+        e2 = balanced_link(101.0, 0.2, 0.0)
+        e3 = balanced_link(100.0, 0.2, 1.0)
         assert e2 < e1 and e3 < e1
 
     def test_from_attenuation(self):
-        lb = link_from_attenuation(40.0)
-        assert lb.eta == pytest.approx(1e-4, rel=1e-12)
-        assert lb.eta_arm == pytest.approx(1e-2, rel=1e-12)
+        eta = link_from_attenuation(40.0)
+        assert type(eta) is float
+        assert eta == pytest.approx(1e-4, rel=1e-12)
+
+    def test_array_entries_equal_float_calls(self):
+        # each array entry is the float call at that point, bit for bit
+        db = np.concatenate((np.linspace(0.0, 400.0, 4001), [1e-300, 3239.9, 5000.0]))
+        eta = link_from_attenuation(db)
+        assert isinstance(eta, np.ndarray) and eta.shape == db.shape
+        assert eta.tolist() == [link_from_attenuation(a) for a in db.tolist()]
+        l_a = db / 2.0
+        eta = balanced_link(l_a, 0.2, 1.5)
+        assert eta.tolist() == [balanced_link(x, 0.2, 1.5) for x in l_a.tolist()]
+        assert link_from_attenuation(db.reshape(-1, 1)).shape == (db.size, 1)
+
+    @pytest.mark.parametrize("total_db", [-1e-9, -5.0, np.nan, [0.0, np.nan], [3.0, -1.0]],
+                             ids=["-1e-9", "-5", "nan", "array-nan", "array-negative"])
+    def test_rejects_negative_or_nan_attenuation(self, total_db):
+        with pytest.raises(DomainError, match="attenuation"):
+            link_from_attenuation(total_db)
 
 
 class TestDetectors:

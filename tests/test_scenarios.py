@@ -12,8 +12,8 @@ import tfqkd
 from tfqkd import (
     PROTOCOL_NAMES,
     SNSPD,
+    SPAD,
     ChannelErrorModel,
-    ChannelParams,
     ConfigError,
     DecoySet,
     DetectorParams,
@@ -59,10 +59,9 @@ def scalar_point(sid, spec, x):
     op, prot = builtin_scenario(sid).operating_point, ProtocolParams()
     det = tfqkd.DETECTORS[spec.detector]
     if spec.x_axis == "total_attenuation_db":
-        eta = link_from_attenuation(x).eta
+        eta = link_from_attenuation(x)
     else:
-        eta = balanced_link(ChannelParams(alpha=spec.alpha, a_plus=spec.a_plus,
-                                          l_a=x / 2, l_b=x / 2)).eta
+        eta = balanced_link(x / 2, spec.alpha, spec.a_plus)
     eta_hat = effective_transmittance(eta, det)
     arm_t = arm_transmittance(eta_hat)
     nu, duty, p_dc = det.clock_rate, op.duty_cycle, det.p_dc
@@ -160,7 +159,7 @@ class TestSweepSpec:
         with pytest.raises(DomainError):
             SweepSpec(detector="pmt")
 
-    @pytest.mark.parametrize("field", ["start", "stop", "step"])
+    @pytest.mark.parametrize("field", ["start", "stop", "step", "alpha", "a_plus"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_range(self, field, value):
         with pytest.raises(DomainError):
@@ -195,8 +194,7 @@ class TestRunSweep:
         # balanced_link does: 0.2 * 100 + 2 * 1.5 = 23 dB
         spec = SweepSpec(x_axis="total_length_km", start=100.0, stop=100.0, a_plus=1.5)
         row = run_sweep(2, spec)[0]
-        budget = balanced_link(ChannelParams(alpha=0.2, a_plus=1.5, l_a=50.0, l_b=50.0))
-        assert budget.eta == link_from_attenuation(23.0).eta
+        assert balanced_link(50.0, 0.2, 1.5) == link_from_attenuation(23.0)
         assert row.rates == run_sweep(2, SweepSpec(start=23.0, stop=23.0))[0].rates
 
     def test_protocol_subset(self):
@@ -278,6 +276,7 @@ class TestRunSweep:
         public = {f"{m.__name__}.{n}" for m in (cal_mod, decoy_mod, link_mod, sns_mod)
                   for n in m.__all__}
         assert {k: v for k, v in per_sweep[0].items() if k in public} == {
+            "tfqkd.link.link_from_attenuation": 1,
             "tfqkd.link.effective_transmittance": 1, "tfqkd.link.arm_transmittance": 1,
             "tfqkd.link.plob_bound": 2,
             # bb84: one set of bounds for the rate and the diagnostics, and
@@ -296,8 +295,6 @@ class TestRunSweep:
         # one survivor polynomial per distinct c-only yield: the (0, 2) and
         # (2, 0) inputs share theirs
         assert per_sweep[0]["tfqkd.cal._survivors"] == 4
-        assert all(per_sweep[0][f"tfqkd.link.{n}"] == 1
-                   for n in ("effective_transmittance", "arm_transmittance", "_transmittance"))
 
     @pytest.mark.parametrize("sid, detector, protocols", [
         (2, "snspd", PROTOCOL_NAMES), (5, "spad", PROTOCOL_NAMES),
@@ -334,7 +331,7 @@ class TestRunSweep:
         rows = run_sweep(2, SweepSpec(start=5, stop=75, step=5))
         nu_s = 1e9
         for r in rows:
-            eta = link_from_attenuation(r.x).eta
+            eta = link_from_attenuation(r.x)
             assert r.rates["bb84"] <= plob_bound(eta) * nu_s * (1 + 1e-12)
             arm_cap = plob_bound(np.sqrt(eta)) * nu_s
             assert r.rates["sns_aopp"] <= arm_cap * (1 + 1e-12)
@@ -491,6 +488,16 @@ class TestConfig:
         assert cfg.detector == DetectorParams(eta_d=SNSPD.eta_d, dark_rate=100,
                                               clock_rate=SNSPD.clock_rate)
 
+    def test_detector_section_starts_from_sweep_detector(self):
+        cfg = loads_config("scenario: {preset: 1}\nsweep: {detector: spad}\n"
+                           "detector: {dark_rate_hz: 100}\n")
+        assert cfg.detector == DetectorParams(eta_d=SPAD.eta_d, dark_rate=100,
+                                              clock_rate=SPAD.clock_rate)
+        assert loads_config(dump_config(cfg)) == cfg
+        # the sweep's detector is the one key that names the preset
+        with pytest.raises(ConfigError, match="'preset' was unexpected"):
+            loads_config("scenario: {preset: 1}\ndetector: {preset: spad}\n")
+
     @pytest.mark.parametrize("text, section", [
         ("protocol: {decoys: {u: 0.1, v: 0.2}}", "protocol.decoys"),
         ("loop: {gamma: 2.0}", "loop")])
@@ -507,7 +514,11 @@ class TestConfig:
         "protocol: {f_ec: .inf}",
         "protocol: {cal: {mu_zeta: .nan}}",
         "protocol: {decoys: {u: .inf}}",
-        "detector: {clock_rate_hz: .inf}"])
+        "detector: {clock_rate_hz: .inf}",
+        "channel: {alpha_db_per_km: .nan}",
+        "channel: {alpha_db_per_km: .inf}",
+        "channel: {a_plus_db: .nan}",
+        "channel: {a_plus_db: .inf}"])
     def test_non_finite_model_value_rejected(self, text):
         with pytest.raises(ConfigError):
             loads_config("scenario: {preset: 1}\n" + text)
@@ -626,9 +637,22 @@ class TestCli:
         spec = SweepSpec(start=30, stop=30, detector="spad")
         assert res.output == format_csv(run_sweep(2, spec))
 
+    def test_detector_section_overrides_sweep_detector_preset(self, tmp_path):
+        # the detector section overrides fields of the preset sweep.detector
+        # names; it does not start from an SNSPD
+        path = self._config_file(tmp_path, "scenario: {preset: 2}\n"
+                                 "sweep: {detector: spad, stop: 5}\n"
+                                 "detector: {dark_rate_hz: 10}\n")
+        res = CliRunner().invoke(cli_main, ["scenario", path])
+        assert res.exit_code == 0, res.output
+        det = DetectorParams(eta_d=SPAD.eta_d, dark_rate=10, clock_rate=SPAD.clock_rate)
+        spec = SweepSpec(stop=5, detector="spad")
+        assert res.output == format_csv(run_sweep(2, spec, detector=det))
+        assert res.output != format_csv(run_sweep(2, spec, detector=SNSPD))
+
     def test_detector_flag_beats_config_detector(self, tmp_path):
         path = self._config_file(tmp_path, "scenario: {preset: 2}\n"
-                                 "detector: {preset: snspd}\n")
+                                 "detector: {dark_rate_hz: 100}\n")
         res = CliRunner().invoke(cli_main, ["scenario", path, "--stop", "5",
                                             "--detector", "spad"])
         assert res.exit_code == 0, res.output
