@@ -38,12 +38,13 @@ __all__ = [
 OSC_PERIODS = 50.0
 # Resolution of the one integration grid: log-spaced nodes per decade, and
 # uniform nodes per sin^2 period below the switch frequency.  Over the demo
-# sigma map sigma is then within 2e-9 of an mpmath reference.
-_POINTS_PER_DECADE = 800
-_POINTS_PER_PERIOD = 128
-# Largest relative change of any queried variance when every other node
-# is dropped; beyond it the grid does not resolve the spectrum.  The
-# returned variance is then good to about 1/15 of this.
+# sigma map sigma is then within 1e-10 of an mpmath reference.
+_POINTS_PER_DECADE = 400
+_POINTS_PER_PERIOD = 64
+# Largest relative change of any queried variance between Boole's rule
+# and Simpson's rule on the same nodes; beyond it the grid does not
+# resolve the spectrum.  The change is about the error of Simpson's rule,
+# and the returned Boole value is much closer than that.
 _GRID_RTOL = 1e-4
 
 
@@ -54,8 +55,9 @@ def _spectrum_of(psd) -> Spectrum:
 def _tail_integral(func, f_hi: float, body: float) -> float:
     """Integral of func on [f_hi, inf) via the substitution u = 1/f.
 
-    Works for spectra decaying at least as 1/f^2; a non-integrable tail is
-    reported as an error instead of being clipped silently.
+    Works for spectra decaying at least as 1/f^2; a slower tail, even a
+    convergent one, is reported as an error instead of being clipped
+    silently.
     """
     u_hi = 1.0 / f_hi
     u = np.geomspace(u_hi / 1e6, u_hi, 512)
@@ -63,7 +65,8 @@ def _tail_integral(func, f_hi: float, body: float) -> float:
     remainder = g[0] * u[0]  # constant continuation below the smallest u
     if g[0] > 100.0 * max(g[-1], 1e-300) and remainder > 1e-6 * max(body, 1e-300):
         raise DivergentIntegralError(
-            "PSD tail decays slower than 1/f^2; integral to infinity diverges")
+            "PSD tail decays slower than 1/f^2, which the tail integral in 1/f "
+            "does not handle; give a finite f_max")
     return float(np.trapezoid(g, u) + remainder)
 
 
@@ -83,7 +86,9 @@ def _trapezoid_tail(ln_f: np.ndarray, fy: np.ndarray, fy_end: np.ndarray) -> np.
 
 def _variance_curve(spec: Spectrum, f_query: np.ndarray, f_max: Optional[float]):
     """The accumulated variance on one grid: nodes f and c[i], the PSD
-    integral from f[i] to f_max, i.e. sigma^2 of the window 1/f[i].
+    integral from f[i] to f_max, i.e. sigma^2 of the window 1/f[i], with
+    fy[i] = f[i] * S(f[i]) and fy_end[i], its left-side value (they differ
+    only at the switch node): -dc/d ln f leaving and reaching node i.
 
     f_max defaults to spec.default_f_max().  The grid spans [min f_query,
     f_max], or a finite body plus the 1/f tail integral when f_max is
@@ -93,16 +98,17 @@ def _variance_curve(spec: Spectrum, f_query: np.ndarray, f_max: Optional[float])
     exact PSD below the switch frequency and the sin^2-averaged one from
     it on; the switch node alone gets both, ending the one range and
     starting the other.  The trapezoid tails on every, every other and
-    every fourth node, each summed once, give c by one Richardson step
-    (Simpson's rule).  Raises DivergentIntegralError when the same rule on
-    every other node moves a queried variance by more than _GRID_RTOL.
+    every fourth node, each summed once, give c on every fourth node by two
+    Richardson steps (Boole's rule).  Raises DivergentIntegralError when
+    Simpson's rule on the same nodes differs from c at a queried variance
+    by more than _GRID_RTOL.
     """
     f_max = spec.default_f_max() if f_max is None else f_max
     if not f_max > 0:
         raise DomainError("f_max must be > 0")
     f_lo, f_top = float(np.min(f_query)), float(np.max(f_query))
     if f_lo >= f_max:
-        return np.array([f_lo]), np.zeros(1)
+        return np.array([f_lo]), np.zeros(1), np.zeros(1), np.zeros(1)
     f_switch = None
     if spec.oscillation_period is not None and spec.averaged_func is not None:
         f_switch = OSC_PERIODS * spec.oscillation_period
@@ -112,7 +118,7 @@ def _variance_curve(spec: Spectrum, f_query: np.ndarray, f_max: Optional[float])
         # is integrated in 1/f
         f_hi = max(f_top * 1e4, *(k * 1e3 for k in spec.knees), f_switch or 0.0, 1.0)
     # segments between consecutive breakpoints, each in a multiple of four
-    # equal steps (so breakpoints stay nodes of the every-other-node grid):
+    # equal steps (so breakpoints stay nodes of the every-fourth-node grid):
     # uniform in f over the sin^2 periods, from where such a step is finer
     # than a log step, and in log f elsewhere
     breaks = [f_lo, f_hi, *f_query, *spec.knees]
@@ -158,22 +164,24 @@ def _variance_curve(spec: Spectrum, f_query: np.ndarray, f_max: Optional[float])
         fy_end = fy.copy()
         fy_end[k] = f[k] * exact[-1]
     # a Richardson step of each tail against the next coarser one is
-    # Simpson's rule on equal step pairs and stays finite on zero-width
-    # ones: c on every other node, and its check on every fourth
+    # Simpson's rule on equal step pairs, and one of Simpson's rule against
+    # its own next coarser one is Boole's rule on step quadruples; both
+    # stay finite on zero-width steps.  c lives on every fourth node, and
+    # its check is the Simpson value on the same nodes
     ln_f = np.log(f)
     t1, t2, t4 = (_trapezoid_tail(ln_f[::s], fy[::s], fy_end[::s]) for s in (1, 2, 4))
-    c = t1[::2] + (t1[::2] - t2) / 3.0
-    change = np.abs(c[::2] - (t2[::2] + (t2[::2] - t4) / 3.0))
-    f = f[::2]
-    queried = f[::2] <= f_top
-    if not np.all(change[queried] <= _GRID_RTOL * c[::2][queried]):
+    simpson = t1[::4] + (t1[::4] - t2[::2]) / 3.0
+    c = simpson + (simpson - (t2[::2] + (t2[::2] - t4) / 3.0)) / 15.0
+    f = f[::4]
+    queried = f <= f_top
+    if not np.all(np.abs(c - simpson)[queried] <= _GRID_RTOL * c[queried]):
         raise DivergentIntegralError(
             "phase variance does not converge on the integration grid")
     if not np.isfinite(f_max):
         c += _tail_integral(spec.func if f_switch is None else spec.averaged_func, f_hi, c[0])
     if np.any(c < 0):
         raise DomainError("PSD integrated to a negative variance")
-    return f, c
+    return f, c, fy[::4], fy_end[::4]
 
 
 def phase_variance(psd, tau_q: float, *, f_max: Optional[float] = None) -> float:
@@ -192,7 +200,7 @@ def phase_variance(psd, tau_q: float, *, f_max: Optional[float] = None) -> float
     if not (np.isfinite(tau_q) and tau_q > 0):
         raise DomainError("tau_q must be finite and > 0")
     spec = _spectrum_of(psd)
-    _, c = _variance_curve(spec, np.array([1.0 / tau_q]), f_max)
+    c = _variance_curve(spec, np.array([1.0 / tau_q]), f_max)[1]
     return float(c[0])
 
 
@@ -269,14 +277,16 @@ def solve_tau_q(psd, budget: CoherenceBudget = CoherenceBudget()) -> OperatingPo
     at tau_floor the floor is returned with the floored flag set.
     Otherwise sigma^2 comes from one cumulative grid over [1/tau_max,
     f_max] with 1/tau_floor as a node: the first node whose variance is
-    within the threshold and the node before it bracket the window, and
-    one interpolation of the variance in log f inside that segment gives
-    tau_q, at which sigma is the threshold.  A grid that does not resolve
-    the spectrum raises DivergentIntegralError.
+    within the threshold and the node before it bracket the window.
+    Inside that segment the variance is the cubic Hermite polynomial in
+    ln f through both nodes with the integrand's own slopes there,
+    dc/d ln f = -f S(f); its root in the bracket, found by bisection,
+    gives tau_q, at which sigma is the threshold.  A grid that does not
+    resolve the spectrum raises DivergentIntegralError.
     """
     spec = _spectrum_of(psd)
     f_ends = np.array([1.0 / budget.tau_max, 1.0 / budget.tau_floor])
-    f, c = _variance_curve(spec, f_ends, budget.f_max)
+    f, c, fy, fy_end = _variance_curve(spec, f_ends, budget.f_max)
     # queries below f_max are nodes, where interp returns c itself
     var_max, var_floor = np.interp(f_ends, f, c, right=0.0)
 
@@ -294,8 +304,20 @@ def solve_tau_q(psd, budget: CoherenceBudget = CoherenceBudget()) -> OperatingPo
     # the level at 1/tau_floor (or 0 at f_max)
     i = int(np.argmax(c <= level))
     lo, hi = np.log(f[i - 1]), np.log(f[i])
-    log_f = lo + (c[i - 1] - level) / (c[i - 1] - c[i]) * (hi - lo)
-    return result(np.exp(-log_f), budget.sigma_threshold)
+    # the Hermite cubic in t = (ln f - lo) / (hi - lo) on [0, 1], less the
+    # level: p(0) > 0 >= p(1), and the slopes leave node i - 1 and reach
+    # node i (the switch node's exact side)
+    c0, c1 = float(c[i - 1]), float(c[i])
+    d0, d1 = -(hi - lo) * float(fy[i - 1]), -(hi - lo) * float(fy_end[i])
+    a2, a3 = 3.0 * (c1 - c0) - 2.0 * d0 - d1, 2.0 * (c0 - c1) + d0 + d1
+    t_lo, t_hi = 0.0, 1.0
+    for _ in range(53):
+        t = 0.5 * (t_lo + t_hi)
+        if (c0 - level) + t * (d0 + t * (a2 + t * a3)) > 0.0:
+            t_lo = t
+        else:
+            t_hi = t
+    return result(np.exp(-(lo + t_hi * (hi - lo))), budget.sigma_threshold)
 
 
 @dataclass(frozen=True)
@@ -375,6 +397,6 @@ def sigma_map(topo_template: TopologyConfig,
     f_query = 1.0 / taus
     for j, d in enumerate(dl):
         spec = interference_spectrum(topo_template, laser, fiber, delta_l_km=float(d))
-        f, c = _variance_curve(spec, f_query, budget.f_max)
+        f, c = _variance_curve(spec, f_query, budget.f_max)[:2]
         out[:, j] = np.sqrt(np.interp(f_query, f, c, right=0.0))
     return SigmaMap(delta_l_km=dl, tau_q_s=taus, sigma_phi=out)

@@ -8,7 +8,7 @@ zeros below f_switch, f_switch itself (capped at f_max), the knees and
 every 1/8 decade; an infinite f_max adds a tanh-sinh tail.  A second pass
 splits twice as finely (1/16 decade, half periods) and the two must
 agree, so the reference certifies itself and checks nothing but the
-integrator.
+integrator.  reference_tau_q solves sigma(tau) = threshold on it.
 
 Run as a script, it certifies a re-baselined demo map value by value:
     PYTHONPATH=src python tests/reference.py OLD_SIGMA_MAP.csv NEW_SIGMA_MAP.csv
@@ -79,6 +79,23 @@ def reference_variance(psd, tau: float, f_max=None) -> float:
 def reference_sigma(psd, tau: float, f_max=None) -> float:
     """sqrt of reference_variance."""
     return float(np.sqrt(reference_variance(psd, tau, f_max)))
+
+
+def reference_tau_q(psd, sigma: float, tau_guess: float, f_max=None) -> float:
+    """The window tau at which reference_sigma is sigma: the secant in
+    ln tau on reference_variance, from tau_guess and a point 1e-4 above
+    it, until a step moves ln tau by less than 1e-12."""
+    level = sigma * sigma
+    x0, x1 = np.log(tau_guess), np.log(tau_guess * (1 + 1e-4))
+    g0 = reference_variance(psd, np.exp(x0), f_max) - level
+    for _ in range(30):
+        g1 = reference_variance(psd, np.exp(x1), f_max) - level
+        if g1 == 0.0:
+            return float(np.exp(x1))
+        x0, x1, g0 = x1, x1 - g1 * (x1 - x0) / (g1 - g0), g1
+        if abs(x1 - x0) < 1e-12:
+            return float(np.exp(x1))
+    raise AssertionError(f"reference window not converged near {tau_guess}")
 
 
 def certify_sigma_map(old_csv, new_csv):

@@ -8,7 +8,7 @@ from scipy.integrate import quad
 
 import tfqkd
 import tfqkd.coherence as coherence
-from reference import reference_sigma, reference_variance
+from reference import reference_sigma, reference_tau_q, reference_variance
 from tfqkd import (
     CoherenceBudget,
     DivergentIntegralError,
@@ -57,13 +57,14 @@ def _reference_simpson_tail(f, y, y_end):
 
 
 def reference_variance_curve(spec, f_query, f_max):
-    """(f, c) of the integrator's original loop: one geomspace or linspace
-    call per segment, and the Simpson tail taken on every other node again
-    for the convergence check."""
+    """(f, c, fy, fy_end) of the integrator's original loop: one geomspace
+    or linspace call per segment, the Simpson tail on every other node and
+    again on every fourth, Boole's rule from the two on every fourth node,
+    and the Simpson tail there for the convergence check."""
     f_max = spec.default_f_max() if f_max is None else f_max
     f_lo, f_top = float(np.min(f_query)), float(np.max(f_query))
     if f_lo >= f_max:
-        return np.array([f_lo]), np.zeros(1)
+        return np.array([f_lo]), np.zeros(1), np.zeros(1), np.zeros(1)
     f_switch = None
     if spec.oscillation_period is not None and spec.averaged_func is not None:
         f_switch = coherence.OSC_PERIODS * spec.oscillation_period
@@ -95,17 +96,19 @@ def reference_variance_curve(spec, f_query, f_max):
     else:
         exact, averaged = spec.func(f[:k + 1]), spec.averaged_func(f[k:])
         y, y_end = np.concatenate((exact[:-1], averaged)), np.concatenate((exact, averaged[1:]))
-    c = _reference_simpson_tail(f, y, y_end)
-    change = np.abs(c[::2] - _reference_simpson_tail(f[::2], y[::2], y_end[::2]))
-    f = f[::2]
-    queried = f[::2] <= f_top
-    if not np.all(change[queried] <= coherence._GRID_RTOL * c[::2][queried]):
+    simpson = _reference_simpson_tail(f, y, y_end)[::2]
+    c = simpson + (simpson - _reference_simpson_tail(f[::2], y[::2], y_end[::2])) / 15.0
+    change = np.abs(c - simpson)
+    fy, fy_end = (f * y)[::4], (f * y_end)[::4]
+    f = f[::4]
+    queried = f <= f_top
+    if not np.all(change[queried] <= coherence._GRID_RTOL * c[queried]):
         raise DivergentIntegralError(
             "phase variance does not converge on the integration grid")
     if not np.isfinite(f_max):
         c += coherence._tail_integral(
             spec.func if f_switch is None else spec.averaged_func, f_hi, c[0])
-    return f, c
+    return f, c, fy, fy_end
 
 
 class TestPhaseVariance:
@@ -143,6 +146,18 @@ class TestPhaseVariance:
         with pytest.raises(DomainError):
             phase_variance(flat_1_over_f2(1.0), 0.0)
 
+    def test_tail_slower_than_1_over_f2_not_called_divergent(self):
+        # f^-1.5 integrates to infinity, but the tail in 1/f does not
+        # handle it: the error says so and does not claim divergence
+        with pytest.raises(DivergentIntegralError, match="slower than 1/f\\^2") as err:
+            phase_variance(Spectrum(lambda f: np.asarray(f, float) ** -1.5), 1e-3)
+        assert "diverge" not in str(err.value)
+        with pytest.raises(DivergentIntegralError):
+            phase_variance(Spectrum(lambda f: 1.0 / np.asarray(f, float)), 1e-3)
+        spec = Spectrum(lambda f: np.asarray(f, float) ** -1.8)
+        assert phase_variance(spec, 1e-3) == pytest.approx(
+            reference_variance(spec, 1e-3), rel=2 * SIGMA_RTOL)
+
     def test_oscillatory_term_refined(self):
         # common topology with km-scale mismatch: the sin^2 periods are
         # resolved, not sampled by luck
@@ -163,8 +178,8 @@ class TestPhaseVariance:
 
     def test_feature_narrower_than_grid_raises(self):
         # a 0.01 Hz wide Lorentzian line at a 10 kHz knee, a grid node
-        # among nodes some 30 Hz apart: the grid and its every-other-node
-        # subgrid disagree, so no value is returned
+        # among nodes some 58 Hz apart: Boole's and Simpson's rule on the
+        # grid disagree, so no value is returned
         f0, width = 1e4, 1e-2
 
         def psd(f):
@@ -211,6 +226,17 @@ class TestAgainstReference:
             root = res.tau_q + (budget.sigma_threshold**2 - ref) / slope
             assert root == pytest.approx(res.tau_q, rel=1e-3)
 
+    @pytest.mark.parametrize("sid", [1, 3, 4, 6])
+    def test_preset_window_against_reference_root(self, sid):
+        # the window itself, not only sigma at it: the Hermite step in the
+        # bracketing segment puts tau_q within 1e-7 of the mpmath root
+        spec = interference_spectrum(tfqkd.builtin_scenarios()[sid - 1].topology)
+        budget = CoherenceBudget()
+        res = solve_tau_q(spec, budget)
+        assert not (res.clipped or res.floored)
+        ref = reference_tau_q(spec, budget.sigma_threshold, res.tau_q)
+        assert res.tau_q == pytest.approx(ref, rel=1e-7)
+
     @pytest.mark.parametrize("dl", [0.001, 1.0, 10.0])
     def test_scenario_4_mismatch_column(self, dl):
         topo = tfqkd.builtin_scenarios()[3].topology
@@ -245,11 +271,12 @@ class TestGridAgainstLoop:
         new = coherence._variance_curve
 
         def checked(spec, f_query, f_max):
-            f, c = new(spec, f_query, f_max)
-            f_ref, c_ref = reference_variance_curve(spec, f_query, f_max)
-            assert np.array_equal(f, f_ref) and np.array_equal(c, c_ref)
-            calls.append(f.size)
-            return f, c
+            curve = new(spec, f_query, f_max)
+            for got, want in zip(curve, reference_variance_curve(spec, f_query, f_max),
+                                 strict=True):
+                assert np.array_equal(got, want)
+            calls.append(curve[0].size)
+            return curve
 
         monkeypatch.setattr(coherence, "_variance_curve", checked)
         return calls
