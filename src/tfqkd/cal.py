@@ -27,7 +27,6 @@ __all__ = [
     "make_cal_channel",
     "cal_gain",
     "cal_bit_error",
-    "cat_coefficients",
     "fock_pair_yield",
     "cal_phase_error",
     "cal_rate",
@@ -91,8 +90,8 @@ class CalChannel:
                       + math.cos(self.sigma_phi) * math.sin(self.theta / 2.0) ** 2)
 
 
-def make_cal_channel(arm_t, p: CalParams, sigma_phi: float = 0.0,
-                     theta: float = 0.0) -> CalChannel:
+def make_cal_channel(arm_t, p: CalParams, sigma_phi: float = CalChannel.sigma_phi,
+                     theta: float = CalChannel.theta) -> CalChannel:
     """Channel for a given per-arm effective transmittance."""
     if not np.all((0.0 <= arm_t) & (arm_t <= 1.0)):
         raise DomainError("arm transmittance must lie in [0, 1]")
@@ -139,11 +138,6 @@ def cal_bit_error(ch: CalChannel, p_d: float):
     return _scalars(np.exp(-ch.gamma) * (np.expm1(ch.gamma * ch.contrast_loss) + p_d) / den)
 
 
-def _parity_weight(mu: float, j: int) -> float:
-    """Squared norm of the parity-j component of a coherent state."""
-    return 0.5 * (1.0 + (-1.0) ** j * math.exp(-2.0 * mu))
-
-
 @lru_cache(maxsize=64)
 def _cat_raw(mu: float, j: int, m_max: int) -> np.ndarray:
     """Coherent amplitudes restricted to parity j: entry m is the |2m+j>
@@ -179,25 +173,6 @@ def _cat_remainder(mu: float, j: int, m_max: int, sset: tuple) -> float:
     for m_a, m_b in sset:
         pairs[m_a, m_b] -= raw[m_a] * raw[m_b]
     return float(pairs.sum() + (2.0 * raw.sum() + tail) * tail)
-
-
-def cat_coefficients(mu_zeta: float, j: int, n_max: int) -> np.ndarray:
-    """Photon-number amplitudes of the normalized parity-j cat state.
-
-    Entry n is the |n> amplitude of the normalized even (j=0) or odd
-    (j=1) superposition of |+/-zeta>; entries of the wrong parity are
-    zero and the squares sum to 1 up to the truncation tail.
-    """
-    if j not in (0, 1):
-        raise DomainError("parity j must be 0 or 1")
-    if n_max < 3:
-        raise DomainError("n_max must be >= 3")
-    if mu_zeta <= 0:
-        raise DomainError("intensity must be > 0")
-    out = np.zeros(n_max + 1)
-    m_max = (n_max - j) // 2
-    out[2 * np.arange(m_max + 1) + j] = _cat_raw(mu_zeta, j, m_max)
-    return out / math.sqrt(_parity_weight(mu_zeta, j))
 
 
 def _bs_exact(n_a: int, n_b: int) -> tuple:

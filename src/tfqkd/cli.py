@@ -117,16 +117,17 @@ def tau_solve(scenario_id, config, out):
 @click.option("--tau-start", type=_POSITIVE, default=1e-6, show_default=True)
 @click.option("--tau-stop", type=_POSITIVE, default=1.0, show_default=True)
 @click.option("--tau-points", type=_COUNT, default=25, show_default=True)
-@click.option("--level", type=float, multiple=True, default=(0.2,),
-              show_default=True, help="Isoline level(s) in rad.")
+@click.option("--level", type=float, multiple=True,
+              help="Isoline level(s) in rad; defaults to the budget's sigma threshold.")
 @click.option("--out", type=click.Path(), default=None)
 @click.option("--isolines-out", type=click.Path(), default=None)
 def sigma_map_cmd(scenario_id, config, dl_start, dl_stop, dl_points, tau_start,
                   tau_stop, tau_points, level, out, isolines_out):
     """Map sigma_phi over (mismatch, integration time) and extract isolines."""
+    cfg = _context(scenario_id, config)
+    level = level or (cfg.budget.sigma_threshold,)
     if not np.all(np.isfinite(level)):
         raise DomainError("isoline levels must be finite")
-    cfg = _context(scenario_id, config)
     dl = np.geomspace(dl_start, dl_stop, dl_points)
     taus = np.geomspace(tau_start, tau_stop, tau_points)
     m = sigma_map(cfg.topology, dl, taus, cfg.budget, cfg.laser, cfg.fiber)
@@ -185,7 +186,8 @@ def scenario(scenario, detector, protocols, start, stop, step, x_axis, out):
 
 @main.command()
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--samples", type=_COUNT, default=1_000_000, show_default=True)
+@click.option("--samples", type=_COUNT, default=oracle_mod.McConfig.samples,
+              show_default=True)
 @click.option("--points", type=_COUNT, default=10, show_default=True)
 @click.option("--out", type=click.Path(), default=None)
 def oracle(seed, samples, points, out):

@@ -253,7 +253,7 @@ class OperatingPoint:
     tau_q: float
     sigma_phi: float
     e_phi: float
-    tau_ps: float = 1e-3
+    tau_ps: float = CoherenceBudget.tau_ps
     clipped: bool = False
     floored: bool = False
 
@@ -332,8 +332,9 @@ class SigmaMap:
     tau_q_s: np.ndarray
     sigma_phi: np.ndarray
 
-    def isoline(self, level: float = 0.2) -> np.ndarray:
-        """Per-column tau_q at which sigma crosses the level.
+    def isoline(self, level: float = CoherenceBudget.sigma_threshold) -> np.ndarray:
+        """Per-column tau_q at which sigma crosses the level, by default the
+        budget's sigma threshold.
 
         Log-interpolated between the bracketing grid times; NaN where the
         column never reaches the level, tau grid minimum where it is

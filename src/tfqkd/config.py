@@ -4,7 +4,11 @@ A configuration file can start from a built-in scenario preset and
 override any subset of the laser, cavity, loop, fiber, budget, channel,
 protocol and sweep parameters, or define a topology from scratch.  An
 explicit operating_point pins the coherence numbers; without one the
-solver runs on the configured spectrum.
+solver runs on the configured spectrum.  A preset brings its canonical
+operating point only while the topology is the preset's and the laser,
+cavity, loop, fiber and budget values are the defaults it was solved
+with (budget.tau_ps_s aside, which sets only the duty cycle); any other
+value there makes the window a live solve.
 
 One table, _FIELDS, maps every YAML leaf to the one FullConfig field it
 sets; the schema, the build and the dump are all generated from it, and
@@ -273,7 +277,14 @@ def _build(raw: dict) -> FullConfig:
     if base.operating_point is not None or op_raw is not None:
         # the operating point always carries the budget's stabilization overhead
         updates["operating_point.tau_ps"] = updates.get("budget.tau_ps", base.budget.tau_ps)
-    return _apply(base, updates, raw)
+    cfg = _apply(base, updates, raw)
+    # the preset's point holds only for the spectrum and budget it was
+    # solved on; tau_ps sets its duty cycle alone
+    solved_on = (base.topology, base.laser, base.fiber, base.budget)
+    if base.operating_point is not None and solved_on != (
+            cfg.topology, cfg.laser, cfg.fiber, replace(cfg.budget, tau_ps=base.budget.tau_ps)):
+        cfg = replace(cfg, operating_point=None)
+    return cfg
 
 
 def _parse(text: str, source: str) -> FullConfig:

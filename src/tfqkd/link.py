@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decoy import _scalars
+from .decoy import ChannelErrorModel, _scalars
 from .errors import DomainError
 
 __all__ = [
@@ -53,7 +53,7 @@ SPAD = DetectorParams(eta_d=0.25, dark_rate=50.0, clock_rate=1e9)
 class MisalignmentParams:
     """Polarization misalignment expressed as the error it induces."""
 
-    e_theta: float = 0.02
+    e_theta: float = ChannelErrorModel.e_theta
 
     def __post_init__(self):
         if not 0.0 <= self.e_theta <= 0.5:

@@ -47,7 +47,6 @@ from .link import (
 from .spectra import FiberParams, LaserSpec, TopologyConfig, TopologyKind, interference_spectrum
 
 __all__ = [
-    "OperatingPoint",
     "ScenarioPreset",
     "ProtocolParams",
     "SweepSpec",

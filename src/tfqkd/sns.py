@@ -130,7 +130,7 @@ def _i0_minus_1(x):
 
 def sns_window_stats(p: SnsParams, decoys: DecoySet, arm_t,
                      det: DetectorParams, e_phi: float,
-                     e_theta: float = 0.02) -> SnsWindowStats:
+                     e_theta: float = ChannelErrorModel.e_theta) -> SnsWindowStats:
     """Effective-window rates and decoy bounds for the signal basis.
 
     The four send patterns weight the click model by the sending choices;

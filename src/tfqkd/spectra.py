@@ -145,11 +145,6 @@ class LaserSpec:
     cavity: CavityParams = field(default_factory=CavityParams)
     loop: LoopParams = field(default_factory=LoopParams)
 
-    def psd(self, f, stabilized: bool):
-        if stabilized:
-            return psd_laser_stabilized(f, self.free, self.cavity, self.loop)
-        return psd_laser_free(f, self.free)
-
 
 class TopologyKind(enum.Enum):
     COMMON_LASER = "common_laser"

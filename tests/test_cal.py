@@ -18,7 +18,6 @@ from tfqkd import (
     cal_gain,
     cal_phase_error,
     cal_rate,
-    cat_coefficients,
     fock_bs_distribution,
     fock_pair_yield,
     make_cal_channel,
@@ -87,26 +86,37 @@ class TestBitError:
 
 
 class TestCatCoefficients:
+    """_cat_raw: the parity-j amplitudes of the cat states that the
+    phase-error bound sums, normalized here by the parity weight."""
+
+    @staticmethod
+    def parity_weight(mu, j):
+        """Squared norm 1/2 (1 +/- e^(-2 mu)) of the parity-j component."""
+        return 0.5 * (1.0 + (-1.0) ** j * math.exp(-2.0 * mu))
+
     def test_parity_selection(self):
-        even = cat_coefficients(0.018, 0, 12)
-        odd = cat_coefficients(0.018, 1, 12)
-        assert np.all(even[1::2] == 0.0)
-        assert np.all(odd[0::2] == 0.0)
+        # entry m of parity j is the |2m+j> amplitude: the two parities
+        # interleave into the coherent state and hold nothing else
+        from tfqkd.cal import _cat_raw
+
+        mu, n = 0.018, np.arange(13)
+        coherent = np.exp(-mu / 2.0) * mu ** (n / 2.0) / np.sqrt(
+            [float(math.factorial(k)) for k in n])
+        np.testing.assert_allclose(_cat_raw(mu, 0, 6), coherent[0::2], rtol=1e-14)
+        np.testing.assert_allclose(_cat_raw(mu, 1, 5), coherent[1::2], rtol=1e-14)
 
     def test_vacuum_limit(self):
-        c = cat_coefficients(1e-10, 0, 8)
+        from tfqkd.cal import _cat_raw
+
+        c = _cat_raw(1e-10, 0, 4) / math.sqrt(self.parity_weight(1e-10, 0))
         assert c[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_normalization(self):
-        for j in (0, 1):
-            c = cat_coefficients(0.018, j, 40)
-            assert np.sum(c * c) == pytest.approx(1.0, abs=1e-10)
+        from tfqkd.cal import _cat_raw
 
-    def test_rejects_bad_args(self):
-        with pytest.raises(DomainError):
-            cat_coefficients(0.018, 2, 10)
-        with pytest.raises(DomainError):
-            cat_coefficients(0.018, 0, 2)
+        for j in (0, 1):
+            c = _cat_raw(0.018, j, (40 - j) // 2) / math.sqrt(self.parity_weight(0.018, j))
+            assert np.sum(c * c) == pytest.approx(1.0, abs=1e-10)
 
     def test_cached_amplitudes_read_only(self):
         from tfqkd.cal import _cat_raw

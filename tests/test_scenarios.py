@@ -35,6 +35,7 @@ from tfqkd import (
     dump_config,
     effective_transmittance,
     format_csv,
+    interference_spectrum,
     link_from_attenuation,
     loads_config,
     load_config,
@@ -46,6 +47,7 @@ from tfqkd import (
     sns_rate,
     sns_window_stats,
     solve_scenario,
+    solve_tau_q,
 )
 from tfqkd.cli import main as cli_main
 from tfqkd.scenarios import builtin_scenario
@@ -527,6 +529,39 @@ class TestConfig:
         cfg = loads_config("scenario: {preset: 1}\nlaser: {r3: 1.0e+5}\n")
         assert cfg.laser.free.r3 == 1e5
 
+    @pytest.mark.parametrize("text", [
+        "laser: {r3: 3.0e+9}\ntopology: {l_b_km: 100}",
+        "topology: {l_b_km: 100}",
+        "topology: {fiber_stabilized: true}",
+        "laser: {r3: 3.0e+9}",
+        "cavity: {c2: 1.0e-2}",
+        "loop: {gamma: 0.2}",
+        "fiber: {noise_per_km: 10.0}",
+        "budget: {sigma_threshold_rad: 0.1}",
+        "budget: {tau_max_s: 0.05, tau_ps_s: 2.0e-3}",
+        "budget: {f_max_hz: 1.0e+8}"],
+        ids=["laser-and-arms", "arms", "fiber-stabilized", "laser", "cavity", "loop",
+             "fiber", "threshold", "tau-max", "f-max"])
+    def test_preset_spectrum_or_budget_override_solves_the_window(self, text):
+        # the preset's canonical point belongs to its own spectrum and
+        # budget, so a change to either makes the window a live solve
+        cfg = loads_config("scenario: {preset: 1}\n" + text + "\n")
+        assert cfg.operating_point is None
+        spectrum = interference_spectrum(cfg.topology, cfg.laser, cfg.fiber)
+        assert cfg.resolve_operating_point() == solve_tau_q(spectrum, cfg.budget)
+
+    def test_preset_keeps_its_point_under_other_overrides(self):
+        # values equal to the preset's, the overhead tau_ps and the protocol,
+        # detector, channel and sweep sections leave the canonical point
+        preset = builtin_scenario(4)
+        cfg = loads_config(
+            "scenario: {preset: 4}\n"
+            "topology: {l_a_km: 114.0, l_b_km: 111.5, laser_stabilized: true}\n"
+            "laser: {r3: 3.0e+6}\nbudget: {sigma_threshold_rad: 0.2, tau_ps_s: 2.0e-3}\n"
+            "protocol: {f_ec: 1.2}\ndetector: {dark_rate_hz: 100}\n"
+            "channel: {alpha_db_per_km: 0.3}\nsweep: {stop: 5}\n")
+        assert cfg.operating_point == replace(preset.operating_point, tau_ps=2e-3)
+
     def test_needs_topology_or_preset(self):
         with pytest.raises(ConfigError):
             loads_config("laser: {r3: 1.0}")
@@ -593,6 +628,39 @@ class TestCli:
         lines = res.output.strip().split("\n")
         assert len(lines) == 2
         assert "rate_cal_bits_per_s" in lines[0]
+
+    @pytest.mark.parametrize("text", [
+        "laser: {r3: 3.0e+9}\ntopology: {l_b_km: 100}\n",
+        "budget: {sigma_threshold_rad: 0.1}\n"], ids=["laser-and-arms", "threshold"])
+    def test_preset_config_override_sweeps_the_solved_window(self, tmp_path, text):
+        # the sweep's operating point is the one tau-solve prints for the
+        # configured spectrum and budget, not preset 1's canonical one
+        path = self._config_file(tmp_path, "scenario: {preset: 1}\n" + text)
+        res = CliRunner().invoke(cli_main, ["tau-solve", "--config", path])
+        assert res.exit_code == 0, res.output
+        _, sigma, duty, e_phi = res.output.split("\n")[1].split(",")[:4]
+        canonical = format_csv(run_sweep(1, SweepSpec(stop=0))).split("\n")[1]
+        res = CliRunner().invoke(cli_main, ["scenario", path, "--stop", "2"])
+        assert res.exit_code == 0, res.output
+        header, *rows = res.output.strip().split("\n")
+        at = header.split(",").index("duty_cycle")
+        assert {tuple(r.split(",")[at:at + 3]) for r in rows} == {(duty, sigma, e_phi)}
+        assert (duty, sigma, e_phi) != tuple(canonical.split(",")[at:at + 3])
+
+    @pytest.mark.parametrize("levels, expected", [((), ["0.1"]),
+                                                  (("0.3", "0.05"), ["0.3", "0.05"])])
+    def test_isolines_default_to_config_threshold(self, tmp_path, levels, expected):
+        path = self._config_file(tmp_path, "scenario: {preset: 4}\n"
+                                 "budget: {sigma_threshold_rad: 0.1}\n")
+        iso = tmp_path / "iso.csv"
+        res = CliRunner().invoke(cli_main, [
+            "sigma-map", "--config", path, "--dl-points", "3", "--tau-points", "4",
+            "--isolines-out", str(iso), *[a for lv in levels for a in ("--level", lv)]])
+        assert res.exit_code == 0, res.output
+        header, *rows = iso.read_text().strip().split("\n")
+        assert header == "level_rad,delta_l_km,tau_q_s"
+        assert [float(r.split(",")[0]) for r in rows] == [
+            float(lv) for lv in expected for _ in range(3)]
 
     def test_sigma_map_command(self, tmp_path):
         runner = CliRunner()

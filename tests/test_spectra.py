@@ -298,8 +298,6 @@ class TestInputCheck:
             lambda f: psd_fiber(f, 10.0, FIBER, stabilized=True),
             lambda f: psd_fiber_linear(f, 10.0, FIBER, stabilized=False),
             lambda f: psd_detection_floor(f, FIBER),
-            lambda f: LaserSpec().psd(f, stabilized=True),
-            lambda f: LaserSpec().psd(f, stabilized=False),
         )
         for topo in self.TOPOLOGIES:
             spec = interference_spectrum(topo)
@@ -339,7 +337,8 @@ class TestCompositeEqualsSingleTerms:
     @staticmethod
     def single_terms(topo, dl, f, averaged):
         from tfqkd.spectra import psd_detection_floor, psd_fiber_linear
-        laser = LaserSpec().psd(f, stabilized=topo.laser_stabilized)
+        laser = (psd_laser_stabilized(f, LASER, CAVITY, LOOP) if topo.laser_stabilized
+                 else psd_laser_free(f, LASER))
         fibers = (psd_fiber_linear(f, topo.l_a, FIBER, topo.fiber_stabilized)
                   + psd_fiber_linear(f, topo.l_b, FIBER, topo.fiber_stabilized))
         if topo.kind is TopologyKind.INDEPENDENT_LASERS:
