@@ -41,6 +41,8 @@ def _write(text: str, out) -> None:
 
 
 def _context(scenario_id: int | None, config: str | None) -> FullConfig:
+    if scenario_id is not None and config is not None:
+        raise click.UsageError("--scenario and --config are mutually exclusive")
     if config is not None:
         return load_config(config)
     p = builtin_scenario(1 if scenario_id is None else scenario_id)

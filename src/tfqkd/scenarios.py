@@ -13,8 +13,9 @@ run_sweep returns a SweepTable: the grid, one array per rate and
 diagnostic column, one boolean mask per failure flag, and the operating
 point.  Each protocol ingredient is evaluated once per sweep, over the
 whole grid.  format_csv and emit_csv write the table column by column
-through csvtext.csv_text, one row template for every line; the table
-also reads as a sequence of SweepRow, built on first access and cached.
+through csvtext.csv_text, which formats all its float cells in a few
+array operations; the table also reads as a sequence of SweepRow, built
+on first access and cached.
 """
 
 from __future__ import annotations
@@ -377,9 +378,10 @@ def format_csv(table: SweepTable) -> str:
     Columns: the x axis, one rate column per protocol in canonical order,
     duty cycle, sigma_phi, e_phi, the per-protocol diagnostics in sorted
     order, and a flags column (the flags set at the point, joined by ';').
-    Every number prints as %.12e through the one row template of
-    csvtext.csv_text; the three operating-point columns, equal at every
-    point, are printed once.  Identical inputs produce byte-identical text.
+    Every number prints as %.12e through csvtext.csv_text, the same bytes
+    as '%.12e' % v cell by cell; the three operating-point columns, equal
+    at every point, go in as float columns like the rest.  Identical
+    inputs produce byte-identical text.
     """
     if not isinstance(table, SweepTable):
         raise DomainError("format_csv takes the SweepTable that run_sweep returns")
@@ -390,7 +392,7 @@ def format_csv(table: SweepTable) -> str:
               + list(table.diagnostics) + ["flags"])
     return csv_text(header, (
         table.x, *table.rates.values(),
-        *([f"{v:.12e}"] * n for v in (op.duty_cycle, op.sigma_phi, op.e_phi)),
+        *(np.full(n, v) for v in (op.duty_cycle, op.sigma_phi, op.e_phi)),
         *table.diagnostics.values(), [";".join(f) for f in table._point_flags()]))
 
 

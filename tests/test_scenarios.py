@@ -683,6 +683,19 @@ class TestCli:
         assert lines[0].startswith("point,quantity,analytic,oracle")
         assert len(lines) == 1 + 4  # two quantities per point
 
+    @pytest.mark.parametrize("args", [
+        ["psd", "--points", "3"], ["tau-solve"], ["sigma-map", "--dl-points", "2",
+                                                  "--tau-points", "2"],
+        ["keyrate", "--attenuation-db", "40"]], ids=lambda a: a[0])
+    def test_scenario_and_config_are_exclusive(self, args):
+        # --config used to win silently: tau-solve printed scenario 1's window
+        res = CliRunner().invoke(cli_main, [*args, "--scenario", "3", "--config", CONFIG_PATH])
+        assert res.exit_code == 2
+        errors = [line for line in res.output.splitlines() if line.startswith("Error:")]
+        assert errors == ["Error: --scenario and --config are mutually exclusive"]
+        for alone in (["--scenario", "3"], ["--config", CONFIG_PATH]):
+            assert CliRunner().invoke(cli_main, [*args, *alone]).exit_code == 0
+
     def _config_file(self, tmp_path, text):
         path = tmp_path / "cfg.yaml"
         path.write_text(text)
