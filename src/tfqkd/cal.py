@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .decoy import _check_f_ec, _scalars, binary_entropy
+from .decoy import _check_f_ec, _scalars, _within, binary_entropy
 from .errors import DomainError
 
 __all__ = [
@@ -73,7 +73,7 @@ class CalChannel:
     theta: float = 0.0
 
     def __post_init__(self):
-        if not np.all((0 <= self.gamma) & (self.gamma < np.inf)):
+        if not _within(self.gamma, 0.0, np.inf, hi_open=True):
             raise DomainError("gamma must be finite and >= 0")
         if not (-np.inf < self.sigma_phi < np.inf and -np.inf < self.theta < np.inf):
             raise DomainError("sigma_phi and theta must be finite")
@@ -93,7 +93,7 @@ class CalChannel:
 def make_cal_channel(arm_t, p: CalParams, sigma_phi: float = CalChannel.sigma_phi,
                      theta: float = CalChannel.theta) -> CalChannel:
     """Channel for a given per-arm effective transmittance."""
-    if not np.all((0.0 <= arm_t) & (arm_t <= 1.0)):
+    if not _within(arm_t, 0.0, 1.0):
         raise DomainError("arm transmittance must lie in [0, 1]")
     return CalChannel(gamma=arm_t * p.mu_zeta, sigma_phi=sigma_phi, theta=theta)
 
@@ -133,7 +133,7 @@ def cal_bit_error(ch: CalChannel, p_d: float):
     """
     _check_dark(p_d)
     den = 2.0 * _cal_bracket(ch.gamma, ch.omega, p_d)
-    if np.any(den <= 0.0):
+    if not _within(den, 0.0, np.inf, lo_open=True):
         raise DomainError("bit error undefined at zero gain")
     return _scalars(np.exp(-ch.gamma) * (np.expm1(ch.gamma * ch.contrast_loss) + p_d) / den)
 
@@ -253,7 +253,7 @@ def fock_pair_yield(n_a: int, n_b: int, arm_t, p_d: float) -> FockYield:
     """
     if not 0 <= n_a <= FOCK_INPUT_MAX or not 0 <= n_b <= FOCK_INPUT_MAX:
         raise DomainError(f"photon numbers must lie in [0, {FOCK_INPUT_MAX}]")
-    if not np.all((0.0 <= arm_t) & (arm_t <= 1.0)) or not 0.0 <= p_d <= 1.0:
+    if not _within(arm_t, 0.0, 1.0) or not 0.0 <= p_d <= 1.0:
         raise DomainError("arm_t and p_d must lie in [0, 1]")
     # survivors all at c, all at d, at both
     vacuum, (at_c, at_d, split) = _survivors(n_a + n_b, _yield_coefficients(n_a, n_b), arm_t)
@@ -275,11 +275,11 @@ def cal_phase_error(p: CalParams, ch: CalChannel, p_d: float):
     gain is 0.
     """
     arm_t = ch.gamma / p.mu_zeta
-    if np.any(arm_t > 1.0 + 1e-12):
+    if not _within(arm_t, 0.0, 1.0 + 1e-12):
         raise DomainError("channel gamma inconsistent with intensity")
     arm_t = np.minimum(arm_t, 1.0)
     gain_ref = cal_gain(replace(ch, sigma_phi=0.0), p_d)
-    if np.any(gain_ref <= 0.0):
+    if not _within(gain_ref, 0.0, np.inf, lo_open=True):
         raise DomainError("phase error undefined at zero gain")
     roots: dict = {}  # sqrt of the c-only yield per survivor polynomial
     total = 0.0
@@ -310,11 +310,14 @@ def _cal_columns(p: CalParams, ch: CalChannel, p_d: float, f_ec: float):
     _check_f_ec(f_ec)
     p_xx = cal_gain(ch, p_d)
     keyed = np.asarray(p_xx > 0.0)
-    ch_keyed = replace(ch, gamma=np.asarray(ch.gamma)[keyed])
-    e_x, e_z = np.zeros(keyed.shape), np.ones(keyed.shape)
-    e_x[keyed] = cal_bit_error(ch_keyed, p_d)
-    e_z[keyed] = cal_phase_error(p, ch_keyed, p_d)
-    bracket = (1.0 - f_ec * binary_entropy(np.clip(e_x, 0.0, 1.0))
+    if keyed.all():  # gain everywhere, as dark counts give: no masked copy
+        e_x, e_z = cal_bit_error(ch, p_d), cal_phase_error(p, ch, p_d)
+    else:
+        ch_keyed = replace(ch, gamma=np.asarray(ch.gamma)[keyed])
+        e_x, e_z = np.zeros(keyed.shape), np.ones(keyed.shape)
+        e_x[keyed] = cal_bit_error(ch_keyed, p_d)
+        e_z[keyed] = cal_phase_error(p, ch_keyed, p_d)
+    bracket = (1.0 - f_ec * binary_entropy(np.minimum(1.0, np.maximum(0.0, e_x)))
                - binary_entropy(np.minimum(0.5, e_z)))
     key = 2.0 * p_xx * bracket
     return np.where(key > 0.0, key, 0.0), p_xx, e_x, e_z

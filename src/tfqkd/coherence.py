@@ -206,22 +206,22 @@ def phase_variance(psd, tau_q: float, *, f_max: Optional[float] = None) -> float
 
 def qber_from_variance(sigma2: float) -> float:
     """Exact Gaussian phase-noise QBER: (1 - exp(-sigma^2/2)) / 2."""
-    if sigma2 < 0:
-        raise DomainError("variance must be >= 0")
+    if not 0 <= sigma2 < np.inf:
+        raise DomainError("variance must be >= 0 and finite")
     return 0.5 * -np.expm1(-0.5 * sigma2)
 
 
 def qber_small_angle(sigma2: float) -> float:
     """Small-phase approximation sigma^2/4 of the phase-noise QBER."""
-    if sigma2 < 0:
-        raise DomainError("variance must be >= 0")
+    if not 0 <= sigma2 < np.inf:
+        raise DomainError("variance must be >= 0 and finite")
     return 0.25 * sigma2
 
 
 def duty_cycle(tau_q: float, tau_ps: float) -> float:
     """Fraction of time spent transmitting: tau_q / (tau_q + tau_ps)."""
-    if tau_q <= 0 or tau_ps <= 0:
-        raise DomainError("tau_q and tau_ps must be > 0")
+    if not (0 < tau_q < np.inf and 0 < tau_ps < np.inf):
+        raise DomainError("tau_q and tau_ps must be > 0 and finite")
     return tau_q / (tau_q + tau_ps)
 
 

@@ -172,17 +172,25 @@ def _block(cols: list, r0: int, r1: int) -> str:
     return out.tobytes().decode("utf-8", "surrogatepass")
 
 
+def _column(c) -> np.ndarray:
+    """np.asarray(c), as an object array where that gives a str or bytes array."""
+    a = np.asarray(c)
+    return np.asarray(c, dtype=object) if a.dtype.kind in "SU" else a
+
+
 def csv_text(header: Sequence[str], columns: Iterable) -> str:
     """CSV text of a header and one equal-length sequence per column.
 
-    Each column goes through np.asarray once: a float column prints its
-    values as %.12e, any other column (ints, strings, flags) as %s.  The
-    text equals the per-cell '%.12e' % v and '%s' % (v,) joined by commas
-    (see the module docstring for how the float cells are formatted).
+    Each column goes through np.asarray: a float column prints its values
+    as %.12e, any other column (ints, strings, flags) as %s.  A column of
+    strings is held as objects, since numpy's NUL-padded string dtypes
+    would drop each string's own trailing NULs.  The text equals the
+    per-cell '%.12e' % v and '%s' % (v,) joined by commas (see the module
+    docstring for how the float cells are formatted).
     Columns of unequal length raise DomainError.  Identical inputs
     produce byte-identical text.
     """
-    cols = [np.asarray(c) for c in columns]
+    cols = [_column(c) for c in columns]
     if any(c.ndim != 1 for c in cols):
         raise DomainError("each CSV column must be one-dimensional")
     sizes = [c.size for c in cols]

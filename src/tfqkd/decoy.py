@@ -32,19 +32,37 @@ def _scalars(obj):
     field by field, or a bare array; anything of higher rank is returned
     as it is.  Every public kernel of the protocol modules returns through
     it, so a float input gives floats and an array input gives arrays."""
+    if type(obj) is np.ndarray and obj.ndim:
+        return obj
     if is_dataclass(obj):
-        points = {k: np.asarray(v).item() for k, v in vars(obj).items() if np.ndim(v) == 0}
+        points = {k: np.asarray(v).item() for k, v in vars(obj).items()
+                  if not (type(v) is np.ndarray and v.ndim) and np.ndim(v) == 0}
         return replace(obj, **points) if points else obj
     return np.asarray(obj).item() if np.ndim(obj) == 0 else obj
 
 
+def _within(x, lo: float, hi: float, lo_open: bool = False, hi_open: bool = False) -> bool:
+    """Whether every entry of x, a number or an array, lies between lo and
+    hi, each end included unless lo_open or hi_open.  NaN lies in no
+    range, and an empty array in every one."""
+    if not isinstance(x, (int, float)):
+        x = np.asarray(x)
+        if not x.size:
+            return True
+        x_lo, x_hi = x.min(), x.max()  # NaN if any entry is
+    else:
+        x_lo = x_hi = x
+    return bool((lo < x_lo if lo_open else lo <= x_lo) and (x_hi < hi if hi_open else x_hi <= hi))
+
+
 def binary_entropy(p):
     """H2(p) with H2(0) = H2(1) = 0; symmetric about 1/2."""
-    if not np.all((0.0 <= p) & (p <= 1.0)):
+    if not _within(p, 0.0, 1.0):
         raise DomainError("binary entropy argument must lie in [0, 1]")
     with np.errstate(divide="ignore", invalid="ignore"):  # 0 log 0 at the ends
         h = -p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p)
-    return _scalars(np.where((p == 0.0) | (p == 1.0), 0.0, h))
+    # h is NaN exactly at the ends p = 0 and 1 and > 0 between them
+    return _scalars(np.fmax(h, 0.0))
 
 
 def _check_f_ec(f_ec: float) -> None:
@@ -80,8 +98,7 @@ class ChannelErrorModel:
 
     def __post_init__(self):
         for name in ("eta_hat", "p_dc", "e_theta", "e_phi"):
-            val = getattr(self, name)
-            if not np.all((0.0 <= val) & (val <= 1.0)):
+            if not _within(getattr(self, name), 0.0, 1.0):
                 raise DomainError(f"{name} must lie in [0, 1]")
 
     @property
@@ -93,8 +110,8 @@ def gain(mu: float, m: ChannelErrorModel):
     """Click probability for intensity mu: 1 - (1 - p_dc) exp(-mu eta_hat),
     as p_dc - (1 - p_dc) expm1(-mu eta_hat), which keeps its digits where
     exp(-mu eta_hat) is close to 1."""
-    if mu < 0:
-        raise DomainError("intensity must be >= 0")
+    if not 0.0 <= mu < np.inf:
+        raise DomainError("intensity must be >= 0 and finite")
     return _scalars(m.p_dc - (1.0 - m.p_dc) * np.expm1(-mu * m.eta_hat))
 
 
@@ -104,8 +121,8 @@ def error_gain(mu: float, m: ChannelErrorModel):
     Dark counts err half the time; misalignment and phase noise err on the
     detected-signal fraction: p_dc/2 + (e_theta + e_phi - p_dc/2)(1 - exp(-mu eta_hat)).
     """
-    if mu < 0:
-        raise DomainError("intensity must be >= 0")
+    if not 0.0 <= mu < np.inf:
+        raise DomainError("intensity must be >= 0 and finite")
     signal = -np.expm1(-mu * m.eta_hat)
     return _scalars(m.p_dc / 2.0 + (m.e_total - m.p_dc / 2.0) * signal)
 
@@ -114,9 +131,9 @@ def qber(mu: float, m: ChannelErrorModel):
     """Total QBER E_mu = error_gain / gain, clamped to [0, 1]; undefined
     where the gain is 0."""
     q = gain(mu, m)
-    if np.any(q <= 0.0):
+    if not _within(q, 0.0, np.inf, lo_open=True):
         raise DomainError("QBER undefined at zero gain")
-    return _scalars(np.clip(error_gain(mu, m) / q, 0.0, 1.0))
+    return _scalars(np.minimum(1.0, np.maximum(0.0, error_gain(mu, m) / q)))
 
 
 @dataclass(frozen=True)
@@ -141,14 +158,15 @@ def decoy_bounds(s: DecoySet, m: ChannelErrorModel) -> DecoyBounds:
     eq_v, eq_w = error_gain(v, m), error_gain(w, m)
     e_u, e_v, e_w = np.exp(u), np.exp(v), np.exp(w)
 
-    y0 = np.clip((v * q_w * e_w - w * q_v * e_v) / (v - w), 0.0, 1.0)
+    # np.maximum(0.0, x) keeps the sign of a -0.0 as np.clip does
+    y0 = np.minimum(1.0, np.maximum(0.0, (v * q_w * e_w - w * q_v * e_v) / (v - w)))
     y1 = (u**2 * (q_v * e_v - q_w * e_w) - (v**2 - w**2) * (q_u * e_u - y0)) \
         / (u * (u - v - w) * (v - w))
     ok = y1 > 0.0
     y1 = np.where(ok, np.minimum(y1, 1.0), 0.0)
-    q1 = np.clip(y1 * u * np.exp(-u), 0.0, 1.0)
+    q1 = np.minimum(1.0, np.maximum(0.0, y1 * u * np.exp(-u)))
     with np.errstate(divide="ignore", invalid="ignore"):  # y1 = 0 where not ok
-        e1 = np.clip((eq_v * e_v - eq_w * e_w) / ((v - w) * y1), 0.0, 1.0)
+        e1 = np.minimum(1.0, np.maximum(0.0, (eq_v * e_v - eq_w * e_w) / ((v - w) * y1)))
     return _scalars(DecoyBounds(y0_low=y0, y1_low=y1, q1_low=q1,
                                 e1ph_up=np.where(ok, e1, 1.0), ok=ok, q_u=q_u))
 
@@ -165,8 +183,11 @@ def _bb84_columns(s: DecoySet, m: ChannelErrorModel, f_ec: float):
     _check_f_ec(f_ec)
     b = decoy_bounds(s, m)
     clicked = np.asarray(b.q_u > 0.0)
-    e_u = np.zeros(clicked.shape)
-    e_u[clicked] = qber(s.u, replace(m, eta_hat=np.asarray(m.eta_hat)[clicked]))
+    if clicked.all():  # gain everywhere, as dark counts give: no masked copy
+        e_u = qber(s.u, m)
+    else:
+        e_u = np.zeros(clicked.shape)
+        e_u[clicked] = qber(s.u, replace(m, eta_hat=np.asarray(m.eta_hat)[clicked]))
     privacy = 1.0 - binary_entropy(np.minimum(b.e1ph_up, 0.5))
     key = b.q1_low * privacy - f_ec * b.q_u * binary_entropy(e_u)
     return np.where(b.ok & (key > 0.0), key, 0.0), b, e_u

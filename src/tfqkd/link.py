@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decoy import ChannelErrorModel, _scalars
+from .decoy import ChannelErrorModel, _scalars, _within
 from .errors import DomainError
 
 __all__ = [
@@ -80,7 +80,7 @@ def link_from_attenuation(total_db):
     a Python float power: numpy's array power differs from it in the last
     bit on some inputs."""
     db = np.asarray(total_db, dtype=float)
-    if not np.all(db >= 0.0):
+    if not _within(db, 0.0, np.inf):
         raise DomainError("attenuation must be a number >= 0 dB")
     eta = [10.0 ** (-a / 10.0) for a in db.ravel().tolist()]
     return _scalars(np.array(eta).reshape(db.shape))
@@ -88,7 +88,7 @@ def link_from_attenuation(total_db):
 
 def effective_transmittance(eta, det: DetectorParams):
     """Total transmittance including detector efficiency; eta may be an array."""
-    if not np.all((0.0 <= eta) & (eta <= 1.0)):
+    if not _within(eta, 0.0, 1.0):
         raise DomainError("transmittance must lie in [0, 1]")
     return eta * det.eta_d
 
@@ -101,7 +101,7 @@ def arm_transmittance(eta_hat):
     effective_transmittance), t = sqrt(eta_hat), so the product of the two
     arms equals eta_hat.  eta_hat may be an array.
     """
-    if not np.all((0.0 <= eta_hat) & (eta_hat <= 1.0)):
+    if not _within(eta_hat, 0.0, 1.0):
         raise DomainError("effective transmittance must lie in [0, 1]")
     return np.sqrt(eta_hat)
 
@@ -110,6 +110,6 @@ def plob_bound(eta):
     """Repeaterless secret-key capacity -log2(1 - eta) in bits per signal,
     as -log1p(-eta)/ln 2, which keeps its digits at small eta where
     1 - eta rounds to 1."""
-    if not np.all((0.0 <= eta) & (eta < 1.0)):
+    if not _within(eta, 0.0, 1.0, hi_open=True):
         raise DomainError("plob_bound requires eta in [0, 1)")
     return _scalars(-np.log1p(-eta) / math.log(2.0))

@@ -116,8 +116,8 @@ def mc_click_stats(mu_a: float, mu_b: float, arm_t: float, p_d: float,
     directly and run on a thread pool of one worker per available core,
     so the counts do not depend on the core count.
     """
-    if mu_a < 0 or mu_b < 0:
-        raise DomainError("intensities must be >= 0")
+    if not (0.0 <= mu_a < math.inf and 0.0 <= mu_b < math.inf):
+        raise DomainError("intensities must be >= 0 and finite")
     if not 0.0 <= arm_t <= 1.0 or not 0.0 <= p_d <= 1.0:
         raise DomainError("arm transmittance and dark probability must lie in [0, 1]")
     from concurrent.futures import ThreadPoolExecutor
@@ -210,8 +210,8 @@ def poisson_true_yields(m: ChannelErrorModel, n: int) -> tuple[float, float]:
     detected-signal fraction, which makes the Poisson mixture reproduce
     the intensity-level gain and error-gain formulas identically.
     """
-    if n < 0:
-        raise DomainError("photon number must be >= 0")
+    if not 0 <= n < math.inf:
+        raise DomainError("photon number must be >= 0 and finite")
     return _yields(m, n)
 
 
@@ -228,8 +228,8 @@ def poisson_yield_gain(mu: float, m: ChannelErrorModel) -> tuple[float, float]:
     The photon-number cutoff doubles from 20 until the Poisson tail mass
     beyond it is below 1e-14.
     """
-    if mu < 0:
-        raise DomainError("intensity must be >= 0")
+    if not 0.0 <= mu < math.inf:
+        raise DomainError("intensity must be >= 0 and finite")
     n_max = 20
     while math.exp(-mu + (n_max + 1) * math.log(max(mu, 1e-300))
                    - math.lgamma(n_max + 2)) > 1e-15 and n_max < 10_000:

@@ -15,7 +15,9 @@ point.  Each protocol ingredient is evaluated once per sweep, over the
 whole grid.  format_csv and emit_csv write the table column by column
 through csvtext.csv_text, which formats all its float cells in a few
 array operations; the table also reads as a sequence of SweepRow, built
-on first access and cached.
+on first access and cached.  A SweepRow is a plain mutable record of
+Python values copied out of the columns: assigning to a row's fields or
+its dicts changes neither the columns nor the CSV.
 """
 
 from __future__ import annotations
@@ -201,9 +203,15 @@ class SweepSpec:
         return self.start + self.step * np.arange(self._size(), dtype=float)
 
 
-@dataclass(frozen=True)
+@dataclass
 class SweepRow:
-    """One sweep point: key rates in bits/s plus scenario diagnostics."""
+    """One sweep point: key rates in bits/s plus scenario diagnostics.
+
+    A copy of the table's values at the point, not a view: its fields and
+    dicts can be changed without touching the table.  Not frozen, since
+    its dicts make it unhashable anyway, and a frozen init costs five
+    times as much per row.
+    """
 
     x_name: str
     x: float
@@ -333,11 +341,15 @@ class SweepTable(Sequence):
         duty, sigma_phi, e_phi = op.duty_cycle, op.sigma_phi, op.e_phi
         rate_names, diag_names = tuple(self.rates), tuple(self.diagnostics)
         k = 1 + len(rate_names)
-        values = np.column_stack(
-            (self.x, *self.rates.values(), *self.diagnostics.values())).tolist()
-        return [SweepRow(x_name, v[0], dict(zip(rate_names, v[1:k])), duty, sigma_phi,
-                         e_phi, dict(zip(diag_names, v[k:])), flags)
-                for v, flags in zip(values, self._point_flags())]
+        cols = np.vstack((self.x, *self.rates.values(), *self.diagnostics.values())).tolist()
+
+        def points(c):  # the values of columns c at each point, as one tuple per point
+            return zip(*c) if c else [()] * len(self)
+
+        return [SweepRow(x_name, x, dict(zip(rate_names, r)), duty, sigma_phi, e_phi,
+                         dict(zip(diag_names, d)), flags)
+                for x, r, d, flags in zip(cols[0], points(cols[1:k]), points(cols[k:]),
+                                          self._point_flags())]
 
 
 def run_sweep(scenario, spec: Optional[SweepSpec] = None,
@@ -393,7 +405,8 @@ def format_csv(table: SweepTable) -> str:
     return csv_text(header, (
         table.x, *table.rates.values(),
         *(np.full(n, v) for v in (op.duty_cycle, op.sigma_phi, op.e_phi)),
-        *table.diagnostics.values(), [";".join(f) for f in table._point_flags()]))
+        *table.diagnostics.values(),
+        np.array([";".join(f) for f in table._point_flags()], dtype=object)))
 
 
 def emit_csv(table: SweepTable, path) -> None:

@@ -15,7 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decoy import ChannelErrorModel, DecoySet, _check_f_ec, _scalars, binary_entropy, decoy_bounds
+from .decoy import (
+    ChannelErrorModel,
+    DecoySet,
+    _check_f_ec,
+    _scalars,
+    _within,
+    binary_entropy,
+    decoy_bounds,
+)
 from .errors import DomainError
 from .link import DetectorParams
 
@@ -34,6 +42,7 @@ __all__ = [
 # that the closed-form click probability accepts: beyond ~745 exp(-S)
 # underflows while I0(x) overflows.
 MAX_DETECTED_PHOTONS = 500.0
+_EPSNEG = np.finfo(float).epsneg
 
 
 @dataclass(frozen=True)
@@ -103,12 +112,12 @@ def effective_click_probability(mu_a: float, mu_b: float, arm_t, p_dc: float):
     term in the bracket is >= 0, so nothing cancels at small intensities
     or dark counts.
     """
-    if mu_a < 0 or mu_b < 0:
-        raise DomainError("intensities must be >= 0")
-    if not np.all((0.0 <= arm_t) & (arm_t <= 1.0)) or not 0.0 <= p_dc < 1.0:
+    if not (0.0 <= mu_a < np.inf and 0.0 <= mu_b < np.inf):
+        raise DomainError("intensities must be >= 0 and finite")
+    if not _within(arm_t, 0.0, 1.0) or not 0.0 <= p_dc < 1.0:
         raise DomainError("transmittance in [0,1] and p_dc in [0,1) required")
     s = arm_t * (0.5 * (mu_a + mu_b))
-    if np.any(s > MAX_DETECTED_PHOTONS):
+    if not _within(s, 0.0, MAX_DETECTED_PHOTONS):
         raise DomainError(f"mean detected photon number above {MAX_DETECTED_PHOTONS:g}")
     x = arm_t * np.sqrt(mu_a * mu_b)
     return _scalars(2.0 * (1.0 - p_dc) * np.exp(-s) * (
@@ -121,7 +130,7 @@ def _i0_minus_1(x):
     q = 0.25 * x * x
     term = total = q
     k = 1
-    while np.any(term > np.finfo(float).epsneg * total):
+    while (term > _EPSNEG * total).any():
         k += 1
         term = term * q / (k * k)
         total = total + term
@@ -140,7 +149,7 @@ def sns_window_stats(p: SnsParams, decoys: DecoySet, arm_t,
     The bit-flip error e_z involves no interference and is therefore
     independent of e_phi by construction.
     """
-    if not np.all((0.0 < arm_t) & (arm_t <= 1.0)):
+    if not _within(arm_t, 0.0, 1.0, lo_open=True):
         raise DomainError("arm transmittance must lie in (0, 1]")
     eps, p_dc = p.epsilon, det.p_dc
     n_ss = eps**2 * effective_click_probability(p.mu_z, p.mu_z, arm_t, p_dc)
@@ -191,7 +200,7 @@ def aopp_transform(s: SnsWindowStats) -> AoppStats:
 def _rate(n1, e1ph, n_t, e_z, p: SnsParams, f_ec: float):
     _check_f_ec(f_ec)
     privacy = 1.0 - binary_entropy(np.minimum(e1ph, 0.5))
-    ec = f_ec * n_t * binary_entropy(np.clip(e_z, 0.0, 1.0))
+    ec = f_ec * n_t * binary_entropy(np.minimum(1.0, np.maximum(0.0, e_z)))
     key = p.p_z**2 * (n1 * privacy - ec)
     return _scalars(np.where((n1 > 0.0) & (key > 0.0), key, 0.0))
 

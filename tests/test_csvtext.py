@@ -14,12 +14,15 @@ from tfqkd.csvtext import csv_text
 
 
 def per_cell(header, columns):
-    """The CSV of the columns formatted one cell at a time."""
-    cols = [np.asarray(c) for c in columns]
+    """The CSV of the columns formatted one cell at a time: a column that
+    numpy reads as floats prints '%.12e' % v, any other '%s' % (v,) of
+    each cell as given (numpy's string dtypes would drop trailing NULs)."""
+    floats = [np.asarray(c).dtype.kind == "f" for c in columns]
+    cells = [np.asarray(c).tolist() if f or isinstance(c, np.ndarray) else list(c)
+             for c, f in zip(columns, floats)]
     lines = [",".join(header)]
-    for row in zip(*(c.tolist() for c in cols)):
-        lines.append(",".join("%.12e" % x if c.dtype.kind == "f" else "%s" % (x,)
-                              for c, x in zip(cols, row)))
+    for row in zip(*cells):
+        lines.append(",".join("%.12e" % x if f else "%s" % (x,) for f, x in zip(floats, row)))
     return "\n".join(lines) + "\n"
 
 
@@ -102,6 +105,15 @@ def test_mixed_tables():
     assert csv_text(header, [c[:0] for c in columns]) == ",".join(header) + "\n"
     assert csv_text(["h"], []) == "h\n"
     assert csv_text([], []) == "\n"
+
+
+def test_trailing_nuls_of_string_cells_are_kept():
+    # a list of str went through numpy's NUL-padded str dtype, whose
+    # values drop their trailing NULs: this printed "s\nx\n"
+    assert csv_text(["s"], [["x\0"]]) == "s\nx\0\n"
+    assert csv_text(["s", "t"], [("a\0\0", "\0"), ["b", "c\0"]]) == "s,t\na\0\0,b\n\0,c\0\n"
+    assert csv_text(["b"], [[b"x\0"]]) == "b\n%s\n" % (b"x\0",)
+    assert_per_cell(["s", "x"], [["\0", "y\0\0", ""], [1.0, 2.0, 3.0]])
 
 
 def test_surrogates_round_trip():

@@ -2,18 +2,23 @@
 scalars (or a dataclass of them), an array gives arrays, element for element."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 
 from tfqkd import (
     SNSPD,
+    CalChannel,
     CalParams,
     ChannelErrorModel,
     DecoySet,
     DetectorParams,
+    DomainError,
+    McConfig,
     SnsParams,
     aopp_transform,
+    arm_transmittance,
     bb84_rate,
     binary_entropy,
     cal_bit_error,
@@ -21,13 +26,21 @@ from tfqkd import (
     cal_phase_error,
     cal_rate,
     decoy_bounds,
+    duty_cycle,
     effective_click_probability,
+    effective_transmittance,
     error_gain,
     fock_pair_yield,
     gain,
+    link_from_attenuation,
     make_cal_channel,
+    mc_click_stats,
     plob_bound,
+    poisson_true_yields,
+    poisson_yield_gain,
     qber,
+    qber_from_variance,
+    qber_small_angle,
     sns_aopp_rate,
     sns_rate,
     sns_window_stats,
@@ -112,3 +125,97 @@ def test_rates_without_gain_are_zero_element_for_element():
     for name, batch in rates.items():
         assert batch.tolist() == points[name]
         assert batch[0] == batch[2] == 0.0 and batch[1] > 0.0
+
+
+# every range check of the link and protocol kernels that takes a number
+# or an array: the call, a value it accepts, and values it rejects
+UNIT = (np.nan, np.inf, -np.inf, -0.5, 1.5)
+RANGE_CHECKS = {
+    "binary_entropy": (binary_entropy, 0.5, UNIT),
+    "ChannelErrorModel.eta_hat": (lambda v: ChannelErrorModel(eta_hat=v, p_dc=P_DC), 0.5, UNIT),
+    "ChannelErrorModel.p_dc": (lambda v: ChannelErrorModel(eta_hat=0.5, p_dc=v), 0.5, UNIT),
+    "ChannelErrorModel.e_theta": (lambda v: ChannelErrorModel(0.5, P_DC, e_theta=v), 0.5, UNIT),
+    "ChannelErrorModel.e_phi": (lambda v: ChannelErrorModel(0.5, P_DC, e_phi=v), 0.5, UNIT),
+    "qber at zero gain": (lambda v: qber(0.4, ChannelErrorModel(eta_hat=v, p_dc=0.0)), 0.5,
+                          (0.0,)),
+    "link_from_attenuation": (link_from_attenuation, 10.0, (np.nan, -np.inf, -1.0)),
+    "effective_transmittance": (lambda v: effective_transmittance(v, SNSPD), 0.5, UNIT),
+    "arm_transmittance": (arm_transmittance, 0.5, UNIT),
+    "plob_bound": (plob_bound, 0.5, UNIT + (1.0,)),
+    "effective_click_probability": (
+        lambda v: effective_click_probability(0.2, 5e-6, v, P_DC), 0.5, UNIT),
+    # 600 photons per arm reach the detectors as t * 600 > 500 above t = 5/6
+    "effective_click_probability photons": (
+        lambda v: effective_click_probability(600.0, 600.0, v, P_DC), 0.5, (0.9, 1.0)),
+    "sns_window_stats": (lambda v: _stats(v), 0.5, UNIT + (0.0,)),
+    "CalChannel.gamma": (lambda v: CalChannel(gamma=v), 0.5, (np.nan, np.inf, -np.inf, -0.5)),
+    "make_cal_channel": (lambda v: make_cal_channel(v, CalParams()), 0.5, UNIT),
+    "cal_bit_error at zero gain": (lambda v: cal_bit_error(CalChannel(gamma=v), 0.0), 0.01,
+                                   (0.0,)),
+    "fock_pair_yield": (lambda v: fock_pair_yield(2, 2, v, P_DC), 0.5, UNIT),
+    # gamma = arm_t * mu_zeta with mu_zeta = 0.018
+    "cal_phase_error gamma": (lambda v: cal_phase_error(CalParams(), CalChannel(gamma=v), P_DC),
+                              0.009, (0.0181, 1.0)),
+    "cal_phase_error at zero gain": (
+        lambda v: cal_phase_error(CalParams(), CalChannel(gamma=v), 0.0), 0.009, (0.0,)),
+}
+
+
+@pytest.mark.parametrize("name", RANGE_CHECKS)
+def test_range_checks_reject_values_outside_as_float_and_in_array(name):
+    # NaN, +-inf and out-of-range values raise DomainError, alone or
+    # beside an accepted value, without a numpy warning on the way
+    call, good, bad = RANGE_CHECKS[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        call(good)
+        call(np.array([good, good]))
+        for v in bad:
+            for arg in (v, np.array([good, v]), np.array([v, good])):
+                with pytest.raises(DomainError):
+                    call(arg)
+
+
+# each kernel with an intensity, a window or a variance argument; the
+# intensities take a float, beside a float or an array transmittance
+NON_FINITE_ARGS = {
+    "gain": lambda v: gain(v, _model(0.5)),
+    "gain array": lambda v: gain(v, _model(np.array(ETAS))),
+    "error_gain": lambda v: error_gain(v, _model(0.5)),
+    "error_gain array": lambda v: error_gain(v, _model(np.array(ETAS))),
+    "qber": lambda v: qber(v, _model(0.5)),
+    "qber array": lambda v: qber(v, _model(np.array(ETAS))),
+    "effective_click_probability mu_a": lambda v: effective_click_probability(v, 0.1, 0.5, 1e-6),
+    "effective_click_probability mu_b": lambda v: effective_click_probability(0.1, v, 0.5, 1e-6),
+    "effective_click_probability array": lambda v: effective_click_probability(
+        v, 0.1, np.array(ETAS), 1e-6),
+    "mc_click_stats mu_a": lambda v: mc_click_stats(v, 0.1, 0.5, 1e-6, McConfig(samples=10)),
+    "mc_click_stats mu_b": lambda v: mc_click_stats(0.1, v, 0.5, 1e-6, McConfig(samples=10)),
+    "poisson_yield_gain": lambda v: poisson_yield_gain(v, _model(0.5)),
+    "poisson_true_yields": lambda v: poisson_true_yields(_model(0.5), v),
+    "duty_cycle tau_q": lambda v: duty_cycle(v, 1e-3),
+    "duty_cycle tau_ps": lambda v: duty_cycle(1e-3, v),
+    "qber_from_variance": qber_from_variance,
+    "qber_small_angle": qber_small_angle,
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("name", NON_FINITE_ARGS)
+def test_non_finite_intensities_windows_and_variances_raise(name, value):
+    # each passed a 'mu < 0'-style check and returned NaN (or, for the
+    # Monte-Carlo sampler, none = 1.0) instead of raising
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            NON_FINITE_ARGS[name](value)
+
+
+@pytest.mark.parametrize("values", [[-0.0, 0.0, -1.0, 0.5, 1.0, 2.0, np.inf, -np.inf],
+                                    [np.nan, -np.nan, -0.0] * 7])
+def test_clamp_has_the_bytes_of_clip(values):
+    # the kernels clamp to [0, 1] as np.minimum(1.0, np.maximum(0.0, x)),
+    # which keeps NaN and the sign of -0.0 as np.clip(x, 0.0, 1.0) does
+    for x in (np.array(values), *values, *map(np.float64, values)):
+        clamped = np.asarray(np.minimum(1.0, np.maximum(0.0, x)))
+        assert clamped.tobytes() == np.asarray(np.clip(x, 0.0, 1.0)).tobytes()

@@ -55,11 +55,11 @@ from tfqkd.scenarios import builtin_scenario
 CONFIG_PATH = "configs/scenario1.yaml"
 
 
-def scalar_point(sid, spec, x):
+def scalar_point(sid, spec, x, det=None):
     """(rates, diagnostics, flags) of one sweep point from the public
     per-point functions: the per-point loop the sweep replaced."""
     op, prot = builtin_scenario(sid).operating_point, ProtocolParams()
-    det = tfqkd.DETECTORS[spec.detector]
+    det = det or tfqkd.DETECTORS[spec.detector]
     if spec.x_axis == "total_attenuation_db":
         eta = link_from_attenuation(x)
     else:
@@ -313,6 +313,29 @@ class TestRunSweep:
             for row in run_sweep(sid, sp):
                 assert (row.rates, row.diagnostics, row.flags) == scalar_point(sid, sp, row.x)
 
+    @pytest.mark.parametrize("sid", [2, 5])
+    def test_points_without_gain_equal_scalar_functions(self, sid):
+        # a dark-free detector has no gain where eta underflows to 0 (from
+        # about 3240 dB): the sweep takes the masked path for BB84's QBER and
+        # the CAL errors there, and its shortcut on the all-gain grids; SNS
+        # rejects a zero arm transmittance, so it is left out
+        dark_free = DetectorParams(eta_d=0.8, dark_rate=0.0)
+        protocols = ("bb84", "cal", "plob", "plob_realistic")
+        specs = [SweepSpec(start=0.0, stop=4000.0, step=20.0, protocols=protocols),
+                 SweepSpec(start=0.0, stop=3000.0, step=20.0, protocols=protocols),
+                 SweepSpec(start=3300.0, stop=4000.0, step=100.0, protocols=protocols)]
+        gains = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for spec in specs:
+                table = run_sweep(sid, spec, detector=dark_free)
+                gains.append(table.diagnostics["cal_gain"] > 0.0)
+                for row in table:
+                    assert (row.rates, row.diagnostics, row.flags) == scalar_point(
+                        sid, spec, row.x, det=dark_free)
+        assert not gains[0].all() and gains[0].any()
+        assert gains[1].all() and not gains[2].any()
+
     def test_edge_grid(self):
         # 0 dB (eta = 1, an infinite PLOB bound) to 200 dB with warnings as
         # errors; from 3240 dB eta underflows to 0 and the SNS window
@@ -363,6 +386,23 @@ class TestSweepTable:
             assert row.duty_cycle == table.operating_point.duty_cycle
         with pytest.raises(IndexError):
             table[4]
+
+    def test_rows_are_copies(self):
+        # a cached row is a mutable record of Python values: assigning to
+        # its fields or dicts changes neither the columns nor the CSV
+        table = run_sweep(2, SweepSpec(start=10, stop=40, step=10))
+        x, rates, text = table.x.copy(), {p: a.copy() for p, a in table.rates.items()}, \
+            format_csv(table)
+        row = table[1]
+        row.x = -1.0
+        row.rates["cal"] = -1.0
+        row.diagnostics["cal_gain"] = -1.0
+        row.rates = {}
+        row.duty_cycle = row.flags = None
+        assert table[1] is row and row.x == -1.0
+        assert table.x.tolist() == x.tolist()
+        assert all(table.rates[p].tolist() == a.tolist() for p, a in rates.items())
+        assert format_csv(table) == text
 
 
 class TestCsv:
