@@ -187,7 +187,7 @@ def scenario(scenario, detector, protocols, start, stop, step, x_axis, out):
 
 
 @main.command()
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--samples", type=_COUNT, default=oracle_mod.McConfig.samples,
               show_default=True)
 @click.option("--points", type=_COUNT, default=10, show_default=True)

@@ -186,8 +186,11 @@ def _bb84_columns(s: DecoySet, m: ChannelErrorModel, f_ec: float):
     if clicked.all():  # gain everywhere, as dark counts give: no masked copy
         e_u = qber(s.u, m)
     else:
-        e_u = np.zeros(clicked.shape)
-        e_u[clicked] = qber(s.u, replace(m, eta_hat=np.asarray(m.eta_hat)[clicked]))
+        shape = np.broadcast_shapes(clicked.shape, *map(np.shape, vars(m).values()))
+        clicked = np.broadcast_to(clicked, shape)
+        e_u = np.zeros(shape)
+        e_u[clicked] = qber(s.u, replace(m, **{  # every field, at the points with gain
+            k: np.broadcast_to(v, shape)[clicked] for k, v in vars(m).items()}))
     privacy = 1.0 - binary_entropy(np.minimum(b.e1ph_up, 0.5))
     key = b.q1_low * privacy - f_ec * b.q_u * binary_entropy(e_u)
     return np.where(b.ok & (key > 0.0), key, 0.0), b, e_u

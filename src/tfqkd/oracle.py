@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 from typing import Union
 
 import numpy as np
@@ -37,6 +38,10 @@ BIT_GENERATOR = "philox4x64"  # counter-based
 # of _BLOCK samples; a chunk holds a whole number of blocks.
 _CHUNK = 1 << 20
 _BLOCK = 1 << 18
+# Relative widening of the ends of the phase band of the c threshold:
+# at least 4,096 ulps, where numpy's exp strays from exact by a few.
+_EXP_SLACK = 2.0 ** -40
+_TINY = np.finfo(float).tiny  # smallest positive normal double
 
 
 @dataclass(frozen=True)
@@ -49,6 +54,10 @@ class FixedDelta:
     """Deterministic relative phase (rad)."""
 
     delta: float = 0.0
+
+    def __post_init__(self):
+        if not (isinstance(self.delta, Real) and -math.inf < self.delta < math.inf):
+            raise DomainError("fixed phase must be a finite number")
 
 
 PhaseDistribution = Union[UniformRandomized, FixedDelta]
@@ -63,8 +72,12 @@ class McConfig:
     phase: PhaseDistribution = field(default_factory=UniformRandomized)
 
     def __post_init__(self):
-        if self.samples < 1:
-            raise DomainError("samples must be >= 1")
+        for name, least in (("samples", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+                raise DomainError(f"{name} must be an integer >= {least}")
+        if not isinstance(self.phase, (UniformRandomized, FixedDelta)):
+            raise DomainError("phase must be UniformRandomized() or FixedDelta(delta)")
 
 
 @dataclass(frozen=True)
@@ -99,6 +112,29 @@ def _stream_at(seed: int, offset: int) -> np.random.Generator:
     return rng
 
 
+def _no_click_c(phases, base, cross, p_d):
+    """In place: relative phases -> no-click probability at detector c."""
+    np.cos(phases, out=phases)
+    phases *= -cross
+    phases -= base
+    np.exp(phases, out=phases)
+    phases *= 1.0 - p_d
+    return phases
+
+
+def _bands(base, cross, surv_prod, p_d, phase: PhaseDistribution):
+    """((lowest, highest) no-click probability at detector c, the same at d)
+    over every phase the law can draw, as _no_click_c and the division by
+    it round them."""
+    if isinstance(phase, UniformRandomized):
+        # cos delta = +1 and -1, each end widened past exp's rounding
+        lo_c = (1.0 - p_d) * (np.exp(-cross - base) * (1.0 - _EXP_SLACK))
+        hi_c = (1.0 - p_d) * (np.exp(cross - base) * (1.0 + _EXP_SLACK))
+    else:  # one phase, so the same two no-click probabilities for every sample
+        lo_c = hi_c = _no_click_c(np.array([phase.delta]), base, cross, p_d)[0]
+    return (lo_c, hi_c), (surv_prod / hi_c, surv_prod / lo_c)
+
+
 def mc_click_stats(mu_a: float, mu_b: float, arm_t: float, p_d: float,
                    cfg: McConfig = McConfig()) -> McClickStats:
     """Sampled click statistics of two interfering attenuated pulses.
@@ -115,6 +151,22 @@ def mc_click_stats(mu_a: float, mu_b: float, arm_t: float, p_d: float,
     detector d.  Blocks of 2^18 samples open their slices of that stream
     directly and run on a thread pool of one worker per available core,
     so the counts do not depend on the core count.
+
+    A detector clicks when its uniform is at or above its no-click
+    probability: t_c = (1 - p_d) exp(-base - cross cos delta) at c and
+    surv_prod / t_c at d, with surv_prod = (1 - p_d)^2 exp(-2 base).
+    Both are monotone in cos delta in [-1, 1], so each lies in a band
+    between its values at cos delta = +1 and -1 (_bands).  A uniform
+    below its band cannot click and one at or above it must, whatever
+    the phase.  Each block decides those from its uniforms alone and
+    evaluates cos, exp and the division only for the uniforms inside a
+    band; it draws its phase slice only if there are any.  The counts
+    are bit for bit those of evaluating every sample: the band takes
+    the same rounded steps as the per-sample thresholds, and each step
+    but exp (product, difference, division) rounds monotonically, while
+    the ends of the c band are widened by a relative _EXP_SLACK, far
+    above the few ulps by which exp may stray from monotone.  A fixed
+    phase has one threshold per detector, so its band is empty.
     """
     if not (0.0 <= mu_a < math.inf and 0.0 <= mu_b < math.inf):
         raise DomainError("intensities must be >= 0 and finite")
@@ -126,22 +178,12 @@ def mc_click_stats(mu_a: float, mu_b: float, arm_t: float, p_d: float,
     cross = arm_t * np.sqrt(mu_a * mu_b)
     # survival probabilities multiply to a phase-independent constant
     surv_prod = (1.0 - p_d) ** 2 * np.exp(-2.0 * base)
-
-    def no_click_c(phases):
-        # in place: relative phases -> no-click probability at detector c
-        np.cos(phases, out=phases)
-        phases *= -cross
-        phases -= base
-        np.exp(phases, out=phases)
-        phases *= 1.0 - p_d
-        return phases
+    if not (_TINY <= surv_prod and cross < math.inf):
+        raise DomainError("the no-click product (1 - p_d)^2 exp(-arm_t (mu_a + mu_b)) must "
+                          "be a positive normal float: p_d = 1 or the pulses are too bright")
 
     uniform = isinstance(cfg.phase, UniformRandomized)
-    if uniform:
-        fixed = None, None
-    else:  # one phase, so the same two no-click probabilities for every sample
-        thr = no_click_c(np.array([cfg.phase.delta]))
-        fixed = thr, np.divide(surv_prod, thr)
+    bands = _bands(base, cross, surv_prod, p_d, cfg.phase)
     # (first sample of the chunk, chunk length, block start in the chunk)
     blocks = [(done, min(_CHUNK, cfg.samples - done), lo)
               for done in range(0, cfg.samples, _CHUNK)
@@ -149,27 +191,35 @@ def mc_click_stats(mu_a: float, mu_b: float, arm_t: float, p_d: float,
 
     def count(share):  # one worker: its buffers serve its whole share of blocks
         size = min(_BLOCK, cfg.samples)
-        phase_buf = np.empty(size) if uniform else None
         u = np.empty(size)
-        click_c, click_d = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
+        clicks = np.empty((2, size), dtype=bool)
+        open_buf = np.empty(size, dtype=bool)
         n_c = n_d = n_both = 0
-        no_c, no_d = fixed
         for done, m, lo in share:
             n = min(_BLOCK, m - lo)
             at = (3 if uniform else 2) * done + lo  # the block's first draw
-            un, cc, cd = u[:n], click_c[:n], click_d[:n]
-            if uniform:
-                no_c = no_d = phase_buf[:n]
-                _stream_at(cfg.seed, at).random(out=no_c)
-                no_c *= 2.0 * np.pi
-                no_click_c(no_c)
-                at += m
-            _stream_at(cfg.seed, at).random(out=un)
-            np.greater_equal(un, no_c, out=cc)
-            if uniform:  # the c probabilities are used up: overwrite with d's
-                np.divide(surv_prod, no_d, out=no_d)
-            _stream_at(cfg.seed, at + m).random(out=un)
-            np.greater_equal(un, no_d, out=cd)
+            un, opened = u[:n], open_buf[:n]
+            undecided = []  # per detector: (its clicks, open samples, their uniforms)
+            for k, (low, high) in enumerate(bands):  # detector c, then d
+                click = clicks[k, :n]
+                # the detector's slice of the chunk, after the phases if drawn
+                _stream_at(cfg.seed, at + (k + uniform) * m).random(out=un)
+                np.greater_equal(un, high, out=click)
+                if low < high:  # uniforms in [low, high) wait for their phase
+                    np.greater_equal(un, low, out=opened)
+                    opened ^= click
+                    idx = np.flatnonzero(opened)
+                    undecided.append((click, idx, un[idx]))
+            if any(idx.size for _, idx, _ in undecided):
+                _stream_at(cfg.seed, at).random(out=un)  # the block's phases
+                for k, (click, idx, u_open) in enumerate(undecided):
+                    no_click = un[idx]
+                    no_click *= 2.0 * np.pi
+                    _no_click_c(no_click, base, cross, p_d)
+                    if k:
+                        np.divide(surv_prod, no_click, out=no_click)
+                    click[idx] = u_open >= no_click
+            cc, cd = clicks[0, :n], clicks[1, :n]
             n_c += int(np.count_nonzero(cc))
             n_d += int(np.count_nonzero(cd))
             n_both += int(np.count_nonzero(np.logical_and(cc, cd, out=cc)))

@@ -159,3 +159,15 @@ class TestBb84Rate:
     def test_rejects_f_ec_below_one(self):
         with pytest.raises(DomainError):
             bb84_rate(DEFAULTS, model(), 0.99)
+
+    def test_masked_points_mask_every_array_field(self):
+        # a point without gain beside array error terms: only eta_hat was
+        # masked, so the other arrays kept both points and raised ValueError
+        m = ChannelErrorModel(eta_hat=np.array([0.0, 0.5]), p_dc=0.0,
+                              e_phi=np.array([0.01, 0.02]))
+        key = bb84_rate(DecoySet(), m, 1.15)
+        assert key[0] == 0.0
+        assert key[1] == bb84_rate(DecoySet(), ChannelErrorModel(eta_hat=0.5, p_dc=0.0,
+                                                                 e_phi=0.02), 1.15)
+        wide = ChannelErrorModel(eta_hat=0.0, p_dc=0.0, e_theta=np.array([0.01, 0.02]))
+        assert bb84_rate(DecoySet(), wide, 1.15).tolist() == [0.0, 0.0]

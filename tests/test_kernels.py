@@ -15,6 +15,7 @@ from tfqkd import (
     DecoySet,
     DetectorParams,
     DomainError,
+    FixedDelta,
     McConfig,
     SnsParams,
     aopp_transform,
@@ -176,8 +177,9 @@ def test_range_checks_reject_values_outside_as_float_and_in_array(name):
                     call(arg)
 
 
-# each kernel with an intensity, a window or a variance argument; the
-# intensities take a float, beside a float or an array transmittance
+# each kernel with an intensity, a window or a variance argument, and the
+# oracle's phase and sampling plan; the intensities take a float, beside
+# a float or an array transmittance
 NON_FINITE_ARGS = {
     "gain": lambda v: gain(v, _model(0.5)),
     "gain array": lambda v: gain(v, _model(np.array(ETAS))),
@@ -191,6 +193,9 @@ NON_FINITE_ARGS = {
         v, 0.1, np.array(ETAS), 1e-6),
     "mc_click_stats mu_a": lambda v: mc_click_stats(v, 0.1, 0.5, 1e-6, McConfig(samples=10)),
     "mc_click_stats mu_b": lambda v: mc_click_stats(0.1, v, 0.5, 1e-6, McConfig(samples=10)),
+    "FixedDelta": FixedDelta,
+    "McConfig samples": lambda v: McConfig(samples=v),
+    "McConfig seed": lambda v: McConfig(seed=v),
     "poisson_yield_gain": lambda v: poisson_yield_gain(v, _model(0.5)),
     "poisson_true_yields": lambda v: poisson_true_yields(_model(0.5), v),
     "duty_cycle tau_q": lambda v: duty_cycle(v, 1e-3),
@@ -204,7 +209,7 @@ NON_FINITE_ARGS = {
 @pytest.mark.parametrize("name", NON_FINITE_ARGS)
 def test_non_finite_intensities_windows_and_variances_raise(name, value):
     # each passed a 'mu < 0'-style check and returned NaN (or, for the
-    # Monte-Carlo sampler, none = 1.0) instead of raising
+    # Monte-Carlo sampler and a NaN FixedDelta, none = 1.0) instead of raising
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError):

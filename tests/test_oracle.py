@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tfqkd.oracle as oracle
 from tfqkd import (
@@ -93,6 +95,49 @@ class TestSingleStreamIdentity:
             cfg = McConfig(samples=n, seed=seed, phase=phase)
             assert _counts(mc_click_stats(*args, cfg)) == reference_mc_counts(*args, cfg), n
 
+    @pytest.mark.parametrize("args", [
+        (_MU_Z, 0.0, _ARM_T, _P_DC),  # no cross term: the phase decides nothing
+        (0.4, 0.4, 1.0, _P_DC),  # a bright arm: a wide band waits for the phase
+        (_MU_Z, _MU_0, _ARM_T, 0.0),  # no dark counts
+        (354.19, 354.19, 1.0, 0.0),  # the no-click product just above the least normal
+    ], ids=["mu_b=0", "bright-arm", "p_d=0", "normal-limit"])
+    @pytest.mark.parametrize("phase", [UniformRandomized(), FixedDelta(_DELTA)])
+    def test_counts_match_sequential_stream_at_the_edges(self, phase, args):
+        for n in (5, (1 << 18) + 1, (1 << 20) + 3):
+            cfg = McConfig(samples=n, seed=17_000, phase=phase)
+            assert _counts(mc_click_stats(*args, cfg)) == reference_mc_counts(*args, cfg), n
+
+    @given(mu_a=st.floats(0.0, 4.0), mu_b=st.floats(0.0, 4.0), arm_t=st.floats(0.0, 1.0),
+           p_d=st.floats(0.0, 0.99), seed=st.integers(0, 2**63),
+           samples=st.integers(1, 300_000))
+    @settings(max_examples=40, deadline=None)
+    def test_counts_match_sequential_stream_anywhere(self, mu_a, mu_b, arm_t, p_d, seed,
+                                                     samples):
+        cfg = McConfig(samples=samples, seed=seed)
+        args = (mu_a, mu_b, arm_t, p_d)
+        assert _counts(mc_click_stats(*args, cfg)) == reference_mc_counts(*args, cfg)
+
+    @pytest.mark.parametrize("args", [
+        (_MU_Z, _MU_0, _ARM_T, _P_DC), (_MU_Z, 0.0, _ARM_T, _P_DC), (0.4, 0.4, 1.0, _P_DC),
+        (0.3, 0.2, 0.4, 0.0), (354.19, 354.19, 1.0, 0.0), (2.0, 1e-9, 0.7, 0.5)])
+    def test_bands_hold_every_threshold(self, args):
+        # every no-click probability the per-sample arithmetic gives, at
+        # phases 2 pi u for uniforms u that include 0 and 1/2 (cos = +1 and
+        # -1 exactly), lies in its band, so a uniform outside the band is
+        # decided the same way whatever its phase
+        mu_a, mu_b, arm_t, p_d = args
+        base = arm_t * (mu_a + mu_b) / 2.0
+        cross = arm_t * np.sqrt(mu_a * mu_b)
+        surv_prod = (1.0 - p_d) ** 2 * np.exp(-2.0 * base)
+        u = np.concatenate([np.random.Generator(np.random.Philox(5)).random(100_000),
+                            np.nextafter(0.5, [0.0, 1.0]), [0.0, 0.5, 1.0 - 2.0**-53]])
+        t_c = oracle._no_click_c(u * (2.0 * np.pi), base, cross, p_d)
+        (lo_c, hi_c), (lo_d, hi_d) = oracle._bands(base, cross, surv_prod, p_d,
+                                                   UniformRandomized())
+        assert lo_c <= t_c.min() and t_c.max() <= hi_c
+        t_d = surv_prod / t_c
+        assert lo_d <= t_d.min() and t_d.max() <= hi_d
+
     @pytest.mark.parametrize("phase", [UniformRandomized(), FixedDelta(_DELTA)])
     def test_counts_independent_of_pool_size(self, phase, monkeypatch):
         runs = []
@@ -135,6 +180,21 @@ class TestMcClickStats:
             mc_click_stats(-0.1, 0.1, 0.1, 0.0, McConfig(samples=10, seed=0))
         with pytest.raises(DomainError):
             McConfig(samples=0)
+        for bad in ({"samples": 1e6}, {"samples": True}, {"seed": -1}, {"seed": 1.0},
+                    {"phase": "uniform"}):
+            with pytest.raises(DomainError):
+                McConfig(**bad)
+        with pytest.raises(DomainError):
+            FixedDelta("0.3")
+
+    @pytest.mark.parametrize("args", [
+        (0.2, 0.1, 0.3, 1.0),  # p_d = 1: reported c always and d never clicking
+        (600.0, 600.0, 1.0, 0.0),  # exp(-1200) = 0: reported c_only 0.42, both 0.56
+        (354.2, 354.2, 1.0, 0.0),  # a subnormal no-click product
+    ])
+    def test_no_click_product_must_be_normal(self, args):
+        with pytest.raises(DomainError):
+            mc_click_stats(*args, McConfig(samples=1_000, seed=3))
 
 
 class TestFockBsDistribution:

@@ -796,6 +796,7 @@ class TestCli:
         ["sigma-map", "--dl-points", "0"],
         ["oracle", "--points", "0"],
         ["oracle", "--samples", "0"],
+        ["oracle", "--seed", "-1"],
         ["sigma-map", "--dl-start", "nan"],
         ["sigma-map", "--tau-stop", "nan"],
         ["sigma-map", "--dl-stop", "inf"],
