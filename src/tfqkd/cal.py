@@ -11,13 +11,14 @@ states and is independent of the phase mismatch by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .decoy import _check_f_ec, _scalars, _within, binary_entropy
+from ._fields import Checked, _within, spec
+from .decoy import _check_f_ec, _scalars, binary_entropy
 from .errors import DomainError
 
 __all__ = [
@@ -33,10 +34,11 @@ __all__ = [
 ]
 
 FOCK_INPUT_MAX = 6  # per-port input limit for pair yields
+_PAIRS = spec(tuple, item=spec(tuple, item=spec(int, ge=0), length=2))
 
 
 @dataclass(frozen=True)
-class CalParams:
+class CalParams(Checked):
     """Signal intensity and cat-sum sets.
 
     set_even / set_odd list the (m_a, m_b) index pairs whose photon-number
@@ -45,38 +47,29 @@ class CalParams:
     m_max truncates the cat amplitude sums.
     """
 
-    mu_zeta: float = 0.018
-    set_even: tuple = ((0, 0), (0, 1), (1, 0), (1, 1))
-    set_odd: tuple = ((0, 0),)
-    m_max: int = 20
+    mu_zeta: float = field(default=0.018, metadata=spec(float, gt=0))
+    set_even: tuple = field(default=((0, 0), (0, 1), (1, 0), (1, 1)), metadata=_PAIRS)
+    set_odd: tuple = field(default=((0, 0),), metadata=_PAIRS)
+    m_max: int = field(default=20, metadata=spec(int, ge=2))
 
     def __post_init__(self):
-        if not 0 < self.mu_zeta < np.inf:
-            raise DomainError("signal intensity must be finite and > 0")
-        if self.m_max < 2:
-            raise DomainError("m_max must be >= 2")
-        top = max(2 * m + 1 for pair in self.set_even + self.set_odd for m in pair)
+        super().__post_init__()
+        top = max((2 * m + 1 for pair in self.set_even + self.set_odd for m in pair), default=0)
         if top > FOCK_INPUT_MAX:
             raise DomainError("cat-sum sets exceed the supported photon cutoff")
 
 
 @dataclass(frozen=True)
-class CalChannel:
+class CalChannel(Checked):
     """Channel as seen by the signal states.
 
     gamma = arm_t * mu_zeta combines per-arm transmittance and intensity;
     the interference contrast is omega = cos(sigma_phi) cos(theta).
     """
 
-    gamma: float
-    sigma_phi: float = 0.0
-    theta: float = 0.0
-
-    def __post_init__(self):
-        if not _within(self.gamma, 0.0, np.inf, hi_open=True):
-            raise DomainError("gamma must be finite and >= 0")
-        if not (-np.inf < self.sigma_phi < np.inf and -np.inf < self.theta < np.inf):
-            raise DomainError("sigma_phi and theta must be finite")
+    gamma: float = field(metadata=spec(float, ge=0, array=True))
+    sigma_phi: float = field(default=0.0, metadata=spec(float))
+    theta: float = field(default=0.0, metadata=spec(float))
 
     @property
     def omega(self) -> float:

@@ -10,11 +10,12 @@ under Gaussian phase statistics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
+from ._fields import Checked, spec
 from .csvtext import csv_text
 from .errors import DivergentIntegralError, DomainError
 from .spectra import FiberParams, LaserSpec, Spectrum, TopologyConfig, interference_spectrum
@@ -226,42 +227,35 @@ def duty_cycle(tau_q: float, tau_ps: float) -> float:
 
 
 @dataclass(frozen=True)
-class CoherenceBudget:
+class CoherenceBudget(Checked):
     """Phase-coherence budget: threshold, clip time and stabilization overhead."""
 
-    sigma_threshold: float = 0.2
-    tau_max: float = 0.1
-    tau_ps: float = 1e-3
-    tau_floor: float = 1e-6
-    f_max: Optional[float] = None
+    sigma_threshold: float = field(default=0.2, metadata=spec(float, gt=0))
+    tau_max: float = field(default=0.1, metadata=spec(float, gt=0))
+    tau_ps: float = field(default=1e-3, metadata=spec(float, gt=0))
+    tau_floor: float = field(default=1e-6, metadata=spec(float, gt=0))
+    f_max: Optional[float] = field(default=None,
+                                   metadata=spec(float, gt=0, finite=False, optional=True))
 
     def __post_init__(self):
-        finite = (self.sigma_threshold, self.tau_max, self.tau_ps, self.tau_floor)
-        if not (all(0 < v < np.inf for v in finite) and (self.f_max is None or self.f_max > 0)):
-            raise DomainError("budget values must be > 0, and finite except f_max")
+        super().__post_init__()
         if self.tau_floor >= self.tau_max:
             raise DomainError("tau_floor must be below tau_max")
 
 
 @dataclass(frozen=True)
-class OperatingPoint:
+class OperatingPoint(Checked):
     """Transmission window, residual phase deviation, phase-noise QBER and
     stabilization overhead: what solve_tau_q returns and run_sweep reads.
     Only the solve sets clipped (window at tau_max) or floored (at tau_floor).
     """
 
-    tau_q: float
-    sigma_phi: float
-    e_phi: float
-    tau_ps: float = CoherenceBudget.tau_ps
-    clipped: bool = False
-    floored: bool = False
-
-    def __post_init__(self):
-        if not (0 < self.tau_q < np.inf and 0 < self.tau_ps < np.inf):
-            raise DomainError("times must be finite and > 0")
-        if not (0 <= self.sigma_phi < np.inf and 0.0 <= self.e_phi <= 0.5):
-            raise DomainError("finite sigma_phi >= 0 and e_phi in [0, 0.5] required")
+    tau_q: float = field(metadata=spec(float, gt=0))
+    sigma_phi: float = field(metadata=spec(float, ge=0))
+    e_phi: float = field(metadata=spec(float, ge=0, le=0.5))
+    tau_ps: float = field(default=CoherenceBudget.tau_ps, metadata=spec(float, gt=0))
+    clipped: bool = field(default=False, metadata=spec(bool))
+    floored: bool = field(default=False, metadata=spec(bool))
 
     @property
     def duty_cycle(self) -> float:

@@ -11,88 +11,95 @@ with (budget.tau_ps_s aside, which sets only the duty cycle); any other
 value there makes the window a live solve.
 
 One table, _FIELDS, maps every YAML leaf to the one FullConfig field it
-sets; the schema, the build and the dump are all generated from it, and
-every default comes from the dataclasses.
+sets; the schema, the build and the dump are all generated from it.  The
+dataclasses own every default and every range: each leaf's schema
+fragment is generated from the metadata its target field declares, so a
+value the YAML schema accepts is one the dataclass accepts, cross-field
+rules (such as u > v + w of the decoy set) aside.
 """
 
 from __future__ import annotations
 
 import enum
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
+from ._fields import Checked, json_schema, part, spec
 from .coherence import CoherenceBudget, OperatingPoint, solve_tau_q
 from .errors import ConfigError, DomainError
 from .link import DetectorParams
-from .scenarios import DETECTORS, PROTOCOL_NAMES, ProtocolParams, SweepSpec, builtin_scenario
-from .spectra import FiberParams, LaserSpec, TopologyConfig, TopologyKind, interference_spectrum
+from .scenarios import DETECTORS, ProtocolParams, SweepSpec, builtin_scenario
+from .spectra import FiberParams, LaserSpec, TopologyConfig, interference_spectrum
 
 __all__ = ["FullConfig", "load_config", "loads_config", "dump_config"]
 
-_POS = {"type": "number", "exclusiveMinimum": 0}
-_NONNEG = {"type": "number", "minimum": 0}
-_BOOL = {"type": "boolean"}
-
-# (YAML section, key, schema fragment, dotted FullConfig path it sets).
-# The scenario preset sets no path: it picks the topology and operating
-# point the other sections override.
+# (YAML section, key, dotted FullConfig path it sets).  The scenario
+# preset sets no path: it picks the topology and operating point the
+# other sections override.
 _FIELDS = (
-    ("scenario", "preset", {"type": "integer", "minimum": 1, "maximum": 7}, None),
-    ("topology", "kind", {"enum": [k.value for k in TopologyKind]}, "topology.kind"),
-    ("topology", "laser_stabilized", _BOOL, "topology.laser_stabilized"),
-    ("topology", "fiber_stabilized", _BOOL, "topology.fiber_stabilized"),
-    ("topology", "l_a_km", _NONNEG, "topology.l_a"),
-    ("topology", "l_b_km", _NONNEG, "topology.l_b"),
-    ("topology", "refractive_index", _POS, "topology.refractive_index"),
-    ("topology", "fiber_roundtrip_factor", _NONNEG, "topology.fiber_roundtrip_factor"),
-    ("laser", "r3", _NONNEG, "laser.free.r3"),
-    ("laser", "r2", _NONNEG, "laser.free.r2"),
-    ("laser", "f_c_hz", _POS, "laser.free.f_c"),
-    ("cavity", "c4", _NONNEG, "laser.cavity.c4"),
-    ("cavity", "c3", _NONNEG, "laser.cavity.c3"),
-    ("cavity", "c2", _NONNEG, "laser.cavity.c2"),
-    ("loop", "bandwidth_hz", _POS, "laser.loop.bandwidth"),
-    ("loop", "gamma", _POS, "laser.loop.gamma"),
-    ("loop", "delta", _POS, "laser.loop.delta"),
-    ("fiber", "noise_per_km", _NONNEG, "fiber.noise_per_km"),
-    ("fiber", "f_c_free_hz", _POS, "fiber.f_c_free"),
-    ("fiber", "s0", _NONNEG, "fiber.s0"),
-    ("fiber", "f_c_floor_hz", _POS, "fiber.f_c_floor"),
-    ("fiber", "lambda_s_nm", _POS, "fiber.lambda_s_nm"),
-    ("fiber", "lambda_q_nm", _POS, "fiber.lambda_q_nm"),
-    ("budget", "sigma_threshold_rad", _POS, "budget.sigma_threshold"),
-    ("budget", "tau_max_s", _POS, "budget.tau_max"),
-    ("budget", "tau_ps_s", _POS, "budget.tau_ps"),
-    ("budget", "tau_floor_s", _POS, "budget.tau_floor"),
-    ("budget", "f_max_hz", _POS, "budget.f_max"),
-    ("channel", "alpha_db_per_km", _NONNEG, "sweep.alpha"),
-    ("channel", "a_plus_db", _NONNEG, "sweep.a_plus"),
-    ("protocol", "e_theta", _NONNEG, "protocol.misalignment.e_theta"),
-    ("protocol", "f_ec", {"type": "number", "minimum": 1}, "protocol.f_ec"),
-    ("protocol.decoys", "u", _POS, "protocol.decoys.u"),
-    ("protocol.decoys", "v", _POS, "protocol.decoys.v"),
-    ("protocol.decoys", "w", _NONNEG, "protocol.decoys.w"),
-    ("protocol.sns", "epsilon", _POS, "protocol.sns.epsilon"),
-    ("protocol.sns", "mu_z", _POS, "protocol.sns.mu_z"),
-    ("protocol.sns", "mu_0", _NONNEG, "protocol.sns.mu_0"),
-    ("protocol.sns", "p_z", _POS, "protocol.sns.p_z"),
-    ("protocol.cal", "mu_zeta", _POS, "protocol.cal.mu_zeta"),
-    ("operating_point", "tau_q_s", _POS, "operating_point.tau_q"),
-    ("operating_point", "sigma_phi_rad", _NONNEG, "operating_point.sigma_phi"),
-    ("operating_point", "e_phi", _NONNEG, "operating_point.e_phi"),
-    ("detector", "eta_d", _POS, "detector.eta_d"),
-    ("detector", "dark_rate_hz", _NONNEG, "detector.dark_rate"),
-    ("detector", "clock_rate_hz", _POS, "detector.clock_rate"),
-    ("sweep", "x_axis", {"enum": ["total_attenuation_db", "total_length_km"]},
-     "sweep.x_axis"),
-    ("sweep", "start", _NONNEG, "sweep.start"),
-    ("sweep", "stop", _NONNEG, "sweep.stop"),
-    ("sweep", "step", _POS, "sweep.step"),
-    ("sweep", "detector", {"enum": sorted(DETECTORS)}, "sweep.detector"),
-    ("sweep", "protocols", {"type": "array", "minItems": 1,
-                            "items": {"enum": list(PROTOCOL_NAMES)}}, "sweep.protocols"),
+    ("scenario", "preset", None),
+    ("topology", "kind", "topology.kind"),
+    ("topology", "laser_stabilized", "topology.laser_stabilized"),
+    ("topology", "fiber_stabilized", "topology.fiber_stabilized"),
+    ("topology", "l_a_km", "topology.l_a"),
+    ("topology", "l_b_km", "topology.l_b"),
+    ("topology", "refractive_index", "topology.refractive_index"),
+    ("topology", "fiber_roundtrip_factor", "topology.fiber_roundtrip_factor"),
+    ("laser", "r3", "laser.free.r3"),
+    ("laser", "r2", "laser.free.r2"),
+    ("laser", "f_c_hz", "laser.free.f_c"),
+    ("cavity", "c4", "laser.cavity.c4"),
+    ("cavity", "c3", "laser.cavity.c3"),
+    ("cavity", "c2", "laser.cavity.c2"),
+    ("loop", "bandwidth_hz", "laser.loop.bandwidth"),
+    ("loop", "gamma", "laser.loop.gamma"),
+    ("loop", "delta", "laser.loop.delta"),
+    ("fiber", "noise_per_km", "fiber.noise_per_km"),
+    ("fiber", "f_c_free_hz", "fiber.f_c_free"),
+    ("fiber", "s0", "fiber.s0"),
+    ("fiber", "f_c_floor_hz", "fiber.f_c_floor"),
+    ("fiber", "lambda_s_nm", "fiber.lambda_s_nm"),
+    ("fiber", "lambda_q_nm", "fiber.lambda_q_nm"),
+    ("budget", "sigma_threshold_rad", "budget.sigma_threshold"),
+    ("budget", "tau_max_s", "budget.tau_max"),
+    ("budget", "tau_ps_s", "budget.tau_ps"),
+    ("budget", "tau_floor_s", "budget.tau_floor"),
+    ("budget", "f_max_hz", "budget.f_max"),
+    ("channel", "alpha_db_per_km", "sweep.alpha"),
+    ("channel", "a_plus_db", "sweep.a_plus"),
+    ("protocol", "e_theta", "protocol.misalignment.e_theta"),
+    ("protocol", "f_ec", "protocol.f_ec"),
+    ("protocol.decoys", "u", "protocol.decoys.u"),
+    ("protocol.decoys", "v", "protocol.decoys.v"),
+    ("protocol.decoys", "w", "protocol.decoys.w"),
+    ("protocol.sns", "epsilon", "protocol.sns.epsilon"),
+    ("protocol.sns", "mu_z", "protocol.sns.mu_z"),
+    ("protocol.sns", "mu_0", "protocol.sns.mu_0"),
+    ("protocol.sns", "p_z", "protocol.sns.p_z"),
+    ("protocol.cal", "mu_zeta", "protocol.cal.mu_zeta"),
+    ("operating_point", "tau_q_s", "operating_point.tau_q"),
+    ("operating_point", "sigma_phi_rad", "operating_point.sigma_phi"),
+    ("operating_point", "e_phi", "operating_point.e_phi"),
+    ("detector", "eta_d", "detector.eta_d"),
+    ("detector", "dark_rate_hz", "detector.dark_rate"),
+    ("detector", "clock_rate_hz", "detector.clock_rate"),
+    ("sweep", "x_axis", "sweep.x_axis"),
+    ("sweep", "start", "sweep.start"),
+    ("sweep", "stop", "sweep.stop"),
+    ("sweep", "step", "sweep.step"),
+    ("sweep", "detector", "sweep.detector"),
+    ("sweep", "protocols", "sweep.protocols"),
 )
+_PRESET_SCHEMA = {"type": "integer", "minimum": 1, "maximum": 7}
+
+
+def _field_metadata(target: str):
+    """The metadata of the FullConfig field at a dotted path."""
+    meta = {"kind": FullConfig}
+    for name in target.split("."):
+        meta = next(f.metadata for f in fields(meta["kind"]) if f.name == name)
+    return meta
 
 
 def _obj(props: dict) -> dict:
@@ -101,29 +108,29 @@ def _obj(props: dict) -> dict:
 
 def _schema() -> dict:
     root = _obj({})
-    for section, key, fragment, _ in _FIELDS:
+    for section, key, target in _FIELDS:
         node = root
         for part in section.split("."):
             node = node["properties"].setdefault(part, _obj({}))
-        node["properties"][key] = fragment
+        node["properties"][key] = (_PRESET_SCHEMA if target is None
+                                   else json_schema(_field_metadata(target)))
     return root
 
 
-CONFIG_SCHEMA = _schema()
-
-
 @dataclass(frozen=True)
-class FullConfig:
+class FullConfig(Checked):
     """Resolved configuration ready for the sweep engine."""
 
-    topology: TopologyConfig
-    laser: LaserSpec = field(default_factory=LaserSpec)
-    fiber: FiberParams = field(default_factory=FiberParams)
-    budget: CoherenceBudget = field(default_factory=CoherenceBudget)
-    protocol: ProtocolParams = field(default_factory=ProtocolParams)
-    detector: Optional[DetectorParams] = None
-    operating_point: Optional[OperatingPoint] = None
-    sweep: SweepSpec = field(default_factory=SweepSpec)
+    topology: TopologyConfig = field(metadata=spec(TopologyConfig))
+    laser: LaserSpec = part(LaserSpec)
+    fiber: FiberParams = part(FiberParams)
+    budget: CoherenceBudget = part(CoherenceBudget)
+    protocol: ProtocolParams = part(ProtocolParams)
+    detector: Optional[DetectorParams] = field(
+        default=None, metadata=spec(DetectorParams, optional=True))
+    operating_point: Optional[OperatingPoint] = field(
+        default=None, metadata=spec(OperatingPoint, optional=True))
+    sweep: SweepSpec = part(SweepSpec)
 
     def resolve_operating_point(self) -> OperatingPoint:
         """Explicit operating point, or a live solve on the configured spectrum."""
@@ -131,6 +138,9 @@ class FullConfig:
             return self.operating_point
         return solve_tau_q(interference_spectrum(self.topology, self.laser, self.fiber),
                            self.budget)
+
+
+CONFIG_SCHEMA = _schema()
 
 
 def _is_number(value) -> bool:
@@ -151,6 +161,7 @@ _BOUNDS = {
     "minimum": (operator.lt, "less than the minimum"),
     "exclusiveMinimum": (operator.le, "less than or equal to the minimum"),
     "maximum": (operator.gt, "greater than the maximum"),
+    "exclusiveMaximum": (operator.ge, "greater than or equal to the maximum"),
 }
 
 
@@ -207,7 +218,7 @@ def _validate(raw: dict) -> None:
 def _sections(path: str, raw: dict) -> str:
     """The YAML sections of raw that set fields at or below a FullConfig path."""
     return ", ".join(sorted({
-        section for section, key, _, target in _FIELDS
+        section for section, key, target in _FIELDS
         if key in _section(raw, section)
         and target is not None and target.startswith(path + ".")}))
 
@@ -222,30 +233,25 @@ def _apply(obj, updates: dict, raw: dict, prefix: str = ""):
     """Replace the dotted-path fields of obj, one replace per dataclass.
 
     Each frozen dataclass is rebuilt once with all of its overridden
-    fields, so __post_init__ never checks a half-updated object.  YAML
-    values take the type of the field they replace (enum members from
-    their value, tuples from lists); an unset optional operating point is
-    built from its fields.
+    fields, so __post_init__ never checks a half-updated object.  The
+    YAML values go in as they are: each dataclass converts an enum's
+    value to its member and a list to a tuple itself.  An unset optional
+    operating point is built from its fields.
     """
     nested: dict = {}
-    fields: dict = {}
+    values: dict = {}
     for path, value in updates.items():
         head, _, rest = path.partition(".")
         if rest:
             nested.setdefault(head, {})[rest] = value
         else:
-            current = getattr(obj, head, None)
-            if isinstance(current, enum.Enum):
-                value = type(current)(value)
-            elif isinstance(current, tuple):
-                value = tuple(value)
-            fields[head] = value
+            values[head] = value
     for head, sub in nested.items():
-        fields[head] = _apply(getattr(obj, head), sub, raw, f"{prefix}{head}.")
+        values[head] = _apply(getattr(obj, head), sub, raw, f"{prefix}{head}.")
     try:
         if obj is None:
-            return OperatingPoint(**fields)
-        return replace(obj, **fields)
+            return OperatingPoint(**values)
+        return replace(obj, **values)
     except DomainError as exc:
         raise ConfigError(f"{_sections(prefix.rstrip('.'), raw)}: {exc}") from exc
 
@@ -257,7 +263,7 @@ def _build(raw: dict) -> FullConfig:
     preset = builtin_scenario(preset_id) if preset_id is not None else None
     op_raw = raw.get("operating_point")
     if op_raw is not None:
-        missing = {k for s, k, _, _ in _FIELDS if s == "operating_point"} - set(op_raw)
+        missing = {k for s, k, _ in _FIELDS if s == "operating_point"} - set(op_raw)
         if missing:
             raise ConfigError(f"operating_point missing fields: {sorted(missing)}")
     det_raw = raw.get("detector")
@@ -270,7 +276,7 @@ def _build(raw: dict) -> FullConfig:
         if det_raw else None)
 
     updates = {}
-    for section, key, _, target in _FIELDS:
+    for section, key, target in _FIELDS:
         node = _section(raw, section)
         if target is not None and key in node:
             updates[target] = node[key]
@@ -323,7 +329,7 @@ def load_config(path) -> FullConfig:
 
 def _to_dict(cfg: FullConfig) -> dict:
     d: dict = {}
-    for section, key, _, target in _FIELDS:
+    for section, key, target in _FIELDS:
         if target is None:
             continue
         value = cfg

@@ -8,10 +8,11 @@ single-photon estimation of the sending-or-not-sending protocol.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, is_dataclass, replace
+from dataclasses import dataclass, field, is_dataclass, replace
 
 import numpy as np
 
+from ._fields import Checked, _within, spec
 from .errors import DomainError
 
 __all__ = [
@@ -41,20 +42,6 @@ def _scalars(obj):
     return np.asarray(obj).item() if np.ndim(obj) == 0 else obj
 
 
-def _within(x, lo: float, hi: float, lo_open: bool = False, hi_open: bool = False) -> bool:
-    """Whether every entry of x, a number or an array, lies between lo and
-    hi, each end included unless lo_open or hi_open.  NaN lies in no
-    range, and an empty array in every one."""
-    if not isinstance(x, (int, float)):
-        x = np.asarray(x)
-        if not x.size:
-            return True
-        x_lo, x_hi = x.min(), x.max()  # NaN if any entry is
-    else:
-        x_lo = x_hi = x
-    return bool((lo < x_lo if lo_open else lo <= x_lo) and (x_hi < hi if hi_open else x_hi <= hi))
-
-
 def binary_entropy(p):
     """H2(p) with H2(0) = H2(1) = 0; symmetric about 1/2."""
     if not _within(p, 0.0, 1.0):
@@ -73,33 +60,29 @@ def _check_f_ec(f_ec: float) -> None:
 
 
 @dataclass(frozen=True)
-class DecoySet:
+class DecoySet(Checked):
     """Decoy intensities u > v > w >= 0, u matched to the signal intensity."""
 
-    u: float = 0.4
-    v: float = 0.16
-    w: float = 1e-5
+    u: float = field(default=0.4, metadata=spec(float, gt=0))
+    v: float = field(default=0.16, metadata=spec(float, gt=0))
+    w: float = field(default=1e-5, metadata=spec(float, ge=0))
 
     def __post_init__(self):
-        if not np.inf > self.u > self.v > self.w >= 0.0:
-            raise DomainError("decoy intensities must satisfy u > v > w >= 0, u finite")
+        super().__post_init__()
+        if not self.u > self.v > self.w:
+            raise DomainError("decoy intensities must satisfy u > v > w >= 0")
         if self.u - self.v - self.w <= 0.0:
             raise DomainError("single-photon bound requires u > v + w")
 
 
 @dataclass(frozen=True)
-class ChannelErrorModel:
+class ChannelErrorModel(Checked):
     """Effective transmittance, dark counts per signal and the two error terms."""
 
-    eta_hat: float
-    p_dc: float
-    e_theta: float = 0.02
-    e_phi: float = 0.0
-
-    def __post_init__(self):
-        for name in ("eta_hat", "p_dc", "e_theta", "e_phi"):
-            if not _within(getattr(self, name), 0.0, 1.0):
-                raise DomainError(f"{name} must lie in [0, 1]")
+    eta_hat: float = field(metadata=spec(float, ge=0, le=1, array=True))
+    p_dc: float = field(metadata=spec(float, ge=0, le=1, array=True))
+    e_theta: float = field(default=0.02, metadata=spec(float, ge=0, le=1, array=True))
+    e_phi: float = field(default=0.0, metadata=spec(float, ge=0, le=1, array=True))
 
     @property
     def e_total(self) -> float:

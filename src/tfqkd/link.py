@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decoy import ChannelErrorModel, _scalars, _within
+from ._fields import Checked, _within, spec
+from .decoy import ChannelErrorModel, _scalars
 from .errors import DomainError
 
 __all__ = [
@@ -24,19 +25,16 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class DetectorParams:
+class DetectorParams(Checked):
     """Single-photon detector: efficiency, dark rate (Hz) and source clock (Hz)."""
 
-    eta_d: float
-    dark_rate: float
-    clock_rate: float = 1e9
+    eta_d: float = field(metadata=spec(float, gt=0, le=1))
+    dark_rate: float = field(metadata=spec(float, ge=0))
+    clock_rate: float = field(default=1e9, metadata=spec(float, gt=0))
 
     def __post_init__(self):
-        if not 0.0 < self.eta_d <= 1.0:
-            raise DomainError("detector efficiency must lie in (0, 1]")
-        if self.dark_rate < 0 or not 0 < self.clock_rate < np.inf:
-            raise DomainError("dark rate must be >= 0 and clock rate finite and > 0")
-        if not 0.0 <= self.p_dc < 1.0:
+        super().__post_init__()
+        if not self.p_dc < 1.0:
             raise DomainError("dark counts per signal must lie in [0, 1)")
 
     @property
@@ -50,14 +48,10 @@ SPAD = DetectorParams(eta_d=0.25, dark_rate=50.0, clock_rate=1e9)
 
 
 @dataclass(frozen=True)
-class MisalignmentParams:
+class MisalignmentParams(Checked):
     """Polarization misalignment expressed as the error it induces."""
 
-    e_theta: float = ChannelErrorModel.e_theta
-
-    def __post_init__(self):
-        if not 0.0 <= self.e_theta <= 0.5:
-            raise DomainError("misalignment error must lie in [0, 0.5]")
+    e_theta: float = field(default=ChannelErrorModel.e_theta, metadata=spec(float, ge=0, le=0.5))
 
     @property
     def theta(self) -> float:

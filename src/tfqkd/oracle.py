@@ -13,11 +13,11 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from numbers import Integral, Real
 from typing import Union
 
 import numpy as np
 
+from ._fields import Checked, spec
 from .cal import _bs_exact
 from .decoy import ChannelErrorModel
 from .errors import DomainError
@@ -50,34 +50,23 @@ class UniformRandomized:
 
 
 @dataclass(frozen=True)
-class FixedDelta:
+class FixedDelta(Checked):
     """Deterministic relative phase (rad)."""
 
-    delta: float = 0.0
-
-    def __post_init__(self):
-        if not (isinstance(self.delta, Real) and -math.inf < self.delta < math.inf):
-            raise DomainError("fixed phase must be a finite number")
+    delta: float = field(default=0.0, metadata=spec(float))
 
 
 PhaseDistribution = Union[UniformRandomized, FixedDelta]
 
 
 @dataclass(frozen=True)
-class McConfig:
+class McConfig(Checked):
     """Monte-Carlo sampling plan: sample count, seed, phase law."""
 
-    samples: int = 1_000_000
-    seed: int = 0
-    phase: PhaseDistribution = field(default_factory=UniformRandomized)
-
-    def __post_init__(self):
-        for name, least in (("samples", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
-                raise DomainError(f"{name} must be an integer >= {least}")
-        if not isinstance(self.phase, (UniformRandomized, FixedDelta)):
-            raise DomainError("phase must be UniformRandomized() or FixedDelta(delta)")
+    samples: int = field(default=1_000_000, metadata=spec(int, ge=1))
+    seed: int = field(default=0, metadata=spec(int, ge=0))
+    phase: PhaseDistribution = field(default_factory=UniformRandomized,
+                                     metadata=spec((UniformRandomized, FixedDelta)))
 
 
 @dataclass(frozen=True)

@@ -32,9 +32,10 @@ import numpy as np
 
 from . import cal as cal_mod
 from . import sns as sns_mod
+from ._fields import Checked, part, spec
 from .coherence import CoherenceBudget, OperatingPoint, qber_small_angle, solve_tau_q
 from .csvtext import csv_text
-from .decoy import ChannelErrorModel, DecoySet, _bb84_columns, _check_f_ec
+from .decoy import ChannelErrorModel, DecoySet, _bb84_columns
 from .errors import DomainError
 from .link import (
     SNSPD,
@@ -71,13 +72,13 @@ MAX_SWEEP_POINTS = 1_000_000
 
 
 @dataclass(frozen=True)
-class ScenarioPreset:
+class ScenarioPreset(Checked):
     """A named topology plus its sweep operating point."""
 
-    id: int
-    label: str
-    topology: TopologyConfig
-    operating_point: OperatingPoint
+    id: int = field(metadata=spec(int, ge=1))
+    label: str = field(metadata=spec(str))
+    topology: TopologyConfig = field(metadata=spec(TopologyConfig))
+    operating_point: OperatingPoint = field(metadata=spec(OperatingPoint))
 
 
 def _canonical_operating_point(tau_q: float, sigma: float) -> OperatingPoint:
@@ -142,54 +143,41 @@ def builtin_scenario(scenario_id: int) -> ScenarioPreset:
 
 
 @dataclass(frozen=True)
-class ProtocolParams:
+class ProtocolParams(Checked):
     """Shared protocol parameter set for the sweep engine.
 
     The decoy set and the error-correction inefficiency f_ec are common to
     decoy BB84, SNS and CAL, so the three protocols compare on one footing.
     """
 
-    decoys: DecoySet = field(default_factory=DecoySet)
-    sns: sns_mod.SnsParams = field(default_factory=sns_mod.SnsParams)
-    cal: cal_mod.CalParams = field(default_factory=cal_mod.CalParams)
-    misalignment: MisalignmentParams = field(default_factory=MisalignmentParams)
-    f_ec: float = 1.15
-
-    def __post_init__(self):
-        _check_f_ec(self.f_ec)
+    decoys: DecoySet = part(DecoySet)
+    sns: sns_mod.SnsParams = part(sns_mod.SnsParams)
+    cal: cal_mod.CalParams = part(cal_mod.CalParams)
+    misalignment: MisalignmentParams = part(MisalignmentParams)
+    f_ec: float = field(default=1.15, metadata=spec(float, ge=1))
 
 
 @dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(Checked):
     """Sweep axis, range, detector preset and protocol selection."""
 
-    x_axis: str = "total_attenuation_db"
-    start: float = 0.0
-    stop: float = 80.0
-    step: float = 1.0
-    detector: str = "snspd"
-    protocols: tuple = PROTOCOL_NAMES
-    alpha: float = 0.2
-    a_plus: float = 0.0
+    x_axis: str = field(default="total_attenuation_db",
+                        metadata=spec(str, values=("total_attenuation_db", "total_length_km")))
+    start: float = field(default=0.0, metadata=spec(float, ge=0))
+    stop: float = field(default=80.0, metadata=spec(float, ge=0))
+    step: float = field(default=1.0, metadata=spec(float, gt=0))
+    detector: str = field(default="snspd", metadata=spec(str, values=tuple(DETECTORS)))
+    protocols: tuple = field(default=PROTOCOL_NAMES, metadata=spec(
+        tuple, item=spec(str, values=PROTOCOL_NAMES), nonempty=True))
+    alpha: float = field(default=0.2, metadata=spec(float, ge=0))
+    a_plus: float = field(default=0.0, metadata=spec(float, ge=0))
 
     def __post_init__(self):
-        if self.x_axis not in ("total_attenuation_db", "total_length_km"):
-            raise DomainError(f"unknown x_axis {self.x_axis!r}")
-        if not all(map(math.isfinite, (self.start, self.stop, self.step))):
-            raise DomainError("sweep start, stop and step must be finite")
-        if self.step <= 0 or self.stop < self.start or self.start < 0:
+        super().__post_init__()
+        if self.stop < self.start:
             raise DomainError("sweep range requires 0 <= start <= stop and step > 0")
         if self._size() > MAX_SWEEP_POINTS:
             raise DomainError(f"sweep grid exceeds {MAX_SWEEP_POINTS} points")
-        if not self.protocols:
-            raise DomainError("protocol list must not be empty")
-        for name in self.protocols:
-            if name not in PROTOCOL_NAMES:
-                raise DomainError(f"unknown protocol {name!r}")
-        if self.detector not in DETECTORS:
-            raise DomainError(f"unknown detector preset {self.detector!r}")
-        if not (0.0 <= self.alpha < math.inf and 0.0 <= self.a_plus < math.inf):
-            raise DomainError("attenuation terms alpha and a_plus must be finite and >= 0")
 
     def _size(self) -> int:
         """Point count, capped at MAX_SWEEP_POINTS + 1 so that any range

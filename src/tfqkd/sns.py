@@ -11,16 +11,16 @@ cost of halving the string.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._fields import Checked, _within, spec
 from .decoy import (
     ChannelErrorModel,
     DecoySet,
     _check_f_ec,
     _scalars,
-    _within,
     binary_entropy,
     decoy_bounds,
 )
@@ -46,7 +46,7 @@ _EPSNEG = np.finfo(float).epsneg
 
 
 @dataclass(frozen=True)
-class SnsParams:
+class SnsParams(Checked):
     """Protocol knobs: window probabilities and intensities.
 
     Asymptotically the signal-window probability p_z is 1.  The sending
@@ -54,18 +54,15 @@ class SnsParams:
     not-sending intensity to half the weakest one.
     """
 
-    p_z: float = 1.0
-    epsilon: float = 0.25
-    mu_z: float = 0.2
-    mu_0: float = 5e-6
+    p_z: float = field(default=1.0, metadata=spec(float, gt=0, le=1))
+    epsilon: float = field(default=0.25, metadata=spec(float, gt=0, lt=1))
+    mu_z: float = field(default=0.2, metadata=spec(float, gt=0))
+    mu_0: float = field(default=5e-6, metadata=spec(float, ge=0))
 
     def __post_init__(self):
-        if not 0.0 < self.epsilon < 1.0:
-            raise DomainError("sending probability must lie in (0, 1)")
-        if not self.mu_z > self.mu_0 >= 0.0:
+        super().__post_init__()
+        if not self.mu_z > self.mu_0:
             raise DomainError("intensities must satisfy mu_z > mu_0 >= 0")
-        if not 0.0 < self.p_z <= 1.0:
-            raise DomainError("signal-window probability must lie in (0, 1]")
 
 
 @dataclass(frozen=True)

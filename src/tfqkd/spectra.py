@@ -17,6 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from ._fields import Checked, part, spec
 from .errors import DomainError
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact by the SI definition of the metre
@@ -48,39 +49,29 @@ def _as_positive_freq(f) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class LaserFreeParams:
+class LaserFreeParams(Checked):
     """Free-running diode-laser noise: r3/f^3 + (r2/f^2) (f_c/(f+f_c))^2.
 
     r3 is in rad^2 Hz^2, r2 in rad^2 Hz; f_c (Hz) is the roll-off set by
     the laser modulation bandwidth.
     """
 
-    r3: float = 3e6
-    r2: float = 3e2
-    f_c: float = 2e6
-
-    def __post_init__(self):
-        if not (0 <= self.r3 < np.inf and 0 <= self.r2 < np.inf):
-            raise DomainError("laser noise coefficients must be finite and >= 0")
-        if not 0 < self.f_c < np.inf:
-            raise DomainError("laser roll-off cutoff f_c must be finite and > 0")
+    r3: float = field(default=3e6, metadata=spec(float, ge=0))
+    r2: float = field(default=3e2, metadata=spec(float, ge=0))
+    f_c: float = field(default=2e6, metadata=spec(float, gt=0))
 
 
 @dataclass(frozen=True)
-class CavityParams:
+class CavityParams(Checked):
     """Reference-cavity noise: C4/f^4 + C3/f^3 + C2/f^2 (rad^2/Hz)."""
 
-    c4: float = 0.5
-    c3: float = 0.0
-    c2: float = 2e-3
-
-    def __post_init__(self):
-        if not (0 <= self.c4 < np.inf and 0 <= self.c3 < np.inf and 0 <= self.c2 < np.inf):
-            raise DomainError("cavity noise coefficients must be finite and >= 0")
+    c4: float = field(default=0.5, metadata=spec(float, ge=0))
+    c3: float = field(default=0.0, metadata=spec(float, ge=0))
+    c2: float = field(default=2e-3, metadata=spec(float, ge=0))
 
 
 @dataclass(frozen=True)
-class LoopParams:
+class LoopParams(Checked):
     """Servo loop with a second-order integrator.
 
     bandwidth is the loop bandwidth B in Hz; the zero sits at B*gamma and
@@ -88,15 +79,9 @@ class LoopParams:
     fixed by these three numbers and is never set directly.
     """
 
-    bandwidth: float = 3e5
-    gamma: float = 0.1
-    delta: float = 10.0
-
-    def __post_init__(self):
-        if not 0 < self.bandwidth < np.inf:
-            raise DomainError("loop bandwidth must be finite and > 0")
-        if not (0.0 < self.gamma < 1.0 < self.delta < np.inf):
-            raise DomainError("loop shape requires 0 < gamma < 1 < delta, delta finite")
+    bandwidth: float = field(default=3e5, metadata=spec(float, gt=0))
+    gamma: float = field(default=0.1, metadata=spec(float, gt=0, lt=1))
+    delta: float = field(default=10.0, metadata=spec(float, gt=1))
 
     @property
     def g0(self) -> float:
@@ -106,7 +91,7 @@ class LoopParams:
 
 
 @dataclass(frozen=True)
-class FiberParams:
+class FiberParams(Checked):
     """Fiber noise model coefficients.
 
     noise_per_km scales the free-running 1/f^2 noise linearly with length
@@ -116,20 +101,12 @@ class FiberParams:
     (rad^2/Hz) rolling off at f_c_floor.
     """
 
-    noise_per_km: float = 44.0
-    f_c_free: float = 100.0
-    s0: float = 1e-8
-    f_c_floor: float = 2e5
-    lambda_s_nm: float = 1543.33
-    lambda_q_nm: float = 1542.14
-
-    def __post_init__(self):
-        if not (0 <= self.noise_per_km < np.inf and 0 <= self.s0 < np.inf):
-            raise DomainError("fiber noise coefficients must be finite and >= 0")
-        if not (0 < self.f_c_free < np.inf and 0 < self.f_c_floor < np.inf):
-            raise DomainError("fiber cutoff frequencies must be finite and > 0")
-        if not (0 < abs(self.lambda_s_nm) < np.inf and abs(self.lambda_q_nm) < np.inf):
-            raise DomainError("wavelengths must be finite, the sensing one nonzero")
+    noise_per_km: float = field(default=44.0, metadata=spec(float, ge=0))
+    f_c_free: float = field(default=100.0, metadata=spec(float, gt=0))
+    s0: float = field(default=1e-8, metadata=spec(float, ge=0))
+    f_c_floor: float = field(default=2e5, metadata=spec(float, gt=0))
+    lambda_s_nm: float = field(default=1543.33, metadata=spec(float, gt=0))
+    lambda_q_nm: float = field(default=1542.14, metadata=spec(float, gt=0))
 
     @property
     def stabilization_suppression(self) -> float:
@@ -138,12 +115,12 @@ class FiberParams:
 
 
 @dataclass(frozen=True)
-class LaserSpec:
+class LaserSpec(Checked):
     """Bundle of free-running, cavity and loop parameters for one laser class."""
 
-    free: LaserFreeParams = field(default_factory=LaserFreeParams)
-    cavity: CavityParams = field(default_factory=CavityParams)
-    loop: LoopParams = field(default_factory=LoopParams)
+    free: LaserFreeParams = part(LaserFreeParams)
+    cavity: CavityParams = part(CavityParams)
+    loop: LoopParams = part(LoopParams)
 
 
 class TopologyKind(enum.Enum):
@@ -152,7 +129,7 @@ class TopologyKind(enum.Enum):
 
 
 @dataclass(frozen=True)
-class TopologyConfig:
+class TopologyConfig(Checked):
     """Link topology: laser distribution scheme, stabilization flags, arm lengths.
 
     l_a and l_b are the two arm lengths in km with l_a >= l_b; the delay
@@ -162,21 +139,18 @@ class TopologyConfig:
     service and quantum fibers share a cable, 2 otherwise).
     """
 
-    kind: TopologyKind = TopologyKind.COMMON_LASER
-    laser_stabilized: bool = False
-    fiber_stabilized: bool = False
-    l_a: float = 114.0
-    l_b: float = 114.0
-    refractive_index: float = 1.45
-    fiber_roundtrip_factor: float = 4.0
+    kind: TopologyKind = field(default=TopologyKind.COMMON_LASER, metadata=spec(TopologyKind))
+    laser_stabilized: bool = field(default=False, metadata=spec(bool))
+    fiber_stabilized: bool = field(default=False, metadata=spec(bool))
+    l_a: float = field(default=114.0, metadata=spec(float, ge=0))
+    l_b: float = field(default=114.0, metadata=spec(float, ge=0))
+    refractive_index: float = field(default=1.45, metadata=spec(float, gt=0))
+    fiber_roundtrip_factor: float = field(default=4.0, metadata=spec(float, ge=0))
 
     def __post_init__(self):
-        if not (np.inf > self.l_a >= self.l_b >= 0.0):
-            raise DomainError("arm lengths must satisfy l_a >= l_b >= 0, l_a finite")
-        if not 0 < self.refractive_index < np.inf:
-            raise DomainError("refractive index must be finite and > 0")
-        if not 0 <= self.fiber_roundtrip_factor < np.inf:
-            raise DomainError("fiber round-trip factor must be finite and >= 0")
+        super().__post_init__()
+        if self.l_a < self.l_b:
+            raise DomainError("arm lengths must satisfy l_a >= l_b")
 
     @property
     def delta_l(self) -> float:

@@ -44,6 +44,14 @@ CORPUS = (
     "loop: {gamma: -.nan}",
     "budget: {f_max_hz: .inf, tau_ps_s: -.inf}",
     "topology: {l_a_km: 1, turbo: 2, kind: 3}\nzz: 1\nprotocol: {decoys: {u: 0}}",
+    # bounds the schema takes from the dataclass fields, which it lacked before
+    "protocol: {e_theta: 0.6}",
+    "protocol: {sns: {epsilon: 1}}",
+    "loop: {gamma: 1.0}",
+    "loop: {delta: 1}",
+    "detector: {eta_d: 1.5}",
+    "protocol: {sns: {p_z: 1.01}}",
+    "operating_point: {tau_q_s: 1.0e-3, sigma_phi_rad: 0.2, e_phi: 0.6}",
 )
 
 
@@ -78,6 +86,9 @@ def test_same_error_paths_as_draft_2020_12(text):
      "$.sweep.protocols[1]: 'foo' is not one of "
      "['bb84', 'sns', 'sns_aopp', 'cal', 'plob', 'plob_realistic']"),
     ("topology: null", "$.topology: None is not of type 'object'"),
+    ("loop: {gamma: 1.0, delta: 1}",
+     "$.loop.delta: 1 is less than or equal to the minimum of 1; "
+     "$.loop.gamma: 1.0 is greater than or equal to the maximum of 1"),
 ])
 def test_error_message_format(text, message):
     with pytest.raises(ConfigError) as err:
