@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._fields import Checked, _within, spec
-from .decoy import _check_f_ec, _scalars, binary_entropy
+from .decoy import _check_f_ec, _entropies, _scalars
 from .errors import DomainError
 
 __all__ = [
@@ -207,16 +207,22 @@ def _yield_coefficients(n_a: int, n_b: int) -> tuple:
     return tuple(tuple(map(float, acc)) for acc in sums)
 
 
-def _survivors(n: int, polys, arm_t):
+def _powers(arm_t, n: int):
+    """The lists t^k and (1 - t)^k for k = 0..n at per-arm transmittance t."""
+    loss = 1.0 - arm_t
+    return [np.power(arm_t, k) for k in range(n + 1)], [np.power(loss, k) for k in range(n + 1)]
+
+
+def _survivors(n: int, polys, powers):
     """(1 - t)^n, and sum_k poly[k] t^k (1 - t)^(n - k) over k = 1..n for
     each polynomial in polys: the loss weights of the survivor counts of
-    n photons at per-arm transmittance t, summed in increasing k."""
-    loss = 1.0 - arm_t
+    n photons, summed in increasing k, from the _powers of t up to n."""
+    t_k, loss_k = powers
     sums = [0.0] * len(polys)
     for k in range(1, n + 1):
-        weight = np.power(arm_t, k) * np.power(loss, n - k)
+        weight = t_k[k] * loss_k[n - k]
         sums = [acc + poly[k] * weight for acc, poly in zip(sums, polys)]
-    return np.power(loss, n), sums
+    return loss_k[n], sums
 
 
 def _one_click(vacuum, at, p_d: float):
@@ -249,7 +255,8 @@ def fock_pair_yield(n_a: int, n_b: int, arm_t, p_d: float) -> FockYield:
     if not _within(arm_t, 0.0, 1.0) or not 0.0 <= p_d <= 1.0:
         raise DomainError("arm_t and p_d must lie in [0, 1]")
     # survivors all at c, all at d, at both
-    vacuum, (at_c, at_d, split) = _survivors(n_a + n_b, _yield_coefficients(n_a, n_b), arm_t)
+    n = n_a + n_b
+    vacuum, (at_c, at_d, split) = _survivors(n, _yield_coefficients(n_a, n_b), _powers(arm_t, n))
     return _scalars(FockYield(none=(1.0 - p_d) * (1.0 - p_d) * vacuum,
                               c_only=_one_click(vacuum, at_c, p_d),
                               d_only=_one_click(vacuum, at_d, p_d),
@@ -274,6 +281,9 @@ def cal_phase_error(p: CalParams, ch: CalChannel, p_d: float):
     gain_ref = cal_gain(replace(ch, sigma_phi=0.0), p_d)
     if not _within(gain_ref, 0.0, np.inf, lo_open=True):
         raise DomainError("phase error undefined at zero gain")
+    # t^k and (1 - t)^k once, up to the largest photon number of the sets
+    powers = _powers(arm_t, max((2 * (m_a + m_b + j) for j, sset in
+                                 ((0, p.set_even), (1, p.set_odd)) for m_a, m_b in sset), default=0))
     roots: dict = {}  # sqrt of the c-only yield per survivor polynomial
     total = 0.0
     for j, sset in ((0, p.set_even), (1, p.set_odd)):
@@ -283,7 +293,7 @@ def cal_phase_error(p: CalParams, ch: CalChannel, p_d: float):
             n_a, n_b = 2 * m_a + j, 2 * m_b + j
             n, poly = n_a + n_b, _yield_coefficients(n_a, n_b)[0]  # all at c
             if (n, poly) not in roots:
-                vacuum, (at_c,) = _survivors(n, (poly,), arm_t)
+                vacuum, (at_c,) = _survivors(n, (poly,), powers)
                 y = _one_click(vacuum, at_c, p_d)
                 roots[n, poly] = np.sqrt(np.maximum(y, 0.0))
             explicit = explicit + raw[m_a] * raw[m_b] * roots[n, poly]
@@ -310,9 +320,8 @@ def _cal_columns(p: CalParams, ch: CalChannel, p_d: float, f_ec: float):
         e_x, e_z = np.zeros(keyed.shape), np.ones(keyed.shape)
         e_x[keyed] = cal_bit_error(ch_keyed, p_d)
         e_z[keyed] = cal_phase_error(p, ch_keyed, p_d)
-    bracket = (1.0 - f_ec * binary_entropy(np.minimum(1.0, np.maximum(0.0, e_x)))
-               - binary_entropy(np.minimum(0.5, e_z)))
-    key = 2.0 * p_xx * bracket
+    h_x, h_z = _entropies(np.minimum(1.0, np.maximum(0.0, e_x)), np.minimum(0.5, e_z))
+    key = 2.0 * p_xx * (1.0 - f_ec * h_x - h_z)
     return np.where(key > 0.0, key, 0.0), p_xx, e_x, e_z
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 import operator
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import Optional
 
 from ._fields import Checked, json_schema, part, spec
@@ -81,6 +81,8 @@ _FIELDS = (
     ("operating_point", "tau_q_s", "operating_point.tau_q"),
     ("operating_point", "sigma_phi_rad", "operating_point.sigma_phi"),
     ("operating_point", "e_phi", "operating_point.e_phi"),
+    ("operating_point", "clipped", "operating_point.clipped"),
+    ("operating_point", "floored", "operating_point.floored"),
     ("detector", "eta_d", "detector.eta_d"),
     ("detector", "dark_rate_hz", "detector.dark_rate"),
     ("detector", "clock_rate_hz", "detector.clock_rate"),
@@ -94,12 +96,13 @@ _FIELDS = (
 _PRESET_SCHEMA = {"type": "integer", "minimum": 1, "maximum": 7}
 
 
-def _field_metadata(target: str):
-    """The metadata of the FullConfig field at a dotted path."""
-    meta = {"kind": FullConfig}
+def _field(target: str):
+    """The FullConfig field at a dotted path."""
+    kind = FullConfig
     for name in target.split("."):
-        meta = next(f.metadata for f in fields(meta["kind"]) if f.name == name)
-    return meta
+        found = next(f for f in fields(kind) if f.name == name)
+        kind = found.metadata["kind"]
+    return found
 
 
 def _obj(props: dict) -> dict:
@@ -113,7 +116,7 @@ def _schema() -> dict:
         for part in section.split("."):
             node = node["properties"].setdefault(part, _obj({}))
         node["properties"][key] = (_PRESET_SCHEMA if target is None
-                                   else json_schema(_field_metadata(target)))
+                                   else json_schema(_field(target).metadata))
     return root
 
 
@@ -262,8 +265,9 @@ def _build(raw: dict) -> FullConfig:
         raise ConfigError("configuration needs a scenario preset or a topology section")
     preset = builtin_scenario(preset_id) if preset_id is not None else None
     op_raw = raw.get("operating_point")
-    if op_raw is not None:
-        missing = {k for s, k, _ in _FIELDS if s == "operating_point"} - set(op_raw)
+    if op_raw is not None:  # the fields without a default, which a solve sets
+        missing = {k for s, k, t in _FIELDS if s == "operating_point"
+                   and _field(t).default is MISSING} - set(op_raw)
         if missing:
             raise ConfigError(f"operating_point missing fields: {sorted(missing)}")
     det_raw = raw.get("detector")

@@ -4,6 +4,10 @@ The closed-form lower bounds on the vacuum and single-photon yields and
 the upper bound on the single-photon phase error assume three intensities
 u > v > w with u matched to the signal.  The same machinery backs the
 single-photon estimation of the sending-or-not-sending protocol.
+
+A sweep evaluates each ingredient once over a leading (intensity,
+channel or entropy-term) axis stacked ahead of its grid; the kernels are
+element-wise, so each stacked entry equals the float call bit for bit.
 """
 
 from __future__ import annotations
@@ -52,6 +56,12 @@ def binary_entropy(p):
     return _scalars(np.fmax(h, 0.0))
 
 
+def _entropies(*p):
+    """binary_entropy of each argument, from one call over their stack."""
+    same = len({np.shape(x) for x in p}) == 1
+    return binary_entropy(np.array(p if same else np.broadcast_arrays(*p)))
+
+
 def _check_f_ec(f_ec: float) -> None:
     """Reject an error-correction inefficiency below the Shannon limit 1,
     or one that is not finite."""
@@ -92,8 +102,8 @@ class ChannelErrorModel(Checked):
 def gain(mu: float, m: ChannelErrorModel):
     """Click probability for intensity mu: 1 - (1 - p_dc) exp(-mu eta_hat),
     as p_dc - (1 - p_dc) expm1(-mu eta_hat), which keeps its digits where
-    exp(-mu eta_hat) is close to 1."""
-    if not 0.0 <= mu < np.inf:
+    exp(-mu eta_hat) is close to 1.  mu may be an array."""
+    if not _within(mu, 0.0, np.inf, hi_open=True):
         raise DomainError("intensity must be >= 0 and finite")
     return _scalars(m.p_dc - (1.0 - m.p_dc) * np.expm1(-mu * m.eta_hat))
 
@@ -104,7 +114,7 @@ def error_gain(mu: float, m: ChannelErrorModel):
     Dark counts err half the time; misalignment and phase noise err on the
     detected-signal fraction: p_dc/2 + (e_theta + e_phi - p_dc/2)(1 - exp(-mu eta_hat)).
     """
-    if not 0.0 <= mu < np.inf:
+    if not _within(mu, 0.0, np.inf, hi_open=True):
         raise DomainError("intensity must be >= 0 and finite")
     signal = -np.expm1(-mu * m.eta_hat)
     return _scalars(m.p_dc / 2.0 + (m.e_total - m.p_dc / 2.0) * signal)
@@ -135,10 +145,13 @@ class DecoyBounds:
 
 
 def decoy_bounds(s: DecoySet, m: ChannelErrorModel) -> DecoyBounds:
-    """Closed-form three-intensity bounds, all clamped to [0, 1]."""
+    """Closed-form three-intensity bounds, all clamped to [0, 1], from one
+    gain and one error_gain call over an intensity column."""
     u, v, w = s.u, s.v, s.w
-    q_u, q_v, q_w = gain(u, m), gain(v, m), gain(w, m)
-    eq_v, eq_w = error_gain(v, m), error_gain(w, m)
+    rank = max(getattr(x, "ndim", 0) for x in vars(m).values())
+    mu = np.array((u, v, w)).reshape((3,) + (1,) * rank)
+    q_u, q_v, q_w = gain(mu, m)
+    eq_v, eq_w = error_gain(mu[1:], m)
     e_u, e_v, e_w = np.exp(u), np.exp(v), np.exp(w)
 
     # np.maximum(0.0, x) keeps the sign of a -0.0 as np.clip does
@@ -154,9 +167,9 @@ def decoy_bounds(s: DecoySet, m: ChannelErrorModel) -> DecoyBounds:
                                 e1ph_up=np.where(ok, e1, 1.0), ok=ok, q_u=q_u))
 
 
-def _bb84_columns(s: DecoySet, m: ChannelErrorModel, f_ec: float):
+def _bb84_columns(s: DecoySet, m: ChannelErrorModel, f_ec: float, b: DecoyBounds):
     """The BB84 key per transmitted signal and the columns it rests on:
-    (key, decoy bounds, E_u), each evaluated once over the whole input.
+    (key, decoy bounds b = decoy_bounds(s, m), E_u), each evaluated once.
 
     E_u is evaluated only where there is signal gain and reads 0
     elsewhere; the key, floored at 0, is R = Q1 (1 - H2(e1ph)) - f_ec *
@@ -164,7 +177,6 @@ def _bb84_columns(s: DecoySet, m: ChannelErrorModel, f_ec: float):
     gain) and 0 where it failed.
     """
     _check_f_ec(f_ec)
-    b = decoy_bounds(s, m)
     clicked = np.asarray(b.q_u > 0.0)
     if clicked.all():  # gain everywhere, as dark counts give: no masked copy
         e_u = qber(s.u, m)
@@ -174,8 +186,8 @@ def _bb84_columns(s: DecoySet, m: ChannelErrorModel, f_ec: float):
         e_u = np.zeros(shape)
         e_u[clicked] = qber(s.u, replace(m, **{  # every field, at the points with gain
             k: np.broadcast_to(v, shape)[clicked] for k, v in vars(m).items()}))
-    privacy = 1.0 - binary_entropy(np.minimum(b.e1ph_up, 0.5))
-    key = b.q1_low * privacy - f_ec * b.q_u * binary_entropy(e_u)
+    h_ph, h_u = _entropies(np.minimum(b.e1ph_up, 0.5), e_u)
+    key = b.q1_low * (1.0 - h_ph) - f_ec * b.q_u * h_u
     return np.where(b.ok & (key > 0.0), key, 0.0), b, e_u
 
 
@@ -186,4 +198,4 @@ def bb84_rate(s: DecoySet, m: ChannelErrorModel, f_ec: float):
     single-photon estimation failed, which includes every point without
     gain, so E_u is only evaluated where there is gain.
     """
-    return _scalars(_bb84_columns(s, m, f_ec)[0])
+    return _scalars(_bb84_columns(s, m, f_ec, decoy_bounds(s, m))[0])

@@ -11,20 +11,22 @@ type, and run_sweep takes either.
 
 run_sweep returns a SweepTable: the grid, one array per rate and
 diagnostic column, one boolean mask per failure flag, and the operating
-point.  Each protocol ingredient is evaluated once per sweep, over the
-whole grid.  format_csv and emit_csv write the table column by column
-through csvtext.csv_text, which formats all its float cells in a few
-array operations; the table also reads as a sequence of SweepRow, built
-on first access and cached.  A SweepRow is a plain mutable record of
-Python values copied out of the columns: assigning to a row's fields or
-its dicts changes neither the columns nor the CSV.
+point.  Each protocol ingredient is evaluated once per sweep, over a
+stacked (intensity, channel or protocol) x grid array, each entry equal
+to the float call at that point bit for bit.  format_csv and emit_csv
+write the table column by column through csvtext.csv_text, which formats
+all its float cells in a few array operations; the table also reads as
+a sequence of SweepRow, built on first access and cached.  A SweepRow is
+a plain mutable record of Python values copied out of the columns:
+assigning to a row's fields or its dicts changes neither the columns nor
+the CSV.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Optional
 
@@ -35,7 +37,7 @@ from . import sns as sns_mod
 from ._fields import Checked, part, spec
 from .coherence import CoherenceBudget, OperatingPoint, qber_small_angle, solve_tau_q
 from .csvtext import csv_text
-from .decoy import ChannelErrorModel, DecoySet, _bb84_columns
+from .decoy import ChannelErrorModel, DecoyBounds, DecoySet, _bb84_columns, decoy_bounds
 from .errors import DomainError
 from .link import (
     SNSPD,
@@ -229,6 +231,11 @@ def _capacity(eta: np.ndarray) -> np.ndarray:
     return bound
 
 
+def _row(bounds: DecoyBounds, i: int) -> DecoyBounds:
+    """Row i of decoy bounds stacked over channels."""
+    return DecoyBounds(**{k: v[i] for k, v in vars(bounds).items()})
+
+
 def _rates(eta: np.ndarray, det: DetectorParams, op: OperatingPoint,
            prot: ProtocolParams, protocols: Sequence[str]):
     """Rates, diagnostics and failure masks of the selected protocols at
@@ -250,30 +257,40 @@ def _rates(eta: np.ndarray, det: DetectorParams, op: OperatingPoint,
     # Rate functions give key per transmitted signal; the duty cycle is
     # applied here.  The QBER and the CAL errors are undefined without
     # gain, so their diagnostics read 0 (e_z 1) at such points.
-    if "bb84" in protocols:
+    # BB84's channel and SNS's per-arm channel share p_dc, e_theta and
+    # e_phi, so their decoy bounds come from one call stacked over both
+    bb84, sns = "bb84" in protocols, "sns" in protocols or "sns_aopp" in protocols
+    if bb84 or sns:
+        m = ChannelErrorModel(eta_hat=np.array([eta_hat] * bb84 + [arm_t] * sns),
+                              p_dc=det.p_dc, e_theta=e_theta, e_phi=op.e_phi)
+        bounds = decoy_bounds(prot.decoys, m)
+    if bb84:
         # Self-referenced receiver: no twin-field stabilization overhead,
         # asymptotic duty cycle 1; the channel error model still carries
         # the scenario phase-noise QBER.
-        m = ChannelErrorModel(eta_hat=eta_hat, p_dc=det.p_dc, e_theta=e_theta,
-                              e_phi=op.e_phi)
-        key, b, e_u = _bb84_columns(prot.decoys, m, prot.f_ec)
+        key, b, e_u = _bb84_columns(prot.decoys, replace(m, eta_hat=eta_hat), prot.f_ec,
+                                    _row(bounds, 0))
         rates["bb84"] = key * nu_s
         diag["bb84_gain_u"] = b.q_u
         diag["bb84_qber_u"] = e_u
         failed["bb84_estimation_failed"] = ~b.ok
-    if "sns" in protocols or "sns_aopp" in protocols:
-        stats = sns_mod.sns_window_stats(prot.sns, prot.decoys, arm_t, det, op.e_phi, e_theta)
+    if sns:
+        stats = sns_mod._window_stats(prot.sns, sns_mod._clicks(prot.sns, arm_t, det.p_dc),
+                                      _row(bounds, -1))
         diag["sns_n_t"] = stats.n_t
         diag["sns_e_z"] = stats.e_z
         diag["sns_n1_low"] = stats.n1_low
         diag["sns_e1ph_up"] = stats.e1ph_up
         failed["sns_estimation_failed"] = ~stats.decoy_ok
-        if "sns" in protocols:
-            rates["sns"] = sns_mod.sns_rate(stats, prot.sns, prot.f_ec) * duty * nu_s
+        # plain and paired SNS in one key pass over their stack
+        aopp = sns_mod.aopp_transform(stats)
+        keys = sns_mod._rate(*map(np.array, zip(sns_mod._terms(stats), sns_mod._terms(aopp))),
+                             prot.sns, prot.f_ec)
+        for name, key in zip(("sns", "sns_aopp"), keys):
+            if name in protocols:
+                rates[name] = key * duty * nu_s
         if "sns_aopp" in protocols:
-            aopp = sns_mod.aopp_transform(stats)
             diag["sns_aopp_e_z"] = aopp.e_z_prime
-            rates["sns_aopp"] = sns_mod.sns_aopp_rate(aopp, prot.sns, prot.f_ec) * duty * nu_s
     if "cal" in protocols:
         ch = cal_mod.make_cal_channel(arm_t, prot.cal, sigma_phi=op.sigma_phi,
                                       theta=prot.misalignment.theta)
@@ -346,7 +363,8 @@ def run_sweep(scenario, spec: Optional[SweepSpec] = None,
     """Key-rate sweep for a scenario, as a SweepTable of columns.
 
     Each protocol ingredient (decoy bounds, QBER, CAL gain and errors, SNS
-    window statistics) is evaluated once over the whole grid.  The
+    window statistics and keys) is evaluated once, stacked over BB84's and
+    SNS's channels, the intensities and the protocols as _rates says.  The
     coherence operating point is fixed per scenario (solved for the
     nominal 114 km arms), not re-solved per sweep point.  The length axis
     is the total length of a balanced link with equal arms

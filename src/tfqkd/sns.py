@@ -7,6 +7,10 @@ exactly one click; single-photon statistics are bounded with the
 three-intensity decoy machinery on the per-arm channel, and actively
 pairing the sifted bits in odd-parity pairs rejects most bit flips at the
 cost of halving the string.
+
+The three send patterns' clicks come from one call over an intensity
+axis; a sweep takes the decoy bounds from its call stacked with BB84's
+channel and rates plain and paired SNS in one pass over a protocol axis.
 """
 
 from __future__ import annotations
@@ -20,8 +24,8 @@ from .decoy import (
     ChannelErrorModel,
     DecoySet,
     _check_f_ec,
+    _entropies,
     _scalars,
-    binary_entropy,
     decoy_bounds,
 )
 from .errors import DomainError
@@ -107,9 +111,9 @@ def effective_click_probability(mu_a: float, mu_b: float, arm_t, p_dc: float):
     2 (1-p) e^{-S} [(I0(x) - 1) + p - (1-p) expm1(-S)] with
     S = t (mu_a + mu_b) / 2 and x = t sqrt(mu_a mu_b), p = p_dc.  Every
     term in the bracket is >= 0, so nothing cancels at small intensities
-    or dark counts.
+    or dark counts.  mu_a and mu_b may be arrays.
     """
-    if not (0.0 <= mu_a < np.inf and 0.0 <= mu_b < np.inf):
+    if not (_within(mu_a, 0.0, np.inf, hi_open=True) and _within(mu_b, 0.0, np.inf, hi_open=True)):
         raise DomainError("intensities must be >= 0 and finite")
     if not _within(arm_t, 0.0, 1.0) or not 0.0 <= p_dc < 1.0:
         raise DomainError("transmittance in [0,1] and p_dc in [0,1) required")
@@ -122,15 +126,17 @@ def effective_click_probability(mu_a: float, mu_b: float, arm_t, p_dc: float):
 
 
 def _i0_minus_1(x):
-    """I0(x) - 1 = sum_k>=1 (x^2/4)^k / (k!)^2, summed until the next term
-    no longer moves any entry."""
+    """I0(x) - 1 = sum_k>=1 (x^2/4)^k / (k!)^2, each entry summed until its
+    own next term no longer moves it, whatever the other entries."""
     q = 0.25 * x * x
     term = total = q
     k = 1
-    while (term > _EPSNEG * total).any():
+    live = term > _EPSNEG * total
+    while live.any():
         k += 1
-        term = term * q / (k * k)
+        term = term * q / (k * k) * live  # 0 once an entry has converged
         total = total + term
+        live = term > _EPSNEG * total
     return total
 
 
@@ -146,20 +152,31 @@ def sns_window_stats(p: SnsParams, decoys: DecoySet, arm_t,
     The bit-flip error e_z involves no interference and is therefore
     independent of e_phi by construction.
     """
+    clicks = _clicks(p, arm_t, det.p_dc)
+    m = ChannelErrorModel(eta_hat=arm_t, p_dc=det.p_dc, e_theta=e_theta, e_phi=e_phi)
+    return _window_stats(p, clicks, decoy_bounds(decoys, m))
+
+
+def _clicks(p: SnsParams, arm_t, p_dc: float):
+    """Clicks of the mu_z/mu_z, mu_z/mu_0 and mu_0/mu_0 patterns in one call;
+    the not-send/send pattern shares the symmetric mu_z/mu_0 entry."""
     if not _within(arm_t, 0.0, 1.0, lo_open=True):
         raise DomainError("arm transmittance must lie in (0, 1]")
-    eps, p_dc = p.epsilon, det.p_dc
-    n_ss = eps**2 * effective_click_probability(p.mu_z, p.mu_z, arm_t, p_dc)
-    # the click probability is symmetric in the two intensities, so the
-    # send/not-send and not-send/send patterns share one evaluation
-    n_sn = n_ns = eps * (1 - eps) * effective_click_probability(p.mu_z, p.mu_0, arm_t, p_dc)
-    n_nn = (1 - eps) ** 2 * effective_click_probability(p.mu_0, p.mu_0, arm_t, p_dc)
+    column = (3,) + (1,) * np.ndim(arm_t)
+    return effective_click_probability(np.array((p.mu_z, p.mu_z, p.mu_0)).reshape(column),
+                                       np.array((p.mu_z, p.mu_0, p.mu_0)).reshape(column),
+                                       arm_t, p_dc)
+
+
+def _window_stats(p: SnsParams, clicks, b) -> SnsWindowStats:
+    """The statistics from _clicks and the per-arm channel's bounds b."""
+    eps = p.epsilon
+    n_ss = eps**2 * clicks[0]
+    n_sn = n_ns = eps * (1 - eps) * clicks[1]
+    n_nn = (1 - eps) ** 2 * clicks[2]
     n_t = n_ss + n_sn + n_ns + n_nn
     with np.errstate(invalid="ignore"):  # 0/0 where no window clicks
         e_z = np.where(n_t > 0, np.divide(n_nn + n_ss, n_t), 0.0)
-
-    m = ChannelErrorModel(eta_hat=arm_t, p_dc=p_dc, e_theta=e_theta, e_phi=e_phi)
-    b = decoy_bounds(decoys, m)
     n1 = 2.0 * eps * (1 - eps) * p.mu_z * np.exp(-p.mu_z) * b.y1_low
     return _scalars(SnsWindowStats(
         n_t=n_t, n_ss=n_ss, n_sn=n_sn, n_ns=n_ns, n_nn=n_nn, e_z=e_z,
@@ -196,18 +213,23 @@ def aopp_transform(s: SnsWindowStats) -> AoppStats:
 
 def _rate(n1, e1ph, n_t, e_z, p: SnsParams, f_ec: float):
     _check_f_ec(f_ec)
-    privacy = 1.0 - binary_entropy(np.minimum(e1ph, 0.5))
-    ec = f_ec * n_t * binary_entropy(np.minimum(1.0, np.maximum(0.0, e_z)))
-    key = p.p_z**2 * (n1 * privacy - ec)
+    h_ph, h_z = _entropies(np.minimum(e1ph, 0.5), np.minimum(1.0, np.maximum(0.0, e_z)))
+    key = p.p_z**2 * (n1 * (1.0 - h_ph) - f_ec * n_t * h_z)
     return _scalars(np.where((n1 > 0.0) & (key > 0.0), key, 0.0))
+
+
+def _terms(s):
+    """_rate's (n1, e1ph, n_t, e_z) of SnsWindowStats or AoppStats."""
+    if isinstance(s, AoppStats):
+        return s.n1_prime, s.e1ph_prime, s.n_t_prime, s.e_z_prime
+    return np.where(s.decoy_ok, s.n1_low, 0.0), s.e1ph_up, s.n_t, s.e_z
 
 
 def sns_rate(s: SnsWindowStats, p: SnsParams, f_ec: float):
     """Plain protocol secret key per transmitted signal, floored at 0."""
-    n1 = np.where(s.decoy_ok, s.n1_low, 0.0)
-    return _rate(n1, s.e1ph_up, s.n_t, s.e_z, p, f_ec)
+    return _rate(*_terms(s), p, f_ec)
 
 
 def sns_aopp_rate(a: AoppStats, p: SnsParams, f_ec: float):
     """Secret key per transmitted signal after odd-parity pairing."""
-    return _rate(a.n1_prime, a.e1ph_prime, a.n_t_prime, a.e_z_prime, p, f_ec)
+    return _rate(*_terms(a), p, f_ec)

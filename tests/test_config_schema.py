@@ -52,6 +52,8 @@ CORPUS = (
     "detector: {eta_d: 1.5}",
     "protocol: {sns: {p_z: 1.01}}",
     "operating_point: {tau_q_s: 1.0e-3, sigma_phi_rad: 0.2, e_phi: 0.6}",
+    # the optional solve flags are booleans
+    "operating_point: {tau_q_s: 1.0e-3, sigma_phi_rad: 0.2, e_phi: 0.01, clipped: 1, floored: true}",
 )
 
 

@@ -217,8 +217,9 @@ class TestRunSweep:
     def test_estimation_failure_flagged_not_fatal(self, monkeypatch):
         # the closed-form single-photon bound cannot fail for the Poissonian
         # click model, so force the failure path to check flag propagation
+        # the sweep takes BB84's and SNS's bounds from one decoy_bounds call
         import tfqkd.decoy as decoy_mod
-        import tfqkd.sns as sns_mod
+        import tfqkd.scenarios as scen_mod
 
         bounds = decoy_mod.decoy_bounds
 
@@ -227,8 +228,7 @@ class TestRunSweep:
             return replace(b, y1_low=0.0 * b.y1_low, q1_low=0.0 * b.q1_low,
                            e1ph_up=np.ones_like(b.e1ph_up), ok=np.zeros_like(b.ok))
 
-        for mod in (decoy_mod, sns_mod):
-            monkeypatch.setattr(mod, "decoy_bounds", failing)
+        monkeypatch.setattr(scen_mod, "decoy_bounds", failing)
         rows = run_sweep(2, SweepSpec(start=40, stop=42, step=1.0))
         assert len(rows) == 3
         for r in rows:
@@ -239,10 +239,11 @@ class TestRunSweep:
             assert r.rates["cal"] > 0.0  # unaffected protocol keeps running
 
     def test_kernel_calls_do_not_grow_with_points(self, monkeypatch):
-        # a sweep evaluates each kernel over its whole grid: every function
-        # of the link and protocol modules is called as often for 11 points
-        # as for 101, and the public kernels exactly as often as listed; the
-        # grid reaches the losses where BB84 has no key
+        # a sweep evaluates each kernel once over a stacked (intensity,
+        # channel or protocol) x grid array: every function of the link and
+        # protocol modules is called as often for 11 points as for 101, and
+        # the public kernels exactly as often as listed; the grid reaches the
+        # losses where BB84 has no key
         import inspect
 
         import tfqkd.cal as cal_mod
@@ -281,22 +282,28 @@ class TestRunSweep:
             "tfqkd.link.link_from_attenuation": 1,
             "tfqkd.link.effective_transmittance": 1, "tfqkd.link.arm_transmittance": 1,
             "tfqkd.link.plob_bound": 2,
-            # bb84: one set of bounds for the rate and the diagnostics, and
-            # one for the SNS window statistics; one QBER
-            "tfqkd.decoy.decoy_bounds": 2, "tfqkd.decoy.qber": 1,
-            "tfqkd.decoy.gain": 7, "tfqkd.decoy.error_gain": 5,
-            "tfqkd.decoy.binary_entropy": 8,
-            "tfqkd.sns.sns_window_stats": 1, "tfqkd.sns.effective_click_probability": 3,
-            "tfqkd.sns.sns_rate": 1, "tfqkd.sns.aopp_transform": 1,
-            "tfqkd.sns.sns_aopp_rate": 1,
+            # one set of bounds stacked over BB84's channel and SNS's per-arm
+            # channel, each with one gain and one error-gain call over the
+            # intensities; one QBER, with one of each more; one entropy call
+            # per protocol
+            "tfqkd.decoy.decoy_bounds": 1, "tfqkd.decoy.qber": 1,
+            "tfqkd.decoy.gain": 2, "tfqkd.decoy.error_gain": 2,
+            "tfqkd.decoy.binary_entropy": 3,
+            # sns: the three send patterns in one call; the window statistics
+            # and both rates through the private steps that sns_window_stats,
+            # sns_rate and sns_aopp_rate run, plain and paired in one pass
+            "tfqkd.sns.effective_click_probability": 1, "tfqkd.sns.aopp_transform": 1,
             # cal: one gain, bit error and phase-error bound for the rate and
             # the diagnostics; the bound reads its c-only yields without
             # fock_pair_yield, and its aligned gain is the second cal_gain
             "tfqkd.cal.make_cal_channel": 1, "tfqkd.cal.cal_gain": 2,
             "tfqkd.cal.cal_bit_error": 1, "tfqkd.cal.cal_phase_error": 1}
+        assert per_sweep[0]["tfqkd.sns._window_stats"] == 1
+        assert per_sweep[0]["tfqkd.sns._rate"] == 1
         # one survivor polynomial per distinct c-only yield: the (0, 2) and
-        # (2, 0) inputs share theirs
+        # (2, 0) inputs share theirs; the powers of t are taken once for all
         assert per_sweep[0]["tfqkd.cal._survivors"] == 4
+        assert per_sweep[0]["tfqkd.cal._powers"] == 1
 
     @pytest.mark.parametrize("sid, detector, protocols", [
         (2, "snspd", PROTOCOL_NAMES), (5, "spad", PROTOCOL_NAMES),
@@ -505,10 +512,27 @@ class TestConfig:
         built = FullConfig(topology=preset.topology,
                            operating_point=preset.operating_point,
                            protocol=ProtocolParams(f_ec=1.3, decoys=DecoySet(u=0.5)))
+        # live solves that carry a flag: scenario 2 clipped at 0.1 s, and
+        # scenario 3 floored at 1 us under a tight threshold
+        clipped = solve_scenario(builtin_scenario(2))
+        floored = solve_scenario(builtin_scenario(3),
+                                 budget=tfqkd.CoherenceBudget(sigma_threshold=1e-3))
+        assert clipped.clipped and floored.floored
         for cfg in (load_config(CONFIG_PATH),
                     loads_config("scenario: {preset: 1}\nbudget: {tau_ps_s: 2.0e-3}\n"),
-                    built):
+                    built,
+                    *(FullConfig(topology=builtin_scenario(sid).topology, operating_point=op)
+                      for sid, op in ((2, clipped), (3, floored)))):
             assert loads_config(dump_config(cfg)) == cfg
+
+    def test_operating_point_flags_are_optional(self):
+        point = "operating_point: {tau_q_s: 1.0e-3, sigma_phi_rad: 0.2"
+        cfg = loads_config(f"scenario: {{preset: 1}}\n{point}, e_phi: 0.01}}\n")
+        assert not (cfg.operating_point.clipped or cfg.operating_point.floored)
+        cfg = loads_config(f"scenario: {{preset: 1}}\n{point}, e_phi: 0.01, floored: true}}\n")
+        assert cfg.operating_point.floored and not cfg.operating_point.clipped
+        with pytest.raises(ConfigError, match=r"missing fields: \['e_phi'\]$"):
+            loads_config(f"scenario: {{preset: 1}}\n{point}, clipped: true}}\n")
 
     def test_f_ec_below_one_rejected(self):
         with pytest.raises(DomainError):
