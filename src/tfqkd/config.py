@@ -263,7 +263,7 @@ def _build(raw: dict) -> FullConfig:
     preset_id = _section(raw, "scenario").get("preset")
     if preset_id is None and not raw.get("topology"):
         raise ConfigError("configuration needs a scenario preset or a topology section")
-    preset = builtin_scenario(preset_id) if preset_id is not None else None
+    preset = None if preset_id is None else builtin_scenario(int(preset_id))  # schema-valid 2.0
     op_raw = raw.get("operating_point")
     if op_raw is not None:  # the fields without a default, which a solve sets
         missing = {k for s, k, t in _FIELDS if s == "operating_point"

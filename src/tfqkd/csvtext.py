@@ -187,10 +187,12 @@ def csv_text(header: Sequence[str], columns: Iterable) -> str:
     would drop each string's own trailing NULs.  The text equals the
     per-cell '%.12e' % v and '%s' % (v,) joined by commas (see the module
     docstring for how the float cells are formatted).
-    Columns of unequal length raise DomainError.  Identical inputs
-    produce byte-identical text.
+    Columns of unequal length, or a header not one name per column, raise
+    DomainError.  Identical inputs produce byte-identical text.
     """
     cols = [_column(c) for c in columns]
+    if len(header) != len(cols):
+        raise DomainError(f"CSV header has {len(header)} names for {len(cols)} columns")
     if any(c.ndim != 1 for c in cols):
         raise DomainError("each CSV column must be one-dimensional")
     sizes = [c.size for c in cols]

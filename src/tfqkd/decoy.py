@@ -2,8 +2,10 @@
 
 The closed-form lower bounds on the vacuum and single-photon yields and
 the upper bound on the single-photon phase error assume three intensities
-u > v > w with u matched to the signal.  The same machinery backs the
-single-photon estimation of the sending-or-not-sending protocol.
+u > v > w with u matched to the signal, and carry its gain and QBER: BB84's
+key is a function of its bounds.  The same machinery backs the
+sending-or-not-sending protocol, which shares BB84's key form (Wang, Yu
+and Hu, PRA 98, 062323): single photons less error correction on the signal.
 
 A sweep evaluates each ingredient once over a leading (intensity,
 channel or entropy-term) axis stacked ahead of its grid; the kernels are
@@ -132,9 +134,10 @@ def qber(mu: float, m: ChannelErrorModel):
 @dataclass(frozen=True)
 class DecoyBounds:
     """Decoy estimates: yield lower bounds, single-photon gain, phase-error
-    upper bound, and the signal gain Q_u they rest on.  ok is False when
-    the single-photon estimation failed (Y1 bound non-positive), in which
-    case the protocol yields no key."""
+    upper bound, and the signal gain Q_u and QBER E_u they rest on.  ok is
+    False when the single-photon estimation failed (Y1 bound non-positive),
+    in which case the protocol yields no key.  E_u = qber(u, m) where there
+    is signal gain and 0 where there is none."""
 
     y0_low: float
     y1_low: float
@@ -142,6 +145,7 @@ class DecoyBounds:
     e1ph_up: float
     ok: bool
     q_u: float
+    e_u: float
 
 
 def decoy_bounds(s: DecoySet, m: ChannelErrorModel) -> DecoyBounds:
@@ -151,51 +155,41 @@ def decoy_bounds(s: DecoySet, m: ChannelErrorModel) -> DecoyBounds:
     rank = max(getattr(x, "ndim", 0) for x in vars(m).values())
     mu = np.array((u, v, w)).reshape((3,) + (1,) * rank)
     q_u, q_v, q_w = gain(mu, m)
-    eq_v, eq_w = error_gain(mu[1:], m)
-    e_u, e_v, e_w = np.exp(u), np.exp(v), np.exp(w)
+    eq_u, eq_v, eq_w = error_gain(mu, m)
+    exp_u, exp_v, exp_w = np.exp(u), np.exp(v), np.exp(w)
 
     # np.maximum(0.0, x) keeps the sign of a -0.0 as np.clip does
-    y0 = np.minimum(1.0, np.maximum(0.0, (v * q_w * e_w - w * q_v * e_v) / (v - w)))
-    y1 = (u**2 * (q_v * e_v - q_w * e_w) - (v**2 - w**2) * (q_u * e_u - y0)) \
+    y0 = np.minimum(1.0, np.maximum(0.0, (v * q_w * exp_w - w * q_v * exp_v) / (v - w)))
+    y1 = (u**2 * (q_v * exp_v - q_w * exp_w) - (v**2 - w**2) * (q_u * exp_u - y0)) \
         / (u * (u - v - w) * (v - w))
     ok = y1 > 0.0
     y1 = np.where(ok, np.minimum(y1, 1.0), 0.0)
     q1 = np.minimum(1.0, np.maximum(0.0, y1 * u * np.exp(-u)))
-    with np.errstate(divide="ignore", invalid="ignore"):  # y1 = 0 where not ok
-        e1 = np.minimum(1.0, np.maximum(0.0, (eq_v * e_v - eq_w * e_w) / ((v - w) * y1)))
+    # y1 = 0 where not ok, and Q_u = 0 where there is no gain
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e1 = np.minimum(1.0, np.maximum(0.0, (eq_v * exp_v - eq_w * exp_w) / ((v - w) * y1)))
+        e_u = np.where(q_u > 0.0, np.minimum(1.0, np.maximum(0.0, eq_u / q_u)), 0.0)
     return _scalars(DecoyBounds(y0_low=y0, y1_low=y1, q1_low=q1,
-                                e1ph_up=np.where(ok, e1, 1.0), ok=ok, q_u=q_u))
+                                e1ph_up=np.where(ok, e1, 1.0), ok=ok, q_u=q_u, e_u=e_u))
 
 
-def _bb84_columns(s: DecoySet, m: ChannelErrorModel, f_ec: float, b: DecoyBounds):
-    """The BB84 key per transmitted signal and the columns it rests on:
-    (key, decoy bounds b = decoy_bounds(s, m), E_u), each evaluated once.
-
-    E_u is evaluated only where there is signal gain and reads 0
-    elsewhere; the key, floored at 0, is R = Q1 (1 - H2(e1ph)) - f_ec *
-    Q_u * H2(E_u) where the single-photon estimation held (which implies
-    gain) and 0 where it failed.
-    """
+def _key(n1, e1ph, n_t, e_z, f_ec: float):
+    """The decoy-state key form that BB84 and SNS share: single photons
+    n1 (1 - H2(min(e1ph, 1/2))) less error correction f_ec * n_t * H2(e_z)
+    on the signal, e_z clamped to [0, 1]; 0 unless n1 > 0 and the key is
+    positive."""
     _check_f_ec(f_ec)
-    clicked = np.asarray(b.q_u > 0.0)
-    if clicked.all():  # gain everywhere, as dark counts give: no masked copy
-        e_u = qber(s.u, m)
-    else:
-        shape = np.broadcast_shapes(clicked.shape, *map(np.shape, vars(m).values()))
-        clicked = np.broadcast_to(clicked, shape)
-        e_u = np.zeros(shape)
-        e_u[clicked] = qber(s.u, replace(m, **{  # every field, at the points with gain
-            k: np.broadcast_to(v, shape)[clicked] for k, v in vars(m).items()}))
-    h_ph, h_u = _entropies(np.minimum(b.e1ph_up, 0.5), e_u)
-    key = b.q1_low * (1.0 - h_ph) - f_ec * b.q_u * h_u
-    return np.where(b.ok & (key > 0.0), key, 0.0), b, e_u
+    h_ph, h_z = _entropies(np.minimum(e1ph, 0.5), np.minimum(1.0, np.maximum(0.0, e_z)))
+    key = n1 * (1.0 - h_ph) - f_ec * n_t * h_z
+    return np.where((n1 > 0.0) & (key > 0.0), key, 0.0)
 
 
 def bb84_rate(s: DecoySet, m: ChannelErrorModel, f_ec: float):
     """Asymptotic decoy BB84 secret key per transmitted signal, floored at 0.
 
-    R = Q1 (1 - H2(e1ph)) - f_ec * Q_u * H2(E_u); no key where the
-    single-photon estimation failed, which includes every point without
-    gain, so E_u is only evaluated where there is gain.
+    R = Q1 (1 - H2(e1ph)) - f_ec * Q_u * H2(E_u), all from decoy_bounds(s,
+    m); no key where the single-photon estimation failed (Q1 = 0), which
+    includes every point without gain.
     """
-    return _scalars(_bb84_columns(s, m, f_ec, decoy_bounds(s, m))[0])
+    b = decoy_bounds(s, m)
+    return _scalars(_key(b.q1_low, b.e1ph_up, b.q_u, b.e_u, f_ec))

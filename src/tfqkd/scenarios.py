@@ -13,10 +13,12 @@ run_sweep returns a SweepTable: the grid, one array per rate and
 diagnostic column, one boolean mask per failure flag, and the operating
 point.  Each protocol ingredient is evaluated once per sweep, over a
 stacked (intensity, channel or protocol) x grid array, each entry equal
-to the float call at that point bit for bit.  format_csv and emit_csv
-write the table column by column through csvtext.csv_text, which formats
-all its float cells in a few array operations; the table also reads as
-a sequence of SweepRow, built on first access and cached.  A SweepRow is
+to the float call at that point bit for bit; BB84's key, gain and QBER
+come from its row of the decoy bounds, and its key and SNS's take the
+one key form decoy._key.  format_csv and emit_csv write the table
+column by column through csvtext.csv_text, which formats all its float
+cells in a few array operations; the table also reads as a sequence of
+SweepRow, built on first access and cached.  A SweepRow is
 a plain mutable record of Python values copied out of the columns:
 assigning to a row's fields or its dicts changes neither the columns nor
 the CSV.
@@ -26,8 +28,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
+from numbers import Integral
 from typing import Optional
 
 import numpy as np
@@ -37,7 +40,7 @@ from . import sns as sns_mod
 from ._fields import Checked, part, spec
 from .coherence import CoherenceBudget, OperatingPoint, qber_small_angle, solve_tau_q
 from .csvtext import csv_text
-from .decoy import ChannelErrorModel, DecoyBounds, DecoySet, _bb84_columns, decoy_bounds
+from .decoy import ChannelErrorModel, DecoyBounds, DecoySet, _key, decoy_bounds
 from .errors import DomainError
 from .link import (
     SNSPD,
@@ -137,10 +140,10 @@ def builtin_scenarios() -> tuple[ScenarioPreset, ...]:
 
 
 def builtin_scenario(scenario_id: int) -> ScenarioPreset:
-    """The built-in scenario with the given id (1-7)."""
-    for preset in _PRESETS:
-        if preset.id == scenario_id:
-            return preset
+    """The built-in scenario with integer id 1-7 (a NumPy int too, no bool)."""
+    integer = isinstance(scenario_id, Integral) and not isinstance(scenario_id, bool)
+    if integer and 1 <= scenario_id <= len(_PRESETS):
+        return _PRESETS[scenario_id - 1]
     raise DomainError(f"unknown scenario id {scenario_id}; built-in ids are 1-7")
 
 
@@ -255,10 +258,9 @@ def _rates(eta: np.ndarray, det: DetectorParams, op: OperatingPoint,
     if "plob_realistic" in protocols:
         rates["plob_realistic"] = _capacity(eta_hat) * nu_s
     # Rate functions give key per transmitted signal; the duty cycle is
-    # applied here.  The QBER and the CAL errors are undefined without
-    # gain, so their diagnostics read 0 (e_z 1) at such points.
-    # BB84's channel and SNS's per-arm channel share p_dc, e_theta and
-    # e_phi, so their decoy bounds come from one call stacked over both
+    # applied here.  BB84's QBER (the bounds' E_u) and the CAL errors are
+    # undefined without gain and read 0 (e_z 1) there.  BB84's and SNS's
+    # channels share p_dc, e_theta and e_phi: one decoy_bounds call serves both.
     bb84, sns = "bb84" in protocols, "sns" in protocols or "sns_aopp" in protocols
     if bb84 or sns:
         m = ChannelErrorModel(eta_hat=np.array([eta_hat] * bb84 + [arm_t] * sns),
@@ -268,11 +270,10 @@ def _rates(eta: np.ndarray, det: DetectorParams, op: OperatingPoint,
         # Self-referenced receiver: no twin-field stabilization overhead,
         # asymptotic duty cycle 1; the channel error model still carries
         # the scenario phase-noise QBER.
-        key, b, e_u = _bb84_columns(prot.decoys, replace(m, eta_hat=eta_hat), prot.f_ec,
-                                    _row(bounds, 0))
-        rates["bb84"] = key * nu_s
+        b = _row(bounds, 0)
+        rates["bb84"] = _key(b.q1_low, b.e1ph_up, b.q_u, b.e_u, prot.f_ec) * nu_s
         diag["bb84_gain_u"] = b.q_u
-        diag["bb84_qber_u"] = e_u
+        diag["bb84_qber_u"] = b.e_u
         failed["bb84_estimation_failed"] = ~b.ok
     if sns:
         stats = sns_mod._window_stats(prot.sns, sns_mod._clicks(prot.sns, arm_t, det.p_dc),
@@ -362,16 +363,16 @@ def run_sweep(scenario, spec: Optional[SweepSpec] = None,
               detector: Optional[DetectorParams] = None) -> SweepTable:
     """Key-rate sweep for a scenario, as a SweepTable of columns.
 
-    Each protocol ingredient (decoy bounds, QBER, CAL gain and errors, SNS
-    window statistics and keys) is evaluated once, stacked over BB84's and
-    SNS's channels, the intensities and the protocols as _rates says.  The
-    coherence operating point is fixed per scenario (solved for the
-    nominal 114 km arms), not re-solved per sweep point.  The length axis
-    is the total length of a balanced link with equal arms
-    (link.balanced_link).  Individual protocol estimation failures are
-    recorded as zero rate with a flag and the sweep continues.
+    Each protocol ingredient (decoy bounds with BB84's QBER, CAL gain and
+    errors, SNS window statistics and keys) is evaluated once, stacked
+    over BB84's and SNS's channels, the intensities and the protocols as
+    _rates says.  The coherence operating point is fixed per scenario
+    (solved for the nominal 114 km arms), not re-solved per sweep point.
+    The length axis is the total length of a balanced link with equal
+    arms (link.balanced_link).  Individual protocol estimation failures
+    are recorded as zero rate with a flag and the sweep continues.
     """
-    if isinstance(scenario, int):
+    if isinstance(scenario, Integral):
         scenario = builtin_scenario(scenario)
     spec = spec or SweepSpec()
     prot = prot or ProtocolParams()

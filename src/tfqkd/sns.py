@@ -23,8 +23,7 @@ from ._fields import Checked, _within, spec
 from .decoy import (
     ChannelErrorModel,
     DecoySet,
-    _check_f_ec,
-    _entropies,
+    _key,
     _scalars,
     decoy_bounds,
 )
@@ -152,6 +151,8 @@ def sns_window_stats(p: SnsParams, decoys: DecoySet, arm_t,
     The bit-flip error e_z involves no interference and is therefore
     independent of e_phi by construction.
     """
+    if not _within(arm_t, 0.0, 1.0, lo_open=True):
+        raise DomainError("arm transmittance must lie in (0, 1]")
     clicks = _clicks(p, arm_t, det.p_dc)
     m = ChannelErrorModel(eta_hat=arm_t, p_dc=det.p_dc, e_theta=e_theta, e_phi=e_phi)
     return _window_stats(p, clicks, decoy_bounds(decoys, m))
@@ -159,9 +160,9 @@ def sns_window_stats(p: SnsParams, decoys: DecoySet, arm_t,
 
 def _clicks(p: SnsParams, arm_t, p_dc: float):
     """Clicks of the mu_z/mu_z, mu_z/mu_0 and mu_0/mu_0 patterns in one call;
-    the not-send/send pattern shares the symmetric mu_z/mu_0 entry."""
-    if not _within(arm_t, 0.0, 1.0, lo_open=True):
-        raise DomainError("arm transmittance must lie in (0, 1]")
+    the not-send/send pattern shares the symmetric mu_z/mu_0 entry.  A
+    sweep passes arm_t = 0 where the loss underflows, and gets no clicks
+    but dark counts there."""
     column = (3,) + (1,) * np.ndim(arm_t)
     return effective_click_probability(np.array((p.mu_z, p.mu_z, p.mu_0)).reshape(column),
                                        np.array((p.mu_z, p.mu_0, p.mu_0)).reshape(column),
@@ -212,10 +213,8 @@ def aopp_transform(s: SnsWindowStats) -> AoppStats:
 
 
 def _rate(n1, e1ph, n_t, e_z, p: SnsParams, f_ec: float):
-    _check_f_ec(f_ec)
-    h_ph, h_z = _entropies(np.minimum(e1ph, 0.5), np.minimum(1.0, np.maximum(0.0, e_z)))
-    key = p.p_z**2 * (n1 * (1.0 - h_ph) - f_ec * n_t * h_z)
-    return _scalars(np.where((n1 > 0.0) & (key > 0.0), key, 0.0))
+    """p_z^2 times the decoy-state key form that BB84 shares."""
+    return _scalars(p.p_z**2 * _key(n1, e1ph, n_t, e_z, f_ec))
 
 
 def _terms(s):

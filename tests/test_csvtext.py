@@ -103,7 +103,6 @@ def test_mixed_tables():
     assert csv_text(["s"], [np.array(["x\0", "y\0"], dtype=object)]) == "s\nx\0\ny\0\n"
     assert_per_cell(header, [c[:1] for c in columns])  # one row
     assert csv_text(header, [c[:0] for c in columns]) == ",".join(header) + "\n"
-    assert csv_text(["h"], []) == "h\n"
     assert csv_text([], []) == "\n"
 
 
@@ -133,6 +132,17 @@ def test_unequal_columns_raise():
         csv_text(["a", "b"], [[1.0, 2.0, 3.0], [4.0]])
     with pytest.raises(DomainError, match="one-dimensional"):
         csv_text(["a"], [[[1.0, 2.0]]])
+
+
+@pytest.mark.parametrize("header, columns, counts", [
+    (["a", "b"], [[1.0]], "2 names for 1 columns"),
+    (["a"], [[1.0], [2.0]], "1 names for 2 columns"),
+    (["h"], [], "1 names for 0 columns")])
+def test_header_of_another_length_raises(header, columns, counts):
+    # a short header printed rows wider than itself: ['a', 'b'] over one
+    # column gave "a,b\n1.000000000000e+00\n"
+    with pytest.raises(DomainError, match=counts):
+        csv_text(header, columns)
 
 
 def test_fast_path_takes_almost_every_value():

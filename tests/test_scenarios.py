@@ -49,6 +49,7 @@ from tfqkd import (
     solve_scenario,
     solve_tau_q,
 )
+from tfqkd import sns as sns_mod
 from tfqkd.cli import main as cli_main
 from tfqkd.scenarios import builtin_scenario
 
@@ -82,8 +83,14 @@ def scalar_point(sid, spec, x, det=None):
         if not b.ok:
             flags.append("bb84_estimation_failed")
     if "sns" in spec.protocols or "sns_aopp" in spec.protocols:
-        s = sns_window_stats(prot.sns, prot.decoys, arm_t, det, e_phi=op.e_phi,
-                             e_theta=prot.misalignment.e_theta)
+        if arm_t > 0.0:
+            s = sns_window_stats(prot.sns, prot.decoys, arm_t, det, e_phi=op.e_phi,
+                                 e_theta=prot.misalignment.e_theta)
+        else:  # sns_window_stats takes arm_t in (0, 1]; its steps take the 0 of a sweep
+            m = ChannelErrorModel(eta_hat=arm_t, p_dc=p_dc,
+                                  e_theta=prot.misalignment.e_theta, e_phi=op.e_phi)
+            s = sns_mod._window_stats(prot.sns, sns_mod._clicks(prot.sns, arm_t, p_dc),
+                                      decoy_bounds(prot.decoys, m))
         diag.update(sns_n_t=s.n_t, sns_e_z=s.e_z, sns_n1_low=s.n1_low,
                     sns_e1ph_up=s.e1ph_up)
         if not s.decoy_ok:
@@ -113,6 +120,18 @@ class TestPresets:
         # built once at import, not on every sweep
         assert builtin_scenarios() is presets
         assert all(builtin_scenario(p.id) is p for p in presets)
+
+    def test_ids_are_integers(self):
+        # an id is an integer, a NumPy one too, but no bool (True used to
+        # pick scenario 1) and no float (2.0 picked scenario 2 here but not
+        # in run_sweep)
+        assert builtin_scenario(np.int64(3)) is builtin_scenarios()[2]
+        assert run_sweep(np.int64(3), SweepSpec(stop=1)).x.tolist() == [0.0, 1.0]
+        for bad in (True, False, np.True_, 2.0):
+            with pytest.raises(DomainError, match="unknown scenario id"):
+                builtin_scenario(bad)
+            with pytest.raises(DomainError):
+                run_sweep(bad, SweepSpec(stop=1))
 
     def test_operating_point_classes(self):
         ops = {p.id: p.operating_point for p in builtin_scenarios()}
@@ -283,11 +302,11 @@ class TestRunSweep:
             "tfqkd.link.effective_transmittance": 1, "tfqkd.link.arm_transmittance": 1,
             "tfqkd.link.plob_bound": 2,
             # one set of bounds stacked over BB84's channel and SNS's per-arm
-            # channel, each with one gain and one error-gain call over the
-            # intensities; one QBER, with one of each more; one entropy call
-            # per protocol
-            "tfqkd.decoy.decoy_bounds": 1, "tfqkd.decoy.qber": 1,
-            "tfqkd.decoy.gain": 2, "tfqkd.decoy.error_gain": 2,
+            # channel, with one gain and one error-gain call over the
+            # intensities, which carries BB84's QBER; one entropy call per
+            # protocol
+            "tfqkd.decoy.decoy_bounds": 1,
+            "tfqkd.decoy.gain": 1, "tfqkd.decoy.error_gain": 1,
             "tfqkd.decoy.binary_entropy": 3,
             # sns: the three send patterns in one call; the window statistics
             # and both rates through the private steps that sns_window_stats,
@@ -323,11 +342,11 @@ class TestRunSweep:
     @pytest.mark.parametrize("sid", [2, 5])
     def test_points_without_gain_equal_scalar_functions(self, sid):
         # a dark-free detector has no gain where eta underflows to 0 (from
-        # about 3240 dB): the sweep takes the masked path for BB84's QBER and
-        # the CAL errors there, and its shortcut on the all-gain grids; SNS
-        # rejects a zero arm transmittance, so it is left out
+        # about 3240 dB): the sweep takes the masked path for the CAL errors
+        # there, and its shortcut on the all-gain grids; BB84's QBER reads 0
+        # there, and SNS has no clicks and no key
         dark_free = DetectorParams(eta_d=0.8, dark_rate=0.0)
-        protocols = ("bb84", "cal", "plob", "plob_realistic")
+        protocols = PROTOCOL_NAMES
         specs = [SweepSpec(start=0.0, stop=4000.0, step=20.0, protocols=protocols),
                  SweepSpec(start=0.0, stop=3000.0, step=20.0, protocols=protocols),
                  SweepSpec(start=3300.0, stop=4000.0, step=100.0, protocols=protocols)]
@@ -337,6 +356,7 @@ class TestRunSweep:
             for spec in specs:
                 table = run_sweep(sid, spec, detector=dark_free)
                 gains.append(table.diagnostics["cal_gain"] > 0.0)
+                assert not table.diagnostics["sns_n_t"][~gains[-1]].any()
                 for row in table:
                     assert (row.rates, row.diagnostics, row.flags) == scalar_point(
                         sid, spec, row.x, det=dark_free)
@@ -345,17 +365,21 @@ class TestRunSweep:
 
     def test_edge_grid(self):
         # 0 dB (eta = 1, an infinite PLOB bound) to 200 dB with warnings as
-        # errors; from 3240 dB eta underflows to 0 and the SNS window
-        # statistics reject the zero arm transmittance, as before
+        # errors; from 3240 dB eta underflows to 0, where the sweep used to
+        # abort on the SNS window statistics' zero arm transmittance: it
+        # completes, every rate 0 there
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rows = run_sweep(2, SweepSpec(start=0.0, stop=200.0, step=0.5))
+            far = {start: run_sweep(2, SweepSpec(start=start, stop=3250.0, step=5.0))
+                   for start in (3240.0, 3230.0)}
         assert rows[0].rates["plob"] == math.inf
         assert all(0.0 < r.rates["plob"] < math.inf for r in rows[1:])
         assert all(v >= 0.0 for r in rows for v in r.rates.values())
-        for start in (3240.0, 3230.0):
-            with pytest.raises(DomainError, match="arm transmittance"):
-                run_sweep(2, SweepSpec(start=start, stop=3250.0, step=5.0))
+        for start, rows in far.items():
+            assert [r.x for r in rows] == np.arange(start, 3250.1, 5.0).tolist()
+            assert rows[-1].rates == dict.fromkeys(PROTOCOL_NAMES, 0.0)
+            assert all(r.rates[p] == 0.0 for r in rows for p in ("bb84", "sns", "sns_aopp"))
 
     def test_curves_below_physical_bounds(self):
         # direct-link protocol under the total-channel capacity; twin-field

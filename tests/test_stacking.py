@@ -25,6 +25,7 @@ from tfqkd import (
     effective_click_probability,
     error_gain,
     gain,
+    qber,
     sns_aopp_rate,
     sns_rate,
     sns_window_stats,
@@ -102,6 +103,38 @@ def test_bounds_stacked_over_channels(s, eta_hat, data, p_dc, e_theta, e_phi):
             assert row.tobytes() == value.tobytes(), name
 
 
+def signal_qber(s, m):
+    """qber(s.u, m) of a float model where it has gain, and 0 where not."""
+    return qber(s.u, m) if gain(s.u, m) > 0.0 else 0.0
+
+
+@given(decoy_sets(), rows(unit), st.data(), st.one_of(st.just(0.0), st.floats(0.0, 1e-3)),
+       st.floats(0.0, 0.5), st.floats(0.0, 0.5))
+@settings(max_examples=80, deadline=None)
+def test_bounds_carry_the_signal_qber(s, eta_hat, data, p_dc, e_theta, e_phi):
+    # E_u of the bounds is the QBER at the signal intensity bit for bit,
+    # as a float and on a stack of two channels, and 0 without gain (no
+    # dark counts and eta 0)
+    arm_t = data.draw(rows(unit, st.just(eta_hat.size)))
+    channels = np.stack((eta_hat, arm_t))
+    stacked = decoy_bounds(s, ChannelErrorModel(eta_hat=channels, p_dc=p_dc, e_theta=e_theta,
+                                                e_phi=e_phi)).e_u
+    for i, t in np.ndenumerate(channels):
+        m = ChannelErrorModel(eta_hat=float(t), p_dc=p_dc, e_theta=e_theta, e_phi=e_phi)
+        alone = decoy_bounds(s, m).e_u
+        assert type(alone) is float
+        assert np.float64(alone).tobytes() == np.float64(signal_qber(s, m)).tobytes() \
+            == stacked[i].tobytes()
+
+
+def test_signal_qber_without_gain():
+    m = ChannelErrorModel(eta_hat=np.array([[0.0, 0.5], [1e-310, 0.0]]), p_dc=0.0)
+    e_u = decoy_bounds(DecoySet(), m).e_u
+    assert e_u.tolist() == [[0.0, signal_qber(DecoySet(), replace(m, eta_hat=0.5))],
+                            [signal_qber(DecoySet(), replace(m, eta_hat=1e-310)), 0.0]]
+    assert e_u[0, 1] > 0.0 and e_u[1, 0] > 0.0
+
+
 @given(sns_params(), rows(positive), st.floats(0.0, 1e-3))
 @settings(max_examples=150, deadline=None)
 def test_clicks_stacked_over_send_patterns(p, fractions, p_dc):
@@ -111,8 +144,7 @@ def test_clicks_stacked_over_send_patterns(p, fractions, p_dc):
     stacked = outcome(lambda: effective_click_probability(
         np.reshape((p.mu_z, p.mu_z, p.mu_0), column), np.reshape((p.mu_z, p.mu_0, p.mu_0), column),
         arm_t, p_dc))
-    if arm_t.min() > 0.0:  # the sweep's call, which takes arm_t in (0, 1]
-        assert outcome(lambda: sns_mod._clicks(p, arm_t, p_dc)) == stacked
+    assert outcome(lambda: sns_mod._clicks(p, arm_t, p_dc)) == stacked  # the sweep's call
     alone = [outcome(lambda: effective_click_probability(mu_a, mu_b, arm_t, p_dc))
              for mu_a, mu_b in ((p.mu_z, p.mu_z), (p.mu_z, p.mu_0), (p.mu_0, p.mu_0))]
     if stacked[0] == "DomainError":
