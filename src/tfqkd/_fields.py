@@ -2,8 +2,8 @@
 
 Each init field of an input dataclass declares what it takes once, as
 dataclasses.field metadata made by spec.  Checked checks each field
-against it, and json_schema makes a YAML key's JSON Schema fragment
-from it, so the Python API and the YAML route accept the same values.
+against it, and the YAML configuration checks each leaf with the same
+checker, so the Python API and the YAML route accept the same values.
 """
 
 from __future__ import annotations
@@ -19,9 +19,7 @@ from .errors import DomainError
 
 __all__: list = []  # private: the package exports none of it
 
-# bound: (its sign in messages, its JSON Schema keyword)
-_BOUNDS = {"gt": (">", "exclusiveMinimum"), "ge": (">=", "minimum"),
-           "lt": ("<", "exclusiveMaximum"), "le": ("<=", "maximum")}
+_BOUNDS = {"gt": ">", "ge": ">=", "lt": "<", "le": "<="}  # a bound's sign in messages
 
 
 def spec(kind, **rules) -> dict:
@@ -74,7 +72,7 @@ def _number(m: dict):
             and _within(v, lo, hi, lo_open, hi_open)
     what = ("a finite number" if finite else "a number") if real else "an integer"
     return what + " or numeric array" * array + " and".join(
-        f" {_BOUNDS[k][0]} {m[k]}" for k in _BOUNDS if k in m), ok, None
+        f" {_BOUNDS[k]} {m[k]}" for k in _BOUNDS if k in m), ok, None
 
 
 def _rule(m: dict, where: str):
@@ -151,17 +149,3 @@ class Checked:
                 if checked is not value:
                     values[name] = checked
 
-
-def json_schema(m: dict) -> dict:
-    """The JSON Schema fragment of a field's metadata.  JSON Schema has no
-    finiteness keyword, so the dataclass alone rejects an infinity."""
-    kind = m["kind"]
-    if kind is float or kind is int:
-        return {"type": "number" if kind is float else "integer",
-                **{_BOUNDS[k][1]: m[k] for k in _BOUNDS if k in m}}
-    if kind is tuple:
-        return {"type": "array", **({"minItems": 1} if m.get("nonempty") else {}),
-                "items": json_schema(m["item"])}
-    if kind is bool:
-        return {"type": "boolean"}
-    return {"enum": [e.value for e in kind] if issubclass(kind, enum.Enum) else list(m["values"])}

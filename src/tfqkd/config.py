@@ -1,4 +1,4 @@
-"""Structured configuration: schema-validated YAML covering every model coefficient.
+"""Structured configuration: checked YAML covering every model coefficient.
 
 A configuration file can start from a built-in scenario preset and
 override any subset of the laser, cavity, loop, fiber, budget, channel,
@@ -11,21 +11,21 @@ with (budget.tau_ps_s aside, which sets only the duty cycle); any other
 value there makes the window a live solve.
 
 One table, _FIELDS, maps every YAML leaf to the one FullConfig field it
-sets; the schema, the build and the dump are all generated from it.  The
-dataclasses own every default and every range: each leaf's schema
-fragment is generated from the metadata its target field declares, so a
-value the YAML schema accepts is one the dataclass accepts, cross-field
-rules (such as u > v + w of the decoy set) aside.
+sets; the check, the build and the dump are all driven by it.  The
+dataclasses own every default and every range, and the check runs the
+checker of each leaf's target field on its YAML value, so a value the
+configuration accepts is one the dataclass accepts, cross-field rules
+(such as u > v + w of the decoy set) aside.  Every error is reported
+at once, each at its YAML path ($.laser.r3, $.sweep.protocols[1]).
 """
 
 from __future__ import annotations
 
 import enum
-import operator
 from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import Optional
 
-from ._fields import Checked, json_schema, part, spec
+from ._fields import Checked, _checker, part, spec
 from .coherence import CoherenceBudget, OperatingPoint, solve_tau_q
 from .errors import ConfigError, DomainError
 from .link import DetectorParams
@@ -93,7 +93,6 @@ _FIELDS = (
     ("sweep", "detector", "sweep.detector"),
     ("sweep", "protocols", "sweep.protocols"),
 )
-_PRESET_SCHEMA = {"type": "integer", "minimum": 1, "maximum": 7}
 
 
 def _field(target: str):
@@ -103,21 +102,6 @@ def _field(target: str):
         found = next(f for f in fields(kind) if f.name == name)
         kind = found.metadata["kind"]
     return found
-
-
-def _obj(props: dict) -> dict:
-    return {"type": "object", "properties": props, "additionalProperties": False}
-
-
-def _schema() -> dict:
-    root = _obj({})
-    for section, key, target in _FIELDS:
-        node = root
-        for part in section.split("."):
-            node = node["properties"].setdefault(part, _obj({}))
-        node["properties"][key] = (_PRESET_SCHEMA if target is None
-                                   else json_schema(_field(target).metadata))
-    return root
 
 
 @dataclass(frozen=True)
@@ -143,79 +127,61 @@ class FullConfig(Checked):
                            self.budget)
 
 
-CONFIG_SCHEMA = _schema()
+def _nest(leaves) -> dict:
+    """Nested YAML mappings of (dotted section, key, value) triples."""
+    root: dict = {}
+    for section, key, value in leaves:
+        node = root
+        for part in section.split("."):
+            node = node.setdefault(part, {})
+        node[key] = value
+    return root
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+_TREE = _nest(_FIELDS)  # a key's subsection, or the FullConfig path its leaf sets
 
 
-# JSON Schema types as Draft 2020-12 defines them on YAML values: bools are
-# not numbers, and a float with an integer value is an integer.
-_TYPES = {
-    "object": lambda v: isinstance(v, dict),
-    "array": lambda v: isinstance(v, list),
-    "boolean": lambda v: isinstance(v, bool),
-    "number": _is_number,
-    "integer": lambda v: _is_number(v) and (isinstance(v, int) or v.is_integer()),
-}
-
-_BOUNDS = {
-    "minimum": (operator.lt, "less than the minimum"),
-    "exclusiveMinimum": (operator.le, "less than or equal to the minimum"),
-    "maximum": (operator.gt, "greater than the maximum"),
-    "exclusiveMaximum": (operator.ge, "greater than or equal to the maximum"),
-}
+def _preset(value):
+    """The built-in scenario a preset value names: 2 and 2.0 name scenario 2."""
+    try:
+        return builtin_scenario(int(value) if isinstance(value, float) and value.is_integer()
+                                else value)
+    except DomainError:
+        raise DomainError(f"$.scenario.preset must be a built-in scenario id 1-7, "
+                          f"got {value!r}") from None
 
 
-def _schema_errors(value, schema: dict, path: str = "$"):
-    """Yield (JSON path, message) for each way value breaks schema.
-
-    Covers the keywords CONFIG_SCHEMA uses, visited in schema order with
-    the messages of the jsonschema package, so that errors sorted by path
-    read as its Draft202012Validator reports them.  Each keyword other
-    than type applies only to values of its own type; NaN passes the
-    bounds, as every comparison with it is false.  The model dataclasses
-    reject it when the configuration is built.
-    """
-    for keyword, arg in schema.items():
-        if keyword == "type":
-            if not _TYPES[arg](value):
-                yield path, f"{value!r} is not of type {arg!r}"
-        elif keyword == "enum":
-            if value not in arg:  # string enums only: no bool/int aliasing
-                yield path, f"{value!r} is not one of {arg!r}"
-        elif keyword in _BOUNDS:
-            breaks, text = _BOUNDS[keyword]
-            if _is_number(value) and breaks(value, arg):
-                yield path, f"{value!r} is {text} of {arg!r}"
-        elif keyword == "minItems":
-            if isinstance(value, list) and len(value) < arg:
-                yield path, f"{value!r} {'should be non-empty' if arg == 1 else 'is too short'}"
-        elif keyword == "items":
-            if isinstance(value, list):
-                for i, item in enumerate(value):
-                    yield from _schema_errors(item, arg, f"{path}[{i}]")
-        elif keyword == "properties":
-            if isinstance(value, dict):
-                for key, sub in arg.items():
-                    if key in value:
-                        yield from _schema_errors(value[key], sub, f"{path}.{key}")
-        elif keyword == "additionalProperties":
-            extras = sorted((k for k in value if k not in schema["properties"]), key=str) \
-                if isinstance(value, dict) and not arg else []
-            if extras:
-                yield path, "Additional properties are not allowed ({} {} unexpected)".format(
-                    ", ".join(map(repr, extras)), "was" if len(extras) == 1 else "were")
+def _errors(value, node: dict = _TREE, path: str = "$"):
+    """Yield (YAML path, message) for a section that is not a mapping, a
+    key its section does not know, and a leaf its field's checker rejects."""
+    if not isinstance(value, dict):
+        yield path, f"{path} must be a mapping, got {value!r}"
+        return
+    unknown = sorted((k for k in value if k not in node), key=str)
+    if unknown:
+        yield path, f"{path} has unknown key{'s' * (len(unknown) > 1)} " + \
+            ", ".join(map(repr, unknown))
+    for key in node.keys() & value.keys():
+        sub, where = node[key], f"{path}.{key}"
+        if isinstance(sub, dict):
+            yield from _errors(value[key], sub, where)
         else:
-            raise KeyError(f"schema keyword {keyword!r} is not supported")
+            yield from _leaf_errors(sub and _field(sub).metadata, value[key], where)
 
 
-def _validate(raw: dict) -> None:
-    errors = sorted(_schema_errors(raw, CONFIG_SCHEMA), key=lambda e: e[0])
-    if errors:
-        msgs = "; ".join(f"{path}: {message}" for path, message in errors)
-        raise ConfigError(f"configuration invalid: {msgs}")
+def _leaf_errors(m, value, path: str):
+    """Yield (path, message) if the field metadata m (the preset's if None)
+    rejects a YAML value; each entry of a list is checked at its index."""
+    if m and m["kind"] is tuple and isinstance(value, list):
+        entries = [e for i, item in enumerate(value)
+                   for e in _leaf_errors(m["item"], item, f"{path}[{i}]")]
+        if entries:
+            yield from entries
+            return
+    try:
+        (_preset if m is None else _checker(m, path))(value)
+    except DomainError as exc:
+        yield path, str(exc)
 
 
 def _sections(path: str, raw: dict) -> str:
@@ -263,7 +229,7 @@ def _build(raw: dict) -> FullConfig:
     preset_id = _section(raw, "scenario").get("preset")
     if preset_id is None and not raw.get("topology"):
         raise ConfigError("configuration needs a scenario preset or a topology section")
-    preset = None if preset_id is None else builtin_scenario(int(preset_id))  # schema-valid 2.0
+    preset = None if preset_id is None else _preset(preset_id)
     op_raw = raw.get("operating_point")
     if op_raw is not None:  # the fields without a default, which a solve sets
         missing = {k for s, k, t in _FIELDS if s == "operating_point"
@@ -311,7 +277,9 @@ def _parse(text: str, source: str) -> FullConfig:
         raw = {}
     if not isinstance(raw, dict):
         raise ConfigError("configuration root must be a mapping")
-    _validate(raw)
+    errors = sorted(_errors(raw), key=lambda e: e[0])
+    if errors:
+        raise ConfigError("configuration invalid: " + "; ".join(m for _, m in errors))
     return _build(raw)
 
 
@@ -321,7 +289,7 @@ def loads_config(text: str) -> FullConfig:
 
 
 def load_config(path) -> FullConfig:
-    """Load, schema-validate and resolve a YAML configuration file; one that
+    """Load, check and resolve a YAML configuration file; one that
     cannot be read, decoded as UTF-8 or parsed raises a ConfigError naming it."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -332,7 +300,7 @@ def load_config(path) -> FullConfig:
 
 
 def _to_dict(cfg: FullConfig) -> dict:
-    d: dict = {}
+    leaves = []
     for section, key, target in _FIELDS:
         if target is None:
             continue
@@ -345,11 +313,8 @@ def _to_dict(cfg: FullConfig) -> dict:
             value = value.value
         elif isinstance(value, tuple):
             value = list(value)
-        node = d
-        for part in section.split("."):
-            node = node.setdefault(part, {})
-        node[key] = value
-    return d
+        leaves.append((section, key, value))
+    return _nest(leaves)
 
 
 def dump_config(cfg: FullConfig) -> str:

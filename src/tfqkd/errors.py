@@ -16,4 +16,4 @@ class DivergentIntegralError(TfqkdError, ArithmeticError):
 
 
 class ConfigError(TfqkdError, ValueError):
-    """Raised when a configuration file fails schema validation."""
+    """Raised when a configuration cannot be read or fails its checks."""

@@ -1,6 +1,6 @@
 """The field contract of the input dataclasses: every init field checks
-its kind and range, and the YAML schema takes its bounds from the same
-declaration."""
+its kind and range, and the YAML configuration checks each leaf with
+the checker of the field it sets."""
 
 import dataclasses
 import math
@@ -20,6 +20,7 @@ from tfqkd import (
     CavityParams,
     ChannelErrorModel,
     CoherenceBudget,
+    ConfigError,
     DecoySet,
     DetectorParams,
     DomainError,
@@ -39,6 +40,7 @@ from tfqkd import (
     TopologyKind,
     builtin_scenario,
     cal_phase_error,
+    dump_config,
     interference_spectrum,
     load_config,
     loads_config,
@@ -46,7 +48,7 @@ from tfqkd import (
     solve_tau_q,
 )
 from tfqkd._fields import Checked, spec
-from tfqkd.config import CONFIG_SCHEMA, _FIELDS, _schema_errors
+from tfqkd.config import _FIELDS, _field
 
 CONFIG_PATH = Path(__file__).resolve().parent.parent / "configs" / "scenario1.yaml"
 
@@ -194,50 +196,67 @@ class TestFaultsOfTheUncheckedApi:
         assert hash(spec) == hash(SweepSpec(protocols=("bb84",)))
 
 
-def _leaf_schema(section, key):
-    node = CONFIG_SCHEMA
-    for part in section.split(".") + [key]:
-        node = node["properties"][part]
-    return node
-
-
 # the leaves where a cross-field rule of the dataclass, with the other
 # fields at their defaults, rejects a value next to a bound that the
-# schema accepts: u > v > w and mu_z > mu_0, tau_floor < tau_max,
-# l_a >= l_b, dark counts per signal below 1, and the sweep grid size
+# leaf's own check accepts: u > v > w and mu_z > mu_0, tau_floor <
+# tau_max, l_a >= l_b, dark counts per signal below 1, and the sweep grid
+# size
 CROSS_FIELD = {"protocol.decoys.u", "protocol.decoys.v", "protocol.sns.mu_z",
                "budget.tau_max", "topology.l_a", "detector.clock_rate", "sweep.step"}
 
 
-def test_schema_bounds_are_the_dataclass_bounds():
+def test_yaml_bounds_are_the_dataclass_bounds():
     base = FullConfig(topology=TopologyConfig(), detector=SNSPD,
                       operating_point=builtin_scenario(1).operating_point)
+    base_text = dump_config(base)
     cross = set()
     leaves = 0
     for section, key, target in _FIELDS:
-        schema = _leaf_schema(section, key)
-        if target is None or schema.get("type") not in ("number", "integer"):
+        m = {} if target is None else _field(target).metadata
+        if m.get("kind") not in (float, int):
             continue
         leaves += 1
         *path, name = target.split(".")
         owner = base
         for part in path:
             owner = getattr(owner, part)
-        bounds = [v for k, v in schema.items() if k.endswith(("imum", "Minimum", "Maximum"))]
+        bounds = [m[k] for k in ("gt", "ge", "lt", "le") if k in m]
         assert bounds or target == "budget.f_max"
         for bound in bounds:
             for value in (math.nextafter(bound, -math.inf), float(bound),
                           math.nextafter(bound, math.inf)):
-                in_schema = not list(_schema_errors(value, schema))
                 try:
                     replace(owner, **{name: value})
                 except DomainError as exc:
                     in_dataclass, message = False, str(exc)
                 else:
                     in_dataclass, message = True, ""
-                if in_schema != in_dataclass:
-                    # only a cross-field rule may reject what the schema takes
-                    assert in_schema and not message.startswith(type(owner).__name__ + ".")
+                raw = yaml.safe_load(base_text)
+                node = raw
+                for part in section.split("."):
+                    node = node[part]
+                node[key] = value
+                try:
+                    cfg = loads_config(yaml.safe_dump(raw))
+                except ConfigError as exc:
+                    error = str(exc)
+                else:
+                    error = ""
+                    got = cfg
+                    for part in target.split("."):
+                        got = getattr(got, part)
+                    assert got == value
+                if in_dataclass:
+                    assert not error, error
+                elif message.startswith(f"{type(owner).__name__}.{name} "):
+                    # the field's own rule: the same check, named by its YAML path
+                    assert error == "configuration invalid: " + message.replace(
+                        f"{type(owner).__name__}.{name}", f"$.{section}.{key}", 1)
+                else:
+                    # a cross-field rule: the leaf passes, and the dataclass
+                    # rejects it under the sections that set it
+                    sections = error.partition(": ")[0].split(", ")
+                    assert section in sections and message in error, error
                     cross.add(target)
     assert leaves == 45
     assert cross == CROSS_FIELD

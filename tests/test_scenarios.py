@@ -585,7 +585,7 @@ class TestConfig:
                                               clock_rate=SPAD.clock_rate)
         assert loads_config(dump_config(cfg)) == cfg
         # the sweep's detector is the one key that names the preset
-        with pytest.raises(ConfigError, match="'preset' was unexpected"):
+        with pytest.raises(ConfigError, match=r"\$\.detector has unknown key 'preset'$"):
             loads_config("scenario: {preset: 1}\ndetector: {preset: spad}\n")
 
     @pytest.mark.parametrize("text, section", [
@@ -913,7 +913,7 @@ class TestCli:
         ("topology", "topology: {fiber_roundtrip_factor: .nan}")])
     def test_non_finite_spectrum_coefficient_named_without_warning(self, tmp_path,
                                                                     section, text):
-        # the config check names the section; the integrator never sees
+        # the config check names the leaf's path; the integrator never sees
         # the value, so no numpy warning and no divergence error blames it
         path = tmp_path / "cfg.yaml"
         path.write_text("scenario: {preset: 1}\n" + text + "\n")
@@ -922,7 +922,7 @@ class TestCli:
             res = CliRunner().invoke(cli_main, ["tau-solve", "--config", str(path)])
         assert res.exit_code == 1
         assert res.stdout == ""
-        assert f"Error: {section}: " in res.output
+        assert f"Error: configuration invalid: $.{section}." in res.output
         assert "finite" in res.output
         assert "Warning" not in res.output and not caught
         assert "converge" not in res.output
