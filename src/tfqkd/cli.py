@@ -174,7 +174,7 @@ def keyrate(scenario_id, config, detector, attenuation_db, protocols, out):
 @click.option("--out", type=click.Path(), default=None)
 def scenario(scenario, detector, protocols, start, stop, step, x_axis, out):
     """Key-rate sweep for a built-in scenario (1-7) or a config file."""
-    if scenario.isdigit():
+    if scenario.isdecimal():
         cfg = _context(int(scenario), None)
     else:
         cfg = load_config(scenario)
@@ -207,7 +207,7 @@ def oracle(seed, samples, points, out):
         ana = sns_mod.effective_click_probability(mu_a, mu_b, arm_t, p_d)
         val = mc.c_only + mc.d_only
         se = float(np.hypot(mc.se_c_only, mc.se_d_only))
-        z = (ana - val) / se if se > 0 else 0.0
+        z = (ana - val) / se if se > 0 else np.nan
         rows.append((k, "sns_effective_rate", ana, val, se, f"{z:.6f}", mc.bit_generator))
 
         calp = CalParams()
@@ -225,7 +225,7 @@ def oracle(seed, samples, points, out):
                                 phase=oracle_mod.FixedDelta(np.pi - delta)))
         val = 0.5 * (mc_eq.c_only + mc_op.c_only)
         se = 0.5 * float(np.hypot(mc_eq.se_c_only, mc_op.se_c_only))
-        z = (ana_gain - val) / se if se > 0 else 0.0
+        z = (ana_gain - val) / se if se > 0 else np.nan
         rows.append((k, "cal_gain", ana_gain, val, se, f"{z:.6f}", mc_eq.bit_generator))
     _write(csv_text(("point", "quantity", "analytic", "oracle", "oracle_se",
                      "z_score", "bit_generator"), zip(*rows)), out)

@@ -53,24 +53,6 @@ def _spectrum_of(psd) -> Spectrum:
     return psd if isinstance(psd, Spectrum) else Spectrum(psd)
 
 
-def _tail_integral(func, f_hi: float, body: float) -> float:
-    """Integral of func on [f_hi, inf) via the substitution u = 1/f.
-
-    Works for spectra decaying at least as 1/f^2; a slower tail, even a
-    convergent one, is reported as an error instead of being clipped
-    silently.
-    """
-    u_hi = 1.0 / f_hi
-    u = np.geomspace(u_hi / 1e6, u_hi, 512)
-    g = func(1.0 / u) * u**-2
-    remainder = g[0] * u[0]  # constant continuation below the smallest u
-    if g[0] > 100.0 * max(g[-1], 1e-300) and remainder > 1e-6 * max(body, 1e-300):
-        raise DivergentIntegralError(
-            "PSD tail decays slower than 1/f^2, which the tail integral in 1/f "
-            "does not handle; give a finite f_max")
-    return float(np.trapezoid(g, u) + remainder)
-
-
 def _trapezoid_tail(ln_f: np.ndarray, fy: np.ndarray, fy_end: np.ndarray) -> np.ndarray:
     """Entry i is the trapezoid in ln f of f*y from node i to the last
     node.  A step starts on fy and ends on fy_end, which differ only at a
@@ -92,13 +74,17 @@ def _variance_curve(spec: Spectrum, f_query: np.ndarray, f_max: Optional[float])
     only at the switch node): -dc/d ln f leaving and reaching node i.
 
     f_max defaults to spec.default_f_max().  The grid spans [min f_query,
-    f_max], or a finite body plus the 1/f tail integral when f_max is
-    infinite.  It is log-spaced, uniform over the sin^2 periods below the
-    switch frequency, and has the switch frequency, the knees and every
-    f_query below f_max as nodes.  Each node is evaluated once, with the
-    exact PSD below the switch frequency and the sin^2-averaged one from
-    it on; the switch node alone gets both, ending the one range and
-    starting the other.  The trapezoid tails on every, every other and
+    f_max]; for an infinite f_max it spans a body up to f_body and six
+    decades beyond, and every c adds the remainder f S(f) at the last
+    node F, f^2 S continued as a constant.  A tail whose f^2 S grows more
+    than a hundredfold from f_body to F (slower than f^-5/3) raises
+    DivergentIntegralError unless its remainder is under 1e-6 of the body.
+    The grid is log-spaced, uniform over the sin^2 periods below the
+    switch frequency and f_body, and has the switch frequency, the knees
+    and every f_query below f_max as nodes.  Each node is evaluated once,
+    with the exact PSD below the switch frequency and the sin^2-averaged
+    one from it on; the switch node alone gets both, ending the one range
+    and starting the other.  The trapezoid tails on every, every other and
     every fourth node, each summed once, give c on every fourth node by two
     Richardson steps (Boole's rule).  Raises DivergentIntegralError when
     Simpson's rule on the same nodes differs from c at a queried variance
@@ -113,21 +99,22 @@ def _variance_curve(spec: Spectrum, f_query: np.ndarray, f_max: Optional[float])
     f_switch = None
     if spec.oscillation_period is not None and spec.averaged_func is not None:
         f_switch = OSC_PERIODS * spec.oscillation_period
-    f_hi = f_max
+    f_hi = f_body = f_max
     if not np.isfinite(f_max):
-        # a finite body; the tail beyond it, above the switch frequency,
-        # is integrated in 1/f
-        f_hi = max(f_top * 1e4, *(k * 1e3 for k in spec.knees), f_switch or 0.0, 1.0)
+        # a body above every query, knee and the switch frequency, then
+        # six decades of log grid
+        f_body = max(f_top * 1e4, *(k * 1e3 for k in spec.knees), f_switch or 0.0, 1.0)
+        f_hi = 1e6 * f_body
     # segments between consecutive breakpoints, each in a multiple of four
     # equal steps (so breakpoints stay nodes of the every-fourth-node grid):
     # uniform in f over the sin^2 periods, from where such a step is finer
-    # than a log step, and in log f elsewhere
-    breaks = [f_lo, f_hi, *f_query, *spec.knees]
+    # than a log step up to the body end, and in log f elsewhere
+    breaks = [f_lo, f_body, f_hi, *f_query, *spec.knees]
     step = lin_lo = lin_hi = np.inf  # no uniform segment without a period
     if spec.oscillation_period is not None:
         step = spec.oscillation_period / _POINTS_PER_PERIOD
         lin_lo = step / np.expm1(np.log(10.0) / _POINTS_PER_DECADE)
-        lin_hi = f_hi if f_switch is None else min(f_switch, f_hi)
+        lin_hi = f_body if f_switch is None else min(f_switch, f_body)
         breaks += [lin_lo, lin_hi]
     breaks = np.clip(breaks, f_lo, f_hi)
     breaks.sort()
@@ -173,16 +160,23 @@ def _variance_curve(spec: Spectrum, f_query: np.ndarray, f_max: Optional[float])
     t1, t2, t4 = (_trapezoid_tail(ln_f[::s], fy[::s], fy_end[::s]) for s in (1, 2, 4))
     simpson = t1[::4] + (t1[::4] - t2[::2]) / 3.0
     c = simpson + (simpson - (t2[::2] + (t2[::2] - t4) / 3.0)) / 15.0
-    f = f[::4]
+    f, fy, fy_end = f[::4], fy[::4], fy_end[::4]
     queried = f <= f_top
     if not np.all(np.abs(c - simpson)[queried] <= _GRID_RTOL * c[queried]):
         raise DivergentIntegralError(
             "phase variance does not converge on the integration grid")
     if not np.isfinite(f_max):
-        c += _tail_integral(spec.func if f_switch is None else spec.averaged_func, f_hi, c[0])
+        # the remainder F S(F) continues f^2 S as a constant past F
+        i = int(np.searchsorted(f, f_body))
+        if (f_hi * fy[-1] > 100.0 * max(f_body * fy[i], 1e-300)
+                and fy[-1] > 1e-6 * max(c[0] - c[i], 1e-300)):
+            raise DivergentIntegralError(
+                "PSD tail decays slower than 1/f^2, which the continuation past "
+                "the integration grid does not handle; give a finite f_max")
+        c += fy[-1]
     if np.any(c < 0):
         raise DomainError("PSD integrated to a negative variance")
-    return f, c, fy[::4], fy_end[::4]
+    return f, c, fy, fy_end
 
 
 def phase_variance(psd, tau_q: float, *, f_max: Optional[float] = None) -> float:
@@ -190,13 +184,14 @@ def phase_variance(psd, tau_q: float, *, f_max: Optional[float] = None) -> float
     on [1/tau_q, f_max].
 
     f_max defaults to a decade above the highest model knee of the
-    spectrum, or to infinity for bare callables without knees; the
-    infinite tail is handled by a 1/f change of variable.  This is the
-    single-window case of the one cumulative integral that sigma_map and
-    solve_tau_q read too: one fixed grid, log-spaced and uniform over the
-    sin^2 periods below the switch frequency, evaluated and summed once.
-    A grid that does not resolve the spectrum raises
-    DivergentIntegralError instead of returning a value.
+    spectrum, or to infinity for bare callables without knees; the grid
+    then ends six decades above its body, past which f^2 S is continued
+    as a constant.  This is the single-window case of the one cumulative
+    integral that sigma_map and solve_tau_q read too: one fixed grid,
+    log-spaced and uniform over the sin^2 periods below the switch
+    frequency, evaluated and summed once.  A grid that does not resolve
+    the spectrum raises DivergentIntegralError instead of returning a
+    value.
     """
     if not (np.isfinite(tau_q) and tau_q > 0):
         raise DomainError("tau_q must be finite and > 0")

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._fields import Checked, part, spec
+from ._fields import Checked, _within, part, spec
 from .errors import DomainError
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact by the SI definition of the metre
@@ -43,7 +43,7 @@ __all__ = [
 
 def _as_positive_freq(f) -> np.ndarray:
     f = np.asarray(f, dtype=float)
-    if np.any(f <= 0.0) or np.any(~np.isfinite(f)):
+    if not _within(f, 0.0, np.inf, lo_open=True, hi_open=True):
         raise DomainError("Fourier frequency must be positive and finite")
     return f
 

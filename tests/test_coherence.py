@@ -68,15 +68,16 @@ def reference_variance_curve(spec, f_query, f_max):
     f_switch = None
     if spec.oscillation_period is not None and spec.averaged_func is not None:
         f_switch = coherence.OSC_PERIODS * spec.oscillation_period
-    f_hi = f_max
+    f_hi = f_body = f_max
     if not np.isfinite(f_max):
-        f_hi = max(f_top * 1e4, *(k * 1e3 for k in spec.knees), f_switch or 0.0, 1.0)
-    breaks = [f_lo, f_hi, *f_query, *spec.knees]
+        f_body = max(f_top * 1e4, *(k * 1e3 for k in spec.knees), f_switch or 0.0, 1.0)
+        f_hi = 1e6 * f_body
+    breaks = [f_lo, f_body, f_hi, *f_query, *spec.knees]
     uniform = (np.inf, np.inf)
     if spec.oscillation_period is not None:
         step = spec.oscillation_period / coherence._POINTS_PER_PERIOD
         uniform = (step / np.expm1(np.log(10.0) / coherence._POINTS_PER_DECADE),
-                   f_hi if f_switch is None else min(f_switch, f_hi))
+                   f_body if f_switch is None else min(f_switch, f_body))
         breaks += uniform
     breaks = np.unique(np.clip(breaks, f_lo, f_hi))
     nodes = []
@@ -106,8 +107,7 @@ def reference_variance_curve(spec, f_query, f_max):
         raise DivergentIntegralError(
             "phase variance does not converge on the integration grid")
     if not np.isfinite(f_max):
-        c += coherence._tail_integral(
-            spec.func if f_switch is None else spec.averaged_func, f_hi, c[0])
+        c += fy[-1]  # the remainder F S(F) past the last node
     return f, c, fy, fy_end
 
 
@@ -176,21 +176,36 @@ class TestPhaseVariance:
         with pytest.raises(DomainError):
             phase_variance(flat_1_over_f2(1.0), 1e-3, f_max=f_max)
 
-    def test_feature_narrower_than_grid_raises(self):
-        # a 0.01 Hz wide Lorentzian line at a 10 kHz knee, a grid node
-        # among nodes some 58 Hz apart: Boole's and Simpson's rule on the
-        # grid disagree, so no value is returned
-        f0, width = 1e4, 1e-2
+    # a 0.01 Hz wide Lorentzian line at a 10 kHz knee, a grid node among
+    # nodes some 58 Hz apart; or, without knees, past the 1e7 Hz body end
+    # at tau = 1 ms, on the log decades before the F S(F) remainder, where
+    # it holds 3.1e3 rad^2.  Boole's and Simpson's rule on the grid
+    # disagree, so no value is returned
+    @pytest.mark.parametrize("f0, knees, height", [(1e4, (1e4,), 1e-3), (1e8, (), 1e3),
+                                                   (3.7e7, (), 1e3)],
+                             ids=["at_knee", "tail_10x_body", "tail_3.7x_body"])
+    def test_feature_narrower_than_grid_raises(self, f0, knees, height):
+        width = 1e-2
 
         def psd(f):
             f = np.asarray(f, float)
-            return 1e-6 / f**2 + 1e-3 * width / ((f - f0) ** 2 + width**2)
+            return 1e-6 / f**2 + height * width / ((f - f0) ** 2 + width**2)
 
-        spec = Spectrum(psd, knees=(f0,))
+        spec = Spectrum(psd, knees=knees)
         with pytest.raises(DivergentIntegralError, match="does not converge"):
             phase_variance(spec, 1e-3)
         with pytest.raises(DivergentIntegralError):
             solve_tau_q(spec)
+
+    def test_period_without_average_keeps_uniform_grid_in_body(self):
+        # sin^2 periods but no averaged PSD, so no switch frequency: the
+        # uniform steps stop at the body end (1e7 Hz, 80,032 kept nodes),
+        # and the six decades past it add log nodes only (a quarter of the
+        # 400 per decade are kept)
+        spec = Spectrum(oscillatory_bare_spectrum(2e3).func, oscillation_period=2e3)
+        f = coherence._variance_curve(spec, [1e3], None)[0]
+        assert f.size == 80_032 + 6 * coherence._POINTS_PER_DECADE // 4
+        assert f[-1] == pytest.approx(1e13)
 
 
 class TestAgainstReference:
@@ -249,7 +264,8 @@ class TestAgainstReference:
     @pytest.mark.parametrize("spec", [flat_1_over_f2(0.7).func, oscillatory_bare_spectrum(2e3)],
                              ids=["bare_callable", "oscillatory_no_knees"])
     def test_infinite_f_max(self, spec):
-        # no knees: f_max is infinite and the tail integral runs
+        # no knees: f_max is infinite, and the grid runs six decades past
+        # its body before the F S(F) remainder
         for tau in (1e-5, 1e-2):
             assert phase_variance(spec, tau) == pytest.approx(
                 reference_variance(spec, tau), rel=2 * SIGMA_RTOL)

@@ -771,6 +771,31 @@ class TestCli:
         assert lines[0].startswith("point,quantity,analytic,oracle")
         assert len(lines) == 1 + 4  # two quantities per point
 
+    def test_oracle_without_spread_has_no_z_score(self):
+        # one sample clicks nowhere: a zero standard error says nothing, so
+        # the z-score is nan, not the 0 of perfect agreement
+        res = CliRunner().invoke(cli_main, ["oracle", "--samples", "1", "--points", "1"])
+        assert res.exit_code == 0, res.output
+        header, *rows = res.output.strip().split("\n")
+        cols = header.split(",")
+        for row in rows:
+            cells = dict(zip(cols, row.split(",")))
+            assert float(cells["oracle_se"]) == 0.0 and float(cells["analytic"]) > 0.0
+            assert cells["z_score"] == "nan"
+
+    def test_scenario_argument_is_a_number_only_if_int_parses_it(self, tmp_path, monkeypatch):
+        # "²" is a digit to str.isdigit, but int() refuses it: it names a
+        # file, and a missing one is one error line; "٣" is scenario 3
+        monkeypatch.chdir(tmp_path)
+        res = CliRunner().invoke(cli_main, ["scenario", "²"])
+        assert isinstance(res.exception, SystemExit) and res.exit_code == 1
+        assert res.stdout == ""
+        assert "Traceback" not in res.output
+        assert res.output.startswith("Error: ²: cannot read configuration")
+        res = CliRunner().invoke(cli_main, ["scenario", "٣", "--stop", "0"])
+        assert res.exit_code == 0, res.output
+        assert res.output == CliRunner().invoke(cli_main, ["scenario", "3", "--stop", "0"]).output
+
     @pytest.mark.parametrize("args", [
         ["psd", "--points", "3"], ["tau-solve"], ["sigma-map", "--dl-points", "2",
                                                   "--tau-points", "2"],

@@ -288,6 +288,19 @@ class TestInputCheck:
         TopologyConfig(kind=TopologyKind.INDEPENDENT_LASERS, laser_stabilized=True),
     )
 
+    @pytest.mark.parametrize("f, ok", [
+        (np.nan, False), (np.inf, False), (-np.inf, False), (0.0, False), (-0.0, False),
+        (np.array([1.0, -0.0]), False), (np.array([]), True), (1e-300, True)],
+        ids=["nan", "inf", "-inf", "0", "-0", "array-with-minus-0", "empty", "tiny"])
+    def test_frequency_range(self, f, ok):
+        from tfqkd.spectra import _as_positive_freq
+        if ok:
+            assert np.array_equal(_as_positive_freq(f), f)
+        else:
+            with pytest.raises(DomainError,
+                               match="^Fourier frequency must be positive and finite$"):
+                _as_positive_freq(f)
+
     def test_every_model_rejects_bad_frequency(self):
         from tfqkd.spectra import psd_detection_floor, psd_fiber_linear
         models = (
