@@ -17,7 +17,7 @@ from typing import Union
 
 import numpy as np
 
-from ._fields import Checked, spec
+from ._fields import Checked, _checker, spec
 from .cal import _bs_exact
 from .decoy import ChannelErrorModel
 from .errors import DomainError
@@ -37,11 +37,12 @@ BIT_GENERATOR = "philox4x64"  # counter-based
 # The stream is laid out in chunks of _CHUNK samples and sampled in blocks
 # of _BLOCK samples; a chunk holds a whole number of blocks.
 _CHUNK = 1 << 20
-_BLOCK = 1 << 18
+_BLOCK = 1 << 16
 # Relative widening of the ends of the phase band of the c threshold:
 # at least 4,096 ulps, where numpy's exp strays from exact by a few.
 _EXP_SLACK = 2.0 ** -40
 _TINY = np.finfo(float).tiny  # smallest positive normal double
+_NO_WORD = 1 << 64  # above every 64-bit word
 
 
 @dataclass(frozen=True)
@@ -86,19 +87,45 @@ class McClickStats:
     bit_generator: str = BIT_GENERATOR
 
 
+# the field contract's checkers of the public functions' arguments
+_MU_A, _MU_B, _MU = (_checker(spec(float, ge=0), name) for name in ("mu_a", "mu_b", "mu"))
+_ARM_T, _P_D = (_checker(spec(float, ge=0, le=1), name) for name in ("arm_t", "p_d"))
+_N_A, _N_B, _PHOTONS = (_checker(spec(int, ge=0), name) for name in ("n_a", "n_b", "n"))
+_CFG, _MODEL = _checker(spec(McConfig), "cfg"), _checker(spec(ChannelErrorModel), "m")
+
+
 def _pool_size() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _stream_at(seed: int, offset: int) -> np.random.Generator:
-    """Generator whose next double is double `offset` of the seed's stream.
+def _words_at(seed: int, offset: int, n: int) -> np.ndarray:
+    """Raw 64-bit words offset to offset + n of the seed's Philox stream.
 
-    One Philox counter step yields four doubles, so advance whole steps
+    One Philox counter step yields four words, so advance whole steps
     and discard the remainder.
     """
-    rng = np.random.Generator(np.random.Philox(seed).advance(offset // 4))
-    rng.random(offset % 4)
-    return rng
+    bits = np.random.Philox(seed).advance(offset // 4)
+    bits.random_raw(offset % 4)
+    return bits.random_raw(n)
+
+
+def _doubles(words: np.ndarray) -> np.ndarray:
+    """The doubles in [0, 1) that numpy's random() makes of raw words."""
+    return (words >> 11) * 2.0 ** -53
+
+
+def _word(x: float) -> int:
+    """The least word w with (w >> 11) 2^-53 >= x: 0 if x <= 0, and
+    _NO_WORD if no 64-bit word reaches x (x > 1 - 2^-53).  Scaling by
+    2^53 is exact, so the word is ceil(x 2^53) 2^11."""
+    return min(max(math.ceil(x * 2.0 ** 53), 0), 1 << 53) << 11
+
+
+def _at_least(words: np.ndarray, word: int) -> np.ndarray:
+    """words >= word, for a word from _word."""
+    if word == _NO_WORD:
+        return np.zeros(words.shape, dtype=bool)
+    return words >= np.uint64(word)
 
 
 def _no_click_c(phases, base, cross, p_d):
@@ -135,11 +162,13 @@ def mc_click_stats(mu_a: float, mu_b: float, arm_t: float, p_d: float,
     test is itself an intensity-level model.
 
     Deterministic for a fixed seed: all draws come from one Philox
-    stream.  Per chunk of 2^20 samples it holds the chunk's phases
-    (uniform law only), then its uniforms for detector c, then those for
-    detector d.  Blocks of 2^18 samples open their slices of that stream
-    directly and run on a thread pool of one worker per available core,
-    so the counts do not depend on the core count.
+    stream, each a uniform u = (w >> 11) 2^-53 of a raw 64-bit word w,
+    as numpy's Generator.random makes it.  Per chunk of 2^20 samples the
+    stream holds the chunk's phases (uniform law only), then its
+    uniforms for detector c, then those for detector d.  Blocks of 2^16
+    samples open their slices of that stream directly and run on a
+    thread pool of one worker per available core, so the counts do not
+    depend on the core count.
 
     A detector clicks when its uniform is at or above its no-click
     probability: t_c = (1 - p_d) exp(-base - cross cos delta) at c and
@@ -147,20 +176,20 @@ def mc_click_stats(mu_a: float, mu_b: float, arm_t: float, p_d: float,
     Both are monotone in cos delta in [-1, 1], so each lies in a band
     between its values at cos delta = +1 and -1 (_bands).  A uniform
     below its band cannot click and one at or above it must, whatever
-    the phase.  Each block decides those from its uniforms alone and
-    evaluates cos, exp and the division only for the uniforms inside a
-    band; it draws its phase slice only if there are any.  The counts
-    are bit for bit those of evaluating every sample: the band takes
-    the same rounded steps as the per-sample thresholds, and each step
-    but exp (product, difference, division) rounds monotonically, while
-    the ends of the c band are widened by a relative _EXP_SLACK, far
-    above the few ulps by which exp may stray from monotone.  A fixed
-    phase has one threshold per detector, so its band is empty.
+    the phase.  u >= x holds exactly when w >= _word(x), so each block
+    decides those on its raw words alone; only the words inside a band,
+    and the phase words at their samples, become doubles, and only
+    those samples have cos, exp and the division evaluated.  A block
+    draws its phase slice only if it has such samples.  The counts are
+    bit for bit those of evaluating every sample: the band takes the
+    same rounded steps as the per-sample thresholds, and each step but
+    exp (product, difference, division) rounds monotonically, while the
+    ends of the c band are widened by a relative _EXP_SLACK, far above
+    the few ulps by which exp may stray from monotone.  A fixed phase
+    has one threshold per detector, so its band is empty.
     """
-    if not (0.0 <= mu_a < math.inf and 0.0 <= mu_b < math.inf):
-        raise DomainError("intensities must be >= 0 and finite")
-    if not 0.0 <= arm_t <= 1.0 or not 0.0 <= p_d <= 1.0:
-        raise DomainError("arm transmittance and dark probability must lie in [0, 1]")
+    mu_a, mu_b, arm_t, p_d = _MU_A(mu_a), _MU_B(mu_b), _ARM_T(arm_t), _P_D(p_d)
+    cfg = _CFG(cfg)
     from concurrent.futures import ThreadPoolExecutor
 
     base = arm_t * (mu_a + mu_b) / 2.0
@@ -172,43 +201,37 @@ def mc_click_stats(mu_a: float, mu_b: float, arm_t: float, p_d: float,
                           "be a positive normal float: p_d = 1 or the pulses are too bright")
 
     uniform = isinstance(cfg.phase, UniformRandomized)
-    bands = _bands(base, cross, surv_prod, p_d, cfg.phase)
+    bands = [(_word(low), _word(high))
+             for low, high in _bands(base, cross, surv_prod, p_d, cfg.phase)]
     # (first sample of the chunk, chunk length, block start in the chunk)
     blocks = [(done, min(_CHUNK, cfg.samples - done), lo)
               for done in range(0, cfg.samples, _CHUNK)
               for lo in range(0, min(_CHUNK, cfg.samples - done), _BLOCK)]
 
-    def count(share):  # one worker: its buffers serve its whole share of blocks
-        size = min(_BLOCK, cfg.samples)
-        u = np.empty(size)
-        clicks = np.empty((2, size), dtype=bool)
-        open_buf = np.empty(size, dtype=bool)
+    def count(share):  # one worker's share of blocks
         n_c = n_d = n_both = 0
         for done, m, lo in share:
             n = min(_BLOCK, m - lo)
             at = (3 if uniform else 2) * done + lo  # the block's first draw
-            un, opened = u[:n], open_buf[:n]
-            undecided = []  # per detector: (its clicks, open samples, their uniforms)
+            clicks, undecided = [], []  # (detector, its clicks, open samples, their uniforms)
             for k, (low, high) in enumerate(bands):  # detector c, then d
-                click = clicks[k, :n]
                 # the detector's slice of the chunk, after the phases if drawn
-                _stream_at(cfg.seed, at + (k + uniform) * m).random(out=un)
-                np.greater_equal(un, high, out=click)
-                if low < high:  # uniforms in [low, high) wait for their phase
-                    np.greater_equal(un, low, out=opened)
-                    opened ^= click
-                    idx = np.flatnonzero(opened)
-                    undecided.append((click, idx, un[idx]))
-            if any(idx.size for _, idx, _ in undecided):
-                _stream_at(cfg.seed, at).random(out=un)  # the block's phases
-                for k, (click, idx, u_open) in enumerate(undecided):
-                    no_click = un[idx]
+                words = _words_at(cfg.seed, at + (k + uniform) * m, n)
+                click = _at_least(words, high)
+                clicks.append(click)
+                if low < high:  # words in [low, high) wait for their phase
+                    idx = np.flatnonzero(_at_least(words, low) ^ click)
+                    undecided.append((k, click, idx, _doubles(words[idx])))
+            if any(idx.size for _, _, idx, _ in undecided):
+                phases = _words_at(cfg.seed, at, n)  # the block's phase words
+                for k, click, idx, u_open in undecided:
+                    no_click = _doubles(phases[idx])
                     no_click *= 2.0 * np.pi
                     _no_click_c(no_click, base, cross, p_d)
                     if k:
                         np.divide(surv_prod, no_click, out=no_click)
                     click[idx] = u_open >= no_click
-            cc, cd = clicks[0, :n], clicks[1, :n]
+            cc, cd = clicks
             n_c += int(np.count_nonzero(cc))
             n_d += int(np.count_nonzero(cd))
             n_both += int(np.count_nonzero(np.logical_and(cc, cd, out=cc)))
@@ -236,7 +259,8 @@ def fock_bs_distribution(n_a: int, n_b: int) -> np.ndarray:
     |n_a, n_b>: the exact rational of the combinatorial amplitude sum,
     rounded once.
     """
-    if n_a < 0 or n_b < 0 or n_a + n_b > 12:
+    n_a, n_b = _N_A(n_a), _N_B(n_b)
+    if n_a + n_b > 12:
         raise DomainError("fock_bs_distribution supports 0 <= n_a + n_b <= 12")
     return np.array([float(p) for p in _bs_exact(n_a, n_b)])
 
@@ -249,8 +273,7 @@ def poisson_true_yields(m: ChannelErrorModel, n: int) -> tuple[float, float]:
     detected-signal fraction, which makes the Poisson mixture reproduce
     the intensity-level gain and error-gain formulas identically.
     """
-    if not 0 <= n < math.inf:
-        raise DomainError("photon number must be >= 0 and finite")
+    m, n = _MODEL(m), _PHOTONS(n)
     return _yields(m, n)
 
 
@@ -264,14 +287,21 @@ def _yields(m: ChannelErrorModel, n):
 def poisson_yield_gain(mu: float, m: ChannelErrorModel) -> tuple[float, float]:
     """Exact (Q_mu, E_mu) by summing the Poisson photon-number mixture.
 
-    The photon-number cutoff doubles from 20 until the Poisson tail mass
-    beyond it is below 1e-14.
+    The photon-number cutoff n_max doubles from 20 until the Poisson
+    mass at n_max + 1 is at most 1e-15 and lies past the mode, with
+    n_max + 2 > 2 mu: each later term is then less than half the one
+    before, so the tail beyond n_max is below 2e-15.  Raises DomainError
+    where that needs a cutoff past 10,240 (mu above about 5,100), and
+    for a model that holds arrays.
     """
-    if not 0.0 <= mu < math.inf:
-        raise DomainError("intensity must be >= 0 and finite")
+    mu, m = _MU(mu), _MODEL(m)
+    if any(np.ndim(v) for v in (m.eta_hat, m.p_dc, m.e_total)):
+        raise DomainError("m must be a ChannelErrorModel of scalars for the photon-number sum")
     n_max = 20
-    while math.exp(-mu + (n_max + 1) * math.log(max(mu, 1e-300))
-                   - math.lgamma(n_max + 2)) > 1e-15 and n_max < 10_000:
+    while n_max + 2 <= 2.0 * mu or math.exp(
+            -mu + (n_max + 1) * math.log(max(mu, 1e-300)) - math.lgamma(n_max + 2)) > 1e-15:
+        if n_max >= 10_000:
+            raise DomainError(f"mu = {mu} needs a photon-number cutoff past {n_max}")
         n_max *= 2
     ns = np.arange(n_max + 1)
     log_fact = np.array([math.lgamma(n + 1) for n in range(n_max + 1)])

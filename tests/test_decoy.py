@@ -86,6 +86,21 @@ class TestPoissonIdentity:
         q, _ = poisson_yield_gain(0.0, m)
         assert q == pytest.approx(1e-6, rel=1e-9)
 
+    @pytest.mark.parametrize("mu", [100.0, 300.0])
+    def test_bright_pulses_sum_past_the_mode(self, mu):
+        # the cutoff stopped at 20 photons, left of the mode, and returned
+        # Q = 1.7e-22 at mu = 100 and 6.9e-100 at mu = 300
+        m = ChannelErrorModel(eta_hat=0.1, p_dc=1e-6)
+        q_mix, e_mix = poisson_yield_gain(mu, m)
+        assert q_mix == pytest.approx(gain(mu, m), rel=1e-12)
+        assert e_mix == pytest.approx(qber(mu, m), rel=1e-12)
+
+    def test_cutoff_cap_raises(self):
+        # mu = 6000 needs more than 10,240 photons; the loop returned a
+        # truncated sum without a word
+        with pytest.raises(DomainError, match="cutoff"):
+            poisson_yield_gain(6000.0, model())
+
 
 class TestBounds:
     def test_bracketing_default_point(self):

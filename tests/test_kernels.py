@@ -18,6 +18,7 @@ from tfqkd import (
     FixedDelta,
     McConfig,
     SnsParams,
+    UniformRandomized,
     aopp_transform,
     arm_transmittance,
     bb84_rate,
@@ -31,6 +32,7 @@ from tfqkd import (
     effective_click_probability,
     effective_transmittance,
     error_gain,
+    fock_bs_distribution,
     fock_pair_yield,
     gain,
     link_from_attenuation,
@@ -214,6 +216,48 @@ def test_non_finite_intensities_windows_and_variances_raise(name, value):
         warnings.simplefilter("error")
         with pytest.raises(DomainError):
             NON_FINITE_ARGS[name](value)
+
+
+_MC = (0.1, 0.1, 0.5, 1e-6, McConfig(samples=10))
+_NOT_REALS = ("0.1", None, True, np.array([0.1, 0.2]))
+_NOT_COUNTS = (1.5, 1.0, -1, "1", None, True, np.array([1, 2]))
+# the oracle's arguments: (call, the argument's name, wrong-typed values)
+WRONG_TYPE_ARGS = {
+    "mc_click_stats mu_a": (lambda v: mc_click_stats(v, *_MC[1:]), "mu_a", _NOT_REALS),
+    "mc_click_stats mu_b": (lambda v: mc_click_stats(*_MC[:1], v, *_MC[2:]), "mu_b", _NOT_REALS),
+    "mc_click_stats arm_t": (lambda v: mc_click_stats(*_MC[:2], v, *_MC[3:]), "arm_t",
+                             _NOT_REALS),
+    "mc_click_stats p_d": (lambda v: mc_click_stats(*_MC[:3], v, *_MC[4:]), "p_d", _NOT_REALS),
+    "mc_click_stats cfg": (lambda v: mc_click_stats(*_MC[:4], v), "cfg",
+                           (None, 10, UniformRandomized())),
+    "poisson_yield_gain mu": (lambda v: poisson_yield_gain(v, _model(0.5)), "mu", _NOT_REALS),
+    # an array model of 21 entries was summed against the 21 photon numbers
+    "poisson_yield_gain m": (lambda v: poisson_yield_gain(0.5, v), "m", (
+        None, 0.5, _model(np.array(ETAS)), _model(np.linspace(0.1, 0.9, 21)))),
+    "poisson_true_yields n": (lambda v: poisson_true_yields(_model(0.5), v), "n", _NOT_COUNTS),
+    "poisson_true_yields m": (lambda v: poisson_true_yields(v, 1), "m", (None, 0.5)),
+    "fock_bs_distribution n_a": (lambda v: fock_bs_distribution(v, 1), "n_a", _NOT_COUNTS),
+    "fock_bs_distribution n_b": (lambda v: fock_bs_distribution(1, v), "n_b", _NOT_COUNTS),
+}
+
+
+@pytest.mark.parametrize("name", WRONG_TYPE_ARGS)
+def test_wrong_typed_oracle_arguments_raise_naming_the_argument(name):
+    # each raised a bare TypeError or ValueError, or (a fractional or
+    # boolean photon number, a boolean intensity) returned a value
+    call, arg, values = WRONG_TYPE_ARGS[name]
+    for v in values:
+        with pytest.raises(DomainError, match=f"^{arg} must be"):
+            call(v)
+
+
+def test_oracle_takes_numpy_and_integer_scalars():
+    m = _model(0.5)
+    assert poisson_true_yields(m, np.int64(2)) == poisson_true_yields(m, 2)
+    assert (fock_bs_distribution(np.int64(1), 1) == fock_bs_distribution(1, 1)).all()
+    assert poisson_yield_gain(np.float64(0.5), m) == poisson_yield_gain(0.5, m)
+    assert mc_click_stats(np.float64(0.1), 0, 1, 0, McConfig(samples=10)) == mc_click_stats(
+        0.1, 0.0, 1.0, 0.0, McConfig(samples=10))
 
 
 @pytest.mark.parametrize("values", [[-0.0, 0.0, -1.0, 0.5, 1.0, 2.0, np.inf, -np.inf],

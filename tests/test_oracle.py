@@ -72,7 +72,7 @@ def _criterion_3_point(k):
 
 
 _ARM_T, _P_DC, _MU_Z, _MU_0, _DELTA = _criterion_3_point(0)
-# sample counts around the block (2^18) and chunk (2^20) edges, with
+# sample counts around 2^18 (four blocks) and the chunk (2^20) edges, with
 # stream offsets that are not a multiple of the four doubles per counter
 _SAMPLE_COUNTS = (1, 3, 5, (1 << 18) - 1, (1 << 18) + 1, 1 << 20, (1 << 20) + 3,
                   3_000_001)
@@ -234,3 +234,50 @@ class TestSelfConsistency:
         mc = s.c_only + s.d_only
         se = float(np.hypot(s.se_c_only, s.se_d_only))
         assert abs(ana - mc) < 3.0 * se
+
+
+# thresholds x at the edges of the word grid: 0, the least subnormal, the
+# least nonzero uniform, an exact uniform k 2^-53 and its two neighbours,
+# the greatest uniform, 1, and a band end past 1
+_K = 0x1234_5678_9ABC
+_THRESHOLDS = (0.0, 2.0**-1074, 2.0**-53, _K * 2.0**-53, np.nextafter(_K * 2.0**-53, 0.0),
+               np.nextafter(_K * 2.0**-53, 1.0), 1.0 - 2.0**-53, 1.0, 1.0 + 2.0**-40)
+
+
+class TestWordThresholds:
+    @pytest.mark.parametrize("x", _THRESHOLDS)
+    def test_word_decides_as_the_double(self, x):
+        word = oracle._word(x)
+        assert 0 <= word <= oracle._NO_WORD and word % 2**11 == 0
+        # the words at and next to the threshold's word and to the grid points
+        # around x, clipped to the 64-bit range
+        k = int(x * 2**53)
+        near = {word + d for d in (-1, 0, 1)} | {(k + j) * 2**11 + d for j in (-1, 0, 1, 2)
+                                                 for d in (-1, 0)}
+        words = np.array(sorted(w for w in near | {0, 2**64 - 1} if 0 <= w < 2**64),
+                         dtype=np.uint64)
+        assert (oracle._at_least(words, word) == (oracle._doubles(words) >= x)).all()
+        assert all((w >= word) == ((w >> 11) * 2.0**-53 >= x) for w in map(int, words))
+
+    def test_word_ends(self):
+        assert oracle._word(0.0) == oracle._word(-1.0) == 0
+        assert oracle._word(1.0) == oracle._word(1.0 + 2.0**-40) == oracle._NO_WORD
+        assert oracle._word(1.0 - 2.0**-53) == 2**64 - 2**11
+
+    @pytest.mark.parametrize("offset", [0, 1, 3, 4, 5, 4 * 1000 + 2, 3 * (1 << 20) + 7])
+    def test_raw_words_are_the_generators_doubles(self, offset):
+        # numpy's random() is (next raw word >> 11) 2^-53 on the same stream;
+        # if a numpy release changes that, this fails before any count does
+        seed, n = 2024, 9
+        words = oracle._words_at(seed, offset, n)
+        assert words.dtype == np.uint64 and words.shape == (n,)
+        doubles = np.random.Generator(np.random.Philox(seed)).random(offset + n)[offset:]
+        assert oracle._doubles(words).tobytes() == doubles.tobytes()
+
+    @pytest.mark.parametrize("phase", [UniformRandomized(), FixedDelta(_DELTA)])
+    def test_counts_match_sequential_stream_at_block_edges(self, phase):
+        args = (0.4, 0.4, 1.0, _P_DC)  # a wide band, so most blocks have open samples
+        block = oracle._BLOCK
+        for n in (block - 1, block + 1, 3 * block + 5):
+            cfg = McConfig(samples=n, seed=17_101, phase=phase)
+            assert _counts(mc_click_stats(*args, cfg)) == reference_mc_counts(*args, cfg), n
