@@ -6,6 +6,8 @@ photon-number yields bound the phase error through the even/odd cat-state
 decomposition of the signal states.  Phase noise enters only the X-basis
 bit error; the Z-basis phase-error bound is built from phase-randomized
 states and is independent of the phase mismatch by construction.
+cal_stats gathers the gain and the two errors, and cal_rate is the key
+of those statistics.
 """
 
 from __future__ import annotations
@@ -17,24 +19,30 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._fields import Checked, _within, spec
-from .decoy import _check_f_ec, _entropies, _scalars
+from ._fields import Checked, _checker, _within, spec
+from .decoy import _F_EC, _entropies, _scalars
 from .errors import DomainError
 
 __all__ = [
     "CalParams",
     "CalChannel",
     "FockYield",
+    "CalStats",
     "make_cal_channel",
     "cal_gain",
     "cal_bit_error",
     "fock_pair_yield",
     "cal_phase_error",
+    "cal_stats",
     "cal_rate",
 ]
 
 FOCK_INPUT_MAX = 6  # per-port input limit for pair yields
 _PAIRS = spec(tuple, item=spec(tuple, item=spec(int, ge=0), length=2))
+# the field contract's checkers of the kernels' arguments
+_ARM_T = _checker(spec(float, ge=0, le=1, array=True), "arm_t")
+_P_D = _checker(spec(float, ge=0, le=1), "p_d")
+_N_A, _N_B = (_checker(spec(int, ge=0, le=FOCK_INPUT_MAX), name) for name in ("n_a", "n_b"))
 
 
 @dataclass(frozen=True)
@@ -86,14 +94,7 @@ class CalChannel(Checked):
 def make_cal_channel(arm_t, p: CalParams, sigma_phi: float = CalChannel.sigma_phi,
                      theta: float = CalChannel.theta) -> CalChannel:
     """Channel for a given per-arm effective transmittance."""
-    if not _within(arm_t, 0.0, 1.0):
-        raise DomainError("arm transmittance must lie in [0, 1]")
-    return CalChannel(gamma=arm_t * p.mu_zeta, sigma_phi=sigma_phi, theta=theta)
-
-
-def _check_dark(p_d: float) -> None:
-    if not 0.0 <= p_d <= 1.0:
-        raise DomainError("dark probability must lie in [0, 1]")
+    return CalChannel(gamma=_ARM_T(arm_t) * p.mu_zeta, sigma_phi=sigma_phi, theta=theta)
 
 
 def _cal_bracket(g, omega: float, p_d: float):
@@ -112,7 +113,7 @@ def cal_gain(ch: CalChannel, p_d: float):
     (1-p_d) e^{-gamma} [cosh(gamma omega) - (1-p_d) e^{-gamma}]; the two
     single-click outcomes are equal by symmetry.
     """
-    _check_dark(p_d)
+    p_d = _P_D(p_d)
     return _scalars((1.0 - p_d) * np.exp(-ch.gamma) * _cal_bracket(ch.gamma, ch.omega, p_d))
 
 
@@ -124,7 +125,7 @@ def cal_bit_error(ch: CalChannel, p_d: float):
     Grows with the phase mismatch through omega and tends to 1/2 when dark
     counts dominate; undefined where the gain is 0.
     """
-    _check_dark(p_d)
+    p_d = _P_D(p_d)
     den = 2.0 * _cal_bracket(ch.gamma, ch.omega, p_d)
     if not _within(den, 0.0, np.inf, lo_open=True):
         raise DomainError("bit error undefined at zero gain")
@@ -250,10 +251,7 @@ def fock_pair_yield(n_a: int, n_b: int, arm_t, p_d: float) -> FockYield:
     survivor only dark counts click.  With unlimited decoy intensities
     these equal the yields entering the phase-error bound.
     """
-    if not 0 <= n_a <= FOCK_INPUT_MAX or not 0 <= n_b <= FOCK_INPUT_MAX:
-        raise DomainError(f"photon numbers must lie in [0, {FOCK_INPUT_MAX}]")
-    if not _within(arm_t, 0.0, 1.0) or not 0.0 <= p_d <= 1.0:
-        raise DomainError("arm_t and p_d must lie in [0, 1]")
+    n_a, n_b, arm_t, p_d = _N_A(n_a), _N_B(n_b), _ARM_T(arm_t), _P_D(p_d)
     # survivors all at c, all at d, at both
     n = n_a + n_b
     vacuum, (at_c, at_d, split) = _survivors(n, _yield_coefficients(n_a, n_b), _powers(arm_t, n))
@@ -301,16 +299,20 @@ def cal_phase_error(p: CalParams, ch: CalChannel, p_d: float):
     return _scalars(total / gain_ref)
 
 
-def _cal_columns(p: CalParams, ch: CalChannel, p_d: float, f_ec: float):
-    """The CAL key per transmitted signal and the columns it rests on:
-    (key, gain p_xx, bit error e_x, phase-error bound e_z), each evaluated
-    once over the whole input.
+@dataclass(frozen=True)
+class CalStats:
+    """The key-basis gain p_xx of one single-click outcome, its bit error
+    e_x and the phase-error bound e_z_bound.  The errors are undefined
+    without gain and read 0 and 1 there."""
 
-    e_x and e_z are evaluated only where there is gain and read 0 and 1
-    elsewhere; the key, floored at 0, is
-    2 p_xx [1 - f_ec H2(e_x) - H2(min(1/2, e_z))] with e_x clamped to [0, 1].
-    """
-    _check_f_ec(f_ec)
+    gain: float
+    e_x: float
+    e_z_bound: float
+
+
+def cal_stats(p: CalParams, ch: CalChannel, p_d: float) -> CalStats:
+    """cal_gain, cal_bit_error and cal_phase_error, each evaluated once
+    over the whole input; the two errors only where there is gain."""
     p_xx = cal_gain(ch, p_d)
     keyed = np.asarray(p_xx > 0.0)
     if keyed.all():  # gain everywhere, as dark counts give: no masked copy
@@ -320,16 +322,17 @@ def _cal_columns(p: CalParams, ch: CalChannel, p_d: float, f_ec: float):
         e_x, e_z = np.zeros(keyed.shape), np.ones(keyed.shape)
         e_x[keyed] = cal_bit_error(ch_keyed, p_d)
         e_z[keyed] = cal_phase_error(p, ch_keyed, p_d)
-    h_x, h_z = _entropies(np.minimum(1.0, np.maximum(0.0, e_x)), np.minimum(0.5, e_z))
-    key = 2.0 * p_xx * (1.0 - f_ec * h_x - h_z)
-    return np.where(key > 0.0, key, 0.0), p_xx, e_x, e_z
+    return _scalars(CalStats(gain=p_xx, e_x=e_x, e_z_bound=e_z))
 
 
-def cal_rate(p: CalParams, ch: CalChannel, p_d: float, f_ec: float):
+def cal_rate(c: CalStats, f_ec: float):
     """Secret key per transmitted signal, both single-click outcomes summed.
 
     R = 2 p_xx [1 - f_ec H2(e_x) - H2(min(1/2, e_z))], floored at 0, with
-    e_x clamped to [0, 1]; no key where the gain p_xx is 0, so the bit and
-    phase errors are only evaluated where there is gain.
+    e_x clamped to [0, 1], all from the statistics c; no key where the
+    gain p_xx is 0.
     """
-    return _scalars(_cal_columns(p, ch, p_d, f_ec)[0])
+    f_ec = _F_EC(f_ec)
+    h_x, h_z = _entropies(np.minimum(1.0, np.maximum(0.0, c.e_x)), np.minimum(0.5, c.e_z_bound))
+    key = 2.0 * c.gain * (1.0 - f_ec * h_x - h_z)
+    return _scalars(np.where(key > 0.0, key, 0.0))

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._fields import Checked, spec
+from ._fields import Checked, _checker, spec
 from .csvtext import csv_text
 from .errors import DivergentIntegralError, DomainError
 from .spectra import FiberParams, LaserSpec, Spectrum, TopologyConfig, interference_spectrum
@@ -179,6 +179,11 @@ def _variance_curve(spec: Spectrum, f_query: np.ndarray, f_max: Optional[float])
     return f, c, fy, fy_end
 
 
+# the field contract's checkers of the scalar functions' arguments
+_TAU_Q, _TAU_PS = (_checker(spec(float, gt=0), name) for name in ("tau_q", "tau_ps"))
+_SIGMA2 = _checker(spec(float, ge=0), "sigma2")
+
+
 def phase_variance(psd, tau_q: float, *, f_max: Optional[float] = None) -> float:
     """Phase variance (rad^2) accumulated over tau_q: integral of the PSD
     on [1/tau_q, f_max].
@@ -193,8 +198,7 @@ def phase_variance(psd, tau_q: float, *, f_max: Optional[float] = None) -> float
     the spectrum raises DivergentIntegralError instead of returning a
     value.
     """
-    if not (np.isfinite(tau_q) and tau_q > 0):
-        raise DomainError("tau_q must be finite and > 0")
+    tau_q = _TAU_Q(tau_q)
     spec = _spectrum_of(psd)
     c = _variance_curve(spec, np.array([1.0 / tau_q]), f_max)[1]
     return float(c[0])
@@ -202,22 +206,19 @@ def phase_variance(psd, tau_q: float, *, f_max: Optional[float] = None) -> float
 
 def qber_from_variance(sigma2: float) -> float:
     """Exact Gaussian phase-noise QBER: (1 - exp(-sigma^2/2)) / 2."""
-    if not 0 <= sigma2 < np.inf:
-        raise DomainError("variance must be >= 0 and finite")
+    sigma2 = _SIGMA2(sigma2)
     return 0.5 * -np.expm1(-0.5 * sigma2)
 
 
 def qber_small_angle(sigma2: float) -> float:
     """Small-phase approximation sigma^2/4 of the phase-noise QBER."""
-    if not 0 <= sigma2 < np.inf:
-        raise DomainError("variance must be >= 0 and finite")
+    sigma2 = _SIGMA2(sigma2)
     return 0.25 * sigma2
 
 
 def duty_cycle(tau_q: float, tau_ps: float) -> float:
     """Fraction of time spent transmitting: tau_q / (tau_q + tau_ps)."""
-    if not (0 < tau_q < np.inf and 0 < tau_ps < np.inf):
-        raise DomainError("tau_q and tau_ps must be > 0 and finite")
+    tau_q, tau_ps = _TAU_Q(tau_q), _TAU_PS(tau_ps)
     return tau_q / (tau_q + tau_ps)
 
 

@@ -3,9 +3,10 @@
 The closed-form lower bounds on the vacuum and single-photon yields and
 the upper bound on the single-photon phase error assume three intensities
 u > v > w with u matched to the signal, and carry its gain and QBER: BB84's
-key is a function of its bounds.  The same machinery backs the
-sending-or-not-sending protocol, which shares BB84's key form (Wang, Yu
-and Hu, PRA 98, 062323): single photons less error correction on the signal.
+key is a function of its bounds (bb84_rate takes the DecoyBounds).  The
+same machinery backs the sending-or-not-sending protocol, which shares
+BB84's key form _key (Wang, Yu and Hu, PRA 98, 062323): single photons
+less error correction on the signal.
 
 A sweep evaluates each ingredient once over a leading (intensity,
 channel or entropy-term) axis stacked ahead of its grid; the kernels are
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field, is_dataclass, replace
 
 import numpy as np
 
-from ._fields import Checked, _within, spec
+from ._fields import Checked, _checker, _within, spec
 from .errors import DomainError
 
 __all__ = [
@@ -48,10 +49,16 @@ def _scalars(obj):
     return np.asarray(obj).item() if np.ndim(obj) == 0 else obj
 
 
+# the field contract's checkers of the kernels' arguments; an
+# error-correction inefficiency is at or above the Shannon limit 1
+_P = _checker(spec(float, ge=0, le=1, array=True), "p")
+_MU = _checker(spec(float, ge=0, array=True), "mu")
+_F_EC = _checker(spec(float, ge=1), "f_ec")
+
+
 def binary_entropy(p):
     """H2(p) with H2(0) = H2(1) = 0; symmetric about 1/2."""
-    if not _within(p, 0.0, 1.0):
-        raise DomainError("binary entropy argument must lie in [0, 1]")
+    p = _P(p)
     with np.errstate(divide="ignore", invalid="ignore"):  # 0 log 0 at the ends
         h = -p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p)
     # h is NaN exactly at the ends p = 0 and 1 and > 0 between them
@@ -62,13 +69,6 @@ def _entropies(*p):
     """binary_entropy of each argument, from one call over their stack."""
     same = len({np.shape(x) for x in p}) == 1
     return binary_entropy(np.array(p if same else np.broadcast_arrays(*p)))
-
-
-def _check_f_ec(f_ec: float) -> None:
-    """Reject an error-correction inefficiency below the Shannon limit 1,
-    or one that is not finite."""
-    if not 1.0 <= f_ec < np.inf:
-        raise DomainError("error-correction inefficiency must be >= 1 and finite")
 
 
 @dataclass(frozen=True)
@@ -105,8 +105,7 @@ def gain(mu: float, m: ChannelErrorModel):
     """Click probability for intensity mu: 1 - (1 - p_dc) exp(-mu eta_hat),
     as p_dc - (1 - p_dc) expm1(-mu eta_hat), which keeps its digits where
     exp(-mu eta_hat) is close to 1.  mu may be an array."""
-    if not _within(mu, 0.0, np.inf, hi_open=True):
-        raise DomainError("intensity must be >= 0 and finite")
+    mu = _MU(mu)
     return _scalars(m.p_dc - (1.0 - m.p_dc) * np.expm1(-mu * m.eta_hat))
 
 
@@ -116,8 +115,7 @@ def error_gain(mu: float, m: ChannelErrorModel):
     Dark counts err half the time; misalignment and phase noise err on the
     detected-signal fraction: p_dc/2 + (e_theta + e_phi - p_dc/2)(1 - exp(-mu eta_hat)).
     """
-    if not _within(mu, 0.0, np.inf, hi_open=True):
-        raise DomainError("intensity must be >= 0 and finite")
+    mu = _MU(mu)
     signal = -np.expm1(-mu * m.eta_hat)
     return _scalars(m.p_dc / 2.0 + (m.e_total - m.p_dc / 2.0) * signal)
 
@@ -178,18 +176,18 @@ def _key(n1, e1ph, n_t, e_z, f_ec: float):
     n1 (1 - H2(min(e1ph, 1/2))) less error correction f_ec * n_t * H2(e_z)
     on the signal, e_z clamped to [0, 1]; 0 unless n1 > 0 and the key is
     positive."""
-    _check_f_ec(f_ec)
+    f_ec = _F_EC(f_ec)
     h_ph, h_z = _entropies(np.minimum(e1ph, 0.5), np.minimum(1.0, np.maximum(0.0, e_z)))
     key = n1 * (1.0 - h_ph) - f_ec * n_t * h_z
     return np.where((n1 > 0.0) & (key > 0.0), key, 0.0)
 
 
-def bb84_rate(s: DecoySet, m: ChannelErrorModel, f_ec: float):
+def bb84_rate(b: DecoyBounds, f_ec: float):
     """Asymptotic decoy BB84 secret key per transmitted signal, floored at 0.
 
-    R = Q1 (1 - H2(e1ph)) - f_ec * Q_u * H2(E_u), all from decoy_bounds(s,
-    m); no key where the single-photon estimation failed (Q1 = 0), which
-    includes every point without gain.
+    R = Q1 (1 - H2(e1ph)) - f_ec * Q_u * H2(E_u), all from the bounds b
+    that decoy_bounds gives for BB84's channel; no key where the
+    single-photon estimation failed (Q1 = 0), which includes every point
+    without gain.
     """
-    b = decoy_bounds(s, m)
     return _scalars(_key(b.q1_low, b.e1ph_up, b.q_u, b.e_u, f_ec))

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._fields import Checked, _within, spec
+from ._fields import Checked, _checker, spec
 from .decoy import ChannelErrorModel, _scalars
 from .errors import DomainError
 
@@ -43,6 +43,18 @@ class DetectorParams(Checked):
         return self.dark_rate / self.clock_rate
 
 
+# the field contract's checkers of the link functions' arguments
+_TOTAL_DB = _checker(spec(float, ge=0, finite=False, array=True), "total_db")
+_ETA = _checker(spec(float, ge=0, le=1, array=True), "eta")
+_ETA_HAT = _checker(spec(float, ge=0, le=1, array=True), "eta_hat")
+_PLOB_ETA = _checker(spec(float, ge=0, lt=1, array=True), "eta")
+
+
+def _sequence_as_array(x):
+    """x, or the array numpy makes of it where it is a list or tuple."""
+    return np.asarray(x) if isinstance(x, (list, tuple)) else x
+
+
 SNSPD = DetectorParams(eta_d=0.9, dark_rate=10.0, clock_rate=1e9)
 SPAD = DetectorParams(eta_d=0.25, dark_rate=50.0, clock_rate=1e9)
 
@@ -73,18 +85,14 @@ def link_from_attenuation(total_db):
     """Total transmittance 10^(-dB/10) of each end-to-end loss in dB, each
     a Python float power: numpy's array power differs from it in the last
     bit on some inputs."""
-    db = np.asarray(total_db, dtype=float)
-    if not _within(db, 0.0, np.inf):
-        raise DomainError("attenuation must be a number >= 0 dB")
+    db = np.asarray(_TOTAL_DB(_sequence_as_array(total_db)), dtype=float)
     eta = [10.0 ** (-a / 10.0) for a in db.ravel().tolist()]
     return _scalars(np.array(eta).reshape(db.shape))
 
 
 def effective_transmittance(eta, det: DetectorParams):
     """Total transmittance including detector efficiency; eta may be an array."""
-    if not _within(eta, 0.0, 1.0):
-        raise DomainError("transmittance must lie in [0, 1]")
-    return eta * det.eta_d
+    return _ETA(eta) * det.eta_d
 
 
 def arm_transmittance(eta_hat):
@@ -95,15 +103,12 @@ def arm_transmittance(eta_hat):
     effective_transmittance), t = sqrt(eta_hat), so the product of the two
     arms equals eta_hat.  eta_hat may be an array.
     """
-    if not _within(eta_hat, 0.0, 1.0):
-        raise DomainError("effective transmittance must lie in [0, 1]")
-    return np.sqrt(eta_hat)
+    return np.sqrt(_ETA_HAT(_sequence_as_array(eta_hat)))
 
 
 def plob_bound(eta):
     """Repeaterless secret-key capacity -log2(1 - eta) in bits per signal,
     as -log1p(-eta)/ln 2, which keeps its digits at small eta where
     1 - eta rounds to 1."""
-    if not _within(eta, 0.0, 1.0, hi_open=True):
-        raise DomainError("plob_bound requires eta in [0, 1)")
+    eta = _PLOB_ETA(eta)
     return _scalars(-np.log1p(-eta) / math.log(2.0))

@@ -11,14 +11,15 @@ type, and run_sweep takes either.
 
 run_sweep returns a SweepTable: the grid, one array per rate and
 diagnostic column, one boolean mask per failure flag, and the operating
-point.  Each protocol ingredient is evaluated once per sweep, over a
-stacked (intensity, channel or protocol) x grid array, each entry equal
-to the float call at that point bit for bit; BB84's key, gain and QBER
-come from its row of the decoy bounds, and its key and SNS's take the
-one key form decoy._key.  format_csv and emit_csv write the table
-column by column through csvtext.csv_text, which formats all its float
-cells in a few array operations; the table also reads as a sequence of
-SweepRow, built on first access and cached.  A SweepRow is
+point.  The sweep calls each protocol's public statistics and rate
+functions once, over a stacked (intensity or channel) x grid array, each
+entry equal to the float call at that point bit for bit: BB84's key,
+gain and QBER come from its row of the decoy bounds (bb84_rate), SNS's
+from the per-arm row (sns_window_stats, sns_rate, sns_aopp_rate) and
+CAL's from cal_stats and cal_rate.  format_csv and emit_csv write the
+table column by column through csvtext.csv_text, which formats all its
+float cells in a few array operations; the table also reads as a
+sequence of SweepRow, built on first access and cached.  A SweepRow is
 a plain mutable record of Python values copied out of the columns:
 assigning to a row's fields or its dicts changes neither the columns nor
 the CSV.
@@ -35,12 +36,11 @@ from typing import Optional
 
 import numpy as np
 
-from . import cal as cal_mod
-from . import sns as sns_mod
 from ._fields import Checked, part, spec
+from .cal import CalParams, cal_rate, cal_stats, make_cal_channel
 from .coherence import CoherenceBudget, OperatingPoint, qber_small_angle, solve_tau_q
 from .csvtext import csv_text
-from .decoy import ChannelErrorModel, DecoyBounds, DecoySet, _key, decoy_bounds
+from .decoy import ChannelErrorModel, DecoyBounds, DecoySet, bb84_rate, decoy_bounds
 from .errors import DomainError
 from .link import (
     SNSPD,
@@ -53,6 +53,7 @@ from .link import (
     link_from_attenuation,
     plob_bound,
 )
+from .sns import SnsParams, aopp_transform, sns_aopp_rate, sns_rate, sns_window_stats
 from .spectra import FiberParams, LaserSpec, TopologyConfig, TopologyKind, interference_spectrum
 
 __all__ = [
@@ -156,8 +157,8 @@ class ProtocolParams(Checked):
     """
 
     decoys: DecoySet = part(DecoySet)
-    sns: sns_mod.SnsParams = part(sns_mod.SnsParams)
-    cal: cal_mod.CalParams = part(cal_mod.CalParams)
+    sns: SnsParams = part(SnsParams)
+    cal: CalParams = part(CalParams)
     misalignment: MisalignmentParams = part(MisalignmentParams)
     f_ec: float = field(default=1.15, metadata=spec(float, ge=1))
 
@@ -271,35 +272,31 @@ def _rates(eta: np.ndarray, det: DetectorParams, op: OperatingPoint,
         # asymptotic duty cycle 1; the channel error model still carries
         # the scenario phase-noise QBER.
         b = _row(bounds, 0)
-        rates["bb84"] = _key(b.q1_low, b.e1ph_up, b.q_u, b.e_u, prot.f_ec) * nu_s
+        rates["bb84"] = bb84_rate(b, prot.f_ec) * nu_s
         diag["bb84_gain_u"] = b.q_u
         diag["bb84_qber_u"] = b.e_u
         failed["bb84_estimation_failed"] = ~b.ok
     if sns:
-        stats = sns_mod._window_stats(prot.sns, sns_mod._clicks(prot.sns, arm_t, det.p_dc),
-                                      _row(bounds, -1))
+        stats = sns_window_stats(prot.sns, _row(bounds, -1), arm_t, det.p_dc)
         diag["sns_n_t"] = stats.n_t
         diag["sns_e_z"] = stats.e_z
         diag["sns_n1_low"] = stats.n1_low
         diag["sns_e1ph_up"] = stats.e1ph_up
         failed["sns_estimation_failed"] = ~stats.decoy_ok
-        # plain and paired SNS in one key pass over their stack
-        aopp = sns_mod.aopp_transform(stats)
-        keys = sns_mod._rate(*map(np.array, zip(sns_mod._terms(stats), sns_mod._terms(aopp))),
-                             prot.sns, prot.f_ec)
-        for name, key in zip(("sns", "sns_aopp"), keys):
-            if name in protocols:
-                rates[name] = key * duty * nu_s
+        if "sns" in protocols:
+            rates["sns"] = sns_rate(stats, prot.sns, prot.f_ec) * duty * nu_s
         if "sns_aopp" in protocols:
+            aopp = aopp_transform(stats)
+            rates["sns_aopp"] = sns_aopp_rate(aopp, prot.sns, prot.f_ec) * duty * nu_s
             diag["sns_aopp_e_z"] = aopp.e_z_prime
     if "cal" in protocols:
-        ch = cal_mod.make_cal_channel(arm_t, prot.cal, sigma_phi=op.sigma_phi,
-                                      theta=prot.misalignment.theta)
-        key, p_xx, e_x, e_z = cal_mod._cal_columns(prot.cal, ch, det.p_dc, prot.f_ec)
-        rates["cal"] = key * duty * nu_s
-        diag["cal_gain"] = p_xx
-        diag["cal_e_x"] = e_x
-        diag["cal_e_z_bound"] = e_z
+        ch = make_cal_channel(arm_t, prot.cal, sigma_phi=op.sigma_phi,
+                              theta=prot.misalignment.theta)
+        c = cal_stats(prot.cal, ch, det.p_dc)
+        rates["cal"] = cal_rate(c, prot.f_ec) * duty * nu_s
+        diag["cal_gain"] = c.gain
+        diag["cal_e_x"] = c.e_x
+        diag["cal_e_z_bound"] = c.e_z_bound
     return rates, diag, failed
 
 
@@ -363,11 +360,12 @@ def run_sweep(scenario, spec: Optional[SweepSpec] = None,
               detector: Optional[DetectorParams] = None) -> SweepTable:
     """Key-rate sweep for a scenario, as a SweepTable of columns.
 
-    Each protocol ingredient (decoy bounds with BB84's QBER, CAL gain and
-    errors, SNS window statistics and keys) is evaluated once, stacked
-    over BB84's and SNS's channels, the intensities and the protocols as
-    _rates says.  The coherence operating point is fixed per scenario
-    (solved for the nominal 114 km arms), not re-solved per sweep point.
+    Each protocol's public statistics and rate functions (decoy bounds
+    with BB84's QBER and bb84_rate, sns_window_stats and the SNS keys,
+    cal_stats and cal_rate) run once, the decoy bounds stacked over
+    BB84's and SNS's channels and the intensities as _rates says.  The
+    coherence operating point is fixed per scenario (solved for the
+    nominal 114 km arms), not re-solved per sweep point.
     The length axis is the total length of a balanced link with equal
     arms (link.balanced_link).  Individual protocol estimation failures
     are recorded as zero rate with a flag and the sweep continues.

@@ -8,9 +8,10 @@ three-intensity decoy machinery on the per-arm channel, and actively
 pairing the sifted bits in odd-parity pairs rejects most bit flips at the
 cost of halving the string.
 
-The three send patterns' clicks come from one call over an intensity
-axis; a sweep takes the decoy bounds from its call stacked with BB84's
-channel and rates plain and paired SNS in one pass over a protocol axis.
+sns_window_stats takes the per-arm channel's decoy bounds, which a sweep
+takes from its decoy_bounds call stacked with BB84's channel, and draws
+the three send patterns' clicks from one call over an intensity axis;
+sns_rate and sns_aopp_rate each take BB84's key form decoy._key.
 """
 
 from __future__ import annotations
@@ -19,16 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._fields import Checked, _within, spec
-from .decoy import (
-    ChannelErrorModel,
-    DecoySet,
-    _key,
-    _scalars,
-    decoy_bounds,
-)
+from ._fields import Checked, _checker, _within, spec
+from .decoy import DecoyBounds, _key, _scalars
 from .errors import DomainError
-from .link import DetectorParams
 
 __all__ = [
     "SnsParams",
@@ -46,6 +40,10 @@ __all__ = [
 # underflows while I0(x) overflows.
 MAX_DETECTED_PHOTONS = 500.0
 _EPSNEG = np.finfo(float).epsneg
+# the field contract's checkers of effective_click_probability's arguments
+_MU_A, _MU_B = (_checker(spec(float, ge=0, array=True), name) for name in ("mu_a", "mu_b"))
+_ARM_T = _checker(spec(float, ge=0, le=1, array=True), "arm_t")
+_P_DC = _checker(spec(float, ge=0, lt=1), "p_dc")
 
 
 @dataclass(frozen=True)
@@ -112,10 +110,7 @@ def effective_click_probability(mu_a: float, mu_b: float, arm_t, p_dc: float):
     term in the bracket is >= 0, so nothing cancels at small intensities
     or dark counts.  mu_a and mu_b may be arrays.
     """
-    if not (_within(mu_a, 0.0, np.inf, hi_open=True) and _within(mu_b, 0.0, np.inf, hi_open=True)):
-        raise DomainError("intensities must be >= 0 and finite")
-    if not _within(arm_t, 0.0, 1.0) or not 0.0 <= p_dc < 1.0:
-        raise DomainError("transmittance in [0,1] and p_dc in [0,1) required")
+    mu_a, mu_b, arm_t, p_dc = _MU_A(mu_a), _MU_B(mu_b), _ARM_T(arm_t), _P_DC(p_dc)
     s = arm_t * (0.5 * (mu_a + mu_b))
     if not _within(s, 0.0, MAX_DETECTED_PHOTONS):
         raise DomainError(f"mean detected photon number above {MAX_DETECTED_PHOTONS:g}")
@@ -139,38 +134,24 @@ def _i0_minus_1(x):
     return total
 
 
-def sns_window_stats(p: SnsParams, decoys: DecoySet, arm_t,
-                     det: DetectorParams, e_phi: float,
-                     e_theta: float = ChannelErrorModel.e_theta) -> SnsWindowStats:
+def sns_window_stats(p: SnsParams, b: DecoyBounds, arm_t, p_dc: float) -> SnsWindowStats:
     """Effective-window rates and decoy bounds for the signal basis.
 
-    The four send patterns weight the click model by the sending choices;
-    the single-photon bounds reuse the decoy formulas on the per-arm
-    channel (each party sends half of each decoy intensity), and only the
-    phase-error side sees the interferometric errors e_theta + e_phi.
-    The bit-flip error e_z involves no interference and is therefore
-    independent of e_phi by construction.
+    b holds the decoy bounds of the per-arm channel: decoy_bounds of
+    ChannelErrorModel(eta_hat=arm_t, p_dc=p_dc, e_theta, e_phi), as each
+    party sends half of each decoy intensity; only its phase-error side
+    sees the interferometric errors e_theta + e_phi.  The four send
+    patterns weight the click model by the sending choices: the
+    mu_z/mu_z, mu_z/mu_0 and mu_0/mu_0 clicks come from one call, and the
+    not-send/send pattern shares the symmetric mu_z/mu_0 entry.  The
+    bit-flip error e_z involves no interference and is therefore
+    independent of e_phi by construction.  At arm_t = 0, where a sweep's
+    loss underflows, only dark counts click.
     """
-    if not _within(arm_t, 0.0, 1.0, lo_open=True):
-        raise DomainError("arm transmittance must lie in (0, 1]")
-    clicks = _clicks(p, arm_t, det.p_dc)
-    m = ChannelErrorModel(eta_hat=arm_t, p_dc=det.p_dc, e_theta=e_theta, e_phi=e_phi)
-    return _window_stats(p, clicks, decoy_bounds(decoys, m))
-
-
-def _clicks(p: SnsParams, arm_t, p_dc: float):
-    """Clicks of the mu_z/mu_z, mu_z/mu_0 and mu_0/mu_0 patterns in one call;
-    the not-send/send pattern shares the symmetric mu_z/mu_0 entry.  A
-    sweep passes arm_t = 0 where the loss underflows, and gets no clicks
-    but dark counts there."""
     column = (3,) + (1,) * np.ndim(arm_t)
-    return effective_click_probability(np.array((p.mu_z, p.mu_z, p.mu_0)).reshape(column),
-                                       np.array((p.mu_z, p.mu_0, p.mu_0)).reshape(column),
-                                       arm_t, p_dc)
-
-
-def _window_stats(p: SnsParams, clicks, b) -> SnsWindowStats:
-    """The statistics from _clicks and the per-arm channel's bounds b."""
+    clicks = effective_click_probability(np.array((p.mu_z, p.mu_z, p.mu_0)).reshape(column),
+                                         np.array((p.mu_z, p.mu_0, p.mu_0)).reshape(column),
+                                         arm_t, p_dc)
     eps = p.epsilon
     n_ss = eps**2 * clicks[0]
     n_sn = n_ns = eps * (1 - eps) * clicks[1]
@@ -212,23 +193,15 @@ def aopp_transform(s: SnsWindowStats) -> AoppStats:
         e1ph_prime=s.e1ph_up, pair_rate=np.where(paired, pairs, 0.0)))
 
 
-def _rate(n1, e1ph, n_t, e_z, p: SnsParams, f_ec: float):
-    """p_z^2 times the decoy-state key form that BB84 shares."""
-    return _scalars(p.p_z**2 * _key(n1, e1ph, n_t, e_z, f_ec))
-
-
-def _terms(s):
-    """_rate's (n1, e1ph, n_t, e_z) of SnsWindowStats or AoppStats."""
-    if isinstance(s, AoppStats):
-        return s.n1_prime, s.e1ph_prime, s.n_t_prime, s.e_z_prime
-    return np.where(s.decoy_ok, s.n1_low, 0.0), s.e1ph_up, s.n_t, s.e_z
-
-
 def sns_rate(s: SnsWindowStats, p: SnsParams, f_ec: float):
-    """Plain protocol secret key per transmitted signal, floored at 0."""
-    return _rate(*_terms(s), p, f_ec)
+    """Plain protocol secret key per transmitted signal, floored at 0:
+    p_z^2 times the decoy-state key form that BB84 shares, with no
+    single photons where the decoy estimation failed."""
+    return _scalars(p.p_z**2 * _key(np.where(s.decoy_ok, s.n1_low, 0.0), s.e1ph_up,
+                                    s.n_t, s.e_z, f_ec))
 
 
 def sns_aopp_rate(a: AoppStats, p: SnsParams, f_ec: float):
-    """Secret key per transmitted signal after odd-parity pairing."""
-    return _rate(*_terms(a), p, f_ec)
+    """Secret key per transmitted signal after odd-parity pairing: the
+    same key form on the paired statistics."""
+    return _scalars(p.p_z**2 * _key(a.n1_prime, a.e1ph_prime, a.n_t_prime, a.e_z_prime, f_ec))

@@ -218,7 +218,8 @@ def test_criterion_6_phase_noise_asymmetry():
     arm_t = 0.03
     p = SnsParams()
     e_phi_grid = (0.0, 0.005, 0.01, 0.05, 0.1, 0.2)
-    stats = [sns_window_stats(p, DecoySet(), arm_t, SNSPD, e_phi=e) for e in e_phi_grid]
+    stats = [sns_window_stats(p, decoy_bounds(DecoySet(), ChannelErrorModel(
+        eta_hat=arm_t, p_dc=SNSPD.p_dc, e_phi=e)), arm_t, SNSPD.p_dc) for e in e_phi_grid]
     # bit-flip error exactly invariant in the phase-noise QBER
     assert len({s.e_z for s in stats}) == 1
     # phase-error bound strictly increasing in it

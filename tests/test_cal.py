@@ -13,11 +13,13 @@ from hypothesis import strategies as st
 from tfqkd import (
     CalChannel,
     CalParams,
+    CalStats,
     DomainError,
     cal_bit_error,
     cal_gain,
     cal_phase_error,
     cal_rate,
+    cal_stats,
     fock_bs_distribution,
     fock_pair_yield,
     make_cal_channel,
@@ -367,7 +369,7 @@ class TestRate:
     def test_zero_when_bracket_negative(self):
         # heavy phase noise pushes e_x high enough to kill the bracket
         ch = make_cal_channel(1e-4, CAL, sigma_phi=1.2, theta=0.28)
-        assert cal_rate(CAL, ch, 1e-6, F_EC) == 0.0
+        assert cal_rate(cal_stats(CAL, ch, 1e-6), F_EC) == 0.0
 
     def test_sigma_enters_only_via_bit_error(self):
         p_d = 1e-8
@@ -376,13 +378,31 @@ class TestRate:
             ch_b = make_cal_channel(0.03, CAL, sigma_phi=sig_b, theta=0.28)
             assert cal_phase_error(CAL, ch_a, p_d) == cal_phase_error(CAL, ch_b, p_d)
             assert cal_bit_error(ch_a, p_d) < cal_bit_error(ch_b, p_d)
-            assert cal_rate(CAL, ch_a, p_d, F_EC) > cal_rate(CAL, ch_b, p_d, F_EC)
+            assert (cal_rate(cal_stats(CAL, ch_a, p_d), F_EC)
+                    > cal_rate(cal_stats(CAL, ch_b, p_d), F_EC))
 
     def test_positive_at_moderate_loss(self):
         ch = make_cal_channel(0.03, CAL, sigma_phi=0.0632, theta=0.28)
-        assert cal_rate(CAL, ch, 1e-8, F_EC) > 0.0
+        assert cal_rate(cal_stats(CAL, ch, 1e-8), F_EC) > 0.0
 
     def test_rejects_f_ec_below_one(self):
         ch = make_cal_channel(0.03, CAL, sigma_phi=0.0632, theta=0.28)
         with pytest.raises(DomainError):
-            cal_rate(CAL, ch, 1e-8, 0.99)
+            cal_rate(cal_stats(CAL, ch, 1e-8), 0.99)
+
+
+class TestStats:
+    def test_the_three_kernels_where_there_is_gain(self):
+        ch = make_cal_channel(0.03, CAL, sigma_phi=0.0632, theta=0.28)
+        assert cal_stats(CAL, ch, 1e-8) == CalStats(
+            gain=cal_gain(ch, 1e-8), e_x=cal_bit_error(ch, 1e-8),
+            e_z_bound=cal_phase_error(CAL, ch, 1e-8))
+
+    @pytest.mark.parametrize("arm_t", [0.0, np.zeros(2)], ids=["float", "array"])
+    def test_errors_read_0_and_1_without_gain(self, arm_t):
+        # a dark-free detector at zero transmittance has no gain: both
+        # errors are undefined there and read 0 and 1, and there is no key
+        c = cal_stats(CAL, make_cal_channel(arm_t, CAL, sigma_phi=0.2), 0.0)
+        assert type(c.e_x) is type(c.e_z_bound) is type(arm_t)
+        assert np.all(c.gain == 0.0) and np.all(c.e_x == 0.0) and np.all(c.e_z_bound == 1.0)
+        assert np.all(cal_rate(c, F_EC) == 0.0)

@@ -154,35 +154,35 @@ class TestBinaryEntropy:
 class TestBb84Rate:
     def test_saturated_phase_error_kills_rate(self):
         m = ChannelErrorModel(eta_hat=9e-5, p_dc=1e-8, e_theta=0.0, e_phi=0.5)
-        assert bb84_rate(DEFAULTS, m, F_EC) == 0.0
+        assert bb84_rate(decoy_bounds(DEFAULTS, m), F_EC) == 0.0
 
     def test_noise_free_positive_across_loss(self):
         for eta in np.geomspace(1e-6, 1.0, 16):
             m = ChannelErrorModel(eta_hat=eta, p_dc=0.0, e_theta=0.0, e_phi=0.0)
-            assert bb84_rate(DEFAULTS, m, F_EC) > 0.0
+            assert bb84_rate(decoy_bounds(DEFAULTS, m), F_EC) > 0.0
 
     def test_monotone_in_darks_and_phase_noise(self):
-        base = bb84_rate(DEFAULTS, model(p_dc=1e-8), F_EC)
+        base = bb84_rate(decoy_bounds(DEFAULTS, model(p_dc=1e-8)), F_EC)
         for pdc in (1e-7, 1e-6, 1e-5):
-            assert bb84_rate(DEFAULTS, model(p_dc=pdc), F_EC) <= base + 1e-18
-        prev = bb84_rate(DEFAULTS, model(e_phi=0.0), F_EC)
+            assert bb84_rate(decoy_bounds(DEFAULTS, model(p_dc=pdc)), F_EC) <= base + 1e-18
+        prev = bb84_rate(decoy_bounds(DEFAULTS, model(e_phi=0.0)), F_EC)
         for eph in (0.01, 0.05, 0.1, 0.3):
-            cur = bb84_rate(DEFAULTS, model(e_phi=eph), F_EC)
+            cur = bb84_rate(decoy_bounds(DEFAULTS, model(e_phi=eph)), F_EC)
             assert cur <= prev + 1e-18
             prev = cur
 
     def test_rejects_f_ec_below_one(self):
         with pytest.raises(DomainError):
-            bb84_rate(DEFAULTS, model(), 0.99)
+            bb84_rate(decoy_bounds(DEFAULTS, model()), 0.99)
 
     def test_masked_points_mask_every_array_field(self):
         # a point without gain beside array error terms: only eta_hat was
         # masked, so the other arrays kept both points and raised ValueError
         m = ChannelErrorModel(eta_hat=np.array([0.0, 0.5]), p_dc=0.0,
                               e_phi=np.array([0.01, 0.02]))
-        key = bb84_rate(DecoySet(), m, 1.15)
+        key = bb84_rate(decoy_bounds(DecoySet(), m), 1.15)
         assert key[0] == 0.0
-        assert key[1] == bb84_rate(DecoySet(), ChannelErrorModel(eta_hat=0.5, p_dc=0.0,
-                                                                 e_phi=0.02), 1.15)
+        point = ChannelErrorModel(eta_hat=0.5, p_dc=0.0, e_phi=0.02)
+        assert key[1] == bb84_rate(decoy_bounds(DecoySet(), point), 1.15)
         wide = ChannelErrorModel(eta_hat=0.0, p_dc=0.0, e_theta=np.array([0.01, 0.02]))
-        assert bb84_rate(DecoySet(), wide, 1.15).tolist() == [0.0, 0.0]
+        assert bb84_rate(decoy_bounds(DecoySet(), wide), 1.15).tolist() == [0.0, 0.0]

@@ -62,7 +62,7 @@ INPUTS = (
     FullConfig(topology=TopologyConfig()),
 )
 # records only the library builds, and the phase law without fields
-UNCHECKED = {"DecoyBounds", "SnsWindowStats", "AoppStats", "FockYield", "McClickStats",
+UNCHECKED = {"DecoyBounds", "SnsWindowStats", "AoppStats", "FockYield", "CalStats", "McClickStats",
              "Spectrum", "SigmaMap", "SweepRow", "SweepTable", "UniformRandomized"}
 
 PROBES = {"str": "x", "bool": True, "None": None, "inf": math.inf, "-inf": -math.inf,

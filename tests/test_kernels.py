@@ -27,6 +27,7 @@ from tfqkd import (
     cal_gain,
     cal_phase_error,
     cal_rate,
+    cal_stats,
     decoy_bounds,
     duty_cycle,
     effective_click_probability,
@@ -38,6 +39,7 @@ from tfqkd import (
     link_from_attenuation,
     make_cal_channel,
     mc_click_stats,
+    phase_variance,
     plob_bound,
     poisson_true_yields,
     poisson_yield_gain,
@@ -64,17 +66,18 @@ def _cal_channel(eta):
 
 
 def _stats(eta):
-    return sns_window_stats(SnsParams(), DecoySet(), eta, SNSPD, e_phi=0.01)
+    # the per-arm channel's bounds, as a sweep passes them
+    return sns_window_stats(SnsParams(), decoy_bounds(DecoySet(), _model(eta)), eta, P_DC)
 
 
-# the 17 public kernels, each as a function of one transmittance
+# the 18 public kernels, each as a function of one transmittance
 KERNELS = {
     "binary_entropy": binary_entropy,
     "gain": lambda t: gain(0.4, _model(t)),
     "error_gain": lambda t: error_gain(0.4, _model(t)),
     "qber": lambda t: qber(0.4, _model(t)),
     "decoy_bounds": lambda t: decoy_bounds(DecoySet(), _model(t)),
-    "bb84_rate": lambda t: bb84_rate(DecoySet(), _model(t), F_EC),
+    "bb84_rate": lambda t: bb84_rate(decoy_bounds(DecoySet(), _model(t)), F_EC),
     "effective_click_probability": lambda t: effective_click_probability(0.2, 5e-6, t, P_DC),
     "sns_window_stats": _stats,
     "aopp_transform": lambda t: aopp_transform(_stats(t)),
@@ -84,7 +87,8 @@ KERNELS = {
     "cal_bit_error": lambda t: cal_bit_error(_cal_channel(t), P_DC),
     "fock_pair_yield": lambda t: fock_pair_yield(2, 2, t, P_DC),
     "cal_phase_error": lambda t: cal_phase_error(CalParams(), _cal_channel(t), P_DC),
-    "cal_rate": lambda t: cal_rate(CalParams(), _cal_channel(t), P_DC, F_EC),
+    "cal_stats": lambda t: cal_stats(CalParams(), _cal_channel(t), P_DC),
+    "cal_rate": lambda t: cal_rate(cal_stats(CalParams(), _cal_channel(t), P_DC), F_EC),
     "plob_bound": plob_bound,
 }
 
@@ -118,13 +122,13 @@ def test_rates_without_gain_are_zero_element_for_element():
     dark_free = DetectorParams(eta_d=1.0, dark_rate=0.0)
     m = ChannelErrorModel(eta_hat=np.array(etas), p_dc=dark_free.p_dc)
     ch = make_cal_channel(np.array(etas), CalParams(), sigma_phi=0.2)
-    rates = {"bb84": bb84_rate(DecoySet(), m, F_EC),
-             "cal": cal_rate(CalParams(), ch, dark_free.p_dc, F_EC)}
+    rates = {"bb84": bb84_rate(decoy_bounds(DecoySet(), m), F_EC),
+             "cal": cal_rate(cal_stats(CalParams(), ch, dark_free.p_dc), F_EC)}
     points = {
-        "bb84": [bb84_rate(DecoySet(), dataclasses.replace(m, eta_hat=t), F_EC)
+        "bb84": [bb84_rate(decoy_bounds(DecoySet(), dataclasses.replace(m, eta_hat=t)), F_EC)
                  for t in etas],
-        "cal": [cal_rate(CalParams(), make_cal_channel(t, CalParams(), sigma_phi=0.2),
-                         dark_free.p_dc, F_EC) for t in etas]}
+        "cal": [cal_rate(cal_stats(CalParams(), make_cal_channel(t, CalParams(), sigma_phi=0.2),
+                                   dark_free.p_dc), F_EC) for t in etas]}
     for name, batch in rates.items():
         assert batch.tolist() == points[name]
         assert batch[0] == batch[2] == 0.0 and batch[1] > 0.0
@@ -150,7 +154,8 @@ RANGE_CHECKS = {
     # 600 photons per arm reach the detectors as t * 600 > 500 above t = 5/6
     "effective_click_probability photons": (
         lambda v: effective_click_probability(600.0, 600.0, v, P_DC), 0.5, (0.9, 1.0)),
-    "sns_window_stats": (lambda v: _stats(v), 0.5, UNIT + (0.0,)),
+    "sns_window_stats": (lambda v: sns_window_stats(
+        SnsParams(), decoy_bounds(DecoySet(), _model(0.5)), v, P_DC), 0.5, UNIT),
     "CalChannel.gamma": (lambda v: CalChannel(gamma=v), 0.5, (np.nan, np.inf, -np.inf, -0.5)),
     "make_cal_channel": (lambda v: make_cal_channel(v, CalParams()), 0.5, UNIT),
     "cal_bit_error at zero gain": (lambda v: cal_bit_error(CalChannel(gamma=v), 0.0), 0.01,
@@ -220,9 +225,49 @@ def test_non_finite_intensities_windows_and_variances_raise(name, value):
 
 _MC = (0.1, 0.1, 0.5, 1e-6, McConfig(samples=10))
 _NOT_REALS = ("0.1", None, True, np.array([0.1, 0.2]))
+_NOT_REALS_OR_ARRAYS = _NOT_REALS[:-1]  # for an argument that also takes an array
 _NOT_COUNTS = (1.5, 1.0, -1, "1", None, True, np.array([1, 2]))
-# the oracle's arguments: (call, the argument's name, wrong-typed values)
+# the kernels' and the oracle's arguments: (call, the argument's name,
+# wrong-typed values)
 WRONG_TYPE_ARGS = {
+    "binary_entropy p": (binary_entropy, "p", _NOT_REALS_OR_ARRAYS),
+    "gain mu": (lambda v: gain(v, _model(0.5)), "mu", _NOT_REALS_OR_ARRAYS),
+    "error_gain mu": (lambda v: error_gain(v, _model(0.5)), "mu", _NOT_REALS_OR_ARRAYS),
+    "effective_click_probability mu_a": (
+        lambda v: effective_click_probability(v, 0.1, 0.5, 1e-6), "mu_a", _NOT_REALS_OR_ARRAYS),
+    "effective_click_probability mu_b": (
+        lambda v: effective_click_probability(0.1, v, 0.5, 1e-6), "mu_b", _NOT_REALS_OR_ARRAYS),
+    "effective_click_probability arm_t": (
+        lambda v: effective_click_probability(0.1, 0.1, v, 1e-6), "arm_t", _NOT_REALS_OR_ARRAYS),
+    "effective_click_probability p_dc": (
+        lambda v: effective_click_probability(0.1, 0.1, 0.5, v), "p_dc", _NOT_REALS),
+    "make_cal_channel arm_t": (lambda v: make_cal_channel(v, CalParams()), "arm_t",
+                               _NOT_REALS_OR_ARRAYS),
+    "cal_gain p_d": (lambda v: cal_gain(_cal_channel(0.5), v), "p_d", _NOT_REALS),
+    "cal_bit_error p_d": (lambda v: cal_bit_error(_cal_channel(0.5), v), "p_d", _NOT_REALS),
+    "fock_pair_yield arm_t": (lambda v: fock_pair_yield(2, 2, v, P_DC), "arm_t",
+                              _NOT_REALS_OR_ARRAYS),
+    "fock_pair_yield p_d": (lambda v: fock_pair_yield(2, 2, 0.5, v), "p_d", _NOT_REALS),
+    "fock_pair_yield n_a": (lambda v: fock_pair_yield(v, 2, 0.5, P_DC), "n_a",
+                            _NOT_COUNTS + (7,)),
+    "fock_pair_yield n_b": (lambda v: fock_pair_yield(2, v, 0.5, P_DC), "n_b", _NOT_COUNTS),
+    "bb84_rate f_ec": (lambda v: bb84_rate(decoy_bounds(DecoySet(), _model(0.5)), v), "f_ec",
+                       _NOT_REALS + (0.99,)),
+    "sns_rate f_ec": (lambda v: sns_rate(_stats(0.5), SnsParams(), v), "f_ec", _NOT_REALS),
+    "cal_rate f_ec": (lambda v: cal_rate(cal_stats(CalParams(), _cal_channel(0.5), P_DC), v),
+                      "f_ec", _NOT_REALS),
+    "link_from_attenuation total_db": (link_from_attenuation, "total_db",
+                                       _NOT_REALS_OR_ARRAYS + (["3"],)),
+    "effective_transmittance eta": (lambda v: effective_transmittance(v, SNSPD), "eta",
+                                    _NOT_REALS_OR_ARRAYS),
+    "arm_transmittance eta_hat": (arm_transmittance, "eta_hat", _NOT_REALS_OR_ARRAYS),
+    "plob_bound eta": (plob_bound, "eta", _NOT_REALS_OR_ARRAYS),
+    "phase_variance tau_q": (lambda v: phase_variance(lambda f: f ** -2.0, v), "tau_q",
+                             _NOT_REALS),
+    "qber_from_variance sigma2": (qber_from_variance, "sigma2", _NOT_REALS),
+    "qber_small_angle sigma2": (qber_small_angle, "sigma2", _NOT_REALS),
+    "duty_cycle tau_q": (lambda v: duty_cycle(v, 1e-3), "tau_q", _NOT_REALS),
+    "duty_cycle tau_ps": (lambda v: duty_cycle(1e-3, v), "tau_ps", _NOT_REALS),
     "mc_click_stats mu_a": (lambda v: mc_click_stats(v, *_MC[1:]), "mu_a", _NOT_REALS),
     "mc_click_stats mu_b": (lambda v: mc_click_stats(*_MC[:1], v, *_MC[2:]), "mu_b", _NOT_REALS),
     "mc_click_stats arm_t": (lambda v: mc_click_stats(*_MC[:2], v, *_MC[3:]), "arm_t",
@@ -243,12 +288,31 @@ WRONG_TYPE_ARGS = {
 
 @pytest.mark.parametrize("name", WRONG_TYPE_ARGS)
 def test_wrong_typed_oracle_arguments_raise_naming_the_argument(name):
-    # each raised a bare TypeError or ValueError, or (a fractional or
-    # boolean photon number, a boolean intensity) returned a value
+    # each raised a bare TypeError or ValueError (a string intensity or
+    # transmittance numpy's UFuncTypeError), or (a fractional or boolean
+    # photon number, a boolean intensity, probability, variance, window or
+    # inefficiency, a string attenuation) returned a value
     call, arg, values = WRONG_TYPE_ARGS[name]
     for v in values:
         with pytest.raises(DomainError, match=f"^{arg} must be"):
             call(v)
+
+
+def test_kernels_take_numpy_and_integer_scalars_and_sequences():
+    # the values the checked arguments took before, with the same bytes
+    m = _model(0.5)
+    assert gain(np.float64(0.4), m) == gain(0.4, m) and gain(1, m) == gain(1.0, m)
+    assert error_gain(np.array(0.4), m) == error_gain(0.4, m)
+    assert binary_entropy(np.float64(0.25)) == binary_entropy(0.25)
+    assert effective_click_probability(1, 0, np.float64(0.5), 0) == \
+        effective_click_probability(1.0, 0.0, 0.5, 0.0)
+    assert duty_cycle(np.float64(1e-3), 1) == duty_cycle(1e-3, 1.0)
+    assert qber_from_variance(1) == qber_from_variance(1.0)
+    assert link_from_attenuation(np.inf) == 0.0
+    assert link_from_attenuation([3, 10.0]).tolist() == [link_from_attenuation(3.0),
+                                                         link_from_attenuation(10.0)]
+    assert arm_transmittance((0.25, 1)).tolist() == [0.5, 1.0]
+    assert plob_bound(np.arange(1)).tolist() == [0.0]
 
 
 def test_oracle_takes_numpy_and_integer_scalars():

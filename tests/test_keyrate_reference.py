@@ -23,6 +23,7 @@ from tfqkd import (
     aopp_transform,
     bb84_rate,
     cal_rate,
+    cal_stats,
     decoy_bounds,
     effective_click_probability,
     make_cal_channel,
@@ -33,9 +34,6 @@ from tfqkd import (
     sns_rate,
     sns_window_stats,
 )
-from tfqkd import cal_bit_error as lib_bit_error
-from tfqkd import cal_gain as lib_cal_gain
-from tfqkd import cal_phase_error as lib_phase_error
 
 PROT = ProtocolParams()
 # 0-105 dB in 0.5 dB steps: the golden sweeps' range and past every cut-off
@@ -117,7 +115,8 @@ def test_window_stats_and_pairing_on_random_points():
     for _, t, p in random_points():
         det = DetectorParams(eta_d=1.0, dark_rate=p * 1e9, clock_rate=1e9)
         e_phi = float(rng.uniform(0.0, 0.05))
-        s = sns_window_stats(PROT.sns, PROT.decoys, t, det, e_phi=e_phi)
+        m = ChannelErrorModel(eta_hat=t, p_dc=det.p_dc, e_phi=e_phi)
+        s = sns_window_stats(PROT.sns, decoy_bounds(PROT.decoys, m), t, det.p_dc)
         a = aopp_transform(s)
         ref = sns(PROT.sns, PROT.decoys, t, det.p_dc, e_phi, 0.02, PROT.f_ec)
         got = {"n_t": s.n_t, "e_z": s.e_z, "aopp_e_z": a.e_z_prime, "n1": s.n1_low,
@@ -147,7 +146,7 @@ def test_bb84_over_attenuation():
             assert rel_err(b.y1_low, ref["y1"]) <= 1.5e-14
             assert rel_err(b.e1ph_up, ref["e1"]) <= 1.5e-14
         key, scale = bb84_key(ref, PROT.f_ec)
-        value = bb84_rate(s, m, PROT.f_ec)
+        value = bb84_rate(b, PROT.f_ec)
         assert value == key == 0 or rel_err(value, key, scale) <= 2e-14
 
 
@@ -162,9 +161,10 @@ def test_cal_over_attenuation(sigma_phi):
         p_xx = cal_gain(ch.gamma, sigma_phi, theta, det.p_dc)
         e_x = cal_bit_error(ch.gamma, sigma_phi, theta, det.p_dc)
         e_z = cal_phase_error(cp, ch.gamma, theta, det.p_dc)
-        assert rel_err(lib_cal_gain(ch, det.p_dc), p_xx) <= 3e-15
-        assert rel_err(lib_bit_error(ch, det.p_dc), e_x) <= 3e-15
-        assert rel_err(lib_phase_error(cp, ch, det.p_dc), e_z) <= 3e-15
+        c = cal_stats(cp, ch, det.p_dc)
+        assert rel_err(c.gain, p_xx) <= 3e-15
+        assert rel_err(c.e_x, e_x) <= 3e-15
+        assert rel_err(c.e_z_bound, e_z) <= 3e-15
         key, scale = cal_key(p_xx, e_x, e_z, PROT.f_ec)
-        value = cal_rate(cp, ch, det.p_dc, PROT.f_ec)
+        value = cal_rate(c, PROT.f_ec)
         assert value == key == 0 or rel_err(value, key, scale) <= 2e-14

@@ -31,6 +31,7 @@ from tfqkd import (
     cal_gain,
     cal_phase_error,
     cal_rate,
+    cal_stats,
     decoy_bounds,
     dump_config,
     effective_transmittance,
@@ -49,7 +50,6 @@ from tfqkd import (
     solve_scenario,
     solve_tau_q,
 )
-from tfqkd import sns as sns_mod
 from tfqkd.cli import main as cli_main
 from tfqkd.scenarios import builtin_scenario
 
@@ -77,20 +77,15 @@ def scalar_point(sid, spec, x, det=None):
         m = ChannelErrorModel(eta_hat=eta_hat, p_dc=p_dc,
                               e_theta=prot.misalignment.e_theta, e_phi=op.e_phi)
         b = decoy_bounds(prot.decoys, m)
-        rates["bb84"] = bb84_rate(prot.decoys, m, prot.f_ec) * nu
+        rates["bb84"] = bb84_rate(b, prot.f_ec) * nu
         diag["bb84_gain_u"] = b.q_u
         diag["bb84_qber_u"] = qber(prot.decoys.u, m) if b.q_u > 0 else 0.0
         if not b.ok:
             flags.append("bb84_estimation_failed")
     if "sns" in spec.protocols or "sns_aopp" in spec.protocols:
-        if arm_t > 0.0:
-            s = sns_window_stats(prot.sns, prot.decoys, arm_t, det, e_phi=op.e_phi,
-                                 e_theta=prot.misalignment.e_theta)
-        else:  # sns_window_stats takes arm_t in (0, 1]; its steps take the 0 of a sweep
-            m = ChannelErrorModel(eta_hat=arm_t, p_dc=p_dc,
-                                  e_theta=prot.misalignment.e_theta, e_phi=op.e_phi)
-            s = sns_mod._window_stats(prot.sns, sns_mod._clicks(prot.sns, arm_t, p_dc),
-                                      decoy_bounds(prot.decoys, m))
+        m = ChannelErrorModel(eta_hat=arm_t, p_dc=p_dc,
+                              e_theta=prot.misalignment.e_theta, e_phi=op.e_phi)
+        s = sns_window_stats(prot.sns, decoy_bounds(prot.decoys, m), arm_t, p_dc)
         diag.update(sns_n_t=s.n_t, sns_e_z=s.e_z, sns_n1_low=s.n1_low,
                     sns_e1ph_up=s.e1ph_up)
         if not s.decoy_ok:
@@ -106,7 +101,7 @@ def scalar_point(sid, spec, x, det=None):
                               theta=prot.misalignment.theta)
         p_xx = cal_gain(ch, p_dc)
         keyed = p_xx > 0.0
-        rates["cal"] = cal_rate(prot.cal, ch, p_dc, prot.f_ec) * duty * nu
+        rates["cal"] = cal_rate(cal_stats(prot.cal, ch, p_dc), prot.f_ec) * duty * nu
         diag["cal_gain"] = p_xx
         diag["cal_e_x"] = cal_bit_error(ch, p_dc) if keyed else 0.0
         diag["cal_e_z_bound"] = cal_phase_error(prot.cal, ch, p_dc) if keyed else 1.0
@@ -258,10 +253,10 @@ class TestRunSweep:
             assert r.rates["cal"] > 0.0  # unaffected protocol keeps running
 
     def test_kernel_calls_do_not_grow_with_points(self, monkeypatch):
-        # a sweep evaluates each kernel once over a stacked (intensity,
-        # channel or protocol) x grid array: every function of the link and
-        # protocol modules is called as often for 11 points as for 101, and
-        # the public kernels exactly as often as listed; the grid reaches the
+        # a sweep evaluates each kernel once over a stacked (intensity or
+        # channel) x grid array: every function of the link and protocol
+        # modules is called as often for 11 points as for 101, and the
+        # public kernels exactly as often as listed; the grid reaches the
         # losses where BB84 has no key
         import inspect
 
@@ -271,6 +266,14 @@ class TestRunSweep:
         import tfqkd.scenarios as scen_mod
         import tfqkd.sns as sns_mod
 
+        # the sweep runs public protocol functions only: scenarios holds no
+        # private name of decoy, sns or cal, nor one of those modules to
+        # reach a private name through
+        protocol = (cal_mod, decoy_mod, sns_mod)
+        private = [v for m in protocol for k, v in vars(m).items()
+                   if k.startswith("_") and not k.startswith("__")]
+        assert [k for k, v in vars(scen_mod).items()
+                if any(v is x for x in protocol + tuple(private))] == []
         holders = (cal_mod, decoy_mod, link_mod, scen_mod, sns_mod)
         calls: dict = {}
 
@@ -304,21 +307,21 @@ class TestRunSweep:
             # one set of bounds stacked over BB84's channel and SNS's per-arm
             # channel, with one gain and one error-gain call over the
             # intensities, which carries BB84's QBER; one entropy call per
-            # protocol
+            # key: BB84, plain SNS, paired SNS and CAL
             "tfqkd.decoy.decoy_bounds": 1,
             "tfqkd.decoy.gain": 1, "tfqkd.decoy.error_gain": 1,
-            "tfqkd.decoy.binary_entropy": 3,
-            # sns: the three send patterns in one call; the window statistics
-            # and both rates through the private steps that sns_window_stats,
-            # sns_rate and sns_aopp_rate run, plain and paired in one pass
-            "tfqkd.sns.effective_click_probability": 1, "tfqkd.sns.aopp_transform": 1,
+            "tfqkd.decoy.binary_entropy": 4, "tfqkd.decoy.bb84_rate": 1,
+            # sns: the window statistics with the three send patterns in one
+            # click call, and each key from them
+            "tfqkd.sns.sns_window_stats": 1, "tfqkd.sns.effective_click_probability": 1,
+            "tfqkd.sns.aopp_transform": 1, "tfqkd.sns.sns_rate": 1,
+            "tfqkd.sns.sns_aopp_rate": 1,
             # cal: one gain, bit error and phase-error bound for the rate and
             # the diagnostics; the bound reads its c-only yields without
             # fock_pair_yield, and its aligned gain is the second cal_gain
-            "tfqkd.cal.make_cal_channel": 1, "tfqkd.cal.cal_gain": 2,
-            "tfqkd.cal.cal_bit_error": 1, "tfqkd.cal.cal_phase_error": 1}
-        assert per_sweep[0]["tfqkd.sns._window_stats"] == 1
-        assert per_sweep[0]["tfqkd.sns._rate"] == 1
+            "tfqkd.cal.make_cal_channel": 1, "tfqkd.cal.cal_stats": 1,
+            "tfqkd.cal.cal_gain": 2, "tfqkd.cal.cal_bit_error": 1,
+            "tfqkd.cal.cal_phase_error": 1, "tfqkd.cal.cal_rate": 1}
         # one survivor polynomial per distinct c-only yield: the (0, 2) and
         # (2, 0) inputs share theirs; the powers of t are taken once for all
         assert per_sweep[0]["tfqkd.cal._survivors"] == 4
@@ -362,6 +365,25 @@ class TestRunSweep:
                         sid, spec, row.x, det=dark_free)
         assert not gains[0].all() and gains[0].any()
         assert gains[1].all() and not gains[2].any()
+
+    @pytest.mark.parametrize("detector", [SNSPD, DetectorParams(eta_d=0.8, dark_rate=0.0)],
+                             ids=["snspd", "dark-free"])
+    def test_underflow_points_have_the_window_stats_at_zero(self, detector):
+        # from about 3240 dB the arm transmittance underflows to 0: the
+        # sweep's SNS columns there are sns_window_stats at arm_t = 0, as a
+        # float and in an array
+        table = run_sweep(2, SweepSpec(start=3250.0, stop=3300.0, step=25.0), detector=detector)
+        op, prot, n = table.operating_point, ProtocolParams(), len(table)
+        for arm_t in (0.0, np.zeros(n)):
+            m = ChannelErrorModel(eta_hat=arm_t, p_dc=detector.p_dc,
+                                  e_theta=prot.misalignment.e_theta, e_phi=op.e_phi)
+            s = sns_window_stats(prot.sns, decoy_bounds(prot.decoys, m), arm_t, detector.p_dc)
+            columns = {"sns_n_t": s.n_t, "sns_e_z": s.e_z, "sns_n1_low": s.n1_low,
+                       "sns_e1ph_up": s.e1ph_up, "sns_aopp_e_z": aopp_transform(s).e_z_prime}
+            for name, value in columns.items():
+                assert table.diagnostics[name].tolist() == np.broadcast_to(value, n).tolist()
+            assert table.flags["sns_estimation_failed"].tolist() == np.broadcast_to(
+                np.logical_not(s.decoy_ok), n).tolist()
 
     def test_edge_grid(self):
         # 0 dB (eta = 1, an infinite PLOB bound) to 200 dB with warnings as

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tfqkd import (
+    ChannelErrorModel,
     DecoySet,
     DetectorParams,
     DomainError,
@@ -12,6 +13,7 @@ from tfqkd import (
     SnsParams,
     SnsWindowStats,
     aopp_transform,
+    decoy_bounds,
     effective_click_probability,
     mc_click_stats,
     sns_aopp_rate,
@@ -23,6 +25,13 @@ P = SnsParams()
 DECOYS = DecoySet()
 F_EC = 1.15
 NO_DARKS = DetectorParams(eta_d=0.9, dark_rate=1e-12, clock_rate=1e9)
+DARK_FREE = DetectorParams(eta_d=0.9, dark_rate=0.0)
+
+
+def window_stats(p, arm_t, e_phi, det=SNSPD):
+    """sns_window_stats on the per-arm channel's decoy bounds."""
+    m = ChannelErrorModel(eta_hat=arm_t, p_dc=det.p_dc, e_phi=e_phi)
+    return sns_window_stats(p, decoy_bounds(DECOYS, m), arm_t, det.p_dc)
 
 
 class TestEffectiveClickProbability:
@@ -62,32 +71,49 @@ class TestEffectiveClickProbability:
 
 class TestWindowStats:
     def test_rates_sum_to_total(self):
-        s = sns_window_stats(P, DECOYS, arm_t=0.03, det=SNSPD, e_phi=0.01)
+        s = window_stats(P, 0.03, e_phi=0.01)
         assert s.n_ss + s.n_sn + s.n_ns + s.n_nn == pytest.approx(s.n_t, abs=1e-15)
 
     def test_bit_flip_error_composition(self):
-        s = sns_window_stats(P, DECOYS, arm_t=0.03, det=SNSPD, e_phi=0.01)
+        s = window_stats(P, 0.03, e_phi=0.01)
         assert s.e_z == pytest.approx((s.n_ss + s.n_nn) / s.n_t, rel=1e-12)
 
     def test_e_z_invariant_in_phase_noise(self):
-        ref = sns_window_stats(P, DECOYS, 0.03, SNSPD, e_phi=0.0)
+        ref = window_stats(P, 0.03, e_phi=0.0)
         for e_phi in (0.005, 0.01, 0.05, 0.2):
-            s = sns_window_stats(P, DECOYS, 0.03, SNSPD, e_phi=e_phi)
+            s = window_stats(P, 0.03, e_phi=e_phi)
             assert s.e_z == ref.e_z  # exact equality, not approx
             assert s.n_t == ref.n_t
 
     def test_e1ph_monotone_in_phase_noise(self):
-        vals = [sns_window_stats(P, DECOYS, 0.03, SNSPD, e_phi=e).e1ph_up
+        vals = [window_stats(P, 0.03, e_phi=e).e1ph_up
                 for e in (0.0, 0.01, 0.05, 0.1, 0.2)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
     def test_untagged_bounded_by_singles(self):
-        s = sns_window_stats(P, DECOYS, 0.03, SNSPD, e_phi=0.01)
+        s = window_stats(P, 0.03, e_phi=0.01)
         assert 0.0 < s.n1_low <= s.n_sn + s.n_ns
 
     def test_rejects_bad_transmittance(self):
-        with pytest.raises(DomainError):
-            sns_window_stats(P, DECOYS, 0.0, SNSPD, e_phi=0.01)
+        b = decoy_bounds(DECOYS, ChannelErrorModel(eta_hat=0.03, p_dc=SNSPD.p_dc))
+        for arm_t in (-0.1, 1.5, np.nan):
+            with pytest.raises(DomainError, match="^arm_t must be"):
+                sns_window_stats(P, b, arm_t, SNSPD.p_dc)
+
+    @pytest.mark.parametrize("arm_t", [0.0, np.zeros(3)], ids=["float", "array"])
+    def test_zero_transmittance_clicks_dark_counts_only(self, arm_t):
+        # arm_t = 0, where a sweep's loss underflows: every send pattern
+        # clicks on dark counts alone, and without them there is no decoy
+        # estimate, no single photon and no key
+        eps = P.epsilon
+        for det in (SNSPD, DARK_FREE):
+            dark = effective_click_probability(0.0, 0.0, 0.5, det.p_dc)
+            s = window_stats(P, arm_t, e_phi=0.01, det=det)
+            assert np.all(s.n_ss == eps**2 * dark)
+            assert np.all(s.n_sn == eps * (1 - eps) * dark) and np.all(s.n_ns == s.n_sn)
+            assert np.all(s.n_nn == (1 - eps) ** 2 * dark)
+        assert not np.any(s.decoy_ok) and np.all(s.n1_low == 0.0) and np.all(s.n_t == 0.0)
+        assert np.all(sns_rate(s, P, F_EC) == 0.0)
 
 
 class TestAopp:
@@ -98,7 +124,7 @@ class TestAopp:
         assert a.e_z_prime == 0.0
 
     def test_balanced_strings_pair_everything(self):
-        s = sns_window_stats(P, DECOYS, 0.03, SNSPD, e_phi=0.01)
+        s = window_stats(P, 0.03, e_phi=0.01)
         a = aopp_transform(s)
         n0 = s.n_ss + s.n_ns
         n1 = s.n_sn + s.n_nn
@@ -113,7 +139,7 @@ class TestAopp:
         assert sns_aopp_rate(a, P, F_EC) == 0.0
 
     def test_pairing_rejects_errors(self):
-        s = sns_window_stats(P, DECOYS, 0.03, SNSPD, e_phi=0.01)
+        s = window_stats(P, 0.03, e_phi=0.01)
         a = aopp_transform(s)
         assert a.e_z_prime < s.e_z / 10.0
         assert a.n1_prime == pytest.approx(s.n1_low * a.n_t_prime / s.n_t, rel=1e-12)
@@ -124,11 +150,11 @@ class TestAopp:
         # protocol even when the plain sending probability is re-optimized
         arm_t = float(np.sqrt(1e-3 * 0.9))
         aopp = sns_aopp_rate(aopp_transform(
-            sns_window_stats(P, DECOYS, arm_t, SNSPD, e_phi=0.001)), P, F_EC)
+            window_stats(P, arm_t, e_phi=0.001)), P, F_EC)
         best_plain = 0.0
         for eps in np.linspace(0.01, 0.6, 40):
             p = SnsParams(epsilon=float(eps))
-            r = sns_rate(sns_window_stats(p, DECOYS, arm_t, SNSPD, e_phi=0.001), p, F_EC)
+            r = sns_rate(window_stats(p, arm_t, e_phi=0.001), p, F_EC)
             best_plain = max(best_plain, r)
         assert aopp >= best_plain
 
@@ -145,7 +171,7 @@ class TestRates:
         assert sns_rate(s, P, F_EC) == 0.0
 
     def test_rejects_f_ec_below_one(self):
-        s = sns_window_stats(P, DECOYS, 0.03, SNSPD, e_phi=0.01)
+        s = window_stats(P, 0.03, e_phi=0.01)
         with pytest.raises(DomainError):
             sns_rate(s, P, 0.99)
         with pytest.raises(DomainError):
@@ -155,17 +181,17 @@ class TestRates:
         arm_t = 0.03
         rates = []
         for e_phi in (0.0, 0.02, 0.05):
-            s = sns_window_stats(P, DECOYS, arm_t, SNSPD, e_phi=e_phi)
+            s = window_stats(P, arm_t, e_phi=e_phi)
             a = aopp_transform(s)
             rates.append(sns_aopp_rate(a, P, F_EC))
-            assert s.e_z == sns_window_stats(P, DECOYS, arm_t, SNSPD, e_phi=0.0).e_z
+            assert s.e_z == window_stats(P, arm_t, e_phi=0.0).e_z
         assert rates[0] > rates[1] > rates[2]
 
     def test_rate_decreases_with_attenuation(self):
         prev = np.inf
         for att in (20.0, 30.0, 40.0, 50.0, 60.0):
             arm_t = float(np.sqrt(10 ** (-att / 10.0) * 0.9))
-            a = aopp_transform(sns_window_stats(P, DECOYS, arm_t, SNSPD, e_phi=0.001))
+            a = aopp_transform(window_stats(P, arm_t, e_phi=0.001))
             r = sns_aopp_rate(a, P, F_EC)
             assert 0.0 <= r < prev
             prev = r

@@ -17,7 +17,6 @@ from tfqkd import (
     DecoySet,
     DomainError,
     SnsParams,
-    aopp_transform,
     binary_entropy,
     cal_gain,
     cal_phase_error,
@@ -26,14 +25,11 @@ from tfqkd import (
     error_gain,
     gain,
     qber,
-    sns_aopp_rate,
-    sns_rate,
     sns_window_stats,
 )
 from tfqkd import cal as cal_mod
 from tfqkd import sns as sns_mod
 from tfqkd.decoy import _entropies
-from tfqkd.link import DetectorParams
 from tfqkd.sns import MAX_DETECTED_PHOTONS
 
 # the ends of [0, 1], subnormals and the smallest normal, beside any value
@@ -135,6 +131,14 @@ def test_signal_qber_without_gain():
     assert e_u[0, 1] > 0.0 and e_u[1, 0] > 0.0
 
 
+def window_counts(p, arm_t, p_dc):
+    """The send patterns' click rates n_ss, n_sn and n_nn of
+    sns_window_stats, the sweep's call, on the per-arm channel's bounds."""
+    bounds = decoy_bounds(DecoySet(), ChannelErrorModel(eta_hat=arm_t, p_dc=p_dc))
+    s = sns_window_stats(p, bounds, arm_t, p_dc)
+    return s.n_ss, s.n_sn, s.n_nn
+
+
 @given(sns_params(), rows(positive), st.floats(0.0, 1e-3))
 @settings(max_examples=150, deadline=None)
 def test_clicks_stacked_over_send_patterns(p, fractions, p_dc):
@@ -144,15 +148,19 @@ def test_clicks_stacked_over_send_patterns(p, fractions, p_dc):
     stacked = outcome(lambda: effective_click_probability(
         np.reshape((p.mu_z, p.mu_z, p.mu_0), column), np.reshape((p.mu_z, p.mu_0, p.mu_0), column),
         arm_t, p_dc))
-    assert outcome(lambda: sns_mod._clicks(p, arm_t, p_dc)) == stacked  # the sweep's call
+    window = outcome(lambda: window_counts(p, arm_t, p_dc))
     alone = [outcome(lambda: effective_click_probability(mu_a, mu_b, arm_t, p_dc))
              for mu_a, mu_b in ((p.mu_z, p.mu_z), (p.mu_z, p.mu_0), (p.mu_0, p.mu_0))]
     if stacked[0] == "DomainError":
-        assert stacked in alone
+        assert stacked in alone and window == stacked
     else:
         (shape, data), = stacked
         width = len(data) // 3
         assert [[(shape[1:], data[i * width:(i + 1) * width])] for i in range(3)] == alone
+        # the window statistics weight the stacked entries by the sending choices
+        clicks, eps = np.frombuffer(data).reshape(shape), p.epsilon
+        assert window == outcome(lambda: (eps**2 * clicks[0], eps * (1 - eps) * clicks[1],
+                                          (1 - eps) ** 2 * clicks[2]))
 
 
 @given(rows(unit), st.data())
@@ -164,19 +172,6 @@ def test_paired_entropies(a, data):
     assert h_b.tobytes() == binary_entropy(b).tobytes()
     assert [float(h) for h in _entropies(float(a[0]), float(b[0]))] == [
         binary_entropy(float(a[0])), binary_entropy(float(b[0]))]
-
-
-@given(sns_params(), decoy_sets(), rows(st.floats(1e-6, 1.0)), st.floats(0.0, 0.5))
-@settings(max_examples=40, deadline=None)
-def test_plain_and_paired_rates_in_one_pass(p, s, arm_t, e_phi):
-    assume(MAX_DETECTED_PHOTONS / p.mu_z >= 1.0)
-    det = DetectorParams(eta_d=0.9, dark_rate=10.0)
-    stats = sns_window_stats(p, s, arm_t, det, e_phi)
-    aopp = aopp_transform(stats)
-    keys = sns_mod._rate(*map(np.stack, zip(sns_mod._terms(stats), sns_mod._terms(aopp))),
-                         p, 1.15)
-    assert keys[0].tobytes() == sns_rate(stats, p, 1.15).tobytes()
-    assert keys[1].tobytes() == sns_aopp_rate(aopp, p, 1.15).tobytes()
 
 
 @st.composite
@@ -227,4 +222,4 @@ def test_click_series_entries_do_not_depend_on_each_other():
     alone = [sns_mod._i0_minus_1(x[:1]), sns_mod._i0_minus_1(x[1:])]
     assert sns_mod._i0_minus_1(x).tobytes() == np.concatenate(alone).tobytes()
     with pytest.raises(DomainError, match="above 500"):
-        sns_mod._clicks(SnsParams(mu_z=600.0, mu_0=1.0), np.array([1.0]), 0.0)
+        window_counts(SnsParams(mu_z=600.0, mu_0=1.0), np.array([1.0]), 0.0)
