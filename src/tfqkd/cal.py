@@ -91,10 +91,14 @@ class CalChannel(Checked):
                       + math.cos(self.sigma_phi) * math.sin(self.theta / 2.0) ** 2)
 
 
+# the checkers of the kernels' record arguments
+_PARAMS, _CHANNEL = _checker(spec(CalParams), "p"), _checker(spec(CalChannel), "ch")
+
+
 def make_cal_channel(arm_t, p: CalParams, sigma_phi: float = CalChannel.sigma_phi,
                      theta: float = CalChannel.theta) -> CalChannel:
     """Channel for a given per-arm effective transmittance."""
-    return CalChannel(gamma=_ARM_T(arm_t) * p.mu_zeta, sigma_phi=sigma_phi, theta=theta)
+    return CalChannel(gamma=_ARM_T(arm_t) * _PARAMS(p).mu_zeta, sigma_phi=sigma_phi, theta=theta)
 
 
 def _cal_bracket(g, omega: float, p_d: float):
@@ -113,7 +117,7 @@ def cal_gain(ch: CalChannel, p_d: float):
     (1-p_d) e^{-gamma} [cosh(gamma omega) - (1-p_d) e^{-gamma}]; the two
     single-click outcomes are equal by symmetry.
     """
-    p_d = _P_D(p_d)
+    ch, p_d = _CHANNEL(ch), _P_D(p_d)
     return _scalars((1.0 - p_d) * np.exp(-ch.gamma) * _cal_bracket(ch.gamma, ch.omega, p_d))
 
 
@@ -125,7 +129,7 @@ def cal_bit_error(ch: CalChannel, p_d: float):
     Grows with the phase mismatch through omega and tends to 1/2 when dark
     counts dominate; undefined where the gain is 0.
     """
-    p_d = _P_D(p_d)
+    ch, p_d = _CHANNEL(ch), _P_D(p_d)
     den = 2.0 * _cal_bracket(ch.gamma, ch.omega, p_d)
     if not _within(den, 0.0, np.inf, lo_open=True):
         raise DomainError("bit error undefined at zero gain")
@@ -272,6 +276,7 @@ def cal_phase_error(p: CalParams, ch: CalChannel, p_d: float):
     it may exceed 1/2, which downstream rates clamp.  Undefined where the
     gain is 0.
     """
+    p, ch = _PARAMS(p), _CHANNEL(ch)
     arm_t = ch.gamma / p.mu_zeta
     if not _within(arm_t, 0.0, 1.0 + 1e-12):
         raise DomainError("channel gamma inconsistent with intensity")
@@ -310,6 +315,9 @@ class CalStats:
     e_z_bound: float
 
 
+_STATS = _checker(spec(CalStats), "c")
+
+
 def cal_stats(p: CalParams, ch: CalChannel, p_d: float) -> CalStats:
     """cal_gain, cal_bit_error and cal_phase_error, each evaluated once
     over the whole input; the two errors only where there is gain."""
@@ -332,7 +340,7 @@ def cal_rate(c: CalStats, f_ec: float):
     e_x clamped to [0, 1], all from the statistics c; no key where the
     gain p_xx is 0.
     """
-    f_ec = _F_EC(f_ec)
+    c, f_ec = _STATS(c), _F_EC(f_ec)
     h_x, h_z = _entropies(np.minimum(1.0, np.maximum(0.0, c.e_x)), np.minimum(0.5, c.e_z_bound))
     key = 2.0 * c.gain * (1.0 - f_ec * h_x - h_z)
     return _scalars(np.where(key > 0.0, key, 0.0))

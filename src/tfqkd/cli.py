@@ -128,8 +128,8 @@ def sigma_map_cmd(scenario_id, config, dl_start, dl_stop, dl_points, tau_start,
     """Map sigma_phi over (mismatch, integration time) and extract isolines."""
     cfg = _context(scenario_id, config)
     level = level or (cfg.budget.sigma_threshold,)
-    if not np.all(np.isfinite(level)):
-        raise DomainError("isoline levels must be finite")
+    if not all(0.0 <= lv < np.inf for lv in level):  # phase deviations, as isoline takes
+        raise DomainError("isoline levels must be finite and >= 0")
     dl = np.geomspace(dl_start, dl_stop, dl_points)
     taus = np.geomspace(tau_start, tau_stop, tau_points)
     m = sigma_map(cfg.topology, dl, taus, cfg.budget, cfg.laser, cfg.fiber)

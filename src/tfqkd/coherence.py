@@ -91,8 +91,6 @@ def _variance_curve(spec: Spectrum, f_query: np.ndarray, f_max: Optional[float])
     by more than _GRID_RTOL.
     """
     f_max = spec.default_f_max() if f_max is None else f_max
-    if not f_max > 0:
-        raise DomainError("f_max must be > 0")
     f_lo, f_top = float(np.min(f_query)), float(np.max(f_query))
     if f_lo >= f_max:
         return np.array([f_lo]), np.zeros(1), np.zeros(1), np.zeros(1)
@@ -181,7 +179,9 @@ def _variance_curve(spec: Spectrum, f_query: np.ndarray, f_max: Optional[float])
 
 # the field contract's checkers of the scalar functions' arguments
 _TAU_Q, _TAU_PS = (_checker(spec(float, gt=0), name) for name in ("tau_q", "tau_ps"))
-_SIGMA2 = _checker(spec(float, ge=0), "sigma2")
+_SIGMA2, _LEVEL = (_checker(spec(float, ge=0), name) for name in ("sigma2", "level"))
+_F_MAX_SPEC = spec(float, gt=0, finite=False, optional=True)  # CoherenceBudget.f_max's too
+_F_MAX = _checker(_F_MAX_SPEC, "f_max")
 
 
 def phase_variance(psd, tau_q: float, *, f_max: Optional[float] = None) -> float:
@@ -198,7 +198,7 @@ def phase_variance(psd, tau_q: float, *, f_max: Optional[float] = None) -> float
     the spectrum raises DivergentIntegralError instead of returning a
     value.
     """
-    tau_q = _TAU_Q(tau_q)
+    tau_q, f_max = _TAU_Q(tau_q), _F_MAX(f_max)
     spec = _spectrum_of(psd)
     c = _variance_curve(spec, np.array([1.0 / tau_q]), f_max)[1]
     return float(c[0])
@@ -230,8 +230,7 @@ class CoherenceBudget(Checked):
     tau_max: float = field(default=0.1, metadata=spec(float, gt=0))
     tau_ps: float = field(default=1e-3, metadata=spec(float, gt=0))
     tau_floor: float = field(default=1e-6, metadata=spec(float, gt=0))
-    f_max: Optional[float] = field(default=None,
-                                   metadata=spec(float, gt=0, finite=False, optional=True))
+    f_max: Optional[float] = field(default=None, metadata=_F_MAX_SPEC)
 
     def __post_init__(self):
         super().__post_init__()
@@ -258,38 +257,23 @@ class OperatingPoint(Checked):
         return duty_cycle(self.tau_q, self.tau_ps)
 
 
-def solve_tau_q(psd, budget: CoherenceBudget = CoherenceBudget()) -> OperatingPoint:
-    """Largest tau_q <= tau_max whose accumulated sigma stays at or below
-    the threshold, as the operating point with the budget's tau_ps.
-
-    If the threshold is never reached the result is clipped at tau_max
-    with the (smaller) variance accumulated there; if it is exceeded even
-    at tau_floor the floor is returned with the floored flag set.
-    Otherwise sigma^2 comes from one cumulative grid over [1/tau_max,
-    f_max] with 1/tau_floor as a node: the first node whose variance is
-    within the threshold and the node before it bracket the window.
-    Inside that segment the variance is the cubic Hermite polynomial in
-    ln f through both nodes with the integrand's own slopes there,
-    dc/d ln f = -f S(f); its root in the bracket, found by bisection,
-    gives tau_q, at which sigma is the threshold.  A grid that does not
-    resolve the spectrum raises DivergentIntegralError.
+def _window(curve, tau_max: float, tau_floor: float, level: float):
+    """(tau, variance, state) of the largest window up to tau_max whose
+    variance on curve, a _variance_curve with 1/tau_max and 1/tau_floor
+    as queries, is at most level: "clipped" at tau_max or "floored" at
+    tau_floor, each with the variance there, or "solved" at the level.
+    The first node within the level and the one before it bracket the
+    window; inside, the variance is the cubic Hermite polynomial in ln f
+    through both nodes with the integrand's own slopes there, dc/d ln f =
+    -f S(f), and its root, found by bisection, gives tau.
     """
-    spec = _spectrum_of(psd)
-    f_ends = np.array([1.0 / budget.tau_max, 1.0 / budget.tau_floor])
-    f, c, fy, fy_end = _variance_curve(spec, f_ends, budget.f_max)
+    f, c, fy, fy_end = curve
     # queries below f_max are nodes, where interp returns c itself
-    var_max, var_floor = np.interp(f_ends, f, c, right=0.0)
-
-    def result(tau, sig, clipped=False, floored=False):
-        return OperatingPoint(
-            tau_q=float(tau), sigma_phi=float(sig), e_phi=float(qber_from_variance(sig * sig)),
-            tau_ps=float(budget.tau_ps), clipped=clipped, floored=floored)
-
-    level = budget.sigma_threshold ** 2
+    var_max, var_floor = np.interp((1.0 / tau_max, 1.0 / tau_floor), f, c, right=0.0)
     if var_max <= level:
-        return result(budget.tau_max, np.sqrt(var_max), clipped=True)
+        return tau_max, var_max, "clipped"
     if var_floor > level:
-        return result(budget.tau_floor, np.sqrt(var_floor), floored=True)
+        return tau_floor, var_floor, "floored"
     # c falls along the nodes from above the level at 1/tau_max to at most
     # the level at 1/tau_floor (or 0 at f_max)
     i = int(np.argmax(c <= level))
@@ -307,7 +291,30 @@ def solve_tau_q(psd, budget: CoherenceBudget = CoherenceBudget()) -> OperatingPo
             t_lo = t
         else:
             t_hi = t
-    return result(np.exp(-(lo + t_hi * (hi - lo))), budget.sigma_threshold)
+    return np.exp(-(lo + t_hi * (hi - lo))), level, "solved"
+
+
+def solve_tau_q(psd, budget: CoherenceBudget = CoherenceBudget()) -> OperatingPoint:
+    """Largest tau_q <= tau_max whose accumulated sigma stays at or below
+    the threshold, as the operating point with the budget's tau_ps.
+
+    If the threshold is never reached the result is clipped at tau_max
+    with the (smaller) variance accumulated there; if it is exceeded even
+    at tau_floor the floor is returned with the floored flag set.
+    Otherwise sigma is the threshold at the window that _window solves on
+    one cumulative grid over [1/tau_max, f_max] with 1/tau_floor as a
+    node: the crossing that SigmaMap.isoline reads per column too.  A
+    grid that does not resolve the spectrum raises DivergentIntegralError.
+    """
+    spec = _spectrum_of(psd)
+    curve = _variance_curve(spec, np.array([1.0 / budget.tau_max, 1.0 / budget.tau_floor]),
+                            budget.f_max)
+    tau, var, state = _window(curve, budget.tau_max, budget.tau_floor,
+                              budget.sigma_threshold ** 2)
+    sig = budget.sigma_threshold if state == "solved" else np.sqrt(var)
+    return OperatingPoint(
+        tau_q=float(tau), sigma_phi=float(sig), e_phi=float(qber_from_variance(sig * sig)),
+        tau_ps=float(budget.tau_ps), clipped=state == "clipped", floored=state == "floored")
 
 
 @dataclass(frozen=True)
@@ -321,30 +328,22 @@ class SigmaMap:
     delta_l_km: np.ndarray
     tau_q_s: np.ndarray
     sigma_phi: np.ndarray
+    curves: tuple = field(repr=False, compare=False)  # each column's _variance_curve
 
     def isoline(self, level: float = CoherenceBudget.sigma_threshold) -> np.ndarray:
-        """Per-column tau_q at which sigma crosses the level, by default the
-        budget's sigma threshold.
-
-        Log-interpolated between the bracketing grid times; NaN where the
-        column never reaches the level, tau grid minimum where it is
-        already above it.
+        """Per-column tau_q at which sigma crosses the level (rad, >= 0),
+        by default the budget's sigma threshold: solve_tau_q's crossing on
+        the column's variance curve, with the map's longest tau as tau_max
+        and its shortest as tau_floor.  NaN where the column stays within
+        the level (clipped), the shortest tau where it is above it there
+        (floored).
         """
-        if not np.isfinite(level):
-            raise DomainError("isoline level must be finite")
+        level = _LEVEL(level)
         taus = np.full(self.delta_l_km.shape, np.nan)
-        log_tau = np.log(self.tau_q_s)
-        for j in range(self.delta_l_km.size):
-            col = self.sigma_phi[:, j]
-            if col[0] > level:
-                taus[j] = self.tau_q_s[0]
-                continue
-            above = np.nonzero(col > level)[0]
-            if above.size == 0:
-                continue
-            i = above[0]
-            frac = (level - col[i - 1]) / (col[i] - col[i - 1])
-            taus[j] = np.exp(log_tau[i - 1] + frac * (log_tau[i] - log_tau[i - 1]))
+        for j, curve in enumerate(self.curves):
+            tau, _, state = _window(curve, self.tau_q_s[-1], self.tau_q_s[0], level ** 2)
+            if state != "clipped":
+                taus[j] = tau
         return taus
 
     def to_csv(self, path) -> None:
@@ -373,8 +372,8 @@ def sigma_map(topo_template: TopologyConfig,
     that independent-laser maps are exactly flat along the mismatch axis.
     Each mismatch column is one pass of the cumulative integral: one grid
     over [1/max tau, f_max] with every 1/tau as a node, evaluated and
-    summed once, from which the whole column is read.  A grid that does
-    not resolve the spectrum raises DivergentIntegralError.
+    summed once, gives the column, and the map keeps it for isoline.  A
+    grid that does not resolve the spectrum raises DivergentIntegralError.
     """
     dl = np.asarray(list(delta_l_grid), dtype=float)
     taus = np.asarray(list(tau_grid), dtype=float)
@@ -386,8 +385,8 @@ def sigma_map(topo_template: TopologyConfig,
         raise DomainError("grids must be strictly increasing")
     out = np.empty((taus.size, dl.size))
     f_query = 1.0 / taus
-    for j, d in enumerate(dl):
-        spec = interference_spectrum(topo_template, laser, fiber, delta_l_km=float(d))
-        f, c = _variance_curve(spec, f_query, budget.f_max)[:2]
+    curves = tuple(_variance_curve(interference_spectrum(
+        topo_template, laser, fiber, delta_l_km=float(d)), f_query, budget.f_max) for d in dl)
+    for j, (f, c, _, _) in enumerate(curves):
         out[:, j] = np.sqrt(np.interp(f_query, f, c, right=0.0))
-    return SigmaMap(delta_l_km=dl, tau_q_s=taus, sigma_phi=out)
+    return SigmaMap(delta_l_km=dl, tau_q_s=taus, sigma_phi=out, curves=curves)

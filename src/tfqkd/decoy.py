@@ -101,11 +101,15 @@ class ChannelErrorModel(Checked):
         return self.e_theta + self.e_phi
 
 
+# the checkers of the kernels' record arguments
+_DECOYS, _MODEL = _checker(spec(DecoySet), "s"), _checker(spec(ChannelErrorModel), "m")
+
+
 def gain(mu: float, m: ChannelErrorModel):
     """Click probability for intensity mu: 1 - (1 - p_dc) exp(-mu eta_hat),
     as p_dc - (1 - p_dc) expm1(-mu eta_hat), which keeps its digits where
     exp(-mu eta_hat) is close to 1.  mu may be an array."""
-    mu = _MU(mu)
+    mu, m = _MU(mu), _MODEL(m)
     return _scalars(m.p_dc - (1.0 - m.p_dc) * np.expm1(-mu * m.eta_hat))
 
 
@@ -115,7 +119,7 @@ def error_gain(mu: float, m: ChannelErrorModel):
     Dark counts err half the time; misalignment and phase noise err on the
     detected-signal fraction: p_dc/2 + (e_theta + e_phi - p_dc/2)(1 - exp(-mu eta_hat)).
     """
-    mu = _MU(mu)
+    mu, m = _MU(mu), _MODEL(m)
     signal = -np.expm1(-mu * m.eta_hat)
     return _scalars(m.p_dc / 2.0 + (m.e_total - m.p_dc / 2.0) * signal)
 
@@ -146,9 +150,13 @@ class DecoyBounds:
     e_u: float
 
 
+_BOUNDS = _checker(spec(DecoyBounds), "b")
+
+
 def decoy_bounds(s: DecoySet, m: ChannelErrorModel) -> DecoyBounds:
     """Closed-form three-intensity bounds, all clamped to [0, 1], from one
     gain and one error_gain call over an intensity column."""
+    s, m = _DECOYS(s), _MODEL(m)
     u, v, w = s.u, s.v, s.w
     rank = max(getattr(x, "ndim", 0) for x in vars(m).values())
     mu = np.array((u, v, w)).reshape((3,) + (1,) * rank)
@@ -190,4 +198,5 @@ def bb84_rate(b: DecoyBounds, f_ec: float):
     single-photon estimation failed (Q1 = 0), which includes every point
     without gain.
     """
+    b = _BOUNDS(b)
     return _scalars(_key(b.q1_low, b.e1ph_up, b.q_u, b.e_u, f_ec))

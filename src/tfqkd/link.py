@@ -48,6 +48,9 @@ _TOTAL_DB = _checker(spec(float, ge=0, finite=False, array=True), "total_db")
 _ETA = _checker(spec(float, ge=0, le=1, array=True), "eta")
 _ETA_HAT = _checker(spec(float, ge=0, le=1, array=True), "eta_hat")
 _PLOB_ETA = _checker(spec(float, ge=0, lt=1, array=True), "eta")
+_L_A = _checker(spec(float, ge=0, array=True), "l_a")
+_ALPHA, _A_PLUS = (_checker(spec(float, ge=0), name) for name in ("alpha", "a_plus"))
+_DETECTOR = _checker(spec(DetectorParams), "det")
 
 
 def _sequence_as_array(x):
@@ -78,6 +81,7 @@ def balanced_link(l_a, alpha, a_plus):
     instrumentation loss a_plus in dB) sets the pace; the other arm is
     padded to match, so the total loss is 2 (alpha l_a + a_plus) dB.
     """
+    l_a, alpha, a_plus = _L_A(_sequence_as_array(l_a)), _ALPHA(alpha), _A_PLUS(a_plus)
     return link_from_attenuation(2.0 * (alpha * l_a + a_plus))
 
 
@@ -92,7 +96,7 @@ def link_from_attenuation(total_db):
 
 def effective_transmittance(eta, det: DetectorParams):
     """Total transmittance including detector efficiency; eta may be an array."""
-    return _ETA(eta) * det.eta_d
+    return _ETA(eta) * _DETECTOR(det).eta_d
 
 
 def arm_transmittance(eta_hat):

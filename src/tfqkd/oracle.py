@@ -19,7 +19,7 @@ import numpy as np
 
 from ._fields import Checked, _checker, spec
 from .cal import _bs_exact
-from .decoy import ChannelErrorModel
+from .decoy import _MODEL, ChannelErrorModel
 from .errors import DomainError
 
 __all__ = [
@@ -91,7 +91,7 @@ class McClickStats:
 _MU_A, _MU_B, _MU = (_checker(spec(float, ge=0), name) for name in ("mu_a", "mu_b", "mu"))
 _ARM_T, _P_D = (_checker(spec(float, ge=0, le=1), name) for name in ("arm_t", "p_d"))
 _N_A, _N_B, _PHOTONS = (_checker(spec(int, ge=0), name) for name in ("n_a", "n_b", "n"))
-_CFG, _MODEL = _checker(spec(McConfig), "cfg"), _checker(spec(ChannelErrorModel), "m")
+_CFG = _checker(spec(McConfig), "cfg")
 
 
 def _pool_size() -> int:

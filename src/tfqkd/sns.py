@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._fields import Checked, _checker, _within, spec
-from .decoy import DecoyBounds, _key, _scalars
+from .decoy import _BOUNDS, DecoyBounds, _key, _scalars
 from .errors import DomainError
 
 __all__ = [
@@ -98,6 +98,11 @@ class AoppStats:
     pair_rate: float
 
 
+# the checkers of the kernels' record arguments
+_PARAMS = _checker(spec(SnsParams), "p")
+_STATS, _PAIRED = _checker(spec(SnsWindowStats), "s"), _checker(spec(AoppStats), "a")
+
+
 def effective_click_probability(mu_a: float, mu_b: float, arm_t, p_dc: float):
     """Probability that exactly one threshold detector clicks.
 
@@ -148,6 +153,7 @@ def sns_window_stats(p: SnsParams, b: DecoyBounds, arm_t, p_dc: float) -> SnsWin
     independent of e_phi by construction.  At arm_t = 0, where a sweep's
     loss underflows, only dark counts click.
     """
+    p, b = _PARAMS(p), _BOUNDS(b)
     column = (3,) + (1,) * np.ndim(arm_t)
     clicks = effective_click_probability(np.array((p.mu_z, p.mu_z, p.mu_0)).reshape(column),
                                          np.array((p.mu_z, p.mu_0, p.mu_0)).reshape(column),
@@ -175,6 +181,7 @@ def aopp_transform(s: SnsWindowStats) -> AoppStats:
     only in the both-flipped case.  Untagged single photons scale with the
     surviving fraction; the phase error is untouched by pairing.
     """
+    s = _STATS(s)
     n0 = np.add(s.n_ss, s.n_ns)
     n1_bits = np.add(s.n_sn, s.n_nn)
     paired = (n0 > 0.0) & (n1_bits > 0.0)
@@ -197,6 +204,7 @@ def sns_rate(s: SnsWindowStats, p: SnsParams, f_ec: float):
     """Plain protocol secret key per transmitted signal, floored at 0:
     p_z^2 times the decoy-state key form that BB84 shares, with no
     single photons where the decoy estimation failed."""
+    s, p = _STATS(s), _PARAMS(p)
     return _scalars(p.p_z**2 * _key(np.where(s.decoy_ok, s.n1_low, 0.0), s.e1ph_up,
                                     s.n_t, s.e_z, f_ec))
 
@@ -204,4 +212,5 @@ def sns_rate(s: SnsWindowStats, p: SnsParams, f_ec: float):
 def sns_aopp_rate(a: AoppStats, p: SnsParams, f_ec: float):
     """Secret key per transmitted signal after odd-parity pairing: the
     same key form on the paired statistics."""
+    a, p = _PAIRED(a), _PARAMS(p)
     return _scalars(p.p_z**2 * _key(a.n1_prime, a.e1ph_prime, a.n_t_prime, a.e_z_prime, f_ec))

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._fields import Checked, _within, part, spec
+from ._fields import Checked, _checker, _within, part, spec
 from .errors import DomainError
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact by the SI definition of the metre
@@ -46,6 +46,11 @@ def _as_positive_freq(f) -> np.ndarray:
     if not _within(f, 0.0, np.inf, lo_open=True, hi_open=True):
         raise DomainError("Fourier frequency must be positive and finite")
     return f
+
+
+# the field contract's checkers of the public functions' arguments
+_LENGTH, _STABILIZED = _checker(spec(float, ge=0), "length_km"), _checker(spec(bool), "stabilized")
+_DELTA_L = _checker(spec(float, ge=0, optional=True), "delta_l_km")
 
 
 @dataclass(frozen=True)
@@ -230,9 +235,7 @@ def psd_fiber(f, length_km: float, p: FiberParams, stabilized: bool):
 
 def psd_fiber_linear(f, length_km: float, p: FiberParams, stabilized: bool):
     """Length-proportional part of the fiber noise, without the detection floor."""
-    f = _as_positive_freq(f)
-    if length_km < 0:
-        raise DomainError("fiber length must be >= 0")
+    f, length_km, stabilized = _as_positive_freq(f), _LENGTH(length_km), _STABILIZED(stabilized)
     rolloff = None if stabilized else _fiber_rolloff(f, p)
     return _fiber_linear(f**2, rolloff, length_km, p, stabilized)
 
@@ -334,9 +337,8 @@ def interference_spectrum(topo: TopologyConfig,
     noise, so it does not pick up round-trip or per-arm factors.
     delta_l_km overrides the delay mismatch of the common-laser term only.
     """
-    dl = topo.delta_l if delta_l_km is None else delta_l_km
-    if not 0.0 <= dl < np.inf:
-        raise DomainError("delay mismatch must be finite and >= 0")
+    dl = _DELTA_L(delta_l_km)
+    dl = topo.delta_l if dl is None else dl
     psd = _composite(topo, laser, fiber, dl)
 
     def func(f):

@@ -364,6 +364,21 @@ class TestPhaseError:
         with pytest.raises(DomainError):
             cal_phase_error(CAL, ch, 0.0)
 
+    def test_cat_sum_needs_enough_terms_for_the_intensity(self):
+        # at mu = 6 the amplitude ratio past m_max = 2 (photon number 4) is
+        # 6 / sqrt(30) > 1, so no geometric tail bounds the rest
+        p = CalParams(mu_zeta=6.0, m_max=2)
+        with pytest.raises(DomainError, match="^m_max too small for this intensity$"):
+            cal_phase_error(p, make_cal_channel(0.01, p), 1e-8)
+
+    @pytest.mark.parametrize("sets", [{"set_even": ((3, 0),)}, {"set_odd": ((0, 3),)},
+                                      {"set_even": ((0, 0), (1, 3))}])
+    def test_sets_past_the_photon_cutoff(self, sets):
+        # photon number 2 * 3 + 1 = 7 exceeds the 6 photons per port of
+        # the pair yields
+        with pytest.raises(DomainError, match="^cat-sum sets exceed the supported photon cutoff$"):
+            CalParams(**sets)
+
 
 class TestRate:
     def test_zero_when_bracket_negative(self):

@@ -147,8 +147,10 @@ class TestPhaseVariance:
             phase_variance(flat_1_over_f2(1.0), 0.0)
 
     def test_tail_slower_than_1_over_f2_not_called_divergent(self):
-        # f^-1.5 integrates to infinity, but the tail in 1/f does not
-        # handle it: the error says so and does not claim divergence
+        # f^-1.5 has a finite integral to infinity, but its f^2 S grows
+        # past the body, and the remainder that continues f^2 S as a
+        # constant does not handle that: the error says so and does not
+        # claim divergence
         with pytest.raises(DivergentIntegralError, match="slower than 1/f\\^2") as err:
             phase_variance(Spectrum(lambda f: np.asarray(f, float) ** -1.5), 1e-3)
         assert "diverge" not in str(err.value)
@@ -157,6 +159,28 @@ class TestPhaseVariance:
         spec = Spectrum(lambda f: np.asarray(f, float) ** -1.8)
         assert phase_variance(spec, 1e-3) == pytest.approx(
             reference_variance(spec, 1e-3), rel=2 * SIGMA_RTOL)
+
+    def test_window_shorter_than_1_over_f_max_is_zero(self):
+        # 1/tau at or above f_max (2e7 Hz here) leaves nothing to integrate
+        spec = interference_spectrum(tfqkd.builtin_scenarios()[0].topology)
+        assert spec.default_f_max() == 2e7
+        for tau in (5e-8, 1e-8):
+            assert phase_variance(spec, tau) == reference_variance(spec, tau) == 0.0
+
+    def test_switch_below_the_shortest_window(self):
+        # at 10 km the sin^2 periods end at 0.52 MHz, below 1/tau = 1 MHz:
+        # the whole grid takes the averaged PSD
+        spec = interference_spectrum(tfqkd.builtin_scenarios()[0].topology, delta_l_km=10.0)
+        assert coherence.OSC_PERIODS * spec.oscillation_period < 1e6
+        assert phase_variance(spec, 1e-6) == pytest.approx(
+            reference_variance(spec, 1e-6), rel=2 * SIGMA_RTOL)
+
+    def test_negative_variance_raises(self):
+        # f^-2 - 1e-13 is negative above 3.2 MHz, so the integral down
+        # from f_max = 1e7 Hz starts below 0
+        spec = Spectrum(lambda f: np.asarray(f, float) ** -2.0 - 1e-13)
+        with pytest.raises(DomainError, match="^PSD integrated to a negative variance$"):
+            phase_variance(spec, 1e-3, f_max=1e7)
 
     def test_oscillatory_term_refined(self):
         # common topology with km-scale mismatch: the sin^2 periods are
@@ -171,9 +195,10 @@ class TestPhaseVariance:
         with pytest.raises(DomainError):
             phase_variance(flat_1_over_f2(1.0), tau)
 
-    @pytest.mark.parametrize("f_max", [np.nan, 0.0, -1.0])
+    @pytest.mark.parametrize("f_max", [np.nan, 0.0, -1.0, "x", True, np.array([1e6])])
     def test_rejects_bad_f_max(self, f_max):
-        with pytest.raises(DomainError):
+        # a string raised a bare TypeError; f_max takes what the budget's does
+        with pytest.raises(DomainError, match="^f_max must be a number > 0 or None, got"):
             phase_variance(flat_1_over_f2(1.0), 1e-3, f_max=f_max)
 
     # a 0.01 Hz wide Lorentzian line at a 10 kHz knee, a grid node among
@@ -564,6 +589,64 @@ class TestSigmaMap:
         m = sigma_map(topo, [1.0, 2.5, 5.0], np.geomspace(1e-6, 1e-3, 16))
         iso = m.isoline(0.2)
         assert np.all(iso < 1e-4)
+
+    def test_isoline_is_the_window_solve_of_each_column(self):
+        # the crossing of solve_tau_q on each column's curve, with the
+        # map's longest and shortest tau as clip and floor
+        dls, taus = np.geomspace(0.001, 10.0, 4), np.geomspace(1e-6, 1.0, 25)
+        for preset in tfqkd.builtin_scenarios():
+            m = sigma_map(preset.topology, dls, taus)
+            for level in (0.05, 0.2, 0.5):
+                budget = CoherenceBudget(sigma_threshold=level, tau_max=1.0, tau_floor=1e-6)
+                for d, tau in zip(dls, m.isoline(level)):
+                    res = solve_tau_q(interference_spectrum(preset.topology, delta_l_km=d), budget)
+                    if res.clipped:
+                        assert np.isnan(tau)
+                    elif res.floored:
+                        assert tau == 1e-6
+                    else:
+                        assert tau == pytest.approx(res.tau_q, rel=1e-5)
+
+    def test_isoline_at_the_preset_mismatch_is_the_preset_window(self):
+        # on the demo's 16 windows the log-linear read was 9.8 % short
+        preset = tfqkd.builtin_scenario(1)
+        m = sigma_map(preset.topology, [preset.topology.delta_l], np.geomspace(1e-6, 0.1, 16))
+        assert m.isoline(0.2)[0] == pytest.approx(tfqkd.solve_scenario(preset).tau_q, rel=1e-6)
+        tau = m.isoline(0.2)[0]
+        assert tau == pytest.approx(reference_tau_q(
+            interference_spectrum(preset.topology), 0.2, tau), rel=1e-6)
+
+    def test_isoline_clipped_and_floored_columns(self):
+        # 1 m stays under 0.2 rad up to 10 us (clipped: NaN), and 2.5 km is
+        # above it already at 100 us (floored: the shortest tau); the
+        # deciding cells against the reference
+        topo = tfqkd.builtin_scenarios()[0].topology
+        clipped = sigma_map(topo, [0.001], [1e-6, 1e-5])
+        floored = sigma_map(topo, [2.5], [1e-4, 1e-3])
+        longest = reference_sigma(interference_spectrum(topo, delta_l_km=0.001), 1e-5)
+        shortest = reference_sigma(interference_spectrum(topo, delta_l_km=2.5), 1e-4)
+        assert clipped.sigma_phi[-1, 0] == pytest.approx(longest, rel=SIGMA_RTOL)
+        assert floored.sigma_phi[0, 0] == pytest.approx(shortest, rel=SIGMA_RTOL)
+        assert longest < 0.2 < shortest
+        assert np.isnan(clipped.isoline(0.2)).all()
+        assert floored.isoline(0.2).tolist() == [1e-4]
+
+    def test_isoline_level_zero_and_negative(self):
+        # a level is a phase deviation: 0 floors every column with noise,
+        # and a negative one is refused as NaN is
+        topo = tfqkd.builtin_scenarios()[0].topology
+        m = sigma_map(topo, [0.02, 2.5], [1e-5, 1e-4, 1e-3])
+        assert m.isoline(0).tolist() == m.isoline(0.0).tolist() == [1e-5, 1e-5]
+        for level in (-0.2, -1e-300, "0.2", None):
+            with pytest.raises(DomainError, match="^level must be a finite number >= 0"):
+                m.isoline(level)
+
+    def test_map_of_windows_shorter_than_1_over_f_max_is_zero(self):
+        # every 1/tau above f_max = 2e7 Hz: zero cells, and a clipped
+        # isoline, since the variance never reaches the level
+        m = sigma_map(tfqkd.builtin_scenarios()[0].topology, [0.02], [1e-9, 1e-8])
+        assert m.sigma_phi.tolist() == [[0.0], [0.0]]
+        assert np.isnan(m.isoline(0.2)).all() and np.isnan(m.isoline(0.0)).all()
 
     def test_rejects_bad_grids(self):
         topo = tfqkd.builtin_scenarios()[0].topology

@@ -111,6 +111,14 @@ def test_error_message_format(text, message):
     assert str(err.value) == "configuration invalid: " + message
 
 
+@pytest.mark.parametrize("text", ["", "# nothing\n", "null"])
+def test_empty_document_is_an_empty_mapping(text):
+    # YAML reads these as None, which is checked as {}: no scenario
+    with pytest.raises(ConfigError) as err:
+        loads_config(text)
+    assert str(err.value) == "configuration needs a scenario preset or a topology section"
+
+
 def test_integer_valued_float_preset_accepted():
     assert loads_config("scenario: {preset: 2.0}") == loads_config("scenario: {preset: 2}")
 

@@ -95,6 +95,12 @@ class TestPoissonIdentity:
         assert q_mix == pytest.approx(gain(mu, m), rel=1e-12)
         assert e_mix == pytest.approx(qber(mu, m), rel=1e-12)
 
+    def test_zero_gain_raises(self):
+        # no light and no dark counts: the QBER is 0/0
+        m = ChannelErrorModel(eta_hat=0.0, p_dc=0.0)
+        with pytest.raises(DomainError, match="^gain vanished; QBER undefined$"):
+            poisson_yield_gain(0.5, m)
+
     def test_cutoff_cap_raises(self):
         # mu = 6000 needs more than 10,240 photons; the loop returned a
         # truncated sum without a word
@@ -137,6 +143,11 @@ class TestBounds:
     def test_ordering_enforced(self):
         with pytest.raises(DomainError):
             DecoySet(u=0.1, v=0.16, w=1e-5)
+
+    def test_single_photon_bound_needs_u_above_v_plus_w(self):
+        # ordered, but u - v - w = -0.05 divides the Y1 bound by a negative
+        with pytest.raises(DomainError, match="^single-photon bound requires u > v \\+ w$"):
+            DecoySet(u=0.3, v=0.2, w=0.15)
 
 
 class TestBinaryEntropy:

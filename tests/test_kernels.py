@@ -21,6 +21,7 @@ from tfqkd import (
     UniformRandomized,
     aopp_transform,
     arm_transmittance,
+    balanced_link,
     bb84_rate,
     binary_entropy,
     cal_bit_error,
@@ -148,6 +149,7 @@ RANGE_CHECKS = {
     "link_from_attenuation": (link_from_attenuation, 10.0, (np.nan, -np.inf, -1.0)),
     "effective_transmittance": (lambda v: effective_transmittance(v, SNSPD), 0.5, UNIT),
     "arm_transmittance": (arm_transmittance, 0.5, UNIT),
+    "balanced_link l_a": (lambda v: balanced_link(v, 0.2, 0.0), 1.0, UNIT[:4]),
     "plob_bound": (plob_bound, 0.5, UNIT + (1.0,)),
     "effective_click_probability": (
         lambda v: effective_click_probability(0.2, 5e-6, v, P_DC), 0.5, UNIT),
@@ -283,13 +285,45 @@ WRONG_TYPE_ARGS = {
     "poisson_true_yields m": (lambda v: poisson_true_yields(v, 1), "m", (None, 0.5)),
     "fock_bs_distribution n_a": (lambda v: fock_bs_distribution(v, 1), "n_a", _NOT_COUNTS),
     "fock_bs_distribution n_b": (lambda v: fock_bs_distribution(1, v), "n_b", _NOT_COUNTS),
+    # the record arguments, each also given another record
+    "gain m": (lambda v: gain(0.4, v), "m", (None, 0.5, DecoySet())),
+    "error_gain m": (lambda v: error_gain(0.4, v), "m", (None, 0.5, DecoySet())),
+    "decoy_bounds s": (lambda v: decoy_bounds(v, _model(0.5)), "s", (None, "x", SnsParams())),
+    "decoy_bounds m": (lambda v: decoy_bounds(DecoySet(), v), "m", (None, DecoySet())),
+    "bb84_rate b": (lambda v: bb84_rate(v, F_EC), "b", (None, _stats(0.5))),
+    "sns_window_stats p": (lambda v: sns_window_stats(
+        v, decoy_bounds(DecoySet(), _model(0.5)), 0.5, P_DC), "p", (None, CalParams())),
+    "sns_window_stats b": (lambda v: sns_window_stats(SnsParams(), v, 0.5, P_DC), "b",
+                           (None, _stats(0.5))),
+    "aopp_transform s": (aopp_transform, "s", (None, aopp_transform(_stats(0.5)))),
+    "sns_rate s": (lambda v: sns_rate(v, SnsParams(), F_EC), "s",
+                   (None, aopp_transform(_stats(0.5)))),
+    "sns_rate p": (lambda v: sns_rate(_stats(0.5), v, F_EC), "p", (None, CalParams())),
+    "sns_aopp_rate a": (lambda v: sns_aopp_rate(v, SnsParams(), F_EC), "a", (None, _stats(0.5))),
+    "sns_aopp_rate p": (lambda v: sns_aopp_rate(aopp_transform(_stats(0.5)), v, F_EC), "p",
+                        (None, CalParams())),
+    "make_cal_channel p": (lambda v: make_cal_channel(0.5, v), "p", (None, SnsParams())),
+    "cal_gain ch": (lambda v: cal_gain(v, P_DC), "ch", (None, "x", CalParams())),
+    "cal_bit_error ch": (lambda v: cal_bit_error(v, P_DC), "ch", (None, CalParams())),
+    "cal_phase_error p": (lambda v: cal_phase_error(v, _cal_channel(0.5), P_DC), "p",
+                          (None, SnsParams())),
+    "cal_phase_error ch": (lambda v: cal_phase_error(CalParams(), v, P_DC), "ch", (None, "x")),
+    "cal_stats p": (lambda v: cal_stats(v, _cal_channel(0.5), P_DC), "p", (None, SnsParams())),
+    "cal_stats ch": (lambda v: cal_stats(CalParams(), v, P_DC), "ch", (None, CalParams())),
+    "cal_rate c": (lambda v: cal_rate(v, F_EC), "c", (None, _stats(0.5))),
+    "effective_transmittance det": (lambda v: effective_transmittance(0.5, v), "det",
+                                    (None, "x", McConfig())),
+    "balanced_link l_a": (lambda v: balanced_link(v, 0.2, 0.0), "l_a", _NOT_REALS_OR_ARRAYS),
+    "balanced_link alpha": (lambda v: balanced_link(1.0, v, 0.0), "alpha", _NOT_REALS),
+    "balanced_link a_plus": (lambda v: balanced_link(1.0, 0.2, v), "a_plus", _NOT_REALS),
 }
 
 
 @pytest.mark.parametrize("name", WRONG_TYPE_ARGS)
 def test_wrong_typed_oracle_arguments_raise_naming_the_argument(name):
     # each raised a bare TypeError or ValueError (a string intensity or
-    # transmittance numpy's UFuncTypeError), or (a fractional or boolean
+    # transmittance numpy's UFuncTypeError, a missing or foreign record an
+    # AttributeError or TypeError), or (a fractional or boolean
     # photon number, a boolean intensity, probability, variance, window or
     # inefficiency, a string attenuation) returned a value
     call, arg, values = WRONG_TYPE_ARGS[name]

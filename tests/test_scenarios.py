@@ -175,6 +175,10 @@ class TestSweepSpec:
         with pytest.raises(DomainError):
             SweepSpec(detector="pmt")
 
+    def test_rejects_stop_below_start(self):
+        with pytest.raises(DomainError, match="^sweep range requires 0 <= start <= stop"):
+            SweepSpec(start=5, stop=1)
+
     @pytest.mark.parametrize("field", ["start", "stop", "step", "alpha", "a_plus"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_range(self, field, value):
@@ -981,6 +985,28 @@ class TestCli:
         assert res.exit_code == 1
         assert res.stdout == ""
         assert "isoline levels must be finite" in res.output
+
+    @pytest.mark.parametrize("level", ["-1", "-1e-300"])
+    def test_negative_level_writes_neither_file(self, tmp_path, level):
+        # a negative level crossed no variance and read as NaN isolines
+        out, iso = tmp_path / "map.csv", tmp_path / "isolines.csv"
+        res = CliRunner().invoke(cli_main, [
+            "sigma-map", "--scenario", "1", "--level", level, "--out", str(out),
+            "--isolines-out", str(iso)])
+        assert res.exit_code == 1
+        assert res.stdout == ""
+        assert "Error: isoline levels must be finite and >= 0" in res.output
+        assert "Traceback" not in res.output
+        assert not out.exists() and not iso.exists()
+
+    def test_level_zero_floors_every_column(self, tmp_path):
+        iso = tmp_path / "isolines.csv"
+        res = CliRunner().invoke(cli_main, [
+            "sigma-map", "--scenario", "1", "--dl-points", "3", "--tau-points", "4",
+            "--level", "0", "--out", str(tmp_path / "map.csv"), "--isolines-out", str(iso)])
+        assert res.exit_code == 0, res.output
+        rows = np.loadtxt(iso, delimiter=",", skiprows=1)
+        assert rows[:, 2].tolist() == [1e-6] * 3
 
     def test_bad_isoline_level_writes_no_map(self, tmp_path):
         res = CliRunner().invoke(cli_main, [

@@ -173,6 +173,23 @@ class TestFiber:
         with pytest.raises(DomainError):
             psd_fiber(1.0, -1.0, FIBER, stabilized=False)
 
+    @pytest.mark.parametrize("length", [np.nan, np.inf, "x", None, True])
+    def test_rejects_non_finite_or_wrong_typed_length(self, length):
+        # NaN returned NaN, inf returned inf and a string raised a bare
+        # TypeError, in both the whole and the linear fiber PSD
+        from tfqkd.spectra import psd_fiber_linear
+        for psd in (psd_fiber, psd_fiber_linear):
+            with pytest.raises(DomainError, match="^length_km must be a finite number >= 0"):
+                psd(1.0, length, FIBER, False)
+
+    @pytest.mark.parametrize("stabilized", ["no", 0, 1.0, None])
+    def test_rejects_non_bool_stabilized(self, stabilized):
+        # "no" is truthy, and returned the stabilized PSD, six orders of
+        # magnitude below the free one
+        with pytest.raises(DomainError, match="^stabilized must be a bool"):
+            psd_fiber(10.0, 10.0, FIBER, stabilized)
+        assert psd_fiber(10.0, 10.0, FIBER, np.bool_(False)) == psd_fiber(10.0, 10.0, FIBER, False)
+
 
 @pytest.mark.parametrize("cls, field", [
     (LaserFreeParams, "r3"), (LaserFreeParams, "r2"), (LaserFreeParams, "f_c"),
@@ -238,6 +255,12 @@ class TestInterference:
         lin = FIBER.stabilization_suppression * 44.0 * 114.0 / f**2
         floor = 1e-8 * (2e5 / (f + 2e5)) ** 2
         assert got == pytest.approx(4.0 * 2.0 * lin + floor, rel=1e-12)
+
+    @pytest.mark.parametrize("dl", ["x", np.nan, np.inf, -1.0, True])
+    def test_rejects_bad_mismatch(self, dl):
+        # a string raised a bare TypeError
+        with pytest.raises(DomainError, match="^delta_l_km must be a finite number >= 0 or None"):
+            interference_spectrum(TopologyConfig(), delta_l_km=dl)
 
     def test_roundtrip_factor_configurable(self):
         t4 = TopologyConfig(l_a=100.0, l_b=100.0)
