@@ -50,6 +50,8 @@ _GRID_RTOL = 1e-4
 
 
 def _spectrum_of(psd) -> Spectrum:
+    if not callable(psd):  # a Spectrum is callable too
+        raise DomainError(f"psd must be a Spectrum or a callable, got {psd!r}")
     return psd if isinstance(psd, Spectrum) else Spectrum(psd)
 
 
@@ -294,6 +296,15 @@ def _window(curve, tau_max: float, tau_floor: float, level: float):
     return np.exp(-(lo + t_hi * (hi - lo))), level, "solved"
 
 
+# the field contract's checkers of the window functions' record arguments
+# (interference_spectrum checks sigma_map's laser and fiber)
+_BUDGET = _checker(spec(CoherenceBudget), "budget")
+_TOPO = _checker(spec(TopologyConfig), "topo_template")
+# and of sigma_map's grids, each a non-empty list, tuple or 1-d array of numbers
+_DL_GRID, _TAU_GRID = (_checker(spec(tuple, item=spec(float, **rule), nonempty=True), name)
+                       for name, rule in (("delta_l_grid", {"ge": 0}), ("tau_grid", {"gt": 0})))
+
+
 def solve_tau_q(psd, budget: CoherenceBudget = CoherenceBudget()) -> OperatingPoint:
     """Largest tau_q <= tau_max whose accumulated sigma stays at or below
     the threshold, as the operating point with the budget's tau_ps.
@@ -306,7 +317,7 @@ def solve_tau_q(psd, budget: CoherenceBudget = CoherenceBudget()) -> OperatingPo
     node: the crossing that SigmaMap.isoline reads per column too.  A
     grid that does not resolve the spectrum raises DivergentIntegralError.
     """
-    spec = _spectrum_of(psd)
+    spec, budget = _spectrum_of(psd), _BUDGET(budget)
     curve = _variance_curve(spec, np.array([1.0 / budget.tau_max, 1.0 / budget.tau_floor]),
                             budget.f_max)
     tau, var, state = _window(curve, budget.tau_max, budget.tau_floor,
@@ -375,12 +386,9 @@ def sigma_map(topo_template: TopologyConfig,
     summed once, gives the column, and the map keeps it for isoline.  A
     grid that does not resolve the spectrum raises DivergentIntegralError.
     """
-    dl = np.asarray(list(delta_l_grid), dtype=float)
-    taus = np.asarray(list(tau_grid), dtype=float)
-    if dl.size == 0 or taus.size == 0:
-        raise DomainError("grids must be non-empty")
-    if not (np.all(np.isfinite(dl)) and np.all((0 < taus) & (taus < np.inf))):
-        raise DomainError("grid values must be finite, and integration times > 0")
+    topo_template, budget = _TOPO(topo_template), _BUDGET(budget)
+    dl, taus = (np.array(check(g.tolist() if isinstance(g, np.ndarray) else g), dtype=float)
+                for check, g in ((_DL_GRID, delta_l_grid), (_TAU_GRID, tau_grid)))
     if np.any(np.diff(dl) <= 0) or np.any(np.diff(taus) <= 0):
         raise DomainError("grids must be strictly increasing")
     out = np.empty((taus.size, dl.size))

@@ -22,6 +22,8 @@ at once, each at its YAML path ($.laser.r3, $.sweep.protocols[1]).
 from __future__ import annotations
 
 import enum
+import functools
+import re
 from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import Optional
 
@@ -263,11 +265,24 @@ def _build(raw: dict) -> FullConfig:
     return cfg
 
 
+@functools.cache
+def _loader():
+    import yaml
+
+    class Loader(yaml.SafeLoader):
+        """yaml.SafeLoader that also reads an exponent without a dot (3e6,
+        1e-3, 2E+5) as a float, as YAML 1.2 does; YAML 1.1 reads it as a string."""
+
+    Loader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(
+        r"^[-+]?[0-9][0-9_]*[eE][-+]?[0-9]+$"), list("-+0123456789"))
+    return Loader
+
+
 def _parse(text: str, source: str) -> FullConfig:
     import yaml
 
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=_loader())
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""

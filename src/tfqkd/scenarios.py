@@ -13,30 +13,22 @@ run_sweep returns a SweepTable: the grid, one array per rate and
 diagnostic column, one boolean mask per failure flag, and the operating
 point.  The sweep calls each protocol's public statistics and rate
 functions once, over a stacked (intensity or channel) x grid array, each
-entry equal to the float call at that point bit for bit: BB84's key,
-gain and QBER come from its row of the decoy bounds (bb84_rate), SNS's
-from the per-arm row (sns_window_stats, sns_rate, sns_aopp_rate) and
-CAL's from cal_stats and cal_rate.  format_csv and emit_csv write the
-table column by column through csvtext.csv_text, which formats all its
-float cells in a few array operations; the table also reads as a
-sequence of SweepRow, built on first access and cached.  A SweepRow is
-a plain mutable record of Python values copied out of the columns:
-assigning to a row's fields or its dicts changes neither the columns nor
-the CSV.
+entry equal to the float call at that point bit for bit.  format_csv and
+emit_csv write the table column by column through csvtext.csv_text;
+each iteration of it builds one SweepRow(x, rates) per point from the
+columns.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
 from numbers import Integral
 from typing import Optional
 
 import numpy as np
 
-from ._fields import Checked, part, spec
+from ._fields import Checked, _checker, part, spec
 from .cal import CalParams, cal_rate, cal_stats, make_cal_channel
 from .coherence import CoherenceBudget, OperatingPoint, qber_small_angle, solve_tau_q
 from .csvtext import csv_text
@@ -199,22 +191,17 @@ class SweepSpec(Checked):
 
 @dataclass
 class SweepRow:
-    """One sweep point: key rates in bits/s plus scenario diagnostics.
+    """One sweep point: its x and the key rate of each protocol in bits/s,
+    as Python values copied out of the table's columns."""
 
-    A copy of the table's values at the point, not a view: its fields and
-    dicts can be changed without touching the table.  Not frozen, since
-    its dicts make it unhashable anyway, and a frozen init costs five
-    times as much per row.
-    """
-
-    x_name: str
     x: float
     rates: dict
-    duty_cycle: float
-    sigma_phi: float
-    e_phi: float
-    diagnostics: dict
-    flags: tuple
+
+
+# the field contract's checkers of the public functions' record arguments
+_PRESET = _checker(spec(ScenarioPreset), "preset")
+_SPEC, _PROT, _DETECTOR = (_checker(spec(cls, optional=True), name) for cls, name in (
+    (SweepSpec, "spec"), (ProtocolParams, "prot"), (DetectorParams, "detector")))
 
 
 def solve_scenario(preset: ScenarioPreset,
@@ -223,7 +210,7 @@ def solve_scenario(preset: ScenarioPreset,
                    budget: CoherenceBudget = CoherenceBudget()) -> OperatingPoint:
     """Live coherence solve for a preset topology: the solved operating
     point, which run_sweep takes in place of the preset's canonical one."""
-    spectrum = interference_spectrum(preset.topology, laser, fiber)
+    spectrum = interference_spectrum(_PRESET(preset).topology, laser, fiber)
     return solve_tau_q(spectrum, budget)
 
 
@@ -241,7 +228,7 @@ def _row(bounds: DecoyBounds, i: int) -> DecoyBounds:
 
 
 def _rates(eta: np.ndarray, det: DetectorParams, op: OperatingPoint,
-           prot: ProtocolParams, protocols: Sequence[str]):
+           prot: ProtocolParams, protocols: tuple):
     """Rates, diagnostics and failure masks of the selected protocols at
     every total transmittance in eta, each one array over the grid, with
     each protocol ingredient evaluated once."""
@@ -301,7 +288,7 @@ def _rates(eta: np.ndarray, det: DetectorParams, op: OperatingPoint,
 
 
 @dataclass(frozen=True, eq=False)
-class SweepTable(Sequence):
+class SweepTable:
     """A key-rate sweep as columns, each one array over the grid.
 
     x holds the grid points of the x_name axis; rates maps each selected
@@ -309,9 +296,8 @@ class SweepTable(Sequence):
     diagnostics maps each diagnostic, in sorted order, to its values;
     flags maps each failure flag to its boolean mask; operating_point is
     the scenario's coherence operating point, the same at every point.
-    format_csv and emit_csv write the columns as they are.  As a sequence
-    the table holds one SweepRow per grid point, built from the columns on
-    first access and then cached.
+    format_csv and emit_csv write the columns as they are.  len gives the
+    point count, and each iteration builds one SweepRow per point.
     """
 
     x_name: str
@@ -324,35 +310,11 @@ class SweepTable(Sequence):
     def __len__(self) -> int:
         return self.x.size
 
-    def __getitem__(self, i):
-        return self._rows[i]
-
     def __iter__(self):
-        return iter(self._rows)
-
-    def _point_flags(self) -> list:
-        """The names of the flags set at each point, as one tuple per point."""
-        if not any(mask.any() for mask in self.flags.values()):
-            return [()] * len(self)
-        names = list(self.flags)
-        return [tuple(name for name, f in zip(names, point) if f)
-                for point in np.column_stack(list(self.flags.values())).tolist()]
-
-    @cached_property
-    def _rows(self) -> list:
-        x_name, op = self.x_name, self.operating_point
-        duty, sigma_phi, e_phi = op.duty_cycle, op.sigma_phi, op.e_phi
-        rate_names, diag_names = tuple(self.rates), tuple(self.diagnostics)
-        k = 1 + len(rate_names)
-        cols = np.vstack((self.x, *self.rates.values(), *self.diagnostics.values())).tolist()
-
-        def points(c):  # the values of columns c at each point, as one tuple per point
-            return zip(*c) if c else [()] * len(self)
-
-        return [SweepRow(x_name, x, dict(zip(rate_names, r)), duty, sigma_phi, e_phi,
-                         dict(zip(diag_names, d)), flags)
-                for x, r, d, flags in zip(cols[0], points(cols[1:k]), points(cols[k:]),
-                                          self._point_flags())]
+        names = tuple(self.rates)
+        x, *cols = np.vstack((self.x, *self.rates.values())).tolist()
+        rates = [dict(zip(names, r)) for r in zip(*cols)] if cols else [{} for _ in x]
+        return map(SweepRow, x, rates)
 
 
 def run_sweep(scenario, spec: Optional[SweepSpec] = None,
@@ -372,9 +334,9 @@ def run_sweep(scenario, spec: Optional[SweepSpec] = None,
     """
     if isinstance(scenario, Integral):
         scenario = builtin_scenario(scenario)
-    spec = spec or SweepSpec()
-    prot = prot or ProtocolParams()
-    det = detector or DETECTORS[spec.detector]
+    spec = _SPEC(spec) or SweepSpec()
+    prot = _PROT(prot) or ProtocolParams()
+    det = _DETECTOR(detector) or DETECTORS[spec.detector]
     op = scenario.operating_point if isinstance(scenario, ScenarioPreset) else scenario
     if not isinstance(op, OperatingPoint):
         raise DomainError("scenario must be a preset id, ScenarioPreset or OperatingPoint")
@@ -397,21 +359,24 @@ def format_csv(table: SweepTable) -> str:
     order, and a flags column (the flags set at the point, joined by ';').
     Every number prints as %.12e through csvtext.csv_text, the same bytes
     as '%.12e' % v cell by cell; the three operating-point columns, equal
-    at every point, go in as float columns like the rest.  Identical
-    inputs produce byte-identical text.
+    at every point, go in as float columns like the rest.  A point's flags
+    cell is indexed by its bit code (bit i set where flag i is) among the
+    cells of every combination.  Identical inputs produce identical text.
     """
     if not isinstance(table, SweepTable):
         raise DomainError("format_csv takes the SweepTable that run_sweep returns")
-    op, n = table.operating_point, len(table)
-    header = ([table.x_name]
-              + [f"rate_{p}_bits_per_s" for p in table.rates]
-              + ["duty_cycle", "sigma_phi_rad", "e_phi"]
-              + list(table.diagnostics) + ["flags"])
+    op, n, names = table.operating_point, len(table), list(table.flags)
+    code = np.zeros(n, dtype=np.intp)
+    for i, mask in enumerate(table.flags.values()):
+        code |= np.asarray(mask, dtype=np.intp) << i
+    cells = np.array([";".join(f for i, f in enumerate(names) if c >> i & 1)
+                      for c in range(1 << len(names))], dtype=object)
+    header = ([table.x_name] + [f"rate_{p}_bits_per_s" for p in table.rates]
+              + ["duty_cycle", "sigma_phi_rad", "e_phi"] + list(table.diagnostics) + ["flags"])
     return csv_text(header, (
         table.x, *table.rates.values(),
         *(np.full(n, v) for v in (op.duty_cycle, op.sigma_phi, op.e_phi)),
-        *table.diagnostics.values(),
-        np.array([";".join(f) for f in table._point_flags()], dtype=object)))
+        *table.diagnostics.values(), cells[code]))
 
 
 def emit_csv(table: SweepTable, path) -> None:

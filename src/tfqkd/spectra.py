@@ -163,9 +163,17 @@ class TopologyConfig(Checked):
         return self.l_a - self.l_b
 
 
+# the field contract's checkers of the public functions' record arguments
+_P_FREE, _P_CAVITY, _P_LOOP, _P_FIBER = (_checker(spec(cls), "p") for cls in (
+    LaserFreeParams, CavityParams, LoopParams, FiberParams))
+_FREE, _CAVITY, _LOOP, _TOPO, _LASER, _FIBER = (_checker(spec(cls), name) for cls, name in (
+    (LaserFreeParams, "laser"), (CavityParams, "cavity"), (LoopParams, "loop"),
+    (TopologyConfig, "topo"), (LaserSpec, "laser"), (FiberParams, "fiber")))
+
+
 def psd_laser_free(f, p: LaserFreeParams):
     """Free-running laser phase noise (rad^2/Hz)."""
-    f = _as_positive_freq(f)
+    f, p = _as_positive_freq(f), _P_FREE(p)
     return _laser_free(f, f**2, f**3, p)
 
 
@@ -178,7 +186,7 @@ def _laser_free(f, f2, f3, p: LaserFreeParams):
 
 def psd_cavity(f, p: CavityParams):
     """Reference-cavity phase noise (rad^2/Hz)."""
-    f = _as_positive_freq(f)
+    f, p = _as_positive_freq(f), _P_CAVITY(p)
     return _cavity(f, f**2, f**3, p)
 
 
@@ -192,7 +200,7 @@ def loop_gain(f, p: LoopParams):
     Second-order integrator with a zero at B*gamma and a pole at B*delta;
     |G| diverges as f -> 0 and falls off as 1/f^2 well above the pole.
     """
-    f = _as_positive_freq(f)
+    f, p = _as_positive_freq(f), _P_LOOP(p)
     w2 = (2.0 * np.pi * f) ** 2
     zero = 1j * f + p.bandwidth * p.gamma
     pole = 1j * f + p.bandwidth * p.delta
@@ -202,7 +210,7 @@ def loop_gain(f, p: LoopParams):
 def psd_laser_stabilized(f, laser: LaserFreeParams, cavity: CavityParams,
                          loop: LoopParams):
     """Cavity-stabilized laser noise: cavity floor plus servo-suppressed free noise."""
-    f = _as_positive_freq(f)
+    f, laser, cavity, loop = _as_positive_freq(f), _FREE(laser), _CAVITY(cavity), _LOOP(loop)
     return _laser_stabilized(f, f**2, (2.0 * np.pi * f) ** 2, laser, cavity, loop)
 
 
@@ -235,7 +243,8 @@ def psd_fiber(f, length_km: float, p: FiberParams, stabilized: bool):
 
 def psd_fiber_linear(f, length_km: float, p: FiberParams, stabilized: bool):
     """Length-proportional part of the fiber noise, without the detection floor."""
-    f, length_km, stabilized = _as_positive_freq(f), _LENGTH(length_km), _STABILIZED(stabilized)
+    f, length_km, p = _as_positive_freq(f), _LENGTH(length_km), _P_FIBER(p)
+    stabilized = _STABILIZED(stabilized)
     rolloff = None if stabilized else _fiber_rolloff(f, p)
     return _fiber_linear(f**2, rolloff, length_km, p, stabilized)
 
@@ -253,7 +262,7 @@ def _fiber_linear(f2, rolloff, length_km: float, p: FiberParams, stabilized: boo
 
 def psd_detection_floor(f, p: FiberParams):
     """White detection floor of the fiber-noise sensing interference."""
-    return _detection_floor(_as_positive_freq(f), p)
+    return _detection_floor(_as_positive_freq(f), _P_FIBER(p))
 
 
 def _detection_floor(f, p: FiberParams):
@@ -337,7 +346,7 @@ def interference_spectrum(topo: TopologyConfig,
     noise, so it does not pick up round-trip or per-arm factors.
     delta_l_km overrides the delay mismatch of the common-laser term only.
     """
-    dl = _DELTA_L(delta_l_km)
+    topo, laser, fiber, dl = _TOPO(topo), _LASER(laser), _FIBER(fiber), _DELTA_L(delta_l_km)
     dl = topo.delta_l if dl is None else dl
     psd = _composite(topo, laser, fiber, dl)
 

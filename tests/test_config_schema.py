@@ -130,3 +130,19 @@ def test_null_optional_leaf_is_none(base):
     assert cfg.budget.f_max is None
     assert cfg == loads_config(base)
     assert loads_config(dump_config(cfg)) == cfg
+
+
+@pytest.mark.parametrize("exponent, dotted", [
+    ("3e6", "3.0e+6"), ("1e-3", "1.0e-3"), ("2E+5", "2.0e+5"), ("+1_0e-8", "1.0e-7")])
+def test_exponent_without_a_dot_is_a_number(exponent, dotted):
+    # YAML 1.1, which PyYAML follows, reads these as strings; a
+    # configuration reads them as YAML 1.2 does, and quoted ('1e-8' in
+    # CORPUS) they stay strings
+    def cfg(value):
+        return loads_config(f"scenario: {{preset: 1}}\nlaser: {{r3: {value}}}\n"
+                            f"fiber: {{s0: {value}}}\nbudget: {{tau_ps_s: {value}}}\n")
+
+    assert cfg(exponent) == cfg(dotted)
+    assert cfg(exponent).laser.free.r3 == cfg(exponent).fiber.s0 == float(dotted)
+    assert loads_config(dump_config(cfg(exponent))) == cfg(exponent)
+    assert yaml.safe_load(f"x: {exponent}") == {"x": exponent}  # the global loader is untouched

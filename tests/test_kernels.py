@@ -11,13 +11,20 @@ from tfqkd import (
     SNSPD,
     CalChannel,
     CalParams,
+    CavityParams,
     ChannelErrorModel,
     DecoySet,
     DetectorParams,
     DomainError,
+    FiberParams,
     FixedDelta,
+    LaserFreeParams,
+    LaserSpec,
+    LoopParams,
     McConfig,
+    ProtocolParams,
     SnsParams,
+    SweepSpec,
     UniformRandomized,
     aopp_transform,
     arm_transmittance,
@@ -36,20 +43,32 @@ from tfqkd import (
     error_gain,
     fock_bs_distribution,
     fock_pair_yield,
+    builtin_scenarios,
     gain,
+    interference_spectrum,
     link_from_attenuation,
+    loop_gain,
     make_cal_channel,
     mc_click_stats,
     phase_variance,
     plob_bound,
     poisson_true_yields,
     poisson_yield_gain,
+    psd_cavity,
+    psd_detection_floor,
+    psd_fiber,
+    psd_laser_free,
+    psd_laser_stabilized,
     qber,
     qber_from_variance,
     qber_small_angle,
+    run_sweep,
+    sigma_map,
     sns_aopp_rate,
     sns_rate,
     sns_window_stats,
+    solve_scenario,
+    solve_tau_q,
 )
 
 F_EC = 1.15
@@ -229,6 +248,9 @@ _MC = (0.1, 0.1, 0.5, 1e-6, McConfig(samples=10))
 _NOT_REALS = ("0.1", None, True, np.array([0.1, 0.2]))
 _NOT_REALS_OR_ARRAYS = _NOT_REALS[:-1]  # for an argument that also takes an array
 _NOT_COUNTS = (1.5, 1.0, -1, "1", None, True, np.array([1, 2]))
+_PRESET = builtin_scenarios()[0]
+_TOPO = _PRESET.topology
+_LASER = (CavityParams(), LoopParams())  # the other records of psd_laser_stabilized
 # the kernels' and the oracle's arguments: (call, the argument's name,
 # wrong-typed values)
 WRONG_TYPE_ARGS = {
@@ -316,6 +338,47 @@ WRONG_TYPE_ARGS = {
     "balanced_link l_a": (lambda v: balanced_link(v, 0.2, 0.0), "l_a", _NOT_REALS_OR_ARRAYS),
     "balanced_link alpha": (lambda v: balanced_link(1.0, v, 0.0), "alpha", _NOT_REALS),
     "balanced_link a_plus": (lambda v: balanced_link(1.0, 0.2, v), "a_plus", _NOT_REALS),
+    # the record and grid arguments of the spectra, window and sweep functions
+    "interference_spectrum topo": (interference_spectrum, "topo", (None, "x", LaserSpec())),
+    "interference_spectrum laser": (lambda v: interference_spectrum(_TOPO, v), "laser",
+                                    (None, FiberParams())),
+    "interference_spectrum fiber": (lambda v: interference_spectrum(_TOPO, fiber=v), "fiber",
+                                    (None, LaserSpec())),
+    "psd_laser_free p": (lambda v: psd_laser_free(1.0, v), "p", (None, CavityParams())),
+    "psd_cavity p": (lambda v: psd_cavity(1.0, v), "p", (None, LaserFreeParams())),
+    "loop_gain p": (lambda v: loop_gain(1.0, v), "p", (None, CavityParams())),
+    "psd_laser_stabilized laser": (lambda v: psd_laser_stabilized(1.0, v, *_LASER), "laser",
+                                   (None, LaserSpec())),
+    "psd_laser_stabilized cavity": (lambda v: psd_laser_stabilized(
+        1.0, LaserFreeParams(), v, _LASER[1]), "cavity", (None, LoopParams())),
+    "psd_laser_stabilized loop": (lambda v: psd_laser_stabilized(
+        1.0, LaserFreeParams(), _LASER[0], v), "loop", (None, CavityParams())),
+    "psd_fiber p": (lambda v: psd_fiber(1.0, 1.0, v, False), "p", (None, LaserSpec())),
+    "psd_detection_floor p": (lambda v: psd_detection_floor(1.0, v), "p", (None, LoopParams())),
+    "phase_variance psd": (lambda v: phase_variance(v, 1e-3), "psd", (None, "x", 1.0)),
+    "solve_tau_q psd": (solve_tau_q, "psd", (None, "x")),
+    "solve_tau_q budget": (lambda v: solve_tau_q(lambda f: f ** -2.0, v), "budget",
+                           (None, "x", _PRESET.operating_point)),
+    "sigma_map topo_template": (lambda v: sigma_map(v, [1.0], [1e-3]), "topo_template",
+                                (None, _PRESET)),
+    "sigma_map budget": (lambda v: sigma_map(_TOPO, [1.0], [1e-3], budget=v), "budget",
+                         (None, "x")),
+    "sigma_map laser": (lambda v: sigma_map(_TOPO, [1.0], [1e-3], laser=v), "laser",
+                        (None, FiberParams())),
+    "sigma_map fiber": (lambda v: sigma_map(_TOPO, [1.0], [1e-3], fiber=v), "fiber",
+                        (None, LaserSpec())),
+    "sigma_map delta_l_grid": (lambda v: sigma_map(_TOPO, v, [1e-3]), "delta_l_grid",
+                               (None, 1.0, "12", [], np.array([]))),
+    "sigma_map delta_l_grid entry": (lambda v: sigma_map(_TOPO, [v], [1e-3]), "delta_l_grid entry",
+                                     ("a", None, True, -1.0, np.nan, [1.0])),
+    "sigma_map tau_grid": (lambda v: sigma_map(_TOPO, [1.0], v), "tau_grid", (None, 1e-3, ())),
+    "sigma_map tau_grid entry": (lambda v: sigma_map(_TOPO, [1.0], np.array([v])),
+                                 "tau_grid entry", ("a", True, 0.0, np.inf)),
+    "solve_scenario preset": (solve_scenario, "preset", (None, 1, _TOPO)),
+    "run_sweep spec": (lambda v: run_sweep(1, v), "spec", ("x", ProtocolParams())),
+    "run_sweep prot": (lambda v: run_sweep(1, None, v), "prot", ("x", SweepSpec())),
+    "run_sweep detector": (lambda v: run_sweep(1, None, None, v), "detector",
+                           ("x", McConfig())),
 }
 
 
@@ -323,9 +386,11 @@ WRONG_TYPE_ARGS = {
 def test_wrong_typed_oracle_arguments_raise_naming_the_argument(name):
     # each raised a bare TypeError or ValueError (a string intensity or
     # transmittance numpy's UFuncTypeError, a missing or foreign record an
-    # AttributeError or TypeError), or (a fractional or boolean
-    # photon number, a boolean intensity, probability, variance, window or
-    # inefficiency, a string attenuation) returned a value
+    # AttributeError or TypeError, a psd that is not callable a "not
+    # callable" TypeError, a non-numeric grid entry a ValueError), or (a
+    # fractional or boolean photon number, a boolean intensity,
+    # probability, variance, window, inefficiency or grid entry, a string
+    # attenuation or grid of digits) returned a value
     call, arg, values = WRONG_TYPE_ARGS[name]
     for v in values:
         with pytest.raises(DomainError, match=f"^{arg} must be"):

@@ -73,9 +73,9 @@ def test_plob_within_two_ulp():
 
 
 def test_plob_rate_positive_at_200_db():
-    row = run_sweep(2, SweepSpec(start=200.0, stop=200.0))[0]
-    assert row.rates["plob"] > 0.0
-    assert rel_err(row.rates["plob"] / 1e9, plob(1e-20)) <= 4.4e-16
+    rate = run_sweep(2, SweepSpec(start=200.0, stop=200.0)).rates["plob"][0]
+    assert rate > 0.0
+    assert rel_err(rate / 1e9, plob(1e-20)) <= 4.4e-16
 
 
 def test_click_probability_on_random_points():

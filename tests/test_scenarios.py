@@ -1,5 +1,6 @@
 """Scenario presets, sweeps, configuration loading and CSV emission."""
 
+import dataclasses
 import math
 import warnings
 from dataclasses import replace
@@ -20,6 +21,7 @@ from tfqkd import (
     DomainError,
     FullConfig,
     ProtocolParams,
+    SweepRow,
     SweepSpec,
     SweepTable,
     aopp_transform,
@@ -106,6 +108,14 @@ def scalar_point(sid, spec, x, det=None):
         diag["cal_e_x"] = cal_bit_error(ch, p_dc) if keyed else 0.0
         diag["cal_e_z_bound"] = cal_phase_error(prot.cal, ch, p_dc) if keyed else 1.0
     return rates, diag, tuple(flags)
+
+
+def table_point(table, i):
+    """(rates, diagnostics, flags) of point i of a sweep table, read from
+    its columns, as scalar_point gives them."""
+    return ({p: a[i] for p, a in table.rates.items()},
+            {k: a[i] for k, a in table.diagnostics.items()},
+            tuple(f for f, mask in table.flags.items() if mask[i]))
 
 
 class TestPresets:
@@ -205,22 +215,23 @@ class TestRunSweep:
     def test_length_axis(self):
         spec = SweepSpec(x_axis="total_length_km", start=100.0, stop=100.0,
                          step=1.0, alpha=0.2)
-        row_l = run_sweep(2, spec)[0]
-        row_a = run_sweep(2, SweepSpec(start=20.0, stop=20.0, step=1.0))[0]
-        assert row_l.rates["sns_aopp"] == row_a.rates["sns_aopp"]
+        rate_l = run_sweep(2, spec).rates["sns_aopp"][0]
+        rate_a = run_sweep(2, SweepSpec(start=20.0, stop=20.0, step=1.0)).rates["sns_aopp"][0]
+        assert rate_l == rate_a
 
     def test_length_axis_pads_both_arms(self):
         # a balanced link of 2 x 50 km charges a_plus to each arm, as
         # balanced_link does: 0.2 * 100 + 2 * 1.5 = 23 dB
         spec = SweepSpec(x_axis="total_length_km", start=100.0, stop=100.0, a_plus=1.5)
-        row = run_sweep(2, spec)[0]
+        table = run_sweep(2, spec)
         assert balanced_link(50.0, 0.2, 1.5) == link_from_attenuation(23.0)
-        assert row.rates == run_sweep(2, SweepSpec(start=23.0, stop=23.0))[0].rates
+        assert table_point(table, 0)[0] == table_point(
+            run_sweep(2, SweepSpec(start=23.0, stop=23.0)), 0)[0]
 
     def test_protocol_subset(self):
-        rows = run_sweep(2, SweepSpec(start=40, stop=40, step=1,
-                                      protocols=("cal", "plob_realistic")))
-        assert set(rows[0].rates) == {"cal", "plob_realistic"}
+        table = run_sweep(2, SweepSpec(start=40, stop=40, step=1,
+                                       protocols=("cal", "plob_realistic")))
+        assert set(table.rates) == {"cal", "plob_realistic"}
 
     def test_extreme_darks_zero_rates_sweep_continues(self):
         noisy = DetectorParams(eta_d=0.9, dark_rate=5e8, clock_rate=1e9)
@@ -247,14 +258,39 @@ class TestRunSweep:
                            e1ph_up=np.ones_like(b.e1ph_up), ok=np.zeros_like(b.ok))
 
         monkeypatch.setattr(scen_mod, "decoy_bounds", failing)
-        rows = run_sweep(2, SweepSpec(start=40, stop=42, step=1.0))
-        assert len(rows) == 3
-        for r in rows:
+        table = run_sweep(2, SweepSpec(start=40, stop=42, step=1.0))
+        assert len(table) == 3
+        assert table.flags["sns_estimation_failed"].all()
+        assert table.flags["bb84_estimation_failed"].all()
+        for r in table:
             assert r.rates["sns_aopp"] == 0.0
             assert r.rates["bb84"] == 0.0
-            assert "sns_estimation_failed" in r.flags
-            assert "bb84_estimation_failed" in r.flags
             assert r.rates["cal"] > 0.0  # unaffected protocol keeps running
+
+    def test_failure_flags_from_the_model(self):
+        # no patched bounds: with this decoy set and a 1 MHz dark rate the
+        # single-photon bounds fail on BB84's channel on [11, 28.5] dB and
+        # on SNS's per-arm channel on [24.5, 60.5] dB, 9 points on both
+        prot = ProtocolParams(decoys=DecoySet(u=0.9, v=0.4, w=0.3))
+        det = DetectorParams(eta_d=0.5, dark_rate=1e6)
+        table = run_sweep(1, SweepSpec(start=0.0, stop=120.0, step=0.5), prot=prot, detector=det)
+        bb84, sns = table.flags["bb84_estimation_failed"], table.flags["sns_estimation_failed"]
+        eta_hat = effective_transmittance(link_from_attenuation(table.x), det)
+        for mask, t, keys in ((bb84, eta_hat, ("bb84",)),
+                              (sns, arm_transmittance(eta_hat), ("sns", "sns_aopp"))):
+            m = ChannelErrorModel(eta_hat=t, p_dc=det.p_dc, e_theta=prot.misalignment.e_theta,
+                                  e_phi=table.operating_point.e_phi)
+            assert mask.tolist() == (~decoy_bounds(prot.decoys, m).ok).tolist()
+            for k in keys:
+                assert table.rates[k][mask].tolist() == [0.0] * int(mask.sum())
+        assert table.x[bb84].tolist() == np.arange(11.0, 28.6, 0.5).tolist()
+        assert table.x[sns].tolist() == np.arange(24.5, 60.6, 0.5).tolist()
+        assert (bb84.sum(), sns.sum(), (bb84 & sns).sum()) == (36, 73, 9)
+        # each CSV flags cell joins the point's flags in the table's order
+        cells = [line.rsplit(",", 1)[1] for line in format_csv(table).splitlines()[1:]]
+        assert cells == [";".join(table_point(table, i)[2]) for i in range(len(table))]
+        assert set(cells) == {"", "bb84_estimation_failed", "sns_estimation_failed",
+                              "bb84_estimation_failed;sns_estimation_failed"}
 
     def test_kernel_calls_do_not_grow_with_points(self, monkeypatch):
         # a sweep evaluates each kernel once over a stacked (intensity or
@@ -264,6 +300,7 @@ class TestRunSweep:
         # losses where BB84 has no key
         import inspect
 
+        import tfqkd._fields as fields_mod
         import tfqkd.cal as cal_mod
         import tfqkd.decoy as decoy_mod
         import tfqkd.link as link_mod
@@ -272,10 +309,12 @@ class TestRunSweep:
 
         # the sweep runs public protocol functions only: scenarios holds no
         # private name of decoy, sns or cal, nor one of those modules to
-        # reach a private name through
+        # reach a private name through; the field contract's _checker,
+        # which every module imports from _fields, is none of theirs
         protocol = (cal_mod, decoy_mod, sns_mod)
         private = [v for m in protocol for k, v in vars(m).items()
-                   if k.startswith("_") and not k.startswith("__")]
+                   if k.startswith("_") and not k.startswith("__")
+                   and getattr(fields_mod, k, None) is not v]
         assert [k for k, v in vars(scen_mod).items()
                 if any(v is x for x in protocol + tuple(private))] == []
         holders = (cal_mod, decoy_mod, link_mod, scen_mod, sns_mod)
@@ -343,8 +382,9 @@ class TestRunSweep:
         lengths = SweepSpec(x_axis="total_length_km", start=0.0, stop=400.0, step=25.0,
                             detector=detector, protocols=protocols, a_plus=1.5)
         for sp in (spec, lengths):
-            for row in run_sweep(sid, sp):
-                assert (row.rates, row.diagnostics, row.flags) == scalar_point(sid, sp, row.x)
+            table = run_sweep(sid, sp)
+            for i, x in enumerate(table.x.tolist()):
+                assert table_point(table, i) == scalar_point(sid, sp, x)
 
     @pytest.mark.parametrize("sid", [2, 5])
     def test_points_without_gain_equal_scalar_functions(self, sid):
@@ -364,9 +404,8 @@ class TestRunSweep:
                 table = run_sweep(sid, spec, detector=dark_free)
                 gains.append(table.diagnostics["cal_gain"] > 0.0)
                 assert not table.diagnostics["sns_n_t"][~gains[-1]].any()
-                for row in table:
-                    assert (row.rates, row.diagnostics, row.flags) == scalar_point(
-                        sid, spec, row.x, det=dark_free)
+                for i, x in enumerate(table.x.tolist()):
+                    assert table_point(table, i) == scalar_point(sid, spec, x, det=dark_free)
         assert not gains[0].all() and gains[0].any()
         assert gains[1].all() and not gains[2].any()
 
@@ -396,16 +435,17 @@ class TestRunSweep:
         # completes, every rate 0 there
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rows = run_sweep(2, SweepSpec(start=0.0, stop=200.0, step=0.5))
+            table = run_sweep(2, SweepSpec(start=0.0, stop=200.0, step=0.5))
             far = {start: run_sweep(2, SweepSpec(start=start, stop=3250.0, step=5.0))
                    for start in (3240.0, 3230.0)}
-        assert rows[0].rates["plob"] == math.inf
-        assert all(0.0 < r.rates["plob"] < math.inf for r in rows[1:])
-        assert all(v >= 0.0 for r in rows for v in r.rates.values())
-        for start, rows in far.items():
-            assert [r.x for r in rows] == np.arange(start, 3250.1, 5.0).tolist()
-            assert rows[-1].rates == dict.fromkeys(PROTOCOL_NAMES, 0.0)
-            assert all(r.rates[p] == 0.0 for r in rows for p in ("bb84", "sns", "sns_aopp"))
+        plob = table.rates["plob"].tolist()
+        assert plob[0] == math.inf
+        assert all(0.0 < v < math.inf for v in plob[1:])
+        assert all(v >= 0.0 for r in table for v in r.rates.values())
+        for start, table in far.items():
+            assert [r.x for r in table] == np.arange(start, 3250.1, 5.0).tolist()
+            assert table_point(table, -1)[0] == dict.fromkeys(PROTOCOL_NAMES, 0.0)
+            assert all(r.rates[p] == 0.0 for r in table for p in ("bb84", "sns", "sns_aopp"))
 
     def test_curves_below_physical_bounds(self):
         # direct-link protocol under the total-channel capacity; twin-field
@@ -421,9 +461,12 @@ class TestRunSweep:
             assert r.rates["sns"] <= arm_cap * (1 + 1e-12)
 
     def test_duty_and_qber_fixed_per_scenario(self):
-        rows = run_sweep(3, SweepSpec(start=10, stop=50, step=20))
-        assert len({r.duty_cycle for r in rows}) == 1
-        assert len({r.e_phi for r in rows}) == 1
+        # every point of the CSV carries the one operating point's values
+        table = run_sweep(3, SweepSpec(start=10, stop=50, step=20))
+        header, *lines = (line.split(",") for line in format_csv(table).splitlines())
+        cells = dict(zip(header, zip(*lines)))
+        assert len(set(cells["duty_cycle"])) == 1
+        assert len(set(cells["e_phi"])) == 1
 
 
 class TestSweepTable:
@@ -434,29 +477,25 @@ class TestSweepTable:
         assert list(table.diagnostics) == sorted(table.diagnostics)
         assert table.operating_point == builtin_scenario(2).operating_point
         assert [r.x for r in table] == table.x.tolist() == [10.0, 20.0, 30.0, 40.0]
-        # rows are built on first access and then cached
-        assert table[-1] is table[3] and table[1:3] == list(table)[1:3]
-        assert all(a is b for a, b in zip(table, list(table)))
+        # one record of a sweep: the columns, with rows of x and rates
+        # built from them on each iteration
+        assert [f.name for f in dataclasses.fields(SweepRow)] == ["x", "rates"]
+        assert not hasattr(table, "__getitem__")
+        assert list(table) == list(table)
         for i, row in enumerate(table):
             assert row.rates == {p: a[i] for p, a in table.rates.items()}
-            assert row.diagnostics == {k: a[i] for k, a in table.diagnostics.items()}
-            assert row.duty_cycle == table.operating_point.duty_cycle
-        with pytest.raises(IndexError):
-            table[4]
 
     def test_rows_are_copies(self):
-        # a cached row is a mutable record of Python values: assigning to
-        # its fields or dicts changes neither the columns nor the CSV
+        # a row is a mutable record of Python values: assigning to its
+        # fields or dicts changes neither the columns nor the CSV
         table = run_sweep(2, SweepSpec(start=10, stop=40, step=10))
         x, rates, text = table.x.copy(), {p: a.copy() for p, a in table.rates.items()}, \
             format_csv(table)
-        row = table[1]
-        row.x = -1.0
+        row = list(table)[1]
         row.rates["cal"] = -1.0
-        row.diagnostics["cal_gain"] = -1.0
+        row.x = -1.0
         row.rates = {}
-        row.duty_cycle = row.flags = None
-        assert table[1] is row and row.x == -1.0
+        assert row.x == -1.0 and list(table)[1].x == 20.0
         assert table.x.tolist() == x.tolist()
         assert all(table.rates[p].tolist() == a.tolist() for p, a in rates.items())
         assert format_csv(table) == text
@@ -478,20 +517,22 @@ class TestCsv:
         assert len(lines) == 1 + 4
 
     @staticmethod
-    def _cell_text(rows):
-        """The sweep CSV of rows as the per-cell formatter wrote it: each
-        value converted to float and printed with f"{v:.12e}", the flags
-        joined by ';' and printed with str."""
-        protocols = [p for p in PROTOCOL_NAMES if p in rows[0].rates]
-        diag = sorted(rows[0].diagnostics)
-        header = ([rows[0].x_name] + [f"rate_{p}_bits_per_s" for p in protocols]
+    def _cell_text(table):
+        """The sweep CSV of a table as the per-cell formatter wrote it, point
+        by point: each value converted to float and printed with
+        f"{v:.12e}", the flags joined by ';' and printed with str."""
+        op = table.operating_point
+        protocols = [p for p in PROTOCOL_NAMES if p in table.rates]
+        diag = sorted(table.diagnostics)
+        header = ([table.x_name] + [f"rate_{p}_bits_per_s" for p in protocols]
                   + ["duty_cycle", "sigma_phi_rad", "e_phi"] + diag + ["flags"])
         lines = [",".join(header)]
-        for r in rows:
-            cells = [float(v) for v in (r.x, *(r.rates[p] for p in protocols),
-                                        r.duty_cycle, r.sigma_phi, r.e_phi,
-                                        *(r.diagnostics[k] for k in diag))]
-            lines.append(",".join([f"{v:.12e}" for v in cells] + [str(";".join(r.flags))]))
+        for i in range(len(table)):
+            rates, diagnostics, flags = table_point(table, i)
+            cells = [float(v) for v in (table.x[i], *(rates[p] for p in protocols),
+                                        op.duty_cycle, op.sigma_phi, op.e_phi,
+                                        *(diagnostics[k] for k in diag))]
+            lines.append(",".join([f"{v:.12e}" for v in cells] + [str(";".join(flags))]))
         return "\n".join(lines) + "\n"
 
     def test_template_equals_per_cell_formatter(self):
@@ -514,8 +555,8 @@ class TestCsv:
             "bb84_estimation_failed": t.x % 2 == 0, "sns_estimation_failed": t.x % 3 == 0},
             t.operating_point))
         for table in tables:
-            assert format_csv(table).split("\n") == self._cell_text(list(table)).split("\n")
-        assert tables[-1][6].flags == ("bb84_estimation_failed", "sns_estimation_failed")
+            assert format_csv(table).split("\n") == self._cell_text(table).split("\n")
+        assert table_point(tables[-1], 6)[2] == ("bb84_estimation_failed", "sns_estimation_failed")
         header, first = format_csv(run_sweep(2, specs[0])).split("\n")[:2]
         assert dict(zip(header.split(","), first.split(",")))["rate_plob_bits_per_s"] == "inf"
 
