@@ -33,11 +33,16 @@ _COUNT = click.IntRange(min=1)
 
 
 def _write(text: str, out) -> None:
+    """Write text to stdout, or to the file out; a path that cannot be
+    written is one error line naming it."""
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise click.FileError(out, exc.strerror or str(exc)) from exc
 
 
 def _context(scenario_id: int | None, config: str | None) -> FullConfig:

@@ -55,13 +55,11 @@ def _spectrum_of(psd) -> Spectrum:
     return psd if isinstance(psd, Spectrum) else Spectrum(psd)
 
 
-def _trapezoid_tail(ln_f: np.ndarray, fy: np.ndarray, fy_end: np.ndarray) -> np.ndarray:
-    """Entry i is the trapezoid in ln f of f*y from node i to the last
-    node.  A step starts on fy and ends on fy_end, which differ only at a
-    jump of the PSD."""
+def _trapezoid_tail(ln_f: np.ndarray, fy: np.ndarray) -> np.ndarray:
+    """Entry i is the trapezoid in ln f of f*y from node i to the last node."""
     seg = np.subtract(ln_f[1:], ln_f[:-1])
     seg *= 0.5
-    seg *= np.add(fy[:-1], fy_end[1:])
+    seg *= np.add(fy[:-1], fy[1:])
     tail = np.empty(ln_f.size)
     tail[-1] = 0.0
     # the running sum from the last step backwards, written back to front
@@ -72,8 +70,7 @@ def _trapezoid_tail(ln_f: np.ndarray, fy: np.ndarray, fy_end: np.ndarray) -> np.
 def _variance_curve(spec: Spectrum, f_query: np.ndarray, f_max: Optional[float]):
     """The accumulated variance on one grid: nodes f and c[i], the PSD
     integral from f[i] to f_max, i.e. sigma^2 of the window 1/f[i], with
-    fy[i] = f[i] * S(f[i]) and fy_end[i], its left-side value (they differ
-    only at the switch node): -dc/d ln f leaving and reaching node i.
+    fy[i] = f[i] * S(f[i]) = -dc/d ln f at node i.
 
     f_max defaults to spec.default_f_max().  The grid spans [min f_query,
     f_max]; for an infinite f_max it spans a body up to f_body and six
@@ -83,22 +80,21 @@ def _variance_curve(spec: Spectrum, f_query: np.ndarray, f_max: Optional[float])
     DivergentIntegralError unless its remainder is under 1e-6 of the body.
     The grid is log-spaced, uniform over the sin^2 periods below the
     switch frequency and f_body, and has the switch frequency, the knees
-    and every f_query below f_max as nodes.  Each node is evaluated once,
-    with the exact PSD below the switch frequency and the sin^2-averaged
-    one from it on; the switch node alone gets both, ending the one range
-    and starting the other.  The trapezoid tails on every, every other and
-    every fourth node, each summed once, give c on every fourth node by two
-    Richardson steps (Boole's rule).  Raises DivergentIntegralError when
-    Simpson's rule on the same nodes differs from c at a queried variance
-    by more than _GRID_RTOL.
+    and every f_query below f_max as nodes.  The switch node is followed
+    by four zero-width steps, so each node is evaluated once and has one
+    value: the exact PSD up to the switch node, the sin^2-averaged one
+    past it.  The trapezoid tails on every, every other and every fourth
+    node, each summed once, give c on every fourth node by two Richardson
+    steps (Boole's rule).  Raises DivergentIntegralError when Simpson's
+    rule on the same nodes differs from c at a queried variance by more
+    than _GRID_RTOL.
     """
     f_max = spec.default_f_max() if f_max is None else f_max
     f_lo, f_top = float(np.min(f_query)), float(np.max(f_query))
     if f_lo >= f_max:
-        return np.array([f_lo]), np.zeros(1), np.zeros(1), np.zeros(1)
-    f_switch = None
-    if spec.oscillation_period is not None and spec.averaged_func is not None:
-        f_switch = OSC_PERIODS * spec.oscillation_period
+        return np.array([f_lo]), np.zeros(1), np.zeros(1)
+    period = spec.oscillation_period  # and with it spec.averaged_func
+    f_switch = None if period is None else OSC_PERIODS * period
     f_hi = f_body = f_max
     if not np.isfinite(f_max):
         # a body above every query, knee and the switch frequency, then
@@ -108,17 +104,21 @@ def _variance_curve(spec: Spectrum, f_query: np.ndarray, f_max: Optional[float])
     # segments between consecutive breakpoints, each in a multiple of four
     # equal steps (so breakpoints stay nodes of the every-fourth-node grid):
     # uniform in f over the sin^2 periods, from where such a step is finer
-    # than a log step up to the body end, and in log f elsewhere
+    # than a log step up to the switch frequency, and in log f elsewhere
     breaks = [f_lo, f_body, f_hi, *f_query, *spec.knees]
-    step = lin_lo = lin_hi = np.inf  # no uniform segment without a period
-    if spec.oscillation_period is not None:
-        step = spec.oscillation_period / _POINTS_PER_PERIOD
+    step = lin_lo = lin_hi = np.inf  # no uniform segment without a switch
+    inside = period is not None and f_lo <= f_switch <= f_hi  # the switch is in the grid
+    if period is not None:
+        step = period / _POINTS_PER_PERIOD
         lin_lo = step / np.expm1(np.log(10.0) / _POINTS_PER_DECADE)
-        lin_hi = f_body if f_switch is None else min(f_switch, f_body)
-        breaks += [lin_lo, lin_hi]
+        lin_hi = min(f_switch, f_body)
+        breaks += [lin_lo, lin_hi, f_switch]
     breaks = np.clip(breaks, f_lo, f_hi)
     breaks.sort()
     distinct = breaks[1:] != breaks[:-1]
+    if inside:  # the switch's first two copies (lin_hi is one) bound a
+        # zero-width uniform segment: four steps, each node f_switch
+        distinct[np.searchsorted(breaks, f_switch)] = True
     a, b = breaks[:-1][distinct], breaks[1:][distinct]
     lin = (lin_lo <= a) & (b <= lin_hi)
     n = np.where(lin, (b - a) / step / 4, np.log10(b / a) * _POINTS_PER_DECADE / 4)
@@ -136,38 +136,31 @@ def _variance_curve(spec: Spectrum, f_query: np.ndarray, f_max: Optional[float])
     np.power(10.0, x, out=x, where=np.repeat(~lin, count))
     x[first] = a
     f[-1] = f_hi
-    # f*y with the exact PSD below the switch node and the averaged one
-    # from it on; fy_end, where a step ends, also ends the exact range at
-    # the switch node with the exact value
-    k = f.size if f_switch is None else int(np.searchsorted(f, f_switch))
-    if k == f.size:
-        fy = fy_end = f * spec.func(f)
-    elif k == 0:
-        fy = fy_end = f * spec.averaged_func(f)
-    else:
-        exact, averaged = spec.func(f[:k + 1]), spec.averaged_func(f[k:])
-        fy = np.empty_like(f)
-        np.multiply(f[:k], exact[:-1], out=fy[:k])
-        np.multiply(f[k:], averaged, out=fy[k:])
-        fy_end = fy.copy()
-        fy_end[k] = f[k] * exact[-1]
+    # the exact PSD up to the switch node's first copy (on every node if the
+    # switch is absent or above the grid, on none if it is below), then the
+    # averaged PSD
+    k = f.size if f_switch is None else int(np.searchsorted(f, f_switch)) + inside
+    fy = np.concatenate([form(nodes) for form, nodes in (
+        (spec.func, f[:k]), (spec.averaged_func, f[k:])) if nodes.size])
+    fy *= f
     # a Richardson step of each tail against the next coarser one is
     # Simpson's rule on equal step pairs, and one of Simpson's rule against
     # its own next coarser one is Boole's rule on step quadruples; both
     # stay finite on zero-width steps.  c lives on every fourth node, and
     # its check is the Simpson value on the same nodes
     ln_f = np.log(f)
-    t1, t2, t4 = (_trapezoid_tail(ln_f[::s], fy[::s], fy_end[::s]) for s in (1, 2, 4))
+    t1, t2, t4 = (_trapezoid_tail(ln_f[::s], fy[::s]) for s in (1, 2, 4))
     simpson = t1[::4] + (t1[::4] - t2[::2]) / 3.0
     c = simpson + (simpson - (t2[::2] + (t2[::2] - t4) / 3.0)) / 15.0
-    f, fy, fy_end = f[::4], fy[::4], fy_end[::4]
+    f, fy = f[::4], fy[::4]
     queried = f <= f_top
     if not np.all(np.abs(c - simpson)[queried] <= _GRID_RTOL * c[queried]):
         raise DivergentIntegralError(
             "phase variance does not converge on the integration grid")
     if not np.isfinite(f_max):
-        # the remainder F S(F) continues f^2 S as a constant past F
-        i = int(np.searchsorted(f, f_body))
+        # the remainder F S(F) continues f^2 S as a constant past F; the
+        # body ends on the last node at f_body, averaged if it is the switch
+        i = int(np.searchsorted(f, f_body, side="right")) - 1
         if (f_hi * fy[-1] > 100.0 * max(f_body * fy[i], 1e-300)
                 and fy[-1] > 1e-6 * max(c[0] - c[i], 1e-300)):
             raise DivergentIntegralError(
@@ -176,7 +169,7 @@ def _variance_curve(spec: Spectrum, f_query: np.ndarray, f_max: Optional[float])
         c += fy[-1]
     if np.any(c < 0):
         raise DomainError("PSD integrated to a negative variance")
-    return f, c, fy, fy_end
+    return f, c, fy
 
 
 # the field contract's checkers of the scalar functions' arguments
@@ -269,7 +262,7 @@ def _window(curve, tau_max: float, tau_floor: float, level: float):
     through both nodes with the integrand's own slopes there, dc/d ln f =
     -f S(f), and its root, found by bisection, gives tau.
     """
-    f, c, fy, fy_end = curve
+    f, c, fy = curve
     # queries below f_max are nodes, where interp returns c itself
     var_max, var_floor = np.interp((1.0 / tau_max, 1.0 / tau_floor), f, c, right=0.0)
     if var_max <= level:
@@ -282,9 +275,10 @@ def _window(curve, tau_max: float, tau_floor: float, level: float):
     lo, hi = np.log(f[i - 1]), np.log(f[i])
     # the Hermite cubic in t = (ln f - lo) / (hi - lo) on [0, 1], less the
     # level: p(0) > 0 >= p(1), and the slopes leave node i - 1 and reach
-    # node i (the switch node's exact side)
+    # node i (the exact side of a switch node: c repeats on its copies,
+    # so i is the first)
     c0, c1 = float(c[i - 1]), float(c[i])
-    d0, d1 = -(hi - lo) * float(fy[i - 1]), -(hi - lo) * float(fy_end[i])
+    d0, d1 = -(hi - lo) * float(fy[i - 1]), -(hi - lo) * float(fy[i])
     a2, a3 = 3.0 * (c1 - c0) - 2.0 * d0 - d1, 2.0 * (c0 - c1) + d0 + d1
     t_lo, t_hi = 0.0, 1.0
     for _ in range(53):
@@ -339,7 +333,7 @@ class SigmaMap:
     delta_l_km: np.ndarray
     tau_q_s: np.ndarray
     sigma_phi: np.ndarray
-    curves: tuple = field(repr=False, compare=False)  # each column's _variance_curve
+    curves: tuple = field(repr=False, compare=False)  # each column's (f, c, fy) curve
 
     def isoline(self, level: float = CoherenceBudget.sigma_threshold) -> np.ndarray:
         """Per-column tau_q at which sigma crosses the level (rad, >= 0),
@@ -395,6 +389,6 @@ def sigma_map(topo_template: TopologyConfig,
     f_query = 1.0 / taus
     curves = tuple(_variance_curve(interference_spectrum(
         topo_template, laser, fiber, delta_l_km=float(d)), f_query, budget.f_max) for d in dl)
-    for j, (f, c, _, _) in enumerate(curves):
+    for j, (f, c, _) in enumerate(curves):
         out[:, j] = np.sqrt(np.interp(f_query, f, c, right=0.0))
     return SigmaMap(delta_l_km=dl, tau_q_s=taus, sigma_phi=out, curves=curves)

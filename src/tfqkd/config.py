@@ -271,7 +271,22 @@ def _loader():
 
     class Loader(yaml.SafeLoader):
         """yaml.SafeLoader that also reads an exponent without a dot (3e6,
-        1e-3, 2E+5) as a float, as YAML 1.2 does; YAML 1.1 reads it as a string."""
+        1e-3, 2E+5) as a float, as YAML 1.2 does; YAML 1.1 reads it as a
+        string.  A key repeated in one mapping is an error, where
+        SafeLoader keeps the last value; a << merge still yields to the
+        mapping's own keys."""
+
+        def compose_mapping_node(self, anchor):
+            node = super().compose_mapping_node(anchor)
+            seen = set()
+            for key, _ in node.value:  # the mapping's own keys, before any merge
+                if isinstance(key, yaml.ScalarNode) and key.tag != "tag:yaml.org,2002:merge":
+                    if (key.tag, key.value) in seen:
+                        raise yaml.composer.ComposerError(
+                            "while composing a mapping", node.start_mark,
+                            f"found duplicate key {key.value!r}", key.start_mark)
+                    seen.add((key.tag, key.value))
+            return node
 
     Loader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(
         r"^[-+]?[0-9][0-9_]*[eE][-+]?[0-9]+$"), list("-+0123456789"))

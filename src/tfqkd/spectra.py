@@ -12,8 +12,9 @@ measurement node.
 from __future__ import annotations
 
 import enum
+from collections.abc import Callable
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -270,20 +271,30 @@ def _detection_floor(f, p: FiberParams):
 
 
 @dataclass(frozen=True)
-class Spectrum:
+class Spectrum(Checked):
     """A composite PSD together with the hints the integrator needs.
 
-    func evaluates the PSD; knees lists the model corner frequencies used
-    to pick a default upper integration cutoff.  When the PSD contains the
-    sin^2 self-delay term of a common-laser topology, oscillation_period
-    gives its period in Hz and averaged_func the same PSD with the sin^2
-    factor replaced by its mean 1/2.
+    func evaluates the PSD; knees lists the model corner frequencies (Hz,
+    each finite and > 0) used to pick a default upper integration cutoff.
+    When the PSD contains the sin^2 self-delay term of a common-laser
+    topology, oscillation_period gives its period in Hz (finite, > 0) and
+    averaged_func the same PSD with the sin^2 factor replaced by its mean
+    1/2; the two hints come together or not at all.
     """
 
-    func: Callable[[np.ndarray], np.ndarray]
-    knees: tuple = ()
-    oscillation_period: Optional[float] = None
-    averaged_func: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    func: Callable[[np.ndarray], np.ndarray] = field(metadata=spec(Callable))
+    knees: tuple = field(default=(), metadata=spec(tuple, item=spec(float, gt=0)))
+    oscillation_period: Optional[float] = field(
+        default=None, metadata=spec(float, gt=0, optional=True))
+    averaged_func: Optional[Callable[[np.ndarray], np.ndarray]] = field(
+        default=None, metadata=spec(Callable, optional=True))
+
+    def __post_init__(self):
+        super().__post_init__()
+        if (self.oscillation_period is None) != (self.averaged_func is None):
+            pair = ("oscillation_period", "averaged_func")
+            missing, given = pair if self.oscillation_period is None else pair[::-1]
+            raise DomainError(f"Spectrum.{missing} must be given with {given}")
 
     def __call__(self, f):
         return self.func(f)
@@ -359,8 +370,11 @@ def interference_spectrum(topo: TopologyConfig,
     if topo.fiber_stabilized:
         knees.append(fiber.f_c_floor)
 
-    if topo.kind is TopologyKind.COMMON_LASER and dl > 0:
-        period = SPEED_OF_LIGHT / (2.0 * topo.refractive_index * dl * 1e3)
+    # no sin^2 hints where the period overflows: the switch frequency would
+    # be infinite, and the PSD is evaluated exactly throughout either way
+    span = 2.0 * topo.refractive_index * dl * 1e3  # m, twice the optical path mismatch
+    period = SPEED_OF_LIGHT / span if span > 0 else np.inf
+    if topo.kind is TopologyKind.COMMON_LASER and period < np.inf:
 
         def averaged(f):
             return psd(_as_positive_freq(f), True)

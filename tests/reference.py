@@ -66,7 +66,7 @@ def reference_variance(psd, tau: float, f_max=None) -> float:
     if f_lo >= f_max:
         return 0.0
     f_switch = None
-    if spec.oscillation_period is not None and spec.averaged_func is not None:
+    if spec.oscillation_period is not None:  # and with it spec.averaged_func
         f_switch = OSC_PERIODS * spec.oscillation_period
     with mpmath.workdps(20):
         coarse = _integrate(spec, f_lo, f_max, f_switch, fine=False)

@@ -47,26 +47,27 @@ def oscillatory_bare_spectrum(period):
 SIGMA_RTOL = 2e-5  # certified accuracy of sigma against the mpmath reference
 
 
-def _reference_simpson_tail(f, y, y_end):
-    def trapezoid_tail(f, y, y_end):
-        seg = 0.5 * np.diff(np.log(f)) * (f[:-1] * y[:-1] + f[1:] * y_end[1:])
+def _reference_simpson_tail(f, y):
+    def trapezoid_tail(f, y):
+        seg = 0.5 * np.diff(np.log(f)) * (f[:-1] * y[:-1] + f[1:] * y[1:])
         return np.append(np.cumsum(seg[::-1])[::-1], 0.0)
 
-    fine = trapezoid_tail(f, y, y_end)[::2]
-    return fine + (fine - trapezoid_tail(f[::2], y[::2], y_end[::2])) / 3.0
+    fine = trapezoid_tail(f, y)[::2]
+    return fine + (fine - trapezoid_tail(f[::2], y[::2])) / 3.0
 
 
 def reference_variance_curve(spec, f_query, f_max):
-    """(f, c, fy, fy_end) of the integrator's original loop: one geomspace
-    or linspace call per segment, the Simpson tail on every other node and
-    again on every fourth, Boole's rule from the two on every fourth node,
-    and the Simpson tail there for the convergence check."""
+    """(f, c, fy) of the integrator's original loop: one geomspace or
+    linspace call per segment, four zero-width steps after a switch node,
+    the Simpson tail on every other node and again on every fourth,
+    Boole's rule from the two on every fourth node, and the Simpson tail
+    there for the convergence check."""
     f_max = spec.default_f_max() if f_max is None else f_max
     f_lo, f_top = float(np.min(f_query)), float(np.max(f_query))
     if f_lo >= f_max:
-        return np.array([f_lo]), np.zeros(1), np.zeros(1), np.zeros(1)
+        return np.array([f_lo]), np.zeros(1), np.zeros(1)
     f_switch = None
-    if spec.oscillation_period is not None and spec.averaged_func is not None:
+    if spec.oscillation_period is not None:
         f_switch = coherence.OSC_PERIODS * spec.oscillation_period
     f_hi = f_body = f_max
     if not np.isfinite(f_max):
@@ -74,10 +75,10 @@ def reference_variance_curve(spec, f_query, f_max):
         f_hi = 1e6 * f_body
     breaks = [f_lo, f_body, f_hi, *f_query, *spec.knees]
     uniform = (np.inf, np.inf)
-    if spec.oscillation_period is not None:
+    if f_switch is not None:
         step = spec.oscillation_period / coherence._POINTS_PER_PERIOD
         uniform = (step / np.expm1(np.log(10.0) / coherence._POINTS_PER_DECADE),
-                   f_body if f_switch is None else min(f_switch, f_body))
+                   min(f_switch, f_body))
         breaks += uniform
     breaks = np.unique(np.clip(breaks, f_lo, f_hi))
     nodes = []
@@ -89,26 +90,27 @@ def reference_variance_curve(spec, f_query, f_max):
             n = np.ceil(np.log10(b / a) * coherence._POINTS_PER_DECADE / 4)
             nodes.append(np.geomspace(a, b, 4 * int(max(n, 1)) + 1)[:-1])
     f = np.append(np.concatenate(nodes), f_hi)
-    k = f.size if f_switch is None else int(np.searchsorted(f, f_switch))
-    if k == f.size:
-        y = y_end = spec.func(f)
-    elif k == 0:
-        y = y_end = spec.averaged_func(f)
+    if f_switch is None:
+        y = spec.func(f)
     else:
-        exact, averaged = spec.func(f[:k + 1]), spec.averaged_func(f[k:])
-        y, y_end = np.concatenate((exact[:-1], averaged)), np.concatenate((exact, averaged[1:]))
-    simpson = _reference_simpson_tail(f, y, y_end)[::2]
-    c = simpson + (simpson - _reference_simpson_tail(f[::2], y[::2], y_end[::2])) / 15.0
+        # the exact PSD up to the switch node, the averaged one on four
+        # copies of it and past it
+        head, tail = f[f <= f_switch], f[f > f_switch]
+        if head.size and head[-1] == f_switch:
+            tail = np.concatenate((np.full(4, f_switch), tail))
+        f = np.concatenate((head, tail))
+        y = np.concatenate((spec.func(head), spec.averaged_func(tail)))
+    simpson = _reference_simpson_tail(f, y)[::2]
+    c = simpson + (simpson - _reference_simpson_tail(f[::2], y[::2])) / 15.0
     change = np.abs(c - simpson)
-    fy, fy_end = (f * y)[::4], (f * y_end)[::4]
-    f = f[::4]
+    f, fy = f[::4], (f * y)[::4]
     queried = f <= f_top
     if not np.all(change[queried] <= coherence._GRID_RTOL * c[queried]):
         raise DivergentIntegralError(
             "phase variance does not converge on the integration grid")
     if not np.isfinite(f_max):
         c += fy[-1]  # the remainder F S(F) past the last node
-    return f, c, fy, fy_end
+    return f, c, fy
 
 
 class TestPhaseVariance:
@@ -222,15 +224,14 @@ class TestPhaseVariance:
         with pytest.raises(DivergentIntegralError):
             solve_tau_q(spec)
 
-    def test_period_without_average_keeps_uniform_grid_in_body(self):
-        # sin^2 periods but no averaged PSD, so no switch frequency: the
-        # uniform steps stop at the body end (1e7 Hz, 80,032 kept nodes),
-        # and the six decades past it add log nodes only (a quarter of the
-        # 400 per decade are kept)
-        spec = Spectrum(oscillatory_bare_spectrum(2e3).func, oscillation_period=2e3)
-        f = coherence._variance_curve(spec, [1e3], None)[0]
-        assert f.size == 80_032 + 6 * coherence._POINTS_PER_DECADE // 4
-        assert f[-1] == pytest.approx(1e13)
+    def test_period_without_average_is_rejected(self):
+        # sin^2 periods but no averaged PSD used to lay uniform steps up to
+        # the body end: some 6.4e8 nodes for a 1 Hz period at tau = 1 ms
+        with pytest.raises(DomainError, match=r"^Spectrum\.averaged_func must be given"):
+            Spectrum(oscillatory_bare_spectrum(2e3).func, oscillation_period=2e3)
+        with pytest.raises(DomainError, match=r"^Spectrum\.oscillation_period must be given"):
+            Spectrum(oscillatory_bare_spectrum(2e3).func,
+                     averaged_func=oscillatory_bare_spectrum(2e3).averaged_func)
 
 
 class TestAgainstReference:
@@ -377,6 +378,20 @@ class TestGridAgainstLoop:
         coherence._variance_curve(spec, np.array([f0, f0 + step / 3]), None)
         assert len(compared) == 2
 
+    # a bare spectrum switching at 100 Hz: on f_lo, on a query node, on
+    # a finite f_max, below the grid and above it
+    @pytest.mark.parametrize("f_query, f_max", [
+        ([100.0, 1e3], np.inf), ([100.0, 1e3], 1e4), ([10.0, 100.0, 1e3], 1e4),
+        ([10.0, 100.0], np.inf), ([1.0], 100.0), ([1e3], np.inf), ([1.0], 50.0)],
+        ids=["f_lo", "f_lo_finite", "query", "query_tail", "f_max", "below", "above"])
+    def test_switch_on_grid_edges(self, compared, f_query, f_max):
+        spec = oscillatory_bare_spectrum(2.0)
+        assert coherence.OSC_PERIODS * spec.oscillation_period == 100.0
+        f = coherence._variance_curve(spec, np.array(f_query), f_max)[0]
+        # a switch node and its fourth copy are on the every-fourth-node grid
+        assert np.count_nonzero(f == 100.0) == (2 if f[0] <= 100.0 <= f[-1] else 0)
+        assert len(compared) == 1
+
 
 def test_grid_makes_no_per_segment_numpy_call(monkeypatch):
     taus = np.geomspace(1e-6, 0.1, 200)
@@ -411,11 +426,13 @@ class TestOneEvaluationPerFrequency:
         exact = np.concatenate(seen["exact"])
         averaged = np.concatenate(seen["averaged"])
         assert exact.size and averaged.size
-        # the switch node ends the exact piece and starts the averaged one
+        # the switch node ends the exact piece, and its four zero-width
+        # copies start the averaged one
         assert np.all(exact <= f_switch) and np.all(averaged >= f_switch)
+        assert np.count_nonzero(exact == f_switch) == 1
+        assert np.count_nonzero(averaged == f_switch) == 4
         both = np.concatenate([exact, averaged])
-        assert np.count_nonzero(both == f_switch) == 2
-        assert np.unique(both).size == both.size - 1
+        assert np.unique(both).size == both.size - 4
 
 
 class TestQber:

@@ -146,3 +146,23 @@ def test_exponent_without_a_dot_is_a_number(exponent, dotted):
     assert cfg(exponent).laser.free.r3 == cfg(exponent).fiber.s0 == float(dotted)
     assert loads_config(dump_config(cfg(exponent))) == cfg(exponent)
     assert yaml.safe_load(f"x: {exponent}") == {"x": exponent}  # the global loader is untouched
+
+
+@pytest.mark.parametrize("text, where, key", [
+    ("scenario: {preset: 1}\nlaser: {r3: 1.0, r3: 2.0}\n", "line 2, column 18", "r3"),
+    ("scenario: {preset: 1}\nlaser:\n  r3: 1.0\n  r2: 5.0\n  r3: 2.0\n", "line 5, column 3", "r3"),
+    ("scenario: {preset: 1}\nlaser: {r3: 1.0}\nlaser: {r2: 2.0}\n", "line 3, column 1", "laser"),
+], ids=["flow", "block", "section"])
+def test_duplicate_key_is_invalid_yaml(text, where, key):
+    # the last value won (r3 = 2.0), and a repeated section dropped the
+    # first: r3 fell back to its default
+    with pytest.raises(ConfigError) as err:
+        loads_config(text)
+    assert str(err.value) == f"configuration: invalid YAML at {where}: found duplicate key '{key}'"
+    assert yaml.safe_load(text)  # the global loader is untouched
+
+
+def test_merge_key_yields_to_the_mappings_own_keys():
+    cfg = loads_config("scenario: {preset: 1}\nlaser:\n  <<: {r3: 1e6, r2: 200.0}\n  r3: 2e6\n")
+    assert (cfg.laser.free.r3, cfg.laser.free.r2) == (2e6, 200.0)
+    assert loads_config(dump_config(cfg)) == cfg

@@ -35,6 +35,7 @@ from tfqkd import (
     OperatingPoint,
     ProtocolParams,
     SnsParams,
+    Spectrum,
     SweepSpec,
     TopologyConfig,
     TopologyKind,
@@ -60,10 +61,11 @@ INPUTS = (
     DetectorParams(eta_d=0.9, dark_rate=10.0), MisalignmentParams(), SnsParams(),
     ProtocolParams(), SweepSpec(), FixedDelta(), McConfig(), builtin_scenario(1),
     FullConfig(topology=TopologyConfig()),
+    interference_spectrum(TopologyConfig(l_b=113.0)),
 )
 # records only the library builds, and the phase law without fields
 UNCHECKED = {"DecoyBounds", "SnsWindowStats", "AoppStats", "FockYield", "CalStats", "McClickStats",
-             "Spectrum", "SigmaMap", "SweepRow", "SweepTable", "UniformRandomized"}
+             "SigmaMap", "SweepRow", "SweepTable", "UniformRandomized"}
 
 PROBES = {"str": "x", "bool": True, "None": None, "inf": math.inf, "-inf": -math.inf,
           "nan": math.nan, "nested": McConfig()}
@@ -79,7 +81,7 @@ ACCEPTED = {
 
 
 def test_the_inputs_are_every_checked_dataclass_of_the_package():
-    assert len(INPUTS) == 21
+    assert len(INPUTS) == 22
     assert {type(obj) for obj in INPUTS} == {
         cls for cls in Checked.__subclasses__() if cls.__module__.startswith("tfqkd.")}
     public = {name for name, obj in vars(tfqkd).items()
@@ -189,6 +191,33 @@ class TestFaultsOfTheUncheckedApi:
     def test_rejected(self, make):
         with pytest.raises(DomainError):
             make()
+
+    # a knee at or below 0 integrated 1/f^2 to 0.0 (true value 1e-3 at
+    # tau = 1 ms), a NaN or infinite knee or a NaN period raised a bare
+    # IndexError, a string of knees or averaged form a bare TypeError, and
+    # a period at or below 0 integrated the averaged form everywhere
+    @pytest.mark.parametrize("field_name, hints", [
+        ("knees", {"knees": (-5.0,)}), ("knees", {"knees": (0.0,)}),
+        ("knees", {"knees": (math.nan,)}), ("knees", {"knees": (math.inf,)}),
+        ("knees", {"knees": "ab"}), ("averaged_func", {"averaged_func": "x"}),
+        ("oscillation_period", {"oscillation_period": math.nan}),
+        ("oscillation_period", {"oscillation_period": 0.0}),
+        ("oscillation_period", {"oscillation_period": -1.0}),
+        ("averaged_func", {"oscillation_period": 1.0, "averaged_func": None}),
+        ("oscillation_period", {"oscillation_period": None})])
+    def test_spectrum_hints_rejected(self, field_name, hints):
+        def f2(f):
+            return 1.0 / np.asarray(f, float) ** 2
+
+        with pytest.raises(DomainError, match=rf"^Spectrum\.{field_name}( entry)? must be "):
+            Spectrum(f2, **{"oscillation_period": 1.0, "averaged_func": f2, **hints})
+
+    def test_overflowing_period_gives_no_sin2_hints(self):
+        # a 1e-310 km mismatch gave an infinite period; the switch frequency
+        # is then infinite and the PSD exact throughout either way
+        spec = interference_spectrum(TopologyConfig(), delta_l_km=1e-310)
+        assert spec.oscillation_period is None and spec.averaged_func is None
+        assert solve_tau_q(spec) == solve_tau_q(interference_spectrum(TopologyConfig()))
 
     def test_protocol_list_is_hashable(self):
         spec = SweepSpec(protocols=["bb84"])

@@ -876,6 +876,26 @@ class TestCli:
         for alone in (["--scenario", "3"], ["--config", CONFIG_PATH]):
             assert CliRunner().invoke(cli_main, [*args, *alone]).exit_code == 0
 
+    @pytest.mark.parametrize("args", [
+        ["psd", "--points", "3"], ["tau-solve"], ["keyrate", "--attenuation-db", "40"],
+        ["scenario", "2", "--stop", "0"], ["oracle", "--samples", "10", "--points", "1"],
+        ["sigma-map", "--dl-points", "2", "--tau-points", "2"],
+        ["sigma-map", "--dl-points", "2", "--tau-points", "2", "--out", "{ok}",
+         "--isolines-out"]],
+        ids=["psd", "tau-solve", "keyrate", "scenario", "oracle", "sigma-map", "isolines-out"])
+    @pytest.mark.parametrize("bad", ["directory", "missing"])
+    def test_unwritable_output_is_one_error_line(self, tmp_path, args, bad):
+        # a directory or a path under a missing one printed a traceback
+        path = str(tmp_path if bad == "directory" else tmp_path / "missing" / "x.csv")
+        args = [a.replace("{ok}", str(tmp_path / "ok.csv")) for a in args]
+        if args[-1] != "--isolines-out":
+            args.append("--out")
+        res = CliRunner().invoke(cli_main, [*args, path])
+        assert res.exit_code == 1 and res.stdout == ""
+        assert "Traceback" not in res.stderr
+        assert res.stderr.startswith(f"Error: Could not open file {path!r}: ")
+        assert len(res.stderr.splitlines()) == 1
+
     def _config_file(self, tmp_path, text):
         path = tmp_path / "cfg.yaml"
         path.write_text(text)
