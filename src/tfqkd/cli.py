@@ -4,6 +4,7 @@ deterministically for fixed inputs."""
 
 from __future__ import annotations
 
+import os
 import sys
 from dataclasses import replace
 
@@ -32,17 +33,34 @@ _POSITIVE = click.FloatRange(min=0, max=float("inf"), min_open=True, max_open=Tr
 _COUNT = click.IntRange(min=1)
 
 
-def _write(text: str, out) -> None:
-    """Write text to stdout, or to the file out; a path that cannot be
-    written is one error line naming it."""
-    if out is None:
-        sys.stdout.write(text)
-        return
+def _write(*outputs) -> None:
+    """Write each (text, out) pair to the file out, or to stdout when out
+    is None.  Every file is opened, without emptying it, before any is
+    written, and stdout is written last; a file that cannot be opened or
+    written is one error line naming it, and the files this call created
+    are removed."""
+    made, files, out = [], [], None
     try:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            for text, out in outputs:
+                if out is not None:
+                    new = not os.path.lexists(out)
+                    files.append((text, out, open(out, "a", encoding="utf-8", newline="\n")))
+                    if new:
+                        made.append(out)
+            for text, out, fh in files:
+                if os.path.isfile(out):  # not a device or a pipe
+                    fh.truncate(0)
+                fh.write(text)
+                fh.close()
+        finally:
+            for *_, fh in files:
+                fh.close()
     except OSError as exc:
+        for path in made:
+            os.remove(path)
         raise click.FileError(out, exc.strerror or str(exc)) from exc
+    sys.stdout.write("".join(text for text, out in outputs if out is None))
 
 
 def _context(scenario_id: int | None, config: str | None) -> FullConfig:
@@ -96,7 +114,7 @@ def psd(scenario_id, config, fmin, fmax, points, out):
     cfg = _context(scenario_id, config)
     spec = interference_spectrum(cfg.topology, cfg.laser, cfg.fiber)
     f = np.geomspace(fmin, fmax, points)
-    _write(csv_text(("f_hz", "s_phi_rad2_per_hz"), (f, spec(f))), out)
+    _write((csv_text(("f_hz", "s_phi_rad2_per_hz"), (f, spec(f))), out))
 
 
 @main.command("tau-solve")
@@ -108,10 +126,10 @@ def tau_solve(scenario_id, config, out):
     cfg = _context(scenario_id, config)
     spec = interference_spectrum(cfg.topology, cfg.laser, cfg.fiber)
     res = solve_tau_q(spec, cfg.budget)
-    _write(csv_text(
+    _write((csv_text(
         ("tau_q_s", "sigma_phi_rad", "duty_cycle", "e_phi", "clipped", "floored"),
         [[res.tau_q], [res.sigma_phi], [res.duty_cycle], [res.e_phi],
-         [int(res.clipped)], [int(res.floored)]]), out)
+         [int(res.clipped)], [int(res.floored)]]), out))
 
 
 @main.command("sigma-map")
@@ -138,13 +156,13 @@ def sigma_map_cmd(scenario_id, config, dl_start, dl_stop, dl_points, tau_start,
     dl = np.geomspace(dl_start, dl_stop, dl_points)
     taus = np.geomspace(tau_start, tau_stop, tau_points)
     m = sigma_map(cfg.topology, dl, taus, cfg.budget, cfg.laser, cfg.fiber)
-    _write(m.csv_text(), out)
+    outputs = [(m.csv_text(), out)]
     if isolines_out is not None:
-        _write(csv_text(
+        outputs.append((csv_text(
             ("level_rad", "delta_l_km", "tau_q_s"),
             (np.repeat(level, m.delta_l_km.size), np.tile(m.delta_l_km, len(level)),
-             np.concatenate([m.isoline(lv) for lv in level]))),
-            isolines_out)
+             np.concatenate([m.isoline(lv) for lv in level]))), isolines_out))
+    _write(*outputs)
 
 
 @main.command()
@@ -163,7 +181,7 @@ def keyrate(scenario_id, config, detector, attenuation_db, protocols, out):
                    detector=detector or cfg.sweep.detector,
                    x_axis="total_attenuation_db",
                    protocols=_protocols_option(protocols))
-    _write(_sweep_csv(cfg, spec, detector), out)
+    _write((_sweep_csv(cfg, spec, detector), out))
 
 
 @main.command()
@@ -188,7 +206,7 @@ def scenario(scenario, detector, protocols, start, stop, step, x_axis, out):
     if protocols is not None:
         updates["protocols"] = _protocols_option(protocols)
     spec = replace(cfg.sweep, **{k: v for k, v in updates.items() if v is not None})
-    _write(_sweep_csv(cfg, spec, detector), out)
+    _write((_sweep_csv(cfg, spec, detector), out))
 
 
 @main.command()
@@ -232,8 +250,8 @@ def oracle(seed, samples, points, out):
         se = 0.5 * float(np.hypot(mc_eq.se_c_only, mc_op.se_c_only))
         z = (ana_gain - val) / se if se > 0 else np.nan
         rows.append((k, "cal_gain", ana_gain, val, se, f"{z:.6f}", mc_eq.bit_generator))
-    _write(csv_text(("point", "quantity", "analytic", "oracle", "oracle_se",
-                     "z_score", "bit_generator"), zip(*rows)), out)
+    _write((csv_text(("point", "quantity", "analytic", "oracle", "oracle_se",
+                     "z_score", "bit_generator"), zip(*rows)), out))
 
 
 if __name__ == "__main__":

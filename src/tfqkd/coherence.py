@@ -90,7 +90,7 @@ def _variance_curve(spec: Spectrum, f_query: np.ndarray, f_max: Optional[float])
     than _GRID_RTOL.
     """
     f_max = spec.default_f_max() if f_max is None else f_max
-    f_lo, f_top = float(np.min(f_query)), float(np.max(f_query))
+    f_lo, f_top = float(np.minimum.reduce(f_query)), float(np.maximum.reduce(f_query))
     if f_lo >= f_max:
         return np.array([f_lo]), np.zeros(1), np.zeros(1)
     period = spec.oscillation_period  # and with it spec.averaged_func
@@ -105,7 +105,7 @@ def _variance_curve(spec: Spectrum, f_query: np.ndarray, f_max: Optional[float])
     # equal steps (so breakpoints stay nodes of the every-fourth-node grid):
     # uniform in f over the sin^2 periods, from where such a step is finer
     # than a log step up to the switch frequency, and in log f elsewhere
-    breaks = [f_lo, f_body, f_hi, *f_query, *spec.knees]
+    breaks = [f_lo, f_body, f_hi, *f_query.tolist(), *spec.knees]
     step = lin_lo = lin_hi = np.inf  # no uniform segment without a switch
     inside = period is not None and f_lo <= f_switch <= f_hi  # the switch is in the grid
     if period is not None:
@@ -113,8 +113,7 @@ def _variance_curve(spec: Spectrum, f_query: np.ndarray, f_max: Optional[float])
         lin_lo = step / np.expm1(np.log(10.0) / _POINTS_PER_DECADE)
         lin_hi = min(f_switch, f_body)
         breaks += [lin_lo, lin_hi, f_switch]
-    breaks = np.clip(breaks, f_lo, f_hi)
-    breaks.sort()
+    breaks = np.array(sorted([f_lo if b < f_lo else f_hi if b > f_hi else b for b in breaks]))
     distinct = breaks[1:] != breaks[:-1]
     if inside:  # the switch's first two copies (lin_hi is one) bound a
         # zero-width uniform segment: four steps, each node f_switch
@@ -153,8 +152,8 @@ def _variance_curve(spec: Spectrum, f_query: np.ndarray, f_max: Optional[float])
     simpson = t1[::4] + (t1[::4] - t2[::2]) / 3.0
     c = simpson + (simpson - (t2[::2] + (t2[::2] - t4) / 3.0)) / 15.0
     f, fy = f[::4], fy[::4]
-    queried = f <= f_top
-    if not np.all(np.abs(c - simpson)[queried] <= _GRID_RTOL * c[queried]):
+    q = int(np.searchsorted(f, f_top, side="right"))  # the queried nodes, as f is sorted
+    if not np.all(np.abs(c[:q] - simpson[:q]) <= _GRID_RTOL * c[:q]):
         raise DivergentIntegralError(
             "phase variance does not converge on the integration grid")
     if not np.isfinite(f_max):
@@ -383,7 +382,7 @@ def sigma_map(topo_template: TopologyConfig,
     topo_template, budget = _TOPO(topo_template), _BUDGET(budget)
     dl, taus = (np.array(check(g.tolist() if isinstance(g, np.ndarray) else g), dtype=float)
                 for check, g in ((_DL_GRID, delta_l_grid), (_TAU_GRID, tau_grid)))
-    if np.any(np.diff(dl) <= 0) or np.any(np.diff(taus) <= 0):
+    if not (np.all(dl[1:] > dl[:-1]) and np.all(taus[1:] > taus[:-1])):
         raise DomainError("grids must be strictly increasing")
     out = np.empty((taus.size, dl.size))
     f_query = 1.0 / taus

@@ -270,9 +270,10 @@ def _loader():
     import yaml
 
     class Loader(yaml.SafeLoader):
-        """yaml.SafeLoader that also reads an exponent without a dot (3e6,
-        1e-3, 2E+5) as a float, as YAML 1.2 does; YAML 1.1 reads it as a
-        string.  A key repeated in one mapping is an error, where
+        """yaml.SafeLoader that reads every number with an exponent (3e6,
+        1.0e6, 1.0e+6, -2.5E-3, .5e3) as a float, as YAML 1.2 does; YAML
+        1.1 reads one as a string unless it has a digit, a dot and a signed
+        exponent.  A key repeated in one mapping is an error, where
         SafeLoader keeps the last value; a << merge still yields to the
         mapping's own keys."""
 
@@ -289,7 +290,8 @@ def _loader():
             return node
 
     Loader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(
-        r"^[-+]?[0-9][0-9_]*[eE][-+]?[0-9]+$"), list("-+0123456789"))
+        r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9][0-9_]*)[eE][-+]?[0-9]+$"),
+        list("-+.0123456789"))
     return Loader
 
 

@@ -172,27 +172,56 @@ _FREE, _CAVITY, _LOOP, _TOPO, _LASER, _FIBER = (_checker(spec(cls), name) for cl
     (TopologyConfig, "topo"), (LaserSpec, "laser"), (FiberParams, "fiber")))
 
 
+def _like(f, out):
+    """out, evaluated on np.atleast_1d(f), in the shape of f: a 0-d f
+    (evaluated through a 1-element view) gives its one value as np.float64."""
+    return out if f.ndim else out[0]
+
+
 def psd_laser_free(f, p: LaserFreeParams):
     """Free-running laser phase noise (rad^2/Hz)."""
     f, p = _as_positive_freq(f), _P_FREE(p)
-    return _laser_free(f, f**2, f**3, p)
+    x = np.atleast_1d(f)
+    return _like(f, _laser_free(x, x**2, x**3, p))
 
 
 # The private models take the powers of f they share from the caller,
-# which evaluates each of them once: f2 = f**2, f3 = f**3, w2 = (2 pi f)**2.
+# which evaluates each of them once: f2 = f**2, f3 = f**3, w2 = (2 pi f)**2,
+# on arrays of at least one dimension.  Each builds its result in one or
+# two fresh arrays by in-place steps, with the float operations of the
+# formula in its comment, in its order (a product or sum may swap its
+# two operands, which leaves every bit as it is).
+def _rolloff(f, f_c: float):
+    # (f_c / (f + f_c))**2
+    out = np.add(f, f_c)
+    np.divide(f_c, out, out=out)
+    return np.square(out, out=out)
+
+
 def _laser_free(f, f2, f3, p: LaserFreeParams):
-    rolloff = (p.f_c / (f + p.f_c)) ** 2
-    return p.r3 / f3 + p.r2 / f2 * rolloff
+    # r3 / f3 + r2 / f2 * rolloff(f_c)
+    out = _rolloff(f, p.f_c)
+    tmp = np.divide(p.r2, f2)
+    out *= tmp
+    out += np.divide(p.r3, f3, out=tmp)
+    return out
 
 
 def psd_cavity(f, p: CavityParams):
     """Reference-cavity phase noise (rad^2/Hz)."""
     f, p = _as_positive_freq(f), _P_CAVITY(p)
-    return _cavity(f, f**2, f**3, p)
+    x = np.atleast_1d(f)
+    return _like(f, _cavity(x, x**2, x**3, p))
 
 
 def _cavity(f, f2, f3, p: CavityParams):
-    return p.c4 / f**4 + p.c3 / f3 + p.c2 / f2
+    # c4 / f**4 + c3 / f3 + c2 / f2
+    out = np.power(f, 4)
+    np.divide(p.c4, out, out=out)
+    tmp = np.divide(p.c3, f3)
+    out += tmp
+    out += np.divide(p.c2, f2, out=tmp)
+    return out
 
 
 def loop_gain(f, p: LoopParams):
@@ -212,21 +241,37 @@ def psd_laser_stabilized(f, laser: LaserFreeParams, cavity: CavityParams,
                          loop: LoopParams):
     """Cavity-stabilized laser noise: cavity floor plus servo-suppressed free noise."""
     f, laser, cavity, loop = _as_positive_freq(f), _FREE(laser), _CAVITY(cavity), _LOOP(loop)
-    return _laser_stabilized(f, f**2, (2.0 * np.pi * f) ** 2, laser, cavity, loop)
+    x = np.atleast_1d(f)
+    return _like(f, _laser_stabilized(x, x**2, (2.0 * np.pi * x) ** 2, laser, cavity, loop))
 
 
 def _suppression(f2, w2, p: LoopParams):
     """Servo suppression |1/(1+G)|^2 of loop_gain in real arithmetic:
     w^4 (f^2 + b^2) / ((w^2 b + g0 a)^2 + f^2 (w^2 + g0)^2), w = 2 pi f."""
-    a, b = p.bandwidth * p.gamma, p.bandwidth * p.delta
-    return w2 * w2 * (f2 + b * b) / ((w2 * b + p.g0 * a) ** 2 + f2 * (w2 + p.g0) ** 2)
+    # w2 * w2 * (f2 + b * b) / ((w2 * b + g0 * a)**2 + f2 * (w2 + g0)**2)
+    a, b, g0 = p.bandwidth * p.gamma, p.bandwidth * p.delta, p.g0
+    out = np.multiply(w2, w2)
+    tmp = np.add(f2, b * b)
+    out *= tmp
+    np.multiply(w2, b, out=tmp)
+    tmp += g0 * a
+    np.square(tmp, out=tmp)
+    high = np.add(w2, g0)
+    np.square(high, out=high)
+    high *= f2
+    tmp += high
+    out /= tmp
+    return out
 
 
 def _laser_stabilized(f, f2, w2, laser: LaserFreeParams, cavity: CavityParams,
                       loop: LoopParams):
+    # cavity + suppression * laser_free
     f3 = f**3
-    return (_cavity(f, f2, f3, cavity)
-            + _suppression(f2, w2, loop) * _laser_free(f, f2, f3, laser))
+    out = _suppression(f2, w2, loop)
+    out *= _laser_free(f, f2, f3, laser)
+    out += _cavity(f, f2, f3, cavity)
+    return out
 
 
 def psd_fiber(f, length_km: float, p: FiberParams, stabilized: bool):
@@ -246,28 +291,32 @@ def psd_fiber_linear(f, length_km: float, p: FiberParams, stabilized: bool):
     """Length-proportional part of the fiber noise, without the detection floor."""
     f, length_km, p = _as_positive_freq(f), _LENGTH(length_km), _P_FIBER(p)
     stabilized = _STABILIZED(stabilized)
-    rolloff = None if stabilized else _fiber_rolloff(f, p)
-    return _fiber_linear(f**2, rolloff, length_km, p, stabilized)
-
-
-def _fiber_rolloff(f, p: FiberParams):
-    return (p.f_c_free / (f + p.f_c_free)) ** 2
+    x = np.atleast_1d(f)
+    rolloff = None if stabilized else _rolloff(x, p.f_c_free)
+    return _like(f, _fiber_linear(x**2, rolloff, length_km, p, stabilized))
 
 
 def _fiber_linear(f2, rolloff, length_km: float, p: FiberParams, stabilized: bool):
-    """rolloff is _fiber_rolloff(f, p), unused when stabilized."""
+    """rolloff is _rolloff(f, p.f_c_free), unused when stabilized."""
     if stabilized:
-        return p.stabilization_suppression * p.noise_per_km * length_km / f2
-    return p.noise_per_km * length_km / f2 * rolloff
+        return np.divide(p.stabilization_suppression * p.noise_per_km * length_km, f2)
+    # noise_per_km * length_km / f2 * rolloff
+    out = np.divide(p.noise_per_km * length_km, f2)
+    out *= rolloff
+    return out
 
 
 def psd_detection_floor(f, p: FiberParams):
     """White detection floor of the fiber-noise sensing interference."""
-    return _detection_floor(_as_positive_freq(f), _P_FIBER(p))
+    f = _as_positive_freq(f)
+    return _like(f, _detection_floor(np.atleast_1d(f), _P_FIBER(p)))
 
 
 def _detection_floor(f, p: FiberParams):
-    return p.s0 * (p.f_c_floor / (f + p.f_c_floor)) ** 2
+    # s0 * rolloff(f_c_floor)
+    out = _rolloff(f, p.f_c_floor)
+    out *= p.s0
+    return out
 
 
 @dataclass(frozen=True)
@@ -315,30 +364,39 @@ def _composite(topo: TopologyConfig, laser: LaserSpec, fiber: FiberParams, dl: f
     fiber-noise terms keep the configured arm lengths; this is what
     mismatch maps sweep.  One call evaluates f**2, 2 pi f, the roll-offs
     and the laser PSD once each, by the float operations of the public
-    single-term models.
+    single-term models, and sums the terms in place; a 0-d f is evaluated
+    through a 1-element view, as _like describes.
     """
     common = topo.kind is TopologyKind.COMMON_LASER
     stab, fib_stab = topo.laser_stabilized, topo.fiber_stabilized
     delay = topo.refractive_index * dl * 1e3 / SPEED_OF_LIGHT  # s
 
     def psd(f, averaged: bool):
+        if not f.ndim:
+            return psd(f.reshape(1), averaged)[0]
         f2 = f**2
         sin2 = common and not averaged
         w = 2.0 * np.pi * f if stab or sin2 else None
         if stab:
-            s_laser = _laser_stabilized(f, f2, w**2, laser.free, laser.cavity, laser.loop)
+            total = _laser_stabilized(f, f2, w**2, laser.free, laser.cavity, laser.loop)
         else:
-            s_laser = _laser_free(f, f2, f**3, laser.free)
-        if sin2:
-            total = 4.0 * np.sin(w * delay) ** 2 * s_laser
-        else:
-            total = 2.0 * s_laser
-        rolloff = None if fib_stab else _fiber_rolloff(f, fiber)
-        both = (_fiber_linear(f2, rolloff, topo.l_a, fiber, fib_stab)
-                + _fiber_linear(f2, rolloff, topo.l_b, fiber, fib_stab))
-        total = total + (topo.fiber_roundtrip_factor * both if common else both)
+            total = _laser_free(f, f2, f**3, laser.free)
+        if sin2:  # 4.0 * sin(w * delay)**2 * s_laser, in the buffer of w
+            np.multiply(w, delay, out=w)
+            np.sin(w, out=w)
+            np.square(w, out=w)
+            w *= 4.0
+            total *= w
+        else:  # 2.0 * s_laser
+            total *= 2.0
+        rolloff = None if fib_stab else _rolloff(f, fiber.f_c_free)
+        both = _fiber_linear(f2, rolloff, topo.l_a, fiber, fib_stab)
+        both += _fiber_linear(f2, rolloff, topo.l_b, fiber, fib_stab)
+        if common:
+            both *= topo.fiber_roundtrip_factor
+        total += both
         if fib_stab:
-            return total + _detection_floor(f, fiber)
+            total += _detection_floor(f, fiber)
         return total
 
     return psd

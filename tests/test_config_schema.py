@@ -1,6 +1,8 @@
 """The configuration check: each YAML leaf is checked by its field's own
 checker, and every error names its YAML path."""
 
+import re
+
 import pytest
 import yaml
 
@@ -146,6 +148,23 @@ def test_exponent_without_a_dot_is_a_number(exponent, dotted):
     assert cfg(exponent).laser.free.r3 == cfg(exponent).fiber.s0 == float(dotted)
     assert loads_config(dump_config(cfg(exponent))) == cfg(exponent)
     assert yaml.safe_load(f"x: {exponent}") == {"x": exponent}  # the global loader is untouched
+
+
+@pytest.mark.parametrize("number", ["1.0e6", "1.0e+6", "-2.5E-3", ".5e3"])
+def test_exponent_with_a_dot_is_a_number(number):
+    # YAML 1.1 reads 1.0e6 and .5e3 (an unsigned exponent) as strings,
+    # and a configuration rejected them: $.laser.r3 ... got '1.0e6'
+    from tfqkd.config import _loader
+
+    assert yaml.load(f"x: {number}", Loader=_loader()) == {"x": float(number)}
+    assert yaml.load(f"x: '{number}'", Loader=_loader()) == {"x": number}
+    magnitude = number.lstrip("-")
+    cfg = loads_config(f"scenario: {{preset: 1}}\nlaser: {{r3: {magnitude}}}\n"
+                       f"fiber: {{s0: {magnitude}}}\n")
+    assert cfg.laser.free.r3 == cfg.fiber.s0 == float(magnitude)
+    assert loads_config(dump_config(cfg)) == cfg
+    with pytest.raises(ConfigError, match=rf"\$\.laser\.r3 must be .*, got '{re.escape(magnitude)}'$"):
+        loads_config(f"scenario: {{preset: 1}}\nlaser: {{r3: '{magnitude}'}}\n")
 
 
 @pytest.mark.parametrize("text, where, key", [

@@ -896,6 +896,32 @@ class TestCli:
         assert res.stderr.startswith(f"Error: Could not open file {path!r}: ")
         assert len(res.stderr.splitlines()) == 1
 
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_unwritable_isolines_leave_no_map_file(self, tmp_path, existing):
+        # the map file was written before the isolines path failed
+        out, iso = tmp_path / "map.csv", tmp_path / "missing" / "iso.csv"
+        if existing:
+            out.write_text("kept\n")
+        res = CliRunner().invoke(cli_main, [
+            "sigma-map", "--dl-points", "2", "--tau-points", "2",
+            "--out", str(out), "--isolines-out", str(iso)])
+        assert res.exit_code == 1 and res.stdout == ""
+        assert res.stderr.startswith(f"Error: Could not open file {str(iso)!r}: ")
+        assert len(res.stderr.splitlines()) == 1
+        assert [p.name for p in tmp_path.iterdir()] == (["map.csv"] if existing else [])
+        assert not existing or out.read_text() == "kept\n"
+
+    def test_existing_output_is_rewritten(self, tmp_path):
+        out, iso = tmp_path / "map.csv", tmp_path / "iso.csv"
+        for path in (out, iso):
+            path.write_text("x" * 100_000)
+        args = ["sigma-map", "--dl-points", "2", "--tau-points", "2"]
+        res = CliRunner().invoke(cli_main, [*args, "--out", str(out), "--isolines-out", str(iso)])
+        assert res.exit_code == 0
+        assert out.read_text() == CliRunner().invoke(cli_main, args).stdout
+        lines = iso.read_text().splitlines()
+        assert lines[0] == "level_rad,delta_l_km,tau_q_s" and len(lines) == 3
+
     def _config_file(self, tmp_path, text):
         path = tmp_path / "cfg.yaml"
         path.write_text(text)

@@ -371,12 +371,13 @@ class TestCompositeEqualsSingleTerms:
     F = np.geomspace(1.0, 3e7, 2001)
 
     @staticmethod
-    def single_terms(topo, dl, f, averaged):
+    def single_terms(topo, dl, f, averaged, laser_spec=LaserSpec(), fiber=FIBER):
         from tfqkd.spectra import psd_detection_floor, psd_fiber_linear
-        laser = (psd_laser_stabilized(f, LASER, CAVITY, LOOP) if topo.laser_stabilized
-                 else psd_laser_free(f, LASER))
-        fibers = (psd_fiber_linear(f, topo.l_a, FIBER, topo.fiber_stabilized)
-                  + psd_fiber_linear(f, topo.l_b, FIBER, topo.fiber_stabilized))
+        ls = laser_spec
+        laser = (psd_laser_stabilized(f, ls.free, ls.cavity, ls.loop) if topo.laser_stabilized
+                 else psd_laser_free(f, ls.free))
+        fibers = (psd_fiber_linear(f, topo.l_a, fiber, topo.fiber_stabilized)
+                  + psd_fiber_linear(f, topo.l_b, fiber, topo.fiber_stabilized))
         if topo.kind is TopologyKind.INDEPENDENT_LASERS:
             total = 2.0 * laser + fibers
         else:
@@ -385,7 +386,7 @@ class TestCompositeEqualsSingleTerms:
                 4.0 * np.sin(2.0 * np.pi * f * delay) ** 2 * laser)
             total = laser_term + topo.fiber_roundtrip_factor * fibers
         if topo.fiber_stabilized:
-            total = total + psd_detection_floor(f, FIBER)
+            total = total + psd_detection_floor(f, fiber)
         return total
 
     @pytest.mark.parametrize("preset", tfqkd.builtin_scenarios(), ids=lambda p: str(p.id))
@@ -399,3 +400,91 @@ class TestCompositeEqualsSingleTerms:
         if spec.averaged_func is not None:
             assert np.array_equal(spec.averaged_func(self.F),
                                   self.single_terms(topo, dl, self.F, True))
+
+    @staticmethod
+    def formulas(f, laser, fiber, length_km, stabilized):
+        """Each public single-term PSD by its model formula, with the float
+        operations the models had before they were built in place."""
+        free, cav, loop = laser.free, laser.cavity, laser.loop
+        f2, f3, w2 = f**2, f**3, (2.0 * np.pi * f) ** 2
+        s_free = free.r3 / f3 + free.r2 / f2 * (free.f_c / (f + free.f_c)) ** 2
+        s_cav = cav.c4 / f**4 + cav.c3 / f3 + cav.c2 / f2
+        a, b = loop.bandwidth * loop.gamma, loop.bandwidth * loop.delta
+        supp = w2 * w2 * (f2 + b * b) / ((w2 * b + loop.g0 * a) ** 2 + f2 * (w2 + loop.g0) ** 2)
+        if stabilized:
+            linear = fiber.stabilization_suppression * fiber.noise_per_km * length_km / f2
+        else:
+            linear = fiber.noise_per_km * length_km / f2 * (
+                fiber.f_c_free / (f + fiber.f_c_free)) ** 2
+        floor = fiber.s0 * (fiber.f_c_floor / (f + fiber.f_c_floor)) ** 2
+        return {"laser_free": s_free, "cavity": s_cav, "laser_stabilized": s_cav + supp * s_free,
+                "fiber_linear": linear, "detection_floor": floor,
+                "fiber": linear + floor if stabilized else linear}
+
+    @staticmethod
+    def public(f, laser, fiber, length_km, stabilized):
+        from tfqkd.spectra import psd_detection_floor, psd_fiber_linear
+        return {"laser_free": psd_laser_free(f, laser.free),
+                "cavity": psd_cavity(f, laser.cavity),
+                "laser_stabilized": psd_laser_stabilized(f, laser.free, laser.cavity, laser.loop),
+                "fiber_linear": psd_fiber_linear(f, length_km, fiber, stabilized),
+                "detection_floor": psd_detection_floor(f, fiber),
+                "fiber": psd_fiber(f, length_km, fiber, stabilized)}
+
+    @pytest.mark.parametrize("stabilized", [False, True])
+    def test_single_terms_equal_their_formulas(self, stabilized):
+        laser = LaserSpec(cavity=CavityParams(c3=0.05))
+        expected = self.formulas(self.F, laser, FIBER, 37.5, stabilized)
+        for x in (1.0, 3e7, *self.F[1::97]):
+            at_x = self.formulas(np.array([x]), laser, FIBER, 37.5, stabilized)
+            for name, value in self.public(x, laser, FIBER, 37.5, stabilized).items():
+                assert type(value) is np.float64, name
+                assert value == at_x[name][0], (name, x)
+        for name, value in self.public(self.F, laser, FIBER, 37.5, stabilized).items():
+            assert np.array_equal(value, expected[name]), name
+
+    @pytest.mark.parametrize("preset", tfqkd.builtin_scenarios(), ids=lambda p: str(p.id))
+    @pytest.mark.parametrize("dl", [0.0, 0.02, 2.5])
+    def test_zero_d_is_the_one_node_value(self, preset, dl):
+        # a 0-d frequency is evaluated through a 1-element view of it
+        spec = interference_spectrum(preset.topology, delta_l_km=dl)
+        forms = (spec.func, spec.averaged_func) if spec.averaged_func else (spec.func,)
+        for form in forms:
+            nodes = form(self.F)
+            for i in range(0, self.F.size, 97):
+                for x in (self.F[i], float(self.F[i]), np.asarray(self.F[i])):
+                    value = form(x)
+                    assert type(value) is np.float64
+                    assert value == nodes[i]
+
+    @given(
+        free=st.builds(LaserFreeParams, st.floats(0.0, 1e8), st.floats(0.0, 1e4),
+                       st.floats(1e3, 1e8)),
+        cavity=st.builds(CavityParams, st.floats(0.0, 10.0),
+                         st.one_of(st.just(0.0), st.floats(1e-6, 1.0)), st.floats(0.0, 1.0)),
+        loop=st.builds(LoopParams, st.floats(1e3, 1e7), st.floats(0.01, 0.99),
+                       st.floats(1.01, 100.0)),
+        fiber=st.builds(FiberParams, st.floats(0.0, 1e3), st.floats(1.0, 1e4),
+                        st.floats(0.0, 1e-6), st.floats(1e3, 1e7), st.floats(1500.0, 1600.0),
+                        st.floats(1500.0, 1600.0)),
+        preset=st.sampled_from(tfqkd.builtin_scenarios()),
+        dl=st.floats(0.0, 20.0),
+        x=st.floats(1e-3, 1e8))
+    @settings(max_examples=60, deadline=None)
+    def test_bit_identical_off_the_defaults(self, free, cavity, loop, fiber, preset, dl, x):
+        laser = LaserSpec(free, cavity, loop)
+        topo = preset.topology
+        expected = self.formulas(self.F, laser, fiber, topo.l_a, topo.fiber_stabilized)
+        for name, value in self.public(self.F, laser, fiber, topo.l_a,
+                                       topo.fiber_stabilized).items():
+            assert np.array_equal(value, expected[name]), name
+        at_x = self.formulas(np.array([x]), laser, fiber, topo.l_a, topo.fiber_stabilized)
+        for name, value in self.public(x, laser, fiber, topo.l_a, topo.fiber_stabilized).items():
+            assert type(value) is np.float64 and value == at_x[name][0], name
+        spec = interference_spectrum(topo, laser, fiber, delta_l_km=dl)
+        for averaged, form in ((False, spec.func), (True, spec.averaged_func)):
+            if form is not None:
+                assert np.array_equal(form(self.F),
+                                      self.single_terms(topo, dl, self.F, averaged, laser, fiber))
+                assert form(x) == self.single_terms(topo, dl, np.array([x]), averaged,
+                                                    laser, fiber)[0]
