@@ -8,6 +8,7 @@ Run:  python demos/coherence_budget.py
 """
 
 import os
+from pathlib import Path
 
 import numpy as np
 
@@ -41,7 +42,7 @@ dl = np.geomspace(0.005, 10.0, 12)
 taus = np.geomspace(1e-6, 0.1, 16)
 m = sigma_map(topo, dl, taus)
 path = os.path.join(OUT, "sigma_map.csv")
-m.to_csv(path)
+Path(path).write_text(m.csv_text(), encoding="utf-8", newline="\n")
 print(f"  wrote {path}")
 iso = m.isoline(0.2)
 print("  0.2 rad isoline (tau_q vs mismatch):")

@@ -9,8 +9,11 @@ Run:  python demos/keyrate_sweeps.py
 """
 
 import os
+from pathlib import Path
 
-from tfqkd import SweepSpec, builtin_scenarios, emit_csv, run_sweep
+import numpy as np
+
+from tfqkd import SweepSpec, builtin_scenarios, format_csv, run_sweep
 
 OUT = os.path.join(os.path.dirname(__file__), "out")
 os.makedirs(OUT, exist_ok=True)
@@ -19,28 +22,23 @@ labels = {p.id: p.label for p in builtin_scenarios()}
 
 for sid, detector in ((2, "snspd"), (2, "spad"), (3, "snspd")):
     spec = SweepSpec(start=0.0, stop=100.0, step=1.0, detector=detector)
-    rows = run_sweep(sid, spec)
+    table = run_sweep(sid, spec)
     path = os.path.join(OUT, f"keyrates_scenario{sid}_{detector}.csv")
-    emit_csv(rows, path)
+    Path(path).write_text(format_csv(table), encoding="utf-8", newline="\n")
     print(f"== scenario {sid} ({labels[sid]}), {detector} ==")
     print(f"   wrote {path}")
 
-    beats = [r.x for r in rows if r.rates["sns_aopp"] > r.rates["plob_realistic"]]
-    if beats:
-        print(f"   odd-parity pairing beats realistic bound on "
-              f"[{beats[0]:.0f}, {beats[-1]:.0f}] dB")
-    beats = [r.x for r in rows if r.rates["cal"] > r.rates["plob_realistic"]]
-    if beats:
-        print(f"   phase encoding beats realistic bound on "
-              f"[{beats[0]:.0f}, {beats[-1]:.0f}] dB")
-    cross = next((r.x for r in rows
-                  if r.x >= 5 and max(r.rates["sns_aopp"], r.rates["cal"])
-                  > r.rates["bb84"]), None)
-    print(f"   direct-link BB84 overtaken at {cross:.0f} dB" if cross
+    x, rates = table.x, table.rates
+    for name, proto in (("odd-parity pairing", "sns_aopp"), ("phase encoding", "cal")):
+        beats = x[rates[proto] > rates["plob_realistic"]]
+        if beats.size:
+            print(f"   {name} beats realistic bound on "
+                  f"[{beats[0]:.0f}, {beats[-1]:.0f}] dB")
+    cross = x[(x >= 5) & (np.maximum(rates["sns_aopp"], rates["cal"]) > rates["bb84"])]
+    print(f"   direct-link BB84 overtaken at {cross[0]:.0f} dB" if cross.size
           else "   BB84 never overtaken in range")
     for proto in ("bb84", "sns_aopp", "cal"):
-        reach = max((r.x for r in rows if r.rates[proto] > 0), default=None)
-        print(f"   {proto:9s} positive up to {reach:.0f} dB")
+        print(f"   {proto:9s} positive up to {x[rates[proto] > 0].max():.0f} dB")
     print()
 
 print("The twin-field advantage shows up past ~40 dB: both protocols decay")

@@ -72,26 +72,27 @@ def _context(scenario_id: int | None, config: str | None) -> FullConfig:
     return FullConfig(topology=p.topology, operating_point=p.operating_point)
 
 
-def _sweep_csv(cfg: FullConfig, spec, detector_flag: str | None) -> str:
-    """Sweep CSV for a config; an explicit --detector preset (already in
-    spec.detector) wins over the config's detector section."""
-    rows = run_sweep(cfg.resolve_operating_point(), spec, prot=cfg.protocol,
-                     detector=None if detector_flag else cfg.detector)
-    return format_csv(rows)
-
-
-def _protocols_option(value: str | None) -> tuple:
-    if value is None:
-        return PROTOCOL_NAMES
-    return tuple(s.strip() for s in value.split(",") if s.strip())
+def _sweep(cfg: FullConfig, out, detector, protocols, **axis) -> None:
+    """Write the key-rate sweep of a configuration, its sweep fields
+    replaced by the flags given (those not None); an explicit --detector
+    preset wins over the configuration's detector section."""
+    updates = {k: v for k, v in dict(axis, detector=detector).items() if v is not None}
+    if protocols is not None:
+        updates["protocols"] = tuple(s.strip() for s in protocols.split(",") if s.strip())
+    table = run_sweep(cfg.resolve_operating_point(), replace(cfg.sweep, **updates),
+                      prot=cfg.protocol, detector=None if detector else cfg.detector)
+    _write((format_csv(table), out))
 
 
 class _Group(click.Group):
-    """Command group that reports simulator errors as one-line CLI errors."""
+    """Command group that reports simulator errors as one-line CLI errors.
+    A numpy floating-point warning writes nothing: the commands check what
+    they print (a non-finite PSD or variance is an error)."""
 
     def invoke(self, ctx):
         try:
-            return super().invoke(ctx)
+            with np.errstate(all="ignore"):
+                return super().invoke(ctx)
         except TfqkdError as exc:
             raise click.ClickException(str(exc)) from exc
 
@@ -114,7 +115,11 @@ def psd(scenario_id, config, fmin, fmax, points, out):
     cfg = _context(scenario_id, config)
     spec = interference_spectrum(cfg.topology, cfg.laser, cfg.fiber)
     f = np.geomspace(fmin, fmax, points)
-    _write((csv_text(("f_hz", "s_phi_rad2_per_hz"), (f, spec(f))), out))
+    s = spec(f)
+    bad = ~np.isfinite(s)
+    if bad.any():
+        raise DomainError(f"PSD is not finite at f = {f[np.argmax(bad)]:.6g} Hz")
+    _write((csv_text(("f_hz", "s_phi_rad2_per_hz"), (f, s)), out))
 
 
 @main.command("tau-solve")
@@ -172,16 +177,14 @@ def sigma_map_cmd(scenario_id, config, dl_start, dl_stop, dl_points, tau_start,
               help="Detector preset; defaults to the config's sweep.detector.")
 @click.option("--attenuation-db", type=float, required=True)
 @click.option("--protocols", type=str, default=None,
-              help="Comma-separated subset of " + ",".join(PROTOCOL_NAMES))
+              help="Comma-separated subset of " + ",".join(PROTOCOL_NAMES)
+              + "; defaults to the config's sweep.protocols.")
 @click.option("--out", type=click.Path(), default=None)
 def keyrate(scenario_id, config, detector, attenuation_db, protocols, out):
-    """Key rates at a single total attenuation."""
-    cfg = _context(scenario_id, config)
-    spec = replace(cfg.sweep, start=attenuation_db, stop=attenuation_db, step=1.0,
-                   detector=detector or cfg.sweep.detector,
-                   x_axis="total_attenuation_db",
-                   protocols=_protocols_option(protocols))
-    _write((_sweep_csv(cfg, spec, detector), out))
+    """Key rates at a single total attenuation: every other sweep field,
+    protocols included, comes from the configuration."""
+    _sweep(_context(scenario_id, config), out, detector, protocols, start=attenuation_db,
+           stop=attenuation_db, step=1.0, x_axis="total_attenuation_db")
 
 
 @main.command()
@@ -197,16 +200,8 @@ def keyrate(scenario_id, config, detector, attenuation_db, protocols, out):
 @click.option("--out", type=click.Path(), default=None)
 def scenario(scenario, detector, protocols, start, stop, step, x_axis, out):
     """Key-rate sweep for a built-in scenario (1-7) or a config file."""
-    if scenario.isdecimal():
-        cfg = _context(int(scenario), None)
-    else:
-        cfg = load_config(scenario)
-    updates = {"detector": detector, "start": start, "stop": stop, "step": step,
-               "x_axis": x_axis}
-    if protocols is not None:
-        updates["protocols"] = _protocols_option(protocols)
-    spec = replace(cfg.sweep, **{k: v for k, v in updates.items() if v is not None})
-    _write((_sweep_csv(cfg, spec, detector), out))
+    cfg = _context(int(scenario), None) if scenario.isdecimal() else load_config(scenario)
+    _sweep(cfg, out, detector, protocols, start=start, stop=stop, step=step, x_axis=x_axis)
 
 
 @main.command()

@@ -87,7 +87,8 @@ def _variance_curve(spec: Spectrum, f_query: np.ndarray, f_max: Optional[float])
     node, each summed once, give c on every fourth node by two Richardson
     steps (Boole's rule).  Raises DivergentIntegralError when Simpson's
     rule on the same nodes differs from c at a queried variance by more
-    than _GRID_RTOL.
+    than _GRID_RTOL, naming the first node where the PSD is not finite
+    if there is one.
     """
     f_max = spec.default_f_max() if f_max is None else f_max
     f_lo, f_top = float(np.minimum.reduce(f_query)), float(np.maximum.reduce(f_query))
@@ -151,11 +152,13 @@ def _variance_curve(spec: Spectrum, f_query: np.ndarray, f_max: Optional[float])
     t1, t2, t4 = (_trapezoid_tail(ln_f[::s], fy[::s]) for s in (1, 2, 4))
     simpson = t1[::4] + (t1[::4] - t2[::2]) / 3.0
     c = simpson + (simpson - (t2[::2] + (t2[::2] - t4) / 3.0)) / 15.0
-    f, fy = f[::4], fy[::4]
-    q = int(np.searchsorted(f, f_top, side="right"))  # the queried nodes, as f is sorted
+    q = int(np.searchsorted(f[::4], f_top, side="right"))  # the queried nodes, as f is sorted
     if not np.all(np.abs(c[:q] - simpson[:q]) <= _GRID_RTOL * c[:q]):
+        bad = ~np.isfinite(fy)  # an overflowed or NaN PSD fails the check too
         raise DivergentIntegralError(
-            "phase variance does not converge on the integration grid")
+            f"PSD is not finite on the integration grid (at f = {f[np.argmax(bad)]:.6g} Hz)"
+            if bad.any() else "phase variance does not converge on the integration grid")
+    f, fy = f[::4], fy[::4]
     if not np.isfinite(f_max):
         # the remainder F S(F) continues f^2 S as a constant past F; the
         # body ends on the last node at f_body, averaged if it is the switch
@@ -236,7 +239,8 @@ class CoherenceBudget(Checked):
 class OperatingPoint(Checked):
     """Transmission window, residual phase deviation, phase-noise QBER and
     stabilization overhead: what solve_tau_q returns and run_sweep reads.
-    Only the solve sets clipped (window at tau_max) or floored (at tau_floor).
+    Only the solve sets clipped (window at tau_max) or floored (at tau_floor),
+    never both.
     """
 
     tau_q: float = field(metadata=spec(float, gt=0))
@@ -245,6 +249,12 @@ class OperatingPoint(Checked):
     tau_ps: float = field(default=CoherenceBudget.tau_ps, metadata=spec(float, gt=0))
     clipped: bool = field(default=False, metadata=spec(bool))
     floored: bool = field(default=False, metadata=spec(bool))
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.clipped and self.floored:
+            raise DomainError("a window cannot be both clipped at tau_max and floored "
+                              "at tau_floor")
 
     @property
     def duty_cycle(self) -> float:
@@ -350,13 +360,8 @@ class SigmaMap:
                 taus[j] = tau
         return taus
 
-    def to_csv(self, path) -> None:
-        """Long-format CSV: delta_l_km, tau_q_s, sigma_phi_rad."""
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(self.csv_text())
-
     def csv_text(self) -> str:
-        """The long-format CSV of to_csv as a string."""
+        """Long-format CSV: delta_l_km, tau_q_s, sigma_phi_rad."""
         n_dl, n_tau = self.delta_l_km.size, self.tau_q_s.size
         return csv_text(("delta_l_km", "tau_q_s", "sigma_phi_rad"), (
             np.repeat(self.delta_l_km, n_tau), np.tile(self.tau_q_s, n_dl),

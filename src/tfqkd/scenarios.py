@@ -13,9 +13,9 @@ run_sweep returns a SweepTable: the grid, one array per rate and
 diagnostic column, one boolean mask per failure flag, and the operating
 point.  The sweep calls each protocol's public statistics and rate
 functions once, over a stacked (intensity or channel) x grid array, each
-entry equal to the float call at that point bit for bit.  format_csv and
-emit_csv write the table column by column through csvtext.csv_text;
-each iteration of it builds one SweepRow(x, rates) per point from the
+entry equal to the float call at that point bit for bit.  format_csv
+writes the table column by column through csvtext.csv_text; each
+iteration of it builds one SweepRow(x, rates) per point from the
 columns.
 """
 
@@ -61,7 +61,6 @@ __all__ = [
     "solve_scenario",
     "run_sweep",
     "format_csv",
-    "emit_csv",
 ]
 
 DETECTORS = {"snspd": SNSPD, "spad": SPAD}
@@ -296,8 +295,8 @@ class SweepTable:
     diagnostics maps each diagnostic, in sorted order, to its values;
     flags maps each failure flag to its boolean mask; operating_point is
     the scenario's coherence operating point, the same at every point.
-    format_csv and emit_csv write the columns as they are.  len gives the
-    point count, and each iteration builds one SweepRow per point.
+    format_csv writes the columns as they are.  len gives the point
+    count, and each iteration builds one SweepRow per point.
     """
 
     x_name: str
@@ -377,9 +376,3 @@ def format_csv(table: SweepTable) -> str:
         table.x, *table.rates.values(),
         *(np.full(n, v) for v in (op.duty_cycle, op.sigma_phi, op.e_phi)),
         *table.diagnostics.values(), cells[code]))
-
-
-def emit_csv(table: SweepTable, path) -> None:
-    """Write a sweep table to a CSV file; see format_csv."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(format_csv(table))

@@ -224,6 +224,17 @@ class TestPhaseVariance:
         with pytest.raises(DivergentIntegralError):
             solve_tau_q(spec)
 
+    @pytest.mark.parametrize("psd", [
+        lambda f: 1.0 / np.asarray(f, float) ** 2,  # 1e400 at 1e-200 Hz: inf
+        lambda f: np.where(np.asarray(f, float) < 1e-100, np.nan, 1.0)], ids=["inf", "nan"])
+    def test_non_finite_psd_is_named(self, psd):
+        # an overflowed or NaN PSD failed the check as a grid that does not
+        # converge; the error says the PSD is not finite at the window's node
+        with np.errstate(all="ignore"), pytest.raises(
+                DivergentIntegralError,
+                match=r"^PSD is not finite on the integration grid \(at f = 1e-200 Hz\)$"):
+            phase_variance(Spectrum(psd), 1e200)
+
     def test_period_without_average_is_rejected(self):
         # sin^2 periods but no averaged PSD used to lay uniform steps up to
         # the body end: some 6.4e8 nodes for a 1 Hz period at tau = 1 ms
@@ -563,6 +574,16 @@ class TestSolveTauQ:
         assert op.clipped == (state == "clipped") and op.floored == (state == "floored")
 
 
+    def test_operating_point_is_clipped_or_floored_not_both(self):
+        # a window stops at tau_max or at tau_floor, and the solve sets one flag
+        for clipped, floored in ((True, False), (False, True)):
+            op = OperatingPoint(tau_q=1e-3, sigma_phi=0.2, e_phi=0.01, clipped=clipped,
+                                floored=floored)
+            assert (op.clipped, op.floored) == (clipped, floored)
+        with pytest.raises(DomainError, match="cannot be both clipped at tau_max and floored"):
+            OperatingPoint(tau_q=1e-3, sigma_phi=0.2, e_phi=0.01, clipped=True, floored=True)
+
+
 class TestSigmaMap:
     def test_independent_rows_constant(self):
         topo = TopologyConfig(kind=TopologyKind.INDEPENDENT_LASERS,
@@ -679,11 +700,9 @@ class TestSigmaMap:
         with pytest.raises(DomainError):
             sigma_map(tfqkd.builtin_scenarios()[0].topology, dl, taus)
 
-    def test_csv_export(self, tmp_path):
+    def test_csv_export(self):
         topo = tfqkd.builtin_scenarios()[0].topology
         m = sigma_map(topo, [0.02, 2.5], [1e-5, 1e-3])
-        out = tmp_path / "map.csv"
-        m.to_csv(out)
-        lines = out.read_text().strip().split("\n")
+        lines = m.csv_text().strip().split("\n")
         assert lines[0] == "delta_l_km,tau_q_s,sigma_phi_rad"
         assert len(lines) == 1 + 4

@@ -113,6 +113,16 @@ def test_error_message_format(text, message):
     assert str(err.value) == "configuration invalid: " + message
 
 
+def test_clipped_and_floored_operating_point_names_its_section():
+    # each flag passes its leaf check; the pair fails OperatingPoint's rule
+    text = ("scenario: {preset: 1}\noperating_point: {tau_q_s: 1.0e-3, sigma_phi_rad: 0.2, "
+            "e_phi: 0.01, clipped: true, floored: true}")
+    with pytest.raises(ConfigError) as err:
+        loads_config(text)
+    assert str(err.value) == ("operating_point: a window cannot be both clipped at tau_max "
+                              "and floored at tau_floor")
+
+
 @pytest.mark.parametrize("text", ["", "# nothing\n", "null"])
 def test_empty_document_is_an_empty_mapping(text):
     # YAML reads these as None, which is checked as {}: no scenario

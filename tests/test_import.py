@@ -1,6 +1,5 @@
 """Import footprint and namespace of the package."""
 
-import ast
 import importlib
 import inspect
 import os
@@ -89,25 +88,6 @@ def test_namespace_matches_module_all():
     for name, obj in vars(tfqkd).items():
         if not name.startswith("_") and (inspect.isclass(obj) or inspect.isfunction(obj)):
             assert name in sys.modules[obj.__module__].__all__, name
-
-
-def test_traced_names_are_package_functions():
-    # every function the benchmark's tracer wraps or counts exists in its
-    # module, so removing one from the package fails here and not only
-    # in a traced benchmark run
-    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                        "perfbench", "tracing.py")
-    with open(path, encoding="utf-8") as fh:
-        tree = ast.parse(fh.read())
-    lists = {node.targets[0].id: ast.literal_eval(node.value) for node in tree.body
-             if isinstance(node, ast.Assign) and len(node.targets) == 1
-             and getattr(node.targets[0], "id", None) in ("SPANNED", "COUNTED")}
-    assert set(lists) == {"SPANNED", "COUNTED"}
-    for target in lists["SPANNED"] + lists["COUNTED"]:
-        mod_name, fn_name = target.split(".")
-        module = importlib.import_module(f"tfqkd.{mod_name}")
-        fn = getattr(module, fn_name, None)
-        assert inspect.isfunction(fn) and fn.__module__ == module.__name__, target
 
 
 def test_speed_of_light_is_the_si_value():

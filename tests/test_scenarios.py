@@ -2,6 +2,9 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 
@@ -56,6 +59,10 @@ from tfqkd.cli import main as cli_main
 from tfqkd.scenarios import builtin_scenario
 
 CONFIG_PATH = "configs/scenario1.yaml"
+# the environment of a fresh interpreter on the package source
+SRC_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (
+    os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"),
+    os.environ.get("PYTHONPATH")))))
 
 
 def scalar_point(sid, spec, x, det=None):
@@ -565,12 +572,9 @@ class TestCsv:
             with pytest.raises(DomainError, match="SweepTable"):
                 format_csv(rows)
 
-    def test_emit_roundtrip_stable(self, tmp_path):
+    def test_emit_roundtrip_stable(self):
         rows = run_sweep(1, SweepSpec(start=0, stop=2, step=1))
-        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        tfqkd.emit_csv(rows, p1)
-        tfqkd.emit_csv(rows, p2)
-        assert p1.read_bytes() == p2.read_bytes()
+        assert format_csv(rows) == format_csv(rows)
 
 
 class TestConfig:
@@ -944,6 +948,24 @@ class TestCli:
         spec = SweepSpec(start=30, stop=30, detector="spad")
         assert res.output == format_csv(run_sweep(2, spec))
 
+    def test_keyrate_config_sweeps_as_the_one_point_scenario(self, tmp_path):
+        # keyrate sets the axis, range and step and reads every other sweep
+        # field, protocols included, from the configuration, as scenario does
+        path = self._config_file(tmp_path, "scenario: {preset: 2}\n"
+                                 "sweep: {x_axis: total_length_km, start: 5, stop: 50, "
+                                 "step: 5, protocols: [bb84, plob]}\n")
+        keyrate = CliRunner().invoke(cli_main, ["keyrate", "--config", path,
+                                                "--attenuation-db", "40"])
+        scenario = CliRunner().invoke(cli_main, [
+            "scenario", path, "--start", "40", "--stop", "40", "--step", "1",
+            "--x-axis", "total_attenuation_db"])
+        assert keyrate.exit_code == scenario.exit_code == 0, keyrate.output
+        assert keyrate.output == scenario.output
+        header, row = keyrate.output.strip().split("\n")
+        assert header.startswith("total_attenuation_db,rate_bb84_bits_per_s,"
+                                 "rate_plob_bits_per_s,duty_cycle,")
+        assert row.startswith("4.000000000000e+01,")
+
     def test_detector_section_overrides_sweep_detector_preset(self, tmp_path):
         # the detector section overrides fields of the preset sweep.detector
         # names; it does not start from an SNSPD
@@ -1064,6 +1086,24 @@ class TestCli:
         assert "finite" in res.output
         assert "Warning" not in res.output and not caught
         assert "converge" not in res.output
+
+    @pytest.mark.parametrize("args, error", [
+        (["psd", "--scenario", "1", "--fmin", "1e-300", "--fmax", "1e-299", "--points", "2"],
+         "PSD is not finite at f = 1e-300 Hz"),
+        (["psd", "--scenario", "1", "--fmin", "1e-120"], "PSD is not finite at f = 1e-120 Hz"),
+        (["tau-solve", "--config", "BIG_TAU_MAX_YAML"],
+         "PSD is not finite on the integration grid (at f = 1e-200 Hz)")],
+        ids=["psd-nan", "psd-inf", "tau-solve"])
+    def test_non_finite_psd_is_one_error_line(self, tmp_path, args, error):
+        # the PSD overflows (inf) or overflows then cancels (nan) at these
+        # frequencies; psd printed the value and tau-solve blamed the grid,
+        # each after numpy's RuntimeWarnings on stderr
+        path = tmp_path / "big_tau_max.yaml"
+        path.write_text("scenario: {preset: 1}\nbudget: {tau_max_s: 1.0e+200}\n")
+        args = [str(path) if a == "BIG_TAU_MAX_YAML" else a for a in args]
+        res = subprocess.run([sys.executable, "-m", "tfqkd.cli", *args], env=SRC_ENV,
+                             capture_output=True, text=True)
+        assert (res.returncode, res.stdout, res.stderr) == (1, "", f"Error: {error}\n")
 
     @pytest.mark.parametrize("level", ["nan", "inf", "-inf"])
     def test_non_finite_level_rejected_without_isolines_out(self, level):
