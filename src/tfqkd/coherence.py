@@ -67,6 +67,7 @@ def _trapezoid_tail(ln_f: np.ndarray, fy: np.ndarray) -> np.ndarray:
     return tail
 
 
+@np.errstate(all="ignore")  # a non-finite PSD fails the convergence check below
 def _variance_curve(spec: Spectrum, f_query: np.ndarray, f_max: Optional[float]):
     """The accumulated variance on one grid: nodes f and c[i], the PSD
     integral from f[i] to f_max, i.e. sigma^2 of the window 1/f[i], with

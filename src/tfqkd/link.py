@@ -58,8 +58,8 @@ def _sequence_as_array(x):
     return np.asarray(x) if isinstance(x, (list, tuple)) else x
 
 
-SNSPD = DetectorParams(eta_d=0.9, dark_rate=10.0, clock_rate=1e9)
-SPAD = DetectorParams(eta_d=0.25, dark_rate=50.0, clock_rate=1e9)
+SNSPD = DetectorParams(eta_d=0.9, dark_rate=10.0)
+SPAD = DetectorParams(eta_d=0.25, dark_rate=50.0)
 
 
 @dataclass(frozen=True)

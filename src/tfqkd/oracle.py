@@ -95,7 +95,8 @@ _CFG = _checker(spec(McConfig), "cfg")
 
 
 def _pool_size() -> int:
-    return len(os.sched_getaffinity(0))
+    affinity = getattr(os, "sched_getaffinity", None)  # Linux only
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
 def _words_at(seed: int, offset: int, n: int) -> np.ndarray:

@@ -90,7 +90,7 @@ def _canonical_operating_point(tau_q: float, sigma: float) -> OperatingPoint:
 def _topo(kind, laser_stab, fiber_stab, delta_l_km):
     return TopologyConfig(
         kind=kind, laser_stabilized=laser_stab, fiber_stabilized=fiber_stab,
-        l_a=114.0, l_b=114.0 - delta_l_km)
+        l_a=TopologyConfig.l_a, l_b=TopologyConfig.l_a - delta_l_km)
 
 
 def _build_presets() -> tuple[ScenarioPreset, ...]:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._fields import Checked, _checker, _within, spec
-from .decoy import _BOUNDS, DecoyBounds, _key, _scalars
+from .decoy import _BOUNDS, DecoyBounds, DecoySet, _key, _scalars
 from .errors import DomainError
 
 __all__ = [
@@ -57,8 +57,8 @@ class SnsParams(Checked):
 
     p_z: float = field(default=1.0, metadata=spec(float, gt=0, le=1))
     epsilon: float = field(default=0.25, metadata=spec(float, gt=0, lt=1))
-    mu_z: float = field(default=0.2, metadata=spec(float, gt=0))
-    mu_0: float = field(default=5e-6, metadata=spec(float, ge=0))
+    mu_z: float = field(default=DecoySet.u / 2, metadata=spec(float, gt=0))
+    mu_0: float = field(default=DecoySet.w / 2, metadata=spec(float, ge=0))
 
     def __post_init__(self):
         super().__post_init__()

@@ -37,6 +37,7 @@ __all__ = [
     "loop_gain",
     "psd_laser_stabilized",
     "psd_fiber",
+    "psd_fiber_linear",
     "psd_detection_floor",
     "interference_spectrum",
 ]

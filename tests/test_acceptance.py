@@ -250,23 +250,17 @@ def test_criterion_7_figure_level_properties():
     # (b) twin-field protocols beat the realistic repeaterless bound in the
     # stabilized scenarios (7 is bit-identical to 2 by construction)
     for sid in (2, 5):
-        rows = run_sweep(sid, spec)
-        sns_beats = [r.x for r in rows
-                     if r.rates["sns_aopp"] > r.rates["plob_realistic"]]
-        cal_beats = [r.x for r in rows
-                     if r.rates["cal"] > r.rates["plob_realistic"]]
-        assert sns_beats, f"scenario {sid}: pairing protocol never beats the bound"
-        assert cal_beats, f"scenario {sid}: phase encoding never beats the bound"
-    rows = run_sweep(2, spec)
+        table = run_sweep(sid, spec)
+        sns_beats = table.x[table.rates["sns_aopp"] > table.rates["plob_realistic"]]
+        cal_beats = table.x[table.rates["cal"] > table.rates["plob_realistic"]]
+        assert sns_beats.size, f"scenario {sid}: pairing protocol never beats the bound"
+        assert cal_beats.size, f"scenario {sid}: phase encoding never beats the bound"
 
     # (c) direct-link decoy BB84 wins up to a crossover in [30, 50] dB
-    rows3 = run_sweep(3, spec)
-    crossover = None
-    for r in rows3:
-        tf_best = max(r.rates["sns_aopp"], r.rates["cal"])
-        if r.x >= 5.0 and tf_best > r.rates["bb84"]:
-            crossover = r.x
-            break
+    t3 = run_sweep(3, spec)
+    tf_best = np.maximum(t3.rates["sns_aopp"], t3.rates["cal"])
+    crossings = t3.x[(t3.x >= 5.0) & (tf_best > t3.rates["bb84"])].tolist()
+    crossover = crossings[0] if crossings else None
     assert crossover is not None
     assert 30.0 <= crossover <= 50.0, f"crossover at {crossover} dB"
 
@@ -274,11 +268,10 @@ def test_criterion_7_figure_level_properties():
     for preset in builtin_scenarios():
         reach = {}
         for det in ("snspd", "spad"):
-            rows_d = run_sweep(preset.id, SweepSpec(start=0, stop=130, step=1,
-                                                    detector=det))
+            t_d = run_sweep(preset.id, SweepSpec(start=0, stop=130, step=1,
+                                                 detector=det))
             reach[det] = {
-                proto: max((r.x for r in rows_d if r.rates[proto] > 0.0),
-                           default=-1.0)
+                proto: max(t_d.x[t_d.rates[proto] > 0.0].tolist(), default=-1.0)
                 for proto in ("bb84", "sns_aopp", "cal")}
         for proto in ("bb84", "sns_aopp", "cal"):
             assert reach["spad"][proto] < reach["snspd"][proto], \

@@ -229,8 +229,9 @@ class TestPhaseVariance:
         lambda f: np.where(np.asarray(f, float) < 1e-100, np.nan, 1.0)], ids=["inf", "nan"])
     def test_non_finite_psd_is_named(self, psd):
         # an overflowed or NaN PSD failed the check as a grid that does not
-        # converge; the error says the PSD is not finite at the window's node
-        with np.errstate(all="ignore"), pytest.raises(
+        # converge; the error says the PSD is not finite at the window's node,
+        # and no numpy warning comes before it
+        with pytest.raises(
                 DivergentIntegralError,
                 match=r"^PSD is not finite on the integration grid \(at f = 1e-200 Hz\)$"):
             phase_variance(Spectrum(psd), 1e200)
@@ -513,6 +514,16 @@ class TestSolveTauQ:
         sig_here = np.sqrt(phase_variance(spec, res.tau_q))
         sig_past = np.sqrt(phase_variance(spec, res.tau_q * (1 + 1e-3)))
         assert sig_here <= budget.sigma_threshold * (1 + 1e-9) < sig_past
+
+    def test_non_finite_psd_is_named(self):
+        # tau_max = 1e200 puts the lowest grid node at 1e-200 Hz, where the
+        # scenario's PSD is not finite: the typed error, with no numpy
+        # warning before it
+        spec = interference_spectrum(tfqkd.builtin_scenario(1).topology)
+        with pytest.raises(
+                DivergentIntegralError,
+                match=r"^PSD is not finite on the integration grid \(at f = 1e-200 Hz\)$"):
+            solve_tau_q(spec, CoherenceBudget(tau_max=1e200))
 
     def test_floored_flag(self):
         spec = flat_1_over_f2(1e6)  # sigma(1us) = 1 > 0.2

@@ -76,7 +76,8 @@ def test_tau_solve_loads_no_numpy_ma():
 
 def test_namespace_matches_module_all():
     # each module's __all__ is what the package exports from it, and each
-    # public class and function in the package is in its module's __all__
+    # public class and function in the package, or defined in a public
+    # module, is in its module's __all__
     import tfqkd
 
     for info in pkgutil.iter_modules(tfqkd.__path__):
@@ -85,6 +86,12 @@ def test_namespace_matches_module_all():
         module = importlib.import_module(f"tfqkd.{info.name}")
         for name in module.__all__:
             assert getattr(tfqkd, name, None) is getattr(module, name), f"{info.name}.{name}"
+        if info.name.startswith("_"):  # _fields keeps the field contract private
+            continue
+        for name, obj in vars(module).items():
+            if (not name.startswith("_") and (inspect.isclass(obj) or inspect.isfunction(obj))
+                    and obj.__module__ == module.__name__):
+                assert name in module.__all__, f"{info.name}.{name}"
     for name, obj in vars(tfqkd).items():
         if not name.startswith("_") and (inspect.isclass(obj) or inspect.isfunction(obj)):
             assert name in sys.modules[obj.__module__].__all__, name

@@ -1,5 +1,7 @@
 """The validators themselves: determinism, normalization, exact references."""
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -147,6 +149,14 @@ class TestSingleStreamIdentity:
                 0.3, 0.2, 0.4, 1e-4, McConfig(samples=n, seed=17_000, phase=phase)))
                 for n in ((1 << 20) + 3, 3_000_001)])
         assert runs[0] == runs[1]
+
+    def test_counts_without_sched_getaffinity(self, monkeypatch):
+        # macOS and Windows have no os.sched_getaffinity: the pool then
+        # takes os.cpu_count() workers, and the counts stay the same
+        cfg = McConfig(samples=3_000_001, seed=17_000)
+        counts = _counts(mc_click_stats(0.3, 0.2, 0.4, 1e-4, cfg))
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert _counts(mc_click_stats(0.3, 0.2, 0.4, 1e-4, cfg)) == counts
 
 
 class TestMcClickStats:

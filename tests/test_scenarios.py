@@ -213,11 +213,10 @@ class TestSweepSpec:
 
 class TestRunSweep:
     def test_rows_ordered_and_complete(self):
-        rows = run_sweep(1, SweepSpec(start=10, stop=30, step=10))
-        assert [r.x for r in rows] == [10.0, 20.0, 30.0]
-        for r in rows:
-            assert set(r.rates) == set(tfqkd.PROTOCOL_NAMES)
-            assert all(v >= 0.0 for v in r.rates.values())
+        table = run_sweep(1, SweepSpec(start=10, stop=30, step=10))
+        assert table.x.tolist() == [10.0, 20.0, 30.0]
+        assert set(table.rates) == set(tfqkd.PROTOCOL_NAMES)
+        assert all((v >= 0.0).all() for v in table.rates.values())
 
     def test_length_axis(self):
         spec = SweepSpec(x_axis="total_length_km", start=100.0, stop=100.0,
@@ -242,13 +241,12 @@ class TestRunSweep:
 
     def test_extreme_darks_zero_rates_sweep_continues(self):
         noisy = DetectorParams(eta_d=0.9, dark_rate=5e8, clock_rate=1e9)
-        rows = run_sweep(2, SweepSpec(start=60, stop=62, step=1.0),
-                         detector=noisy)
-        assert len(rows) == 3
-        for r in rows:
-            assert r.rates["sns_aopp"] == 0.0
-            assert r.rates["bb84"] == 0.0
-            assert r.rates["plob_realistic"] > 0.0
+        table = run_sweep(2, SweepSpec(start=60, stop=62, step=1.0),
+                          detector=noisy)
+        assert len(table) == 3
+        assert (table.rates["sns_aopp"] == 0.0).all()
+        assert (table.rates["bb84"] == 0.0).all()
+        assert (table.rates["plob_realistic"] > 0.0).all()
 
     def test_estimation_failure_flagged_not_fatal(self, monkeypatch):
         # the closed-form single-photon bound cannot fail for the Poissonian
@@ -269,10 +267,9 @@ class TestRunSweep:
         assert len(table) == 3
         assert table.flags["sns_estimation_failed"].all()
         assert table.flags["bb84_estimation_failed"].all()
-        for r in table:
-            assert r.rates["sns_aopp"] == 0.0
-            assert r.rates["bb84"] == 0.0
-            assert r.rates["cal"] > 0.0  # unaffected protocol keeps running
+        assert (table.rates["sns_aopp"] == 0.0).all()
+        assert (table.rates["bb84"] == 0.0).all()
+        assert (table.rates["cal"] > 0.0).all()  # unaffected protocol keeps running
 
     def test_failure_flags_from_the_model(self):
         # no patched bounds: with this decoy set and a 1 MHz dark rate the
@@ -344,8 +341,8 @@ class TestRunSweep:
         per_sweep = []
         for step in (10.0, 1.0):
             calls.clear()
-            rows = run_sweep(2, SweepSpec(start=0, stop=100, step=step))
-            assert any(r.rates["bb84"] == 0.0 for r in rows)
+            table = run_sweep(2, SweepSpec(start=0, stop=100, step=step))
+            assert (table.rates["bb84"] == 0.0).any()
             per_sweep.append(dict(calls))
         assert per_sweep[0] == per_sweep[1]
         public = {f"{m.__name__}.{n}" for m in (cal_mod, decoy_mod, link_mod, sns_mod)
@@ -448,24 +445,23 @@ class TestRunSweep:
         plob = table.rates["plob"].tolist()
         assert plob[0] == math.inf
         assert all(0.0 < v < math.inf for v in plob[1:])
-        assert all(v >= 0.0 for r in table for v in r.rates.values())
+        assert all((v >= 0.0).all() for v in table.rates.values())
         for start, table in far.items():
-            assert [r.x for r in table] == np.arange(start, 3250.1, 5.0).tolist()
+            assert table.x.tolist() == np.arange(start, 3250.1, 5.0).tolist()
             assert table_point(table, -1)[0] == dict.fromkeys(PROTOCOL_NAMES, 0.0)
-            assert all(r.rates[p] == 0.0 for r in table for p in ("bb84", "sns", "sns_aopp"))
+            assert all((table.rates[p] == 0.0).all() for p in ("bb84", "sns", "sns_aopp"))
 
     def test_curves_below_physical_bounds(self):
         # direct-link protocol under the total-channel capacity; twin-field
         # protocols under the per-arm capacity (the relay acts as a repeater)
-        rows = run_sweep(2, SweepSpec(start=5, stop=75, step=5))
+        table = run_sweep(2, SweepSpec(start=5, stop=75, step=5))
         nu_s = 1e9
-        for r in rows:
-            eta = link_from_attenuation(r.x)
-            assert r.rates["bb84"] <= plob_bound(eta) * nu_s * (1 + 1e-12)
-            arm_cap = plob_bound(np.sqrt(eta)) * nu_s
-            assert r.rates["sns_aopp"] <= arm_cap * (1 + 1e-12)
-            assert r.rates["cal"] <= arm_cap * (1 + 1e-12)
-            assert r.rates["sns"] <= arm_cap * (1 + 1e-12)
+        eta = link_from_attenuation(table.x)
+        assert (table.rates["bb84"] <= plob_bound(eta) * nu_s * (1 + 1e-12)).all()
+        arm_cap = plob_bound(np.sqrt(eta)) * nu_s
+        assert (table.rates["sns_aopp"] <= arm_cap * (1 + 1e-12)).all()
+        assert (table.rates["cal"] <= arm_cap * (1 + 1e-12)).all()
+        assert (table.rates["sns"] <= arm_cap * (1 + 1e-12)).all()
 
     def test_duty_and_qber_fixed_per_scenario(self):
         # every point of the CSV carries the one operating point's values
@@ -491,6 +487,8 @@ class TestSweepTable:
         assert list(table) == list(table)
         for i, row in enumerate(table):
             assert row.rates == {p: a[i] for p, a in table.rates.items()}
+        with pytest.raises(DomainError, match="SweepTable"):
+            format_csv(list(table))  # the rows are no table
 
     def test_rows_are_copies(self):
         # a row is a mutable record of Python values: assigning to its
@@ -568,7 +566,7 @@ class TestCsv:
         assert dict(zip(header.split(","), first.split(",")))["rate_plob_bits_per_s"] == "inf"
 
     def test_format_csv_takes_only_a_table(self):
-        for rows in ([], None, "rows", (1, 2), list(run_sweep(2, SweepSpec(stop=3)))):
+        for rows in ([], None, "rows", (1, 2)):
             with pytest.raises(DomainError, match="SweepTable"):
                 format_csv(rows)
 
