@@ -7,6 +7,7 @@ Run:  python demos/psd_gallery.py
 """
 
 import os
+from pathlib import Path
 
 import numpy as np
 
@@ -18,6 +19,7 @@ from tfqkd import (
     LoopParams,
     TopologyConfig,
     TopologyKind,
+    csv_text,
     interference_spectrum,
     loop_gain,
     psd_cavity,
@@ -33,6 +35,7 @@ laser = LaserFreeParams()
 cavity = CavityParams()
 loop = LoopParams()
 fiber = FiberParams()
+laser_spec = LaserSpec(free=laser, cavity=cavity, loop=loop)
 
 print("== single noise sources (rad^2/Hz) ==")
 for f in (1.0, 1e2, 1e4, 1e6):
@@ -65,13 +68,11 @@ combos = {
         kind=TopologyKind.INDEPENDENT_LASERS, laser_stabilized=True,
         l_a=114.0, l_b=113.98),
 }
-table = {name: interference_spectrum(topo, LaserSpec(), fiber)(freqs)
+table = {name: interference_spectrum(topo, laser_spec, fiber)(freqs)
          for name, topo in combos.items()}
 path = os.path.join(OUT, "interference_psd.csv")
-with open(path, "w", encoding="utf-8") as fh:
-    fh.write("f_hz," + ",".join(table) + "\n")
-    for i, f in enumerate(freqs):
-        fh.write(f"{f:.6e}," + ",".join(f"{table[n][i]:.6e}" for n in table) + "\n")
+Path(path).write_text(csv_text(["f_hz", *table], [freqs, *table.values()]),
+                      encoding="utf-8", newline="\n")
 print(f"  wrote {path}")
 for name, s in table.items():
     print(f"  {name:26s} S(1 Hz) = {s[0]:.3e}  S(10 kHz) = "

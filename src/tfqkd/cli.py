@@ -38,7 +38,14 @@ def _write(*outputs) -> None:
     is None.  Every file is opened, without emptying it, before any is
     written, and stdout is written last; a file that cannot be opened or
     written is one error line naming it, and the files this call created
-    are removed."""
+    are removed.  Two outputs that resolve to one regular file or new
+    path are refused before any is opened (a device or a pipe may take
+    both)."""
+    named = [out for _, out in outputs if out is not None]
+    real = [os.path.realpath(out) for out in named]
+    for i, path in enumerate(real):
+        if path in real[:i] and (os.path.isfile(path) or not os.path.exists(path)):
+            raise click.ClickException(f"two outputs name one file: {named[i]!r}")
     made, files, out = [], [], None
     try:
         try:

@@ -332,7 +332,7 @@ def solve_tau_q(psd, budget: CoherenceBudget = CoherenceBudget()) -> OperatingPo
         tau_ps=float(budget.tau_ps), clipped=state == "clipped", floored=state == "floored")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SigmaMap:
     """Phase standard deviation over a (mismatch, integration time) grid.
 
@@ -343,7 +343,7 @@ class SigmaMap:
     delta_l_km: np.ndarray
     tau_q_s: np.ndarray
     sigma_phi: np.ndarray
-    curves: tuple = field(repr=False, compare=False)  # each column's (f, c, fy) curve
+    curves: tuple = field(repr=False)  # each column's (f, c, fy) curve
 
     def isoline(self, level: float = CoherenceBudget.sigma_threshold) -> np.ndarray:
         """Per-column tau_q at which sigma crosses the level (rad, >= 0),

@@ -3,7 +3,8 @@
 Every CSV the package writes (sweeps, sigma maps, isolines, PSD tables,
 window solves, oracle comparisons) goes through csv_text, column by
 column: a float column prints each value as %.12e, any other column as
-%s.  The text is byte-identical to '%.12e' % v and '%s' % (v,) applied
+%s.  The demos write their committed files in demos/out through it too.
+The text is byte-identical to '%.12e' % v and '%s' % (v,) applied
 cell by cell, but the float cells of a table are formatted together in
 a few numpy array operations: a fast path with a bail-out, as in
 Loitsch's Grisu3 (PLDI 2010).

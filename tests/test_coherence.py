@@ -717,3 +717,11 @@ class TestSigmaMap:
         lines = m.csv_text().strip().split("\n")
         assert lines[0] == "delta_l_km,tau_q_s,sigma_phi_rad"
         assert len(lines) == 1 + 4
+
+    def test_maps_compare_and_hash_by_identity(self):
+        # the generated __eq__ compared the array fields, which raised
+        # ValueError, and left the map unhashable
+        topo = tfqkd.builtin_scenarios()[0].topology
+        m, other = (sigma_map(topo, [0.1, 1.0], [1e-5, 1e-4]) for _ in range(2))
+        assert m == m and m != other
+        assert hash(m) == hash(m) and len({m, other}) == 2

@@ -924,6 +924,30 @@ class TestCli:
         lines = iso.read_text().splitlines()
         assert lines[0] == "level_rad,delta_l_km,tau_q_s" and len(lines) == 3
 
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_outputs_naming_one_file_are_refused(self, tmp_path, existing):
+        # the second append-mode handle truncated what the first one wrote,
+        # which left only the isolines in the file, with exit 0
+        out = tmp_path / "both.csv"
+        if existing:
+            out.write_text("kept\n")
+        (tmp_path / "link.csv").symlink_to(out)
+        args = ["sigma-map", "--dl-points", "2", "--tau-points", "3"]
+        for other in (out, f"{tmp_path}/./both.csv", tmp_path / "link.csv"):
+            res = CliRunner().invoke(cli_main, [*args, "--out", str(out),
+                                                "--isolines-out", str(other)])
+            assert res.exit_code == 1 and res.stdout == ""
+            assert res.stderr == f"Error: two outputs name one file: {str(other)!r}\n"
+            assert sorted(p.name for p in tmp_path.iterdir()) == (
+                ["both.csv", "link.csv"] if existing else ["link.csv"])
+            assert not existing or out.read_text() == "kept\n"
+
+    def test_outputs_may_share_a_device(self):
+        args = ["sigma-map", "--dl-points", "2", "--tau-points", "3"]
+        res = CliRunner().invoke(cli_main, [*args, "--out", os.devnull,
+                                            "--isolines-out", os.devnull])
+        assert res.exit_code == 0 and res.output == ""
+
     def _config_file(self, tmp_path, text):
         path = tmp_path / "cfg.yaml"
         path.write_text(text)
