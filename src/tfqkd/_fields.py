@@ -31,7 +31,7 @@ def spec(kind, **rules) -> dict:
     unless finite=False; with array=True a real may also be a numeric
     ndarray, whose min and max are checked.  A str may take values, the
     strings it must be one of; a tuple takes item, the spec of each
-    entry, and may take nonempty or length.  optional=True admits None."""
+    entry, and may take nonempty.  optional=True admits None."""
     return {"kind": kind, **rules}
 
 
@@ -81,13 +81,12 @@ def _rule(m: dict, where: str):
     if kind is float or kind is int:
         return _number(m)
     if kind is tuple:
-        item, length, least = _checker(m["item"], where + " entry"), m.get("length"), \
-            int(m.get("nonempty", False))
+        item, least = _checker(m["item"], where + " entry"), int(m.get("nonempty", False))
 
         def ok(v):
-            return isinstance(v, (tuple, list)) and len(v) >= least and length in (None, len(v))
-        return ("a non-empty tuple or list" if least else "a tuple or list") + (
-            "" if length is None else f" of length {length}"), ok, lambda v: tuple(map(item, v))
+            return isinstance(v, (tuple, list)) and len(v) >= least
+        return ("a non-empty tuple or list" if least else "a tuple or list"), ok, \
+            lambda v: tuple(map(item, v))
     if isinstance(kind, type) and issubclass(kind, enum.Enum):
         values = [e.value for e in kind]
 

@@ -38,7 +38,13 @@ __all__ = [
 ]
 
 FOCK_INPUT_MAX = 6  # per-port input limit for pair yields
-_PAIRS = spec(tuple, item=spec(tuple, item=spec(int, ge=0), length=2))
+# the cat sums: per parity j, the (m_a, m_b) index pairs whose yields
+# (photon numbers 2m + j, at most _N_TOP) enter the phase-error sum
+# explicitly, every other yield bounded by 1 inside the tail term past
+# amplitude index _M_MAX
+_SETS = {0: ((0, 0), (0, 1), (1, 0), (1, 1)), 1: ((0, 0),)}
+_M_MAX = 20
+_N_TOP = max(2 * (m_a + m_b + j) for j, sset in _SETS.items() for m_a, m_b in sset)
 # the field contract's checkers of the kernels' arguments
 _ARM_T = _checker(spec(float, ge=0, le=1, array=True), "arm_t")
 _P_D = _checker(spec(float, ge=0, le=1), "p_d")
@@ -47,24 +53,9 @@ _N_A, _N_B = (_checker(spec(int, ge=0, le=FOCK_INPUT_MAX), name) for name in ("n
 
 @dataclass(frozen=True)
 class CalParams(Checked):
-    """Signal intensity and cat-sum sets.
-
-    set_even / set_odd list the (m_a, m_b) index pairs whose photon-number
-    yields enter the phase-error sum explicitly (photon numbers 2m + j for
-    parity j); everything else is bounded by 1 inside the tail term.
-    m_max truncates the cat amplitude sums.
-    """
+    """Signal intensity of the key states."""
 
     mu_zeta: float = field(default=0.018, metadata=spec(float, gt=0))
-    set_even: tuple = field(default=((0, 0), (0, 1), (1, 0), (1, 1)), metadata=_PAIRS)
-    set_odd: tuple = field(default=((0, 0),), metadata=_PAIRS)
-    m_max: int = field(default=20, metadata=spec(int, ge=2))
-
-    def __post_init__(self):
-        super().__post_init__()
-        top = max((2 * m + 1 for pair in self.set_even + self.set_odd for m in pair), default=0)
-        if top > FOCK_INPUT_MAX:
-            raise DomainError("cat-sum sets exceed the supported photon cutoff")
 
 
 @dataclass(frozen=True)
@@ -137,11 +128,11 @@ def cal_bit_error(ch: CalChannel, p_d: float):
 
 
 @lru_cache(maxsize=64)
-def _cat_raw(mu: float, j: int, m_max: int) -> np.ndarray:
+def _cat_raw(mu: float, j: int) -> np.ndarray:
     """Coherent amplitudes restricted to parity j: entry m is the |2m+j>
     amplitude of |sqrt(mu)>; the squared entries sum to the parity weight.
-    Cached per (mu, j, m_max), so the array is read-only."""
-    ns = 2 * np.arange(m_max + 1) + j
+    Cached per (mu, j), so the array is read-only."""
+    ns = 2 * np.arange(_M_MAX + 1) + j
     log_fact = np.array([math.log(math.factorial(n)) for n in ns])
     log_amp = -mu / 2.0 + 0.5 * ns * np.log(mu) - 0.5 * log_fact
     amp = np.exp(log_amp)
@@ -149,26 +140,27 @@ def _cat_raw(mu: float, j: int, m_max: int) -> np.ndarray:
     return amp
 
 
-def _cat_tail(mu: float, j: int, m_max: int, last: float) -> float:
-    """Geometric bound on the amplitude sum beyond m_max."""
-    n = 2 * m_max + j
-    q = mu / math.sqrt((n + 2) * (n + 1))
+def _cat_tail(mu: float, j: int, last: float) -> float:
+    """Geometric bound on the amplitude sum beyond _M_MAX."""
+    n = 2 * _M_MAX + j
+    limit = math.sqrt((n + 2) * (n + 1))
+    q = mu / limit
     if q >= 1.0:
-        raise DomainError("m_max too small for this intensity")
+        raise DomainError(f"mu_zeta must be below {limit:.5g} for the cat sums, got {mu!r}")
     return last * q / (1.0 - q)
 
 
 @lru_cache(maxsize=64)
-def _cat_remainder(mu: float, j: int, m_max: int, sset: tuple) -> float:
-    """(amplitude sum + tail)^2 minus the amplitude products over sset.
+def _cat_remainder(mu: float, j: int) -> float:
+    """(amplitude sum + tail)^2 minus the amplitude products over _SETS[j].
 
-    This is the sum of the products over the pairs outside sset plus the
+    This is the sum of the products over the pairs outside the set plus the
     tail terms, so it is summed as such, term by term, and nothing cancels.
     """
-    raw = _cat_raw(mu, j, m_max)
-    tail = _cat_tail(mu, j, m_max, raw[-1])
+    raw = _cat_raw(mu, j)
+    tail = _cat_tail(mu, j, raw[-1])
     pairs = np.outer(raw, raw)
-    for m_a, m_b in sset:
+    for m_a, m_b in _SETS[j]:
         pairs[m_a, m_b] -= raw[m_a] * raw[m_b]
     return float(pairs.sum() + (2.0 * raw.sum() + tail) * tail)
 
@@ -194,12 +186,13 @@ def _bs_exact(n_a: int, n_b: int) -> tuple:
 def _yield_coefficients(n_a: int, n_b: int) -> tuple:
     """The pair yields of |n_a, n_b> as polynomials in the transmittance.
 
-    Entry k of (all_c, all_d, split) sums, over the survivor pairs
-    k_a + k_b = k >= 1, C(n_a, k_a) C(n_b, k_b) times the splitter
-    probability that all k photons leave at c, all at d, or some at each.
-    Each exact sum is rounded once.
+    Entry k of (all_c, split) sums, over the survivor pairs k_a + k_b =
+    k >= 1, C(n_a, k_a) C(n_b, k_b) times the splitter probability that
+    all k photons leave at c, or some at each; all at d equals all at c
+    as rounded floats for every input pair up to FOCK_INPUT_MAX.  Each
+    exact sum is rounded once.
     """
-    sums = [[Fraction(0)] * (n_a + n_b + 1) for _ in range(3)]
+    sums = [[Fraction(0)] * (n_a + n_b + 1) for _ in range(2)]
     for k_a in range(n_a + 1):
         for k_b in range(n_b + 1):
             k = k_a + k_b
@@ -207,7 +200,7 @@ def _yield_coefficients(n_a: int, n_b: int) -> tuple:
                 continue
             mult = math.comb(n_a, k_a) * math.comb(n_b, k_b)
             dist = _bs_exact(k_a, k_b)
-            for acc, prob in zip(sums, (dist[k], dist[0], 1 - dist[0] - dist[k])):
+            for acc, prob in zip(sums, (dist[k], 1 - dist[0] - dist[k])):
                 acc[k] += mult * prob
     return tuple(tuple(map(float, acc)) for acc in sums)
 
@@ -256,20 +249,19 @@ def fock_pair_yield(n_a: int, n_b: int, arm_t, p_d: float) -> FockYield:
     these equal the yields entering the phase-error bound.
     """
     n_a, n_b, arm_t, p_d = _N_A(n_a), _N_B(n_b), _ARM_T(arm_t), _P_D(p_d)
-    # survivors all at c, all at d, at both
+    # survivors all at c (as many as all at d), at both
     n = n_a + n_b
-    vacuum, (at_c, at_d, split) = _survivors(n, _yield_coefficients(n_a, n_b), _powers(arm_t, n))
-    return _scalars(FockYield(none=(1.0 - p_d) * (1.0 - p_d) * vacuum,
-                              c_only=_one_click(vacuum, at_c, p_d),
-                              d_only=_one_click(vacuum, at_d, p_d),
-                              both=p_d * p_d * vacuum + split + p_d * (at_c + at_d)))
+    vacuum, (at_c, split) = _survivors(n, _yield_coefficients(n_a, n_b), _powers(arm_t, n))
+    one = _one_click(vacuum, at_c, p_d)
+    return _scalars(FockYield(none=(1.0 - p_d) * (1.0 - p_d) * vacuum, c_only=one, d_only=one,
+                              both=p_d * p_d * vacuum + split + p_d * (2.0 * at_c)))
 
 
 def cal_phase_error(p: CalParams, ch: CalChannel, p_d: float):
     """Upper bound on the phase error of the single-click key outcomes.
 
     Sums, per parity sector, the coherent amplitudes times the square
-    roots of the exact photon-pair yields over the configured sets, bounds
+    roots of the exact photon-pair yields over the cat-sum sets, bounds
     every remaining yield by 1 inside the tail term, squares, and divides
     by the key-basis gain of the phase-aligned channel.  The bound uses
     only phase-randomized quantities, so it does not move with sigma_phi;
@@ -284,13 +276,11 @@ def cal_phase_error(p: CalParams, ch: CalChannel, p_d: float):
     gain_ref = cal_gain(replace(ch, sigma_phi=0.0), p_d)
     if not _within(gain_ref, 0.0, np.inf, lo_open=True):
         raise DomainError("phase error undefined at zero gain")
-    # t^k and (1 - t)^k once, up to the largest photon number of the sets
-    powers = _powers(arm_t, max((2 * (m_a + m_b + j) for j, sset in
-                                 ((0, p.set_even), (1, p.set_odd)) for m_a, m_b in sset), default=0))
+    powers = _powers(arm_t, _N_TOP)  # t^k and (1 - t)^k once
     roots: dict = {}  # sqrt of the c-only yield per survivor polynomial
     total = 0.0
-    for j, sset in ((0, p.set_even), (1, p.set_odd)):
-        raw = _cat_raw(p.mu_zeta, j, p.m_max)
+    for j, sset in _SETS.items():
+        raw = _cat_raw(p.mu_zeta, j)
         explicit = 0.0
         for m_a, m_b in sset:
             n_a, n_b = 2 * m_a + j, 2 * m_b + j
@@ -300,7 +290,7 @@ def cal_phase_error(p: CalParams, ch: CalChannel, p_d: float):
                 y = _one_click(vacuum, at_c, p_d)
                 roots[n, poly] = np.sqrt(np.maximum(y, 0.0))
             explicit = explicit + raw[m_a] * raw[m_b] * roots[n, poly]
-        total = total + np.square(explicit + _cat_remainder(p.mu_zeta, j, p.m_max, sset))
+        total = total + np.square(explicit + _cat_remainder(p.mu_zeta, j))
     return _scalars(total / gain_ref)
 
 

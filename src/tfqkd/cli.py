@@ -163,17 +163,16 @@ def sigma_map_cmd(scenario_id, config, dl_start, dl_stop, dl_points, tau_start,
     """Map sigma_phi over (mismatch, integration time) and extract isolines."""
     cfg = _context(scenario_id, config)
     level = level or (cfg.budget.sigma_threshold,)
-    if not all(0.0 <= lv < np.inf for lv in level):  # phase deviations, as isoline takes
-        raise DomainError("isoline levels must be finite and >= 0")
     dl = np.geomspace(dl_start, dl_stop, dl_points)
     taus = np.geomspace(tau_start, tau_stop, tau_points)
     m = sigma_map(cfg.topology, dl, taus, cfg.budget, cfg.laser, cfg.fiber)
+    # isoline checks each level, so a bad one is refused with or without --isolines-out
+    isolines = np.concatenate([m.isoline(lv) for lv in level])
     outputs = [(m.csv_text(), out)]
     if isolines_out is not None:
-        outputs.append((csv_text(
-            ("level_rad", "delta_l_km", "tau_q_s"),
-            (np.repeat(level, m.delta_l_km.size), np.tile(m.delta_l_km, len(level)),
-             np.concatenate([m.isoline(lv) for lv in level]))), isolines_out))
+        outputs.append((csv_text(("level_rad", "delta_l_km", "tau_q_s"), (
+            np.repeat(level, m.delta_l_km.size), np.tile(m.delta_l_km, len(level)), isolines)),
+            isolines_out))
     _write(*outputs)
 
 

@@ -89,7 +89,7 @@ def _variance_curve(spec: Spectrum, f_query: np.ndarray, f_max: Optional[float])
     steps (Boole's rule).  Raises DivergentIntegralError when Simpson's
     rule on the same nodes differs from c at a queried variance by more
     than _GRID_RTOL, naming the first node where the PSD is not finite
-    if there is one.
+    if there is one, and DomainError when the grid's end overflows to inf.
     """
     f_max = spec.default_f_max() if f_max is None else f_max
     f_lo, f_top = float(np.minimum.reduce(f_query)), float(np.maximum.reduce(f_query))
@@ -103,6 +103,8 @@ def _variance_curve(spec: Spectrum, f_query: np.ndarray, f_max: Optional[float])
         # six decades of log grid
         f_body = max(f_top * 1e4, *(k * 1e3 for k in spec.knees), f_switch or 0.0, 1.0)
         f_hi = 1e6 * f_body
+    if f_hi == np.inf:  # a knee or a query near the largest float
+        raise DomainError("the integration grid's end overflows; give a finite f_max")
     # segments between consecutive breakpoints, each in a multiple of four
     # equal steps (so breakpoints stay nodes of the every-fourth-node grid):
     # uniform in f over the sin^2 periods, from where such a step is finer
@@ -325,7 +327,7 @@ def solve_tau_q(psd, budget: CoherenceBudget = CoherenceBudget()) -> OperatingPo
     curve = _variance_curve(spec, np.array([1.0 / budget.tau_max, 1.0 / budget.tau_floor]),
                             budget.f_max)
     tau, var, state = _window(curve, budget.tau_max, budget.tau_floor,
-                              budget.sigma_threshold ** 2)
+                              budget.sigma_threshold * budget.sigma_threshold)
     sig = budget.sigma_threshold if state == "solved" else np.sqrt(var)
     return OperatingPoint(
         tau_q=float(tau), sigma_phi=float(sig), e_phi=float(qber_from_variance(sig * sig)),
@@ -356,7 +358,7 @@ class SigmaMap:
         level = _LEVEL(level)
         taus = np.full(self.delta_l_km.shape, np.nan)
         for j, curve in enumerate(self.curves):
-            tau, _, state = _window(curve, self.tau_q_s[-1], self.tau_q_s[0], level ** 2)
+            tau, _, state = _window(curve, self.tau_q_s[-1], self.tau_q_s[0], level * level)
             if state != "clipped":
                 taus[j] = tau
         return taus

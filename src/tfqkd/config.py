@@ -11,9 +11,9 @@ with (budget.tau_ps_s aside, which sets only the duty cycle); any other
 value there makes the window a live solve.
 
 One table, _FIELDS, maps every YAML leaf to the one FullConfig field it
-sets; the check, the build and the dump are all driven by it.  The
-dataclasses own every default and every range, and the check runs the
-checker of each leaf's target field on its YAML value, so a value the
+sets; the check and the build are both driven by it.  The dataclasses
+own every default and every range, and the check runs the checker of
+each leaf's target field on its YAML value, so a value the
 configuration accepts is one the dataclass accepts, cross-field rules
 (such as u > v + w of the decoy set) aside.  Every error is reported
 at once, each at its YAML path ($.laser.r3, $.sweep.protocols[1]).
@@ -21,7 +21,6 @@ at once, each at its YAML path ($.laser.r3, $.sweep.protocols[1]).
 
 from __future__ import annotations
 
-import enum
 import functools
 import re
 from dataclasses import MISSING, dataclass, field, fields, replace
@@ -34,7 +33,7 @@ from .link import DetectorParams
 from .scenarios import DETECTORS, ProtocolParams, SweepSpec, builtin_scenario
 from .spectra import FiberParams, LaserSpec, TopologyConfig, interference_spectrum
 
-__all__ = ["FullConfig", "load_config", "loads_config", "dump_config"]
+__all__ = ["FullConfig", "load_config", "loads_config"]
 
 # (YAML section, key, dotted FullConfig path it sets).  The scenario
 # preset sets no path: it picks the topology and operating point the
@@ -330,27 +329,3 @@ def load_config(path) -> FullConfig:
         reason = getattr(exc, "strerror", None) or exc
         raise ConfigError(f"{path}: cannot read configuration: {reason}") from exc
 
-
-def _to_dict(cfg: FullConfig) -> dict:
-    leaves = []
-    for section, key, target in _FIELDS:
-        if target is None:
-            continue
-        value = cfg
-        for part in target.split("."):
-            value = getattr(value, part, None)
-        if value is None:
-            continue
-        if isinstance(value, enum.Enum):
-            value = value.value
-        elif isinstance(value, tuple):
-            value = list(value)
-        leaves.append((section, key, value))
-    return _nest(leaves)
-
-
-def dump_config(cfg: FullConfig) -> str:
-    """Serialize a configuration to YAML; loads_config(dump_config(c)) == c."""
-    import yaml
-
-    return yaml.safe_dump(_to_dict(cfg), sort_keys=True)

@@ -166,7 +166,7 @@ def decoy_bounds(s: DecoySet, m: ChannelErrorModel) -> DecoyBounds:
 
     # np.maximum(0.0, x) keeps the sign of a -0.0 as np.clip does
     y0 = np.minimum(1.0, np.maximum(0.0, (v * q_w * exp_w - w * q_v * exp_v) / (v - w)))
-    y1 = (u**2 * (q_v * exp_v - q_w * exp_w) - (v**2 - w**2) * (q_u * exp_u - y0)) \
+    y1 = (u * u * (q_v * exp_v - q_w * exp_w) - (v * v - w * w) * (q_u * exp_u - y0)) \
         / (u * (u - v - w) * (v - w))
     ok = y1 > 0.0
     y1 = np.where(ok, np.minimum(y1, 1.0), 0.0)

@@ -30,7 +30,7 @@ import numpy as np
 
 from ._fields import Checked, _checker, part, spec
 from .cal import CalParams, cal_rate, cal_stats, make_cal_channel
-from .coherence import CoherenceBudget, OperatingPoint, qber_small_angle, solve_tau_q
+from .coherence import OperatingPoint, qber_small_angle, solve_tau_q
 from .csvtext import csv_text
 from .decoy import ChannelErrorModel, DecoyBounds, DecoySet, bb84_rate, decoy_bounds
 from .errors import DomainError
@@ -46,7 +46,7 @@ from .link import (
     plob_bound,
 )
 from .sns import SnsParams, aopp_transform, sns_aopp_rate, sns_rate, sns_window_stats
-from .spectra import FiberParams, LaserSpec, TopologyConfig, TopologyKind, interference_spectrum
+from .spectra import TopologyConfig, TopologyKind, interference_spectrum
 
 __all__ = [
     "ScenarioPreset",
@@ -203,14 +203,11 @@ _SPEC, _PROT, _DETECTOR = (_checker(spec(cls, optional=True), name) for cls, nam
     (SweepSpec, "spec"), (ProtocolParams, "prot"), (DetectorParams, "detector")))
 
 
-def solve_scenario(preset: ScenarioPreset,
-                   laser: LaserSpec = LaserSpec(),
-                   fiber: FiberParams = FiberParams(),
-                   budget: CoherenceBudget = CoherenceBudget()) -> OperatingPoint:
-    """Live coherence solve for a preset topology: the solved operating
-    point, which run_sweep takes in place of the preset's canonical one."""
-    spectrum = interference_spectrum(_PRESET(preset).topology, laser, fiber)
-    return solve_tau_q(spectrum, budget)
+def solve_scenario(preset: ScenarioPreset) -> OperatingPoint:
+    """Live coherence solve for a preset topology with the default laser,
+    fiber and budget: the solved operating point, which run_sweep takes
+    in place of the preset's canonical one."""
+    return solve_tau_q(interference_spectrum(_PRESET(preset).topology))
 
 
 def _capacity(eta: np.ndarray) -> np.ndarray:
@@ -319,7 +316,8 @@ class SweepTable:
 def run_sweep(scenario, spec: Optional[SweepSpec] = None,
               prot: Optional[ProtocolParams] = None,
               detector: Optional[DetectorParams] = None) -> SweepTable:
-    """Key-rate sweep for a scenario, as a SweepTable of columns.
+    """Key-rate sweep for a scenario, a preset id or an OperatingPoint,
+    as a SweepTable of columns.
 
     Each protocol's public statistics and rate functions (decoy bounds
     with BB84's QBER and bb84_rate, sns_window_stats and the SNS keys,
@@ -331,14 +329,13 @@ def run_sweep(scenario, spec: Optional[SweepSpec] = None,
     arms (link.balanced_link).  Individual protocol estimation failures
     are recorded as zero rate with a flag and the sweep continues.
     """
-    if isinstance(scenario, Integral):
-        scenario = builtin_scenario(scenario)
+    op = builtin_scenario(scenario).operating_point if isinstance(scenario, Integral) \
+        else scenario
+    if not isinstance(op, OperatingPoint):
+        raise DomainError("scenario must be a preset id or an OperatingPoint")
     spec = _SPEC(spec) or SweepSpec()
     prot = _PROT(prot) or ProtocolParams()
     det = _DETECTOR(detector) or DETECTORS[spec.detector]
-    op = scenario.operating_point if isinstance(scenario, ScenarioPreset) else scenario
-    if not isinstance(op, OperatingPoint):
-        raise DomainError("scenario must be a preset id, ScenarioPreset or OperatingPoint")
 
     x = spec.grid()
     eta = link_from_attenuation(x) if spec.x_axis == "total_attenuation_db" \

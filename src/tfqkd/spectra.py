@@ -118,7 +118,8 @@ class FiberParams(Checked):
     @property
     def stabilization_suppression(self) -> float:
         """Residual fraction ((lambda_s - lambda_q)/lambda_s)^2."""
-        return ((self.lambda_s_nm - self.lambda_q_nm) / self.lambda_s_nm) ** 2
+        r = (self.lambda_s_nm - self.lambda_q_nm) / self.lambda_s_nm
+        return r * r  # inf, not OverflowError, past the largest float
 
 
 @dataclass(frozen=True)

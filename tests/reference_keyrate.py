@@ -197,17 +197,20 @@ def pair_c_only(n_a: int, n_b: int, t, p_d):
 
 def cal_phase_error(cp, gamma, theta: float, p_d: float):
     """Phase-error bound: per parity, coherent amplitudes times the square
-    roots of the pair yields over the sets, every other yield bounded by 1,
-    a geometric tail bound beyond m_max, squared and over the aligned gain."""
+    roots of the pair yields over the library's cat-sum sets, every other
+    yield bounded by 1, a geometric tail bound beyond its last amplitude
+    index, squared and over the aligned gain."""
+    from tfqkd.cal import _M_MAX, _SETS
+
     with mpmath.workdps(DPS):
         mu, p = mpf(cp.mu_zeta), mpf(p_d)
         t = min(mpf(gamma) / mu, mpf(1))
         total = mpf(0)
-        for j, sset in ((0, cp.set_even), (1, cp.set_odd)):
+        for j, sset in _SETS.items():
             amp = [mpmath.exp(-mu / 2) * mpmath.sqrt(mu ** (2 * m + j)
                                                      / mpmath.factorial(2 * m + j))
-                   for m in range(cp.m_max + 1)]
-            n = 2 * cp.m_max + j
+                   for m in range(_M_MAX + 1)]
+            n = 2 * _M_MAX + j
             q = mu / mpmath.sqrt((n + 2) * (n + 1))
             amp_sum = mpmath.fsum(amp) + amp[-1] * q / (1 - q)
             explicit = overlap = mpf(0)

@@ -104,27 +104,27 @@ class TestCatCoefficients:
         mu, n = 0.018, np.arange(13)
         coherent = np.exp(-mu / 2.0) * mu ** (n / 2.0) / np.sqrt(
             [float(math.factorial(k)) for k in n])
-        np.testing.assert_allclose(_cat_raw(mu, 0, 6), coherent[0::2], rtol=1e-14)
-        np.testing.assert_allclose(_cat_raw(mu, 1, 5), coherent[1::2], rtol=1e-14)
+        np.testing.assert_allclose(_cat_raw(mu, 0)[:7], coherent[0::2], rtol=1e-14)
+        np.testing.assert_allclose(_cat_raw(mu, 1)[:6], coherent[1::2], rtol=1e-14)
 
     def test_vacuum_limit(self):
         from tfqkd.cal import _cat_raw
 
-        c = _cat_raw(1e-10, 0, 4) / math.sqrt(self.parity_weight(1e-10, 0))
+        c = _cat_raw(1e-10, 0) / math.sqrt(self.parity_weight(1e-10, 0))
         assert c[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_normalization(self):
         from tfqkd.cal import _cat_raw
 
         for j in (0, 1):
-            c = _cat_raw(0.018, j, (40 - j) // 2) / math.sqrt(self.parity_weight(0.018, j))
+            c = _cat_raw(0.018, j) / math.sqrt(self.parity_weight(0.018, j))
             assert np.sum(c * c) == pytest.approx(1.0, abs=1e-10)
 
     def test_cached_amplitudes_read_only(self):
         from tfqkd.cal import _cat_raw
 
-        raw = _cat_raw(0.018, 1, 20)
-        assert _cat_raw(0.018, 1, 20) is raw
+        raw = _cat_raw(0.018, 1)
+        assert _cat_raw(0.018, 1) is raw
         with pytest.raises(ValueError):
             raw[0] = 0.0
 
@@ -329,31 +329,21 @@ class TestPhaseError:
         pred = math.exp(-2 * mu) * mu * (3.0 - 2.0 * t) / (1.0 - t * mu)
         assert got == pytest.approx(pred, rel=1e-2)
 
-    def test_enlarging_sets_tightens_bound(self):
-        base = CalParams()
-        bigger = CalParams(set_even=((0, 0), (0, 1), (1, 0), (1, 1), (0, 2), (2, 0)),
-                           set_odd=((0, 0), (0, 1), (1, 0), (1, 1)))
-        ch = make_cal_channel(0.03, base, theta=0.28)
-        assert cal_phase_error(bigger, ch, 1e-8) <= cal_phase_error(base, ch, 1e-8)
-
-    @pytest.mark.parametrize("p", [CAL, CalParams(
-        set_even=((0, 0), (0, 1), (1, 0), (1, 1), (0, 2), (2, 0)),
-        set_odd=((0, 0), (0, 1), (1, 0), (1, 1)))])
-    def test_equals_sum_over_fock_pair_yields(self, p):
+    def test_equals_sum_over_fock_pair_yields(self):
         # the bound reads each distinct c-only yield once; every value is
         # bit for bit the sum over fock_pair_yield(...).c_only
-        from tfqkd.cal import _cat_raw, _cat_remainder
+        from tfqkd.cal import _SETS, _cat_raw, _cat_remainder
 
-        t = np.array([1.0, 0.3, 0.03, 1e-4, 1e-9])
+        p, t = CAL, np.array([1.0, 0.3, 0.03, 1e-4, 1e-9])
         ch = make_cal_channel(t, p, sigma_phi=0.2, theta=0.28)
         total = 0.0
-        for j, sset in ((0, p.set_even), (1, p.set_odd)):
-            raw = _cat_raw(p.mu_zeta, j, p.m_max)
+        for j, sset in _SETS.items():
+            raw = _cat_raw(p.mu_zeta, j)
             explicit = 0.0
             for m_a, m_b in sset:
                 y = fock_pair_yield(2 * m_a + j, 2 * m_b + j, t, 1e-8).c_only
                 explicit = explicit + raw[m_a] * raw[m_b] * np.sqrt(np.maximum(y, 0.0))
-            total = total + np.square(explicit + _cat_remainder(p.mu_zeta, j, p.m_max, sset))
+            total = total + np.square(explicit + _cat_remainder(p.mu_zeta, j))
         expected = total / cal_gain(make_cal_channel(t, p, theta=0.28), 1e-8)
         assert np.array_equal(cal_phase_error(p, ch, 1e-8), expected)
         assert [cal_phase_error(p, make_cal_channel(ti, p, sigma_phi=0.2, theta=0.28), 1e-8)
@@ -365,19 +355,14 @@ class TestPhaseError:
             cal_phase_error(CAL, ch, 0.0)
 
     def test_cat_sum_needs_enough_terms_for_the_intensity(self):
-        # at mu = 6 the amplitude ratio past m_max = 2 (photon number 4) is
-        # 6 / sqrt(30) > 1, so no geometric tail bounds the rest
-        p = CalParams(mu_zeta=6.0, m_max=2)
-        with pytest.raises(DomainError, match="^m_max too small for this intensity$"):
-            cal_phase_error(p, make_cal_channel(0.01, p), 1e-8)
-
-    @pytest.mark.parametrize("sets", [{"set_even": ((3, 0),)}, {"set_odd": ((0, 3),)},
-                                      {"set_even": ((0, 0), (1, 3))}])
-    def test_sets_past_the_photon_cutoff(self, sets):
-        # photon number 2 * 3 + 1 = 7 exceeds the 6 photons per port of
-        # the pair yields
-        with pytest.raises(DomainError, match="^cat-sum sets exceed the supported photon cutoff$"):
-            CalParams(**sets)
+        # past amplitude index 20 (photon number 40) the amplitude ratio is
+        # mu / sqrt(42 * 41), at or above 1 from mu = 41.497: no geometric
+        # tail bounds the rest
+        below, above = CalParams(mu_zeta=41.4), CalParams(mu_zeta=41.5)
+        assert cal_phase_error(below, make_cal_channel(0.01, below), 1e-8) > 0.0
+        with pytest.raises(DomainError,
+                           match=r"^mu_zeta must be below 41\.497 for the cat sums, got 41\.5$"):
+            cal_phase_error(above, make_cal_channel(0.01, above), 1e-8)
 
 
 class TestRate:

@@ -13,6 +13,9 @@ from tfqkd import (
     CoherenceBudget,
     DivergentIntegralError,
     DomainError,
+    FiberParams,
+    LaserFreeParams,
+    LaserSpec,
     OperatingPoint,
     Spectrum,
     TopologyConfig,
@@ -576,7 +579,7 @@ class TestSolveTauQ:
     def test_solved_point_holds_python_scalars(self, sid, budget, state):
         # one type from the solve to the sweep, with plain float and bool
         # fields also for int budget values, and the duty cycle derived
-        op = tfqkd.solve_scenario(tfqkd.builtin_scenario(sid), budget=budget)
+        op = solve_tau_q(interference_spectrum(tfqkd.builtin_scenario(sid).topology), budget)
         assert isinstance(op, OperatingPoint)
         for field in dataclasses.fields(op):
             kind = bool if field.name in ("clipped", "floored") else float
@@ -593,6 +596,35 @@ class TestSolveTauQ:
             assert (op.clipped, op.floored) == (clipped, floored)
         with pytest.raises(DomainError, match="cannot be both clipped at tau_max and floored"):
             OperatingPoint(tau_q=1e-3, sigma_phi=0.2, e_phi=0.01, clipped=True, floored=True)
+
+
+class TestOverflowingInputs:
+    """Valid inputs whose square or grid end passes the largest float."""
+
+    def test_threshold_past_the_largest_square_clips(self):
+        # sigma_threshold ** 2 raised OverflowError from about 1.34e154
+        spec = interference_spectrum(tfqkd.builtin_scenario(1).topology)
+        op = solve_tau_q(spec, CoherenceBudget(sigma_threshold=1e200))
+        assert op.clipped and op.tau_q == 0.1 and op.e_phi == 0.5
+
+    def test_level_past_the_largest_square_crosses_no_column(self):
+        # level ** 2 raised OverflowError in isoline
+        m = sigma_map(tfqkd.builtin_scenario(1).topology, [1e-3, 10.0], [1e-6, 1e-3, 1.0])
+        assert np.isnan(m.isoline(1e300)).all()
+
+    @pytest.mark.parametrize("laser, fiber", [
+        (LaserSpec(free=LaserFreeParams(f_c=1.7e308)), FiberParams()),
+        (LaserSpec(), FiberParams(f_c_free=1.7e308)),
+        (LaserSpec(), FiberParams(f_c_floor=1.7e308))], ids=["f_c", "f_c_free", "f_c_floor"])
+    def test_roll_off_near_the_largest_float_is_refused(self, laser, fiber):
+        # the default f_max, ten times the highest knee, overflowed to inf,
+        # and the grid build raised IndexError
+        topo = TopologyConfig(fiber_stabilized=True)
+        spec = interference_spectrum(topo, laser, fiber)
+        for solve in (lambda: solve_tau_q(spec), lambda: phase_variance(spec, 1e-3),
+                      lambda: sigma_map(topo, [1e-3], [1e-3], laser=laser, fiber=fiber)):
+            with pytest.raises(DomainError, match="^the integration grid's end overflows; give a finite f_max$"):
+                solve()
 
 
 class TestSigmaMap:

@@ -6,7 +6,7 @@ import re
 import pytest
 import yaml
 
-from tfqkd import ConfigError, dump_config, loads_config
+from tfqkd import ConfigError, loads_config
 from tfqkd.config import _errors
 
 # Invalid (and a few valid) configurations: unknown keys at each depth,
@@ -141,7 +141,6 @@ def test_null_optional_leaf_is_none(base):
     cfg = loads_config(base + "\nbudget: {f_max_hz: null}")
     assert cfg.budget.f_max is None
     assert cfg == loads_config(base)
-    assert loads_config(dump_config(cfg)) == cfg
 
 
 @pytest.mark.parametrize("exponent, dotted", [
@@ -156,7 +155,6 @@ def test_exponent_without_a_dot_is_a_number(exponent, dotted):
 
     assert cfg(exponent) == cfg(dotted)
     assert cfg(exponent).laser.free.r3 == cfg(exponent).fiber.s0 == float(dotted)
-    assert loads_config(dump_config(cfg(exponent))) == cfg(exponent)
     assert yaml.safe_load(f"x: {exponent}") == {"x": exponent}  # the global loader is untouched
 
 
@@ -172,7 +170,6 @@ def test_exponent_with_a_dot_is_a_number(number):
     cfg = loads_config(f"scenario: {{preset: 1}}\nlaser: {{r3: {magnitude}}}\n"
                        f"fiber: {{s0: {magnitude}}}\n")
     assert cfg.laser.free.r3 == cfg.fiber.s0 == float(magnitude)
-    assert loads_config(dump_config(cfg)) == cfg
     with pytest.raises(ConfigError, match=rf"\$\.laser\.r3 must be .*, got '{re.escape(magnitude)}'$"):
         loads_config(f"scenario: {{preset: 1}}\nlaser: {{r3: '{magnitude}'}}\n")
 
@@ -194,4 +191,3 @@ def test_duplicate_key_is_invalid_yaml(text, where, key):
 def test_merge_key_yields_to_the_mappings_own_keys():
     cfg = loads_config("scenario: {preset: 1}\nlaser:\n  <<: {r3: 1e6, r2: 200.0}\n  r3: 2e6\n")
     assert (cfg.laser.free.r3, cfg.laser.free.r2) == (2e6, 200.0)
-    assert loads_config(dump_config(cfg)) == cfg

@@ -140,6 +140,13 @@ class TestBounds:
         b = decoy_bounds(s, m)
         assert b.y0_low == 0.0
 
+    def test_huge_signal_intensity_fails_the_estimation(self):
+        # u**2 raised OverflowError from u = 1.34e154; e^u overflows too,
+        # and the single-photon estimation fails: no key
+        with np.errstate(over="ignore", invalid="ignore"):
+            b = decoy_bounds(DecoySet(u=1e155), model())
+        assert not b.ok and b.q1_low == 0.0
+
     def test_ordering_enforced(self):
         with pytest.raises(DomainError):
             DecoySet(u=0.1, v=0.16, w=1e-5)

@@ -154,6 +154,12 @@ class TestFiber:
             (1.19 / 1543.33) ** 2, rel=1e-9)
         assert FIBER.stabilization_suppression == pytest.approx(5.95e-7, rel=1e-2)
 
+    @pytest.mark.parametrize("wavelengths", [{"lambda_s_nm": 1e-300}, {"lambda_q_nm": 1e300}])
+    def test_suppression_past_the_largest_float_is_inf(self, wavelengths):
+        # the ratio's ** 2 raised OverflowError; inf makes the stabilized
+        # PSD non-finite, which the solve and the psd command refuse
+        assert FiberParams(**wavelengths).stabilization_suppression == np.inf
+
     @given(st.floats(0.1, 1e3), st.floats(1e-2, 1e8), st.floats(0.1, 10.0))
     @settings(max_examples=60, deadline=None)
     def test_linear_in_length(self, length, f, a):

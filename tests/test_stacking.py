@@ -174,12 +174,8 @@ def test_paired_entropies(a, data):
         binary_entropy(float(a[0])), binary_entropy(float(b[0]))]
 
 
-@st.composite
-def cal_params(draw):
-    pairs = [(0, 0), (0, 1), (1, 0), (1, 1), (0, 2), (2, 0), (1, 2), (2, 2)]
-    return CalParams(mu_zeta=draw(st.floats(1e-3, 0.5)),
-                     set_even=tuple(draw(st.lists(st.sampled_from(pairs), unique=True))),
-                     set_odd=tuple(draw(st.lists(st.sampled_from(pairs), unique=True))))
+def cal_params():
+    return st.builds(CalParams, mu_zeta=st.floats(1e-3, 0.5))
 
 
 def per_polynomial_phase_error(p, ch, p_d):
@@ -187,8 +183,8 @@ def per_polynomial_phase_error(p, ch, p_d):
     survivor polynomial taken anew, term by term."""
     arm_t = np.minimum(ch.gamma / p.mu_zeta, 1.0)
     total = 0.0
-    for j, sset in ((0, p.set_even), (1, p.set_odd)):
-        raw = cal_mod._cat_raw(p.mu_zeta, j, p.m_max)
+    for j, sset in cal_mod._SETS.items():
+        raw = cal_mod._cat_raw(p.mu_zeta, j)
         explicit = 0.0
         for m_a, m_b in sset:
             n_a, n_b = 2 * m_a + j, 2 * m_b + j
@@ -198,7 +194,7 @@ def per_polynomial_phase_error(p, ch, p_d):
                 at_c = at_c + poly[k] * (np.power(arm_t, k) * np.power(1.0 - arm_t, n - k))
             y = cal_mod._one_click(np.power(1.0 - arm_t, n), at_c, p_d)
             explicit = explicit + raw[m_a] * raw[m_b] * np.sqrt(np.maximum(y, 0.0))
-        total = total + np.square(explicit + cal_mod._cat_remainder(p.mu_zeta, j, p.m_max, sset))
+        total = total + np.square(explicit + cal_mod._cat_remainder(p.mu_zeta, j))
     return total / cal_gain(replace(ch, sigma_phi=0.0), p_d)
 
 
