@@ -49,12 +49,6 @@ _POINTS_PER_PERIOD = 64
 _GRID_RTOL = 1e-4
 
 
-def _spectrum_of(psd) -> Spectrum:
-    if not callable(psd):  # a Spectrum is callable too
-        raise DomainError(f"psd must be a Spectrum or a callable, got {psd!r}")
-    return psd if isinstance(psd, Spectrum) else Spectrum(psd)
-
-
 def _trapezoid_tail(ln_f: np.ndarray, fy: np.ndarray) -> np.ndarray:
     """Entry i is the trapezoid in ln f of f*y from node i to the last node."""
     seg = np.subtract(ln_f[1:], ln_f[:-1])
@@ -73,14 +67,9 @@ def _variance_curve(spec: Spectrum, f_query: np.ndarray, f_max: Optional[float])
     integral from f[i] to f_max, i.e. sigma^2 of the window 1/f[i], with
     fy[i] = f[i] * S(f[i]) = -dc/d ln f at node i.
 
-    f_max defaults to spec.default_f_max().  The grid spans [min f_query,
-    f_max]; for an infinite f_max it spans a body up to f_body and six
-    decades beyond, and every c adds the remainder f S(f) at the last
-    node F, f^2 S continued as a constant.  A tail whose f^2 S grows more
-    than a hundredfold from f_body to F (slower than f^-5/3) raises
-    DivergentIntegralError unless its remainder is under 1e-6 of the body.
-    The grid is log-spaced, uniform over the sin^2 periods below the
-    switch frequency and f_body, and has the switch frequency, the knees
+    f_max, finite, defaults to spec.default_f_max().  The grid spans
+    [min f_query, f_max], is log-spaced, uniform over the sin^2 periods
+    below the switch frequency, and has the switch frequency, the knees
     and every f_query below f_max as nodes.  The switch node is followed
     by four zero-width steps, so each node is evaluated once and has one
     value: the exact PSD up to the switch node, the sin^2-averaged one
@@ -89,7 +78,7 @@ def _variance_curve(spec: Spectrum, f_query: np.ndarray, f_max: Optional[float])
     steps (Boole's rule).  Raises DivergentIntegralError when Simpson's
     rule on the same nodes differs from c at a queried variance by more
     than _GRID_RTOL, naming the first node where the PSD is not finite
-    if there is one, and DomainError when the grid's end overflows to inf.
+    if there is one.
     """
     f_max = spec.default_f_max() if f_max is None else f_max
     f_lo, f_top = float(np.minimum.reduce(f_query)), float(np.maximum.reduce(f_query))
@@ -97,27 +86,19 @@ def _variance_curve(spec: Spectrum, f_query: np.ndarray, f_max: Optional[float])
         return np.array([f_lo]), np.zeros(1), np.zeros(1)
     period = spec.oscillation_period  # and with it spec.averaged_func
     f_switch = None if period is None else OSC_PERIODS * period
-    f_hi = f_body = f_max
-    if not np.isfinite(f_max):
-        # a body above every query, knee and the switch frequency, then
-        # six decades of log grid
-        f_body = max(f_top * 1e4, *(k * 1e3 for k in spec.knees), f_switch or 0.0, 1.0)
-        f_hi = 1e6 * f_body
-    if f_hi == np.inf:  # a knee or a query near the largest float
-        raise DomainError("the integration grid's end overflows; give a finite f_max")
     # segments between consecutive breakpoints, each in a multiple of four
     # equal steps (so breakpoints stay nodes of the every-fourth-node grid):
     # uniform in f over the sin^2 periods, from where such a step is finer
     # than a log step up to the switch frequency, and in log f elsewhere
-    breaks = [f_lo, f_body, f_hi, *f_query.tolist(), *spec.knees]
+    breaks = [f_lo, f_max, *f_query.tolist(), *spec.knees]
     step = lin_lo = lin_hi = np.inf  # no uniform segment without a switch
-    inside = period is not None and f_lo <= f_switch <= f_hi  # the switch is in the grid
+    inside = period is not None and f_lo <= f_switch <= f_max  # the switch is in the grid
     if period is not None:
         step = period / _POINTS_PER_PERIOD
         lin_lo = step / np.expm1(np.log(10.0) / _POINTS_PER_DECADE)
-        lin_hi = min(f_switch, f_body)
+        lin_hi = min(f_switch, f_max)
         breaks += [lin_lo, lin_hi, f_switch]
-    breaks = np.array(sorted([f_lo if b < f_lo else f_hi if b > f_hi else b for b in breaks]))
+    breaks = np.array(sorted([f_lo if b < f_lo else f_max if b > f_max else b for b in breaks]))
     distinct = breaks[1:] != breaks[:-1]
     if inside:  # the switch's first two copies (lin_hi is one) bound a
         # zero-width uniform segment: four steps, each node f_switch
@@ -138,7 +119,7 @@ def _variance_curve(spec: Spectrum, f_query: np.ndarray, f_max: Optional[float])
     x += np.repeat(x_a, count)
     np.power(10.0, x, out=x, where=np.repeat(~lin, count))
     x[first] = a
-    f[-1] = f_hi
+    f[-1] = f_max
     # the exact PSD up to the switch node's first copy (on every node if the
     # switch is absent or above the grid, on none if it is below), then the
     # averaged PSD
@@ -161,46 +142,30 @@ def _variance_curve(spec: Spectrum, f_query: np.ndarray, f_max: Optional[float])
         raise DivergentIntegralError(
             f"PSD is not finite on the integration grid (at f = {f[np.argmax(bad)]:.6g} Hz)"
             if bad.any() else "phase variance does not converge on the integration grid")
-    f, fy = f[::4], fy[::4]
-    if not np.isfinite(f_max):
-        # the remainder F S(F) continues f^2 S as a constant past F; the
-        # body ends on the last node at f_body, averaged if it is the switch
-        i = int(np.searchsorted(f, f_body, side="right")) - 1
-        if (f_hi * fy[-1] > 100.0 * max(f_body * fy[i], 1e-300)
-                and fy[-1] > 1e-6 * max(c[0] - c[i], 1e-300)):
-            raise DivergentIntegralError(
-                "PSD tail decays slower than 1/f^2, which the continuation past "
-                "the integration grid does not handle; give a finite f_max")
-        c += fy[-1]
     if np.any(c < 0):
         raise DomainError("PSD integrated to a negative variance")
-    return f, c, fy
+    return f[::4], c, fy[::4]
 
 
 # the field contract's checkers of the scalar functions' arguments
 _TAU_Q, _TAU_PS = (_checker(spec(float, gt=0), name) for name in ("tau_q", "tau_ps"))
 _SIGMA2, _LEVEL = (_checker(spec(float, ge=0), name) for name in ("sigma2", "level"))
-_F_MAX_SPEC = spec(float, gt=0, finite=False, optional=True)  # CoherenceBudget.f_max's too
-_F_MAX = _checker(_F_MAX_SPEC, "f_max")
+# and of the PSD that the variance functions integrate
+_PSD = _checker(spec(Spectrum), "psd")
 
 
-def phase_variance(psd, tau_q: float, *, f_max: Optional[float] = None) -> float:
+def phase_variance(psd: Spectrum, tau_q: float) -> float:
     """Phase variance (rad^2) accumulated over tau_q: integral of the PSD
-    on [1/tau_q, f_max].
-
-    f_max defaults to a decade above the highest model knee of the
-    spectrum, or to infinity for bare callables without knees; the grid
-    then ends six decades above its body, past which f^2 S is continued
-    as a constant.  This is the single-window case of the one cumulative
-    integral that sigma_map and solve_tau_q read too: one fixed grid,
-    log-spaced and uniform over the sin^2 periods below the switch
-    frequency, evaluated and summed once.  A grid that does not resolve
-    the spectrum raises DivergentIntegralError instead of returning a
-    value.
+    on [1/tau_q, f_max], with f_max = psd.default_f_max(), a decade above
+    the highest model knee.  This is the single-window case of the one
+    cumulative integral that sigma_map and solve_tau_q read too: one
+    fixed grid, log-spaced and uniform over the sin^2 periods below the
+    switch frequency, evaluated and summed once.  A grid that does not
+    resolve the spectrum raises DivergentIntegralError instead of
+    returning a value.
     """
-    tau_q, f_max = _TAU_Q(tau_q), _F_MAX(f_max)
-    spec = _spectrum_of(psd)
-    c = _variance_curve(spec, np.array([1.0 / tau_q]), f_max)[1]
+    spec, tau_q = _PSD(psd), _TAU_Q(tau_q)
+    c = _variance_curve(spec, np.array([1.0 / tau_q]), None)[1]
     return float(c[0])
 
 
@@ -230,7 +195,7 @@ class CoherenceBudget(Checked):
     tau_max: float = field(default=0.1, metadata=spec(float, gt=0))
     tau_ps: float = field(default=1e-3, metadata=spec(float, gt=0))
     tau_floor: float = field(default=1e-6, metadata=spec(float, gt=0))
-    f_max: Optional[float] = field(default=None, metadata=_F_MAX_SPEC)
+    f_max: Optional[float] = field(default=None, metadata=spec(float, gt=0, optional=True))
 
     def __post_init__(self):
         super().__post_init__()
@@ -311,7 +276,7 @@ _DL_GRID, _TAU_GRID = (_checker(spec(tuple, item=spec(float, **rule), nonempty=T
                        for name, rule in (("delta_l_grid", {"ge": 0}), ("tau_grid", {"gt": 0})))
 
 
-def solve_tau_q(psd, budget: CoherenceBudget = CoherenceBudget()) -> OperatingPoint:
+def solve_tau_q(psd: Spectrum, budget: CoherenceBudget = CoherenceBudget()) -> OperatingPoint:
     """Largest tau_q <= tau_max whose accumulated sigma stays at or below
     the threshold, as the operating point with the budget's tau_ps.
 
@@ -323,7 +288,7 @@ def solve_tau_q(psd, budget: CoherenceBudget = CoherenceBudget()) -> OperatingPo
     node: the crossing that SigmaMap.isoline reads per column too.  A
     grid that does not resolve the spectrum raises DivergentIntegralError.
     """
-    spec, budget = _spectrum_of(psd), _BUDGET(budget)
+    spec, budget = _PSD(psd), _BUDGET(budget)
     curve = _variance_curve(spec, np.array([1.0 / budget.tau_max, 1.0 / budget.tau_floor]),
                             budget.f_max)
     tau, var, state = _window(curve, budget.tau_max, budget.tau_floor,

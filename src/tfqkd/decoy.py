@@ -153,6 +153,7 @@ class DecoyBounds:
 _BOUNDS = _checker(spec(DecoyBounds), "b")
 
 
+@np.errstate(over="ignore", invalid="ignore")  # e^u past about u = 709.8 fails the estimation
 def decoy_bounds(s: DecoySet, m: ChannelErrorModel) -> DecoyBounds:
     """Closed-form three-intensity bounds, all clamped to [0, 1], from one
     gain and one error_gain call over an intensity column."""
@@ -172,7 +173,7 @@ def decoy_bounds(s: DecoySet, m: ChannelErrorModel) -> DecoyBounds:
     y1 = np.where(ok, np.minimum(y1, 1.0), 0.0)
     q1 = np.minimum(1.0, np.maximum(0.0, y1 * u * np.exp(-u)))
     # y1 = 0 where not ok, and Q_u = 0 where there is no gain
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore"):
         e1 = np.minimum(1.0, np.maximum(0.0, (eq_v * exp_v - eq_w * exp_w) / ((v - w) * y1)))
         e_u = np.where(q_u > 0.0, np.minimum(1.0, np.maximum(0.0, eq_u / q_u)), 0.0)
     return _scalars(DecoyBounds(y0_low=y0, y1_low=y1, q1_low=q1,

@@ -326,15 +326,16 @@ class Spectrum(Checked):
     """A composite PSD together with the hints the integrator needs.
 
     func evaluates the PSD; knees lists the model corner frequencies (Hz,
-    each finite and > 0) used to pick a default upper integration cutoff.
-    When the PSD contains the sin^2 self-delay term of a common-laser
-    topology, oscillation_period gives its period in Hz (finite, > 0) and
-    averaged_func the same PSD with the sin^2 factor replaced by its mean
-    1/2; the two hints come together or not at all.
+    at least one, each finite and > 0); the highest sets the upper
+    integration cutoff default_f_max, so every variance integral runs
+    over a finite band.  When the PSD contains the sin^2 self-delay term
+    of a common-laser topology, oscillation_period gives its period in
+    Hz (finite, > 0) and averaged_func the same PSD with the sin^2 factor
+    replaced by its mean 1/2; the two hints come together or not at all.
     """
 
     func: Callable[[np.ndarray], np.ndarray] = field(metadata=spec(Callable))
-    knees: tuple = field(default=(), metadata=spec(tuple, item=spec(float, gt=0)))
+    knees: tuple = field(metadata=spec(tuple, item=spec(float, gt=0), nonempty=True))
     oscillation_period: Optional[float] = field(
         default=None, metadata=spec(float, gt=0, optional=True))
     averaged_func: Optional[Callable[[np.ndarray], np.ndarray]] = field(
@@ -352,9 +353,10 @@ class Spectrum(Checked):
 
     def default_f_max(self) -> float:
         """Upper integration cutoff: a decade above the highest model knee."""
-        if not self.knees:
-            return np.inf
-        return 10.0 * max(self.knees)
+        f_max = 10.0 * max(self.knees)
+        if f_max == np.inf:  # a knee near the largest float
+            raise DomainError("the integration grid's end overflows; give a finite f_max")
+        return f_max
 
 
 def _composite(topo: TopologyConfig, laser: LaserSpec, fiber: FiberParams, dl: float):

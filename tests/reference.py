@@ -1,14 +1,14 @@
 """Independent mpmath reference for the accumulated phase variance.
 
-sigma^2(tau) is the integral of the PSD from 1/tau to f_max, with the
-library's own model: spec.func below the switch frequency f_switch and
-spec.averaged_func from it on.  mpmath.quad (Gauss-Legendre, at 20
-digits) integrates each piece between consecutive split points: the sin^2
-zeros below f_switch, f_switch itself (capped at f_max), the knees and
-every 1/8 decade; an infinite f_max adds a tanh-sinh tail.  A second pass
-splits twice as finely (1/16 decade, half periods) and the two must
-agree, so the reference certifies itself and checks nothing but the
-integrator.  reference_tau_q solves sigma(tau) = threshold on it.
+sigma^2(tau) is the integral of the PSD from 1/tau to a finite f_max,
+with the library's own model: spec.func below the switch frequency
+f_switch and spec.averaged_func from it on.  mpmath.quad (Gauss-Legendre,
+at 20 digits) integrates each piece between consecutive split points: the
+sin^2 zeros below f_switch, f_switch itself (capped at f_max), the knees
+and every 1/8 decade.  A second pass splits twice as finely (1/16 decade,
+half periods) and the two must agree, so the reference certifies itself
+and checks nothing but the integrator.  reference_tau_q solves
+sigma(tau) = threshold on it.
 
 Run as a script, it certifies a re-baselined demo map value by value:
     PYTHONPATH=src python tests/reference.py OLD_SIGMA_MAP.csv NEW_SIGMA_MAP.csv
@@ -43,23 +43,16 @@ def _integrate(spec: Spectrum, f_lo: float, f_max: float, f_switch, fine: bool):
     def averaged(x):
         return mpmath.mpf(float(spec.averaged_func(np.array([float(x)]))[0]))
 
-    # an infinite f_max: split pieces up to f_hi, then tanh-sinh to infinity
-    f_hi = f_max
-    if not np.isfinite(f_max):
-        f_hi = (1e5 if fine else 1e4) * max(f_lo, f_switch or 0.0)
-    points = _split_points(spec, f_lo, f_hi, f_switch, fine)
+    points = _split_points(spec, f_lo, f_max, f_switch, fine)
     total = mpmath.mpf(0)
     for a, b in zip(points[:-1], points[1:]):
         form = exact if f_switch is None or b <= f_switch else averaged
         total += mpmath.quad(form, [a, b], method="gauss-legendre")
-    if not np.isfinite(f_max):
-        total += mpmath.quad(exact if f_switch is None else averaged, [f_hi, mpmath.inf])
     return total
 
 
-def reference_variance(psd, tau: float, f_max=None) -> float:
+def reference_variance(spec: Spectrum, tau: float, f_max=None) -> float:
     """sigma^2(tau) of the library's PSD model to about 1e-9 relative."""
-    spec = psd if isinstance(psd, Spectrum) else Spectrum(psd)
     if f_max is None:
         f_max = spec.default_f_max()
     f_lo = 1.0 / tau
@@ -76,20 +69,20 @@ def reference_variance(psd, tau: float, f_max=None) -> float:
     return float(fine)
 
 
-def reference_sigma(psd, tau: float, f_max=None) -> float:
+def reference_sigma(spec: Spectrum, tau: float, f_max=None) -> float:
     """sqrt of reference_variance."""
-    return float(np.sqrt(reference_variance(psd, tau, f_max)))
+    return float(np.sqrt(reference_variance(spec, tau, f_max)))
 
 
-def reference_tau_q(psd, sigma: float, tau_guess: float, f_max=None) -> float:
+def reference_tau_q(spec: Spectrum, sigma: float, tau_guess: float, f_max=None) -> float:
     """The window tau at which reference_sigma is sigma: the secant in
     ln tau on reference_variance, from tau_guess and a point 1e-4 above
     it, until a step moves ln tau by less than 1e-12."""
     level = sigma * sigma
     x0, x1 = np.log(tau_guess), np.log(tau_guess * (1 + 1e-4))
-    g0 = reference_variance(psd, np.exp(x0), f_max) - level
+    g0 = reference_variance(spec, np.exp(x0), f_max) - level
     for _ in range(30):
-        g1 = reference_variance(psd, np.exp(x1), f_max) - level
+        g1 = reference_variance(spec, np.exp(x1), f_max) - level
         if g1 == 0.0:
             return float(np.exp(x1))
         x0, x1, g0 = x1, x1 - g1 * (x1 - x0) / (g1 - g0), g1

@@ -30,12 +30,22 @@ from tfqkd import (
 )
 
 
+# the one knee of the analytic spectra below: each integrates over
+# [1/tau, 10 KNEE], so a / f^2 gives sigma^2 = a (tau - 1 / (10 KNEE))
+KNEE = 1e7
+
+
 def flat_1_over_f2(a):
-    return Spectrum(lambda f: a / np.asarray(f, float) ** 2)
+    return Spectrum(lambda f: a / np.asarray(f, float) ** 2, knees=(KNEE,))
 
 
-def oscillatory_bare_spectrum(period):
-    """A common-laser-like 1/f^2 spectrum with no knees, so f_max is infinite."""
+def band(tau):
+    """tau less the shortest window the analytic spectra's band holds."""
+    return tau - 1.0 / (10.0 * KNEE)
+
+
+def oscillatory_spectrum(period):
+    """A common-laser-like 1/f^2 spectrum with one knee at KNEE."""
     def exact(f):
         f = np.asarray(f, float)
         return 4.0 * np.sin(np.pi * f / period) ** 2 * 0.3 / f**2 + 1e-3 / f**2
@@ -44,7 +54,7 @@ def oscillatory_bare_spectrum(period):
         f = np.asarray(f, float)
         return 2.0 * 0.3 / f**2 + 1e-3 / f**2
 
-    return Spectrum(exact, oscillation_period=period, averaged_func=averaged)
+    return Spectrum(exact, knees=(KNEE,), oscillation_period=period, averaged_func=averaged)
 
 
 SIGMA_RTOL = 2e-5  # certified accuracy of sigma against the mpmath reference
@@ -72,18 +82,14 @@ def reference_variance_curve(spec, f_query, f_max):
     f_switch = None
     if spec.oscillation_period is not None:
         f_switch = coherence.OSC_PERIODS * spec.oscillation_period
-    f_hi = f_body = f_max
-    if not np.isfinite(f_max):
-        f_body = max(f_top * 1e4, *(k * 1e3 for k in spec.knees), f_switch or 0.0, 1.0)
-        f_hi = 1e6 * f_body
-    breaks = [f_lo, f_body, f_hi, *f_query, *spec.knees]
+    breaks = [f_lo, f_max, *f_query, *spec.knees]
     uniform = (np.inf, np.inf)
     if f_switch is not None:
         step = spec.oscillation_period / coherence._POINTS_PER_PERIOD
         uniform = (step / np.expm1(np.log(10.0) / coherence._POINTS_PER_DECADE),
-                   min(f_switch, f_body))
+                   min(f_switch, f_max))
         breaks += uniform
-    breaks = np.unique(np.clip(breaks, f_lo, f_hi))
+    breaks = np.unique(np.clip(breaks, f_lo, f_max))
     nodes = []
     for a, b in zip(breaks[:-1], breaks[1:]):
         if uniform[0] <= a and b <= uniform[1]:
@@ -92,7 +98,7 @@ def reference_variance_curve(spec, f_query, f_max):
         else:
             n = np.ceil(np.log10(b / a) * coherence._POINTS_PER_DECADE / 4)
             nodes.append(np.geomspace(a, b, 4 * int(max(n, 1)) + 1)[:-1])
-    f = np.append(np.concatenate(nodes), f_hi)
+    f = np.append(np.concatenate(nodes), f_max)
     if f_switch is None:
         y = spec.func(f)
     else:
@@ -111,23 +117,21 @@ def reference_variance_curve(spec, f_query, f_max):
     if not np.all(change[queried] <= coherence._GRID_RTOL * c[queried]):
         raise DivergentIntegralError(
             "phase variance does not converge on the integration grid")
-    if not np.isfinite(f_max):
-        c += fy[-1]  # the remainder F S(F) past the last node
     return f, c, fy
 
 
 class TestPhaseVariance:
     def test_closed_form_1_over_f2(self):
-        # S = a/f^2 integrates to a * tau from 1/tau to infinity
+        # S = a/f^2 integrates to a (tau - 1 / f_max) from 1/tau to f_max
         a = 0.7
         spec = flat_1_over_f2(a)
         for tau in np.geomspace(1e-6, 1.0, 13):
-            assert phase_variance(spec, tau) == pytest.approx(a * tau, rel=1e-3)
+            assert phase_variance(spec, tau) == pytest.approx(a * band(tau), rel=1e-3)
 
     def test_threshold_example(self):
         spec = flat_1_over_f2(0.04)
         sigma = np.sqrt(phase_variance(spec, 1.0))
-        assert sigma == pytest.approx(0.2, rel=1e-3)
+        assert sigma == pytest.approx(np.sqrt(0.04 * band(1.0)), rel=1e-3)
 
     def test_monotone_in_tau(self):
         spec = interference_spectrum(tfqkd.builtin_scenarios()[0].topology)
@@ -136,32 +140,19 @@ class TestPhaseVariance:
         assert np.all(np.diff(vals) > -1e-9 * vals[1:])
 
     def test_finite_cutoff_truncates(self):
+        # a knee at 1 kHz ends the band at f_max = 1e4 Hz
         spec = flat_1_over_f2(1.0)
         full = phase_variance(spec, 1e-2)
-        cut = phase_variance(spec, 1e-2, f_max=1e4)
+        cut = phase_variance(dataclasses.replace(spec, knees=(1e3,)), 1e-2)
         assert cut < full
         assert cut == pytest.approx(1e-2 - 1e-4, rel=1e-3)
-
-    def test_divergent_tail_reported(self):
-        spec = Spectrum(lambda f: 1.0 / np.asarray(f, float))
-        with pytest.raises(DivergentIntegralError):
-            phase_variance(spec, 1e-3)
 
     def test_rejects_nonpositive_tau(self):
         with pytest.raises(DomainError):
             phase_variance(flat_1_over_f2(1.0), 0.0)
 
-    def test_tail_slower_than_1_over_f2_not_called_divergent(self):
-        # f^-1.5 has a finite integral to infinity, but its f^2 S grows
-        # past the body, and the remainder that continues f^2 S as a
-        # constant does not handle that: the error says so and does not
-        # claim divergence
-        with pytest.raises(DivergentIntegralError, match="slower than 1/f\\^2") as err:
-            phase_variance(Spectrum(lambda f: np.asarray(f, float) ** -1.5), 1e-3)
-        assert "diverge" not in str(err.value)
-        with pytest.raises(DivergentIntegralError):
-            phase_variance(Spectrum(lambda f: 1.0 / np.asarray(f, float)), 1e-3)
-        spec = Spectrum(lambda f: np.asarray(f, float) ** -1.8)
+    def test_power_law_against_reference(self):
+        spec = Spectrum(lambda f: np.asarray(f, float) ** -1.8, knees=(KNEE,))
         assert phase_variance(spec, 1e-3) == pytest.approx(
             reference_variance(spec, 1e-3), rel=2 * SIGMA_RTOL)
 
@@ -183,9 +174,9 @@ class TestPhaseVariance:
     def test_negative_variance_raises(self):
         # f^-2 - 1e-13 is negative above 3.2 MHz, so the integral down
         # from f_max = 1e7 Hz starts below 0
-        spec = Spectrum(lambda f: np.asarray(f, float) ** -2.0 - 1e-13)
+        spec = Spectrum(lambda f: np.asarray(f, float) ** -2.0 - 1e-13, knees=(1e6,))
         with pytest.raises(DomainError, match="^PSD integrated to a negative variance$"):
-            phase_variance(spec, 1e-3, f_max=1e7)
+            phase_variance(spec, 1e-3)
 
     def test_oscillatory_term_refined(self):
         # common topology with km-scale mismatch: the sin^2 periods are
@@ -200,20 +191,10 @@ class TestPhaseVariance:
         with pytest.raises(DomainError):
             phase_variance(flat_1_over_f2(1.0), tau)
 
-    @pytest.mark.parametrize("f_max", [np.nan, 0.0, -1.0, "x", True, np.array([1e6])])
-    def test_rejects_bad_f_max(self, f_max):
-        # a string raised a bare TypeError; f_max takes what the budget's does
-        with pytest.raises(DomainError, match="^f_max must be a number > 0 or None, got"):
-            phase_variance(flat_1_over_f2(1.0), 1e-3, f_max=f_max)
-
     # a 0.01 Hz wide Lorentzian line at a 10 kHz knee, a grid node among
-    # nodes some 58 Hz apart; or, without knees, past the 1e7 Hz body end
-    # at tau = 1 ms, on the log decades before the F S(F) remainder, where
-    # it holds 3.1e3 rad^2.  Boole's and Simpson's rule on the grid
+    # nodes some 58 Hz apart: Boole's and Simpson's rule on the grid
     # disagree, so no value is returned
-    @pytest.mark.parametrize("f0, knees, height", [(1e4, (1e4,), 1e-3), (1e8, (), 1e3),
-                                                   (3.7e7, (), 1e3)],
-                             ids=["at_knee", "tail_10x_body", "tail_3.7x_body"])
+    @pytest.mark.parametrize("f0, knees, height", [(1e4, (1e4,), 1e-3)], ids=["at_knee"])
     def test_feature_narrower_than_grid_raises(self, f0, knees, height):
         width = 1e-2
 
@@ -237,16 +218,16 @@ class TestPhaseVariance:
         with pytest.raises(
                 DivergentIntegralError,
                 match=r"^PSD is not finite on the integration grid \(at f = 1e-200 Hz\)$"):
-            phase_variance(Spectrum(psd), 1e200)
+            phase_variance(Spectrum(psd, knees=(KNEE,)), 1e200)
 
     def test_period_without_average_is_rejected(self):
         # sin^2 periods but no averaged PSD used to lay uniform steps up to
         # the body end: some 6.4e8 nodes for a 1 Hz period at tau = 1 ms
         with pytest.raises(DomainError, match=r"^Spectrum\.averaged_func must be given"):
-            Spectrum(oscillatory_bare_spectrum(2e3).func, oscillation_period=2e3)
+            Spectrum(oscillatory_spectrum(2e3).func, knees=(KNEE,), oscillation_period=2e3)
         with pytest.raises(DomainError, match=r"^Spectrum\.oscillation_period must be given"):
-            Spectrum(oscillatory_bare_spectrum(2e3).func,
-                     averaged_func=oscillatory_bare_spectrum(2e3).averaged_func)
+            Spectrum(oscillatory_spectrum(2e3).func, knees=(KNEE,),
+                     averaged_func=oscillatory_spectrum(2e3).averaged_func)
 
 
 class TestAgainstReference:
@@ -302,19 +283,14 @@ class TestAgainstReference:
         for i, tau in enumerate(taus):
             assert m.sigma_phi[i, 0] == pytest.approx(reference_sigma(spec, tau), rel=SIGMA_RTOL)
 
-    @pytest.mark.parametrize("spec", [flat_1_over_f2(0.7).func, oscillatory_bare_spectrum(2e3)],
-                             ids=["bare_callable", "oscillatory_no_knees"])
-    def test_infinite_f_max(self, spec):
-        # no knees: f_max is infinite, and the grid runs six decades past
-        # its body before the F S(F) remainder
-        for tau in (1e-5, 1e-2):
-            assert phase_variance(spec, tau) == pytest.approx(
-                reference_variance(spec, tau), rel=2 * SIGMA_RTOL)
-
     def test_finite_f_max(self):
-        spec = interference_spectrum(tfqkd.builtin_scenarios()[2].topology)
-        for tau in (1e-5, 1e-3):
-            assert phase_variance(spec, tau, f_max=1e6) == pytest.approx(
+        # the budget's f_max, below the default 10 times the highest knee
+        topo = tfqkd.builtin_scenarios()[2].topology
+        spec = interference_spectrum(topo)
+        taus = [1e-5, 1e-3]
+        m = sigma_map(topo, [topo.delta_l], taus, budget=CoherenceBudget(f_max=1e6))
+        for i, tau in enumerate(taus):
+            assert m.sigma_phi[i, 0] ** 2 == pytest.approx(
                 reference_variance(spec, tau, f_max=1e6), rel=2 * SIGMA_RTOL)
 
 
@@ -370,11 +346,6 @@ class TestGridAgainstLoop:
         sigma_map(topo, [1.0], np.geomspace(1e-6, 0.1, 9))
         assert len(compared) == 2
 
-    def test_bare_callable_tail(self, compared):
-        for tau in (1e-5, 1e-2):
-            phase_variance(flat_1_over_f2(0.7).func, tau, f_max=np.inf)
-        assert len(compared) == 2
-
     def test_query_one_ulp_above_knee(self, compared):
         spec = interference_spectrum(tfqkd.builtin_scenarios()[0].topology)
         for knee in spec.knees:
@@ -393,14 +364,13 @@ class TestGridAgainstLoop:
         coherence._variance_curve(spec, np.array([f0, f0 + step / 3]), None)
         assert len(compared) == 2
 
-    # a bare spectrum switching at 100 Hz: on f_lo, on a query node, on
-    # a finite f_max, below the grid and above it
+    # an analytic spectrum switching at 100 Hz: on f_lo, on a query node, on
+    # f_max, below the grid and above it
     @pytest.mark.parametrize("f_query, f_max", [
-        ([100.0, 1e3], np.inf), ([100.0, 1e3], 1e4), ([10.0, 100.0, 1e3], 1e4),
-        ([10.0, 100.0], np.inf), ([1.0], 100.0), ([1e3], np.inf), ([1.0], 50.0)],
-        ids=["f_lo", "f_lo_finite", "query", "query_tail", "f_max", "below", "above"])
+        ([100.0, 1e3], 1e4), ([10.0, 100.0, 1e3], 1e4), ([1.0], 100.0), ([1e3], 1e4),
+        ([1.0], 50.0)], ids=["f_lo_finite", "query", "f_max", "below", "above"])
     def test_switch_on_grid_edges(self, compared, f_query, f_max):
-        spec = oscillatory_bare_spectrum(2.0)
+        spec = oscillatory_spectrum(2.0)
         assert coherence.OSC_PERIODS * spec.oscillation_period == 100.0
         f = coherence._variance_curve(spec, np.array(f_query), f_max)[0]
         # a switch node and its fourth copy are on the every-fourth-node grid
@@ -500,20 +470,20 @@ class TestDutyCycle:
 
 class TestSolveTauQ:
     def test_zero_psd_clips(self):
-        res = solve_tau_q(Spectrum(lambda f: np.zeros_like(np.asarray(f, float))))
+        res = solve_tau_q(Spectrum(lambda f: np.zeros_like(np.asarray(f, float)), knees=(KNEE,)))
         assert res.tau_q == 0.1
         assert res.sigma_phi == 0.0
         assert res.clipped
 
     def test_bracket_property(self):
         budget = CoherenceBudget()
-        spec = flat_1_over_f2(0.08)  # sigma(tau) = sqrt(0.08 tau): tau* = 0.5 -> clip? 0.04/0.08=0.5>0.1 -> clipped
+        spec = flat_1_over_f2(0.08)  # sigma(tau) = sqrt(0.08 band(tau)): tau* = 0.5 > 0.1
         res = solve_tau_q(spec, budget)
         assert res.clipped  # threshold not reached by tau_max
-        spec = flat_1_over_f2(4.0)  # tau* = 0.01
+        spec = flat_1_over_f2(4.0)  # band(tau*) = 0.01
         res = solve_tau_q(spec, budget)
         assert not res.clipped and not res.floored
-        assert res.tau_q == pytest.approx(0.01, rel=1e-6)
+        assert band(res.tau_q) == pytest.approx(0.01, rel=1e-6)
         sig_here = np.sqrt(phase_variance(spec, res.tau_q))
         sig_past = np.sqrt(phase_variance(spec, res.tau_q * (1 + 1e-3)))
         assert sig_here <= budget.sigma_threshold * (1 + 1e-9) < sig_past
@@ -556,14 +526,13 @@ class TestSolveTauQ:
         with pytest.raises(DomainError):
             CoherenceBudget(**{field: value})
 
-    @pytest.mark.parametrize("f_max", [np.nan, 0.0, -1.0])
+    # an infinite f_max was integrated on a grid six decades past its body
+    # and continued as a 1/f^2 tail
+    @pytest.mark.parametrize("f_max", [np.nan, 0.0, -1.0, np.inf, "x", True, np.array([1e6])])
     def test_budget_rejects_bad_f_max(self, f_max):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^CoherenceBudget.f_max must be a finite number "
+                                              "> 0 or None, got"):
             CoherenceBudget(f_max=f_max)
-
-    def test_budget_allows_infinite_f_max(self):
-        res = solve_tau_q(flat_1_over_f2(4.0), CoherenceBudget(f_max=np.inf))
-        assert res.tau_q == pytest.approx(0.01, rel=1e-6)
 
     def test_result_fields_consistent(self):
         spec = flat_1_over_f2(4.0)

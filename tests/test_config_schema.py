@@ -6,7 +6,7 @@ import re
 import pytest
 import yaml
 
-from tfqkd import ConfigError, loads_config
+from tfqkd import ConfigError, load_config, loads_config
 from tfqkd.config import _errors
 
 # Invalid (and a few valid) configurations: unknown keys at each depth,
@@ -53,7 +53,8 @@ CORPUS = {
     # later under its section's name: it is now an error at its own path
     "laser: {r3: .nan, f_c_hz: .nan}": ["$.laser.f_c_hz", "$.laser.r3"],
     "loop: {gamma: -.nan}": ["$.loop.gamma"],  # a string: YAML's NaN has no sign
-    "budget: {f_max_hz: .inf, tau_ps_s: -.inf}": ["$.budget.tau_ps_s"],
+    # an infinite cutoff was integrated past the grid as a 1/f^2 tail
+    "budget: {f_max_hz: .inf, tau_ps_s: -.inf}": ["$.budget.f_max_hz", "$.budget.tau_ps_s"],
     "topology: {l_a_km: 1, turbo: 2, kind: 3}\nzz: 1\nprotocol: {decoys: {u: 0}}":
         ["$", "$.protocol.decoys.u", "$.topology", "$.topology.kind"],
     # bounds that the dataclass fields declare
@@ -133,6 +134,15 @@ def test_empty_document_is_an_empty_mapping(text):
 
 def test_integer_valued_float_preset_accepted():
     assert loads_config("scenario: {preset: 2.0}") == loads_config("scenario: {preset: 2}")
+
+
+def test_infinite_cutoff_fails_the_file_load(tmp_path):
+    # an infinite f_max was integrated past the grid as a 1/f^2 tail
+    path = tmp_path / "inf.yaml"
+    path.write_text("scenario: {preset: 1}\nbudget: {f_max_hz: .inf}\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"^configuration invalid: \$\.budget\.f_max_hz must be "
+                                          r"a finite number > 0 or None, got inf$"):
+        load_config(path)
 
 
 @pytest.mark.parametrize("base", ["scenario: {preset: 1}", "topology: {kind: common_laser}"])

@@ -66,11 +66,11 @@ UNCHECKED = {"DecoyBounds", "SnsWindowStats", "AoppStats", "FockYield", "CalStat
 PROBES = {"str": "x", "bool": True, "None": None, "inf": math.inf, "-inf": -math.inf,
           "nan": math.nan, "nested": McConfig()}
 # the probes a field accepts: a bool on a bool field, None on an optional
-# one, an infinite cutoff and any string as a preset label
+# one and any string as a preset label
 ACCEPTED = {
     ("TopologyConfig.laser_stabilized", "bool"), ("TopologyConfig.fiber_stabilized", "bool"),
     ("OperatingPoint.clipped", "bool"), ("OperatingPoint.floored", "bool"),
-    ("CoherenceBudget.f_max", "inf"), ("CoherenceBudget.f_max", "None"),
+    ("CoherenceBudget.f_max", "None"),
     ("FullConfig.detector", "None"), ("FullConfig.operating_point", "None"),
     ("ScenarioPreset.label", "str"),
 }
@@ -179,8 +179,9 @@ class TestFaultsOfTheUncheckedApi:
 
     # a knee at or below 0 integrated 1/f^2 to 0.0 (true value 1e-3 at
     # tau = 1 ms), a NaN or infinite knee or a NaN period raised a bare
-    # IndexError, a string of knees or averaged form a bare TypeError, and
-    # a period at or below 0 integrated the averaged form everywhere
+    # IndexError, a string of knees or averaged form a bare TypeError, a
+    # period at or below 0 integrated the averaged form everywhere, and no
+    # knee at all integrated to an infinite f_max
     @pytest.mark.parametrize("field_name, hints", [
         ("knees", {"knees": (-5.0,)}), ("knees", {"knees": (0.0,)}),
         ("knees", {"knees": (math.nan,)}), ("knees", {"knees": (math.inf,)}),
@@ -189,13 +190,14 @@ class TestFaultsOfTheUncheckedApi:
         ("oscillation_period", {"oscillation_period": 0.0}),
         ("oscillation_period", {"oscillation_period": -1.0}),
         ("averaged_func", {"oscillation_period": 1.0, "averaged_func": None}),
-        ("oscillation_period", {"oscillation_period": None})])
+        ("oscillation_period", {"oscillation_period": None}), ("knees", {"knees": ()})])
     def test_spectrum_hints_rejected(self, field_name, hints):
         def f2(f):
             return 1.0 / np.asarray(f, float) ** 2
 
         with pytest.raises(DomainError, match=rf"^Spectrum\.{field_name}( entry)? must be "):
-            Spectrum(f2, **{"oscillation_period": 1.0, "averaged_func": f2, **hints})
+            Spectrum(f2, **{"knees": (1.0,), "oscillation_period": 1.0, "averaged_func": f2,
+                            **hints})
 
     def test_overflowing_period_gives_no_sin2_hints(self):
         # a 1e-310 km mismatch gave an infinite period; the switch frequency

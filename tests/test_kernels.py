@@ -251,6 +251,7 @@ _NOT_COUNTS = (1.5, 1.0, -1, "1", None, True, np.array([1, 2]))
 _PRESET = builtin_scenarios()[0]
 _TOPO = _PRESET.topology
 _LASER = (CavityParams(), LoopParams())  # the other records of psd_laser_stabilized
+_SPECTRUM = interference_spectrum(_TOPO)
 # the kernels' and the oracle's arguments: (call, the argument's name,
 # wrong-typed values)
 WRONG_TYPE_ARGS = {
@@ -286,7 +287,7 @@ WRONG_TYPE_ARGS = {
                                     _NOT_REALS_OR_ARRAYS),
     "arm_transmittance eta_hat": (arm_transmittance, "eta_hat", _NOT_REALS_OR_ARRAYS),
     "plob_bound eta": (plob_bound, "eta", _NOT_REALS_OR_ARRAYS),
-    "phase_variance tau_q": (lambda v: phase_variance(lambda f: f ** -2.0, v), "tau_q",
+    "phase_variance tau_q": (lambda v: phase_variance(_SPECTRUM, v), "tau_q",
                              _NOT_REALS),
     "qber_from_variance sigma2": (qber_from_variance, "sigma2", _NOT_REALS),
     "qber_small_angle sigma2": (qber_small_angle, "sigma2", _NOT_REALS),
@@ -355,9 +356,10 @@ WRONG_TYPE_ARGS = {
         1.0, LaserFreeParams(), _LASER[0], v), "loop", (None, CavityParams())),
     "psd_fiber p": (lambda v: psd_fiber(1.0, 1.0, v, False), "p", (None, LaserSpec())),
     "psd_detection_floor p": (lambda v: psd_detection_floor(1.0, v), "p", (None, LoopParams())),
-    "phase_variance psd": (lambda v: phase_variance(v, 1e-3), "psd", (None, "x", 1.0)),
-    "solve_tau_q psd": (solve_tau_q, "psd", (None, "x")),
-    "solve_tau_q budget": (lambda v: solve_tau_q(lambda f: f ** -2.0, v), "budget",
+    "phase_variance psd": (lambda v: phase_variance(v, 1e-3), "psd",
+                           (None, "x", 1.0, _SPECTRUM.func)),
+    "solve_tau_q psd": (solve_tau_q, "psd", (None, "x", _SPECTRUM.func)),
+    "solve_tau_q budget": (lambda v: solve_tau_q(_SPECTRUM, v), "budget",
                            (None, "x", _PRESET.operating_point)),
     "sigma_map topo_template": (lambda v: sigma_map(v, [1.0], [1e-3]), "topo_template",
                                 (None, _PRESET)),
@@ -387,10 +389,11 @@ def test_wrong_typed_oracle_arguments_raise_naming_the_argument(name):
     # each raised a bare TypeError or ValueError (a string intensity or
     # transmittance numpy's UFuncTypeError, a missing or foreign record an
     # AttributeError or TypeError, a psd that is not callable a "not
-    # callable" TypeError, a non-numeric grid entry a ValueError), or (a
-    # fractional or boolean photon number, a boolean intensity,
-    # probability, variance, window, inefficiency or grid entry, a string
-    # attenuation or grid of digits) returned a value
+    # callable" TypeError, a non-numeric grid entry a ValueError), a bare
+    # PSD callable was integrated to an infinite f_max, or (a fractional
+    # or boolean photon number, a boolean intensity, probability,
+    # variance, window, inefficiency or grid entry, a string attenuation
+    # or grid of digits) returned a value
     call, arg, values = WRONG_TYPE_ARGS[name]
     for v in values:
         with pytest.raises(DomainError, match=f"^{arg} must be"):
