@@ -192,9 +192,13 @@ class TestPhaseVariance:
             phase_variance(flat_1_over_f2(1.0), tau)
 
     # a 0.01 Hz wide Lorentzian line at a 10 kHz knee, a grid node among
-    # nodes some 58 Hz apart: Boole's and Simpson's rule on the grid
+    # nodes some 58 Hz apart; or in the top decade of the band past a
+    # 10 MHz knee, between log nodes or on the f_max = 1e8 Hz node, where
+    # it holds 3.1e3 rad^2.  Boole's and Simpson's rule on the grid
     # disagree, so no value is returned
-    @pytest.mark.parametrize("f0, knees, height", [(1e4, (1e4,), 1e-3)], ids=["at_knee"])
+    @pytest.mark.parametrize("f0, knees, height", [(1e4, (1e4,), 1e-3), (3.7e7, (1e7,), 1e3),
+                                                   (1e8, (1e7,), 1e3)],
+                             ids=["at_knee", "above_knee", "at_f_max"])
     def test_feature_narrower_than_grid_raises(self, f0, knees, height):
         width = 1e-2
 
@@ -283,6 +287,15 @@ class TestAgainstReference:
         for i, tau in enumerate(taus):
             assert m.sigma_phi[i, 0] == pytest.approx(reference_sigma(spec, tau), rel=SIGMA_RTOL)
 
+    @pytest.mark.parametrize("spec", [flat_1_over_f2(0.7), oscillatory_spectrum(2e3)],
+                             ids=["flat_1_over_f2", "oscillatory"])
+    def test_default_f_max(self, spec):
+        # one knee: the band ends at 10 KNEE, four decades past the window
+        # of 1e-5 s, and past the sin^2 switch of the oscillatory spectrum
+        for tau in (1e-5, 1e-2):
+            assert phase_variance(spec, tau) == pytest.approx(
+                reference_variance(spec, tau), rel=2 * SIGMA_RTOL)
+
     def test_finite_f_max(self):
         # the budget's f_max, below the default 10 times the highest knee
         topo = tfqkd.builtin_scenarios()[2].topology
@@ -346,6 +359,11 @@ class TestGridAgainstLoop:
         sigma_map(topo, [1.0], np.geomspace(1e-6, 0.1, 9))
         assert len(compared) == 2
 
+    def test_analytic_spectrum_default_band(self, compared):
+        for tau in (1e-5, 1e-2):
+            phase_variance(flat_1_over_f2(0.7), tau)
+        assert len(compared) == 2
+
     def test_query_one_ulp_above_knee(self, compared):
         spec = interference_spectrum(tfqkd.builtin_scenarios()[0].topology)
         for knee in spec.knees:
@@ -365,10 +383,12 @@ class TestGridAgainstLoop:
         assert len(compared) == 2
 
     # an analytic spectrum switching at 100 Hz: on f_lo, on a query node, on
-    # f_max, below the grid and above it
+    # f_max, below the grid and above it; f_max None is the default band
+    # end 10 KNEE, five decades and more past the switch
     @pytest.mark.parametrize("f_query, f_max", [
-        ([100.0, 1e3], 1e4), ([10.0, 100.0, 1e3], 1e4), ([1.0], 100.0), ([1e3], 1e4),
-        ([1.0], 50.0)], ids=["f_lo_finite", "query", "f_max", "below", "above"])
+        ([100.0, 1e3], None), ([100.0, 1e3], 1e4), ([10.0, 100.0, 1e3], 1e4),
+        ([10.0, 100.0], None), ([1.0], 100.0), ([1e3], 1e4), ([1.0], 50.0)],
+        ids=["f_lo", "f_lo_finite", "query", "query_tail", "f_max", "below", "above"])
     def test_switch_on_grid_edges(self, compared, f_query, f_max):
         spec = oscillatory_spectrum(2.0)
         assert coherence.OSC_PERIODS * spec.oscillation_period == 100.0
@@ -533,6 +553,13 @@ class TestSolveTauQ:
         with pytest.raises(DomainError, match="^CoherenceBudget.f_max must be a finite number "
                                               "> 0 or None, got"):
             CoherenceBudget(f_max=f_max)
+
+    def test_budget_allows_a_far_finite_f_max(self):
+        # a cutoff twelve decades past the knee's default is integrated
+        # on its own log grid: sigma^2 = 4 (tau - 1e-20)
+        res = solve_tau_q(flat_1_over_f2(4.0), CoherenceBudget(f_max=1e20))
+        assert not res.clipped
+        assert res.tau_q == pytest.approx(0.01, rel=1e-6)
 
     def test_result_fields_consistent(self):
         spec = flat_1_over_f2(4.0)

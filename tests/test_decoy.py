@@ -147,6 +147,14 @@ class TestBounds:
         b = decoy_bounds(DecoySet(u=1e155), model())
         assert not b.ok and b.q1_low == 0.0
 
+    @pytest.mark.parametrize("u", [710.0, 800.0, 1e300])
+    def test_intensity_past_exp_overflow_fails_without_warning(self, u):
+        # e^u overflows from about u = 709.8 (u**2 too at 1e300): each
+        # wrote a RuntimeWarning, an error in this suite, before the
+        # failed estimation
+        b = decoy_bounds(DecoySet(u=u), model())
+        assert not b.ok and b.q1_low == 0.0
+
     def test_ordering_enforced(self):
         with pytest.raises(DomainError):
             DecoySet(u=0.1, v=0.16, w=1e-5)
