@@ -1,16 +1,18 @@
-"""The field contract of the input dataclasses.
+"""The field contract: how a number enters and leaves the public API.
 
-Each init field of an input dataclass declares what it takes once, as
-dataclasses.field metadata made by spec.  Checked checks each field
-against it, and the YAML configuration checks each leaf with the same
-checker, so the Python API and the YAML route accept the same values.
+Each init field of an input dataclass and each argument of a public
+function declares what it takes once, as metadata made by spec, and
+the YAML configuration checks each leaf with that field's checker, so
+all three accept the same values; _scalars is every function's exit.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import math
+import sys
 from numbers import Integral, Real
 
 import numpy as np
@@ -23,15 +25,17 @@ _BOUNDS = {"gt": ">", "ge": ">=", "lt": "<", "le": "<="}  # a bound's sign in me
 
 
 def spec(kind, **rules) -> dict:
-    """Field metadata.  kind is float (a real number), int, bool, str,
-    tuple (a tuple, or a list converted to one), an enum (a member, or
-    its value converted to it), or the dataclass, or a tuple of them, of
-    which the value is an instance.  A number takes the bounds gt or ge
-    (an open or a closed lower end) and lt or le, and must be finite
-    unless finite=False; with array=True a real may also be a numeric
-    ndarray, whose min and max are checked.  A str may take values, the
-    strings it must be one of; a tuple takes item, the spec of each
-    entry, and may take nonempty.  optional=True admits None."""
+    """Field metadata.  kind is float (a real number, checked as the float
+    it converts to), int, bool, str, tuple (a tuple, or a list or 1-d
+    ndarray converted to one), an enum (a member, or its value converted
+    to it), or the dataclass, or a tuple of them, of which the value is
+    an instance.  A number takes the bounds gt or ge (an open or a closed
+    lower end) and lt or le, within +-the largest float unless
+    finite=False; with array=True a real may also be a numeric ndarray,
+    or a list or tuple converted to one, whose min and max are checked.
+    A str may take values, the strings it must be one of; a tuple takes
+    item, the spec of each entry, and may take nonempty.  optional=True
+    admits None."""
     return {"kind": kind, **rules}
 
 
@@ -40,39 +44,53 @@ def part(cls):
     return dataclasses.field(default_factory=cls, metadata=spec(cls))
 
 
+def _scalars(obj):
+    """obj with each 0-d result turned into a Python scalar: a dataclass
+    field by field, or a bare array; anything of higher rank is returned
+    as it is.  Every public function returns its numbers through it, so
+    a number in gives Python floats out and an array in gives arrays."""
+    if type(obj) is np.ndarray and obj.ndim:
+        return obj
+    if dataclasses.is_dataclass(obj):
+        points = {k: np.asarray(v).item() for k, v in vars(obj).items()
+                  if not (type(v) is np.ndarray and v.ndim) and np.ndim(v) == 0}
+        return dataclasses.replace(obj, **points) if points else obj
+    return np.asarray(obj).item() if np.ndim(obj) == 0 else obj
+
+
 def _within(x, lo: float, hi: float, lo_open: bool = False, hi_open: bool = False) -> bool:
     """Whether every entry of x, a number or an array, lies between lo and
     hi, each end included unless lo_open or hi_open.  NaN lies in no
     range, and an empty array in every one."""
-    if not isinstance(x, (int, float)):
-        x = np.asarray(x)
-        if not x.size:
-            return True
-        # NaN if any entry is
-        x_lo, x_hi = np.minimum.reduce(x, axis=None), np.maximum.reduce(x, axis=None)
-    else:
-        x_lo = x_hi = x
+    x = np.asarray(x)
+    if not x.size:
+        return True
+    # NaN if any entry is
+    x_lo, x_hi = np.minimum.reduce(x, axis=None), np.maximum.reduce(x, axis=None)
     return bool((lo < x_lo if lo_open else lo <= x_lo) and (x_hi < hi if hi_open else x_hi <= hi))
 
 
 def _number(m: dict):
-    """(description, predicate, None) of a number's metadata."""
+    """(description, predicate, conversion or None) of a number's metadata."""
     finite, array, real = m.get("finite", True), m.get("array", False), m["kind"] is float
-    lo, hi = m.get("gt", m.get("ge", -math.inf)), m.get("lt", m.get("le", math.inf))
-    lo_open = "gt" in m or (finite and lo == -math.inf)
-    hi_open = "lt" in m or (finite and hi == math.inf)
+    end = sys.float_info.max if finite else math.inf
+    lo, hi = m.get("gt", m.get("ge", -end)), m.get("lt", m.get("le", end))
+    lo_open, hi_open = "gt" in m, "lt" in m
     fast, number = (float, Real) if real else (int, Integral)
 
     def ok(v):
         if type(v) is fast:  # the common case, without a call
             return (lo < v if lo_open else lo <= v) and (v < hi if hi_open else v <= hi)
-        # np.bool_ is neither Real nor Integral
-        return ((array and type(v) is np.ndarray and v.dtype.kind in "fiu")
-                or (isinstance(v, number) and not isinstance(v, bool))) \
-            and _within(v, lo, hi, lo_open, hi_open)
+        if array and type(v) in (np.ndarray, list, tuple):
+            v = np.asarray(v)
+            return v.dtype.kind in "fiu" and _within(v, lo, hi, lo_open, hi_open)
+        # np.bool_ is neither Real nor Integral; a number is checked as the float
+        # or int it converts to
+        return isinstance(v, number) and not isinstance(v, bool) and ok(fast(v))
     what = ("a finite number" if finite else "a number") if real else "an integer"
     return what + " or numeric array" * array + " and".join(
-        f" {_BOUNDS[k]} {m[k]}" for k in _BOUNDS if k in m), ok, None
+        f" {_BOUNDS[k]} {m[k]}" for k in _BOUNDS if k in m), ok, \
+        (lambda v: np.asarray(v) if type(v) in (list, tuple) else v) if array else None
 
 
 def _rule(m: dict, where: str):
@@ -84,9 +102,10 @@ def _rule(m: dict, where: str):
         item, least = _checker(m["item"], where + " entry"), int(m.get("nonempty", False))
 
         def ok(v):
-            return isinstance(v, (tuple, list)) and len(v) >= least
+            return (isinstance(v, (tuple, list)) or type(v) is np.ndarray and v.ndim == 1) \
+                and len(v) >= least
         return ("a non-empty tuple or list" if least else "a tuple or list"), ok, \
-            lambda v: tuple(map(item, v))
+            lambda v: tuple(map(item, v.tolist() if type(v) is np.ndarray else v))
     if isinstance(kind, type) and issubclass(kind, enum.Enum):
         values = [e.value for e in kind]
 
@@ -108,7 +127,11 @@ def _checker(m: dict, where: str):
     none_ok = m.get("optional", False)
 
     def check(v):
-        if ok(v):
+        try:
+            met = ok(v)
+        except (ValueError, OverflowError):  # a ragged list; an integer that no float holds
+            met = False
+        if met:
             return v if convert is None else convert(v)
         if v is None and none_ok:
             return v
@@ -116,9 +139,11 @@ def _checker(m: dict, where: str):
     return check
 
 
+@functools.cache
 def _field_checks(cls) -> tuple:
-    """(name, default, checker) of each init field of cls.  A default is
-    checked here, once, so a field that holds it needs no check."""
+    """(name, default, checker) of each init field of cls, built on first
+    use.  A default is checked here, once, so a field that holds it needs
+    no check."""
     out = []
     for f in dataclasses.fields(cls):
         if f.init:
@@ -129,9 +154,6 @@ def _field_checks(cls) -> tuple:
     return tuple(out)
 
 
-_CHECKS: dict = {}  # class -> _field_checks(class), built on first use
-
-
 class Checked:
     """Base of the input dataclasses (output records, which only the
     library builds, are not checked): __post_init__ checks each init
@@ -139,12 +161,8 @@ class Checked:
     is one.  A subclass with cross-field rules checks them after it."""
 
     def __post_init__(self):
-        cls, values = type(self), self.__dict__  # written directly, as the dataclass is frozen
-        checks = _CHECKS.get(cls) or _CHECKS.setdefault(cls, _field_checks(cls))
-        for name, default, check in checks:
-            value = values[name]
-            if value is not default:
-                checked = check(value)
-                if checked is not value:
-                    values[name] = checked
+        values = self.__dict__  # written directly, as the dataclass is frozen
+        for name, default, check in _field_checks(type(self)):
+            if values[name] is not default:
+                values[name] = check(values[name])
 

@@ -19,8 +19,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._fields import Checked, _checker, _within, spec
-from .decoy import _F_EC, _entropies, _scalars
+from ._fields import Checked, _checker, _scalars, _within, spec
+from .decoy import _F_EC, _entropies
 from .errors import DomainError
 
 __all__ = [

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._fields import Checked, _checker, spec
+from ._fields import Checked, _checker, _scalars, spec
 from .csvtext import csv_text
 from .errors import DivergentIntegralError, DomainError
 from .spectra import FiberParams, LaserSpec, Spectrum, TopologyConfig, interference_spectrum
@@ -165,26 +165,25 @@ def phase_variance(psd: Spectrum, tau_q: float) -> float:
     returning a value.
     """
     spec, tau_q = _PSD(psd), _TAU_Q(tau_q)
-    c = _variance_curve(spec, np.array([1.0 / tau_q]), None)[1]
-    return float(c[0])
+    return _scalars(_variance_curve(spec, np.array([1.0 / tau_q]), None)[1][0])
 
 
 def qber_from_variance(sigma2: float) -> float:
     """Exact Gaussian phase-noise QBER: (1 - exp(-sigma^2/2)) / 2."""
     sigma2 = _SIGMA2(sigma2)
-    return 0.5 * -np.expm1(-0.5 * sigma2)
+    return _scalars(0.5 * -np.expm1(-0.5 * sigma2))
 
 
 def qber_small_angle(sigma2: float) -> float:
     """Small-phase approximation sigma^2/4 of the phase-noise QBER."""
     sigma2 = _SIGMA2(sigma2)
-    return 0.25 * sigma2
+    return _scalars(0.25 * sigma2)
 
 
 def duty_cycle(tau_q: float, tau_ps: float) -> float:
     """Fraction of time spent transmitting: tau_q / (tau_q + tau_ps)."""
     tau_q, tau_ps = _TAU_Q(tau_q), _TAU_PS(tau_ps)
-    return tau_q / (tau_q + tau_ps)
+    return _scalars(tau_q / (tau_q + tau_ps))
 
 
 @dataclass(frozen=True)
@@ -295,7 +294,7 @@ def solve_tau_q(psd: Spectrum, budget: CoherenceBudget = CoherenceBudget()) -> O
                               budget.sigma_threshold * budget.sigma_threshold)
     sig = budget.sigma_threshold if state == "solved" else np.sqrt(var)
     return OperatingPoint(
-        tau_q=float(tau), sigma_phi=float(sig), e_phi=float(qber_from_variance(sig * sig)),
+        tau_q=float(tau), sigma_phi=float(sig), e_phi=qber_from_variance(sig * sig),
         tau_ps=float(budget.tau_ps), clipped=state == "clipped", floored=state == "floored")
 
 
@@ -353,8 +352,7 @@ def sigma_map(topo_template: TopologyConfig,
     grid that does not resolve the spectrum raises DivergentIntegralError.
     """
     topo_template, budget = _TOPO(topo_template), _BUDGET(budget)
-    dl, taus = (np.array(check(g.tolist() if isinstance(g, np.ndarray) else g), dtype=float)
-                for check, g in ((_DL_GRID, delta_l_grid), (_TAU_GRID, tau_grid)))
+    dl, taus = np.array(_DL_GRID(delta_l_grid), float), np.array(_TAU_GRID(tau_grid), float)
     if not (np.all(dl[1:] > dl[:-1]) and np.all(taus[1:] > taus[:-1])):
         raise DomainError("grids must be strictly increasing")
     out = np.empty((taus.size, dl.size))

@@ -15,11 +15,11 @@ element-wise, so each stacked entry equals the float call bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, is_dataclass, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._fields import Checked, _checker, _within, spec
+from ._fields import Checked, _checker, _scalars, _within, spec
 from .errors import DomainError
 
 __all__ = [
@@ -33,20 +33,6 @@ __all__ = [
     "decoy_bounds",
     "bb84_rate",
 ]
-
-
-def _scalars(obj):
-    """obj with each 0-d result turned into a Python scalar: a dataclass
-    field by field, or a bare array; anything of higher rank is returned
-    as it is.  Every public kernel of the protocol modules returns through
-    it, so a float input gives floats and an array input gives arrays."""
-    if type(obj) is np.ndarray and obj.ndim:
-        return obj
-    if is_dataclass(obj):
-        points = {k: np.asarray(v).item() for k, v in vars(obj).items()
-                  if not (type(v) is np.ndarray and v.ndim) and np.ndim(v) == 0}
-        return replace(obj, **points) if points else obj
-    return np.asarray(obj).item() if np.ndim(obj) == 0 else obj
 
 
 # the field contract's checkers of the kernels' arguments; an

@@ -7,8 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._fields import Checked, _checker, spec
-from .decoy import ChannelErrorModel, _scalars
+from ._fields import Checked, _checker, _scalars, spec
+from .decoy import ChannelErrorModel
 from .errors import DomainError
 
 __all__ = [
@@ -53,11 +53,6 @@ _ALPHA, _A_PLUS = (_checker(spec(float, ge=0), name) for name in ("alpha", "a_pl
 _DETECTOR = _checker(spec(DetectorParams), "det")
 
 
-def _sequence_as_array(x):
-    """x, or the array numpy makes of it where it is a list or tuple."""
-    return np.asarray(x) if isinstance(x, (list, tuple)) else x
-
-
 SNSPD = DetectorParams(eta_d=0.9, dark_rate=10.0)
 SPAD = DetectorParams(eta_d=0.25, dark_rate=50.0)
 
@@ -71,7 +66,7 @@ class MisalignmentParams(Checked):
     @property
     def theta(self) -> float:
         """Misalignment angle in rad, from e = sin(theta/2)^2."""
-        return 2.0 * np.arcsin(np.sqrt(self.e_theta))
+        return _scalars(2.0 * np.arcsin(np.sqrt(self.e_theta)))
 
 
 def balanced_link(l_a, alpha, a_plus):
@@ -81,7 +76,7 @@ def balanced_link(l_a, alpha, a_plus):
     instrumentation loss a_plus in dB) sets the pace; the other arm is
     padded to match, so the total loss is 2 (alpha l_a + a_plus) dB.
     """
-    l_a, alpha, a_plus = _L_A(_sequence_as_array(l_a)), _ALPHA(alpha), _A_PLUS(a_plus)
+    l_a, alpha, a_plus = _L_A(l_a), _ALPHA(alpha), _A_PLUS(a_plus)
     return link_from_attenuation(2.0 * (alpha * l_a + a_plus))
 
 
@@ -89,14 +84,14 @@ def link_from_attenuation(total_db):
     """Total transmittance 10^(-dB/10) of each end-to-end loss in dB, each
     a Python float power: numpy's array power differs from it in the last
     bit on some inputs."""
-    db = np.asarray(_TOTAL_DB(_sequence_as_array(total_db)), dtype=float)
+    db = np.asarray(_TOTAL_DB(total_db), dtype=float)
     eta = [10.0 ** (-a / 10.0) for a in db.ravel().tolist()]
     return _scalars(np.array(eta).reshape(db.shape))
 
 
 def effective_transmittance(eta, det: DetectorParams):
     """Total transmittance including detector efficiency; eta may be an array."""
-    return _ETA(eta) * _DETECTOR(det).eta_d
+    return _scalars(_ETA(eta) * _DETECTOR(det).eta_d)
 
 
 def arm_transmittance(eta_hat):
@@ -107,7 +102,7 @@ def arm_transmittance(eta_hat):
     effective_transmittance), t = sqrt(eta_hat), so the product of the two
     arms equals eta_hat.  eta_hat may be an array.
     """
-    return np.sqrt(_ETA_HAT(_sequence_as_array(eta_hat)))
+    return _scalars(np.sqrt(_ETA_HAT(eta_hat)))
 
 
 def plob_bound(eta):

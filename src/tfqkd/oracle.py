@@ -17,7 +17,7 @@ from typing import Union
 
 import numpy as np
 
-from ._fields import Checked, _checker, spec
+from ._fields import Checked, _checker, _scalars, spec
 from .cal import _bs_exact
 from .decoy import _MODEL, ChannelErrorModel
 from .errors import DomainError
@@ -246,10 +246,10 @@ def mc_click_stats(mu_a: float, mu_b: float, arm_t: float, p_d: float,
                        n_d - n_both, n_both], dtype=np.int64)  # none, c, d, both
     freq = counts / cfg.samples
     se = np.sqrt(freq * (1.0 - freq) / cfg.samples)
-    return McClickStats(
+    return _scalars(McClickStats(
         none=freq[0], c_only=freq[1], d_only=freq[2], both=freq[3],
         se_none=se[0], se_c_only=se[1], se_d_only=se[2], se_both=se[3],
-        samples=cfg.samples, seed=cfg.seed)
+        samples=cfg.samples, seed=cfg.seed))
 
 
 def fock_bs_distribution(n_a: int, n_b: int) -> np.ndarray:

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._fields import Checked, _checker, _within, spec
-from .decoy import _BOUNDS, DecoyBounds, DecoySet, _key, _scalars
+from ._fields import Checked, _checker, _scalars, _within, spec
+from .decoy import _BOUNDS, DecoyBounds, DecoySet, _key
 from .errors import DomainError
 
 __all__ = [

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._fields import Checked, _checker, _within, part, spec
+from ._fields import Checked, _checker, _scalars, _within, part, spec
 from .errors import DomainError
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact by the SI definition of the metre
@@ -48,6 +48,19 @@ def _as_positive_freq(f) -> np.ndarray:
     if not _within(f, 0.0, np.inf, lo_open=True, hi_open=True):
         raise DomainError("Fourier frequency must be positive and finite")
     return f
+
+
+def _psd_at(f, evaluate):
+    """A public PSD's value at f: evaluate on the checked frequencies, a
+    number through a 1-element view of it, in the shape of f (a Python
+    float for a number).  Raises DomainError where a value is not finite."""
+    f = _as_positive_freq(f)
+    x = np.atleast_1d(f)
+    with np.errstate(all="ignore"):
+        s = evaluate(x)
+    if not np.isfinite(s).all():
+        raise DomainError(f"PSD is not finite at f = {x.flat[np.argmin(np.isfinite(s))]:.6g} Hz")
+    return _scalars(s.reshape(f.shape))
 
 
 # the field contract's checkers of the public functions' arguments
@@ -174,17 +187,9 @@ _FREE, _CAVITY, _LOOP, _TOPO, _LASER, _FIBER = (_checker(spec(cls), name) for cl
     (TopologyConfig, "topo"), (LaserSpec, "laser"), (FiberParams, "fiber")))
 
 
-def _like(f, out):
-    """out, evaluated on np.atleast_1d(f), in the shape of f: a 0-d f
-    (evaluated through a 1-element view) gives its one value as np.float64."""
-    return out if f.ndim else out[0]
-
-
 def psd_laser_free(f, p: LaserFreeParams):
     """Free-running laser phase noise (rad^2/Hz)."""
-    f, p = _as_positive_freq(f), _P_FREE(p)
-    x = np.atleast_1d(f)
-    return _like(f, _laser_free(x, x**2, x**3, p))
+    return _psd_at(f, lambda x: _laser_free(x, x**2, x**3, _P_FREE(p)))
 
 
 # The private models take the powers of f they share from the caller,
@@ -211,9 +216,7 @@ def _laser_free(f, f2, f3, p: LaserFreeParams):
 
 def psd_cavity(f, p: CavityParams):
     """Reference-cavity phase noise (rad^2/Hz)."""
-    f, p = _as_positive_freq(f), _P_CAVITY(p)
-    x = np.atleast_1d(f)
-    return _like(f, _cavity(x, x**2, x**3, p))
+    return _psd_at(f, lambda x: _cavity(x, x**2, x**3, _P_CAVITY(p)))
 
 
 def _cavity(f, f2, f3, p: CavityParams):
@@ -236,15 +239,14 @@ def loop_gain(f, p: LoopParams):
     w2 = (2.0 * np.pi * f) ** 2
     zero = 1j * f + p.bandwidth * p.gamma
     pole = 1j * f + p.bandwidth * p.delta
-    return p.g0 / w2 * zero / pole
+    return _scalars(p.g0 / w2 * zero / pole)
 
 
 def psd_laser_stabilized(f, laser: LaserFreeParams, cavity: CavityParams,
                          loop: LoopParams):
     """Cavity-stabilized laser noise: cavity floor plus servo-suppressed free noise."""
-    f, laser, cavity, loop = _as_positive_freq(f), _FREE(laser), _CAVITY(cavity), _LOOP(loop)
-    x = np.atleast_1d(f)
-    return _like(f, _laser_stabilized(x, x**2, (2.0 * np.pi * x) ** 2, laser, cavity, loop))
+    return _psd_at(f, lambda x: _laser_stabilized(x, x**2, (2.0 * np.pi * x) ** 2, _FREE(laser),
+                                                  _CAVITY(cavity), _LOOP(loop)))
 
 
 def _suppression(f2, w2, p: LoopParams):
@@ -283,19 +285,23 @@ def psd_fiber(f, length_km: float, p: FiberParams, stabilized: bool):
     Dual-band stabilization suppresses the linear term by the wavelength
     mismatch and leaves the sensing-detection white floor.
     """
-    linear = psd_fiber_linear(f, length_km, p, stabilized)
-    if stabilized:
-        return linear + psd_detection_floor(f, p)
-    return linear
+    return _fiber(f, length_km, p, stabilized, stabilized)
 
 
 def psd_fiber_linear(f, length_km: float, p: FiberParams, stabilized: bool):
     """Length-proportional part of the fiber noise, without the detection floor."""
-    f, length_km, p = _as_positive_freq(f), _LENGTH(length_km), _P_FIBER(p)
-    stabilized = _STABILIZED(stabilized)
-    x = np.atleast_1d(f)
-    rolloff = None if stabilized else _rolloff(x, p.f_c_free)
-    return _like(f, _fiber_linear(x**2, rolloff, length_km, p, stabilized))
+    return _fiber(f, length_km, p, stabilized, False)
+
+
+def _fiber(f, length_km: float, p: FiberParams, stabilized: bool, floor: bool):
+    """psd_fiber_linear at f, plus the detection floor if floor."""
+    length_km, p, stabilized = _LENGTH(length_km), _P_FIBER(p), _STABILIZED(stabilized)
+
+    def evaluate(x):
+        out = _fiber_linear(x**2, None if stabilized else _rolloff(x, p.f_c_free), length_km, p,
+                            stabilized)
+        return out + _detection_floor(x, p) if floor else out
+    return _psd_at(f, evaluate)
 
 
 def _fiber_linear(f2, rolloff, length_km: float, p: FiberParams, stabilized: bool):
@@ -310,8 +316,7 @@ def _fiber_linear(f2, rolloff, length_km: float, p: FiberParams, stabilized: boo
 
 def psd_detection_floor(f, p: FiberParams):
     """White detection floor of the fiber-noise sensing interference."""
-    f = _as_positive_freq(f)
-    return _like(f, _detection_floor(np.atleast_1d(f), _P_FIBER(p)))
+    return _psd_at(f, lambda x: _detection_floor(x, _P_FIBER(p)))
 
 
 def _detection_floor(f, p: FiberParams):
@@ -349,7 +354,8 @@ class Spectrum(Checked):
             raise DomainError(f"Spectrum.{missing} must be given with {given}")
 
     def __call__(self, f):
-        return self.func(f)
+        """The PSD at f, as the single-term PSDs give theirs."""
+        return _psd_at(f, self.func)
 
     def default_f_max(self) -> float:
         """Upper integration cutoff: a decade above the highest model knee."""
@@ -369,7 +375,7 @@ def _composite(topo: TopologyConfig, laser: LaserSpec, fiber: FiberParams, dl: f
     mismatch maps sweep.  One call evaluates f**2, 2 pi f, the roll-offs
     and the laser PSD once each, by the float operations of the public
     single-term models, and sums the terms in place; a 0-d f is evaluated
-    through a 1-element view, as _like describes.
+    through a 1-element view, as _psd_at evaluates it.
     """
     common = topo.kind is TopologyKind.COMMON_LASER
     stab, fib_stab = topo.laser_stabilized, topo.fiber_stabilized

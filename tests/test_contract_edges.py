@@ -10,7 +10,9 @@ sigma-map (one cell, with its isoline) and psd (one frequency) run on
 it, each command on the leaves it reads past the configuration load
 that all four share.  Each run must exit 0 with its output, or exit 1
 with one `Error:` line on stderr: a cross-field rule, the solver or the
-kernels may refuse a value, but no value may end in a traceback.
+kernels may refuse a value, but no value may end in a traceback.  An
+integer that no float holds (1 and 400 zeros) fails each leaf's own
+check, in one error line naming the leaf.
 """
 
 import math
@@ -101,3 +103,20 @@ def test_edge_values_end_in_output_or_one_error_line(tmp_path, section, key, m):
                 faults.append(f"preset {preset}, {key}: {value!r}, {command[0]}: "
                               f"exit {res.exit_code}, {res.exception!r}")
     assert not faults, "\n".join(faults)
+
+
+@pytest.mark.parametrize("section, key, m", LEAVES, ids=[f"{s}.{k}" for s, k, _ in LEAVES])
+def test_an_integer_no_float_holds_is_one_error_line_naming_the_leaf(tmp_path, section, key, m):
+    # a YAML integer passed the leaf's check by comparison alone, and
+    # tau-solve ended in an OverflowError traceback on budget.tau_max_s
+    # and laser.f_c_hz; tau-solve runs on each leaf it reads
+    cfg = tmp_path / "big.yaml"
+    cfg.write_text(config_text(1, section, key, 10**400), encoding="utf-8")
+    assert f"{key}: 1{'0' * 400}" in cfg.read_text(encoding="utf-8")
+    (command, _), (solve, solved) = COMMANDS[:2]
+    res = CliRunner().invoke(cli_main, [
+        a.format(cfg=cfg) for a in (solve if section in solved else command)])
+    errors = res.stderr.splitlines()
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit) and not res.stdout
+    assert len(errors) == 1 and errors[0].startswith(
+        f"Error: configuration invalid: $.{section}.{key} must be "), errors

@@ -115,10 +115,15 @@ def test_numpy_scalars_and_arrays_where_arrays_are_taken():
     assert ChannelErrorModel(eta_hat=eta, p_dc=0.0).eta_hat is eta
     assert ChannelErrorModel(eta_hat=np.array([]), p_dc=0.0).eta_hat.size == 0
     assert CalChannel(gamma=np.arange(3)).gamma.tolist() == [0, 1, 2]
+    # a list or tuple is the array numpy makes of it
+    for seq in ([0.1, 0.2], (0.1, 0.2)):
+        held = ChannelErrorModel(eta_hat=seq, p_dc=0.0).eta_hat
+        assert type(held) is np.ndarray and held.tolist() == [0.1, 0.2]
     for make in (lambda: ChannelErrorModel(eta_hat=np.array([0.1, np.nan]), p_dc=0.0),
                  lambda: ChannelErrorModel(eta_hat=np.array([0.1, 1.5]), p_dc=0.0),
                  lambda: ChannelErrorModel(eta_hat=np.array([True]), p_dc=0.0),
-                 lambda: ChannelErrorModel(eta_hat=[0.1, 0.2], p_dc=0.0),
+                 lambda: ChannelErrorModel(eta_hat=[0.1, [0.2]], p_dc=0.0),
+                 lambda: ChannelErrorModel(eta_hat=[0.1, "0.2"], p_dc=0.0),
                  lambda: CalChannel(gamma=np.array([0.0, np.inf])),
                  lambda: CalChannel(gamma=0.1, sigma_phi=np.array([0.1])),
                  lambda: LoopParams(gamma=np.array(0.5))):

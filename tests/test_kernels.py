@@ -22,6 +22,7 @@ from tfqkd import (
     LaserSpec,
     LoopParams,
     McConfig,
+    MisalignmentParams,
     ProtocolParams,
     SnsParams,
     SweepSpec,
@@ -57,6 +58,7 @@ from tfqkd import (
     psd_cavity,
     psd_detection_floor,
     psd_fiber,
+    psd_fiber_linear,
     psd_laser_free,
     psd_laser_stabilized,
     qber,
@@ -400,9 +402,64 @@ def test_wrong_typed_oracle_arguments_raise_naming_the_argument(name):
             call(v)
 
 
+_F = (1.0, 3e2, 3e7)  # Fourier frequencies (Hz)
+# every public numeric function that KERNELS leaves out, as a function of
+# one argument: the values it is given, and whether it takes an array
+NUMBER_RULE = {
+    "link_from_attenuation": (link_from_attenuation, (3.0, 10.0, 40.0), True),
+    "balanced_link l_a": (lambda v: balanced_link(v, 0.2, 1.0), (0.0, 50.0, 114.0), True),
+    "balanced_link alpha": (lambda v: balanced_link(50.0, v, 1.0), (0.2,), False),
+    "effective_transmittance": (lambda v: effective_transmittance(v, SNSPD), ETAS, True),
+    "arm_transmittance": (arm_transmittance, ETAS, True),
+    "make_cal_channel": (lambda v: make_cal_channel(v, CalParams()), ETAS, True),
+    "psd_laser_free": (lambda f: psd_laser_free(f, LaserFreeParams()), _F, True),
+    "psd_cavity": (lambda f: psd_cavity(f, CavityParams()), _F, True),
+    "loop_gain": (lambda f: loop_gain(f, LoopParams()), _F, True),
+    "psd_laser_stabilized": (lambda f: psd_laser_stabilized(f, LaserFreeParams(), *_LASER),
+                             _F, True),
+    "psd_fiber": (lambda f: psd_fiber(f, 10.0, FiberParams(), True), _F, True),
+    "psd_fiber_linear": (lambda f: psd_fiber_linear(f, 10.0, FiberParams(), False), _F, True),
+    "psd_detection_floor": (lambda f: psd_detection_floor(f, FiberParams()), _F, True),
+    "Spectrum": (_SPECTRUM, _F, True),
+    "phase_variance": (lambda v: phase_variance(_SPECTRUM, v), (1e-3,), False),
+    "qber_from_variance": (qber_from_variance, (0.04,), False),
+    "qber_small_angle": (qber_small_angle, (0.04,), False),
+    "duty_cycle": (lambda v: duty_cycle(v, 1e-3), (1e-2,), False),
+    "MisalignmentParams.theta": (lambda v: MisalignmentParams(v).theta, (0.02,), False),
+    "poisson_yield_gain": (lambda v: poisson_yield_gain(v, _model(0.5)), (0.4,), False),
+    "poisson_true_yields": (lambda v: poisson_true_yields(_model(v), 2), (0.5,), False),
+    "mc_click_stats": (lambda v: mc_click_stats(0.1, 0.1, v, 1e-6, McConfig(samples=10)),
+                       (0.5,), False),
+}
+
+
+def _bits(value) -> dict:
+    """Each field of value as (type, dtype, bytes)."""
+    return {k: (type(v), np.asarray(v).dtype, np.asarray(v).tobytes())
+            for k, v in _fields(value).items()}
+
+
 def test_kernels_take_numpy_and_integer_scalars_and_sequences():
-    # the values the checked arguments took before, with the same bytes
+    # the number rule of every public numeric function: a float gives
+    # Python floats (a complex for loop_gain; ints and strings stay), a
+    # list or tuple the bits of the array numpy makes of it, which
+    # effective_transmittance, plob_bound and gain refused
+    for name, (call, values, takes_array) in NUMBER_RULE.items():
+        value = call(values[0])
+        entries = value if type(value) is tuple else _fields(value).values()
+        kinds = {type(v) for v in entries} - {bool, int, str}  # a record's flags and counts
+        assert kinds == ({complex} if name == "loop_gain" else {float}), name
+        if takes_array:
+            for seq in (list(values), tuple(values)):
+                assert _bits(call(seq)) == _bits(call(np.array(values))), name
+    for name, kernel in KERNELS.items():
+        for seq in (list(ETAS), tuple(ETAS)):
+            assert _bits(kernel(seq)) == _bits(kernel(np.array(ETAS))), name
     m = _model(0.5)
+    assert effective_transmittance([0.5], SNSPD).tolist() == [0.45]
+    assert plob_bound([0.5]).tolist() == [1.0]
+    assert gain([0.4, 0.1], m).tolist() == [gain(0.4, m), gain(0.1, m)]
+    # the values the checked arguments took before, with the same bytes
     assert gain(np.float64(0.4), m) == gain(0.4, m) and gain(1, m) == gain(1.0, m)
     assert error_gain(np.array(0.4), m) == error_gain(0.4, m)
     assert binary_entropy(np.float64(0.25)) == binary_entropy(0.25)

@@ -1,6 +1,7 @@
 """Noise-spectrum models: frozen hand-computed values and invariants."""
 
 import cmath
+import warnings
 
 import numpy as np
 import pytest
@@ -349,6 +350,31 @@ class TestInputCheck:
                 with pytest.raises(DomainError):
                     model(bad)
 
+    def test_a_public_psd_refuses_a_value_it_cannot_evaluate(self):
+        # f**2 underflows to 0 below about 1e-162 Hz: preset 1's composite
+        # returned nan at 1e-300 Hz and inf at 1e-120 Hz, with RuntimeWarnings
+        from tfqkd.spectra import psd_fiber_linear
+        spec = interference_spectrum(tfqkd.builtin_scenario(1).topology)
+        at_1e_300 = (
+            lambda f: psd_laser_free(f, LASER),
+            lambda f: psd_cavity(f, CAVITY),
+            lambda f: psd_laser_stabilized(f, LASER, CAVITY, LOOP),
+            lambda f: psd_fiber(f, 10.0, FIBER, stabilized=True),
+            lambda f: psd_fiber_linear(f, 10.0, FIBER, stabilized=False),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for f, models in ((1e-300, (spec,) + at_1e_300), (1e-120, (spec,))):
+                for model in models:
+                    for arg in (f, [1.0, f], np.array([[f]])):
+                        with pytest.raises(DomainError,
+                                           match=f"^PSD is not finite at f = {f:g} Hz$"):
+                            model(arg)
+        # the integrator's entry evaluates as it did
+        with np.errstate(all="ignore"):
+            raw = spec.func(np.array([1e-300, 1e-120]))
+        assert np.isnan(raw[0]) and raw[1] == np.inf
+
     def test_composite_checks_input_once_per_call(self, monkeypatch):
         import tfqkd.spectra as spectra_mod
         calls = []
@@ -444,7 +470,7 @@ class TestCompositeEqualsSingleTerms:
         for x in (1.0, 3e7, *self.F[1::97]):
             at_x = self.formulas(np.array([x]), laser, FIBER, 37.5, stabilized)
             for name, value in self.public(x, laser, FIBER, 37.5, stabilized).items():
-                assert type(value) is np.float64, name
+                assert type(value) is float, name
                 assert value == at_x[name][0], (name, x)
         for name, value in self.public(self.F, laser, FIBER, 37.5, stabilized).items():
             assert np.array_equal(value, expected[name]), name
@@ -486,7 +512,7 @@ class TestCompositeEqualsSingleTerms:
             assert np.array_equal(value, expected[name]), name
         at_x = self.formulas(np.array([x]), laser, fiber, topo.l_a, topo.fiber_stabilized)
         for name, value in self.public(x, laser, fiber, topo.l_a, topo.fiber_stabilized).items():
-            assert type(value) is np.float64 and value == at_x[name][0], name
+            assert type(value) is float and value == at_x[name][0], name
         spec = interference_spectrum(topo, laser, fiber, delta_l_km=dl)
         for averaged, form in ((False, spec.func), (True, spec.averaged_func)):
             if form is not None:
